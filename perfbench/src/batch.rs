@@ -13,7 +13,9 @@
 
 use crate::stats::Summary;
 use crate::trace::Tracer;
-use crate::{inputs, per, trace_twins, Bench, Metric, Params, Scale, Tally, Timed, WARM_UP};
+use crate::{
+    document_layers, inputs, per, trace_twins, Bench, Metric, Params, Scale, Tally, Timed, WARM_UP,
+};
 use std::time::{Duration, Instant};
 use xmlprop_pipeline::{
     fan_out, CorpusBundle, CorpusOptions, CorpusResult, DocOutcome, Jobs, PreparedState,
@@ -29,10 +31,10 @@ const MIN_PASSES: usize = 20;
 
 /// The per-layer metrics of the traced run.
 pub const LAYER_METRICS: &[(&str, &str)] = &[
-    ("xmltree.parse_s", "s"),
-    ("xmltree.index_s", "s"),
-    ("xmlkeys.violations_s", "s"),
-    ("xmltransform.shred_s", "s"),
+    ("xmltree.parse_ms", "ms"),
+    ("xmltree.index_ms", "ms"),
+    ("xmlkeys.violations_ms", "ms"),
+    ("xmltransform.shred_ms", "ms"),
     ("pipeline.stream_s", "s"),
     ("pipeline.fanout_efficiency", "ratio"),
     ("batch.tuples", "count"),
@@ -282,22 +284,16 @@ impl Bench for BatchCorpus {
         });
         let p = &traced.profile;
         let passes = traced.ops;
-        let all = |_: u64| true;
-        let per_pass = |span: &str| per(p.self_ns(span, all) as f64 / 1e9, passes);
-        let stat = format!(
-            "self time per pass, {passes} passes of {} docs",
-            self.texts.len()
-        );
-        let mut metrics: Vec<Metric> = [
-            ("xmltree.parse_s", "xmltree.parse"),
-            ("xmltree.index_s", "xmltree.index"),
-            ("xmlkeys.violations_s", "xmlkeys.violations"),
-            ("xmltransform.shred_s", "xmltransform.shred"),
-            ("pipeline.stream_s", "pipeline.stream"),
-        ]
-        .into_iter()
-        .map(|(name, span)| Metric::new(name, per_pass(span), "s", stat.clone()))
-        .collect();
+        let mut metrics = document_layers(p);
+        metrics.push(Metric::new(
+            "pipeline.stream_s",
+            per(p.self_ns("pipeline.stream", |_| true) as f64 / 1e9, passes),
+            "s",
+            format!(
+                "self time per pass, {passes} passes of {} docs",
+                self.texts.len()
+            ),
+        ));
         metrics.push(Metric::new(
             "pipeline.fanout_efficiency",
             sequential_s / (JOBS as f64 * parallel_s),

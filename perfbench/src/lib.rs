@@ -270,6 +270,11 @@ pub trait Bench: Sized {
     /// Generates the inputs from `params.seed` and prepares the program.
     fn setup(params: &Params) -> Self;
 
+    /// Starts what the gate and the measured phases need beyond the
+    /// program's own preparation, once, after the timed set-ups.  The
+    /// default does nothing.
+    fn start(&mut self) {}
+
     /// The input sizes, for the run's report.
     fn sizes(&self) -> Vec<(&'static str, String)>;
 
@@ -298,9 +303,13 @@ pub struct Outcome {
     pub sizes: Vec<(&'static str, String)>,
     /// Attempted / failed operations across gate and measured phase.
     pub tally: Tally,
-    /// Median set-up time over [`SETUP_REPEATS`] set-ups.
+    /// Median set-up time over both rounds of set-ups (see
+    /// [`SETUP_ROUND`]).
     pub setup_s: f64,
-    /// Peak resident set size of the process (VmHWM).
+    /// How many set-ups `setup_s` is the median of.
+    pub setups: usize,
+    /// Peak resident set size of the process (VmHWM) at the end of the
+    /// measured phase.
     pub peak_rss_mb: f64,
     /// The untraced phase, when this was not a traced run.
     pub timed: Option<Timed>,
@@ -312,22 +321,45 @@ pub struct Outcome {
 /// [`Bench::warm_up`]).
 pub const WARM_UP: std::time::Duration = std::time::Duration::from_secs(3);
 
-/// How many times a run sets its workload up; `setup_s` is the median.
-pub const SETUP_REPEATS: usize = 7;
+/// A run sets its workload up in two rounds, one before the gate and one
+/// after the measured phase; `setup_s` is the median of every set-up of
+/// both.  Each round repeats the set-up for at least [`SETUP_ROUND`] and
+/// [`SETUP_ROUND_MIN`] times (smoke-size rounds only the latter): on a
+/// shared host set-up time moves by a third for seconds at a time, so a few
+/// back-to-back set-ups would time one such stretch rather than the run.
+pub const SETUP_ROUND: std::time::Duration = std::time::Duration::from_secs(4);
 
-/// Runs workload `B`: set-up (repeated), gate, then the timed phase or —
-/// with `trace` — the traced run, whose spans go to `trace_file`.
-pub fn run<B: Bench>(params: &Params, trace: bool, trace_file: Option<&Path>) -> Outcome {
-    let mut setups = Vec::with_capacity(SETUP_REPEATS);
-    let mut bench = None;
-    for _ in 0..SETUP_REPEATS {
-        // Drop the previous set-up first so peak memory holds one copy.
-        drop(bench.take());
+/// The fewest set-ups in one round (see [`SETUP_ROUND`]).
+pub const SETUP_ROUND_MIN: usize = 4;
+
+/// One round of set-ups, each timed into `setups`; returns the last.
+fn setup_round<B: Bench>(params: &Params, setups: &mut Vec<f64>) -> B {
+    let round = Instant::now();
+    let least = match params.scale {
+        Scale::Full => SETUP_ROUND,
+        Scale::Smoke => std::time::Duration::ZERO,
+    };
+    let mut done = 0;
+    loop {
         let start = Instant::now();
-        bench = Some(B::setup(params));
+        let bench = B::setup(params);
         setups.push(start.elapsed().as_secs_f64());
+        done += 1;
+        if done >= SETUP_ROUND_MIN && round.elapsed() >= least {
+            return bench;
+        }
+        // Dropped before the next set-up, so peak memory holds one copy.
+        drop(bench);
     }
-    let mut bench = bench.expect("at least one set-up ran");
+}
+
+/// Runs workload `B`: a round of set-ups, gate, then the timed phase or —
+/// with `trace` — the traced run, whose spans go to `trace_file`, then the
+/// second round of set-ups.
+pub fn run<B: Bench>(params: &Params, trace: bool, trace_file: Option<&Path>) -> Outcome {
+    let mut setups = Vec::new();
+    let mut bench = setup_round::<B>(params, &mut setups);
+    bench.start();
     let mut tally = Tally::default();
     bench.gate(&mut tally);
     bench.warm_up();
@@ -342,12 +374,17 @@ pub fn run<B: Bench>(params: &Params, trace: bool, trace_file: Option<&Path>) ->
     } else {
         (Some(bench.measure(params.seconds, &mut tally)), Vec::new())
     };
+    let sizes = bench.sizes();
+    let peak_rss_mb = peak_rss_mb();
+    drop(bench);
+    drop(setup_round::<B>(params, &mut setups));
     Outcome {
         workload: B::NAME,
-        sizes: bench.sizes(),
+        sizes,
         tally,
         setup_s: median(&setups),
-        peak_rss_mb: peak_rss_mb(),
+        setups: setups.len(),
+        peak_rss_mb,
         timed,
         layers,
     }
@@ -383,11 +420,33 @@ pub const WORKLOADS: [&str; 4] = [
 /// run by name and under `all`.
 pub const GATED: [&str; 2] = [serve::ServeMix::NAME, batch::BatchCorpus::NAME];
 
-/// The per-layer metrics `BENCHMARK.json` names, with units: those of the
-/// gated workloads.  A traced run reports every one of them, 0 for the
-/// layers of the other gated workload, which it does not call.
-pub fn layer_catalogue() -> Vec<(&'static str, &'static str)> {
-    [serve::LAYER_METRICS, batch::LAYER_METRICS].concat()
+/// The per-layer metrics `BENCHMARK.json` names, with the span each one
+/// reads: the document layers every gated workload calls, as mean self
+/// time (ms) per call.  Every traced run of a gated workload measures each
+/// of them; the rest of its layer metrics are printed, not gated.
+pub const DOCUMENT_LAYERS: [(&str, &str); 4] = [
+    ("xmltree.parse_ms", "xmltree.parse"),
+    ("xmltree.index_ms", "xmltree.index"),
+    ("xmlkeys.violations_ms", "xmlkeys.violations"),
+    ("xmltransform.shred_ms", "xmltransform.shred"),
+];
+
+/// The [`DOCUMENT_LAYERS`] metrics of a traced pass; one is missing when
+/// the pass made no call of its span.
+pub fn document_layers(p: &Profile) -> Vec<Metric> {
+    let all = |_: u64| true;
+    DOCUMENT_LAYERS
+        .iter()
+        .map(|&(name, span)| {
+            let calls = p.count(span, all);
+            Metric::maybe(
+                name,
+                (calls > 0).then(|| p.self_ns(span, all) as f64 / 1e6 / calls as f64),
+                "ms",
+                format!("mean self time per call, {calls} calls"),
+            )
+        })
+        .collect()
 }
 
 /// The process's peak resident set size in MB (`VmHWM`), or 0 where

@@ -1,5 +1,5 @@
 //! `xmlprop-perfbench --workload <name|all> --seed <n> --seconds <s>
-//! --trace <0|1> [--smoke] [--trace-dir <dir>]`
+//! --trace <0|1> [--trace-dir <dir>]`
 //!
 //! Runs one workload (or, with `all`, every workload untraced and then
 //! traced), prints a table per run and, as the last line of standard
@@ -9,18 +9,20 @@
 //!
 //! With `--trace 0` the metrics are the end-to-end ones every workload
 //! reports (`setup_s`, `throughput`, `latency_ms`, `peak_rss_mb`);
-//! with `--trace 1` they are every per-layer metric of the catalogue (0
-//! for the layers of other workloads).  The exit code is 0 only when
-//! every output matched its reference.
+//! with `--trace 1` they are the per-layer metrics `BENCHMARK.json` names
+//! (the document layers of [`DOCUMENT_LAYERS`]), or the run's own when
+//! `BENCHMARK.json` does not gate its workload.  A metric the run could not
+//! support is left out and makes `correct` false.  The exit code is 0 only
+//! when every output matched its reference.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xmlprop_perfbench::{
-    layer_catalogue, run_named, Metric, Outcome, Params, Scale, Tally, WORKLOADS,
+    run_named, Metric, Outcome, Params, Scale, Tally, DOCUMENT_LAYERS, GATED, WORKLOADS,
 };
 
 const USAGE: &str = "usage: xmlprop-perfbench --workload <serve_mix|batch_corpus|design_propagate|edit_stream|all> \
---seed <n> --seconds <s> --trace <0|1> [--smoke] [--trace-dir <dir>]";
+--seed <n> --seconds <s> --trace <0|1> [--trace-dir <dir>]";
 
 struct Args {
     workload: String,
@@ -31,13 +33,8 @@ struct Args {
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
-    let mut scale = Scale::Full;
     let mut trace_dir = None;
     while let Some(flag) = args.next() {
-        if flag == "--smoke" {
-            scale = Scale::Smoke;
-            continue;
-        }
         let value = args
             .next()
             .ok_or_else(|| format!("{flag} expects a value"))?;
@@ -79,7 +76,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         params: Params {
             seed: seed.ok_or("--seed is required")?,
             seconds: seconds.ok_or("--seconds is required")?,
-            scale,
+            scale: Scale::Full,
         },
         trace: trace.unwrap_or(false),
         trace_dir,
@@ -114,7 +111,11 @@ fn setup_and_rss(o: &Outcome) -> [Metric; 2] {
             "setup_s",
             o.setup_s,
             "s",
-            format!("median of {} set-ups", xmlprop_perfbench::SETUP_REPEATS),
+            format!(
+                "median of {} set-ups: {} s rounds before the gate and after timing",
+                o.setups,
+                xmlprop_perfbench::SETUP_ROUND.as_secs()
+            ),
         ),
         Metric::new("peak_rss_mb", o.peak_rss_mb, "MB", "VmHWM of the process"),
     ]
@@ -174,12 +175,21 @@ fn print_outcome(o: &Outcome, params: &Params) {
     }
 }
 
-fn json_line(correct: bool, tally: &Tally, metrics: &[(String, f64, &str)]) -> String {
+/// Whether every metric has a finite value.
+fn all_measured(metrics: &[Metric]) -> bool {
+    metrics.iter().all(|m| m.value.is_some_and(f64::is_finite))
+}
+
+/// The result line; a metric without a finite value is left out.
+fn json_line(correct: bool, tally: &Tally, metrics: &[Metric]) -> String {
     let body: Vec<String> = metrics
         .iter()
-        .map(|(name, value, unit)| {
-            let value = if value.is_finite() { *value } else { 0.0 };
-            format!("\"{name}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}")
+        .filter_map(|m| {
+            let value = m.value.filter(|v| v.is_finite())?;
+            Some(format!(
+                "\"{}\": {{\"value\": {value}, \"unit\": \"{}\"}}",
+                m.name, m.unit
+            ))
         })
         .collect();
     format!(
@@ -242,12 +252,8 @@ fn main() -> ExitCode {
         );
         println!("== all workloads");
         print_table("end-to-end metric", &named);
-        let correct = total.failed == 0 && named.iter().all(|m| m.value.is_some());
-        let metrics: Vec<(String, f64, &str)> = named
-            .iter()
-            .map(|m| (m.name.clone(), m.value.unwrap_or(0.0), m.unit))
-            .collect();
-        println!("{}", json_line(correct, &total, &metrics));
+        let correct = total.failed == 0 && all_measured(&named);
+        println!("{}", json_line(correct, &total, &named));
         return if correct {
             ExitCode::SUCCESS
         } else {
@@ -256,35 +262,23 @@ fn main() -> ExitCode {
     }
 
     let o = run(&args.workload, args.trace);
-    let metrics: Vec<(String, f64, &str)> = if args.trace {
-        // Every per-layer metric BENCHMARK.json names, then this run's own
-        // when its workload is not gated.
-        let catalogue = layer_catalogue();
-        let own = o
-            .layers
+    let metrics: Vec<Metric> = if !args.trace {
+        headline(&o)
+    } else if GATED.contains(&o.workload) {
+        DOCUMENT_LAYERS
             .iter()
-            .filter(|m| !catalogue.iter().any(|(name, _)| *name == m.name))
-            .map(|m| (m.name.as_str(), m.unit));
-        catalogue
-            .iter()
-            .copied()
-            .chain(own)
-            .map(|(name, unit)| {
-                let value = o
-                    .layers
+            .map(|&(name, _)| {
+                o.layers
                     .iter()
                     .find(|m| m.name == name)
-                    .and_then(|m| m.value);
-                (name.to_string(), value.unwrap_or(0.0), unit)
+                    .cloned()
+                    .unwrap_or_else(|| Metric::maybe(name, None, "ms", "not reported"))
             })
             .collect()
     } else {
-        headline(&o)
-            .into_iter()
-            .map(|m| (m.name, m.value.unwrap_or(f64::NAN), m.unit))
-            .collect()
+        o.layers.clone()
     };
-    let correct = o.tally.failed == 0 && metrics.iter().all(|(_, v, _)| v.is_finite());
+    let correct = o.tally.failed == 0 && all_measured(&metrics);
     println!("{}", json_line(correct, &o.tally, &metrics));
     if correct {
         ExitCode::SUCCESS

@@ -10,7 +10,7 @@ use xmlprop_perfbench::edit::{self, EditStream};
 use xmlprop_perfbench::serve::{self, ServeMix};
 use xmlprop_perfbench::trace::Profile;
 use xmlprop_perfbench::{
-    layer_catalogue, run_named, trace_twins, Bench, Params, Scale, Tally, GATED,
+    run_named, trace_twins, Bench, Params, Scale, Tally, DOCUMENT_LAYERS, GATED,
 };
 
 fn smoke(seed: u64) -> Params {
@@ -92,6 +92,11 @@ fn every_traced_run_emits_its_layer_metrics_and_accounts_for_its_wall_time() {
             own.len(),
             "{workload} reports exactly its layer metrics"
         );
+        if GATED.contains(&workload) {
+            for (name, _) in DOCUMENT_LAYERS {
+                assert!(own.contains(&(name, "ms")), "gated {workload} lacks {name}");
+            }
+        }
         for &(name, unit) in own {
             let m = o
                 .layers
@@ -149,15 +154,12 @@ fn benchmark_json_names_exactly_the_printed_metrics() {
         .skip(1)
         .filter_map(|rest| rest.split('"').next())
         .collect();
-    let mut expected: BTreeSet<&str> = layer_catalogue()
-        .into_iter()
-        .map(|(name, _)| name)
-        .collect();
+    let mut expected: BTreeSet<&str> = DOCUMENT_LAYERS.iter().map(|&(name, _)| name).collect();
     expected.extend(GATED);
     expected.extend(["setup_s", "throughput", "latency_ms", "peak_rss_mb"]);
     assert_eq!(names, expected);
-    for (name, unit) in layer_catalogue() {
-        let entry = format!("\"name\": \"{name}\", \"unit\": \"{unit}\"");
+    for (name, _) in DOCUMENT_LAYERS {
+        let entry = format!("\"name\": \"{name}\", \"unit\": \"ms\"");
         assert!(text.contains(&entry), "BENCHMARK.json lacks {entry}");
     }
 }
@@ -166,6 +168,7 @@ fn benchmark_json_names_exactly_the_printed_metrics() {
 fn a_corrupted_expected_payload_trips_the_serve_gate() {
     let mut bench = ServeMix::setup(&smoke(3));
     bench.pool[0][0].expected.push_str("corrupted\n");
+    bench.start();
     let mut tally = Tally::default();
     bench.gate(&mut tally);
     assert_eq!(tally.failed, 1, "{:?}", tally.mismatches);
