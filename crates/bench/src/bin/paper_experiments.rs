@@ -1,502 +1,82 @@
-//! Regenerates the evaluation of Section 6 of the paper and prints the
-//! series of Fig. 7(a)–(c) plus the in-text large-scale spot checks.
+//! Regenerates the evaluation of Section 6 of the paper (Fig. 7(a)–(c) and
+//! the in-text spot checks) plus the engine experiments around it.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p xmlprop-bench --bin paper_experiments            # all experiments
-//! cargo run --release -p xmlprop-bench --bin paper_experiments -- fig7a   # one experiment
-//! cargo run --release -p xmlprop-bench --bin paper_experiments -- quick   # reduced grids
+//! cargo run --release -p xmlprop-bench --bin paper_experiments                 # every experiment
+//! cargo run --release -p xmlprop-bench --bin paper_experiments -- fig7a docs   # named experiments
+//! cargo run --release -p xmlprop-bench --bin paper_experiments -- quick        # reduced grids
 //! ```
 //!
-//! Experiments: `fig7a`, `fig7b`, `fig7c`, `large`, `prepared` (the
-//! prepared-engine ablation comparing one-shot facades against prepared
-//! state), `docs` (the document engine: facade vs prepared shredding
-//! and key validation at 10⁴–10⁶-node documents), `stream` (the
-//! event-driven front end versus the DOM path end to end, on the same
-//! document grid), `corpus` (the parallel corpus pipeline at 1/2/4/8
-//! worker threads), `serve` (the resident constraint server: validate
-//! requests/sec at 1/2/4/8 client threads against one shared
-//! hot-swappable bundle), `incremental` (delta-maintained
-//! revalidation and re-shredding under a single small edit versus the
-//! from-scratch pipeline, on the same document grid), and `query` (the
-//! key-aware join executed as a hash lookup against the propagated key
-//! versus the naive nested-loop baseline).
-//!
-//! Results are printed as text tables and also written as JSON files under
-//! `target/paper_experiments/` for archival (EXPERIMENTS.md quotes them).
+//! Each experiment prints its rows as a table and writes them to
+//! `target/paper_experiments/<experiment>.json`.  A full run (no `quick`, no
+//! names) also writes every row to `BENCH_fig7.json` at the repository
+//! root.  An unknown experiment name exits 2 with the list of valid names.
 
 use std::fs;
-use std::path::PathBuf;
-use xmlprop_bench::{
-    corpus_experiment, corpus_rows, docs_experiment, docs_rows, fig7a, fig7a_rows, fig7b, fig7c,
-    incremental_experiment, incremental_rows, large_scale, large_scale_rows, prepared_rows,
-    prepared_speedups, propagation_rows, query_experiment, query_rows, render_table,
-    serve_experiment, serve_rows, stream_experiment, stream_rows, Fig7Row,
-};
+use std::path::Path;
+use std::process::ExitCode;
+use xmlprop_bench::{render_table, Row, EXPERIMENTS};
 
-fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("target/paper_experiments");
-    let _ = fs::create_dir_all(&dir);
-    dir
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: paper_experiments [quick] [experiment ...]\n\n\
+         `quick` runs the reduced grids; with no experiment named, all run:\n",
+    );
+    for (name, title, _) in EXPERIMENTS {
+        out.push_str(&format!("  {name:<12} {title}\n"));
+    }
+    out
 }
 
-/// `BENCH_fig7.json` lives at the repository root (two levels above this
-/// crate's manifest), independent of the working directory the binary was
-/// started from, so successive PRs overwrite the same tracked file.
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_fig7.json")
-}
-
-fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let path = out_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
+fn write_rows(path: &Path, rows: &[Row]) {
+    let written = serde_json::to_string_pretty(rows)
+        .map_err(|e| e.to_string())
+        .and_then(|json| fs::write(path, json + "\n").map_err(|e| e.to_string()));
+    if let Err(e) = written {
+        eprintln!("warning: could not write {}: {e}", path.display());
     }
 }
 
-fn run_fig7a(quick: bool) -> Vec<Fig7Row> {
-    println!("== Fig. 7(a): minimum-cover computation time vs. number of fields ==");
-    println!("   (depth = 5, keys = 10; naive is the exponential baseline)\n");
-    let fields: Vec<usize> = if quick {
-        vec![5, 10, 15, 20, 40, 80]
-    } else {
-        vec![5, 10, 15, 20, 25, 50, 75, 100, 150, 200, 300, 400, 500]
-    };
-    // The naive baseline doubles its work with every added field (the paper
-    // reports a ~200x blow-up per +5 fields); 15 fields already takes
-    // seconds, so the sweep stops there.
-    let naive_cutoff = 15;
-    let points = fig7a(&fields, naive_cutoff);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.fields.to_string(),
-                format!("{:.3}", p.minimum_cover_ms),
-                p.cover_size.to_string(),
-                p.naive_ms
-                    .map(|ms| format!("{ms:.3}"))
-                    .unwrap_or_else(|| "-".to_string()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["fields", "minimumCover (ms)", "cover size", "naive (ms)"],
-            &rows
-        )
-    );
-    write_json("fig7a", &points);
-    fig7a_rows(&points)
-}
-
-fn run_fig7b(quick: bool) -> Vec<Fig7Row> {
-    println!("== Fig. 7(b): effect of table-tree depth (fields = 15, keys = 10) ==\n");
-    let depths: Vec<usize> = if quick {
-        vec![2, 5, 10, 15]
-    } else {
-        vec![2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
-    };
-    let points = fig7b(&depths);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.parameter.to_string(),
-                format!("{:.3}", p.propagation_ms),
-                format!("{:.3}", p.propagation_prepared_ms),
-                format!("{:.3}", p.g_minimum_cover_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "depth",
-                "propagation (ms)",
-                "prepared (ms)",
-                "GminimumCover (ms)"
-            ],
-            &rows
-        )
-    );
-    write_json("fig7b", &points);
-    propagation_rows("fig7b", &points)
-}
-
-fn run_fig7c(quick: bool) -> Vec<Fig7Row> {
-    println!("== Fig. 7(c): effect of the number of XML keys (fields = 15, depth = 10) ==\n");
-    let keys: Vec<usize> = if quick {
-        vec![10, 25, 50]
-    } else {
-        vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-    };
-    let points = fig7c(&keys);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.parameter.to_string(),
-                format!("{:.3}", p.propagation_ms),
-                format!("{:.3}", p.propagation_prepared_ms),
-                format!("{:.3}", p.g_minimum_cover_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "keys",
-                "propagation (ms)",
-                "prepared (ms)",
-                "GminimumCover (ms)"
-            ],
-            &rows
-        )
-    );
-    write_json("fig7c", &points);
-    propagation_rows("fig7c", &points)
-}
-
-fn run_prepared(quick: bool) -> Vec<Fig7Row> {
-    println!("== Prepared-engine ablation: one-shot facades vs. prepared state ==");
-    println!("   (implication: 50/100-key Σ, repeated probes; batch: 10k candidate FDs)\n");
-    let points = prepared_speedups(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.workload.to_string(),
-                p.n.to_string(),
-                format!("{:.3}", p.facade_ms),
-                format!("{:.3}", p.prepared_ms),
-                format!("{:.1}x", p.speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["workload", "n", "facade (ms)", "prepared (ms)", "speedup"],
-            &rows
-        )
-    );
-    write_json("prepared", &points);
-    prepared_rows(&points)
-}
-
-fn run_docs(quick: bool) -> Vec<Fig7Row> {
-    println!("== Document engine: facade vs prepared shredding / validation ==");
-    println!("   (workload documents; prepared = DocIndex + ShredPlan / KeyIndex)\n");
-    let points = docs_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.rows.to_string(),
-                format!("{:.3}", p.index_build_ms),
-                format!("{:.3}", p.shred_facade_ms),
-                format!("{:.3}", p.shred_prepared_ms),
-                format!("{:.1}x", p.shred_speedup()),
-                format!("{:.3}", p.validate_facade_ms),
-                format!("{:.3}", p.validate_prepared_ms),
-                format!("{:.1}x", p.validate_speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "tuples",
-                "index (ms)",
-                "shred facade (ms)",
-                "shred prep (ms)",
-                "speedup",
-                "validate facade (ms)",
-                "validate prep (ms)",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    write_json("docs", &points);
-    docs_rows(&points)
-}
-
-fn run_stream(quick: bool) -> Vec<Fig7Row> {
-    println!("== Streaming front end: event-driven vs DOM end-to-end ==");
-    println!("   (same documents as `docs`; DOM side includes parse + index build)\n");
-    let points = stream_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.rows.to_string(),
-                format!("{:.3}", p.stream_shred_ms),
-                format!("{:.3}", p.dom_shred_ms),
-                format!("{:.2}x", p.shred_speedup()),
-                format!("{:.3}", p.stream_validate_ms),
-                format!("{:.3}", p.dom_validate_ms),
-                format!("{:.2}x", p.validate_speedup()),
-                p.peak_open_bindings.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "tuples",
-                "stream shred (ms)",
-                "dom e2e (ms)",
-                "speedup",
-                "stream validate (ms)",
-                "dom e2e (ms)",
-                "speedup",
-                "peak open"
-            ],
-            &rows
-        )
-    );
-    write_json("stream", &points);
-    stream_rows(&points)
-}
-
-fn run_corpus(quick: bool) -> Vec<Fig7Row> {
-    println!("== Corpus pipeline: whole-corpus shred / validate vs worker threads ==");
-    println!("   (one shared prepared bundle; outputs asserted equal to sequential)\n");
-    let points = corpus_experiment(quick);
-    let baseline = points[0].clone();
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.jobs.to_string(),
-                p.documents.to_string(),
-                p.total_nodes.to_string(),
-                format!("{:.3}", p.shred_ms),
-                format!("{:.2}x", p.shred_speedup_over(&baseline)),
-                format!("{:.3}", p.validate_ms),
-                format!("{:.2}x", p.validate_speedup_over(&baseline)),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "jobs",
-                "docs",
-                "nodes",
-                "shred (ms)",
-                "speedup",
-                "validate (ms)",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    write_json("corpus", &points);
-    corpus_rows(&points)
-}
-
-fn run_serve(quick: bool) -> Vec<Fig7Row> {
-    println!("== Resident server: validate requests/sec vs client threads ==");
-    println!("   (one shared bundle behind the swap cell; every response byte-checked;");
-    println!("    the `faults` grid injects the 10% delay/short-write schedule)\n");
-    let points = serve_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.client_threads.to_string(),
-                p.requests.to_string(),
-                p.documents.to_string(),
-                if p.faults { "10%" } else { "off" }.to_string(),
-                format!("{:.3}", p.elapsed_ms),
-                format!("{:.0}", p.requests_per_sec),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "clients",
-                "requests",
-                "docs",
-                "faults",
-                "elapsed (ms)",
-                "req/s"
-            ],
-            &rows
-        )
-    );
-    write_json("serve", &points);
-    serve_rows(&points)
-}
-
-fn run_incremental(quick: bool) -> Vec<Fig7Row> {
-    println!("== Incremental revalidation: delta maintenance vs from-scratch ==");
-    println!("   (one steady-state text edit; scratch = index rebuild + full pass)\n");
-    let points = incremental_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.rows.to_string(),
-                format!("{:.3}", p.incr_validate_ms),
-                format!("{:.3}", p.scratch_validate_ms),
-                format!("{:.1}x", p.validate_speedup()),
-                format!("{:.3}", p.incr_shred_ms),
-                format!("{:.3}", p.scratch_shred_ms),
-                format!("{:.1}x", p.shred_speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "tuples",
-                "incr validate (ms)",
-                "scratch validate (ms)",
-                "speedup",
-                "incr shred (ms)",
-                "scratch shred (ms)",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    write_json("incremental", &points);
-    incremental_rows(&points)
-}
-
-fn run_large() -> Vec<Fig7Row> {
-    println!("== Section 6 in-text large-scale spot checks ==\n");
-    let points = large_scale();
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.algorithm.to_string(),
-                p.fields.to_string(),
-                p.keys.to_string(),
-                format!("{:.3}", p.elapsed_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["algorithm", "fields", "keys", "elapsed (ms)"], &rows)
-    );
-    write_json("large_scale", &points);
-    large_scale_rows(&points)
-}
-
-fn run_query(quick: bool) -> Vec<Fig7Row> {
-    println!("== Query layer: unique-key hash-lookup join vs nested loop ==");
-    println!("   (fact ⋈ dim on the propagated key `id`; outputs asserted identical)\n");
-    let points = query_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.rows.to_string(),
-                p.result_rows.to_string(),
-                format!("{:.3}", p.naive_ms),
-                format!("{:.3}", p.keyed_ms),
-                format!("{:.1}x", p.speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["rows", "result rows", "naive (ms)", "keyed (ms)", "speedup"],
-            &rows
-        )
-    );
-    write_json("query", &points);
-    query_rows(&points)
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "quick");
-    let wanted: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "quick")
-        .collect();
-    let run_all = wanted.is_empty();
-
-    let mut rows: Vec<Fig7Row> = Vec::new();
-    if run_all || wanted.contains(&"fig7a") {
-        rows.extend(run_fig7a(quick));
-    }
-    if run_all || wanted.contains(&"fig7b") {
-        rows.extend(run_fig7b(quick));
-    }
-    if run_all || wanted.contains(&"fig7c") {
-        rows.extend(run_fig7c(quick));
-    }
-    if run_all || wanted.contains(&"large") {
-        rows.extend(run_large());
-    }
-    if run_all || wanted.contains(&"prepared") {
-        rows.extend(run_prepared(quick));
-    }
-    if run_all || wanted.contains(&"docs") {
-        rows.extend(run_docs(quick));
-    }
-    if run_all || wanted.contains(&"stream") {
-        rows.extend(run_stream(quick));
-    }
-    if run_all || wanted.contains(&"corpus") {
-        rows.extend(run_corpus(quick));
-    }
-    if run_all || wanted.contains(&"serve") {
-        rows.extend(run_serve(quick));
-    }
-    if run_all || wanted.contains(&"incremental") {
-        rows.extend(run_incremental(quick));
-    }
-    if run_all || wanted.contains(&"query") {
-        rows.extend(run_query(quick));
-    }
-    println!("JSON copies written to {}", out_dir().display());
-    // The consolidated tracking file is only refreshed by a full run: a
-    // figure-filtered invocation would silently drop the other figures' rows
-    // from the cross-PR record, and a `quick` run (what CI's bench-smoke
-    // does) would truncate the full grids down to the reduced ones.
-    if run_all && !quick && !rows.is_empty() {
-        let path = bench_json_path();
-        match serde_json::to_string_pretty(&rows) {
-            Ok(json) => match fs::write(&path, json + "\n") {
-                Ok(()) => println!("Consolidated rows written to {}", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            },
-            Err(e) => eprintln!("warning: could not serialize consolidated rows: {e}"),
+    let mut selected = Vec::new();
+    for arg in args.iter().filter(|a| *a != "quick") {
+        match EXPERIMENTS.iter().find(|(name, _, _)| name == arg) {
+            Some(experiment) => selected.push(experiment),
+            None => {
+                eprintln!("error: unknown experiment `{arg}`\n\n{}", usage());
+                return ExitCode::from(2);
+            }
         }
     }
+    let run_all = selected.is_empty();
+    if run_all {
+        selected.extend(EXPERIMENTS);
+    }
+
+    let dir = Path::new("target/paper_experiments");
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("warning: could not create {}: {e}", dir.display());
+    }
+    let mut all = Vec::new();
+    for (name, title, run) in selected {
+        println!("== {title} ==\n");
+        let rows = run(quick);
+        println!("{}", render_table(&rows));
+        write_rows(&dir.join(format!("{name}.json")), &rows);
+        all.extend(rows);
+    }
+    println!("JSON copies written to {}", dir.display());
+    // The tracked file is only refreshed by a full run: a filtered run
+    // would drop the other experiments' rows from the cross-PR record, and
+    // a `quick` run would replace the full grids with the reduced ones.
+    if run_all && !quick {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fig7.json");
+        write_rows(&path, &all);
+        println!("Consolidated rows written to {}", path.display());
+    }
+    ExitCode::SUCCESS
 }

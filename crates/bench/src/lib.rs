@@ -1,10 +1,10 @@
 //! Experiment harness reproducing the evaluation of Section 6 (Fig. 7).
 //!
-//! Each figure of the paper's evaluation corresponds to one function here
-//! returning a series of measured points; the `paper_experiments` binary
-//! prints them as text tables and writes machine-readable JSON, and the
-//! Criterion benches (`benches/fig7*.rs`) measure the same operations with
-//! statistical rigor on a reduced parameter grid.
+//! Every experiment is one entry of [`EXPERIMENTS`] and returns its
+//! measurements as [`Row`]s.  Every timing goes through [`measure`]: it
+//! runs the experiment's equivalence assertions first, then the timed arms
+//! interleaved for [`TRIALS`] rounds.  The `paper_experiments` binary
+//! prints the rows as tables and writes them as JSON.
 //!
 //! The absolute numbers will differ from the paper's 2003 hardware; what is
 //! being reproduced is the *shape* of each curve:
@@ -19,264 +19,459 @@
 #![forbid(unsafe_code)]
 
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 use xmlprop_core::{
     minimum_cover, naive_minimum_cover, propagation, GMinimumCover, PropagationEngine,
 };
-use xmlprop_query::{execute, parse_query, plan, plan_naive, Catalog, JoinKind};
+use xmlprop_pipeline::{CorpusBundle, CorpusOptions, Faults, Jobs, PreparedState};
+use xmlprop_query::{execute, parse_query, plan, plan_naive, Catalog, JoinKind, Plan};
 use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Tuple, Value};
 use xmlprop_workload::{
-    generate, generate_document_with_report, target_fd, DocConfig, Workload, WorkloadConfig,
+    generate, generate_document_with_report, random_fd, target_fd, DocConfig, Workload,
+    WorkloadConfig,
 };
-use xmlprop_xmltree::{DocIndex, LabelUniverse};
+use xmlprop_xmltransform::Transformation;
+use xmlprop_xmltree::{to_xml, AppliedDelta, Delta, DocIndex, Document, LabelUniverse};
 
-/// Milliseconds with fractional precision, for compact reporting.
-fn millis(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+/// Timed trials per arm.  With five trials the p90 of [`Stats`] is the
+/// slowest trial.
+pub const TRIALS: usize = 5;
+
+/// Minimum, median and 90th percentile (nearest rank) of one arm's trial
+/// times, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stats {
+    /// The fastest trial.
+    pub min: f64,
+    /// The median trial.
+    pub median: f64,
+    /// The 90th-percentile trial.
+    pub p90: f64,
 }
 
-/// Times a closure, returning (elapsed ms, result).
-pub fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (millis(start.elapsed()), out)
-}
-
-/// Times a closure `reps` times and returns (best elapsed ms, last result)
-/// — single-shot wall-clock timings on shared hardware jitter by 2×, so
-/// comparisons committed to the BENCH record take the minimum of a few
-/// runs on both sides.
-pub fn time_best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let (mut best, mut out) = time(&mut f);
-    for _ in 1..reps.max(1) {
-        let (ms, next) = time(&mut f);
-        if ms < best {
-            best = ms;
+impl Stats {
+    /// The statistics of a non-empty sample.
+    pub fn of(samples: &[f64]) -> Stats {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = |q: f64| sorted[((q * sorted.len() as f64).ceil() as usize).max(1) - 1];
+        Stats {
+            min: sorted[0],
+            median: rank(0.5),
+            p90: rank(0.9),
         }
-        out = next;
     }
-    (best, out)
 }
 
-/// Default depth used by the Fig. 7(a) sweep (the paper fixes depth and keys
-/// while varying the number of fields; exact values are not printed, so we
-/// use the Fig. 7(b)/(c) defaults: depth 5, keys 10).
-pub const FIG7A_DEPTH: usize = 5;
-/// Default key count for Fig. 7(a).
-pub const FIG7A_KEYS: usize = 10;
-/// Fields default of Fig. 7(b) as stated in the paper.
-pub const FIG7B_FIELDS: usize = 15;
-/// Number of keys used in Fig. 7(b) as stated in the paper.
-pub const FIG7B_KEYS: usize = 10;
-/// Fields default of Fig. 7(c).
-pub const FIG7C_FIELDS: usize = 15;
-/// Table-tree depth used in Fig. 7(c) (the paper states depth = 10).
-pub const FIG7C_DEPTH: usize = 10;
-
-/// One measured point of Fig. 7(a).
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig7aPoint {
-    /// Number of universal-relation fields.
-    pub fields: usize,
-    /// Time to compute the minimum cover with the polynomial algorithm (ms).
-    pub minimum_cover_ms: f64,
-    /// Size of the produced cover.
-    pub cover_size: usize,
-    /// Time of the exponential `naive` algorithm (ms), only measured while
-    /// it stays tractable (`None` beyond the cut-off).
-    pub naive_ms: Option<f64>,
+/// Runs `check`, the experiment's equivalence assertions, and then every
+/// arm once per round for [`TRIALS`] rounds, in arm order, so host jitter
+/// hits all arms alike.  Returns each arm's [`Stats`] in arm order.  A
+/// failing check panics before any arm has run.
+pub fn measure(check: impl FnOnce(), arms: &mut [&mut dyn FnMut()]) -> Vec<Stats> {
+    check();
+    let mut samples = vec![Vec::with_capacity(TRIALS); arms.len()];
+    for _ in 0..TRIALS {
+        for (arm, times) in arms.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            arm();
+            times.push(start.elapsed().as_secs_f64());
+        }
+    }
+    samples.iter().map(|times| Stats::of(times)).collect()
 }
 
-/// Runs the Fig. 7(a) sweep: minimum-cover time vs. number of fields.
-/// `naive_max_fields` bounds the exponential baseline (the paper itself only
-/// reports `naive` on small inputs, noting a ~200× blow-up per +5 fields).
-pub fn fig7a(field_counts: &[usize], naive_max_fields: usize) -> Vec<Fig7aPoint> {
-    field_counts
-        .iter()
-        .map(|&fields| {
-            let w = generate(&WorkloadConfig::new(
-                fields,
-                FIG7A_DEPTH.min(fields),
-                FIG7A_KEYS,
-            ));
-            let (minimum_cover_ms, cover) = time(|| minimum_cover(&w.sigma, &w.universal));
-            let naive_ms = (fields <= naive_max_fields)
-                .then(|| time(|| naive_minimum_cover(&w.sigma, &w.universal)).0);
-            Fig7aPoint {
-                fields,
-                minimum_cover_ms,
-                cover_size: cover.len(),
-                naive_ms,
-            }
-        })
+/// One measurement: a line of an experiment's table, of its JSON file under
+/// `target/paper_experiments/`, and of `BENCH_fig7.json`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Row {
+    /// The row family, e.g. `fig7a_minimum_cover`.
+    pub bench: String,
+    /// The family's scale parameter (fields, depth, keys, FDs, nodes,
+    /// threads or rows).
+    pub n: usize,
+    /// The measured value, in `unit`.
+    pub value: f64,
+    /// `s` (seconds), `1/s` (operations per second) or `count`.
+    pub unit: &'static str,
+    /// How `value` summarizes the trials: `median`, or `exact` for a count.
+    pub stat: &'static str,
+    /// How far the value moved between the fastest trial and the p90
+    /// trial, in `unit`; 0 for an exact count.
+    pub spread: f64,
+}
+
+impl Row {
+    fn secs(bench: impl Into<String>, n: usize, stats: &Stats) -> Row {
+        Row {
+            bench: bench.into(),
+            n,
+            value: stats.median,
+            unit: "s",
+            stat: "median",
+            spread: stats.p90 - stats.min,
+        }
+    }
+
+    /// A rate row for an arm that performs `ops` operations per trial.
+    fn per_sec(bench: impl Into<String>, n: usize, stats: &Stats, ops: usize) -> Row {
+        let rate = |secs: f64| ops as f64 / secs;
+        Row {
+            bench: bench.into(),
+            n,
+            value: rate(stats.median),
+            unit: "1/s",
+            stat: "median",
+            spread: rate(stats.min) - rate(stats.p90),
+        }
+    }
+
+    fn count(bench: impl Into<String>, n: usize, count: usize) -> Row {
+        Row {
+            bench: bench.into(),
+            n,
+            value: count as f64,
+            unit: "count",
+            stat: "exact",
+            spread: 0.0,
+        }
+    }
+}
+
+/// One seconds row per arm, named in arm order.
+fn time_rows<S: Into<String>>(
+    names: impl IntoIterator<Item = S>,
+    n: usize,
+    stats: &[Stats],
+) -> Vec<Row> {
+    names
+        .into_iter()
+        .zip(stats)
+        .map(|(name, stats)| Row::secs(name, n, stats))
         .collect()
 }
 
-/// One measured point of Fig. 7(b) / Fig. 7(c): the propagation-checking
-/// algorithms on the same probe FDs.
-#[derive(Debug, Clone, Serialize)]
-pub struct PropagationPoint {
-    /// The varied parameter (depth for Fig. 7(b), keys for Fig. 7(c)).
-    pub parameter: usize,
-    /// Time of Algorithm `propagation` through the one-shot facade (ms)
-    /// over the probe set — each call re-prepares the `(Σ, rule)` pair.
-    pub propagation_ms: f64,
-    /// Time of the same probe set against a prepared
-    /// [`PropagationEngine`] (ms); the engine is built once outside the
-    /// timed region, the measured cost is pure query time.
-    pub propagation_prepared_ms: f64,
-    /// Time of `GminimumCover` (ms) for the same probes, including the
-    /// minimum-cover computation it performs.
-    pub g_minimum_cover_ms: f64,
-    /// Whether the representative probe FD was reported propagated (sanity:
-    /// all algorithms must agree).
-    pub probe_propagated: bool,
-}
+/// An experiment: its name on the command line, a one-line title, and the
+/// function that runs it (`true` selects the reduced grids).
+pub type Experiment = (&'static str, &'static str, fn(bool) -> Vec<Row>);
 
-/// Builds the probe FDs used by the propagation experiments: the positive
-/// chain FD plus `extra` random ones.
-pub fn probe_fds(workload: &Workload, extra: usize) -> Vec<Fd> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(workload.config.seed ^ 0xfd);
-    let mut probes = vec![target_fd(workload)];
-    for i in 0..extra {
-        probes.push(xmlprop_workload::random_fd(workload, &mut rng, 1 + i % 3));
-    }
-    probes
-}
+/// Every experiment, in the order a full run executes them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    (
+        "fig7a",
+        "Fig. 7(a): minimum-cover time vs number of fields (depth 5, keys 10)",
+        fig7a,
+    ),
+    (
+        "fig7b",
+        "Fig. 7(b): effect of table-tree depth (fields 15, keys 10)",
+        fig7b,
+    ),
+    (
+        "fig7c",
+        "Fig. 7(c): effect of the number of XML keys (fields 15, depth 10)",
+        fig7c,
+    ),
+    ("large", "Section 6 in-text large-scale spot checks", large),
+    (
+        "closure",
+        "FD engine: attribute closure and minimum cover at 1k-10k FDs",
+        closure,
+    ),
+    (
+        "prepared",
+        "One-shot facades vs prepared state: implication by keys and by depth, batch propagation",
+        prepared,
+    ),
+    (
+        "docs",
+        "Document engine: facade vs prepared shredding and validation",
+        docs,
+    ),
+    (
+        "stream",
+        "Streaming front end vs the DOM path end to end",
+        stream,
+    ),
+    (
+        "corpus",
+        "Corpus pipeline: whole-corpus shred and validate vs worker threads",
+        corpus,
+    ),
+    (
+        "serve",
+        "Resident server: validate requests/s vs client threads",
+        serve,
+    ),
+    (
+        "incremental",
+        "Incremental maintenance of one edit vs from-scratch recomputation",
+        incremental,
+    ),
+    (
+        "query",
+        "Query layer: key-lookup join vs nested loop",
+        query,
+    ),
+];
 
-fn propagation_point(parameter: usize, w: &Workload) -> PropagationPoint {
-    let probes = probe_fds(w, 4);
-    let (propagation_ms, results) = time(|| {
-        probes
-            .iter()
-            .map(|fd| propagation(&w.sigma, &w.universal, fd))
-            .collect::<Vec<_>>()
-    });
-    let engine = PropagationEngine::new(&w.sigma, &w.universal);
-    let (propagation_prepared_ms, prepared_results) = time(|| engine.propagate_all(&probes));
-    let (g_minimum_cover_ms, g_results) = time(|| {
-        let checker = GMinimumCover::new(w.sigma.clone(), w.universal.clone());
-        probes
-            .iter()
-            .map(|fd| checker.check(fd))
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(
-        results, prepared_results,
-        "facade and prepared engine disagree on {probes:?}"
-    );
-    assert_eq!(
-        results, g_results,
-        "propagation and GminimumCover disagree on {probes:?}"
-    );
-    PropagationPoint {
-        parameter,
-        propagation_ms,
-        propagation_prepared_ms,
-        g_minimum_cover_ms,
-        probe_propagated: results[0],
+/// Depth and key count of the Fig. 7(a) sweep.  The paper does not print
+/// them, so these are the Fig. 7(b)/(c) defaults.
+const FIG7A_DEPTH: usize = 5;
+const FIG7A_KEYS: usize = 10;
+/// Fields beyond which the exponential `naive` baseline is not run: it
+/// doubles its work with every added field, and 15 fields already take a
+/// third of a second.
+const NAIVE_MAX_FIELDS: usize = 15;
+
+/// Fig. 7(a): the minimum cover through the one-shot facade and from a
+/// prepared engine, and the `naive` baseline while it stays tractable.
+fn fig7a(quick: bool) -> Vec<Row> {
+    let field_counts: &[usize] = if quick {
+        &[5, 10, 15, 20, 40, 80]
+    } else {
+        &[5, 10, 15, 20, 25, 50, 75, 100, 150, 200, 300, 400, 500]
+    };
+    let mut rows = Vec::new();
+    for &fields in field_counts {
+        let w = generate(&WorkloadConfig::new(
+            fields,
+            FIG7A_DEPTH.min(fields),
+            FIG7A_KEYS,
+        ));
+        let engine = PropagationEngine::new(&w.sigma, &w.universal);
+        let mut facade = || {
+            black_box(minimum_cover(&w.sigma, &w.universal));
+        };
+        let mut prepared = || {
+            black_box(engine.minimum_cover());
+        };
+        let mut naive = || {
+            black_box(naive_minimum_cover(&w.sigma, &w.universal));
+        };
+        let mut arms: Vec<&mut dyn FnMut()> = vec![&mut facade, &mut prepared];
+        if fields <= NAIVE_MAX_FIELDS {
+            arms.push(&mut naive);
+        }
+        let stats = measure(
+            || {
+                assert_eq!(
+                    minimum_cover(&w.sigma, &w.universal),
+                    engine.minimum_cover(),
+                    "facade and prepared covers disagree at {fields} fields"
+                );
+            },
+            &mut arms,
+        );
+        // `fig7a_naive` gets a row only where its arm ran.
+        rows.extend(time_rows(
+            [
+                "fig7a_minimum_cover",
+                "fig7a_minimum_cover_prepared",
+                "fig7a_naive",
+            ],
+            fields,
+            &stats,
+        ));
     }
+    rows
 }
 
 /// Fig. 7(b): effect of table-tree depth (fields = 15, keys = 10).
-pub fn fig7b(depths: &[usize]) -> Vec<PropagationPoint> {
+fn fig7b(quick: bool) -> Vec<Row> {
+    let depths: &[usize] = if quick {
+        &[2, 5, 10, 15]
+    } else {
+        &[2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+    };
     depths
         .iter()
-        .map(|&depth| {
-            let fields = FIG7B_FIELDS.max(depth);
-            let w = generate(&WorkloadConfig::new(fields, depth, FIG7B_KEYS));
-            propagation_point(depth, &w)
+        .flat_map(|&depth| {
+            let w = generate(&WorkloadConfig::new(15.max(depth), depth, 10));
+            propagation_rows("fig7b", depth, &w)
         })
         .collect()
 }
 
 /// Fig. 7(c): effect of the number of XML keys (fields = 15, depth = 10).
-pub fn fig7c(key_counts: &[usize]) -> Vec<PropagationPoint> {
+fn fig7c(quick: bool) -> Vec<Row> {
+    let key_counts: &[usize] = if quick {
+        &[10, 25, 50]
+    } else {
+        &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    };
     key_counts
         .iter()
-        .map(|&keys| {
-            let w = generate(&WorkloadConfig::new(FIG7C_FIELDS, FIG7C_DEPTH, keys));
-            propagation_point(keys, &w)
+        .flat_map(|&keys| {
+            let w = generate(&WorkloadConfig::new(15, 10, keys));
+            propagation_rows("fig7c", keys, &w)
         })
         .collect()
 }
 
-/// One of the in-text large-scale spot checks of Section 6.
-#[derive(Debug, Clone, Serialize)]
-pub struct LargeScalePoint {
-    /// Which algorithm was measured.
-    pub algorithm: &'static str,
-    /// Number of fields.
-    pub fields: usize,
-    /// Number of keys.
-    pub keys: usize,
-    /// Elapsed time in milliseconds.
-    pub elapsed_ms: f64,
+/// Probe FDs for the propagation experiments: the workload's positive
+/// chain FD plus `extra` random ones drawn from a seed salted by `salt`.
+fn probe_fds(w: &Workload, extra: usize, salt: u64) -> Vec<Fd> {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(w.config.seed ^ salt);
+    std::iter::once(target_fd(w))
+        .chain((0..extra).map(|i| random_fd(w, &mut rng, 1 + i % 3)))
+        .collect()
+}
+
+/// The Fig. 7(b)/(c) arms on one workload: five probe FDs through the
+/// one-shot `propagation` facade (which prepares per call), a prepared
+/// engine, and `GminimumCover` (including its minimum cover).
+fn propagation_rows(figure: &str, n: usize, w: &Workload) -> Vec<Row> {
+    let probes = probe_fds(w, 4, 0xfd);
+    let engine = PropagationEngine::new(&w.sigma, &w.universal);
+    let facade = || {
+        probes
+            .iter()
+            .map(|fd| propagation(&w.sigma, &w.universal, fd))
+            .collect::<Vec<_>>()
+    };
+    let g_minimum_cover = || {
+        let checker = GMinimumCover::new(w.sigma.clone(), w.universal.clone());
+        probes
+            .iter()
+            .map(|fd| checker.check(fd))
+            .collect::<Vec<_>>()
+    };
+    let stats = measure(
+        || {
+            let verdicts = facade();
+            assert_eq!(
+                verdicts,
+                engine.propagate_all(&probes),
+                "facade and prepared engine disagree on {probes:?}"
+            );
+            assert_eq!(
+                verdicts,
+                g_minimum_cover(),
+                "propagation and GminimumCover disagree on {probes:?}"
+            );
+        },
+        &mut [
+            &mut || {
+                black_box(facade());
+            },
+            &mut || {
+                black_box(engine.propagate_all(&probes));
+            },
+            &mut || {
+                black_box(g_minimum_cover());
+            },
+        ],
+    );
+    time_rows(
+        ["propagation", "propagation_prepared", "gminimumcover"]
+            .map(|arm| format!("{figure}_{arm}")),
+        n,
+        &stats,
+    )
 }
 
 /// The in-text measurements of Section 6: `GminimumCover` at (200 fields,
 /// 50 keys) and (150, 100), and `propagation` at 1000 fields (the Oracle
-/// column limit) with 50 and 100 keys.
-pub fn large_scale() -> Vec<LargeScalePoint> {
-    let mut out = Vec::new();
-    for (fields, keys) in [(200usize, 50usize), (150, 100)] {
+/// column limit) with 50 and 100 keys.  Rows are named by algorithm and
+/// field count, with `n` the key count.
+fn large(_quick: bool) -> Vec<Row> {
+    [
+        ("gminimumcover", 200, 50),
+        ("gminimumcover", 150, 100),
+        ("propagation", 1000, 50),
+        ("propagation", 1000, 100),
+    ]
+    .into_iter()
+    .map(|(algorithm, fields, keys)| {
         let w = generate(&WorkloadConfig::new(fields, 10, keys));
         let probe = target_fd(&w);
-        let (elapsed_ms, _) = time(|| {
-            let checker = GMinimumCover::new(w.sigma.clone(), w.universal.clone());
-            checker.check(&probe)
-        });
-        out.push(LargeScalePoint {
-            algorithm: "GminimumCover",
-            fields,
-            keys,
-            elapsed_ms,
-        });
-    }
-    for keys in [50usize, 100] {
-        let w = generate(&WorkloadConfig::new(1000, 10, keys));
-        let probe = target_fd(&w);
-        let (elapsed_ms, _) = time(|| propagation(&w.sigma, &w.universal, &probe));
-        out.push(LargeScalePoint {
-            algorithm: "propagation",
-            fields: 1000,
-            keys,
-            elapsed_ms,
-        });
-    }
-    out
+        let by_propagation = || propagation(&w.sigma, &w.universal, &probe);
+        let by_g_minimum_cover =
+            || GMinimumCover::new(w.sigma.clone(), w.universal.clone()).check(&probe);
+        let mut run = || {
+            black_box(if algorithm == "propagation" {
+                by_propagation()
+            } else {
+                by_g_minimum_cover()
+            });
+        };
+        let stats = measure(
+            || {
+                assert_eq!(
+                    by_propagation(),
+                    by_g_minimum_cover(),
+                    "propagation and GminimumCover disagree at {fields} fields"
+                );
+            },
+            &mut [&mut run],
+        );
+        Row::secs(format!("large_{algorithm}_{fields}f"), keys, &stats[0])
+    })
+    .collect()
 }
 
-/// One measured point of the prepared-engine ablation: the same query
-/// workload answered through the one-shot facades (which re-prepare Σ and
-/// the rule per call) and through prepared state built once.
-#[derive(Debug, Clone, Serialize)]
-pub struct PreparedPoint {
-    /// Which workload was measured (`implication` or `batch_propagation`).
-    pub workload: &'static str,
-    /// The scale parameter: number of keys for `implication`, number of
-    /// candidate FDs for `batch_propagation`.
-    pub n: usize,
-    /// Facade time (ms) for the whole query set.
-    pub facade_ms: f64,
-    /// Prepared time (ms) for the same query set, *including* the one-time
-    /// preparation.
-    pub prepared_ms: f64,
-}
-
-impl PreparedPoint {
-    /// Facade-over-prepared speedup.
-    pub fn speedup(&self) -> f64 {
-        self.facade_ms / self.prepared_ms.max(f64::MIN_POSITIVE)
+/// The interned FD engine of `xmlprop-reldb` on synthetic sets of 1k–10k
+/// FDs: one closure query over a prepared `FdIndex`, the same query through
+/// the `String` facade (which interns the FD set per call), and the
+/// quadratic `minimum_cover` whose implication tests dominate Fig. 7(a).
+fn closure(quick: bool) -> Vec<Row> {
+    use std::collections::BTreeSet;
+    use xmlprop_reldb::intern::{AttrUniverse, FdIndex};
+    use xmlprop_workload::{closure_seed, generate_fds, FdSetConfig};
+    let sizes: &[usize] = if quick {
+        &[1_000]
+    } else {
+        &[1_000, 5_000, 10_000]
+    };
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let config = FdSetConfig::sized(n);
+        let fds = generate_fds(&config);
+        let seed = closure_seed(&config, 3);
+        let mut universe = AttrUniverse::from_fds(&fds);
+        let interned: Vec<_> = fds.iter().map(|fd| universe.intern_fd(fd)).collect();
+        let index = FdIndex::new(universe.len(), &interned);
+        let interned_seed = universe.lookup_set(&seed);
+        let stats = measure(
+            || {
+                let indexed: BTreeSet<String> = index
+                    .closure(&interned_seed)
+                    .iter()
+                    .map(|attr| universe.name(attr).to_string())
+                    .collect();
+                assert_eq!(
+                    indexed,
+                    xmlprop_reldb::closure(&seed, &fds),
+                    "indexed and facade closures disagree at {n} FDs"
+                );
+            },
+            &mut [
+                &mut || {
+                    black_box(index.closure(&interned_seed));
+                },
+                &mut || {
+                    black_box(xmlprop_reldb::closure(&seed, &fds));
+                },
+                &mut || {
+                    black_box(xmlprop_reldb::minimum_cover(&fds));
+                },
+            ],
+        );
+        rows.extend(time_rows(
+            ["closure_indexed", "closure_facade", "closure_minimum_cover"],
+            n,
+            &stats,
+        ));
     }
+    rows
 }
 
 /// A representative implication probe for a chain workload of the given
 /// depth: is the deepest entity level keyed (relative to the level above)
-/// by its id?  Shared by the `implication` Criterion bench and the
-/// prepared-engine ablation.
-pub fn implication_probe(depth: usize) -> xmlprop_xmlkeys::XmlKey {
+/// by its id?
+fn implication_probe(depth: usize) -> xmlprop_xmlkeys::XmlKey {
     use xmlprop_xmlpath::PathExpr;
     let mut context = PathExpr::epsilon().descendant("e0");
     for level in 1..depth.saturating_sub(1) {
@@ -289,377 +484,271 @@ pub fn implication_probe(depth: usize) -> xmlprop_xmlkeys::XmlKey {
     )
 }
 
-/// The prepared-engine ablation behind the `prepared` experiment:
+/// The prepared-engine ablation: the same queries through the one-shot
+/// facades (which re-prepare Σ and the rule per call) and through prepared
+/// state built once, inside the timed region.
 ///
-/// * **implication** — a large Σ (50/100 keys), the same probe key asked
-///   2 000 times through [`xmlprop_xmlkeys::implies`] (which rebuilds the
-///   [`xmlprop_xmlkeys::KeyIndex`] per call) versus one prepared index;
-/// * **batch_propagation** — a 10 000-FD candidate grid over a deep
-///   large-Σ workload through the [`propagation`] facade (one engine per
-///   call) versus one [`PropagationEngine::propagate_all`].
-///
-/// `quick` shrinks the grids for the CI smoke run.  Both variants must
-/// return identical verdicts; the function asserts it.
-pub fn prepared_speedups(quick: bool) -> Vec<PreparedPoint> {
-    use rand::SeedableRng;
-    let mut out = Vec::new();
-
-    let implication_reps = if quick { 200usize } else { 2_000 };
+/// * `implication` / `implication_depth`: one probe key asked 2 000 times
+///   through `xmlprop_xmlkeys::implies` (which rebuilds the key index per
+///   call) versus one prepared index, by key count (20 fields, depth 5)
+///   and by depth (10 keys);
+/// * `batch_propagation`: a 10 000-FD candidate grid over a deep
+///   large-Σ workload through the `propagation` facade versus one
+///   `PropagationEngine::propagate_all`.
+fn prepared(quick: bool) -> Vec<Row> {
+    let reps = if quick { 200 } else { 2_000 };
     let key_counts: &[usize] = if quick { &[50] } else { &[50, 100] };
-    for &keys in key_counts {
-        let w = generate(&WorkloadConfig::new(20, 5, keys));
-        let probe = implication_probe(5);
-        let (facade_ms, facade_verdict) = time(|| {
-            (0..implication_reps).fold(false, |_, _| xmlprop_xmlkeys::implies(&w.sigma, &probe))
-        });
-        let (prepared_ms, prepared_verdict) = time(|| {
+    let depths: &[usize] = if quick { &[2, 5] } else { &[2, 5, 10, 20] };
+    // (row family, n, workload, probe depth)
+    let grid = key_counts
+        .iter()
+        .map(|&keys| ("implication", keys, WorkloadConfig::new(20, 5, keys), 5))
+        .chain(depths.iter().map(|&depth| {
+            let config = WorkloadConfig::new(20.max(depth), depth, 10);
+            ("implication_depth", depth, config, depth)
+        }));
+    let mut rows = Vec::new();
+    for (family, n, config, depth) in grid {
+        let w = generate(&config);
+        let probe = implication_probe(depth);
+        let facade = || (0..reps).fold(false, |_, _| xmlprop_xmlkeys::implies(&w.sigma, &probe));
+        let prepared = || {
             let mut index = w.sigma.prepare();
-            let prepared = index.prepare(&probe);
-            (0..implication_reps).fold(false, |_, _| index.implies(&prepared))
-        });
-        assert_eq!(facade_verdict, prepared_verdict, "implication disagreement");
-        out.push(PreparedPoint {
-            workload: "implication",
-            n: keys,
-            facade_ms,
-            prepared_ms,
-        });
+            let probe = index.prepare(&probe);
+            (0..reps).fold(false, |_, _| index.implies(&probe))
+        };
+        let stats = measure(
+            || assert_eq!(facade(), prepared(), "implication disagreement on {probe}"),
+            &mut [
+                &mut || {
+                    black_box(facade());
+                },
+                &mut || {
+                    black_box(prepared());
+                },
+            ],
+        );
+        rows.extend(time_rows(
+            [format!("{family}_facade"), format!("{family}_prepared")],
+            n,
+            &stats,
+        ));
     }
 
-    let n_fds = if quick { 1_000usize } else { 10_000 };
+    let n_fds = if quick { 1_000 } else { 10_000 };
     let w = generate(&WorkloadConfig::new(15, 10, 100));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(w.config.seed ^ 0xba7c4);
-    let mut probes = vec![target_fd(&w)];
-    for i in 0..n_fds - 1 {
-        probes.push(xmlprop_workload::random_fd(&w, &mut rng, 1 + i % 3));
-    }
-    let (facade_ms, facade_verdicts) = time(|| {
+    let probes = probe_fds(&w, n_fds - 1, 0xba7c4);
+    let facade = || {
         probes
             .iter()
             .map(|fd| propagation(&w.sigma, &w.universal, fd))
             .collect::<Vec<_>>()
-    });
-    let (prepared_ms, prepared_verdicts) =
-        time(|| PropagationEngine::new(&w.sigma, &w.universal).propagate_all(&probes));
-    assert_eq!(
-        facade_verdicts, prepared_verdicts,
-        "batch propagation disagreement"
+    };
+    let prepared = || PropagationEngine::new(&w.sigma, &w.universal).propagate_all(&probes);
+    let stats = measure(
+        || assert_eq!(facade(), prepared(), "batch propagation disagreement"),
+        &mut [
+            &mut || {
+                black_box(facade());
+            },
+            &mut || {
+                black_box(prepared());
+            },
+        ],
     );
-    out.push(PreparedPoint {
-        workload: "batch_propagation",
-        n: n_fds,
-        facade_ms,
-        prepared_ms,
-    });
-
-    out
+    rows.extend(time_rows(
+        ["batch_propagation_facade", "batch_propagation_prepared"],
+        n_fds,
+        &stats,
+    ));
+    rows
 }
 
-/// One measured point of the document-engine experiment: shredding and key
-/// validation of one generated document through the string facades versus
-/// the prepared engines (`DocIndex` + `ShredPlan` / `KeyIndex`).
-#[derive(Debug, Clone, Serialize)]
-pub struct DocPoint {
-    /// Total node count of the generated document (the scale parameter).
-    pub nodes: usize,
-    /// Number of tuples the universal-relation shred produced.
-    pub rows: usize,
-    /// One-time `DocIndex` build (ms) — the preparation the engine rows
-    /// amortize.
-    pub index_build_ms: f64,
-    /// `TableRule::shred` — the string walk (ms).
-    pub shred_facade_ms: f64,
-    /// `ShredPlan::shred` over the prebuilt index (ms).
-    pub shred_prepared_ms: f64,
-    /// `satisfies_all` — the string walk over all keys (ms).
-    pub validate_facade_ms: f64,
-    /// `KeyIndex::satisfies` over the prebuilt index (ms).
-    pub validate_prepared_ms: f64,
-}
+/// The document grid shared by `docs`, `stream` and `incremental`, as
+/// (fields, depth, keys, branching): about 10⁴, 10⁵ and 10⁶ nodes, so
+/// their row families compare at identical `n`.
+const DOC_GRID: [(usize, usize, usize, usize); 3] =
+    [(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)];
 
-impl DocPoint {
-    /// Facade-over-prepared speedup of the shred.
-    pub fn shred_speedup(&self) -> f64 {
-        self.shred_facade_ms / self.shred_prepared_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Facade-over-prepared speedup of the validation.
-    pub fn validate_speedup(&self) -> f64 {
-        self.validate_facade_ms / self.validate_prepared_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The `docs` experiment: document-side throughput at 10⁴–10⁶ nodes.
-///
-/// For each grid point a workload document is generated (the report's exact
-/// node count is recorded, no silent caps), then measured four ways:
-/// facade/prepared shredding of the universal relation and facade/prepared
-/// validation of the whole key set.  Facade and prepared results are
-/// asserted identical (relation equality / same verdict); the one-time
-/// `DocIndex` build is timed separately so the query rows are pure engine
-/// time.  `quick` keeps only the ~10⁴-node point for the CI smoke run.
-pub fn docs_experiment(quick: bool) -> Vec<DocPoint> {
-    // (fields, depth, keys, branching) — chosen to land near 10⁴, 10⁵ and
-    // 10⁶ nodes with the workload's per-entity field multiplier.
-    let grids: &[(usize, usize, usize, usize)] = if quick {
-        &[(15, 4, 10, 6)]
+/// The document grid; `quick` keeps the ~10⁴-node point.
+fn doc_grid(quick: bool) -> &'static [(usize, usize, usize, usize)] {
+    if quick {
+        &DOC_GRID[..1]
     } else {
-        &[(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)]
-    };
-    grids
-        .iter()
-        .map(|&(fields, depth, keys, branching)| {
-            let w = generate(&WorkloadConfig::new(fields, depth, keys));
-            let (doc, report) = generate_document_with_report(
-                &w,
-                &DocConfig {
-                    branching,
-                    omission_probability: 0.1,
-                    seed: 11,
-                    // Explicit depth: the document dial is (depth,
-                    // branching); the generator panics rather than silently
-                    // capping if the workload cannot honor it.
-                    depth: Some(depth),
-                },
-            );
-
-            // Shredding: string facade vs prepared plan (best of `reps`
-            // on both sides; single-shot timings jitter on shared
-            // hardware).
-            let reps = if quick { 1 } else { 3 };
-            let (shred_facade_ms, facade_rel) = time_best_of(reps, || w.universal.shred(&doc));
-            let mut universe = LabelUniverse::new();
-            let plan = w.universal.prepare(&mut universe);
-            let (index_build_ms, doc_index) = time(|| DocIndex::build(&doc, &mut universe));
-            let (shred_prepared_ms, prepared_rel) =
-                time_best_of(reps, || plan.shred(&doc, &doc_index));
-            assert_eq!(facade_rel, prepared_rel, "shred facade/engine disagree");
-
-            // Validation: string facade vs prepared key index.
-            let (validate_facade_ms, facade_ok) = time_best_of(reps, || {
-                xmlprop_xmlkeys::satisfies_all(&doc, w.sigma.iter())
-            });
-            let mut key_index = w.sigma.prepare();
-            let key_doc_index = key_index.index_document(&doc);
-            let (validate_prepared_ms, prepared_ok) =
-                time_best_of(reps, || key_index.satisfies(&doc, &key_doc_index));
-            assert_eq!(facade_ok, prepared_ok, "validation facade/engine disagree");
-            assert!(facade_ok, "generated documents satisfy their own Σ");
-
-            DocPoint {
-                nodes: report.nodes,
-                rows: facade_rel.len(),
-                index_build_ms,
-                shred_facade_ms,
-                shred_prepared_ms,
-                validate_facade_ms,
-                validate_prepared_ms,
-            }
-        })
-        .collect()
-}
-
-/// One measured point of the streaming front-end experiment: one generated
-/// document, event-driven shredding/validation straight off the serialized
-/// text versus the prepared DOM path **end to end** (parse + `DocIndex`
-/// build + engine run — the honest baseline, since streaming includes its
-/// own tokenization).
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamPoint {
-    /// Total node count of the generated document (the scale parameter).
-    pub nodes: usize,
-    /// Number of tuples the universal-relation shred produced.
-    pub rows: usize,
-    /// `CorpusBundle::stream_text`, shred-only (ms).
-    pub stream_shred_ms: f64,
-    /// `CorpusBundle::stream_text`, validate-only (ms).
-    pub stream_validate_ms: f64,
-    /// DOM end to end, shred-only: `Document::parse_str` + index + plan (ms).
-    pub dom_shred_ms: f64,
-    /// DOM end to end, validate-only: parse + index + key checks (ms).
-    pub dom_validate_ms: f64,
-    /// Peak open binding instances + key contexts of the streaming pass —
-    /// the bounded-memory stat (`O(depth + open bindings)`, not `O(nodes)`).
-    pub peak_open_bindings: usize,
-}
-
-impl StreamPoint {
-    /// Streaming throughput gain over the DOM end-to-end shred.
-    pub fn shred_speedup(&self) -> f64 {
-        self.dom_shred_ms / self.stream_shred_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Streaming throughput gain over the DOM end-to-end validation.
-    pub fn validate_speedup(&self) -> f64 {
-        self.dom_validate_ms / self.stream_validate_ms.max(f64::MIN_POSITIVE)
+        &DOC_GRID
     }
 }
 
-/// The `stream` experiment: the event-driven front end versus the DOM path
-/// at the same 10⁴–10⁶-node grid the `docs` experiment uses, so the
-/// `stream_*` rows of `BENCH_fig7.json` are directly comparable to the
-/// `docs_*` rows at identical node counts.
-///
-/// Streaming and DOM outcomes (relations, violations, node counts) are
-/// asserted bit-for-bit equal *before* anything is timed.  The DOM side is
-/// timed **end to end** — text to result, including parsing and the
-/// `DocIndex` build — because that is what the streaming pass replaces.
-/// `quick` keeps only the ~10⁴-node point for the CI smoke run.
-pub fn stream_experiment(quick: bool) -> Vec<StreamPoint> {
-    use xmlprop_pipeline::{CorpusBundle, CorpusOptions, Jobs, PreparedState};
-    use xmlprop_xmltree::Document;
-    let grids: &[(usize, usize, usize, usize)] = if quick {
-        &[(15, 4, 10, 6)]
-    } else {
-        &[(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)]
-    };
-    grids
-        .iter()
-        .map(|&(fields, depth, keys, branching)| {
-            let w = generate(&WorkloadConfig::new(fields, depth, keys));
-            let (doc, report) = generate_document_with_report(
-                &w,
-                &DocConfig {
-                    branching,
-                    omission_probability: 0.1,
-                    seed: 11,
-                    depth: Some(depth),
-                },
-            );
-            let text = xmlprop_xmltree::to_xml(&doc);
-            drop(doc); // the streaming side must stand on the text alone
-            let transformation = {
-                let mut t = xmlprop_xmltransform::Transformation::new(Vec::new());
-                t.add_rule(w.universal.clone());
-                t
-            };
-            let bundle = CorpusBundle::new(w.sigma.clone(), transformation);
-            let options = |shred: bool, validate: bool, stream: bool| CorpusOptions {
-                jobs: Jobs::default(),
-                shred,
-                validate,
-                covers: false,
-                stream,
-            };
-
-            // Equivalence gate: both fronts, full task set, bit for bit —
-            // nothing is timed until the streamed output is proven equal.
-            let streamed = bundle
-                .stream_text(&text, &options(true, true, true))
-                .expect("serialized workload documents stream");
-            let mut scratch = bundle.scratch();
-            let parsed = Document::parse_str(&text).expect("serialized documents reparse");
-            let dom = bundle.process(&parsed, &mut scratch, &options(true, true, false));
-            assert_eq!(streamed.database, dom.database, "stream/DOM shred disagree");
-            assert_eq!(
-                streamed.violations, dom.violations,
-                "stream/DOM validation disagree"
-            );
-            assert_eq!(streamed.nodes, dom.nodes, "stream/DOM node counts disagree");
-            assert!(
-                streamed.violations.is_empty(),
-                "generated documents satisfy their own Σ"
-            );
-            drop(parsed);
-
-            let reps = if quick { 1 } else { 5 };
-            let (stream_shred_ms, _) = time_best_of(reps, || {
-                bundle.stream_text(&text, &options(true, false, true))
-            });
-            let (stream_validate_ms, _) = time_best_of(reps, || {
-                bundle.stream_text(&text, &options(false, true, true))
-            });
-            let (dom_shred_ms, _) = time_best_of(reps, || {
-                let d = Document::parse_str(&text).expect("reparse");
-                bundle.process(&d, &mut scratch, &options(true, false, false))
-            });
-            let (dom_validate_ms, _) = time_best_of(reps, || {
-                let d = Document::parse_str(&text).expect("reparse");
-                bundle.process(&d, &mut scratch, &options(false, true, false))
-            });
-
-            StreamPoint {
-                nodes: report.nodes,
-                rows: streamed.tuples,
-                stream_shred_ms,
-                stream_validate_ms,
-                dom_shred_ms,
-                dom_validate_ms,
-                peak_open_bindings: streamed.peak_open_bindings,
-            }
-        })
-        .collect()
+/// The workload and generated document of one grid point, with the
+/// document's exact node count.  The depth is explicit: the generator
+/// panics rather than silently capping if the workload cannot honor it.
+fn grid_document(
+    (fields, depth, keys, branching): (usize, usize, usize, usize),
+) -> (Workload, Document, usize) {
+    let w = generate(&WorkloadConfig::new(fields, depth, keys));
+    let (doc, report) = generate_document_with_report(
+        &w,
+        &DocConfig {
+            branching,
+            omission_probability: 0.1,
+            seed: 11,
+            depth: Some(depth),
+        },
+    );
+    (w, doc, report.nodes)
 }
 
-/// Consolidates streaming points into [`Fig7Row`]s, five per point
-/// (`stream_{shred, validate}`, `dom_{shred, validate}_e2e` and
-/// `stream_peak_open_bindings`), with `n` the exact node count.  The peak
-/// row records a *count*, not a duration: its `seconds` field carries the
-/// frontier size so the bounded-memory trajectory is tracked in the same
-/// file.
-pub fn stream_rows(points: &[StreamPoint]) -> Vec<Fig7Row> {
+/// The transformation holding only the workload's universal rule.
+fn universal_transformation(w: &Workload) -> Transformation {
+    let mut t = Transformation::new(Vec::new());
+    t.add_rule(w.universal.clone());
+    t
+}
+
+/// The document engine at 10⁴–10⁶ nodes: the one-time `DocIndex` build,
+/// universal-relation shredding through `TableRule::shred` vs a prepared
+/// `ShredPlan`, and whole-Σ validation through `satisfies_all` vs
+/// `KeyIndex::satisfies`.  `n` is the exact node count.
+fn docs(quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("stream_shred", p.nodes, p.stream_shred_ms));
-        rows.push(Fig7Row::new(
-            "stream_validate",
-            p.nodes,
-            p.stream_validate_ms,
+    for &point in doc_grid(quick) {
+        let (w, doc, nodes) = grid_document(point);
+        let mut universe = LabelUniverse::new();
+        let plan = w.universal.prepare(&mut universe);
+        let doc_index = DocIndex::build(&doc, &mut universe);
+        let mut key_index = w.sigma.prepare();
+        let key_doc_index = key_index.index_document(&doc);
+        let validate_facade = || xmlprop_xmlkeys::satisfies_all(&doc, w.sigma.iter());
+        let stats = measure(
+            || {
+                assert_eq!(
+                    w.universal.shred(&doc),
+                    plan.shred(&doc, &doc_index),
+                    "shred facade/engine disagree"
+                );
+                let ok = validate_facade();
+                assert_eq!(
+                    ok,
+                    key_index.satisfies(&doc, &key_doc_index),
+                    "validation facade/engine disagree"
+                );
+                assert!(ok, "generated documents satisfy their own Σ");
+            },
+            &mut [
+                &mut || {
+                    black_box(DocIndex::build(&doc, &mut universe));
+                },
+                &mut || {
+                    black_box(w.universal.shred(&doc));
+                },
+                &mut || {
+                    black_box(plan.shred(&doc, &doc_index));
+                },
+                &mut || {
+                    black_box(validate_facade());
+                },
+                &mut || {
+                    black_box(key_index.satisfies(&doc, &key_doc_index));
+                },
+            ],
+        );
+        rows.extend(time_rows(
+            [
+                "docs_index_build",
+                "docs_shred_facade",
+                "docs_shred_prepared",
+                "docs_validate_facade",
+                "docs_validate_prepared",
+            ],
+            nodes,
+            &stats,
         ));
-        rows.push(Fig7Row::new("dom_shred_e2e", p.nodes, p.dom_shred_ms));
-        rows.push(Fig7Row::new("dom_validate_e2e", p.nodes, p.dom_validate_ms));
-        rows.push(Fig7Row {
-            bench: "stream_peak_open_bindings".to_string(),
-            n: p.nodes,
-            seconds: p.peak_open_bindings as f64,
-        });
     }
     rows
 }
 
-/// One measured point of the corpus-pipeline experiment: one thread count,
-/// same corpus, shred-only and validate-only timings.
-#[derive(Debug, Clone, Serialize)]
-pub struct CorpusPoint {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Number of corpus documents.
-    pub documents: usize,
-    /// Total node count across the corpus (the scale parameter; the
-    /// acceptance grid requires ≥100k on the full run).
-    pub total_nodes: usize,
-    /// Whole-corpus shredding time (ms) at this thread count.
-    pub shred_ms: f64,
-    /// Whole-corpus validation time (ms) at this thread count.
-    pub validate_ms: f64,
-    /// Total tuples shredded (identical at every thread count).
-    pub tuples: usize,
+/// The streaming front end against the DOM path on the `docs` grid:
+/// shred-only and validate-only `CorpusBundle::stream_text` passes over the
+/// serialized text, versus the DOM path end to end (parse + `DocIndex`
+/// build + engine), since that is what the streaming pass replaces.  The
+/// `stream_peak_open_bindings` row is a count: the peak number of open
+/// binding instances plus key contexts of the streaming pass.
+fn stream(quick: bool) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &point in doc_grid(quick) {
+        let (w, doc, nodes) = grid_document(point);
+        let text = to_xml(&doc);
+        drop(doc); // the streaming side must stand on the text alone
+        let bundle = CorpusBundle::new(w.sigma.clone(), universal_transformation(&w));
+        let options = |shred: bool, validate: bool, stream: bool| CorpusOptions {
+            jobs: Jobs::default(),
+            shred,
+            validate,
+            covers: false,
+            stream,
+        };
+        let streamed = bundle
+            .stream_text(&text, &options(true, true, true))
+            .expect("serialized workload documents stream");
+        let dom = |scratch: &mut _, shred: bool, validate: bool| {
+            let doc = Document::parse_str(&text).expect("serialized documents reparse");
+            bundle.process(&doc, scratch, &options(shred, validate, false))
+        };
+        let (mut shred_scratch, mut validate_scratch) = (bundle.scratch(), bundle.scratch());
+        let stats = measure(
+            || {
+                let dom = dom(&mut bundle.scratch(), true, true);
+                assert_eq!(streamed.database, dom.database, "stream/DOM shred disagree");
+                assert_eq!(
+                    streamed.violations, dom.violations,
+                    "stream/DOM validation disagree"
+                );
+                assert_eq!(streamed.nodes, dom.nodes, "stream/DOM node counts disagree");
+                assert!(
+                    streamed.violations.is_empty(),
+                    "generated documents satisfy their own Σ"
+                );
+            },
+            &mut [
+                &mut || {
+                    black_box(bundle.stream_text(&text, &options(true, false, true)))
+                        .expect("serialized workload documents stream");
+                },
+                &mut || {
+                    black_box(bundle.stream_text(&text, &options(false, true, true)))
+                        .expect("serialized workload documents stream");
+                },
+                &mut || {
+                    black_box(dom(&mut shred_scratch, true, false));
+                },
+                &mut || {
+                    black_box(dom(&mut validate_scratch, false, true));
+                },
+            ],
+        );
+        rows.extend(time_rows(
+            [
+                "stream_shred",
+                "stream_validate",
+                "dom_shred_e2e",
+                "dom_validate_e2e",
+            ],
+            nodes,
+            &stats,
+        ));
+        rows.push(Row::count(
+            "stream_peak_open_bindings",
+            nodes,
+            streamed.peak_open_bindings,
+        ));
+    }
+    rows
 }
 
-impl CorpusPoint {
-    /// Throughput gain of this point over a 1-thread shred baseline.
-    pub fn shred_speedup_over(&self, baseline: &CorpusPoint) -> f64 {
-        baseline.shred_ms / self.shred_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Throughput gain of this point over a 1-thread validation baseline.
-    pub fn validate_speedup_over(&self, baseline: &CorpusPoint) -> f64 {
-        baseline.validate_ms / self.validate_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The corpus workload shared by the `corpus` experiment and the `corpus`
-/// Criterion bench: one prepared [`xmlprop_pipeline::CorpusBundle`] plus a
-/// generated corpus (documents satisfy Σ; per-document seeds).  `quick`
-/// shrinks the corpus for the CI smoke run; the full corpus exceeds 100k
-/// total nodes (asserted).
-pub fn corpus_setup(
-    quick: bool,
-) -> (
-    xmlprop_pipeline::CorpusBundle,
-    Vec<xmlprop_xmltree::Document>,
-    xmlprop_workload::CorpusReport,
-) {
+/// The corpus shared by the `corpus` and `serve` experiments: one prepared
+/// bundle plus a generated corpus whose documents satisfy Σ.  The full
+/// corpus exceeds 100k total nodes (asserted).
+fn corpus_setup(quick: bool) -> (CorpusBundle, Vec<Document>) {
     use xmlprop_workload::{generate_corpus, CorpusConfig};
     let w = generate(&WorkloadConfig::new(15, 4, 10));
     let config = CorpusConfig {
@@ -672,758 +761,458 @@ pub fn corpus_setup(
         },
     };
     let (docs, report) = generate_corpus(&w, &config);
-    if !quick {
-        assert!(
-            report.total_nodes >= 100_000,
-            "full corpus must exceed 100k nodes, got {}",
-            report.total_nodes
-        );
-    }
-    let transformation = {
-        let mut t = xmlprop_xmltransform::Transformation::new(Vec::new());
-        t.add_rule(w.universal.clone());
-        t
-    };
-    let bundle = xmlprop_pipeline::CorpusBundle::new(w.sigma.clone(), transformation);
-    (bundle, docs, report)
+    assert!(
+        quick || report.total_nodes >= 100_000,
+        "full corpus must exceed 100k nodes, got {}",
+        report.total_nodes
+    );
+    let bundle = CorpusBundle::new(w.sigma.clone(), universal_transformation(&w));
+    (bundle, docs)
 }
 
-/// The `corpus` experiment: whole-corpus shredding and validation
-/// throughput at 1/2/4/8 worker threads over one shared prepared bundle.
-///
-/// Shred-only and validate-only runs are timed separately (best-of-`reps`)
-/// so each `BENCH_fig7.json` row isolates one pipeline stage; every
-/// thread count's full output is asserted bit-for-bit equal to the
-/// sequential facade before anything is recorded.  Scaling beyond the
-/// machine's core count is bounded by hardware: the committed rows record
-/// whatever the benchmark host provides (CI and laptops differ), which is
-/// exactly why the thread count is the row's `n`.
-pub fn corpus_experiment(quick: bool) -> Vec<CorpusPoint> {
-    use xmlprop_pipeline::{CorpusOptions, Jobs};
-    let (bundle, docs, report) = corpus_setup(quick);
-    let reps = if quick { 1 } else { 3 };
-
-    let reference = bundle.run_sequential(&docs, &CorpusOptions::default());
+/// Whole-corpus shredding and validation through one shared bundle at
+/// 1/2/4/8 worker threads, with `n` the thread count.  Scaling is bounded
+/// by the cores of the host that runs it.
+fn corpus(quick: bool) -> Vec<Row> {
+    let (bundle, docs) = corpus_setup(quick);
+    let (bundle, docs) = (&bundle, &docs);
     let job_grid: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    job_grid
-        .iter()
-        .map(|&jobs| {
-            let shred_only = CorpusOptions {
-                jobs: Jobs::new(jobs).expect("grid thread counts are valid"),
-                shred: true,
-                validate: false,
-                covers: false,
-                stream: false,
-            };
-            let validate_only = CorpusOptions {
-                shred: false,
-                validate: true,
-                ..shred_only.clone()
-            };
-            let (shred_ms, shredded) = time_best_of(reps, || bundle.run(&docs, &shred_only));
-            let (validate_ms, validated) = time_best_of(reps, || bundle.run(&docs, &validate_only));
-            // Equivalence gate: the parallel merge must reproduce the
-            // sequential result exactly, whatever the completion order.
-            assert_eq!(reference.documents.len(), shredded.documents.len());
-            assert_eq!(reference.documents.len(), validated.documents.len());
-            for (i, (seq, shred)) in reference
-                .documents
-                .iter()
-                .zip(&shredded.documents)
-                .enumerate()
-            {
-                assert_eq!(seq.database, shred.database, "doc {i} at jobs={jobs}");
-            }
-            for (i, (seq, val)) in reference
-                .documents
-                .iter()
-                .zip(&validated.documents)
-                .enumerate()
-            {
-                assert_eq!(seq.violations, val.violations, "doc {i} at jobs={jobs}");
-            }
-            assert_eq!(
-                validated.stats.violations, 0,
-                "generated corpora satisfy their own Σ"
-            );
-            CorpusPoint {
-                jobs,
-                documents: report.documents,
-                total_nodes: report.total_nodes,
-                shred_ms,
-                validate_ms,
-                tuples: shredded.stats.tuples,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates corpus-pipeline points into [`Fig7Row`]s, two per point
-/// (`corpus_shred` and `corpus_validate`), with `n` the **thread count**
-/// (the corpus itself is fixed per run; its size is in the experiment
-/// JSON).
-pub fn corpus_rows(points: &[CorpusPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("corpus_shred", p.jobs, p.shred_ms));
-        rows.push(Fig7Row::new("corpus_validate", p.jobs, p.validate_ms));
-    }
-    rows
-}
-
-/// One measured point of the incremental-revalidation experiment: the cost
-/// of keeping validation and shredding current under a single small edit,
-/// through the delta-maintained engines versus re-running from scratch
-/// (index rebuild + full pass) on the same mutated document.
-#[derive(Debug, Clone, Serialize)]
-pub struct IncrementalPoint {
-    /// Total node count of the generated document (the scale parameter).
-    pub nodes: usize,
-    /// Number of tuples the universal-relation shred produces.
-    pub rows: usize,
-    /// Incremental validation: `Document::apply` + `DocIndex::apply_delta`
-    /// + `IncrementalValidator::apply` for one edit (ms).
-    pub incr_validate_ms: f64,
-    /// From-scratch validation of the same mutated document: apply +
-    /// `DocIndex::build` + `KeyIndex::violations` (ms).
-    pub scratch_validate_ms: f64,
-    /// Incremental shredding: apply + index delta +
-    /// `IncrementalShredder::apply` for one edit (ms).
-    pub incr_shred_ms: f64,
-    /// From-scratch shredding of the same mutated document: apply +
-    /// `DocIndex::build` + `TransformationPlan::shred_all` (ms).
-    pub scratch_shred_ms: f64,
-}
-
-impl IncrementalPoint {
-    /// Scratch-over-incremental speedup of the validation.
-    pub fn validate_speedup(&self) -> f64 {
-        self.scratch_validate_ms / self.incr_validate_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Scratch-over-incremental speedup of the shred.
-    pub fn shred_speedup(&self) -> f64 {
-        self.scratch_shred_ms / self.incr_shred_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The `incremental` experiment: delta maintenance versus from-scratch
-/// recomputation under document mutation, at the same 10⁴–10⁶-node grid
-/// the `docs` and `stream` experiments use.
-///
-/// The steady-state edit is a text toggle on the document's last text leaf
-/// — a single small edit whose dirty region is one root-to-leaf chain, the
-/// workload the incremental engines are built for.  Each grid point keeps
-/// two identical documents: one maintained incrementally, one re-indexed
-/// and re-processed from scratch after every edit.  The two sides are
-/// measured **interleaved** (incremental edit *i*, then the scratch side
-/// applying the same edit *i*), best-of-`reps`, so jitter hits both
-/// equally; before and after the timed region the maintained state is
-/// asserted bit-for-bit equal to the from-scratch result.  `quick` keeps
-/// only the ~10⁴-node point for the CI smoke run.
-pub fn incremental_experiment(quick: bool) -> Vec<IncrementalPoint> {
-    use xmlprop_xmlkeys::IncrementalValidator;
-    use xmlprop_xmltransform::{IncrementalShredder, TransformationPlan};
-    use xmlprop_xmltree::{Delta, NodeKind};
-    let grids: &[(usize, usize, usize, usize)] = if quick {
-        &[(15, 4, 10, 6)]
-    } else {
-        &[(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)]
+    let options = |jobs: usize, shred: bool| CorpusOptions {
+        jobs: Jobs::new(jobs).expect("grid thread counts are valid"),
+        shred,
+        validate: !shred,
+        covers: false,
+        stream: false,
     };
-    grids
+    let configs: Vec<(&str, usize, CorpusOptions)> = job_grid
         .iter()
-        .map(|&(fields, depth, keys, branching)| {
-            let w = generate(&WorkloadConfig::new(fields, depth, keys));
-            let (doc, report) = generate_document_with_report(
-                &w,
-                &DocConfig {
-                    branching,
-                    omission_probability: 0.1,
-                    seed: 11,
-                    depth: Some(depth),
-                },
-            );
-            let target = doc
-                .all_nodes()
-                .into_iter()
-                .rev()
-                .find(|&n| matches!(doc.kind(n), NodeKind::Text))
-                .expect("workload documents contain text leaves");
-            let edit = |i: usize| Delta::SetText {
-                node: target,
-                text: format!("edit-{}", i % 2),
-            };
-            let reps = if quick { 1 } else { 5 };
-
-            // Validation: delta-maintained KeyIndex state versus index
-            // rebuild + full violation walk.  The scratch side extends a
-            // worker copy of the key index's universe (append-only ids).
-            let keys_index = w.sigma.prepare();
-            let mut universe = keys_index.universe().clone();
-            let mut vdoc = doc.clone();
-            let mut vindex = DocIndex::build(&vdoc, &mut universe);
-            let mut validator = IncrementalValidator::new(&keys_index, &vdoc, &vindex);
-            let mut sdoc = doc.clone();
-
-            // Equivalence gate: one untimed edit through both paths.
-            {
-                let applied = vdoc.apply(&edit(0)).expect("toggle applies");
-                vindex.apply_delta(&vdoc, &applied, &mut universe);
-                validator.apply(&keys_index, &vdoc, &vindex, &applied);
-                sdoc.apply(&edit(0)).expect("toggle applies");
-                let sindex = DocIndex::build(&sdoc, &mut universe);
-                assert_eq!(
-                    validator.violations(),
-                    keys_index.violations(&sdoc, &sindex),
-                    "incremental/scratch validation disagree"
-                );
-            }
-
-            let mut incr_validate_ms = f64::INFINITY;
-            let mut scratch_validate_ms = f64::INFINITY;
-            for i in 1..=reps {
-                let delta = edit(i);
-                let (ms, _) = time(|| {
-                    let applied = vdoc.apply(&delta).expect("toggle applies");
-                    vindex.apply_delta(&vdoc, &applied, &mut universe);
-                    validator.apply(&keys_index, &vdoc, &vindex, &applied);
-                    validator.violation_count()
-                });
-                incr_validate_ms = incr_validate_ms.min(ms);
-                let (ms, _) = time(|| {
-                    sdoc.apply(&delta).expect("toggle applies");
-                    let sindex = DocIndex::build(&sdoc, &mut universe);
-                    keys_index.violations(&sdoc, &sindex).len()
-                });
-                scratch_validate_ms = scratch_validate_ms.min(ms);
-            }
-            let sindex = DocIndex::build(&sdoc, &mut universe);
-            assert_eq!(
-                validator.violations(),
-                keys_index.violations(&sdoc, &sindex),
-                "incremental validation drifted across the timed edits"
-            );
-
-            // Shredding: delta-maintained tuple blocks versus index rebuild
-            // + full re-shred of the universal relation.
-            let transformation = {
-                let mut t = xmlprop_xmltransform::Transformation::new(Vec::new());
-                t.add_rule(w.universal.clone());
-                t
-            };
-            let mut shred_universe = LabelUniverse::new();
-            let plan = TransformationPlan::new(&transformation, &mut shred_universe);
-            let mut pdoc = doc.clone();
-            let mut pindex = DocIndex::build(&pdoc, &mut shred_universe);
-            let mut shredder = IncrementalShredder::new(&plan, &pdoc, &pindex);
-            let mut qdoc = doc.clone();
-
-            let rows = {
-                let applied = pdoc.apply(&edit(0)).expect("toggle applies");
-                pindex.apply_delta(&pdoc, &applied, &mut shred_universe);
-                shredder.apply(&plan, &pdoc, &pindex, &applied);
-                qdoc.apply(&edit(0)).expect("toggle applies");
-                let qindex = DocIndex::build(&qdoc, &mut shred_universe);
-                let scratch_db = plan.shred_all(&qdoc, &qindex);
-                assert_eq!(
-                    shredder.database(&plan),
-                    scratch_db,
-                    "incremental/scratch shredding disagree"
-                );
-                scratch_db.relations().map(Relation::len).sum()
-            };
-
-            let mut incr_shred_ms = f64::INFINITY;
-            let mut scratch_shred_ms = f64::INFINITY;
-            for i in 1..=reps {
-                let delta = edit(i);
-                let (ms, _) = time(|| {
-                    let applied = pdoc.apply(&delta).expect("toggle applies");
-                    pindex.apply_delta(&pdoc, &applied, &mut shred_universe);
-                    shredder.apply(&plan, &pdoc, &pindex, &applied).len()
-                });
-                incr_shred_ms = incr_shred_ms.min(ms);
-                let (ms, _) = time(|| {
-                    qdoc.apply(&delta).expect("toggle applies");
-                    let qindex = DocIndex::build(&qdoc, &mut shred_universe);
-                    plan.shred_all(&qdoc, &qindex)
-                        .relations()
-                        .map(Relation::len)
-                        .sum::<usize>()
-                });
-                scratch_shred_ms = scratch_shred_ms.min(ms);
-            }
-            let qindex = DocIndex::build(&qdoc, &mut shred_universe);
-            assert_eq!(
-                shredder.database(&plan),
-                plan.shred_all(&qdoc, &qindex),
-                "incremental shredding drifted across the timed edits"
-            );
-
-            IncrementalPoint {
-                nodes: report.nodes,
-                rows,
-                incr_validate_ms,
-                scratch_validate_ms,
-                incr_shred_ms,
-                scratch_shred_ms,
+        .flat_map(|&jobs| {
+            [
+                ("corpus_shred", jobs, options(jobs, true)),
+                ("corpus_validate", jobs, options(jobs, false)),
+            ]
+        })
+        .collect();
+    let mut runs: Vec<_> = configs
+        .iter()
+        .map(|(_, _, options)| {
+            move || {
+                black_box(bundle.run(docs, options));
             }
         })
+        .collect();
+    let stats = measure(
+        || {
+            // The parallel merge must reproduce the sequential result
+            // exactly, whatever the completion order.
+            let reference = bundle.run_sequential(docs, &CorpusOptions::default());
+            for (_, jobs, options) in &configs {
+                let result = bundle.run(docs, options);
+                assert_eq!(reference.documents.len(), result.documents.len());
+                for (i, (seq, par)) in reference
+                    .documents
+                    .iter()
+                    .zip(&result.documents)
+                    .enumerate()
+                {
+                    if options.shred {
+                        assert_eq!(seq.database, par.database, "doc {i} at jobs={jobs}");
+                    } else {
+                        assert_eq!(seq.violations, par.violations, "doc {i} at jobs={jobs}");
+                    }
+                }
+                if options.validate {
+                    assert_eq!(
+                        result.stats.violations, 0,
+                        "generated corpora satisfy their own Σ"
+                    );
+                }
+            }
+        },
+        &mut runs
+            .iter_mut()
+            .map(|run| run as &mut dyn FnMut())
+            .collect::<Vec<_>>(),
+    );
+    configs
+        .iter()
+        .zip(&stats)
+        .map(|((bench, jobs, _), stats)| Row::secs(*bench, *jobs, stats))
         .collect()
-}
-
-/// Consolidates incremental-revalidation points into [`Fig7Row`]s, four per
-/// point (`incr_validate`, `scratch_validate`, `incr_shred`,
-/// `scratch_shred`), with `n` the exact node count.
-pub fn incremental_rows(points: &[IncrementalPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("incr_validate", p.nodes, p.incr_validate_ms));
-        rows.push(Fig7Row::new(
-            "scratch_validate",
-            p.nodes,
-            p.scratch_validate_ms,
-        ));
-        rows.push(Fig7Row::new("incr_shred", p.nodes, p.incr_shred_ms));
-        rows.push(Fig7Row::new("scratch_shred", p.nodes, p.scratch_shred_ms));
-    }
-    rows
-}
-
-/// One measured point of the `serve` experiment: N client threads issuing
-/// validate requests against one resident server.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServePoint {
-    /// Concurrent client connections driving requests.
-    pub client_threads: usize,
-    /// Total requests completed across all clients.
-    pub requests: usize,
-    /// Distinct documents round-robined across the requests.
-    pub documents: usize,
-    /// Wall-clock time (ms) from first send to last response.
-    pub elapsed_ms: f64,
-    /// Aggregate throughput, `requests / elapsed`.
-    pub requests_per_sec: f64,
-    /// Whether this point was measured under [`FAULTY_SERVE_SPEC`].
-    pub faults: bool,
 }
 
 /// The seeded schedule the faulty serve grid runs under: 10% of server
 /// reads delayed by 1 ms, 10% of server writes fragmented to 16 bytes —
 /// real transport jitter, but no torn connections, so every response
 /// still completes and byte-checks.
-pub const FAULTY_SERVE_SPEC: &str = "conn.read=10%delay:1,conn.write=10%short:16";
+const FAULTY_SERVE_SPEC: &str = "conn.read=10%delay:1,conn.write=10%short:16";
 
-/// The `serve` experiment: aggregate request throughput of the resident
-/// server at 1/2/4/8 concurrent client connections (1/2 under `quick`),
-/// over a real TCP loopback session per client.
-///
-/// Every served response is asserted byte-equal to the sequential
-/// renderer's output for the same document *before* any timing is
-/// recorded — the concurrent server must agree with the one-shot path
-/// exactly, whatever interleaving the gate produces.
-pub fn serve_experiment(quick: bool) -> Vec<ServePoint> {
-    use xmlprop_pipeline::{Faults, Jobs, PreparedState};
-    use xmlprop_server::{render, Server, ServiceConfig};
-    let (bundle, docs, _report) = corpus_setup(quick);
-    let doc_texts: Vec<String> = docs.iter().take(4).map(xmlprop_xmltree::to_xml).collect();
-    // The sequential reference: what a one-shot run prints per document.
+/// Validate throughput of the resident server at 1/2/4/8 concurrent client
+/// connections, each a real TCP loopback session, with `n` the client
+/// count; once clean and once under [`FAULTY_SERVE_SPEC`].  Every served
+/// response is asserted byte-equal to the one-shot renderer's output.
+fn serve(quick: bool) -> Vec<Row> {
+    use xmlprop_server::{render, Client, Request, Server, ServiceConfig};
+    let (bundle, docs) = corpus_setup(quick);
+    let texts: Vec<String> = docs.iter().take(4).map(to_xml).collect();
     let expected: Vec<String> = {
         let mut scratch = bundle.scratch();
-        doc_texts
+        texts
             .iter()
             .map(|text| {
-                let doc = xmlprop_xmltree::Document::parse_str(text)
-                    .expect("serialized corpus documents reparse");
+                let doc = Document::parse_str(text).expect("serialized corpus documents reparse");
                 render::validate_report(&bundle, &doc, &mut scratch).1
             })
             .collect()
     };
+    let (texts, expected) = (&texts, &expected);
     let grid: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let total_requests = if quick { 24 } else { 240 };
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        bundle,
-        Jobs::new(8).expect("8 is a valid thread count"),
-    )
-    .expect("loopback bind");
-    let mut points = measure_serve_grid(
-        server.local_addr(),
-        &doc_texts,
-        &expected,
-        grid,
-        total_requests,
-        false,
-    );
-    server.shutdown();
-
-    // The same grid with the transport degraded by [`FAULTY_SERVE_SPEC`].
-    // The stub build cannot carry a schedule (`parse` errors), so the
-    // faulty rows only land when the `faultline` feature is compiled in.
-    match Faults::parse(FAULTY_SERVE_SPEC, 42) {
-        Ok(faults) => {
-            let (bundle, _, _) = corpus_setup(quick);
-            let server = Server::bind_with(
-                "127.0.0.1:0",
-                bundle,
-                Jobs::new(8).expect("8 is a valid thread count"),
-                ServiceConfig::default(),
-                faults,
-            )
-            .expect("loopback bind");
-            points.extend(measure_serve_grid(
-                server.local_addr(),
-                &doc_texts,
-                &expected,
-                grid,
-                total_requests,
-                true,
-            ));
-            server.shutdown();
-        }
-        Err(_) => println!(
-            "   (fault injection not compiled in; skipping the faulty serve grid — \
-             rebuild with --features faultline)"
+    let requests = if quick { 24 } else { 240 };
+    let mut rows = Vec::new();
+    // The stub build cannot carry a fault schedule (`parse` errors), so
+    // the faulty rows only land when the `faultline` feature is compiled in.
+    for (bench, faults) in [
+        ("serve_requests_per_sec", Ok(Faults::disabled())),
+        (
+            "serve_requests_per_sec_faulty",
+            Faults::parse(FAULTY_SERVE_SPEC, 42),
         ),
-    }
-    points
-}
-
-/// Runs the serve grid against an already-bound server, byte-checking
-/// every response against the sequential renderer before timing.
-fn measure_serve_grid(
-    addr: std::net::SocketAddr,
-    doc_texts: &[String],
-    expected: &[String],
-    grid: &[usize],
-    total_requests: usize,
-    faults: bool,
-) -> Vec<ServePoint> {
-    use xmlprop_server::{Client, Request};
-    grid.iter()
-        .map(|&threads| {
-            let per_thread = total_requests / threads;
-            let start = Instant::now();
+    ] {
+        let Ok(faults) = faults else {
+            println!(
+                "   (fault injection not compiled in; skipping the faulty serve grid — \
+                 rebuild with --features faultline)"
+            );
+            continue;
+        };
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            bundle.clone(),
+            Jobs::new(8).expect("8 is a valid thread count"),
+            ServiceConfig::default(),
+            faults,
+        )
+        .expect("loopback bind");
+        let addr = server.local_addr();
+        // One pass: `requests` validate requests spread over `threads`
+        // client connections.
+        let pass = |threads: usize| {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut client = Client::connect(addr).expect("loopback connect");
-                            for i in 0..per_thread {
-                                let j = (t + i) % doc_texts.len();
-                                let resp = client
-                                    .send(&Request::Validate {
-                                        document: doc_texts[j].clone(),
-                                    })
-                                    .expect("request round-trip");
-                                assert_eq!(
-                                    resp.payload, expected[j],
-                                    "served response must equal the sequential renderer output"
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("client thread");
+                for t in 0..threads {
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).expect("loopback connect");
+                        for i in 0..requests / threads {
+                            let j = (t + i) % texts.len();
+                            let response = client
+                                .send(&Request::Validate {
+                                    document: texts[j].clone(),
+                                })
+                                .expect("request round-trip");
+                            assert_eq!(
+                                response.payload, expected[j],
+                                "served response must equal the sequential renderer output"
+                            );
+                        }
+                    });
                 }
             });
-            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-            let requests = per_thread * threads;
-            ServePoint {
-                client_threads: threads,
-                requests,
-                documents: doc_texts.len(),
-                elapsed_ms,
-                requests_per_sec: requests as f64 / (elapsed_ms / 1e3),
-                faults,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates serve points into [`Fig7Row`]s — `serve_requests_per_sec`
-/// for the clean grid, `serve_requests_per_sec_faulty` for the grid under
-/// [`FAULTY_SERVE_SPEC`] — with `n` the **client thread count** and
-/// `seconds` the mean seconds per request (throughput is its reciprocal),
-/// keeping the shared `BENCH_fig7.json` row schema.
-pub fn serve_rows(points: &[ServePoint]) -> Vec<Fig7Row> {
-    points
-        .iter()
-        .map(|p| {
-            let name = if p.faults {
-                "serve_requests_per_sec_faulty"
-            } else {
-                "serve_requests_per_sec"
-            };
-            Fig7Row::new(name, p.client_threads, p.elapsed_ms / p.requests as f64)
-        })
-        .collect()
-}
-
-/// Consolidates document-engine points into [`Fig7Row`]s, five per point
-/// (`docs_{index_build, shred_facade, shred_prepared, validate_facade,
-/// validate_prepared}`), with `n` the exact node count.
-pub fn docs_rows(points: &[DocPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("docs_index_build", p.nodes, p.index_build_ms));
-        rows.push(Fig7Row::new(
-            "docs_shred_facade",
-            p.nodes,
-            p.shred_facade_ms,
-        ));
-        rows.push(Fig7Row::new(
-            "docs_shred_prepared",
-            p.nodes,
-            p.shred_prepared_ms,
-        ));
-        rows.push(Fig7Row::new(
-            "docs_validate_facade",
-            p.nodes,
-            p.validate_facade_ms,
-        ));
-        rows.push(Fig7Row::new(
-            "docs_validate_prepared",
-            p.nodes,
-            p.validate_prepared_ms,
-        ));
+        };
+        let mut passes: Vec<_> = grid.iter().map(|&threads| move || pass(threads)).collect();
+        let stats = measure(
+            || grid.iter().for_each(|&threads| pass(threads)),
+            &mut passes
+                .iter_mut()
+                .map(|pass| pass as &mut dyn FnMut())
+                .collect::<Vec<_>>(),
+        );
+        server.shutdown();
+        rows.extend(grid.iter().zip(&stats).map(|(&threads, stats)| {
+            Row::per_sec(bench, threads, stats, requests / threads * threads)
+        }));
     }
     rows
 }
 
-/// Consolidates prepared-ablation points into two [`Fig7Row`]s per point
-/// (`<workload>_facade` and `<workload>_prepared`).
-pub fn prepared_rows(points: &[PreparedPoint]) -> Vec<Fig7Row> {
+/// A document under edits, with its index kept current.
+struct Edited {
+    doc: Document,
+    universe: LabelUniverse,
+    index: DocIndex,
+}
+
+impl Edited {
+    fn new(doc: &Document, mut universe: LabelUniverse) -> Edited {
+        let index = DocIndex::build(doc, &mut universe);
+        Edited {
+            doc: doc.clone(),
+            universe,
+            index,
+        }
+    }
+
+    /// Applies `delta` and splices the index.
+    fn splice(&mut self, delta: &Delta) -> AppliedDelta {
+        let applied = self.doc.apply(delta).expect("toggle applies");
+        self.index
+            .apply_delta(&self.doc, &applied, &mut self.universe);
+        applied
+    }
+
+    /// Applies `delta` and rebuilds the index from scratch.
+    fn rebuild(&mut self, delta: &Delta) {
+        self.doc.apply(delta).expect("toggle applies");
+        self.index = DocIndex::build(&self.doc, &mut self.universe);
+    }
+
+    /// A from-scratch index of the current document.
+    fn fresh_index(&self) -> DocIndex {
+        DocIndex::build(&self.doc, &mut self.universe.clone())
+    }
+}
+
+/// Delta maintenance versus from-scratch recomputation on the `docs` grid,
+/// for one steady-state edit: a text toggle on the document's last text
+/// leaf, whose dirty region is one root-to-leaf chain.  Incremental rows
+/// apply the edit, splice the index and update the maintained validator
+/// or shredder; scratch rows apply the same edit, rebuild the index and
+/// run the full pass.  The maintained state is asserted equal to the
+/// from-scratch result before and after the timed edits.
+fn incremental(quick: bool) -> Vec<Row> {
+    use xmlprop_xmlkeys::IncrementalValidator;
+    use xmlprop_xmltransform::{IncrementalShredder, TransformationPlan};
+    use xmlprop_xmltree::NodeKind;
     let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new(
-            &format!("{}_facade", p.workload),
-            p.n,
-            p.facade_ms,
+    for &point in doc_grid(quick) {
+        let (w, doc, nodes) = grid_document(point);
+        let target = doc
+            .all_nodes()
+            .into_iter()
+            .rev()
+            .find(|&n| matches!(doc.kind(n), NodeKind::Text))
+            .expect("workload documents contain text leaves");
+        let edit = |i: usize| Delta::SetText {
+            node: target,
+            text: format!("edit-{}", i % 2),
+        };
+
+        let keys = w.sigma.prepare();
+        let open = || {
+            let side = Edited::new(&doc, keys.universe().clone());
+            let validator = IncrementalValidator::new(&keys, &side.doc, &side.index);
+            (side, validator)
+        };
+        let maintain = |(side, validator): &mut (Edited, IncrementalValidator), delta: &Delta| {
+            let applied = side.splice(delta);
+            validator.apply(&keys, &side.doc, &side.index, &applied);
+        };
+        let agree = |(side, validator): &(Edited, IncrementalValidator), what: &str| {
+            let fresh = side.fresh_index();
+            assert_eq!(
+                validator.violations(),
+                keys.violations(&side.doc, &fresh),
+                "{what}"
+            );
+        };
+        let mut maintained = open();
+        let mut scratch = Edited::new(&doc, keys.universe().clone());
+        let (mut i, mut j) = (0, 0);
+        let stats = measure(
+            || {
+                let mut gate = open();
+                maintain(&mut gate, &edit(0));
+                agree(&gate, "incremental/scratch validation disagree");
+            },
+            &mut [
+                &mut || {
+                    i += 1;
+                    maintain(&mut maintained, &edit(i));
+                    black_box(maintained.1.violation_count());
+                },
+                &mut || {
+                    j += 1;
+                    scratch.rebuild(&edit(j));
+                    black_box(keys.violations(&scratch.doc, &scratch.index));
+                },
+            ],
+        );
+        agree(
+            &maintained,
+            "incremental validation drifted across the timed edits",
+        );
+        rows.extend(time_rows(
+            ["incr_validate", "scratch_validate"],
+            nodes,
+            &stats,
         ));
-        rows.push(Fig7Row::new(
-            &format!("{}_prepared", p.workload),
-            p.n,
-            p.prepared_ms,
-        ));
+
+        let transformation = universal_transformation(&w);
+        let mut universe = LabelUniverse::new();
+        let plan = TransformationPlan::new(&transformation, &mut universe);
+        let open = || {
+            let side = Edited::new(&doc, universe.clone());
+            let shredder = IncrementalShredder::new(&plan, &side.doc, &side.index);
+            (side, shredder)
+        };
+        let maintain = |(side, shredder): &mut (Edited, IncrementalShredder), delta: &Delta| {
+            let applied = side.splice(delta);
+            shredder
+                .apply(&plan, &side.doc, &side.index, &applied)
+                .len()
+        };
+        let agree = |(side, shredder): &(Edited, IncrementalShredder), what: &str| {
+            let fresh = side.fresh_index();
+            assert_eq!(
+                shredder.database(&plan),
+                plan.shred_all(&side.doc, &fresh),
+                "{what}"
+            );
+        };
+        let mut maintained = open();
+        let mut scratch = Edited::new(&doc, universe.clone());
+        let (mut i, mut j) = (0, 0);
+        let stats = measure(
+            || {
+                let mut gate = open();
+                maintain(&mut gate, &edit(0));
+                agree(&gate, "incremental/scratch shredding disagree");
+            },
+            &mut [
+                &mut || {
+                    i += 1;
+                    black_box(maintain(&mut maintained, &edit(i)));
+                },
+                &mut || {
+                    j += 1;
+                    scratch.rebuild(&edit(j));
+                    black_box(plan.shred_all(&scratch.doc, &scratch.index));
+                },
+            ],
+        );
+        agree(
+            &maintained,
+            "incremental shredding drifted across the timed edits",
+        );
+        rows.extend(time_rows(["incr_shred", "scratch_shred"], nodes, &stats));
     }
     rows
 }
 
-/// One point of the query experiment: the same unique-key join executed
-/// by the key-aware plan (hash lookup against the propagated key) and by
-/// the naive nested-loop baseline, on `rows`-per-relation instances.
-#[derive(Debug, Clone, Serialize)]
-pub struct QueryPoint {
-    /// Rows in each of the two joined relations.
-    pub rows: usize,
-    /// Rows in the join result (identical for both plans).
-    pub result_rows: usize,
-    /// Best-of-reps naive nested-loop execution time.
-    pub naive_ms: f64,
-    /// Best-of-reps key-lookup execution time.
-    pub keyed_ms: f64,
-}
-
-impl QueryPoint {
-    /// How many times faster the keyed join ran.
-    pub fn speedup(&self) -> f64 {
-        self.naive_ms / self.keyed_ms
-    }
-}
-
-/// The query experiment: a foreign-key join between a fact table and a
-/// dimension table whose propagated cover makes `id` a key (`id ->
-/// payload`), so the optimizer executes it as a hash lookup.  Both plans
-/// are executed on the same instance and their outputs asserted equal row
-/// for row before timing is recorded.
-pub fn query_experiment(quick: bool) -> Vec<QueryPoint> {
+/// A foreign-key join between a fact table and a dimension table whose
+/// propagated cover makes `id` a key (`id -> payload`), executed by the
+/// key-aware plan (a hash lookup) and by the naive nested-loop baseline on
+/// `n`-row relations.  A sixteenth of the fact keys are NULL, which keeps
+/// the null-semantics path on the measured loop.
+fn query(quick: bool) -> Vec<Row> {
     let sizes: &[usize] = if quick {
         &[200, 400]
     } else {
         &[500, 1000, 2000, 4000]
     };
-    let reps = if quick { 3 } else { 5 };
-
-    sizes
-        .iter()
-        .map(|&n| {
-            let mut dim = Relation::new(RelationSchema::new("dim", ["id", "payload"]));
-            for i in 0..n {
-                dim.insert(Tuple::new(vec![
-                    Value::text(format!("k{i}")),
-                    Value::text(format!("p{i}")),
-                ]));
-            }
-            let mut fact = Relation::new(RelationSchema::new("fact", ["fid", "val"]));
-            for i in 0..n {
-                // Every fact row hits a dimension row; a few carry a NULL
-                // key to keep the null-semantics path (never matches) on
-                // the measured path.
-                let fid = if i % 16 == 15 {
-                    Value::Null
-                } else {
-                    Value::text(format!("k{}", i % n))
-                };
-                fact.insert(Tuple::new(vec![fid, Value::text(format!("v{i}"))]));
-            }
-            let mut db = Database::new();
-            let mut catalog = Catalog::new();
-            catalog.add_relation(
-                dim.schema().clone(),
-                &[Fd::parse("id -> payload").expect("well-formed FD")],
-            );
-            catalog.add_relation(fact.schema().clone(), &[]);
-            db.insert(dim);
-            db.insert(fact);
-
-            let query = parse_query("select val, payload from fact join dim on fid = id")
-                .expect("experiment query parses");
-            let keyed_plan = plan(&query, &catalog).expect("query binds");
-            assert_eq!(
-                keyed_plan.joins[0].kind,
-                JoinKind::KeyLookup,
-                "the dimension join must plan as a hash lookup"
-            );
-            let naive_plan = plan_naive(&query, &catalog).expect("query binds");
-
-            let (naive_ms, naive_out) =
-                time_best_of(reps, || execute(&naive_plan, &db).expect("naive execution"));
-            let (keyed_ms, keyed_out) =
-                time_best_of(reps, || execute(&keyed_plan, &db).expect("keyed execution"));
-            assert_eq!(
-                naive_out.rows(),
-                keyed_out.rows(),
-                "keyed and naive outputs must be identical"
-            );
-
-            QueryPoint {
-                rows: n,
-                result_rows: keyed_out.len(),
-                naive_ms,
-                keyed_ms,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates query points into two [`Fig7Row`]s per point
-/// (`query_naive` and `query_keyed`), with `n` the per-relation row count.
-pub fn query_rows(points: &[QueryPoint]) -> Vec<Fig7Row> {
     let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("query_naive", p.rows, p.naive_ms));
-        rows.push(Fig7Row::new("query_keyed", p.rows, p.keyed_ms));
+    for &n in sizes {
+        let mut dim = Relation::new(RelationSchema::new("dim", ["id", "payload"]));
+        let mut fact = Relation::new(RelationSchema::new("fact", ["fid", "val"]));
+        for i in 0..n {
+            dim.insert(Tuple::new(vec![
+                Value::text(format!("k{i}")),
+                Value::text(format!("p{i}")),
+            ]));
+            let fid = if i % 16 == 15 {
+                Value::Null
+            } else {
+                Value::text(format!("k{i}"))
+            };
+            fact.insert(Tuple::new(vec![fid, Value::text(format!("v{i}"))]));
+        }
+        let mut catalog = Catalog::new();
+        catalog.add_relation(
+            dim.schema().clone(),
+            &[Fd::parse("id -> payload").expect("well-formed FD")],
+        );
+        catalog.add_relation(fact.schema().clone(), &[]);
+        let mut db = Database::new();
+        db.insert(dim);
+        db.insert(fact);
+
+        let query = parse_query("select val, payload from fact join dim on fid = id")
+            .expect("experiment query parses");
+        let keyed = plan(&query, &catalog).expect("query binds");
+        let naive = plan_naive(&query, &catalog).expect("query binds");
+        let run = |plan: &Plan| execute(plan, &db).expect("plan executes");
+        let stats = measure(
+            || {
+                assert_eq!(
+                    keyed.joins[0].kind,
+                    JoinKind::KeyLookup,
+                    "the dimension join must plan as a hash lookup"
+                );
+                assert_eq!(
+                    run(&naive).rows(),
+                    run(&keyed).rows(),
+                    "keyed and naive outputs must be identical"
+                );
+            },
+            &mut [
+                &mut || {
+                    black_box(run(&naive));
+                },
+                &mut || {
+                    black_box(run(&keyed));
+                },
+            ],
+        );
+        rows.extend(time_rows(["query_naive", "query_keyed"], n, &stats));
     }
     rows
 }
 
-/// One consolidated benchmark row, as archived in `BENCH_fig7.json` at the
-/// repository root so the performance trajectory is comparable across PRs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Fig7Row {
-    /// Benchmark identifier, e.g. `fig7a_minimum_cover`.
-    pub bench: String,
-    /// The varied parameter (fields, depth or keys, per figure).
-    pub n: usize,
-    /// Elapsed wall-clock time in seconds.
-    pub seconds: f64,
+/// `v` with four significant digits, or exactly when it is integral.
+fn significant(v: f64) -> String {
+    if v.fract() == 0.0 || !v.is_finite() {
+        return v.to_string();
+    }
+    let decimals = (3 - v.abs().log10().floor() as i32).clamp(0, 12) as usize;
+    format!("{v:.decimals$}")
 }
 
-impl Fig7Row {
-    fn new(bench: &str, n: usize, ms: f64) -> Self {
-        Fig7Row {
-            bench: bench.to_string(),
-            n,
-            seconds: ms / 1e3,
+/// Renders rows as an aligned text table under a header line.
+pub fn render_table(rows: &[Row]) -> String {
+    let cells: Vec<[String; 6]> =
+        std::iter::once(["bench", "n", "value", "unit", "stat", "spread"].map(String::from))
+            .chain(rows.iter().map(|row| {
+                [
+                    row.bench.clone(),
+                    row.n.to_string(),
+                    significant(row.value),
+                    row.unit.to_string(),
+                    row.stat.to_string(),
+                    significant(row.spread),
+                ]
+            }))
+            .collect();
+    let mut widths = [0; 6];
+    for line in &cells {
+        for (width, cell) in widths.iter_mut().zip(line) {
+            *width = (*width).max(cell.chars().count());
         }
     }
-}
-
-/// Consolidates Fig. 7(a) points into [`Fig7Row`]s (the exponential `naive`
-/// baseline contributes rows only where it was measured).
-pub fn fig7a_rows(points: &[Fig7aPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new(
-            "fig7a_minimum_cover",
-            p.fields,
-            p.minimum_cover_ms,
-        ));
-        if let Some(naive_ms) = p.naive_ms {
-            rows.push(Fig7Row::new("fig7a_naive", p.fields, naive_ms));
-        }
-    }
-    rows
-}
-
-/// Consolidates Fig. 7(b)/(c) points into [`Fig7Row`]s, three per point
-/// (`<figure>_propagation`, `<figure>_propagation_prepared` and
-/// `<figure>_gminimumcover`).
-pub fn propagation_rows(figure: &str, points: &[PropagationPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new(
-            &format!("{figure}_propagation"),
-            p.parameter,
-            p.propagation_ms,
-        ));
-        rows.push(Fig7Row::new(
-            &format!("{figure}_propagation_prepared"),
-            p.parameter,
-            p.propagation_prepared_ms,
-        ));
-        rows.push(Fig7Row::new(
-            &format!("{figure}_gminimumcover"),
-            p.parameter,
-            p.g_minimum_cover_ms,
-        ));
-    }
-    rows
-}
-
-/// Consolidates the in-text large-scale spot checks into [`Fig7Row`]s,
-/// keyed by algorithm and field count, with `n` the key count.
-pub fn large_scale_rows(points: &[LargeScalePoint]) -> Vec<Fig7Row> {
-    points
-        .iter()
-        .map(|p| {
-            Fig7Row::new(
-                &format!("large_{}_{}f", p.algorithm.to_lowercase(), p.fields),
-                p.keys,
-                p.elapsed_ms,
-            )
-        })
-        .collect()
-}
-
-/// Renders a series of labelled rows as an aligned text table.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
+    let mut out = String::new();
+    for (i, line) in cells.iter().enumerate() {
+        let padded: Vec<String> = line
             .iter()
+            .zip(widths)
             .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    let header_line = fmt_row(&header_cells);
-    let mut out = header_line.clone();
-    out.push('\n');
-    out.push_str(&"-".repeat(header_line.len()));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row));
+            .map(|(column, (cell, width))| match column {
+                0 => format!("{cell:<width$}"),
+                _ => format!("{cell:>width$}"),
+            })
+            .collect();
+        out.push_str(&padded.join("  "));
         out.push('\n');
+        if i == 0 {
+            out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+            out.push('\n');
+        }
     }
     out
 }
@@ -1431,173 +1220,111 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn fig7a_small_sweep_runs() {
-        let points = fig7a(&[6, 8, 10], 8);
-        assert_eq!(points.len(), 3);
-        assert!(points[0].naive_ms.is_some());
-        assert!(points[2].naive_ms.is_none());
-        assert!(points.iter().all(|p| p.minimum_cover_ms >= 0.0));
+    fn stats_are_min_median_and_nearest_rank_p90() {
+        let ten = [0.7, 0.1, 0.9, 0.3, 0.5, 1.0, 0.2, 0.8, 0.4, 0.6];
+        let expected = Stats {
+            min: 0.1,
+            median: 0.5,
+            p90: 0.9,
+        };
+        assert_eq!(Stats::of(&ten), expected);
+        let five = [3.0, 1.0, 2.0, 5.0, 4.0];
+        let expected = Stats {
+            min: 1.0,
+            median: 3.0,
+            p90: 5.0,
+        };
+        assert_eq!(Stats::of(&five), expected);
+        assert_eq!(Stats::of(&[2.0]).p90, 2.0);
     }
 
     #[test]
-    fn fig7b_and_7c_agreement_holds() {
-        // propagation_point asserts that the two algorithms agree on every
-        // probe; running a couple of points is the test.
-        let b = fig7b(&[2, 4]);
-        assert_eq!(b.len(), 2);
-        let c = fig7c(&[4, 8]);
-        assert_eq!(c.len(), 2);
-        assert!(b[0].probe_propagated);
-        assert!(c[0].probe_propagated);
-    }
-
-    #[test]
-    fn consolidated_rows_cover_every_measurement() {
-        let a = fig7a(&[6, 8], 6);
-        let rows = fig7a_rows(&a);
-        // One minimum-cover row per point, one naive row for fields <= 6.
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.seconds >= 0.0));
-        assert_eq!(rows[0].bench, "fig7a_minimum_cover");
-        assert_eq!(rows[0].n, 6);
-        assert_eq!(rows[1].bench, "fig7a_naive");
-
-        let b = fig7b(&[2]);
-        let rows = propagation_rows("fig7b", &b);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].bench, "fig7b_propagation");
-        assert_eq!(rows[1].bench, "fig7b_propagation_prepared");
-        assert_eq!(rows[2].bench, "fig7b_gminimumcover");
-        assert_eq!(rows[0].n, 2);
-
-        let rows = large_scale_rows(&[LargeScalePoint {
-            algorithm: "propagation",
-            fields: 1000,
-            keys: 50,
-            elapsed_ms: 12.0,
-        }]);
-        assert_eq!(rows[0].bench, "large_propagation_1000f");
-        assert_eq!(rows[0].n, 50);
-        assert!((rows[0].seconds - 0.012).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prepared_ablation_runs_and_rows_cover_it() {
-        // The quick grids: one implication point plus the batch point; the
-        // function itself asserts facade/prepared agreement.
-        let points = prepared_speedups(true);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].workload, "implication");
-        assert_eq!(points[1].workload, "batch_propagation");
-        assert_eq!(points[1].n, 1_000);
-        assert!(points.iter().all(|p| p.speedup() > 0.0));
-        let rows = prepared_rows(&points);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].bench, "implication_facade");
-        assert_eq!(rows[1].bench, "implication_prepared");
-        assert_eq!(rows[2].bench, "batch_propagation_facade");
-        assert_eq!(rows[3].bench, "batch_propagation_prepared");
-    }
-
-    #[test]
-    fn docs_experiment_runs_and_rows_cover_it() {
-        // The quick grid: one ~10⁴-node point; the function itself asserts
-        // facade/prepared agreement on both the shred and the validation.
-        let points = docs_experiment(true);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].nodes > 1_000);
-        assert!(points[0].rows > 0);
-        assert!(points[0].shred_speedup() > 0.0);
-        assert!(points[0].validate_speedup() > 0.0);
-        let rows = docs_rows(&points);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].bench, "docs_index_build");
-        assert_eq!(rows[1].bench, "docs_shred_facade");
-        assert_eq!(rows[2].bench, "docs_shred_prepared");
-        assert_eq!(rows[3].bench, "docs_validate_facade");
-        assert_eq!(rows[4].bench, "docs_validate_prepared");
-        assert!(rows.iter().all(|r| r.n == points[0].nodes));
-    }
-
-    #[test]
-    fn stream_experiment_runs_and_rows_cover_it() {
-        // The quick grid: one ~10⁴-node point; the function itself asserts
-        // stream/DOM agreement on relations, violations and node counts.
-        let points = stream_experiment(true);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].nodes > 1_000);
-        assert!(points[0].rows > 0);
-        assert!(points[0].shred_speedup() > 0.0);
-        assert!(points[0].validate_speedup() > 0.0);
-        assert!(
-            points[0].peak_open_bindings > 0 && points[0].peak_open_bindings < points[0].nodes,
-            "the frontier must be recorded and smaller than the document"
+    fn measure_checks_first_then_interleaves_the_arms() {
+        let log = RefCell::new(Vec::new());
+        let stats = measure(
+            || log.borrow_mut().push("check"),
+            &mut [&mut || log.borrow_mut().push("a"), &mut || {
+                log.borrow_mut().push("b")
+            }],
         );
-        let rows = stream_rows(&points);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].bench, "stream_shred");
-        assert_eq!(rows[1].bench, "stream_validate");
-        assert_eq!(rows[2].bench, "dom_shred_e2e");
-        assert_eq!(rows[3].bench, "dom_validate_e2e");
-        assert_eq!(rows[4].bench, "stream_peak_open_bindings");
-        assert_eq!(rows[4].seconds, points[0].peak_open_bindings as f64);
-        assert!(rows.iter().all(|r| r.n == points[0].nodes));
+        assert_eq!(stats.len(), 2);
+        let mut expected = vec!["check"];
+        for _ in 0..TRIALS {
+            expected.extend(["a", "b"]);
+        }
+        assert_eq!(log.into_inner(), expected);
     }
 
     #[test]
-    fn incremental_experiment_runs_and_rows_cover_it() {
-        // The quick grid: one ~10⁴-node point, one timed edit per side; the
-        // function itself asserts incremental/scratch agreement before and
-        // after the timed region.
-        let points = incremental_experiment(true);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].nodes > 1_000);
-        assert!(points[0].rows > 0);
-        assert!(points[0].validate_speedup() > 0.0);
-        assert!(points[0].shred_speedup() > 0.0);
-        let rows = incremental_rows(&points);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].bench, "incr_validate");
-        assert_eq!(rows[1].bench, "scratch_validate");
-        assert_eq!(rows[2].bench, "incr_shred");
-        assert_eq!(rows[3].bench, "scratch_shred");
-        assert!(rows.iter().all(|r| r.n == points[0].nodes));
+    fn a_failing_check_runs_no_trial_and_yields_no_row() {
+        let mut trials = 0;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let stats = measure(|| panic!("engines disagree"), &mut [&mut || trials += 1]);
+            Row::secs("never", 1, &stats[0])
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(trials, 0);
     }
 
     #[test]
-    fn corpus_experiment_runs_and_rows_cover_it() {
-        // The quick grid: 6 documents at jobs 1 and 2; the function itself
-        // asserts bit-for-bit parallel/sequential agreement per document.
-        let points = corpus_experiment(true);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].jobs, 1);
-        assert_eq!(points[1].jobs, 2);
-        assert_eq!(points[0].documents, 6);
-        assert!(points[0].total_nodes > 10_000);
-        assert!(points[0].tuples > 0);
-        assert_eq!(points[0].tuples, points[1].tuples);
-        assert!(points[1].shred_speedup_over(&points[0]) > 0.0);
-        assert!(points[1].validate_speedup_over(&points[0]) > 0.0);
-        let rows = corpus_rows(&points);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].bench, "corpus_shred");
-        assert_eq!(rows[1].bench, "corpus_validate");
-        assert_eq!(rows[0].n, 1);
-        assert_eq!(rows[2].n, 2);
+    fn rows_state_unit_statistic_and_spread() {
+        let stats = Stats {
+            min: 0.5,
+            median: 1.0,
+            p90: 2.0,
+        };
+        let secs = Row::secs("t", 3, &stats);
+        assert_eq!(
+            (secs.value, secs.unit, secs.stat, secs.spread),
+            (1.0, "s", "median", 1.5)
+        );
+        let rate = Row::per_sec("r", 3, &stats, 10);
+        assert_eq!(
+            (rate.value, rate.unit, rate.stat, rate.spread),
+            (10.0, "1/s", "median", 15.0)
+        );
+        let count = Row::count("c", 3, 7);
+        assert_eq!(
+            (count.value, count.unit, count.stat, count.spread),
+            (7.0, "count", "exact", 0.0)
+        );
+    }
+
+    #[test]
+    fn quick_run_rows_carry_honest_units() {
+        for (name, _, run) in EXPERIMENTS {
+            let rows = run(true);
+            assert!(!rows.is_empty(), "{name} produced no rows");
+            for row in &rows {
+                let (unit, stat) = if row.bench == "stream_peak_open_bindings" {
+                    assert!(row.value > 0.0 && row.value < row.n as f64, "{row:?}");
+                    ("count", "exact")
+                } else if row.bench.starts_with("serve_") {
+                    ("1/s", "median")
+                } else {
+                    ("s", "median")
+                };
+                assert_eq!((row.unit, row.stat), (unit, stat), "{row:?}");
+                assert!(row.value.is_finite() && row.value >= 0.0, "{row:?}");
+                assert!(row.spread.is_finite() && row.spread >= 0.0, "{row:?}");
+            }
+        }
     }
 
     #[test]
     fn table_rendering_is_aligned() {
-        let table = render_table(
-            &["fields", "ms"],
-            &[
-                vec!["5".into(), "0.1".into()],
-                vec!["500".into(), "123.4".into()],
-            ],
-        );
-        assert!(table.contains("fields"));
-        assert_eq!(table.lines().count(), 4);
+        let rows = [
+            Row::count("short", 5, 1),
+            Row::count("a_much_longer_bench", 500, 12345),
+        ];
+        let table = render_table(&rows);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].starts_with("bench"));
+        assert!(lines.iter().all(|l| l.chars().count() == lines[1].len()));
     }
 }

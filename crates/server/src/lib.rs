@@ -33,6 +33,5 @@ pub use client::{Client, ClientConfig};
 pub use protocol::{greeting, Request, Response, MAX_BODY_BYTES, PROTOCOL_VERSION};
 pub use script::{parse_script, run_script, ScriptStep};
 pub use server::{
-    serve_session, DrainReport, HealthCounters, ScratchCache, Server, ServerState, ServiceConfig,
-    VerbCounters,
+    DrainReport, HealthCounters, ScratchCache, Server, ServerState, ServiceConfig, VerbCounters,
 };

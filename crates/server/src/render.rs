@@ -6,7 +6,7 @@
 //! both call the functions in this module.  The property tests in
 //! `tests/server_swap.rs` pin it end to end anyway.
 
-use std::fmt::Write;
+use std::fmt::{Display, Write};
 use xmlprop_core::{PropagationEngine, PropagationOutcome};
 use xmlprop_pipeline::{CorpusBundle, Error, RequestScratch};
 use xmlprop_reldb::{Database, Fd};
@@ -21,21 +21,8 @@ pub fn validate_report(
     scratch: &mut RequestScratch,
 ) -> (bool, String) {
     let index = scratch.index_document(doc);
-    let mut out = String::new();
-    let mut ok = true;
-    for (k, key) in bundle.sigma().iter().enumerate() {
-        let broken = bundle.keys().violations_of(k, doc, &index);
-        if broken.is_empty() {
-            writeln!(out, "[ok]   {key}").expect("String write");
-        } else {
-            ok = false;
-            writeln!(out, "[FAIL] {key}").expect("String write");
-            for v in broken {
-                writeln!(out, "         {v}").expect("String write");
-            }
-        }
-    }
-    (ok, out)
+    let per_key = (0..bundle.sigma().len()).map(|k| bundle.keys().violations_of(k, doc, &index));
+    render_validation(bundle, per_key)
 }
 
 /// Streaming twin of [`validate_report`]: drives the key checker straight
@@ -50,9 +37,19 @@ pub fn validate_report_streaming(
     let report = bundle
         .stream_check(xml)
         .map_err(|e| Error::parse(origin, e))?;
+    Ok(render_validation(bundle, &report.per_key))
+}
+
+/// The report both validate renderers print: per key of Σ, in order,
+/// `[ok]   {key}` or `[FAIL] {key}` with its violations indented below.
+fn render_validation<V: Display>(
+    bundle: &CorpusBundle,
+    per_key: impl IntoIterator<Item = impl AsRef<[V]>>,
+) -> (bool, String) {
     let mut out = String::new();
     let mut ok = true;
-    for (key, broken) in bundle.sigma().iter().zip(&report.per_key) {
+    for (key, broken) in bundle.sigma().iter().zip(per_key) {
+        let broken = broken.as_ref();
         if broken.is_empty() {
             writeln!(out, "[ok]   {key}").expect("String write");
         } else {
@@ -63,7 +60,7 @@ pub fn validate_report_streaming(
             }
         }
     }
-    Ok((ok, out))
+    (ok, out)
 }
 
 /// Renders the shred output for one document: the named relation only, or
@@ -81,27 +78,19 @@ pub fn shred_report(
     let index = scratch.index_document(doc);
     // The value() memo is per-document; evaluation buffers survive.
     scratch.shred_scratch().reset();
-    let mut out = String::new();
-    let mut tuples = 0;
+    let mut database = Database::new();
     match relation {
         Some(rel) => {
             let plan = bundle.plan().plan(rel).expect("plan exists for every rule");
-            let relation = plan.shred_with(doc, &index, scratch.shred_scratch());
-            tuples += relation.len();
-            writeln!(out, "{relation}").expect("String write");
+            database.insert(plan.shred_with(doc, &index, scratch.shred_scratch()));
         }
         None => {
-            let mut database = Database::new();
             for plan in bundle.plan().plans() {
                 database.insert(plan.shred_with(doc, &index, scratch.shred_scratch()));
             }
-            for relation in database.relations() {
-                tuples += relation.len();
-                writeln!(out, "{relation}").expect("String write");
-            }
         }
     }
-    Ok((tuples, out))
+    Ok(render_relations(&database))
 }
 
 /// Streaming twin of [`shred_report`]: shreds raw XML text through the
@@ -119,13 +108,19 @@ pub fn shred_report_streaming(
     let database = bundle
         .stream_shred(xml, relation)
         .map_err(|e| Error::parse(origin, e))?;
+    Ok(render_relations(&database))
+}
+
+/// The report both shred renderers print: every relation of `database` in
+/// name order, with the total tuple count.
+fn render_relations(database: &Database) -> (usize, String) {
     let mut out = String::new();
     let mut tuples = 0;
     for relation in database.relations() {
         tuples += relation.len();
         writeln!(out, "{relation}").expect("String write");
     }
-    Ok((tuples, out))
+    (tuples, out)
 }
 
 /// Renders the propagated minimum cover of one relation (the CLI `cover`

@@ -52,7 +52,7 @@
 use crate::protocol::{self, Request, Response};
 use crate::render;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -889,38 +889,6 @@ fn handle_connection(
                 // Framing is broken or the peer blew a deadline; answer
                 // once (best-effort) and hang up.
                 let _ = Response::error(&error).write_to(&mut writer);
-                let _ = writer.flush();
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// The transport-agnostic session loop (shared by the TCP handler's
-/// in-process tests and any custom transport).  Panic isolation applies —
-/// it lives in [`ServerState::respond`] — but the timeout policy does
-/// not: that belongs to the TCP transport in [`Server::bind_with`].
-pub fn serve_session(
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    state: &ServerState,
-    cache: &mut ScratchCache,
-) -> std::io::Result<()> {
-    loop {
-        match Request::read_from(reader) {
-            Ok(None) => return Ok(()),
-            Ok(Some(request)) => {
-                let quit = request == Request::Quit;
-                let response = state.respond(&request, cache);
-                response.write_to(writer)?;
-                writer.flush()?;
-                if quit {
-                    return Ok(());
-                }
-            }
-            Err(error) => {
-                // Framing is broken; answer once and hang up.
-                let _ = Response::error(&error).write_to(writer);
                 let _ = writer.flush();
                 return Ok(());
             }
