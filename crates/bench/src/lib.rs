@@ -138,12 +138,19 @@ impl Row {
     }
 }
 
-/// One seconds row per arm, named in arm order.
+/// One seconds row per arm, named in arm order.  Panics unless there is
+/// exactly one name per arm.
 fn time_rows<S: Into<String>>(
     names: impl IntoIterator<Item = S>,
     n: usize,
     stats: &[Stats],
 ) -> Vec<Row> {
+    let names: Vec<String> = names.into_iter().map(Into::into).collect();
+    assert_eq!(
+        names.len(),
+        stats.len(),
+        "one row name per timed arm: {names:?}"
+    );
     names
         .into_iter()
         .zip(stats)
@@ -249,8 +256,10 @@ fn fig7a(quick: bool) -> Vec<Row> {
         let mut naive = || {
             black_box(naive_minimum_cover(&w.sigma, &w.universal));
         };
+        let mut names = vec!["fig7a_minimum_cover", "fig7a_minimum_cover_prepared"];
         let mut arms: Vec<&mut dyn FnMut()> = vec![&mut facade, &mut prepared];
         if fields <= NAIVE_MAX_FIELDS {
+            names.push("fig7a_naive");
             arms.push(&mut naive);
         }
         let stats = measure(
@@ -263,16 +272,7 @@ fn fig7a(quick: bool) -> Vec<Row> {
             },
             &mut arms,
         );
-        // `fig7a_naive` gets a row only where its arm ran.
-        rows.extend(time_rows(
-            [
-                "fig7a_minimum_cover",
-                "fig7a_minimum_cover_prepared",
-                "fig7a_naive",
-            ],
-            fields,
-            &stats,
-        ));
+        rows.extend(time_rows(names, fields, &stats));
     }
     rows
 }
@@ -491,13 +491,14 @@ fn implication_probe(depth: usize) -> xmlprop_xmlkeys::XmlKey {
 /// * `implication` / `implication_depth`: one probe key asked 2 000 times
 ///   through `xmlprop_xmlkeys::implies` (which rebuilds the key index per
 ///   call) versus one prepared index, by key count (20 fields, depth 5)
-///   and by depth (10 keys);
+///   and by depth (10 keys); the `_prepared_query` arm asks an index and
+///   probe prepared before timing, so it is the query cost alone;
 /// * `batch_propagation`: a 10 000-FD candidate grid over a deep
 ///   large-Σ workload through the `propagation` facade versus one
 ///   `PropagationEngine::propagate_all`.
 fn prepared(quick: bool) -> Vec<Row> {
     let reps = if quick { 200 } else { 2_000 };
-    let key_counts: &[usize] = if quick { &[50] } else { &[50, 100] };
+    let key_counts: &[usize] = if quick { &[50] } else { &[10, 25, 50, 100] };
     let depths: &[usize] = if quick { &[2, 5] } else { &[2, 5, 10, 20] };
     // (row family, n, workload, probe depth)
     let grid = key_counts
@@ -517,8 +518,15 @@ fn prepared(quick: bool) -> Vec<Row> {
             let probe = index.prepare(&probe);
             (0..reps).fold(false, |_, _| index.implies(&probe))
         };
+        let mut ready_index = w.sigma.prepare();
+        let ready_probe = ready_index.prepare(&probe);
+        let query = || (0..reps).fold(false, |_, _| ready_index.implies(&ready_probe));
         let stats = measure(
-            || assert_eq!(facade(), prepared(), "implication disagreement on {probe}"),
+            || {
+                let verdict = facade();
+                assert_eq!(verdict, prepared(), "implication disagreement on {probe}");
+                assert_eq!(verdict, query(), "implication disagreement on {probe}");
+            },
             &mut [
                 &mut || {
                     black_box(facade());
@@ -526,10 +534,13 @@ fn prepared(quick: bool) -> Vec<Row> {
                 &mut || {
                     black_box(prepared());
                 },
+                &mut || {
+                    black_box(query());
+                },
             ],
         );
         rows.extend(time_rows(
-            [format!("{family}_facade"), format!("{family}_prepared")],
+            ["facade", "prepared", "prepared_query"].map(|arm| format!("{family}_{arm}")),
             n,
             &stats,
         ));
@@ -598,6 +609,12 @@ fn grid_document(
     (w, doc, report.nodes)
 }
 
+/// Whether some relation of `db` holds a tuple, so that two engines
+/// agreeing on it is not two empty outputs agreeing.
+fn has_tuples(db: &Database) -> bool {
+    db.relations().any(|relation| !relation.is_empty())
+}
+
 /// The transformation holding only the workload's universal rule.
 fn universal_transformation(w: &Workload) -> Transformation {
     let mut t = Transformation::new(Vec::new());
@@ -621,8 +638,10 @@ fn docs(quick: bool) -> Vec<Row> {
         let validate_facade = || xmlprop_xmlkeys::satisfies_all(&doc, w.sigma.iter());
         let stats = measure(
             || {
+                let shredded = w.universal.shred(&doc);
+                assert!(!shredded.is_empty(), "the universal relation is empty");
                 assert_eq!(
-                    w.universal.shred(&doc),
+                    shredded,
                     plan.shred(&doc, &doc_index),
                     "shred facade/engine disagree"
                 );
@@ -698,6 +717,10 @@ fn stream(quick: bool) -> Vec<Row> {
         let stats = measure(
             || {
                 let dom = dom(&mut bundle.scratch(), true, true);
+                assert!(
+                    has_tuples(&streamed.database),
+                    "the streamed database is empty"
+                );
                 assert_eq!(streamed.database, dom.database, "stream/DOM shred disagree");
                 assert_eq!(
                     streamed.violations, dom.violations,
@@ -1061,11 +1084,9 @@ fn incremental(quick: bool) -> Vec<Row> {
         };
         let agree = |(side, shredder): &(Edited, IncrementalShredder), what: &str| {
             let fresh = side.fresh_index();
-            assert_eq!(
-                shredder.database(&plan),
-                plan.shred_all(&side.doc, &fresh),
-                "{what}"
-            );
+            let maintained = shredder.database(&plan);
+            assert!(has_tuples(&maintained), "the maintained database is empty");
+            assert_eq!(maintained, plan.shred_all(&side.doc, &fresh), "{what}");
         };
         let mut maintained = open();
         let mut scratch = Edited::new(&doc, universe.clone());
@@ -1295,10 +1316,124 @@ mod tests {
     }
 
     #[test]
-    fn quick_run_rows_carry_honest_units() {
+    #[should_panic(expected = "one row name per timed arm")]
+    fn time_rows_needs_one_name_per_arm() {
+        time_rows(["named", "unmeasured"], 1, &[Stats::of(&[1.0])]);
+    }
+
+    /// One `(bench, n)` pair per name at each `n`, names varying fastest.
+    fn family<S: AsRef<str>>(names: &[S], ns: &[usize]) -> Vec<(String, usize)> {
+        ns.iter()
+            .flat_map(|&n| names.iter().map(move |name| (name.as_ref().to_string(), n)))
+            .collect()
+    }
+
+    /// The `(bench, n)` pairs a quick run of experiment `name` emits, in
+    /// order, where `nodes` is the node count of the quick document.
+    fn quick_grid(name: &str, nodes: usize) -> Vec<(String, usize)> {
+        let propagation = |figure: &str, ns: &[usize]| {
+            let names = ["propagation", "propagation_prepared", "gminimumcover"]
+                .map(|arm| format!("{figure}_{arm}"));
+            family(&names, ns)
+        };
+        match name {
+            "fig7a" => [5, 10, 15, 20, 40, 80]
+                .into_iter()
+                .flat_map(|fields| {
+                    let mut names = vec!["fig7a_minimum_cover", "fig7a_minimum_cover_prepared"];
+                    if fields <= NAIVE_MAX_FIELDS {
+                        names.push("fig7a_naive");
+                    }
+                    family(&names, &[fields])
+                })
+                .collect(),
+            "fig7b" => propagation("fig7b", &[2, 5, 10, 15]),
+            "fig7c" => propagation("fig7c", &[10, 25, 50]),
+            "large" => vec![
+                ("large_gminimumcover_200f".into(), 50),
+                ("large_gminimumcover_150f".into(), 100),
+                ("large_propagation_1000f".into(), 50),
+                ("large_propagation_1000f".into(), 100),
+            ],
+            "closure" => family(
+                &["closure_indexed", "closure_facade", "closure_minimum_cover"],
+                &[1_000],
+            ),
+            "prepared" => [
+                family(
+                    &[
+                        "implication_facade",
+                        "implication_prepared",
+                        "implication_prepared_query",
+                    ],
+                    &[50],
+                ),
+                family(
+                    &[
+                        "implication_depth_facade",
+                        "implication_depth_prepared",
+                        "implication_depth_prepared_query",
+                    ],
+                    &[2, 5],
+                ),
+                family(
+                    &["batch_propagation_facade", "batch_propagation_prepared"],
+                    &[1_000],
+                ),
+            ]
+            .concat(),
+            "docs" => family(
+                &[
+                    "docs_index_build",
+                    "docs_shred_facade",
+                    "docs_shred_prepared",
+                    "docs_validate_facade",
+                    "docs_validate_prepared",
+                ],
+                &[nodes],
+            ),
+            "stream" => family(
+                &[
+                    "stream_shred",
+                    "stream_validate",
+                    "dom_shred_e2e",
+                    "dom_validate_e2e",
+                    "stream_peak_open_bindings",
+                ],
+                &[nodes],
+            ),
+            "corpus" => family(&["corpus_shred", "corpus_validate"], &[1, 2]),
+            "serve" => {
+                let mut grid = family(&["serve_requests_per_sec"], &[1, 2]);
+                // The faulty grid runs only where a schedule can be built.
+                if Faults::parse(FAULTY_SERVE_SPEC, 42).is_ok() {
+                    grid.extend(family(&["serve_requests_per_sec_faulty"], &[1, 2]));
+                }
+                grid
+            }
+            "incremental" => family(
+                &[
+                    "incr_validate",
+                    "scratch_validate",
+                    "incr_shred",
+                    "scratch_shred",
+                ],
+                &[nodes],
+            ),
+            "query" => family(&["query_naive", "query_keyed"], &[200, 400]),
+            other => panic!("no expected quick grid for experiment `{other}`"),
+        }
+    }
+
+    #[test]
+    fn quick_run_emits_each_grid_with_honest_units() {
+        let nodes = grid_document(DOC_GRID[0]).2;
+        assert!(nodes > 1_000, "the quick document has only {nodes} nodes");
         for (name, _, run) in EXPERIMENTS {
             let rows = run(true);
-            assert!(!rows.is_empty(), "{name} produced no rows");
+            let grid: Vec<(String, usize)> =
+                rows.iter().map(|row| (row.bench.clone(), row.n)).collect();
+            assert_eq!(grid, quick_grid(name, nodes), "rows of {name}");
             for row in &rows {
                 let (unit, stat) = if row.bench == "stream_peak_open_bindings" {
                     assert!(row.value > 0.0 && row.value < row.n as f64, "{row:?}");
