@@ -192,7 +192,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "docs",
-        "Document engine: facade vs prepared shredding and validation",
+        "Document engine: index build, prepared shredding and validation",
         docs,
     ),
     (
@@ -623,9 +623,9 @@ fn universal_transformation(w: &Workload) -> Transformation {
 }
 
 /// The document engine at 10⁴–10⁶ nodes: the one-time `DocIndex` build,
-/// universal-relation shredding through `TableRule::shred` vs a prepared
-/// `ShredPlan`, and whole-Σ validation through `satisfies_all` vs
-/// `KeyIndex::satisfies`.  `n` is the exact node count.
+/// universal-relation shredding through a prepared `ShredPlan`, and
+/// whole-Σ validation through `KeyIndex::satisfies`.  `n` is the exact
+/// node count.
 fn docs(quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for &point in doc_grid(quick) {
@@ -635,36 +635,21 @@ fn docs(quick: bool) -> Vec<Row> {
         let doc_index = DocIndex::build(&doc, &mut universe);
         let mut key_index = w.sigma.prepare();
         let key_doc_index = key_index.index_document(&doc);
-        let validate_facade = || xmlprop_xmlkeys::satisfies_all(&doc, w.sigma.iter());
         let stats = measure(
             || {
-                let shredded = w.universal.shred(&doc);
+                let shredded = plan.shred(&doc, &doc_index);
                 assert!(!shredded.is_empty(), "the universal relation is empty");
-                assert_eq!(
-                    shredded,
-                    plan.shred(&doc, &doc_index),
-                    "shred facade/engine disagree"
-                );
-                let ok = validate_facade();
-                assert_eq!(
-                    ok,
+                assert!(
                     key_index.satisfies(&doc, &key_doc_index),
-                    "validation facade/engine disagree"
+                    "generated documents satisfy their own Σ"
                 );
-                assert!(ok, "generated documents satisfy their own Σ");
             },
             &mut [
                 &mut || {
                     black_box(DocIndex::build(&doc, &mut universe));
                 },
                 &mut || {
-                    black_box(w.universal.shred(&doc));
-                },
-                &mut || {
                     black_box(plan.shred(&doc, &doc_index));
-                },
-                &mut || {
-                    black_box(validate_facade());
                 },
                 &mut || {
                     black_box(key_index.satisfies(&doc, &key_doc_index));
@@ -674,9 +659,7 @@ fn docs(quick: bool) -> Vec<Row> {
         rows.extend(time_rows(
             [
                 "docs_index_build",
-                "docs_shred_facade",
                 "docs_shred_prepared",
-                "docs_validate_facade",
                 "docs_validate_prepared",
             ],
             nodes,
@@ -1387,9 +1370,7 @@ mod tests {
             "docs" => family(
                 &[
                     "docs_index_build",
-                    "docs_shred_facade",
                     "docs_shred_prepared",
-                    "docs_validate_facade",
                     "docs_validate_prepared",
                 ],
                 &[nodes],

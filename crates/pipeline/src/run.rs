@@ -187,11 +187,11 @@ fn chunk_size(documents: usize, jobs: usize) -> usize {
 ///
 /// This is the one copy of the chunked `Mutex<usize>` cursor + `mpsc`
 /// merge machinery: [`CorpusBundle::run`] drives per-document processing
-/// through it, and the CLI's batch parser reuses it for file reading and
-/// parsing.  Each worker owns one `worker_state()` value for its whole
-/// lifetime (scratch buffers, universe clones); `chunk` consecutive
-/// indices are handed out per cursor grab (pass 1 for I/O-bound work, more
-/// to amortize the lock and keep per-worker caches warm).  With one
+/// through it, and the CLI's directory batches reuse it to read, parse and
+/// process one file per item.  Each worker owns one `worker_state()` value
+/// for its whole lifetime (scratch buffers, universe clones); `chunk`
+/// consecutive indices are handed out per cursor grab (pass 1 for I/O-bound
+/// work, more to amortize the lock and keep per-worker caches warm).  With one
 /// effective worker the scaffold collapses to a plain in-order loop on the
 /// calling thread.
 pub fn fan_out<T, R, W>(

@@ -23,7 +23,7 @@ use crate::run::{CorpusOptions, DocOutcome};
 use xmlprop_reldb::Database;
 use xmlprop_xmlkeys::StreamKeyChecker;
 use xmlprop_xmlpath::LabelId;
-use xmlprop_xmltransform::StreamShredder;
+use xmlprop_xmltransform::{ShredPlan, StreamShredder};
 use xmlprop_xmltree::{Document, NodeId, NodeKind, ParseError, StreamEvent, StreamParser};
 
 /// The per-document event sinks: one shredder per plan plus the key
@@ -35,25 +35,47 @@ struct StreamSinks<'a> {
 }
 
 impl<'a> StreamSinks<'a> {
-    fn new(bundle: &'a CorpusBundle, options: &CorpusOptions) -> Self {
-        let shredders = if options.shred {
-            bundle
-                .plan()
-                .plans()
-                .iter()
-                .map(|plan| StreamShredder::new(plan, bundle.universe()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let checker = options
-            .validate
-            .then(|| StreamKeyChecker::new(bundle.keys()));
+    /// One shredder per plan of `plans`, plus the key checker when
+    /// `validate`.
+    fn new(
+        bundle: &'a CorpusBundle,
+        plans: impl IntoIterator<Item = &'a ShredPlan>,
+        validate: bool,
+    ) -> Self {
         StreamSinks {
-            shredders,
-            checker,
+            shredders: plans
+                .into_iter()
+                .map(|plan| StreamShredder::new(plan, bundle.universe()))
+                .collect(),
+            checker: validate.then(|| StreamKeyChecker::new(bundle.keys())),
             nodes: 0,
         }
+    }
+
+    /// The sinks [`CorpusBundle::stream_text`] feeds under `options`.
+    fn for_options(bundle: &'a CorpusBundle, options: &CorpusOptions) -> Self {
+        let plans: &[ShredPlan] = if options.shred {
+            bundle.plan().plans()
+        } else {
+            &[]
+        };
+        StreamSinks::new(bundle, plans, options.validate)
+    }
+
+    /// The one parser pass: feeds every event of `xml` to the sinks.
+    fn feed(&mut self, bundle: &CorpusBundle, xml: &str) -> Result<(), ParseError> {
+        let mut parser = StreamParser::with_universe(xml, bundle.universe());
+        while let Some(event) = parser.next_event()? {
+            match event {
+                StreamEvent::StartElement { name, label } => self.start_element(label, name),
+                StreamEvent::Attribute { name, label, value } => {
+                    self.attribute(label, name, &value)
+                }
+                StreamEvent::Text { value } => self.text(&value),
+                StreamEvent::EndElement => self.end_element(),
+            }
+        }
+        Ok(())
     }
 
     fn start_element(&mut self, label: Option<LabelId>, name: &str) {
@@ -140,18 +162,8 @@ impl CorpusBundle {
         xml: &str,
         options: &CorpusOptions,
     ) -> Result<DocOutcome, ParseError> {
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        let mut sinks = StreamSinks::new(self, options);
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { name, label } => sinks.start_element(label, name),
-                StreamEvent::Attribute { name, label, value } => {
-                    sinks.attribute(label, name, &value)
-                }
-                StreamEvent::Text { value } => sinks.text(&value),
-                StreamEvent::EndElement => sinks.end_element(),
-            }
-        }
+        let mut sinks = StreamSinks::for_options(self, options);
+        sinks.feed(self, xml)?;
         Ok(sinks.finish())
     }
 
@@ -162,67 +174,25 @@ impl CorpusBundle {
         &self,
         xml: &str,
     ) -> Result<xmlprop_xmlkeys::StreamCheckReport, ParseError> {
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        let mut checker = StreamKeyChecker::new(self.keys());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { label, .. } => checker.start_element(label),
-                StreamEvent::Attribute { label, value, .. } => checker.attribute(label, &value),
-                StreamEvent::Text { .. } => checker.text(),
-                StreamEvent::EndElement => checker.end_element(),
-            }
-        }
-        Ok(checker.finish())
+        let mut sinks = StreamSinks::new(self, [], true);
+        sinks.feed(self, xml)?;
+        Ok(sinks
+            .checker
+            .expect("validating sinks carry a key checker")
+            .finish())
     }
 
     /// Streams raw XML text through the shred plans only — all of them, or
     /// the one populating `relation` (silently none when the name is
     /// unknown; callers validate names first for the shared diagnostic).
     pub fn stream_shred(&self, xml: &str, relation: Option<&str>) -> Result<Database, ParseError> {
-        let mut shredders: Vec<StreamShredder> = match relation {
-            Some(rel) => self
-                .plan()
-                .plan(rel)
-                .map(|plan| StreamShredder::new(plan, self.universe()))
-                .into_iter()
-                .collect(),
-            None => self
-                .plan()
-                .plans()
-                .iter()
-                .map(|plan| StreamShredder::new(plan, self.universe()))
-                .collect(),
+        let plans: Vec<&ShredPlan> = match relation {
+            Some(rel) => self.plan().plan(rel).into_iter().collect(),
+            None => self.plan().plans().iter().collect(),
         };
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { name, label } => {
-                    for shredder in &mut shredders {
-                        shredder.start_element(label, name);
-                    }
-                }
-                StreamEvent::Attribute { name, label, value } => {
-                    for shredder in &mut shredders {
-                        shredder.attribute(label, name, &value);
-                    }
-                }
-                StreamEvent::Text { value } => {
-                    for shredder in &mut shredders {
-                        shredder.text(&value);
-                    }
-                }
-                StreamEvent::EndElement => {
-                    for shredder in &mut shredders {
-                        shredder.end_element();
-                    }
-                }
-            }
-        }
-        let mut database = Database::new();
-        for shredder in shredders {
-            database.insert(shredder.finish());
-        }
-        Ok(database)
+        let mut sinks = StreamSinks::new(self, plans, false);
+        sinks.feed(self, xml)?;
+        Ok(sinks.finish().database)
     }
 
     /// Replays a parsed document as parse events through the streaming
@@ -230,7 +200,7 @@ impl CorpusBundle {
     /// parser/builder child layout (attributes before content, ids in
     /// document order) for violation node ids to line up with the DOM path.
     pub fn stream_document(&self, doc: &Document, options: &CorpusOptions) -> DocOutcome {
-        let mut sinks = StreamSinks::new(self, options);
+        let mut sinks = StreamSinks::for_options(self, options);
         let universe = self.universe();
         let mut stack = vec![Replay::Open(doc.root())];
         while let Some(item) = stack.pop() {

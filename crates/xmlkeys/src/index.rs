@@ -30,8 +30,8 @@
 //! [`xmlprop_xmltree::DocIndex`] against the shared universe, and
 //! [`KeyIndex::violations`] / [`KeyIndex::satisfies`] check every key of Σ
 //! over it with compiled path evaluation and hashed interned-value key
-//! tuples — the string walkers of [`crate::satisfies`] remain the one-shot
-//! facades and differential baselines.
+//! tuples; the one-shot [`crate::satisfies`] / [`crate::violations`] run
+//! it too.
 
 use crate::satisfy::Violation;
 use crate::{KeySet, XmlKey};
@@ -379,8 +379,7 @@ impl KeyIndex {
     }
 
     /// All violations of every key of Σ in `doc`, in Σ order (empty iff the
-    /// document satisfies the whole key set) — the prepared counterpart of
-    /// running [`crate::violations`] per key.  `index` must have been built
+    /// document satisfies the whole key set).  `index` must have been built
     /// from `doc` against this universe ([`KeyIndex::index_document`]).
     ///
     /// All keys are validated in a single pass of prepared machinery: the
@@ -408,9 +407,8 @@ impl KeyIndex {
         out
     }
 
-    /// True if `doc ⊨ Σ` (every key of the set, Definition 2.1) — the
-    /// prepared counterpart of [`crate::satisfies_all`].  Stops at the
-    /// first violation instead of collecting them.
+    /// True if `doc ⊨ Σ` (every key of the set, Definition 2.1).  Stops at
+    /// the first violation instead of collecting them.
     pub fn satisfies(&self, doc: &Document, index: &DocIndex) -> bool {
         index.debug_assert_current(doc);
         let mut scratch = ValidateScratch::default();
@@ -567,6 +565,7 @@ struct ValidateScratch {
 mod tests {
     use super::*;
     use crate::example_2_1_keys;
+    use crate::satisfy::oracle;
 
     fn key(s: &str) -> XmlKey {
         XmlKey::parse(s).unwrap()
@@ -650,15 +649,12 @@ mod tests {
             let dix = index.index_document(&doc);
             let mut oracle_all = Vec::new();
             for (k, key) in sigma.iter().enumerate() {
-                let oracle = crate::violations(&doc, key);
+                let oracle = oracle::violations(&doc, key);
                 assert_eq!(index.violations_of(k, &doc, &dix), oracle, "{key}");
                 oracle_all.extend(oracle);
             }
+            assert_eq!(index.satisfies(&doc, &dix), oracle_all.is_empty());
             assert_eq!(index.violations(&doc, &dix), oracle_all);
-            assert_eq!(
-                index.satisfies(&doc, &dix),
-                crate::satisfies_all(&doc, sigma.iter())
-            );
         }
     }
 
@@ -685,7 +681,7 @@ mod tests {
         let mut index = KeyIndex::new(&sigma);
         let dix = index.index_document(&doc);
         let k1 = index.violations_of(0, &doc, &dix);
-        assert_eq!(k1, crate::violations(&doc, sigma.iter().next().unwrap()));
+        assert_eq!(k1, oracle::violations(&doc, sigma.iter().next().unwrap()));
         assert!(matches!(k1[0], Violation::MissingAttribute { .. }));
         assert!(matches!(k1[1], Violation::DuplicateAttribute { .. }));
         assert!(
@@ -757,6 +753,7 @@ mod tests {
 #[cfg(test)]
 mod validation_proptests {
     use super::*;
+    use crate::satisfy::oracle;
     use proptest::prelude::*;
 
     /// Builds a document from a mutation script: each step appends an
@@ -816,7 +813,7 @@ mod validation_proptests {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
         /// The prepared validator agrees bit-for-bit with the string oracle
-        /// (`crate::violations`) on random documents and random key sets —
+        /// on random documents and random key sets —
         /// including documents whose NodeId order diverges from document
         /// order.
         #[test]
@@ -830,7 +827,7 @@ mod validation_proptests {
             let dix = index.index_document(&doc);
             let mut oracle_all = Vec::new();
             for (k, key) in sigma.iter().enumerate() {
-                let oracle = crate::violations(&doc, key);
+                let oracle = oracle::violations(&doc, key);
                 prop_assert_eq!(
                     index.violations_of(k, &doc, &dix),
                     oracle.clone(),
@@ -838,11 +835,8 @@ mod validation_proptests {
                 );
                 oracle_all.extend(oracle);
             }
+            prop_assert_eq!(index.satisfies(&doc, &dix), oracle_all.is_empty());
             prop_assert_eq!(index.violations(&doc, &dix), oracle_all);
-            prop_assert_eq!(
-                index.satisfies(&doc, &dix),
-                crate::satisfies_all(&doc, sigma.iter())
-            );
             // Sanity: the index numbering really is document order.
             let order: Vec<_> = dix.nodes_in_document_order().collect();
             prop_assert_eq!(order, doc.all_nodes());

@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 
 mod delta;
-pub mod general;
 mod implication;
 mod index;
 mod key;
@@ -78,7 +77,6 @@ mod stream;
 pub mod xsd;
 
 pub use delta::IncrementalValidator;
-pub use general::{partition_for_propagation, GeneralKey};
 pub use implication::{attribute_assured, attributes_assured, implies, node_unique_under};
 pub use index::{IndexedKey, KeyIndex, PreparedKey};
 pub use key::{ParseKeyError, XmlKey};

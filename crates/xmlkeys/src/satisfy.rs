@@ -1,14 +1,13 @@
 //! Key satisfaction (Definition 2.1) and violation reporting.
 //!
-//! These are the **string baselines**: per-key walks through the string
-//! path evaluator with `BTreeMap<Vec<String>, _>` key-tuple maps.  They
-//! remain right for one-shot questions and serve as the oracles the
-//! prepared validator ([`crate::KeyIndex::violations`] /
-//! [`crate::KeyIndex::satisfies`] over a `DocIndex`) is property-tested
-//! against; anything validating repeatedly or at scale should prepare.
+//! The one-shot functions here prepare a [`crate::KeyIndex`] and a
+//! `DocIndex` per call and run the prepared validator
+//! ([`crate::KeyIndex::violations`] / [`crate::KeyIndex::satisfies`]);
+//! anything validating repeatedly or at scale should prepare once.  The
+//! string walk in this module's tests is the independent oracle the
+//! prepared validator is property-tested against.
 
-use crate::XmlKey;
-use std::collections::BTreeMap;
+use crate::{KeySet, XmlKey};
 use xmlprop_xmltree::{Document, NodeId};
 
 /// A reason why a document fails to satisfy a key.
@@ -83,70 +82,101 @@ impl std::fmt::Display for Violation {
 /// Computes all violations of `key` in `doc` (empty iff the document
 /// satisfies the key).
 pub fn violations(doc: &Document, key: &XmlKey) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let contexts = key.context().evaluate(doc, doc.root());
-    for context in contexts {
-        let targets = key.target().evaluate(doc, context);
-        // Map from key-value tuple to the first target node carrying it.
-        let mut seen: BTreeMap<Vec<String>, NodeId> = BTreeMap::new();
-        for target in targets {
-            let mut values = Vec::with_capacity(key.key_attrs().len());
-            let mut complete = true;
-            for attr in key.key_attrs() {
-                let nodes: Vec<NodeId> = doc
-                    .children(target)
-                    .filter(|&c| doc.kind(c).is_attribute() && doc.label(c) == attr)
-                    .collect();
-                match nodes.len() {
-                    0 => {
-                        out.push(Violation::MissingAttribute {
-                            context,
-                            target,
-                            attribute: attr.clone(),
-                        });
-                        complete = false;
-                    }
-                    1 => values.push(doc.text_value(nodes[0]).unwrap_or("").to_string()),
-                    _ => {
-                        out.push(Violation::DuplicateAttribute {
-                            context,
-                            target,
-                            attribute: attr.clone(),
-                        });
-                        complete = false;
-                    }
-                }
-            }
-            if !complete {
-                continue;
-            }
-            match seen.get(&values) {
-                Some(&first) if first != target => {
-                    out.push(Violation::DuplicateKeyValue {
-                        context,
-                        first,
-                        second: target,
-                        values: values.clone(),
-                    });
-                }
-                Some(_) => {}
-                None => {
-                    seen.insert(values, target);
-                }
-            }
-        }
-    }
-    out
+    let mut index = KeySet::from_keys(vec![key.clone()]).prepare();
+    let doc_index = index.index_document(doc);
+    index.violations(doc, &doc_index)
 }
 
 /// True if `doc ⊨ key` (Definition 2.1).
 pub fn satisfies(doc: &Document, key: &XmlKey) -> bool {
-    violations(doc, key).is_empty()
+    satisfies_all(doc, [key])
 }
 
 /// True if the document satisfies every key of the set.
 pub fn satisfies_all<'a>(doc: &Document, keys: impl IntoIterator<Item = &'a XmlKey>) -> bool {
-    keys.into_iter().all(|k| satisfies(doc, k))
+    let mut index = KeySet::from_keys(keys.into_iter().cloned().collect()).prepare();
+    let doc_index = index.index_document(doc);
+    index.satisfies(doc, &doc_index)
+}
+
+#[cfg(test)]
+pub(crate) mod oracle {
+    //! The string walk of Definition 2.1: `n[[P]]` by membership of label
+    //! paths, key tuples grouped per context in a `BTreeMap<Vec<String>, _>`.
+    //! It shares no code with `CompiledExpr`, `DocIndex` or `KeyIndex`.
+
+    use super::Violation;
+    use crate::XmlKey;
+    use std::collections::BTreeMap;
+    use xmlprop_xmlpath::{Path, PathExpr};
+    use xmlprop_xmltree::{Document, NodeId};
+
+    /// `from[[expr]]` in document order: the descendants-or-self of `from`
+    /// whose label path from `from` is in the language of `expr`.
+    fn reach(doc: &Document, from: NodeId, expr: &PathExpr) -> Vec<NodeId> {
+        let depth = doc.path_from_root(from).len();
+        doc.descendants_or_self(from)
+            .into_iter()
+            .filter(|&n| {
+                let below = doc.path_from_root(n).split_off(depth);
+                expr.matches(&Path::from_labels(below))
+            })
+            .collect()
+    }
+
+    /// All violations of `key` in `doc`, in the order the prepared
+    /// validator reports them.
+    pub(crate) fn violations(doc: &Document, key: &XmlKey) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for context in reach(doc, doc.root(), key.context()) {
+            // Map from key-value tuple to the first target node carrying it.
+            let mut seen: BTreeMap<Vec<String>, NodeId> = BTreeMap::new();
+            for target in reach(doc, context, key.target()) {
+                let mut values = Vec::with_capacity(key.key_attrs().len());
+                let mut complete = true;
+                for attr in key.key_attrs() {
+                    let nodes: Vec<NodeId> = doc
+                        .children(target)
+                        .filter(|&c| doc.kind(c).is_attribute() && doc.label(c) == attr)
+                        .collect();
+                    match nodes.len() {
+                        0 => {
+                            out.push(Violation::MissingAttribute {
+                                context,
+                                target,
+                                attribute: attr.clone(),
+                            });
+                            complete = false;
+                        }
+                        1 => values.push(doc.text_value(nodes[0]).unwrap_or("").to_string()),
+                        _ => {
+                            out.push(Violation::DuplicateAttribute {
+                                context,
+                                target,
+                                attribute: attr.clone(),
+                            });
+                            complete = false;
+                        }
+                    }
+                }
+                if !complete {
+                    continue;
+                }
+                match seen.get(&values) {
+                    Some(&first) => out.push(Violation::DuplicateKeyValue {
+                        context,
+                        first,
+                        second: target,
+                        values,
+                    }),
+                    None => {
+                        seen.insert(values, target);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

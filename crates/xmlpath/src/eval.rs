@@ -1,91 +1,24 @@
 //! Evaluation of path expressions over XML documents: `n[[P]]`.
 //!
-//! Two implementations live here:
+//! [`CompiledExpr::evaluate`] / [`CompiledExpr::evaluate_positions`] run
+//! over a prepared [`DocIndex`] with reusable scratch frontiers
+//! ([`EvalScratch`]): labels compare as `LabelId`s, a `//` step is a merge
+//! of contiguous DFS subtree ranges (duplicate-free and in document order by
+//! construction), and a `//label` step pair is answered from the label's
+//! posting list without materializing the intermediate descendant set.
 //!
-//! * the **string facade** [`evaluate`] — walks the [`Document`] directly,
-//!   comparing labels as strings and deduplicating through `BTreeSet`s.
-//!   Right for one-shot questions; it is also the baseline the `shred`
-//!   bench and the engine-agreement property tests measure the compiled
-//!   layer against.
-//! * the **compiled engine** [`CompiledExpr::evaluate`] /
-//!   [`CompiledExpr::evaluate_positions`] — runs over a prepared
-//!   [`DocIndex`] with reusable scratch frontiers ([`EvalScratch`]): labels
-//!   compare as `LabelId`s, a `//` step is a merge of contiguous DFS
-//!   subtree ranges (duplicate-free and in document order by construction),
-//!   and a `//label` step pair is answered from the label's posting list
-//!   without materializing the intermediate descendant set.  Anything that
-//!   evaluates many paths over one document (shred plans, key validation)
-//!   should prepare a `DocIndex` once and go through this.
+//! Semantics (Section 2 of the paper): `ε` reaches `{n}`; a label `l`
+//! reaches the children of `n` labelled `l` (attribute nodes included when
+//! `l` is `@name`); `P/P'` composes; `//` reaches all descendants-or-self.
+//! The string walk in this module's tests is the independent oracle the
+//! compiled engine is checked against.
 
 use crate::compile::{CompiledAtom, CompiledExpr};
-use crate::expr::{Atom, PathExpr};
-use std::collections::BTreeSet;
-use xmlprop_xmltree::{DocIndex, Document, NodeId};
-
-/// Evaluates `from[[expr]]`: the set of nodes reached from `from` by
-/// following the path expression, in document order and without duplicates.
-///
-/// Semantics (Section 2 of the paper):
-///
-/// * `ε` reaches `{from}`;
-/// * a label `l` reaches the children of `from` labelled `l` (this includes
-///   attribute nodes when `l` is of the form `@name`, matching the paper's
-///   uniform treatment of attributes as labelled children);
-/// * `P/P'` composes;
-/// * `//` reaches all descendants-or-self.
-///
-/// Results are in *document order* (DFS pre-order), which coincides with
-/// `NodeId` order only for DFS-built documents — see
-/// [`Document::ids_in_document_order`]; for mutated documents the result is
-/// ranked by DFS position explicitly.
-pub fn evaluate(doc: &Document, from: NodeId, expr: &PathExpr) -> Vec<NodeId> {
-    let mut current: BTreeSet<NodeId> = BTreeSet::new();
-    current.insert(from);
-    for atom in expr.atoms() {
-        let mut next = BTreeSet::new();
-        match atom {
-            Atom::Label(label) => {
-                for &n in &current {
-                    for c in doc.children_labelled(n, label) {
-                        next.insert(c);
-                    }
-                }
-            }
-            Atom::AnyPath => {
-                for &n in &current {
-                    for d in doc.descendants_or_self(n) {
-                        next.insert(d);
-                    }
-                }
-            }
-        }
-        current = next;
-        if current.is_empty() {
-            break;
-        }
-    }
-    let mut result: Vec<NodeId> = current.into_iter().collect();
-    if result.len() > 1 && !doc.ids_in_document_order() {
-        // The BTreeSet yields NodeId order; rank by DFS position when the
-        // two orders have diverged.
-        let mut rank = vec![0u32; doc.arena_len()];
-        for (i, n) in doc.all_nodes().into_iter().enumerate() {
-            rank[n.index()] = i as u32;
-        }
-        result.sort_unstable_by_key(|n| rank[n.index()]);
-    }
-    result
-}
-
-/// Evaluates `[[expr]]` from the document root (the paper's abbreviation
-/// `[[P]]` for `root[[P]]`).
-pub fn evaluate_from_root(doc: &Document, expr: &PathExpr) -> Vec<NodeId> {
-    evaluate(doc, doc.root(), expr)
-}
+use xmlprop_xmltree::{DocIndex, NodeId};
 
 /// Reusable scratch state for [`CompiledExpr::evaluate_positions`]: the two
-/// frontier vectors and the visited epoch-stamps that replace the per-atom
-/// `BTreeSet`s of the string evaluator.  One scratch serves any number of
+/// frontier vectors and the visited epoch-stamps that deduplicate them.
+/// One scratch serves any number of
 /// evaluations over documents of any size (the stamp table grows on
 /// demand); hold one per loop instead of allocating per call.
 #[derive(Debug, Clone, Default)]
@@ -117,8 +50,7 @@ impl EvalScratch {
 
 impl CompiledExpr {
     /// Evaluates `from[[self]]` over a prepared index, in document order and
-    /// without duplicates — the compiled counterpart of [`evaluate`].  The
-    /// expression must have been compiled against the universe the index
+    /// without duplicates.  The expression must have been compiled against the universe the index
     /// was built with (or an extension of it).
     ///
     /// Allocates its own [`EvalScratch`]; loops should hold one and call
@@ -226,14 +158,59 @@ impl CompiledExpr {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle {
+    //! The string walk `n[[P]]`: labels compared as strings, frontiers
+    //! deduplicated through `BTreeSet`s, the result ranked by DFS position.
+    //! It shares no code with the compiled engine.
+
+    use crate::expr::{Atom, PathExpr};
+    use std::collections::BTreeSet;
+    use xmlprop_xmltree::{Document, NodeId};
+
+    /// `from[[expr]]`, in document order and without duplicates.
+    pub(crate) fn evaluate(doc: &Document, from: NodeId, expr: &PathExpr) -> Vec<NodeId> {
+        let mut current: BTreeSet<NodeId> = BTreeSet::from([from]);
+        for atom in expr.atoms() {
+            current = match atom {
+                Atom::Label(label) => current
+                    .iter()
+                    .flat_map(|&n| doc.children_labelled(n, label))
+                    .collect(),
+                Atom::AnyPath => current
+                    .iter()
+                    .flat_map(|&n| doc.descendants_or_self(n))
+                    .collect(),
+            };
+        }
+        // `all_nodes` is the DFS pre-order, whatever the NodeId order.
+        doc.all_nodes()
+            .into_iter()
+            .filter(|n| current.contains(n))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::evaluate;
     use super::*;
     use crate::compile::PathCompiler;
+    use crate::expr::{Atom, PathExpr};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use xmlprop_xmltree::sample::fig1;
-    use xmlprop_xmltree::LabelUniverse;
+    use xmlprop_xmltree::{Document, LabelUniverse};
 
     fn p(s: &str) -> PathExpr {
         s.parse().unwrap()
+    }
+
+    /// `from[[expr]]` through the compiled engine over a fresh index.
+    fn eval(doc: &Document, from: NodeId, expr: &str) -> Vec<NodeId> {
+        let mut u = LabelUniverse::new();
+        let compiled = u.compile(&p(expr));
+        let index = DocIndex::build(doc, &mut u);
+        compiled.evaluate(&index, from)
     }
 
     #[test]
@@ -241,24 +218,23 @@ mod tests {
         // Example 2.2 of the paper: [[//book]] has 2 nodes, one book's
         // [[chapter]] has 2 nodes, [[//@number]] has 5 nodes.
         let doc = fig1();
-        assert_eq!(evaluate_from_root(&doc, &p("//book")).len(), 2);
-        let first_book = evaluate_from_root(&doc, &p("book"))[0];
-        assert_eq!(evaluate(&doc, first_book, &p("chapter")).len(), 2);
-        assert_eq!(evaluate_from_root(&doc, &p("//@number")).len(), 5);
+        assert_eq!(eval(&doc, doc.root(), "//book").len(), 2);
+        let first_book = eval(&doc, doc.root(), "book")[0];
+        assert_eq!(eval(&doc, first_book, "chapter").len(), 2);
+        assert_eq!(eval(&doc, doc.root(), "//@number").len(), 5);
     }
 
     #[test]
     fn epsilon_reaches_self() {
         let doc = fig1();
-        let book = evaluate_from_root(&doc, &p("//book"))[0];
-        assert_eq!(evaluate(&doc, book, &p("ε")), vec![book]);
+        let book = eval(&doc, doc.root(), "//book")[0];
+        assert_eq!(eval(&doc, book, "ε"), vec![book]);
     }
 
     #[test]
     fn attribute_steps() {
         let doc = fig1();
-        let isbns = evaluate_from_root(&doc, &p("//book/@isbn"));
-        assert_eq!(isbns.len(), 2);
+        let isbns = eval(&doc, doc.root(), "//book/@isbn");
         let values: Vec<_> = isbns.iter().map(|&n| doc.text_value(n).unwrap()).collect();
         assert_eq!(values, vec!["123", "234"]);
     }
@@ -266,39 +242,45 @@ mod tests {
     #[test]
     fn child_vs_descendant() {
         let doc = fig1();
+        let count = |expr| eval(&doc, doc.root(), expr).len();
         // section is never a child of book, only a descendant.
-        assert!(evaluate_from_root(&doc, &p("//book/section")).is_empty());
-        assert_eq!(evaluate_from_root(&doc, &p("//book//section")).len(), 2);
-        assert_eq!(evaluate_from_root(&doc, &p("//section")).len(), 2);
+        assert_eq!(count("//book/section"), 0);
+        assert_eq!(count("//book//section"), 2);
+        assert_eq!(count("//section"), 2);
         // name appears under chapters, sections and authors.
-        assert_eq!(evaluate_from_root(&doc, &p("//name")).len(), 6);
-        assert_eq!(evaluate_from_root(&doc, &p("//chapter/name")).len(), 3);
+        assert_eq!(count("//name"), 6);
+        assert_eq!(count("//chapter/name"), 3);
     }
 
     #[test]
     fn results_have_no_duplicates() {
+        // Two `//` atoms in a row (unnormalized) must not duplicate nodes.
         let doc = fig1();
-        // `////name` normalizes to `//name`; even a non-normalized pipeline
-        // with two AnyPath steps must not produce duplicates.
-        let nodes = evaluate_from_root(
-            &doc,
-            &PathExpr::from_atoms(vec![Atom::AnyPath, Atom::Label("name".to_string())]),
-        );
+        let expr = PathExpr::from_atoms(vec![
+            Atom::AnyPath,
+            Atom::AnyPath,
+            Atom::Label("name".to_string()),
+        ]);
+        let mut u = LabelUniverse::new();
+        let compiled = u.compile(&expr);
+        let index = DocIndex::build(&doc, &mut u);
+        let nodes = compiled.evaluate(&index, doc.root());
         let set: BTreeSet<_> = nodes.iter().copied().collect();
         assert_eq!(set.len(), nodes.len());
+        assert_eq!(nodes, evaluate(&doc, doc.root(), &expr));
     }
 
     #[test]
     fn empty_result_for_missing_labels() {
         let doc = fig1();
-        assert!(evaluate_from_root(&doc, &p("//magazine")).is_empty());
-        assert!(evaluate_from_root(&doc, &p("book/title/@lang")).is_empty());
+        assert!(eval(&doc, doc.root(), "//magazine").is_empty());
+        assert!(eval(&doc, doc.root(), "book/title/@lang").is_empty());
     }
 
     #[test]
-    fn membership_consistency_with_evaluation() {
-        // Every node reached by `expr` from the root has a root path that is
-        // a member of the expression's language, and vice versa.
+    fn oracle_agrees_with_membership() {
+        // Every node the oracle reaches from the root has a root path in the
+        // expression's language, and vice versa.
         let doc = fig1();
         for expr in [
             "//book",
@@ -308,7 +290,7 @@ mod tests {
             "book//name",
         ] {
             let expr = p(expr);
-            let reached: BTreeSet<NodeId> = evaluate_from_root(&doc, &expr).into_iter().collect();
+            let reached: BTreeSet<NodeId> = evaluate(&doc, doc.root(), &expr).into_iter().collect();
             for n in doc.all_nodes() {
                 let rho = crate::Path::from_labels(doc.path_from_root(n));
                 assert_eq!(
@@ -337,11 +319,10 @@ mod tests {
     fn results_are_in_document_order_not_node_id_order() {
         let doc = shuffled_doc();
         assert!(!doc.ids_in_document_order());
-        // DFS ranks via the prepared index pin the expected order.
         let mut u = LabelUniverse::new();
         let index = DocIndex::build(&doc, &mut u);
         for expr in ["//b", "//", "a/b", "//@x", "a//c", "//c"] {
-            let nodes = evaluate_from_root(&doc, &p(expr));
+            let nodes = eval(&doc, doc.root(), expr);
             let ranks: Vec<u32> = nodes.iter().map(|&n| index.position(n)).collect();
             assert!(
                 ranks.windows(2).all(|w| w[0] < w[1]),
@@ -350,13 +331,29 @@ mod tests {
         }
     }
 
+    /// Asserts the compiled engine equals the oracle for `expr` from every
+    /// node of `doc`, through both entry points.
+    fn assert_engine_matches_oracle(doc: &Document, expr: &PathExpr) {
+        let mut u = LabelUniverse::new();
+        let index = DocIndex::build(doc, &mut u);
+        let compiled = u.compile(expr);
+        assert_eq!(
+            compiled.evaluate(&index, doc.root()),
+            evaluate(doc, doc.root(), expr),
+            "{expr}"
+        );
+        let mut scratch = EvalScratch::new();
+        let mut out = Vec::new();
+        for from in doc.all_nodes() {
+            compiled.evaluate_positions(&index, index.position(from), &mut scratch, &mut out);
+            let nodes: Vec<NodeId> = out.iter().map(|&pos| index.node_at(pos)).collect();
+            assert_eq!(nodes, evaluate(doc, from, expr), "{expr} from {from}");
+        }
+    }
+
     #[test]
-    fn compiled_evaluation_agrees_with_the_string_facade() {
+    fn compiled_evaluation_agrees_with_the_oracle() {
         for doc in [fig1(), shuffled_doc()] {
-            let mut u = LabelUniverse::new();
-            let index = DocIndex::build(&doc, &mut u);
-            let mut scratch = EvalScratch::new();
-            let mut out = Vec::new();
             for expr in [
                 "ε",
                 "//",
@@ -379,25 +376,7 @@ mod tests {
                 "//a//",
                 "//a//b",
             ] {
-                let expr = p(expr);
-                let compiled = u.compile(&expr);
-                // Convenience entry point...
-                assert_eq!(
-                    compiled.evaluate(&index, doc.root()),
-                    evaluate_from_root(&doc, &expr),
-                    "{expr}"
-                );
-                // ...and the scratch-reusing core, from every start node.
-                for from in doc.all_nodes() {
-                    compiled.evaluate_positions(
-                        &index,
-                        index.position(from),
-                        &mut scratch,
-                        &mut out,
-                    );
-                    let nodes: Vec<NodeId> = out.iter().map(|&pos| index.node_at(pos)).collect();
-                    assert_eq!(nodes, evaluate(&doc, from, &expr), "{expr} from {from}");
-                }
+                assert_engine_matches_oracle(&doc, &p(expr));
             }
         }
     }
@@ -405,11 +384,8 @@ mod tests {
     #[test]
     fn trailing_wildcard_materializes_descendants() {
         let doc = fig1();
-        let mut u = LabelUniverse::new();
-        let index = DocIndex::build(&doc, &mut u);
-        let compiled = u.compile(&p("//book//"));
-        let nodes = compiled.evaluate(&index, doc.root());
-        assert_eq!(nodes, evaluate_from_root(&doc, &p("//book//")));
+        let nodes = eval(&doc, doc.root(), "//book//");
+        assert_eq!(nodes, evaluate(&doc, doc.root(), &p("//book//")));
         assert!(nodes.len() > 2);
     }
 
@@ -421,5 +397,59 @@ mod tests {
         // Compiled after the index was built: the posting table has no slot.
         let compiled = u.compile(&p("//nothere/below"));
         assert!(compiled.evaluate(&index, doc.root()).is_empty());
+    }
+
+    /// Builds a document from a mutation script: each step appends an
+    /// element, attribute or text node under an earlier element, so NodeId
+    /// order and document order diverge on most scripts.
+    fn build_doc(steps: &[(u8, u8, u8)]) -> Document {
+        let mut doc = Document::new("r");
+        let mut elements = vec![doc.root()];
+        for &(parent, kind, which) in steps {
+            let parent = elements[parent as usize % elements.len()];
+            match kind % 4 {
+                0 | 1 => {
+                    elements.push(doc.add_element(parent, ["a", "b", "c"][which as usize % 3]))
+                }
+                2 => {
+                    doc.add_attribute(parent, ["x", "y"][which as usize % 2], "v");
+                }
+                _ => {
+                    doc.add_text(parent, "t");
+                }
+            }
+        }
+        doc
+    }
+
+    fn expr_strategy() -> impl Strategy<Value = PathExpr> {
+        prop::collection::vec(
+            prop_oneof![
+                Just(Atom::Label("a".to_string())),
+                Just(Atom::Label("b".to_string())),
+                Just(Atom::Label("c".to_string())),
+                Just(Atom::Label("@x".to_string())),
+                Just(Atom::AnyPath),
+            ],
+            0..5,
+        )
+        .prop_map(PathExpr::from_atoms)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The compiled engine equals the string oracle, in order, from every
+        /// start node of random documents built out of NodeId order.
+        #[test]
+        fn compiled_evaluation_matches_oracle_on_random_documents(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..40),
+            exprs in prop::collection::vec(expr_strategy(), 1..4),
+        ) {
+            let doc = build_doc(&steps);
+            for expr in &exprs {
+                assert_engine_matches_oracle(&doc, expr);
+            }
+        }
     }
 }

@@ -18,16 +18,6 @@ pub enum Atom {
     AnyPath,
 }
 
-impl Atom {
-    /// Returns the label if this atom is a label.
-    pub fn as_label(&self) -> Option<&str> {
-        match self {
-            Atom::Label(l) => Some(l),
-            Atom::AnyPath => None,
-        }
-    }
-}
-
 /// A path expression in the language `P ::= ε | l | P/P | P//P`.
 ///
 /// The expression is kept in a normalized form: consecutive `//` atoms are
@@ -140,11 +130,6 @@ impl PathExpr {
             .concat(&PathExpr::label(label))
     }
 
-    /// The last atom, if any.
-    pub fn last_atom(&self) -> Option<&Atom> {
-        self.atoms.last()
-    }
-
     /// All ways of writing `self` as a concatenation `A/B` of two path
     /// expressions.  This is exactly what the *target-to-context* rule for
     /// XML keys quantifies over: from a key `(Q, (A/B, S))` one may derive
@@ -190,15 +175,6 @@ impl PathExpr {
     /// Membership `ρ ∈ self` for a concrete path.
     pub fn matches(&self, path: &crate::Path) -> bool {
         crate::containment::word_matches(path.labels(), self)
-    }
-
-    /// Evaluates `n[[self]]` over a document.  See [`crate::evaluate`].
-    pub fn evaluate(
-        &self,
-        doc: &xmlprop_xmltree::Document,
-        from: xmlprop_xmltree::NodeId,
-    ) -> Vec<xmlprop_xmltree::NodeId> {
-        crate::evaluate(doc, from, self)
     }
 }
 

@@ -25,9 +25,7 @@
 //!   trait — and [`CompiledExpr`]) that interns labels and precomputes the
 //!   block decomposition so repeated containment and word-membership
 //!   queries are allocation-free id-slice comparisons;
-//! * **evaluation** `n[[P]]` over [`xmlprop_xmltree::Document`]s
-//!   ([`evaluate`] / [`PathExpr::evaluate`]), plus the compiled
-//!   [`CompiledExpr::evaluate`] over a prepared
+//! * **evaluation** `n[[P]]`: [`CompiledExpr::evaluate`] over a prepared
 //!   [`xmlprop_xmltree::DocIndex`] with reusable [`EvalScratch`] state;
 //! * **incremental matching** for the streaming front end:
 //!   [`StreamMatcher`] simulates a compiled expression as an NFA one label
@@ -60,7 +58,7 @@ mod stream;
 
 pub use compile::{CompiledAtom, CompiledExpr, LabelId, LabelUniverse, PathCompiler};
 pub use containment::{contained_in, word_matches};
-pub use eval::{evaluate, evaluate_from_root, EvalScratch};
+pub use eval::EvalScratch;
 pub use expr::{Atom, ParsePathError, PathExpr};
 pub use path::Path;
 pub use stream::{MatchState, StreamMatcher};

@@ -153,21 +153,6 @@ impl StreamMatcher {
         state.0 & self.accept_mask != 0
     }
 
-    /// True if some position's atom can consume `label` from *some* state —
-    /// a static property of the expression, independent of the current
-    /// state.  When false, every [`step`](Self::step) on `label` maps every
-    /// state to the dead state's closure, so callers batching many matchers
-    /// per event (the streaming shredder's leaf scans) can skip this one.
-    #[inline]
-    pub fn can_consume(&self, label: Option<LabelId>) -> bool {
-        match label {
-            Some(l) => {
-                self.any_mask != 0 || self.label_masks.get(l.index()).copied().unwrap_or(0) != 0
-            }
-            None => self.any_mask != 0,
-        }
-    }
-
     /// True if `state` accepts after consuming *any* label (a `//` atom
     /// carries it into the accept closure): `accepts(step(state, l))` holds
     /// for every `l`, including labels outside the universe.

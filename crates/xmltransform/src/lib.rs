@@ -27,13 +27,13 @@
 //!   Definition 2.2 (see [`RuleError`]);
 //! * [`TableTree`] — the tree view used by all the propagation algorithms
 //!   (`parent`, ancestors, `path(y, x)`, depth);
-//! * shredding: [`TableRule::shred`] / [`Transformation::shred`] producing
-//!   [`xmlprop_reldb::Relation`]s / [`xmlprop_reldb::Database`]s (the
-//!   one-shot string walk), and the prepared [`ShredPlan`] /
-//!   [`TransformationPlan`] ([`TableRule::prepare`] /
-//!   [`Transformation::prepare`]) shredding over a
-//!   [`xmlprop_xmltree::DocIndex`] with dense [`VarId`] binding rows and
-//!   memoized `value()` serialization;
+//! * shredding: the prepared [`ShredPlan`] / [`TransformationPlan`]
+//!   ([`TableRule::prepare`] / [`Transformation::prepare`]) shredding over
+//!   a [`xmlprop_xmltree::DocIndex`] with dense [`VarId`] binding rows and
+//!   memoized `value()` serialization, producing
+//!   [`xmlprop_reldb::Relation`]s / [`xmlprop_reldb::Database`]s; the
+//!   one-shot [`TableRule::shred`] / [`Transformation::shred`] prepare and
+//!   run a plan per call;
 //! * a concise textual syntax ([`Transformation::parse`]) used by examples,
 //!   tests and the workload generator;
 //! * streaming execution: [`StreamShredder`] runs a [`ShredPlan`] over parse
@@ -64,6 +64,5 @@ pub use delta::{IncrementalShredder, RelationDelta};
 pub use parse::{parse_single_rule, ParseRuleError};
 pub use plan::{ShredPlan, ShredScratch, TransformationPlan, VarId};
 pub use rule::{FieldRule, RuleError, TableRule, Transformation, VarMapping, ROOT_VAR};
-pub use shred::count_bindings;
 pub use stream::StreamShredder;
 pub use tree::TableTree;

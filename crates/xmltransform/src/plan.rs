@@ -1,9 +1,6 @@
 //! Prepared shredding: the compiled form of a table rule.
 //!
-//! The string-based [`shred_rule`](crate::shred) walk clones a whole
-//! `BTreeMap<String, Option<NodeId>>` binding per row per variable and
-//! re-evaluates every path through string label comparisons.  A
-//! [`ShredPlan`] does the per-rule work once:
+//! A [`ShredPlan`] does the per-rule work of shredding once:
 //!
 //! * every variable gets a dense [`VarId`] (parent-before-child order), so
 //!   a binding is a flat row of `u32` DFS positions instead of a string-keyed
@@ -161,9 +158,9 @@ impl ShredPlan {
         &self.field_vars
     }
 
-    /// Shreds a document into an instance of this plan's relation —
-    /// bit-for-bit the relation [`TableRule::shred`] produces, computed
-    /// over the prepared index.  Allocates fresh scratch; batch callers
+    /// Shreds a document into an instance of this plan's relation over the
+    /// prepared index, following the paper's Section 2 semantics (one tuple
+    /// per complete binding, nulls for missing branches).  Allocates fresh scratch; batch callers
     /// (many rules / many documents) should reuse a [`ShredScratch`]
     /// through [`ShredPlan::shred_with`].
     pub fn shred(&self, doc: &Document, index: &DocIndex) -> Relation {
@@ -461,9 +458,8 @@ impl TransformationPlan {
         self.plans.iter().find(|p| p.schema().name() == relation)
     }
 
-    /// Shreds a document into a database with one instance per rule —
-    /// bit-for-bit what [`Transformation::shred`] produces — sharing one
-    /// scratch (and thus one `value()` memo) across all rules.
+    /// Shreds a document into a database with one instance per rule,
+    /// sharing one scratch (and thus one `value()` memo) across all rules.
     pub fn shred_all(&self, doc: &Document, index: &DocIndex) -> Database {
         index.debug_assert_current(doc);
         let mut scratch = ShredScratch::new();
@@ -479,6 +475,7 @@ impl TransformationPlan {
 mod tests {
     use super::*;
     use crate::sample;
+    use crate::shred::oracle::shred_rule;
     use xmlprop_xmltree::sample::fig1;
     use xmlprop_xmltree::ElementBuilder;
 
@@ -494,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_shredding_matches_the_string_baseline_on_the_samples() {
+    fn prepared_shredding_matches_the_oracle_on_the_samples() {
         let doc = fig1();
         for t in [
             sample::example_2_4_transformation(),
@@ -504,12 +501,17 @@ mod tests {
             for (rule, rule_plan) in t.rules().iter().zip(plan.plans()) {
                 assert_eq!(
                     rule_plan.shred(&doc, &index),
-                    rule.shred(&doc),
+                    shred_rule(rule, &doc),
                     "rule {}",
                     rule.schema().name()
                 );
             }
-            assert_eq!(plan.shred_all(&doc, &index), t.shred(&doc));
+            let db = plan.shred_all(&doc, &index);
+            assert_eq!(db.len(), t.len());
+            for rule in t.rules() {
+                assert_eq!(db.get(rule.schema().name()), Some(&shred_rule(rule, &doc)));
+            }
+            assert_eq!(t.shred(&doc), db);
         }
     }
 
@@ -537,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn cartesian_expansion_matches_baseline() {
+    fn cartesian_expansion_matches_the_oracle() {
         // 2 authors × 3 chapters forces row replication mid-table.
         let doc = ElementBuilder::new("r")
             .child(
@@ -569,16 +571,16 @@ mod tests {
         let (_u, index, plan) = prepared(&t, &doc);
         let prepared_rel = plan.plan("pairs").unwrap().shred(&doc, &index);
         assert_eq!(prepared_rel.len(), 6);
-        assert_eq!(prepared_rel, rule.shred(&doc));
+        assert_eq!(prepared_rel, shred_rule(rule, &doc));
     }
 
     #[test]
-    fn nulls_and_empty_documents_match_baseline() {
+    fn nulls_and_empty_documents_match_the_oracle() {
         let t = sample::example_2_4_transformation();
         let empty = Document::new("r");
         let (_u, index, plan) = prepared(&t, &empty);
         for (rule, rule_plan) in t.rules().iter().zip(plan.plans()) {
-            assert_eq!(rule_plan.shred(&empty, &index), rule.shred(&empty));
+            assert_eq!(rule_plan.shred(&empty, &index), shred_rule(rule, &empty));
         }
     }
 
@@ -591,7 +593,7 @@ mod tests {
         for (rule, rule_plan) in t.rules().iter().zip(plan.plans()) {
             assert_eq!(
                 rule_plan.shred_with(&doc, &index, &mut scratch),
-                rule.shred(&doc)
+                shred_rule(rule, &doc)
             );
         }
         // Switching documents requires a memo reset.
@@ -605,8 +607,91 @@ mod tests {
         for (rule, rule_plan) in t.rules().iter().zip(plan2.plans()) {
             assert_eq!(
                 rule_plan.shred_with(&other, &index2, &mut scratch),
-                rule.shred(&other)
+                shred_rule(rule, &other)
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod shred_proptests {
+    use super::*;
+    use crate::shred::oracle::shred_rule;
+    use proptest::prelude::*;
+
+    /// Builds a document from a mutation script: each step appends an
+    /// element (`a`/`b`/`c`), an attribute (`@x`/`@y`) or a text node under
+    /// an earlier element.  Labels repeat, so a variable often reaches
+    /// several nodes (a Cartesian product) or none (nulls), and NodeId order
+    /// diverges from document order on most scripts.
+    fn build_doc(steps: &[(u8, u8, u8)]) -> Document {
+        let mut doc = Document::new("r");
+        let mut elements = vec![doc.root()];
+        for &(parent, kind, which) in steps {
+            let parent = elements[parent as usize % elements.len()];
+            let which = which as usize;
+            match kind % 4 {
+                0 | 1 => elements.push(doc.add_element(parent, ["a", "b", "c"][which % 3])),
+                2 => {
+                    doc.add_attribute(parent, ["x", "y"][which % 2], ["0", "1", "2"][which % 3]);
+                }
+                _ => {
+                    doc.add_text(parent, ["t0", "t1"][which % 2]);
+                }
+            }
+        }
+        doc
+    }
+
+    /// A random rule: a `//`-initial variable under the root, then up to
+    /// four more variables, each a child step (element or attribute) from a
+    /// random earlier variable; every leaf variable carries one field.
+    fn rule_strategy() -> impl Strategy<Value = TableRule> {
+        let label = prop_oneof![Just("a"), Just("b"), Just("c"), Just("@x"), Just("@y")];
+        (
+            prop_oneof![Just("a"), Just("b"), Just("c")],
+            prop::collection::vec((0usize..8, label), 0..5),
+        )
+            .prop_map(|(top, steps)| {
+                // Variable `v{i+1}` is `vars[i]`: (is an attribute, has a child).
+                let mut lines = vec![format!("v1 := xr//{top};")];
+                let mut vars = vec![(false, false)];
+                for (pick, label) in steps {
+                    // Attributes have no children, so only elements parent.
+                    let elements: Vec<usize> = (0..vars.len()).filter(|&i| !vars[i].0).collect();
+                    let parent = elements[pick % elements.len()];
+                    vars[parent].1 = true;
+                    vars.push((label.starts_with('@'), false));
+                    lines.push(format!("v{} := v{}/{label};", vars.len(), parent + 1));
+                }
+                let leaves: Vec<usize> = (0..vars.len()).filter(|&i| !vars[i].1).collect();
+                let fields: Vec<String> = (0..leaves.len()).map(|f| format!("f{f}")).collect();
+                for (field, leaf) in fields.iter().zip(&leaves) {
+                    lines.push(format!("{field} := value(v{});", leaf + 1));
+                }
+                let text = format!("rule R({}) {{ {} }}", fields.join(", "), lines.join(" "));
+                crate::parse_single_rule(&text).expect("generated rule is well formed")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The prepared plan, the one-shot facade and the string oracle
+        /// produce the same relation, rows in the same order, on random
+        /// documents with missing paths and repeated matches.
+        #[test]
+        fn prepared_shredding_matches_oracle_on_random_documents(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..40),
+            rule in rule_strategy(),
+        ) {
+            let doc = build_doc(&steps);
+            let mut universe = LabelUniverse::new();
+            let plan = rule.prepare(&mut universe);
+            let index = DocIndex::build(&doc, &mut universe);
+            let oracle = shred_rule(&rule, &doc);
+            prop_assert_eq!(plan.shred(&doc, &index), oracle.clone());
+            prop_assert_eq!(rule.shred(&doc), oracle);
         }
     }
 }

@@ -260,11 +260,14 @@ impl TableRule {
     /// following the paper's Section 2 semantics (one tuple per complete
     /// binding, nulls for missing branches).
     ///
-    /// This is the one-shot string walk; repeated or large-document
-    /// shredding should [`TableRule::prepare`] a [`crate::ShredPlan`] and
-    /// shred over a [`xmlprop_xmltree::DocIndex`].
+    /// Prepares a [`crate::ShredPlan`] and a [`xmlprop_xmltree::DocIndex`]
+    /// for this one call; repeated or large-document shredding should
+    /// [`TableRule::prepare`] once and reuse the plan.
     pub fn shred(&self, doc: &xmlprop_xmltree::Document) -> xmlprop_reldb::Relation {
-        crate::shred::shred_rule(self, doc)
+        let mut universe = xmlprop_xmlpath::LabelUniverse::new();
+        let plan = self.prepare(&mut universe);
+        let index = xmlprop_xmltree::DocIndex::build(doc, &mut universe);
+        plan.shred(doc, &index)
     }
 
     /// Compiles this rule into a [`crate::ShredPlan`] against a shared
@@ -353,14 +356,14 @@ impl Transformation {
 
     /// Shreds a document into a database with one instance per rule.
     ///
-    /// One-shot string walk; see [`Transformation::prepare`] for the
-    /// prepared counterpart.
+    /// Prepares a [`crate::TransformationPlan`] and a
+    /// [`xmlprop_xmltree::DocIndex`] for this one call; see
+    /// [`Transformation::prepare`] to reuse them.
     pub fn shred(&self, doc: &xmlprop_xmltree::Document) -> xmlprop_reldb::Database {
-        let mut db = xmlprop_reldb::Database::new();
-        for rule in &self.rules {
-            db.insert(rule.shred(doc));
-        }
-        db
+        let mut universe = xmlprop_xmlpath::LabelUniverse::new();
+        let plan = self.prepare(&mut universe);
+        let index = xmlprop_xmltree::DocIndex::build(doc, &mut universe);
+        plan.shred_all(doc, &index)
     }
 
     /// Compiles every rule into a [`crate::TransformationPlan`] against a

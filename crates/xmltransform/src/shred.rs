@@ -1,96 +1,14 @@
 //! Shredding: evaluating a table rule over a document (Section 2, semantics).
 //!
-//! This is the **string baseline**: variables are resolved through cloned
-//! `BTreeMap` bindings and paths through the string evaluator.  It is what
-//! [`TableRule::shred`] runs for one-shot calls, the oracle the shred-plan
-//! property tests pin the compiled engine against, and the facade side of
-//! the `shred` bench.  Anything that shreds repeatedly — or shreds large
-//! documents — should prepare a [`crate::ShredPlan`] instead.
+//! [`TableRule::shred`](crate::TableRule::shred) and
+//! [`Transformation::shred`](crate::Transformation::shred) prepare a
+//! [`crate::ShredPlan`] and a `DocIndex` per call and run the plan;
+//! anything that shreds repeatedly, or shreds large documents, should
+//! prepare once.  This module holds [`field_value`], which the plan uses
+//! to fill a field, and, in tests, the string walk the plan is checked
+//! against.
 
-use crate::rule::TableRule;
-use crate::tree::TableTree;
-use std::collections::BTreeMap;
-use xmlprop_reldb::{Relation, Tuple, Value};
 use xmlprop_xmltree::{Document, NodeId};
-
-/// A partial assignment of variables to document nodes.  `None` models the
-/// paper's null case: the variable's path reached no node (and every
-/// descendant variable is then null as well).
-type Binding = BTreeMap<String, Option<NodeId>>;
-
-/// Evaluates a table rule over a document, producing one relation instance.
-///
-/// Semantics (Section 2 of the paper, Example 2.5):
-///
-/// * the root variable is bound to the document root;
-/// * a variable `x := y/P` ranges over `y[[P]]`; if that set is empty the
-///   variable (and its descendants) are bound to null;
-/// * when several nodes are reached, an implicit Cartesian product covers
-///   them all;
-/// * the field `f := value(x)` of each output tuple holds the `value()`
-///   serialization of `x`'s node, or SQL null when `x` is unbound.
-pub fn shred_rule(rule: &TableRule, doc: &Document) -> Relation {
-    let tree = rule.table_tree();
-    let mut bindings: Vec<Binding> = vec![{
-        let mut b = Binding::new();
-        b.insert(tree.root().to_string(), Some(doc.root()));
-        b
-    }];
-
-    // Variables in parent-before-child order, skipping the root.
-    for var in tree.variables().iter().skip(1) {
-        let parent = tree.parent(var).expect("non-root variable has a parent");
-        let path = tree
-            .edge_path(var)
-            .expect("non-root variable has an edge path");
-        let mut next: Vec<Binding> = Vec::with_capacity(bindings.len());
-        for binding in &bindings {
-            match binding.get(parent).copied().flatten() {
-                None => {
-                    // Parent unbound: the child is null too.
-                    let mut b = binding.clone();
-                    b.insert(var.clone(), None);
-                    next.push(b);
-                }
-                Some(parent_node) => {
-                    let nodes = path.evaluate(doc, parent_node);
-                    if nodes.is_empty() {
-                        let mut b = binding.clone();
-                        b.insert(var.clone(), None);
-                        next.push(b);
-                    } else {
-                        for node in nodes {
-                            let mut b = binding.clone();
-                            b.insert(var.clone(), Some(node));
-                            next.push(b);
-                        }
-                    }
-                }
-            }
-        }
-        bindings = next;
-    }
-
-    let mut relation = Relation::new(rule.schema().clone());
-    for binding in bindings {
-        let values: Vec<Value> = rule
-            .schema()
-            .attributes()
-            .iter()
-            .map(|field| {
-                let var = rule
-                    .field_var(field)
-                    .expect("validated rule covers every field");
-                match binding.get(var).copied().flatten() {
-                    Some(node) => Value::text(field_value(doc, node)),
-                    None => Value::Null,
-                }
-            })
-            .collect();
-        relation.insert(Tuple::new(values));
-    }
-    relation
-}
 
 /// The string stored in a relational field for a bound node.
 ///
@@ -114,39 +32,138 @@ pub(crate) fn field_value(doc: &Document, node: NodeId) -> String {
     }
 }
 
-/// Counts how many tuples shredding would produce, without materializing
-/// them (used by tests to check the Cartesian-product semantics cheaply).
-pub fn count_bindings(tree: &TableTree, doc: &Document) -> usize {
-    fn rec(tree: &TableTree, doc: &Document, var: &str, node: Option<NodeId>) -> usize {
-        let mut total = 1usize;
-        for child in tree.children(var) {
-            let path = tree.edge_path(child).expect("child has an edge");
-            let nodes = match node {
-                Some(n) => path.evaluate(doc, n),
-                None => Vec::new(),
-            };
-            let child_count: usize = if nodes.is_empty() {
-                rec(tree, doc, child, None)
-            } else {
-                nodes
-                    .into_iter()
-                    .map(|n| rec(tree, doc, child, Some(n)))
-                    .sum()
-            };
-            total *= child_count.max(1);
-        }
-        total
+#[cfg(test)]
+pub(crate) mod oracle {
+    //! The string walk of the shredding semantics: variables bound through
+    //! cloned `BTreeMap` bindings, `n[[P]]` computed by membership of label
+    //! paths.  Apart from [`field_value`], which defines a field's string,
+    //! it shares no code with `CompiledExpr`, `DocIndex` or `ShredPlan`.
+
+    use super::field_value;
+    use crate::rule::TableRule;
+    use crate::tree::TableTree;
+    use std::collections::BTreeMap;
+    use xmlprop_reldb::{Relation, Tuple, Value};
+    use xmlprop_xmlpath::{Path, PathExpr};
+    use xmlprop_xmltree::{Document, NodeId};
+
+    /// A partial assignment of variables to document nodes.  `None` models
+    /// the paper's null case: the variable's path reached no node (and every
+    /// descendant variable is then null as well).
+    type Binding = BTreeMap<String, Option<NodeId>>;
+
+    /// `from[[expr]]` in document order: the descendants-or-self of `from`
+    /// whose label path from `from` is in the language of `expr`.
+    fn reach(doc: &Document, from: NodeId, expr: &PathExpr) -> Vec<NodeId> {
+        let depth = doc.path_from_root(from).len();
+        doc.descendants_or_self(from)
+            .into_iter()
+            .filter(|&n| {
+                let below = doc.path_from_root(n).split_off(depth);
+                expr.matches(&Path::from_labels(below))
+            })
+            .collect()
     }
-    rec(tree, doc, tree.root(), Some(doc.root()))
+
+    /// Evaluates a table rule over a document (Section 2, Example 2.5):
+    ///
+    /// * the root variable is bound to the document root;
+    /// * a variable `x := y/P` ranges over `y[[P]]`; if that set is empty
+    ///   the variable (and its descendants) are bound to null;
+    /// * when several nodes are reached, an implicit Cartesian product
+    ///   covers them all;
+    /// * the field `f := value(x)` of each output tuple holds the `value()`
+    ///   serialization of `x`'s node, or SQL null when `x` is unbound.
+    pub(crate) fn shred_rule(rule: &TableRule, doc: &Document) -> Relation {
+        let tree = rule.table_tree();
+        let root = Binding::from([(tree.root().to_string(), Some(doc.root()))]);
+        let mut bindings: Vec<Binding> = vec![root];
+        // Variables in parent-before-child order, skipping the root.
+        for var in tree.variables().iter().skip(1) {
+            let parent = tree.parent(var).expect("non-root variable has a parent");
+            let path = tree.edge_path(var).expect("non-root variable has an edge");
+            let mut next: Vec<Binding> = Vec::with_capacity(bindings.len());
+            for binding in &bindings {
+                let nodes = match binding.get(parent).copied().flatten() {
+                    Some(parent_node) => reach(doc, parent_node, path),
+                    None => Vec::new(),
+                };
+                let choices: Vec<Option<NodeId>> = if nodes.is_empty() {
+                    vec![None]
+                } else {
+                    nodes.into_iter().map(Some).collect()
+                };
+                for choice in choices {
+                    let mut b = binding.clone();
+                    b.insert(var.clone(), choice);
+                    next.push(b);
+                }
+            }
+            bindings = next;
+        }
+
+        let mut relation = Relation::new(rule.schema().clone());
+        for binding in bindings {
+            let values: Vec<Value> = rule
+                .schema()
+                .attributes()
+                .iter()
+                .map(|field| {
+                    let var = rule
+                        .field_var(field)
+                        .expect("validated rule covers every field");
+                    match binding.get(var).copied().flatten() {
+                        Some(node) => Value::text(field_value(doc, node)),
+                        None => Value::Null,
+                    }
+                })
+                .collect();
+            relation.insert(Tuple::new(values));
+        }
+        relation
+    }
+
+    /// Counts how many tuples shredding produces, without materializing
+    /// them.
+    pub(crate) fn count_bindings(tree: &TableTree, doc: &Document) -> usize {
+        fn rec(tree: &TableTree, doc: &Document, var: &str, node: Option<NodeId>) -> usize {
+            let mut total = 1usize;
+            for child in tree.children(var) {
+                let path = tree.edge_path(child).expect("child has an edge");
+                let nodes = match node {
+                    Some(n) => reach(doc, n, path),
+                    None => Vec::new(),
+                };
+                let child_count: usize = if nodes.is_empty() {
+                    rec(tree, doc, child, None)
+                } else {
+                    nodes
+                        .into_iter()
+                        .map(|n| rec(tree, doc, child, Some(n)))
+                        .sum()
+                };
+                total *= child_count.max(1);
+            }
+            total
+        }
+        rec(tree, doc, tree.root(), Some(doc.root()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sample;
-    use xmlprop_reldb::Fd;
+    use super::oracle::{count_bindings, shred_rule};
+    use crate::{sample, TableRule};
+    use xmlprop_reldb::{Fd, Relation, Value};
     use xmlprop_xmltree::sample::fig1;
-    use xmlprop_xmltree::ElementBuilder;
+    use xmlprop_xmltree::{Document, ElementBuilder};
+
+    /// Shreds through the facade, asserting the oracle agrees row for row.
+    fn shred(rule: &TableRule, doc: &Document) -> Relation {
+        let relation = rule.shred(doc);
+        assert_eq!(relation, shred_rule(rule, doc), "{}", rule.schema());
+        relation
+    }
 
     #[test]
     fn example_2_5_section_instance() {
@@ -156,7 +173,7 @@ mod tests {
         // "value(x) is defined to be null" amendment to the semantics).
         let t = sample::example_2_4_transformation();
         let doc = fig1();
-        let rel = t.rule("section").unwrap().shred(&doc);
+        let rel = shred(t.rule("section").unwrap(), &doc);
         assert_eq!(rel.schema().attributes(), &["inChapt", "number", "name"]);
         let complete: Vec<Vec<String>> = rel
             .rows()
@@ -181,7 +198,7 @@ mod tests {
     fn chapter_instance_matches_fig_2b_shape() {
         let t = sample::example_2_4_transformation();
         let doc = fig1();
-        let rel = t.rule("chapter").unwrap().shred(&doc);
+        let rel = shred(t.rule("chapter").unwrap(), &doc);
         assert_eq!(rel.len(), 3);
         let fd = Fd::parse("inBook, number -> name").unwrap();
         assert!(rel.satisfies_fd_paper(&fd));
@@ -193,7 +210,7 @@ mod tests {
     fn book_instance_has_two_rows() {
         let t = sample::example_2_4_transformation();
         let doc = fig1();
-        let rel = t.rule("book").unwrap().shred(&doc);
+        let rel = shred(t.rule("book").unwrap(), &doc);
         // Book 123 has one author; book 234 has none (nulls) — still one row
         // each because empty author branches produce nulls, not row loss.
         assert_eq!(rel.len(), 2);
@@ -262,7 +279,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let rel = t.rule("pairs").unwrap().shred(&doc);
+        let rel = shred(t.rule("pairs").unwrap(), &doc);
         assert_eq!(rel.len(), 6);
         let tree = t.rule("pairs").unwrap().table_tree();
         assert_eq!(count_bindings(&tree, &doc), 6);
@@ -276,7 +293,7 @@ mod tests {
         // null there while chapNum/chapName are populated.
         let u = sample::example_3_1_universal();
         let doc = fig1();
-        let rel = u.shred(&doc);
+        let rel = shred(&u, &doc);
         // Expected bindings: book 123 (1 author) × chapters {1, 10} × no
         // sections → 2 rows; book 234 (no author) × chapter 1 × sections
         // {1, 2} → 2 rows.
@@ -298,8 +315,8 @@ mod tests {
     #[test]
     fn empty_document_yields_single_all_null_row() {
         let t = sample::example_2_4_transformation();
-        let doc = xmlprop_xmltree::Document::new("r");
-        let rel = t.rule("book").unwrap().shred(&doc);
+        let doc = Document::new("r");
+        let rel = shred(t.rule("book").unwrap(), &doc);
         assert_eq!(rel.len(), 1);
         assert!(rel.rows()[0].values().iter().all(Value::is_null));
     }
@@ -317,7 +334,7 @@ mod tests {
             }",
         )
         .unwrap();
-        let rel = t.rule("chap").unwrap().shred(&doc);
+        let rel = shred(t.rule("chap").unwrap(), &doc);
         let first = rel.value(&rel.rows()[0], "c").to_string();
         assert_eq!(first, "(@number:1, name:(S:Introduction))");
     }

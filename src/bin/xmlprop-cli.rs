@@ -285,41 +285,6 @@ fn corpus_files(dir: &str) -> Result<Vec<(String, std::path::PathBuf)>, Error> {
     Ok(files)
 }
 
-fn read_and_parse(path: &Path) -> Result<Document, Error> {
-    let text = fs::read_to_string(path).map_err(|e| Error::io(format!("cannot read: {e}")))?;
-    Document::parse_str(&text).map_err(|e| Error::Parse(e.to_string()))
-}
-
-/// Reads and parses a corpus directory over `jobs` worker threads (I/O and
-/// parsing dominate batch wall-clock on large corpora, so they share the
-/// pipeline's thread budget rather than serializing in front of it — the
-/// fan-out scaffold is the pipeline crate's).  Returns the parsed documents
-/// (with file names, in name order) and the per-file parse failures — a
-/// malformed file never aborts the batch.
-#[allow(clippy::type_complexity)]
-fn load_corpus(
-    dir: &str,
-    jobs: Jobs,
-) -> Result<(Vec<(String, Document)>, Vec<(String, String)>), Error> {
-    let files = corpus_files(dir)?;
-    let outcomes = xmlprop::pipeline::fan_out(
-        &files,
-        jobs.get(),
-        1, // chunk of 1: file I/O has no per-worker cache to keep warm
-        || (),
-        |(), _, (_, path)| read_and_parse(path),
-    );
-    let mut parsed = Vec::new();
-    let mut failed = Vec::new();
-    for ((name, _), outcome) in files.into_iter().zip(outcomes) {
-        match outcome {
-            Ok(doc) => parsed.push((name, doc)),
-            Err(e) => failed.push((name, e.to_string())),
-        }
-    }
-    Ok((parsed, failed))
-}
-
 /// `--jobs` only fans out over directory batches; say so instead of
 /// silently ignoring it on a single document.
 fn warn_single_document_jobs(jobs: Option<Jobs>) {
@@ -652,58 +617,48 @@ fn cmd_serve(args: &[String]) -> Result<bool, Error> {
     }
 }
 
-/// Runs a directory batch: the DOM pipeline over parsed documents, or —
-/// with `options.stream` — one streaming pass per file straight off its
-/// text (no document trees at all).  Returns `(name, outcome)` pairs in
-/// file-name order plus the per-file failures, or `None` for an empty
-/// directory.
+/// Runs a directory batch: one fan-out over the files, each worker owning
+/// one bundle scratch.  Each file is read, then either streamed straight off
+/// its text (`options.stream`, no document tree at all) or parsed and
+/// processed by the DOM pipeline.  Returns `(name, outcome)` pairs in
+/// file-name order plus the per-file failures (a malformed file never
+/// aborts the batch), or `None` for an empty directory.
 #[allow(clippy::type_complexity)]
 fn batch_outcomes(
     dir: &str,
     bundle: &CorpusBundle,
     options: &CorpusOptions,
 ) -> Result<Option<(Vec<(String, DocOutcome)>, Vec<(String, String)>)>, Error> {
-    if options.stream {
-        let files = corpus_files(dir)?;
-        if files.is_empty() {
-            return Ok(None);
-        }
-        let results = xmlprop::pipeline::fan_out(
-            &files,
-            options.jobs.get(),
-            1, // chunk of 1: file I/O has no per-worker cache to keep warm
-            || (),
-            |(), _, (_, path)| {
-                fs::read_to_string(path)
-                    .map_err(|e| Error::io(format!("cannot read: {e}")))
-                    .and_then(|text| {
-                        bundle
-                            .stream_text(&text, options)
-                            .map_err(|e| Error::Parse(e.to_string()))
-                    })
-            },
-        );
-        let mut outcomes = Vec::new();
-        let mut failed = Vec::new();
-        for ((name, _), result) in files.into_iter().zip(results) {
-            match result {
-                Ok(outcome) => outcomes.push((name, outcome)),
-                Err(e) => failed.push((name, e.to_string())),
-            }
-        }
-        Ok(Some((outcomes, failed)))
-    } else {
-        let (parsed, failed) = load_corpus(dir, options.jobs)?;
-        if parsed.is_empty() && failed.is_empty() {
-            return Ok(None);
-        }
-        let (names, docs): (Vec<String>, Vec<Document>) = parsed.into_iter().unzip();
-        let result = bundle.run(&docs, options);
-        Ok(Some((
-            names.into_iter().zip(result.documents).collect(),
-            failed,
-        )))
+    let files = corpus_files(dir)?;
+    if files.is_empty() {
+        return Ok(None);
     }
+    let results = xmlprop::pipeline::fan_out(
+        &files,
+        options.jobs.get(),
+        1, // chunk of 1: file I/O dominates, so hand out one file at a time
+        || bundle.scratch(),
+        |scratch, _, (_, path)| {
+            let text =
+                fs::read_to_string(path).map_err(|e| Error::io(format!("cannot read: {e}")))?;
+            if options.stream {
+                return bundle
+                    .stream_text(&text, options)
+                    .map_err(|e| Error::Parse(e.to_string()));
+            }
+            let doc = Document::parse_str(&text).map_err(|e| Error::Parse(e.to_string()))?;
+            Ok(bundle.process(&doc, scratch, options))
+        },
+    );
+    let mut outcomes = Vec::new();
+    let mut failed = Vec::new();
+    for ((name, _), result) in files.into_iter().zip(results) {
+        match result {
+            Ok(outcome) => outcomes.push((name, outcome)),
+            Err(e) => failed.push((name, e.to_string())),
+        }
+    }
+    Ok(Some((outcomes, failed)))
 }
 
 /// Batch validation: every `*.xml` file of `dir` against the key set, over

@@ -7,6 +7,7 @@ use xmlprop::core::{
 use xmlprop::prelude::*;
 use xmlprop::reldb::{attrs, covers_equivalent, is_bcnf};
 use xmlprop::xmlkeys::{example_2_1_keys, satisfies, satisfies_all};
+use xmlprop::xmlpath::PathCompiler;
 use xmlprop::xmltransform::sample as tsample;
 use xmlprop::xmltree::sample::fig1;
 
@@ -108,8 +109,10 @@ fn example_1_2_refinement() {
 fn examples_2_2_and_2_3() {
     let doc = fig1();
     let count = |p: &str| {
-        let expr: PathExpr = p.parse().unwrap();
-        expr.evaluate(&doc, doc.root()).len()
+        let mut universe = LabelUniverse::new();
+        let expr = universe.compile(&p.parse::<PathExpr>().unwrap());
+        let index = DocIndex::build(&doc, &mut universe);
+        expr.evaluate(&index, doc.root()).len()
     };
     assert_eq!(count("//book"), 2);
     assert_eq!(count("//@number"), 5);

@@ -12,7 +12,7 @@ use xmlprop::reldb::{
 };
 use xmlprop::workload::{generate, generate_document, DocConfig, WorkloadConfig};
 use xmlprop::xmlkeys::{implies, satisfies, satisfies_all};
-use xmlprop::xmlpath::{Atom, EvalScratch, LabelUniverse, PathCompiler};
+use xmlprop::xmlpath::{Atom, LabelUniverse, PathCompiler};
 use xmlprop::xmltree::DocIndex;
 
 // ---------------------------------------------------------------------------
@@ -106,7 +106,8 @@ proptest! {
         }
     }
 
-    /// Evaluation agrees with membership of root paths on small documents.
+    /// Compiled evaluation agrees with membership of root paths on small
+    /// documents.
     #[test]
     fn evaluation_agrees_with_membership(
         p in path_expr_strategy(),
@@ -122,7 +123,10 @@ proptest! {
             doc.add_element(a, "c");
             doc.add_element(root, "b");
         }
-        let reached: BTreeSet<NodeId> = p.evaluate(&doc, root).into_iter().collect();
+        let mut universe = LabelUniverse::new();
+        let compiled = universe.compile(&p);
+        let index = DocIndex::build(&doc, &mut universe);
+        let reached: BTreeSet<NodeId> = compiled.evaluate(&index, root).into_iter().collect();
         for node in doc.all_nodes() {
             let rho = Path::from_labels(doc.path_from_root(node));
             prop_assert_eq!(reached.contains(&node), rho.matches(&p));
@@ -349,68 +353,6 @@ proptest! {
             d.all_nodes().into_iter().map(|n| d.label(n).to_string()).collect()
         };
         prop_assert_eq!(labels(&reparsed), labels(&doc));
-    }
-
-    /// The compiled document engine agrees with the string facades on
-    /// random workload documents: path evaluation, shredding (whole
-    /// transformation) and key validation are pinned bit-for-bit.
-    #[test]
-    fn document_engine_agrees_with_string_facades_on_workloads(
-        fields in 4usize..10,
-        depth in 1usize..4,
-        extra_keys in 0usize..5,
-        branching in 1usize..4,
-        seed in 0u64..40,
-        omit in prop_oneof![Just(0.0f64), Just(0.3f64)],
-    ) {
-        let depth = depth.min(fields);
-        let w = generate(&WorkloadConfig::new(fields, depth, depth + extra_keys).with_seed(seed));
-        let doc = generate_document(
-            &w,
-            &DocConfig { branching, omission_probability: omit, seed, ..DocConfig::default() },
-        );
-
-        // Shredding: prepared plan == string facade, relation for relation.
-        let mut universe = LabelUniverse::new();
-        let plan = w.universal.prepare(&mut universe);
-        let index = DocIndex::build(&doc, &mut universe);
-        prop_assert_eq!(plan.shred(&doc, &index), w.universal.shred(&doc));
-
-        // Path evaluation: compiled == string, over the rule's own paths
-        // plus wildcard probes, from the root and from every entity node.
-        let mut scratch = EvalScratch::new();
-        let mut out = Vec::new();
-        let tree = w.universal.table_tree();
-        let mut probes: Vec<PathExpr> = tree
-            .variables()
-            .iter()
-            .map(|v| tree.path_from_root(v))
-            .collect();
-        probes.push("//".parse().unwrap());
-        probes.push(format!("//{}", w.level_labels[depth - 1]).parse().unwrap());
-        probes.push(format!("//{}//", w.level_labels[0]).parse().unwrap());
-        for expr in &probes {
-            let compiled = universe.compile(expr);
-            compiled.evaluate_positions(&index, index.position(doc.root()), &mut scratch, &mut out);
-            let engine: Vec<NodeId> = out.iter().map(|&p| index.node_at(p)).collect();
-            prop_assert_eq!(engine, expr.evaluate(&doc, doc.root()), "{}", expr);
-        }
-
-        // Key validation: prepared KeyIndex == string oracle, per key and
-        // for the whole set.
-        let mut key_index = w.sigma.prepare();
-        let key_doc_index = key_index.index_document(&doc);
-        for (k, key) in w.sigma.iter().enumerate() {
-            prop_assert_eq!(
-                key_index.violations_of(k, &doc, &key_doc_index),
-                xmlprop::xmlkeys::violations(&doc, key),
-                "key {}", key
-            );
-        }
-        prop_assert_eq!(
-            key_index.satisfies(&doc, &key_doc_index),
-            satisfies_all(&doc, w.sigma.iter())
-        );
     }
 
     /// The polynomial and exponential minimum-cover algorithms agree on
