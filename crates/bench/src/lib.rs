@@ -92,7 +92,8 @@ pub struct Row {
     pub n: usize,
     /// The measured value, in `unit`.
     pub value: f64,
-    /// `s` (seconds), `1/s` (operations per second) or `count`.
+    /// `s` (seconds), `ms` (milliseconds per operation), `1/s`
+    /// (operations per second) or `count`.
     pub unit: &'static str,
     /// How `value` summarizes the trials: `median`, or `exact` for a count.
     pub stat: &'static str,
@@ -123,6 +124,20 @@ impl Row {
             unit: "1/s",
             stat: "median",
             spread: rate(stats.min) - rate(stats.p90),
+        }
+    }
+
+    /// A milliseconds-per-operation row for an arm that performs `ops`
+    /// operations per trial.
+    fn ms_per_op(bench: impl Into<String>, n: usize, stats: &Stats, ops: usize) -> Row {
+        let ms = |secs: f64| secs * 1e3 / ops as f64;
+        Row {
+            bench: bench.into(),
+            n,
+            value: ms(stats.median),
+            unit: "ms",
+            stat: "median",
+            spread: ms(stats.p90) - ms(stats.min),
         }
     }
 
@@ -207,7 +222,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "serve",
-        "Resident server: validate requests/s vs client threads",
+        "Resident server: validate requests/s vs client threads, per-verb round trips",
         serve,
     ),
     (
@@ -855,7 +870,8 @@ const FAULTY_SERVE_SPEC: &str = "conn.read=10%delay:1,conn.write=10%short:16";
 
 /// Validate throughput of the resident server at 1/2/4/8 concurrent client
 /// connections, each a real TCP loopback session, with `n` the client
-/// count; once clean and once under [`FAULTY_SERVE_SPEC`].  Every served
+/// count; once clean and once under [`FAULTY_SERVE_SPEC`].  Then the round
+/// trip of each verb at one client ([`serve_roundtrips`]).  Every served
 /// response is asserted byte-equal to the one-shot renderer's output.
 fn serve(quick: bool) -> Vec<Row> {
     use xmlprop_server::{render, Client, Request, Server, ServiceConfig};
@@ -936,7 +952,101 @@ fn serve(quick: bool) -> Vec<Row> {
             Row::per_sec(bench, threads, stats, requests / threads * threads)
         }));
     }
+    rows.extend(serve_roundtrips(&bundle, &texts[0], quick));
     rows
+}
+
+/// Per-verb round trips of the resident server at one client: one loopback
+/// connection sends a run of sequential requests of one verb per trial,
+/// and each `serve_roundtrip_ms_<verb>` row (`n` = 1 client) is the
+/// milliseconds per request.  Validate and shred carry `text`; propagate
+/// asks for the first FD of the first rule's cover, cover for that rule.
+/// A round trip is the transport plus the handler, so a message that
+/// leaves its sender in several writes shows here as a delayed-ACK stall.
+fn serve_roundtrips(bundle: &CorpusBundle, text: &str, quick: bool) -> Vec<Row> {
+    use std::cell::RefCell;
+    use xmlprop_server::{render, Client, Request, Server};
+    let doc = Document::parse_str(text).expect("serialized corpus documents reparse");
+    let mut scratch = bundle.scratch();
+    let rule = &bundle.covers()[0];
+    let fd = rule
+        .cover
+        .first()
+        .expect("the universal rule propagates FDs");
+    let engine = render::require_rule(bundle, &rule.relation).expect("the rule is served");
+    let cases = [
+        (
+            Request::Validate {
+                document: text.to_string(),
+            },
+            render::validate_report(bundle, &doc, &mut scratch).1,
+        ),
+        (
+            Request::Shred {
+                document: text.to_string(),
+                relation: None,
+            },
+            render::shred_report(bundle, &doc, &mut scratch, None)
+                .expect("the corpus document shreds")
+                .1,
+        ),
+        (
+            Request::Propagate {
+                relation: rule.relation.clone(),
+                fd: fd.to_string(),
+            },
+            render::propagate_report(&engine.propagation_explained(fd)).1,
+        ),
+        (
+            Request::Cover {
+                relation: Some(rule.relation.clone()),
+            },
+            render::cover_report(bundle, Some(&rule.relation))
+                .expect("the rule has a cover")
+                .1,
+        ),
+    ];
+    let server = Server::bind(
+        "127.0.0.1:0",
+        bundle.clone(),
+        Jobs::new(1).expect("1 is a valid thread count"),
+    )
+    .expect("loopback bind");
+    let client = RefCell::new(Client::connect(server.local_addr()).expect("loopback connect"));
+    let round_trip = |(request, expected): &(Request, String)| {
+        let response = client
+            .borrow_mut()
+            .send(request)
+            .expect("request round-trip");
+        assert_eq!(
+            &response.payload,
+            expected,
+            "served {} must equal the renderer output",
+            request.verb()
+        );
+    };
+    let repeats = if quick { 4 } else { 40 };
+    let mut arms: Vec<_> = cases
+        .iter()
+        .map(|case| move || (0..repeats).for_each(|_| round_trip(case)))
+        .collect();
+    let stats = measure(
+        || cases.iter().for_each(round_trip),
+        &mut arms
+            .iter_mut()
+            .map(|arm| arm as &mut dyn FnMut())
+            .collect::<Vec<_>>(),
+    );
+    drop(client);
+    server.shutdown();
+    cases
+        .iter()
+        .zip(&stats)
+        .map(|((request, _), stats)| {
+            let bench = format!("serve_roundtrip_ms_{}", request.verb());
+            Row::ms_per_op(bench, 1, stats, repeats)
+        })
+        .collect()
 }
 
 /// A document under edits, with its index kept current.
@@ -1392,6 +1502,15 @@ mod tests {
                 if Faults::parse(FAULTY_SERVE_SPEC, 42).is_ok() {
                     grid.extend(family(&["serve_requests_per_sec_faulty"], &[1, 2]));
                 }
+                grid.extend(family(
+                    &[
+                        "serve_roundtrip_ms_validate",
+                        "serve_roundtrip_ms_shred",
+                        "serve_roundtrip_ms_propagate",
+                        "serve_roundtrip_ms_cover",
+                    ],
+                    &[1],
+                ));
                 grid
             }
             "incremental" => family(
@@ -1421,6 +1540,8 @@ mod tests {
                 let (unit, stat) = if row.bench == "stream_peak_open_bindings" {
                     assert!(row.value > 0.0 && row.value < row.n as f64, "{row:?}");
                     ("count", "exact")
+                } else if row.bench.starts_with("serve_roundtrip_ms_") {
+                    ("ms", "median")
                 } else if row.bench.starts_with("serve_") {
                     ("1/s", "median")
                 } else {

@@ -8,7 +8,7 @@
 //! worker threads, or inside an `Arc` by long-lived services — across any
 //! number of documents.  Every query method takes `&self`; the bundle is
 //! `Send + Sync` by construction (no interior mutability beyond the
-//! `OnceLock`-cached key splits).
+//! `OnceLock`-cached key splits and minimum covers).
 //!
 //! The one piece of per-document state a worker needs that is *not*
 //! read-only is a [`xmlprop_xmlpath::LabelUniverse`] to intern novel
@@ -23,6 +23,7 @@
 
 use crate::run::{CorpusOptions, DocOutcome};
 use crate::state::RequestScratch;
+use std::sync::OnceLock;
 use xmlprop_core::PropagationEngine;
 use xmlprop_reldb::{Database, Fd};
 use xmlprop_xmlkeys::{KeyIndex, KeySet};
@@ -49,6 +50,9 @@ pub struct CorpusBundle {
     universe: LabelUniverse,
     plan: TransformationPlan,
     engines: Vec<PropagationEngine>,
+    /// The engines' minimum covers, computed on first use (a
+    /// validation-only bundle never pays for them).
+    covers: OnceLock<Vec<RuleCover>>,
 }
 
 impl CorpusBundle {
@@ -74,6 +78,7 @@ impl CorpusBundle {
             universe,
             plan,
             engines,
+            covers: OnceLock::new(),
         }
     }
 
@@ -187,14 +192,18 @@ impl CorpusBundle {
 
     /// The propagated minimum cover of every rule, in rule order — the
     /// corpus-level (document-independent) output of the paper's
-    /// `minimumCover` algorithm.
-    pub fn covers(&self) -> Vec<RuleCover> {
-        self.engines
-            .iter()
-            .map(|engine| RuleCover {
-                relation: engine.rule().schema().name().to_string(),
-                cover: engine.minimum_cover(),
-            })
-            .collect()
+    /// `minimumCover` algorithm.  Computed once per bundle, on first use;
+    /// every later call (the `cover` and `query` renderers, corpus runs)
+    /// reads the same covers.
+    pub fn covers(&self) -> &[RuleCover] {
+        self.covers.get_or_init(|| {
+            self.engines
+                .iter()
+                .map(|engine| RuleCover {
+                    relation: engine.rule().schema().name().to_string(),
+                    cover: engine.minimum_cover(),
+                })
+                .collect()
+        })
     }
 }

@@ -291,7 +291,7 @@ impl CorpusBundle {
             .map(|doc| self.process(doc, &mut scratch, options))
             .collect();
         let covers = if options.covers {
-            self.covers()
+            self.covers().to_vec()
         } else {
             Vec::new()
         };
@@ -316,7 +316,7 @@ impl CorpusBundle {
             |scratch, _, doc| self.process(doc, scratch, options),
         );
         let covers = if options.covers {
-            self.covers()
+            self.covers().to_vec()
         } else {
             Vec::new()
         };
@@ -450,6 +450,9 @@ mod tests {
         assert_eq!(result.covers.len(), 1);
         assert_eq!(result.covers[0].relation, "book");
         assert_eq!(result.covers[0].cover, bundle.engines()[0].minimum_cover());
+        // Computed once per bundle: every call reads the same covers.
+        assert!(std::ptr::eq(bundle.covers(), bundle.covers()));
+        assert_eq!(bundle.covers(), result.covers);
     }
 
     #[test]

@@ -233,41 +233,61 @@ impl Relation {
         true
     }
 
-    /// Renders the instance as an aligned text table (Fig. 2 style).
+    /// Renders the instance as an aligned text table (Fig. 2 style): the
+    /// attribute names, a rule of dashes as long as that header line, then
+    /// one line per row (`NULL` for a null), every column separated by two
+    /// spaces and padded to its width, the last one included.
+    ///
+    /// A column's width is its longest cell in *bytes*, but cells are
+    /// padded to it in *chars*; for multi-byte text the two differ, and
+    /// the pinned outputs hold exactly these bytes.  The table is written
+    /// in one pass into one buffer, with no per-cell allocation.
     pub fn to_table_string(&self) -> String {
-        let mut widths: Vec<usize> = self.schema.attributes().iter().map(|a| a.len()).collect();
+        let attributes = self.schema.attributes();
+        let mut widths: Vec<usize> = attributes.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, v) in row.values().iter().enumerate() {
-                widths[i] = widths[i].max(v.to_string().len());
+            for (width, value) in widths.iter_mut().zip(row.values()) {
+                *width = (*width).max(cell(value).len());
             }
         }
-        let mut out = String::new();
-        let header: Vec<String> = self
-            .schema
-            .attributes()
-            .iter()
-            .enumerate()
-            .map(|(i, a)| format!("{:width$}", a, width = widths[i]))
-            .collect();
-        out.push_str(&format!("{}\n", header.join("  ")));
-        out.push_str(&format!("{}\n", "-".repeat(header.join("  ").len())));
+        let line = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1) + 1;
+        let mut out = String::with_capacity(line * (self.rows.len() + 2));
+        push_line(&mut out, &widths, attributes.iter().map(String::as_str));
+        let header = out.len() - 1;
+        out.extend(std::iter::repeat_n('-', header));
+        out.push('\n');
         for row in &self.rows {
-            let cells: Vec<String> = row
-                .values()
-                .iter()
-                .enumerate()
-                .map(|(i, v)| format!("{:width$}", v.to_string(), width = widths[i]))
-                .collect();
-            out.push_str(&format!("{}\n", cells.join("  ")));
+            push_line(&mut out, &widths, row.values().iter().map(cell));
         }
         out
     }
 }
 
+/// The text a table cell shows for `value`.
+fn cell(value: &Value) -> &str {
+    value.as_text().unwrap_or("NULL")
+}
+
+/// Appends one table line: each cell padded with spaces to its column's
+/// width counted in chars, cells joined by two spaces.
+fn push_line<'a>(out: &mut String, widths: &[usize], cells: impl Iterator<Item = &'a str>) {
+    for (i, (text, &width)) in cells.zip(widths).enumerate() {
+        if i > 0 {
+            out.push_str("  ");
+        }
+        out.push_str(text);
+        out.extend(std::iter::repeat_n(
+            ' ',
+            width.saturating_sub(text.chars().count()),
+        ));
+    }
+    out.push('\n');
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        write!(f, "{}", self.to_table_string())
+        f.write_str(&self.to_table_string())
     }
 }
 
@@ -307,6 +327,48 @@ impl Database {
     /// True if the database holds no relations.
     pub fn is_empty(&self) -> bool {
         self.relations.is_empty()
+    }
+}
+
+/// The historical table renderer, kept as the test oracle for
+/// [`Relation::to_table_string`]: a `format!` per cell and a `join` per
+/// line.
+#[cfg(test)]
+mod oracle {
+    use super::Relation;
+
+    pub fn to_table_string(relation: &Relation) -> String {
+        let mut widths: Vec<usize> = relation
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| a.len())
+            .collect();
+        for row in relation.rows() {
+            for (i, v) in row.values().iter().enumerate() {
+                widths[i] = widths[i].max(v.to_string().len());
+            }
+        }
+        let mut out = String::new();
+        let header: Vec<String> = relation
+            .schema()
+            .attributes()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| format!("{:width$}", a, width = widths[i]))
+            .collect();
+        out.push_str(&format!("{}\n", header.join("  ")));
+        out.push_str(&format!("{}\n", "-".repeat(header.join("  ").len())));
+        for row in relation.rows() {
+            let cells: Vec<String> = row
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(i, v)| format!("{:width$}", v.to_string(), width = widths[i]))
+                .collect();
+            out.push_str(&format!("{}\n", cells.join("  ")));
+        }
+        out
     }
 }
 
@@ -454,5 +516,66 @@ mod tests {
         assert!(db.get("Chapter").is_some());
         assert!(db.get("Missing").is_none());
         assert_eq!(db.relations().count(), 1);
+    }
+    #[test]
+    fn table_rendering_pads_by_chars_within_byte_widths() {
+        // "é" is 2 bytes and 1 char: the column is 2 bytes wide, and the
+        // 1-char cell gets one space of padding, as does `a`.
+        let schema = RelationSchema::new("r", ["a", "b"]);
+        let mut r = Relation::new(schema);
+        r.insert(Tuple::new(vec![Value::text("é"), Value::Null]));
+        assert_eq!(r.to_table_string(), "a   b   \n--------\né   NULL\n");
+        assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
+        let empty = Relation::new(RelationSchema::new("z", Vec::<String>::new()));
+        assert_eq!(empty.to_table_string(), "\n\n");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Distinct attribute names, ASCII and multi-byte.
+        const NAMES: [&str; 5] = ["isbn", "é", "名前", "n", "chapterName"];
+
+        fn value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                Just(Value::text("")),
+                Just(Value::text("1")),
+                Just(Value::text("NULL")),
+                Just(Value::text("Getting Acquainted")),
+                Just(Value::text("é")),
+                Just(Value::text("naïve café")),
+                Just(Value::text("日本語の本")),
+                Just(Value::text("🦀x")),
+            ]
+        }
+
+        fn relation() -> impl Strategy<Value = Relation> {
+            (
+                0usize..=NAMES.len(),
+                0usize..NAMES.len(),
+                prop::collection::vec(prop::collection::vec(value(), 5..6), 0..8),
+            )
+                .prop_map(|(arity, offset, rows)| {
+                    let names = (0..arity).map(|i| NAMES[(i + offset) % NAMES.len()]);
+                    let mut relation = Relation::new(RelationSchema::new("r", names));
+                    for mut values in rows {
+                        values.truncate(arity);
+                        relation.insert(Tuple::new(values));
+                    }
+                    relation
+                })
+        }
+
+        proptest! {
+            /// The one-pass renderer writes the oracle's exact bytes: nulls,
+            /// empty strings, multi-byte cells and names (byte widths, char
+            /// padding), and zero-arity schemas.
+            #[test]
+            fn table_rendering_matches_the_oracle(r in relation()) {
+                prop_assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
+            }
+        }
     }
 }

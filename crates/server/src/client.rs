@@ -14,6 +14,11 @@
 //!   injection heal transparently.  `reload` and `quit` are never
 //!   retried: a retry could apply a reload twice (epochs would tick
 //!   twice) or kill a session the caller still holds.
+//!
+//! Each request is encoded into one reusable buffer and leaves in a single
+//! write on a `TCP_NODELAY` socket, so no part of it waits on Nagle's
+//! algorithm for the server's delayed ACK (see [`crate::server`]'s framing
+//! rule).
 
 use crate::protocol::{Request, Response};
 use std::io::{BufRead, BufReader, Write};
@@ -47,6 +52,8 @@ impl Default for ClientConfig {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The encoding buffer every request of this session reuses.
+    out: Vec<u8>,
     greeting: String,
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
@@ -89,6 +96,9 @@ impl Client {
             let cause = last.expect("no success implies at least one failure");
             Error::io(format!("cannot connect to server: {cause}"))
         })?;
+        writer
+            .set_nodelay(true)
+            .map_err(|e| Error::io(format!("cannot set TCP_NODELAY: {e}")))?;
         let reader = writer
             .try_clone()
             .map_err(|e| Error::io(format!("cannot clone connection: {e}")))?;
@@ -118,6 +128,7 @@ impl Client {
         Ok(Client {
             reader,
             writer,
+            out: Vec::new(),
             greeting,
             addrs,
             config,
@@ -157,9 +168,10 @@ impl Client {
     }
 
     fn send_once(&mut self, request: &Request) -> Result<Response, Error> {
+        self.out.clear();
         request
-            .write_to(&mut self.writer)
-            .and_then(|()| self.writer.flush())
+            .write_to(&mut self.out)
+            .and_then(|()| self.writer.write_all(&self.out))
             .map_err(|e| Error::io(format!("sending request: {e}")))?;
         Response::read_from(&mut self.reader)?
             // EOF where a response belongs is a transport failure (the
@@ -184,4 +196,30 @@ fn retryable(error: &Error) -> bool {
         error.kind(),
         ErrorKind::Io | ErrorKind::Timeout | ErrorKind::Overloaded
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Server;
+    use xmlprop_pipeline::{parse_keys_text, parse_rules_text, CorpusBundle, Jobs};
+
+    #[test]
+    fn connected_sockets_disable_nagle() {
+        let bundle = CorpusBundle::prepare(
+            parse_keys_text("K1: (ε, (//book, {@isbn}))\n", "keys").unwrap(),
+            parse_rules_text(
+                "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }\n",
+                "rules",
+            )
+            .unwrap(),
+        );
+        let server = Server::bind("127.0.0.1:0", bundle, Jobs::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(client.writer.nodelay().ok(), Some(true));
+        assert_eq!(client.reader.get_ref().nodelay().ok(), Some(true));
+        let response = client.send(&Request::Ping).unwrap();
+        assert_eq!(response.header, "ok ping bundle=1");
+        server.shutdown();
+    }
 }

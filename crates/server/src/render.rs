@@ -134,13 +134,13 @@ pub fn cover_report(
     let mut fds = 0;
     match relation {
         Some(rel) => {
-            let engine = require_rule(bundle, rel)?;
-            fds += write_cover(&mut out, &engine.minimum_cover());
+            let rule = rule_index(bundle, rel)?;
+            fds += write_cover(&mut out, &bundle.covers()[rule].cover);
         }
         None => {
-            for engine in bundle.engines() {
-                writeln!(out, "-- {}", engine.rule().schema().name()).expect("String write");
-                fds += write_cover(&mut out, &engine.minimum_cover());
+            for rule in bundle.covers() {
+                writeln!(out, "-- {}", rule.relation).expect("String write");
+                fds += write_cover(&mut out, &rule.cover);
             }
         }
     }
@@ -210,9 +210,10 @@ pub fn propagate_report(outcomes: &[PropagationOutcome]) -> (bool, String) {
 /// table, and a row-count trailer. Returns the row count and the text.
 ///
 /// The catalog the planner optimizes against is the bundle's **propagated
-/// covers** — the same `minimum_cover()` the `cover` verb reports — so a
-/// join equated on a propagated key executes as a hash lookup. Only the
-/// relations the query mentions are shredded.
+/// covers** — the same [`CorpusBundle::covers`] the `cover` verb reports,
+/// computed once per bundle — so a join equated on a propagated key
+/// executes as a hash lookup. Only the relations the query mentions are
+/// shredded.
 pub fn query_report(
     bundle: &CorpusBundle,
     doc: &Document,
@@ -221,8 +222,8 @@ pub fn query_report(
 ) -> Result<(usize, String), Error> {
     let query = xmlprop_query::parse_query(query_text)?;
     let mut catalog = xmlprop_query::Catalog::new();
-    for engine in bundle.engines() {
-        catalog.add_relation(engine.rule().schema().clone(), &engine.minimum_cover());
+    for (engine, rule) in bundle.engines().iter().zip(bundle.covers()) {
+        catalog.add_relation(engine.rule().schema().clone(), &rule.cover);
     }
     let plan = xmlprop_query::plan(&query, &catalog)?;
     let needed: std::collections::BTreeSet<&str> = std::iter::once(query.from.as_str())
@@ -262,10 +263,17 @@ pub fn require_rule<'b>(
     bundle: &'b CorpusBundle,
     relation: &str,
 ) -> Result<&'b PropagationEngine, Error> {
+    Ok(&bundle.engines()[rule_index(bundle, relation)?])
+}
+
+/// The rule-order position of `relation` (an index into both
+/// [`CorpusBundle::engines`] and [`CorpusBundle::covers`]), or the
+/// [`require_rule`] diagnostic.
+fn rule_index(bundle: &CorpusBundle, relation: &str) -> Result<usize, Error> {
     bundle
         .engines()
         .iter()
-        .find(|e| e.rule().schema().name() == relation)
+        .position(|e| e.rule().schema().name() == relation)
         .ok_or_else(|| {
             let known = bundle
                 .transformation()

@@ -43,6 +43,16 @@
 //!   complete and flush), then waits for the gate to drain under
 //!   [`ServiceConfig::drain_timeout`] before force-closing stragglers.
 //!
+//! ## Framing discipline
+//!
+//! Every `xmlprop/1` message — greeting, response, shed line — is encoded
+//! into one buffer and leaves in a single `write_all`, on a socket with
+//! `TCP_NODELAY` set at accept (the [`crate::Client`] does the same for
+//! requests).  A message split over several writes lets Nagle's algorithm
+//! hold its tail until the peer ACKs the head, and a peer that delays its
+//! ACK (40 ms on Linux) stalls the round trip by that much.  There is no
+//! knob for this: no configuration field, flag or environment variable.
+//!
 //! All of it is exercised deterministically through
 //! [`xmlprop_pipeline::faultline`]: [`Server::bind_with`] accepts a
 //! [`Faults`] schedule whose `accept.conn` / `conn.read` / `conn.write` /
@@ -52,7 +62,7 @@
 use crate::protocol::{self, Request, Response};
 use crate::render;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -727,6 +737,8 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Best-effort: a socket that refuses it still serves, only slower.
+        let _ = stream.set_nodelay(true);
         // `accept.conn` models a connection torn before service (peer
         // reset between accept and greeting).
         if state.faults().fire_io("accept.conn").is_err() {
@@ -757,14 +769,12 @@ fn accept_loop(
 
 /// Sheds a connection the gate could not admit: one `err overloaded` line
 /// in greeting position (clients classify it through the shared wire-code
-/// table), under a short write timeout so a dead peer cannot stall the
-/// accept thread.
+/// table), sent in one write under a short write timeout so a dead peer
+/// cannot stall the accept thread.
 fn shed(mut stream: TcpStream, max: usize) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = writeln!(
-        stream,
-        "err overloaded server at capacity ({max} connections); retry later"
-    );
+    let line = format!("err overloaded server at capacity ({max} connections); retry later\n");
+    let _ = stream.write_all(line.as_bytes());
 }
 
 /// The read half of a connection with the timeout policy applied: each
@@ -846,7 +856,9 @@ impl Read for DeadlineStream {
 /// `quit`, EOF, or a framing error (framing errors get an `err` response
 /// and close the connection; request-level errors keep it open).  The
 /// transport is the hardened stack: deadline-governed reads, write
-/// timeouts, and the connection-level fault points.
+/// timeouts, and the connection-level fault points.  Every message is
+/// encoded into the connection's one `out` buffer and sent with a single
+/// `write_all` (see the module docs' framing discipline).
 fn handle_connection(
     stream: TcpStream,
     state: &ServerState,
@@ -860,14 +872,10 @@ fn handle_connection(
         "conn.read",
         "conn.write",
     ));
-    let mut writer = BufWriter::new(FaultStream::new(
-        stream,
-        state.faults().clone(),
-        "conn.read",
-        "conn.write",
-    ));
-    writeln!(writer, "{}", state.greeting())?;
-    writer.flush()?;
+    let mut writer = FaultStream::new(stream, state.faults().clone(), "conn.read", "conn.write");
+    let mut out = state.greeting().into_bytes();
+    out.push(b'\n');
+    writer.write_all(&out)?;
     let mut cache = ScratchCache::new();
     loop {
         reader.get_mut().get_mut().clear_deadline();
@@ -876,8 +884,9 @@ fn handle_connection(
             Ok(Some(request)) => {
                 let quit = request == Request::Quit;
                 let response = state.respond(&request, &mut cache);
-                response.write_to(&mut writer)?;
-                writer.flush()?;
+                out.clear();
+                response.write_to(&mut out)?;
+                writer.write_all(&out)?;
                 if quit {
                     return Ok(());
                 }
@@ -888,8 +897,9 @@ fn handle_connection(
                 }
                 // Framing is broken or the peer blew a deadline; answer
                 // once (best-effort) and hang up.
-                let _ = Response::error(&error).write_to(&mut writer);
-                let _ = writer.flush();
+                out.clear();
+                Response::error(&error).write_to(&mut out)?;
+                let _ = writer.write_all(&out);
                 return Ok(());
             }
         }
