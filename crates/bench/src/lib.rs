@@ -637,21 +637,26 @@ fn universal_transformation(w: &Workload) -> Transformation {
     t
 }
 
-/// The document engine at 10⁴–10⁶ nodes: the one-time `DocIndex` build,
-/// universal-relation shredding through a prepared `ShredPlan`, and
-/// whole-Σ validation through `KeyIndex::satisfies`.  `n` is the exact
-/// node count.
+/// The document engine at 10⁴–10⁶ nodes: the DOM parse of the serialized
+/// document alone, the one-time `DocIndex` build, universal-relation
+/// shredding through a prepared `ShredPlan`, and whole-Σ validation
+/// through `KeyIndex::satisfies`.  `n` is the exact node count.
 fn docs(quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for &point in doc_grid(quick) {
         let (w, doc, nodes) = grid_document(point);
+        let text = to_xml(&doc);
         let mut universe = LabelUniverse::new();
         let plan = w.universal.prepare(&mut universe);
         let doc_index = DocIndex::build(&doc, &mut universe);
         let mut key_index = w.sigma.prepare();
         let key_doc_index = key_index.index_document(&doc);
+        let parse = || Document::parse_str(&text).expect("serialized documents reparse");
         let stats = measure(
             || {
+                let parsed = parse();
+                assert_eq!(parsed.len(), nodes, "the parse keeps every node");
+                assert_eq!(to_xml(&parsed), text, "the parse round-trips");
                 let shredded = plan.shred(&doc, &doc_index);
                 assert!(!shredded.is_empty(), "the universal relation is empty");
                 assert!(
@@ -660,6 +665,9 @@ fn docs(quick: bool) -> Vec<Row> {
                 );
             },
             &mut [
+                &mut || {
+                    black_box(parse());
+                },
                 &mut || {
                     black_box(DocIndex::build(&doc, &mut universe));
                 },
@@ -673,6 +681,7 @@ fn docs(quick: bool) -> Vec<Row> {
         );
         rows.extend(time_rows(
             [
+                "docs_parse",
                 "docs_index_build",
                 "docs_shred_prepared",
                 "docs_validate_prepared",
@@ -1479,6 +1488,7 @@ mod tests {
             .concat(),
             "docs" => family(
                 &[
+                    "docs_parse",
                     "docs_index_build",
                     "docs_shred_prepared",
                     "docs_validate_prepared",

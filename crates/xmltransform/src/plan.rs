@@ -321,7 +321,7 @@ impl ShredPlan {
                 pos => {
                     let node = index.node_at(pos);
                     let slot = &mut scratch.values[node.index()];
-                    slot.get_or_insert_with(|| Value::text(field_value(doc, node)))
+                    slot.get_or_insert_with(|| Value::from(field_value(doc, node).as_ref()))
                         .clone()
                 }
             })

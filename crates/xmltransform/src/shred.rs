@@ -8,6 +8,7 @@
 //! to fill a field, and, in tests, the string walk the plan is checked
 //! against.
 
+use std::borrow::Cow;
 use xmlprop_xmltree::{Document, NodeId};
 
 /// The string stored in a relational field for a bound node.
@@ -17,16 +18,23 @@ use xmlprop_xmltree::{Document, NodeId};
 /// for a `name` element in Example 2.5); elements with attribute or element
 /// children contribute the full pre-order `value()` serialization, as in the
 /// paper's `value(11)` illustration.
-pub(crate) fn field_value(doc: &Document, node: NodeId) -> String {
+pub(crate) fn field_value(doc: &Document, node: NodeId) -> Cow<'_, str> {
     use xmlprop_xmltree::NodeKind;
     match doc.kind(node) {
-        NodeKind::Attribute | NodeKind::Text => doc.value(node),
+        NodeKind::Attribute | NodeKind::Text => Cow::Borrowed(
+            doc.text_value(node)
+                .expect("attribute and text nodes carry text"),
+        ),
         NodeKind::Element => {
-            let only_text = doc.children(node).all(|c| doc.kind(c).is_text());
-            if only_text {
-                doc.string_value(node)
-            } else {
-                doc.value(node)
+            if !doc.children(node).all(|c| doc.kind(c).is_text()) {
+                return Cow::Owned(doc.value(node));
+            }
+            // A text-only element: a single text child is borrowed as is.
+            let mut texts = doc.children(node);
+            match (texts.next(), texts.next()) {
+                (None, _) => Cow::Borrowed(""),
+                (Some(only), None) => field_value(doc, only),
+                _ => Cow::Owned(doc.string_value(node)),
             }
         }
     }

@@ -3,6 +3,7 @@
 use crate::delta::{AppliedDelta, Delta, DeltaError, Fragment};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::ParseError;
+use std::collections::HashMap;
 use std::fmt;
 
 /// An XML document stored as an arena of nodes.
@@ -45,13 +46,43 @@ use std::fmt;
 /// [`Document::ids_in_document_order`] reports whether that still holds).
 /// Code that needs document order must rank nodes by DFS position, e.g.
 /// through a [`crate::DocIndex`], not by `NodeId`.
-/// Equality is *structural identity* of the arenas (same nodes, same ids,
-/// same child order) — what the corpus-generation reproducibility tests
-/// compare; two structurally equal trees built in different insertion
-/// orders may compare unequal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Storage
+///
+/// A node record owns no strings, so adding a node allocates nothing
+/// beyond its parent's child list:
+///
+/// * **labels** live in a per-document *label table* that stores each
+///   distinct label once; a node holds its slot.  Attribute labels are
+///   interned with their `@` prefix (the table is keyed by the bare name,
+///   so adding `isbn` never formats `@isbn`), and every text node shares
+///   the one `S` slot.  [`crate::DocIndex::build`] interns each *slot* into
+///   a [`crate::LabelUniverse`] once, not each node;
+/// * **text** of attribute and text nodes is a byte span of one
+///   per-document text buffer.  [`Document::set_text`] and subtree inserts
+///   append to the buffer; a replaced value's old span stays behind as a
+///   dead span (a text tombstone) until the document is dropped.  The
+///   buffer is addressed by `u32` offsets, so a document holds at most
+///   4 GiB of text, dead spans included: [`crate::parse`] rejects longer
+///   input with a [`ParseError`], the mutation methods panic.
+///
+/// # Equality
+///
+/// Equality is *structural identity* of the arenas: node by node the same
+/// kind, label, text, parent and child order, plus the same root, last
+/// node, id-order flag, live count and epoch — what the corpus-generation
+/// reproducibility tests compare.  The order of the label table and the
+/// dead spans of the text buffer are storage details and do not affect
+/// it; two structurally equal trees built in different insertion orders
+/// may still compare unequal, since their `NodeId`s differ.
+#[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<NodeData>,
+    /// Every distinct label, once; nodes hold slots into it.
+    labels: LabelTable,
+    /// The text of every attribute and text node, as spans; see the
+    /// struct docs.
+    text: String,
     root: NodeId,
     /// The most recently created node.
     last: NodeId,
@@ -66,10 +97,19 @@ pub struct Document {
 
 impl Document {
     /// Creates a document with a single root element labelled `root_label`.
-    pub fn new(root_label: impl Into<String>) -> Self {
-        let root_data = NodeData::element(root_label, None);
+    pub fn new(root_label: impl AsRef<str>) -> Self {
+        let mut labels = LabelTable::default();
+        let root_data = NodeData {
+            kind: NodeKind::Element,
+            label: labels.plain(root_label.as_ref()),
+            text: (0, 0),
+            parent: None,
+            children: Vec::new(),
+        };
         Document {
             nodes: vec![root_data],
+            labels,
+            text: String::new(),
             root: NodeId(0),
             last: NodeId(0),
             id_order: true,
@@ -162,15 +202,41 @@ impl Document {
     /// `S` for text nodes (following Fig. 1 of the paper).
     #[inline]
     pub fn label(&self, id: NodeId) -> &str {
-        &self.data(id).label
+        self.labels.name(self.data(id).label)
+    }
+
+    /// The label-table slot of node `id` (crate-internal: lets
+    /// [`crate::DocIndex::build`] intern each distinct label once).
+    #[inline]
+    pub(crate) fn label_slot(&self, id: NodeId) -> usize {
+        self.data(id).label as usize
+    }
+
+    /// The number of label-table slots; every [`Document::label_slot`] is
+    /// below it.
+    pub(crate) fn label_slots(&self) -> usize {
+        self.labels.names.len()
+    }
+
+    /// The label stored in a label-table slot.
+    pub(crate) fn slot_label(&self, slot: usize) -> &str {
+        &self.labels.names[slot]
     }
 
     /// The text carried by an attribute or text node, `None` for elements.
     pub fn text_value(&self, id: NodeId) -> Option<&str> {
         match self.data(id).kind {
             NodeKind::Element => None,
-            NodeKind::Attribute | NodeKind::Text => Some(self.data(id).text.as_str()),
+            NodeKind::Attribute | NodeKind::Text => Some(self.text_of(self.data(id))),
         }
+    }
+
+    /// The text span of a node record, resolved against the text buffer
+    /// (empty for elements).
+    #[inline]
+    fn text_of(&self, data: &NodeData) -> &str {
+        let (start, end) = data.text;
+        &self.text[start as usize..end as usize]
     }
 
     /// The parent of `id`, or `None` for the root.
@@ -225,13 +291,9 @@ impl Document {
     /// attribute nodes with the same name (which the paper's model permits,
     /// even though well-formed XML does not) the first one is returned.
     pub fn attribute_node(&self, id: NodeId, name: &str) -> Option<NodeId> {
-        let want = if name.starts_with('@') {
-            name.to_string()
-        } else {
-            format!("@{name}")
-        };
+        let want = name.strip_prefix('@').unwrap_or(name);
         self.children(id)
-            .find(|&c| self.kind(c).is_attribute() && self.label(c) == want)
+            .find(|&c| self.kind(c).is_attribute() && self.label(c).strip_prefix('@') == Some(want))
     }
 
     /// The string value of attribute `name` on element `id`, if present.
@@ -251,7 +313,7 @@ impl Document {
 
     fn collect_text(&self, id: NodeId, out: &mut String) {
         match self.kind(id) {
-            NodeKind::Text | NodeKind::Attribute => out.push_str(&self.data(id).text),
+            NodeKind::Text | NodeKind::Attribute => out.push_str(self.text_of(self.data(id))),
             NodeKind::Element => {
                 for c in self.children(id) {
                     if !self.kind(c).is_attribute() {
@@ -363,47 +425,78 @@ impl Document {
     // Mutation
     // ------------------------------------------------------------------
 
-    fn push_node(&mut self, data: NodeData) -> NodeId {
+    /// Appends `text` to the text buffer and returns its span.
+    fn push_text(&mut self, text: &str) -> (u32, u32) {
+        let start = self.text.len() as u32; // every prior push was checked
+        let end = u32::try_from(self.text.len() + text.len())
+            .expect("document text exceeds the u32 range");
+        self.text.push_str(text);
+        (start, end)
+    }
+
+    /// Creates a node under `parent` (not yet in its child list).
+    fn push_node(
+        &mut self,
+        kind: NodeKind,
+        label: u32,
+        text: (u32, u32),
+        parent: NodeId,
+    ) -> NodeId {
         // NodeId order tracks document order exactly while every new node
         // goes under the previous node or one of its ancestors (a DFS-style
         // construction).  Appending anywhere else interleaves the orders.
-        if let Some(parent) = data.parent {
-            if self.id_order && parent != self.last && !self.is_ancestor(parent, self.last) {
-                self.id_order = false;
-            }
+        if self.id_order && parent != self.last && !self.is_ancestor(parent, self.last) {
+            self.id_order = false;
         }
         let id = NodeId(u32::try_from(self.nodes.len()).expect("document too large"));
-        self.nodes.push(data);
+        self.nodes.push(NodeData {
+            kind,
+            label,
+            text,
+            parent: Some(parent),
+            children: Vec::new(),
+        });
         self.last = id;
         self.live += 1;
         id
     }
 
-    /// Adds an element child labelled `label` under `parent` and returns its id.
-    pub fn add_element(&mut self, parent: NodeId, label: impl Into<String>) -> NodeId {
-        let id = self.push_node(NodeData::element(label, Some(parent)));
+    /// Creates a node of `kind` as the last child of `parent`.  Attribute
+    /// labels may come with or without their `@`.
+    fn append_node(&mut self, parent: NodeId, kind: NodeKind, label: &str, text: &str) -> NodeId {
+        let (label, text) = match kind {
+            NodeKind::Element => (self.labels.plain(label), (0, 0)),
+            NodeKind::Attribute => (self.labels.attribute(label), self.push_text(text)),
+            NodeKind::Text => (self.labels.plain(label), self.push_text(text)),
+        };
+        let id = self.push_node(kind, label, text, parent);
         self.data_mut(parent).children.push(id);
+        id
+    }
+
+    /// Adds an element child labelled `label` under `parent` and returns its id.
+    pub fn add_element(&mut self, parent: NodeId, label: impl AsRef<str>) -> NodeId {
+        let id = self.append_node(parent, NodeKind::Element, label.as_ref(), "");
         self.epoch += 1;
         id
     }
 
-    /// Adds an attribute node `@name = value` under element `parent`.
+    /// Adds an attribute node `@name = value` under element `parent`; `name`
+    /// may carry the leading `@` or not.
     pub fn add_attribute(
         &mut self,
         parent: NodeId,
-        name: impl Into<String>,
-        value: impl Into<String>,
+        name: impl AsRef<str>,
+        value: impl AsRef<str>,
     ) -> NodeId {
-        let id = self.push_node(NodeData::attribute(name, value, parent));
-        self.data_mut(parent).children.push(id);
+        let id = self.append_node(parent, NodeKind::Attribute, name.as_ref(), value.as_ref());
         self.epoch += 1;
         id
     }
 
     /// Adds a text node under element `parent`.
-    pub fn add_text(&mut self, parent: NodeId, value: impl Into<String>) -> NodeId {
-        let id = self.push_node(NodeData::text(value, parent));
-        self.data_mut(parent).children.push(id);
+    pub fn add_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> NodeId {
+        let id = self.append_node(parent, NodeKind::Text, "S", value.as_ref());
         self.epoch += 1;
         id
     }
@@ -440,11 +533,12 @@ impl Document {
         removed
     }
 
-    /// Replaces the text carried by attribute or text node `node`.
+    /// Replaces the text carried by attribute or text node `node`.  The new
+    /// text is appended to the text buffer; the old span stays behind dead.
     ///
     /// Panics when `node` is an element, unknown or detached; the checked
     /// equivalent is [`Document::apply`] with [`Delta::SetText`].
-    pub fn set_text(&mut self, node: NodeId, text: impl Into<String>) {
+    pub fn set_text(&mut self, node: NodeId, text: impl AsRef<str>) {
         assert!(
             self.contains(node),
             "cannot set text on unknown or detached node {node}"
@@ -453,7 +547,8 @@ impl Document {
             !self.kind(node).is_element(),
             "cannot set text on element node {node}"
         );
-        self.data_mut(node).text = text.into();
+        let span = self.push_text(text.as_ref());
+        self.data_mut(node).text = span;
         self.epoch += 1;
     }
 
@@ -487,7 +582,7 @@ impl Document {
                 if self.kind(node).is_element() {
                     return Err(DeltaError::SetTextOnElement(node));
                 }
-                self.set_text(node, text.clone());
+                self.set_text(node, text);
                 Ok(AppliedDelta::SetText { node })
             }
             Delta::InsertSubtree {
@@ -530,45 +625,26 @@ impl Document {
         let appended = position == self.data(parent).children.len();
         let root = match fragment {
             Fragment::Attribute { name, value } => {
-                let id = self.push_node(NodeData::attribute(name.clone(), value.clone(), parent));
-                self.data_mut(parent).children.push(id);
-                id
+                self.append_node(parent, NodeKind::Attribute, name, value)
             }
-            Fragment::Text(text) => {
-                let id = self.push_node(NodeData::text(text.clone(), parent));
-                self.data_mut(parent).children.push(id);
-                id
-            }
+            Fragment::Text(text) => self.append_node(parent, NodeKind::Text, "S", text),
             Fragment::Element(frag) => {
                 // Copy the fragment in document order so the new subtree is
                 // internally DFS-ordered; remap fragment ids to fresh ids.
+                // Labels re-intern into this document's table and text
+                // appends to its buffer.
                 let mut map = vec![u32::MAX; frag.arena_len()];
                 let mut root = self.root; // overwritten on the first node
                 for n in frag.all_nodes() {
-                    let id = if n == frag.root() {
-                        let id = self.push_node(NodeData {
-                            kind: frag.kind(n),
-                            label: frag.data(n).label.clone(),
-                            text: frag.data(n).text.clone(),
-                            parent: Some(parent),
-                            children: Vec::new(),
-                        });
-                        self.data_mut(parent).children.push(id);
-                        root = id;
-                        id
-                    } else {
-                        let new_parent =
-                            NodeId(map[frag.data(n).parent.expect("non-root").index()]);
-                        let id = self.push_node(NodeData {
-                            kind: frag.kind(n),
-                            label: frag.data(n).label.clone(),
-                            text: frag.data(n).text.clone(),
-                            parent: Some(new_parent),
-                            children: Vec::new(),
-                        });
-                        self.data_mut(new_parent).children.push(id);
-                        id
+                    let new_parent = match frag.parent(n) {
+                        Some(p) => NodeId(map[p.index()]),
+                        None => parent,
                     };
+                    let text = frag.text_value(n).unwrap_or("");
+                    let id = self.append_node(new_parent, frag.kind(n), frag.label(n), text);
+                    if n == frag.root() {
+                        root = id;
+                    }
                     map[n.index()] = id.0;
                 }
                 root
@@ -605,7 +681,7 @@ impl Document {
     ///   `(@number:1, name:(S:Introduction))`.
     pub fn value(&self, id: NodeId) -> String {
         match self.kind(id) {
-            NodeKind::Attribute | NodeKind::Text => self.data(id).text.clone(),
+            NodeKind::Attribute | NodeKind::Text => self.text_of(self.data(id)).to_string(),
             NodeKind::Element => {
                 let mut out = String::new();
                 self.value_children(id, &mut out);
@@ -626,11 +702,11 @@ impl Document {
                 NodeKind::Attribute => {
                     out.push_str(self.label(c));
                     out.push(':');
-                    out.push_str(&self.data(c).text);
+                    out.push_str(self.text_of(self.data(c)));
                 }
                 NodeKind::Text => {
                     out.push_str("S:");
-                    out.push_str(&self.data(c).text);
+                    out.push_str(self.text_of(self.data(c)));
                 }
                 NodeKind::Element => {
                     out.push_str(self.label(c));
@@ -640,6 +716,82 @@ impl Document {
             }
         }
         out.push(')');
+    }
+}
+
+impl PartialEq for Document {
+    fn eq(&self, other: &Self) -> bool {
+        self.root == other.root
+            && self.last == other.last
+            && self.id_order == other.id_order
+            && self.live == other.live
+            && self.epoch == other.epoch
+            && self.nodes.len() == other.nodes.len()
+            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
+                a.kind == b.kind
+                    && a.parent == b.parent
+                    && a.children == b.children
+                    && self.labels.name(a.label) == other.labels.name(b.label)
+                    && self.text_of(a) == other.text_of(b)
+            })
+    }
+}
+
+impl Eq for Document {}
+
+/// The per-document label table: each distinct label stored once, found
+/// again by name.  Attribute slots are keyed by the bare name so that
+/// interning one never builds the `@name` string after the first time.
+#[derive(Clone, Default)]
+struct LabelTable {
+    /// Slot → label (attribute labels with their `@`).
+    names: Vec<Box<str>>,
+    /// Element and text labels → slot.
+    plain: HashMap<Box<str>, u32>,
+    /// Attribute names without the `@` → slot.
+    attrs: HashMap<Box<str>, u32>,
+}
+
+impl LabelTable {
+    fn name(&self, slot: u32) -> &str {
+        &self.names[slot as usize]
+    }
+
+    /// The slot of element (or text) label `name`.
+    fn plain(&mut self, name: &str) -> u32 {
+        if let Some(&slot) = self.plain.get(name) {
+            return slot;
+        }
+        let slot = self.push(name.into());
+        self.plain.insert(name.into(), slot);
+        slot
+    }
+
+    /// The slot of attribute `name`, given with or without its `@`.
+    fn attribute(&mut self, name: &str) -> u32 {
+        let bare = name.strip_prefix('@').unwrap_or(name);
+        if let Some(&slot) = self.attrs.get(bare) {
+            return slot;
+        }
+        let mut label = String::with_capacity(bare.len() + 1);
+        label.push('@');
+        label.push_str(bare);
+        let slot = self.push(label.into_boxed_str());
+        self.attrs.insert(bare.into(), slot);
+        slot
+    }
+
+    fn push(&mut self, label: Box<str>) -> u32 {
+        let slot = u32::try_from(self.names.len()).expect("label table overflow");
+        self.names.push(label);
+        slot
+    }
+}
+
+impl fmt::Debug for LabelTable {
+    /// The labels in slot order; the lookup maps repeat them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.names).finish()
     }
 }
 
@@ -808,6 +960,64 @@ mod tests {
         let text = d.children(title).next().unwrap();
         d.set_text(text, "Relational");
         assert_eq!(d.string_value(book), "Relational");
+    }
+
+    #[test]
+    fn attribute_labels_get_the_at_prefix_once() {
+        let mut d = Document::new("r");
+        let with = d.add_attribute(d.root(), "@isbn", "1");
+        let without = d.add_attribute(d.root(), "isbn", "2");
+        assert_eq!(d.label(with), "@isbn");
+        assert_eq!(d.label(without), "@isbn");
+        assert_eq!(
+            d.label_slot(with),
+            d.label_slot(without),
+            "one slot per label"
+        );
+        let text = d.add_text(d.root(), "hello");
+        assert_eq!(d.label(text), "S");
+        assert_eq!(d.text_value(text), Some("hello"));
+        assert_eq!(d.label_slots(), 3, "r, @isbn, S");
+    }
+
+    #[test]
+    fn equality_ignores_dead_text_spans() {
+        let mut d = tiny();
+        let before = d.clone();
+        let book = d.element_children(d.root()).next().unwrap();
+        let isbn = d.attribute_node(book, "isbn").unwrap();
+        d.set_text(isbn, "999");
+        assert_ne!(d, before, "text and epoch differ");
+        d.set_text(isbn, "123");
+        // The same edits through another detour: equal epochs and text,
+        // different dead spans.
+        let mut want = before.clone();
+        want.set_text(isbn, "a much longer detour");
+        want.set_text(isbn, "123");
+        assert_ne!(d.text, want.text);
+        assert_eq!(d, want);
+        assert_ne!(d, before, "the epoch moved on");
+    }
+
+    #[test]
+    fn equality_ignores_label_table_order() {
+        // The same tree, with the label table filled in two orders: `b`
+        // first in one, `a` first in the other.
+        let mut one = Document::new("r");
+        let mut two = Document::new("r");
+        two.labels.plain("b");
+        two.labels.attribute("x");
+        for d in [&mut one, &mut two] {
+            let a = d.add_element(d.root(), "a");
+            d.add_attribute(a, "x", "1");
+            d.add_element(d.root(), "b");
+        }
+        assert_ne!(one.labels.names, two.labels.names);
+        assert_eq!(one, two);
+        let b = two.element_children(two.root()).nth(1).unwrap();
+        two.add_text(b, "t");
+        one.add_element(b, "t");
+        assert_ne!(one, two, "kind and label still count");
     }
 
     #[test]

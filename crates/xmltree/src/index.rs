@@ -8,7 +8,12 @@
 //!
 //! * every node's label is interned into a shared [`LabelUniverse`] (the
 //!   same universe the compiled path/key layers use, so a compiled
-//!   expression's `LabelId`s compare directly against document nodes);
+//!   expression's `LabelId`s compare directly against document nodes).
+//!   A [`Document`] stores each distinct label once in its label table, so
+//!   the build interns each *distinct* label once — on first sight, in
+//!   document order — and maps every other node through a slot → id
+//!   vector, never hashing a label string per node.  The order of the
+//!   document's label table therefore never shows in the index;
 //! * nodes are numbered in **document order** (DFS pre-order).  The subtree
 //!   of a node is the contiguous position range `pos..subtree_end(pos)`, so
 //!   *descendants-or-self* is a range scan and any position-sorted result is
@@ -63,7 +68,8 @@ pub struct DocIndex {
 
 impl DocIndex {
     /// Builds the index in one DFS pass, interning every label of the
-    /// document into `universe`.
+    /// document into `universe` — once per distinct label (the document's
+    /// label table maps nodes to it), not once per node.
     ///
     /// Labels already interned (e.g. by compiling a key set or a shred plan
     /// against the same universe first) keep their ids; ids are append-only,
@@ -78,6 +84,9 @@ impl DocIndex {
         let mut value_at = Vec::with_capacity(n);
         let mut postings: Vec<Vec<u32>> = vec![Vec::new(); universe.len()];
         let mut values: HashMap<String, u32> = HashMap::new();
+        // Document label slot → universe id, filled on first sight so each
+        // distinct label is interned once and in document order.
+        let mut slot_ids: Vec<Option<LabelId>> = vec![None; doc.label_slots()];
 
         enum Frame {
             Enter(NodeId),
@@ -90,7 +99,9 @@ impl DocIndex {
                     let pos = node_of.len() as u32;
                     node_of.push(node.index() as u32);
                     dfs_of[node.index()] = pos;
-                    let label = universe.intern(doc.label(node));
+                    let slot = doc.label_slot(node);
+                    let label = *slot_ids[slot]
+                        .get_or_insert_with(|| universe.intern(doc.slot_label(slot)));
                     if postings.len() <= label.index() {
                         postings.resize(label.index() + 1, Vec::new());
                     }
@@ -748,6 +759,137 @@ mod tests {
         let index = DocIndex::build(&doc, &mut u);
         doc.add_element(doc.root(), "late");
         index.debug_assert_current(&doc);
+    }
+
+    /// A standalone copy of the subtree rooted at element `node`.
+    fn subtree(doc: &Document, node: NodeId) -> Document {
+        fn fill(doc: &Document, from: NodeId, out: &mut Document, to: NodeId) {
+            for c in doc.children(from) {
+                let text = doc.text_value(c).unwrap_or("");
+                match doc.kind(c) {
+                    NodeKind::Element => {
+                        let e = out.add_element(to, doc.label(c));
+                        fill(doc, c, out, e);
+                    }
+                    NodeKind::Attribute => {
+                        out.add_attribute(to, doc.label(c), text);
+                    }
+                    NodeKind::Text => {
+                        out.add_text(to, text);
+                    }
+                }
+            }
+        }
+        let mut out = Document::new(doc.label(node));
+        let root = out.root();
+        fill(doc, node, &mut out, root);
+        out
+    }
+
+    /// The same tree as `doc`, rebuilt by grafting the root's children
+    /// last to first at position 0, so labels enter the copy's label table
+    /// in a different order.
+    fn regraft_reversed(doc: &Document) -> Document {
+        use crate::{Delta, Fragment};
+        let mut copy = Document::new(doc.label(doc.root()));
+        let children: Vec<NodeId> = doc.children(doc.root()).collect();
+        for &c in children.iter().rev() {
+            let text = doc.text_value(c).unwrap_or("").to_string();
+            let fragment = match doc.kind(c) {
+                NodeKind::Element => Fragment::Element(subtree(doc, c)),
+                NodeKind::Attribute => Fragment::Attribute {
+                    name: doc.label(c).to_string(),
+                    value: text,
+                },
+                NodeKind::Text => Fragment::Text(text),
+            };
+            let root = copy.root();
+            copy.apply(&Delta::InsertSubtree {
+                parent: root,
+                position: 0,
+                fragment,
+            })
+            .unwrap();
+        }
+        copy
+    }
+
+    fn label_table(doc: &Document) -> Vec<&str> {
+        (0..doc.label_slots()).map(|s| doc.slot_label(s)).collect()
+    }
+
+    #[test]
+    fn regrafted_copy_fills_its_label_table_in_another_order() {
+        let doc = Document::parse_str(r#"<r><a x="1"/><b>t</b></r>"#).unwrap();
+        let copy = regraft_reversed(&doc);
+        assert_eq!(crate::to_xml(&copy), crate::to_xml(&doc));
+        assert_eq!(label_table(&doc), ["r", "a", "@x", "b", "S"]);
+        assert_eq!(label_table(&copy), ["r", "b", "S", "a", "@x"]);
+    }
+
+    /// A random document from `(parent, kind, which)` steps, serialized
+    /// and parsed back.
+    fn parsed_doc(steps: &[(u8, u8, u8)]) -> Document {
+        let mut doc = Document::new("r");
+        let mut elements = vec![doc.root()];
+        for &(parent, kind, which) in steps {
+            let parent = elements[parent as usize % elements.len()];
+            let which = which as usize;
+            match kind % 4 {
+                0 | 1 => elements.push(doc.add_element(parent, ["a", "b", "c", "d"][which % 4])),
+                2 => {
+                    doc.add_attribute(parent, ["x", "y", "z"][which % 3], ["0", "1"][which % 2]);
+                }
+                _ => {
+                    doc.add_text(parent, ["t0", "t1", "1"][which % 3]);
+                }
+            }
+        }
+        Document::parse_str(&crate::to_xml(&doc)).unwrap()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The index depends on the tree, not on the order of the label
+        /// table: a parsed document and a regrafted equal copy give the
+        /// same labels, postings and value ids at every position — built
+        /// against fresh universes and against one shared universe.
+        #[test]
+        fn index_ignores_label_table_order(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..12), 0..40),
+        ) {
+            let doc = parsed_doc(&steps);
+            let copy = regraft_reversed(&doc);
+            prop_assert_eq!(crate::to_xml(&copy), crate::to_xml(&doc));
+            let (mut u1, mut u2) = (LabelUniverse::new(), LabelUniverse::new());
+            let (one, two) = (DocIndex::build(&doc, &mut u1), DocIndex::build(&copy, &mut u2));
+            prop_assert_eq!(u1.names(), u2.names());
+            let mut shared = LabelUniverse::new();
+            let three = DocIndex::build(&doc, &mut shared);
+            let four = DocIndex::build(&copy, &mut shared);
+            prop_assert_eq!(shared.names(), u1.names());
+            prop_assert_eq!(one.len(), doc.len());
+            for index in [&two, &three, &four] {
+                prop_assert_eq!(index.len(), one.len());
+                for pos in 0..one.len() as u32 {
+                    prop_assert_eq!(index.label_at(pos), one.label_at(pos), "label at {}", pos);
+                    prop_assert_eq!(index.kind_at(pos), one.kind_at(pos), "kind at {}", pos);
+                    prop_assert_eq!(
+                        index.value_id_at(pos),
+                        one.value_id_at(pos),
+                        "value id at {}",
+                        pos
+                    );
+                }
+                for label in 0..u1.len() {
+                    let label = LabelId(label as u32);
+                    prop_assert_eq!(index.postings(label), one.postings(label));
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! Node identity matters: XML keys are defined in terms of node identifiers,
 //! not values, so the tree is stored in an arena and nodes are addressed by
-//! [`NodeId`].
+//! [`NodeId`].  Node records own no strings: labels are slots of a
+//! per-document label table and text values are spans of one per-document
+//! text buffer (see [`Document`]), so adding a node allocates nothing
+//! beyond its parent's child list.
 //!
 //! The crate also provides:
 //!

@@ -74,59 +74,22 @@ impl NodeKind {
     }
 }
 
-/// Internal arena record for one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Internal arena record for one node.  It owns no strings: the label is
+/// a slot of the owning document's label table and the text a byte span
+/// of its text buffer (see [`crate::Document`]), so pushing a node costs
+/// no heap allocation beyond the parent's child list.
+#[derive(Debug, Clone)]
 pub(crate) struct NodeData {
     pub(crate) kind: NodeKind,
-    /// Element tag name, or attribute name **including** the leading `@`.
-    /// Text nodes use the conventional label `S` (as in Fig. 1 of the paper).
-    pub(crate) label: String,
-    /// Text content for attribute and text nodes; unused for elements.
-    pub(crate) text: String,
+    /// Slot in the document's label table: element tag name, attribute
+    /// name **including** the leading `@`, or `S` for text nodes (as in
+    /// Fig. 1 of the paper).
+    pub(crate) label: u32,
+    /// `start..end` byte span of the node's text in the document's text
+    /// buffer; empty for elements.
+    pub(crate) text: (u32, u32),
     pub(crate) parent: Option<NodeId>,
     pub(crate) children: Vec<NodeId>,
-}
-
-impl NodeData {
-    pub(crate) fn element(label: impl Into<String>, parent: Option<NodeId>) -> Self {
-        NodeData {
-            kind: NodeKind::Element,
-            label: label.into(),
-            text: String::new(),
-            parent,
-            children: Vec::new(),
-        }
-    }
-
-    pub(crate) fn attribute(
-        name: impl Into<String>,
-        value: impl Into<String>,
-        parent: NodeId,
-    ) -> Self {
-        let raw = name.into();
-        let label = if raw.starts_with('@') {
-            raw
-        } else {
-            format!("@{raw}")
-        };
-        NodeData {
-            kind: NodeKind::Attribute,
-            label,
-            text: value.into(),
-            parent: Some(parent),
-            children: Vec::new(),
-        }
-    }
-
-    pub(crate) fn text(value: impl Into<String>, parent: NodeId) -> Self {
-        NodeData {
-            kind: NodeKind::Text,
-            label: "S".to_string(),
-            text: value.into(),
-            parent: Some(parent),
-            children: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,22 +111,5 @@ mod tests {
         assert!(!NodeKind::Attribute.is_text());
         assert!(NodeKind::Text.is_text());
         assert!(!NodeKind::Text.is_element());
-    }
-
-    #[test]
-    fn attribute_label_gets_at_prefix() {
-        let root = NodeId(0);
-        let with = NodeData::attribute("@isbn", "123", root);
-        let without = NodeData::attribute("isbn", "123", root);
-        assert_eq!(with.label, "@isbn");
-        assert_eq!(without.label, "@isbn");
-    }
-
-    #[test]
-    fn text_nodes_are_labelled_s() {
-        let root = NodeId(0);
-        let t = NodeData::text("hello", root);
-        assert_eq!(t.label, "S");
-        assert_eq!(t.text, "hello");
     }
 }

@@ -16,8 +16,17 @@ use crate::error::ParseError;
 use crate::stream::{StreamEvent, StreamParser};
 use crate::{Document, NodeId};
 
+/// The longest input [`parse`] accepts: a [`Document`] addresses its text
+/// buffer with `u32` offsets, and decoded text is never longer than its
+/// source, so input up to this size always fits.
+const MAX_INPUT: usize = u32::MAX as usize;
+
 /// Parses an XML document from text.
+///
+/// Input longer than 4 GiB is rejected with a [`ParseError`] at the first
+/// byte past the limit, since a [`Document`] could not address its text.
 pub fn parse(input: &str) -> Result<Document, ParseError> {
+    check_size(input.len(), input)?;
     let mut parser = StreamParser::new(input);
     let mut doc: Option<Document> = None;
     let mut open: Vec<NodeId> = Vec::new();
@@ -54,6 +63,18 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
         }
     }
     Ok(doc.expect("a completed stream contains a root element"))
+}
+
+/// Rejects an input of `len` bytes beyond [`MAX_INPUT`].
+fn check_size(len: usize, input: &str) -> Result<(), ParseError> {
+    if len > MAX_INPUT {
+        return Err(ParseError::new(
+            MAX_INPUT,
+            input,
+            format!("document exceeds the maximum size of {MAX_INPUT} bytes"),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -116,6 +137,17 @@ mod tests {
         let doc = parse("<p>hello <b>world</b> again</p>").unwrap();
         assert_eq!(doc.children(doc.root()).count(), 3);
         assert_eq!(doc.string_value(doc.root()), "hello world again");
+    }
+
+    #[test]
+    fn oversized_input_is_a_parse_error_not_a_panic() {
+        // A 4 GiB input is too big for a test; the size check takes the
+        // length separately so the boundary can be probed on a tiny one.
+        let input = "<r/>";
+        assert!(check_size(MAX_INPUT, input).is_ok());
+        let err = check_size(MAX_INPUT + 1, input).unwrap_err();
+        assert_eq!(err.offset, MAX_INPUT);
+        assert!(err.message.contains("maximum size"), "{}", err.message);
     }
 
     #[test]

@@ -23,11 +23,20 @@
 //! match a compiled query, which is exactly the DOM semantics for unknown
 //! labels.
 //!
+//! Names and values borrow from the input: a text or attribute value is a
+//! [`Cow::Borrowed`] slice unless it contained an entity or character
+//! reference (a `&`) that had to be decoded, and CDATA content is always
+//! borrowed.  A consumer that only compares or hashes values — the
+//! streaming key checker, the streaming shredder — allocates nothing per
+//! event, and the DOM parser copies each value once, into the document's
+//! text buffer.
+//!
 //! The parser's retained state is the stack of open element name spans —
 //! memory is bounded by tree depth, never by node count.
 
 use crate::error::ParseError;
 use crate::labels::{LabelId, LabelUniverse};
+use std::borrow::Cow;
 
 /// The maximum element nesting depth either parser accepts.
 ///
@@ -43,8 +52,11 @@ pub const MAX_DEPTH: usize = 1024;
 
 /// One structural event of the XML stream.
 ///
-/// Element and attribute names borrow from the parsed input; text and
-/// attribute values are owned because entity decoding may rewrite them.
+/// Element and attribute names borrow from the parsed input.  Text and
+/// attribute values are [`Cow`]s: borrowed from the input unless entity
+/// or character references had to be decoded (the raw text contains `&`),
+/// so a consumer that only reads a value never pays for a copy.  CDATA
+/// content is always borrowed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamEvent<'a> {
     /// An element open tag.  Attributes follow as separate events.
@@ -62,12 +74,12 @@ pub enum StreamEvent<'a> {
         /// knows it.
         label: Option<LabelId>,
         /// The decoded attribute value.
-        value: String,
+        value: Cow<'a, str>,
     },
     /// Decoded character data (or CDATA) inside the innermost open element.
     Text {
         /// The decoded text.
-        value: String,
+        value: Cow<'a, str>,
     },
     /// The innermost open element closed (`</name>` or `/>`).
     EndElement,
@@ -400,7 +412,7 @@ impl<'a> StreamParser<'a> {
         Ok((start, self.pos))
     }
 
-    fn parse_attr_value(&mut self) -> Result<String, ParseError> {
+    fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected quoted attribute value")),
@@ -418,7 +430,7 @@ impl<'a> StreamParser<'a> {
         Err(self.err("unterminated attribute value"))
     }
 
-    fn parse_char_data(&mut self) -> Result<String, ParseError> {
+    fn parse_char_data(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b'<' {
@@ -430,11 +442,11 @@ impl<'a> StreamParser<'a> {
             .map_err(|m| ParseError::new(start, self.input, m))
     }
 
-    fn parse_cdata(&mut self) -> Result<String, ParseError> {
+    fn parse_cdata(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect("<![CDATA[")?;
         match self.input[self.pos..].find("]]>") {
             Some(end) => {
-                let text = self.input[self.pos..self.pos + end].to_string();
+                let text = Cow::Borrowed(&self.input[self.pos..self.pos + end]);
                 self.bump(end + 3);
                 Ok(text)
             }
@@ -443,10 +455,11 @@ impl<'a> StreamParser<'a> {
     }
 }
 
-/// Decodes the predefined entities and numeric character references.
-fn decode_entities(raw: &str) -> Result<String, String> {
+/// Decodes the predefined entities and numeric character references;
+/// borrows `raw` when it contains none.
+fn decode_entities(raw: &str) -> Result<Cow<'_, str>, String> {
     if !raw.contains('&') {
-        return Ok(raw.to_string());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -485,7 +498,7 @@ fn decode_entities(raw: &str) -> Result<String, String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
