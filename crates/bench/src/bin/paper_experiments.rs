@@ -17,7 +17,7 @@
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
-use xmlprop_bench::{render_table, Row, EXPERIMENTS};
+use xmlprop_bench::{render_table, rows_json, Row, EXPERIMENTS};
 
 fn usage() -> String {
     let mut out = String::from(
@@ -31,10 +31,7 @@ fn usage() -> String {
 }
 
 fn write_rows(path: &Path, rows: &[Row]) {
-    let written = serde_json::to_string_pretty(rows)
-        .map_err(|e| e.to_string())
-        .and_then(|json| fs::write(path, json + "\n").map_err(|e| e.to_string()));
-    if let Err(e) = written {
+    if let Err(e) = fs::write(path, rows_json(rows) + "\n") {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
 }

@@ -18,7 +18,6 @@
 
 #![forbid(unsafe_code)]
 
-use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 use xmlprop_core::{
@@ -83,7 +82,7 @@ pub fn measure(check: impl FnOnce(), arms: &mut [&mut dyn FnMut()]) -> Vec<Stats
 
 /// One measurement: a line of an experiment's table, of its JSON file under
 /// `target/paper_experiments/`, and of `BENCH_fig7.json`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// The row family, e.g. `fig7a_minimum_cover`.
     pub bench: String,
@@ -92,13 +91,13 @@ pub struct Row {
     pub n: usize,
     /// The measured value, in `unit`.
     pub value: f64,
-    /// `s` (seconds), `ms` (milliseconds per operation), `1/s`
-    /// (operations per second) or `count`.
+    /// `s` (seconds), `ms` (milliseconds per operation) or `1/s`
+    /// (operations per second).
     pub unit: &'static str,
-    /// How `value` summarizes the trials: `median`, or `exact` for a count.
+    /// How `value` summarizes the trials: `median`.
     pub stat: &'static str,
     /// How far the value moved between the fastest trial and the p90
-    /// trial, in `unit`; 0 for an exact count.
+    /// trial, in `unit`.
     pub spread: f64,
 }
 
@@ -140,16 +139,42 @@ impl Row {
             spread: ms(stats.p90) - ms(stats.min),
         }
     }
+}
 
-    fn count(bench: impl Into<String>, n: usize, count: usize) -> Row {
-        Row {
-            bench: bench.into(),
-            n,
-            value: count as f64,
-            unit: "count",
-            stat: "exact",
-            spread: 0.0,
+/// Renders rows as the pretty-printed JSON array `paper_experiments`
+/// writes: two-space indent, `": "` separators, integer-valued numbers
+/// without a fraction, non-finite numbers as `null`, every other number
+/// with Rust's `{}`.  Names are quoted with `{:?}`, which is JSON string
+/// syntax for the printable identifiers rows carry.
+pub fn rows_json(rows: &[Row]) -> String {
+    let number = |x: f64| {
+        if !x.is_finite() {
+            "null".to_string()
+        } else if x == x.trunc() && x.abs() < 9_007_199_254_740_992.0 {
+            format!("{}", x as i64)
+        } else {
+            format!("{x}")
         }
+    };
+    let objects: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            format!(
+                "  {{\n    \"bench\": {:?},\n    \"n\": {},\n    \"value\": {},\n    \
+                 \"unit\": {:?},\n    \"stat\": {:?},\n    \"spread\": {}\n  }}",
+                row.bench,
+                number(row.n as f64),
+                number(row.value),
+                row.unit,
+                row.stat,
+                number(row.spread),
+            )
+        })
+        .collect();
+    if objects.is_empty() {
+        "[]".to_string()
+    } else {
+        format!("[\n{}\n]", objects.join(",\n"))
     }
 }
 
@@ -212,7 +237,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "stream",
-        "Streaming front end vs the DOM path end to end",
+        "Streaming validation vs the DOM path end to end",
         stream,
     ),
     (
@@ -693,12 +718,11 @@ fn docs(quick: bool) -> Vec<Row> {
     rows
 }
 
-/// The streaming front end against the DOM path on the `docs` grid:
-/// shred-only and validate-only `CorpusBundle::stream_text` passes over the
-/// serialized text, versus the DOM path end to end (parse + `DocIndex`
-/// build + engine), since that is what the streaming pass replaces.  The
-/// `stream_peak_open_bindings` row is a count: the peak number of open
-/// binding instances plus key contexts of the streaming pass.
+/// Streaming validation against the DOM path on the `docs` grid: one
+/// validate-only `CorpusBundle::stream_text` pass over the serialized text
+/// versus the DOM path end to end (parse + `DocIndex` build + engine),
+/// since that is what the streaming pass replaces.  Shredding has only the
+/// DOM arm: `stream_text` shreds by parsing.
 fn stream(quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for &point in doc_grid(quick) {
@@ -706,70 +730,62 @@ fn stream(quick: bool) -> Vec<Row> {
         let text = to_xml(&doc);
         drop(doc); // the streaming side must stand on the text alone
         let bundle = CorpusBundle::new(w.sigma.clone(), universal_transformation(&w));
-        let options = |shred: bool, validate: bool, stream: bool| CorpusOptions {
+        let options = |shred: bool, stream: bool| CorpusOptions {
             jobs: Jobs::default(),
             shred,
-            validate,
+            validate: !shred,
             covers: false,
             stream,
         };
-        let streamed = bundle
-            .stream_text(&text, &options(true, true, true))
-            .expect("serialized workload documents stream");
-        let dom = |scratch: &mut _, shred: bool, validate: bool| {
+        let dom = |scratch: &mut _, shred: bool| {
             let doc = Document::parse_str(&text).expect("serialized documents reparse");
-            bundle.process(&doc, scratch, &options(shred, validate, false))
+            bundle.process(&doc, scratch, &options(shred, false))
         };
         let (mut shred_scratch, mut validate_scratch) = (bundle.scratch(), bundle.scratch());
         let stats = measure(
             || {
-                let dom = dom(&mut bundle.scratch(), true, true);
+                let streamed = bundle
+                    .stream_text(&text, &options(false, true))
+                    .expect("serialized workload documents stream");
+                let dom_validated = dom(&mut bundle.scratch(), false);
                 assert!(
-                    has_tuples(&streamed.database),
-                    "the streamed database is empty"
+                    streamed.peak_open_bindings > 0,
+                    "validation took the streaming path"
                 );
-                assert_eq!(streamed.database, dom.database, "stream/DOM shred disagree");
                 assert_eq!(
-                    streamed.violations, dom.violations,
+                    streamed.violations, dom_validated.violations,
                     "stream/DOM validation disagree"
                 );
-                assert_eq!(streamed.nodes, dom.nodes, "stream/DOM node counts disagree");
+                assert_eq!(
+                    streamed.nodes, dom_validated.nodes,
+                    "stream/DOM node counts disagree"
+                );
                 assert!(
                     streamed.violations.is_empty(),
                     "generated documents satisfy their own Σ"
                 );
+                assert!(
+                    has_tuples(&dom(&mut bundle.scratch(), true).database),
+                    "the shredded database is empty"
+                );
             },
             &mut [
                 &mut || {
-                    black_box(bundle.stream_text(&text, &options(true, false, true)))
+                    black_box(bundle.stream_text(&text, &options(false, true)))
                         .expect("serialized workload documents stream");
                 },
                 &mut || {
-                    black_box(bundle.stream_text(&text, &options(false, true, true)))
-                        .expect("serialized workload documents stream");
+                    black_box(dom(&mut shred_scratch, true));
                 },
                 &mut || {
-                    black_box(dom(&mut shred_scratch, true, false));
-                },
-                &mut || {
-                    black_box(dom(&mut validate_scratch, false, true));
+                    black_box(dom(&mut validate_scratch, false));
                 },
             ],
         );
         rows.extend(time_rows(
-            [
-                "stream_shred",
-                "stream_validate",
-                "dom_shred_e2e",
-                "dom_validate_e2e",
-            ],
+            ["stream_validate", "dom_shred_e2e", "dom_validate_e2e"],
             nodes,
             &stats,
-        ));
-        rows.push(Row::count(
-            "stream_peak_open_bindings",
-            nodes,
-            streamed.peak_open_bindings,
         ));
     }
     rows
@@ -1348,6 +1364,49 @@ mod tests {
     use std::cell::RefCell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    /// The writer against literal output of the `serde_json` stub it
+    /// replaced (`to_string_pretty` over the same rows).
+    #[test]
+    fn rows_json_matches_the_serde_json_bytes() {
+        let row = |bench: &str, n, value, unit, spread| Row {
+            bench: bench.into(),
+            n,
+            value,
+            unit,
+            stat: "median",
+            spread,
+        };
+        let rows = [
+            row("fig7a_minimum_cover", 5, 200.0, "s", 0.00003901300000000007),
+            row(
+                "serve_requests_per_sec",
+                1_250_000,
+                0.000148453,
+                "1/s",
+                f64::INFINITY,
+            ),
+            row("dom_shred_e2e", 2, 12345.5, "ms", f64::NAN),
+        ];
+        assert_eq!(rows_json(&[]), "[]");
+        assert_eq!(
+            rows_json(&rows[..1]),
+            "[\n  {\n    \"bench\": \"fig7a_minimum_cover\",\n    \"n\": 5,\n    \
+             \"value\": 200,\n    \"unit\": \"s\",\n    \"stat\": \"median\",\n    \
+             \"spread\": 0.00003901300000000007\n  }\n]"
+        );
+        assert_eq!(
+            rows_json(&rows),
+            "[\n  {\n    \"bench\": \"fig7a_minimum_cover\",\n    \"n\": 5,\n    \
+             \"value\": 200,\n    \"unit\": \"s\",\n    \"stat\": \"median\",\n    \
+             \"spread\": 0.00003901300000000007\n  },\n  {\n    \
+             \"bench\": \"serve_requests_per_sec\",\n    \"n\": 1250000,\n    \
+             \"value\": 0.000148453,\n    \"unit\": \"1/s\",\n    \"stat\": \"median\",\n    \
+             \"spread\": null\n  },\n  {\n    \"bench\": \"dom_shred_e2e\",\n    \"n\": 2,\n    \
+             \"value\": 12345.5,\n    \"unit\": \"ms\",\n    \"stat\": \"median\",\n    \
+             \"spread\": null\n  }\n]"
+        );
+    }
+
     #[test]
     fn stats_are_min_median_and_nearest_rank_p90() {
         let ten = [0.7, 0.1, 0.9, 0.3, 0.5, 1.0, 0.2, 0.8, 0.4, 0.6];
@@ -1411,11 +1470,6 @@ mod tests {
         assert_eq!(
             (rate.value, rate.unit, rate.stat, rate.spread),
             (10.0, "1/s", "median", 15.0)
-        );
-        let count = Row::count("c", 3, 7);
-        assert_eq!(
-            (count.value, count.unit, count.stat, count.spread),
-            (7.0, "count", "exact", 0.0)
         );
     }
 
@@ -1496,13 +1550,7 @@ mod tests {
                 &[nodes],
             ),
             "stream" => family(
-                &[
-                    "stream_shred",
-                    "stream_validate",
-                    "dom_shred_e2e",
-                    "dom_validate_e2e",
-                    "stream_peak_open_bindings",
-                ],
+                &["stream_validate", "dom_shred_e2e", "dom_validate_e2e"],
                 &[nodes],
             ),
             "corpus" => family(&["corpus_shred", "corpus_validate"], &[1, 2]),
@@ -1547,10 +1595,7 @@ mod tests {
                 rows.iter().map(|row| (row.bench.clone(), row.n)).collect();
             assert_eq!(grid, quick_grid(name, nodes), "rows of {name}");
             for row in &rows {
-                let (unit, stat) = if row.bench == "stream_peak_open_bindings" {
-                    assert!(row.value > 0.0 && row.value < row.n as f64, "{row:?}");
-                    ("count", "exact")
-                } else if row.bench.starts_with("serve_roundtrip_ms_") {
+                let (unit, stat) = if row.bench.starts_with("serve_roundtrip_ms_") {
                     ("ms", "median")
                 } else if row.bench.starts_with("serve_") {
                     ("1/s", "median")
@@ -1567,8 +1612,8 @@ mod tests {
     #[test]
     fn table_rendering_is_aligned() {
         let rows = [
-            Row::count("short", 5, 1),
-            Row::count("a_much_longer_bench", 500, 12345),
+            Row::secs("short", 5, &Stats::of(&[1.0])),
+            Row::secs("a_much_longer_bench", 500, &Stats::of(&[12345.0])),
         ];
         let table = render_table(&rows);
         let lines: Vec<&str> = table.lines().collect();

@@ -28,8 +28,8 @@ use xmlprop_core::PropagationEngine;
 use xmlprop_reldb::{Database, Fd};
 use xmlprop_xmlkeys::{KeyIndex, KeySet};
 use xmlprop_xmlpath::LabelUniverse;
-use xmlprop_xmltransform::{Transformation, TransformationPlan};
-use xmlprop_xmltree::Document;
+use xmlprop_xmltransform::{ShredPlan, Transformation, TransformationPlan};
+use xmlprop_xmltree::{DocIndex, Document};
 
 /// One rule's propagated minimum cover, by relation name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,18 +163,12 @@ impl CorpusBundle {
                 peak_open_bindings: 0,
             };
         }
-        if options.stream {
-            return self.stream_document(doc, options);
-        }
         let index = scratch.index_document(doc);
-        let mut database = Database::new();
-        if options.shred {
-            // The value() memo is per-document; evaluation buffers survive.
-            scratch.shred.reset();
-            for plan in self.plan.plans() {
-                database.insert(plan.shred_with(doc, &index, &mut scratch.shred));
-            }
-        }
+        let database = if options.shred {
+            shred_indexed(doc, &index, scratch, self.plan.plans())
+        } else {
+            Database::new()
+        };
         let violations = if options.validate {
             self.keys.violations(doc, &index)
         } else {
@@ -188,6 +182,27 @@ impl CorpusBundle {
             tuples,
             peak_open_bindings: 0,
         }
+    }
+
+    /// Shreds one document through the plan populating `relation` (none
+    /// when the name is unknown; callers validate names first for the
+    /// shared diagnostic), or through every plan.
+    pub fn shred(
+        &self,
+        doc: &Document,
+        scratch: &mut RequestScratch,
+        relation: Option<&str>,
+    ) -> Database {
+        let plans = match relation {
+            Some(rel) => self
+                .plan
+                .plan(rel)
+                .map(std::slice::from_ref)
+                .unwrap_or_default(),
+            None => self.plan.plans(),
+        };
+        let index = scratch.index_document(doc);
+        shred_indexed(doc, &index, scratch, plans)
     }
 
     /// The propagated minimum cover of every rule, in rule order — the
@@ -206,4 +221,20 @@ impl CorpusBundle {
                 .collect()
         })
     }
+}
+
+/// Runs `plans` over an indexed document.
+fn shred_indexed(
+    doc: &Document,
+    index: &DocIndex,
+    scratch: &mut RequestScratch,
+    plans: &[ShredPlan],
+) -> Database {
+    // The value() memo is per-document; evaluation buffers survive.
+    scratch.shred.reset();
+    let mut database = Database::new();
+    for plan in plans {
+        database.insert(plan.shred_with(doc, index, &mut scratch.shred));
+    }
+    database
 }

@@ -96,10 +96,12 @@ pub struct CorpusOptions {
     /// Compute the per-rule propagated minimum covers (document-independent;
     /// benchmarks that time pure document throughput switch this off).
     pub covers: bool,
-    /// Execute shredding and validation through the event-driven streaming
-    /// front end (open-binding frontiers, no `DocIndex`) instead of the
-    /// prepared DOM path.  Results are bit-for-bit identical; only the
-    /// execution strategy — and the peak memory profile — changes.
+    /// Selects how callers that hold XML *text* validate it: with only
+    /// `validate` on, stream the text through the key checker
+    /// ([`CorpusBundle::stream_text`]) instead of parsing it into a tree.
+    /// Results are bit-for-bit identical.  It has no effect in
+    /// [`CorpusBundle::process`] or [`CorpusBundle::run`], which are handed
+    /// parsed documents.
     pub stream: bool,
 }
 
@@ -139,9 +141,9 @@ pub struct DocOutcome {
     pub nodes: usize,
     /// Total tuples shredded across all relations.
     pub tuples: usize,
-    /// Peak simultaneously-open bindings/contexts held by the streaming
-    /// front end while processing this document (0 on the DOM path, which
-    /// materialises the whole index instead).
+    /// Peak simultaneously-open key contexts held by the streaming key
+    /// checker on [`CorpusBundle::stream_text`]'s validate-only path; 0
+    /// whenever a document tree was built.
     pub peak_open_bindings: usize,
 }
 
@@ -159,7 +161,7 @@ pub struct CorpusStats {
     /// Number of documents with at least one violation.
     pub invalid_documents: usize,
     /// Maximum per-document [`DocOutcome::peak_open_bindings`] across the
-    /// corpus (0 on the DOM path).
+    /// corpus (0 for the parsed documents [`CorpusBundle::run`] is handed).
     pub peak_open_bindings: usize,
 }
 

@@ -1,159 +1,42 @@
-//! Streaming execution of a prepared bundle: one event pass drives every
-//! shred plan and the key checker at once, with no `Document` arena and no
-//! `DocIndex`.
+//! The text entry points of a prepared bundle, and streaming key
+//! validation.
 //!
-//! Two entry points:
+//! Streaming earns its place in one job only: key validation, which needs
+//! no tree.  A validate-only pass feeds the text's parse events straight to
+//! a [`StreamKeyChecker`], with retained state proportional to document
+//! depth plus open key contexts, never to the node count.  Shredding is
+//! defined over the whole tree, so every entry point that shreds parses the
+//! text into a [`Document`] and runs the prepared plans on it, like
+//! [`CorpusBundle::process`].
 //!
-//! * [`CorpusBundle::stream_text`] — the truly bounded-memory path: raw XML text
-//!   through `xmlprop_xmltree::StreamParser`, peak retained state
-//!   proportional to document depth plus open bindings;
-//! * [`CorpusBundle::stream_document`] — replays an already-parsed
-//!   [`Document`] as events, so the corpus runner ([`crate::CorpusOptions`]'s
-//!   `stream` toggle) can exercise the streaming engines over in-memory
-//!   corpora.
+//! * [`CorpusBundle::stream_text`] — the corpus outcome for raw XML text:
+//!   one key-checker pass when only `validate` is on, otherwise parse plus
+//!   [`CorpusBundle::process`];
+//! * [`CorpusBundle::stream_check`] — the per-key violation report the
+//!   renderers need;
+//! * [`CorpusBundle::stream_shred`] — parse plus the named plan or all of
+//!   them.
 //!
-//! Both produce [`DocOutcome`]s bit-for-bit equal to the prepared DOM path
-//! (`database`, `violations`, `nodes`, `tuples`), plus the streaming-only
-//! `peak_open_bindings` statistic.  Node-id-carrying violations match
-//! because the streaming checker numbers nodes in document pre-order, which
-//! is exactly the arena order of parser-built documents.
+//! Outcomes are bit-for-bit the DOM path's (`database`, `violations`,
+//! `nodes`, `tuples`).  Node-id-carrying violations match because the
+//! streaming checker numbers nodes in document pre-order, which is exactly
+//! the arena order of parser-built documents.  A key whose path is too long
+//! to stream ([`xmlprop_xmlpath::PathTooLong`]) is validated on the parsed
+//! tree instead, with the same result.
 
 use crate::bundle::CorpusBundle;
 use crate::run::{CorpusOptions, DocOutcome};
+use crate::state::PreparedState;
 use xmlprop_reldb::Database;
-use xmlprop_xmlkeys::StreamKeyChecker;
-use xmlprop_xmlpath::LabelId;
-use xmlprop_xmltransform::{ShredPlan, StreamShredder};
-use xmlprop_xmltree::{Document, NodeId, NodeKind, ParseError, StreamEvent, StreamParser};
-
-/// The per-document event sinks: one shredder per plan plus the key
-/// checker, all fed from a single event pass.
-struct StreamSinks<'a> {
-    shredders: Vec<StreamShredder<'a>>,
-    checker: Option<StreamKeyChecker<'a>>,
-    nodes: usize,
-}
-
-impl<'a> StreamSinks<'a> {
-    /// One shredder per plan of `plans`, plus the key checker when
-    /// `validate`.
-    fn new(
-        bundle: &'a CorpusBundle,
-        plans: impl IntoIterator<Item = &'a ShredPlan>,
-        validate: bool,
-    ) -> Self {
-        StreamSinks {
-            shredders: plans
-                .into_iter()
-                .map(|plan| StreamShredder::new(plan, bundle.universe()))
-                .collect(),
-            checker: validate.then(|| StreamKeyChecker::new(bundle.keys())),
-            nodes: 0,
-        }
-    }
-
-    /// The sinks [`CorpusBundle::stream_text`] feeds under `options`.
-    fn for_options(bundle: &'a CorpusBundle, options: &CorpusOptions) -> Self {
-        let plans: &[ShredPlan] = if options.shred {
-            bundle.plan().plans()
-        } else {
-            &[]
-        };
-        StreamSinks::new(bundle, plans, options.validate)
-    }
-
-    /// The one parser pass: feeds every event of `xml` to the sinks.
-    fn feed(&mut self, bundle: &CorpusBundle, xml: &str) -> Result<(), ParseError> {
-        let mut parser = StreamParser::with_universe(xml, bundle.universe());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { name, label } => self.start_element(label, name),
-                StreamEvent::Attribute { name, label, value } => {
-                    self.attribute(label, name, &value)
-                }
-                StreamEvent::Text { value } => self.text(&value),
-                StreamEvent::EndElement => self.end_element(),
-            }
-        }
-        Ok(())
-    }
-
-    fn start_element(&mut self, label: Option<LabelId>, name: &str) {
-        self.nodes += 1;
-        for shredder in &mut self.shredders {
-            shredder.start_element(label, name);
-        }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.start_element(label);
-        }
-    }
-
-    fn attribute(&mut self, label: Option<LabelId>, name: &str, value: &str) {
-        self.nodes += 1;
-        for shredder in &mut self.shredders {
-            shredder.attribute(label, name, value);
-        }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.attribute(label, value);
-        }
-    }
-
-    fn text(&mut self, value: &str) {
-        self.nodes += 1;
-        for shredder in &mut self.shredders {
-            shredder.text(value);
-        }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.text();
-        }
-    }
-
-    fn end_element(&mut self) {
-        for shredder in &mut self.shredders {
-            shredder.end_element();
-        }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.end_element();
-        }
-    }
-
-    fn finish(self) -> DocOutcome {
-        let mut peak = 0usize;
-        let mut database = Database::new();
-        for shredder in self.shredders {
-            peak = peak.max(shredder.peak_open_bindings());
-            database.insert(shredder.finish());
-        }
-        let violations = match self.checker {
-            Some(checker) => {
-                let report = checker.finish();
-                peak = peak.max(report.peak_open_contexts);
-                report.all_violations()
-            }
-            None => Vec::new(),
-        };
-        let tuples = database.relations().map(|r| r.len()).sum();
-        DocOutcome {
-            database,
-            violations,
-            nodes: self.nodes,
-            tuples,
-            peak_open_bindings: peak,
-        }
-    }
-}
-
-/// A pre-order replay frame: open a node's events, or emit the close of the
-/// element whose subtree just finished.
-enum Replay {
-    Open(NodeId),
-    Close,
-}
+use xmlprop_xmlkeys::{StreamCheckReport, StreamKeyChecker};
+use xmlprop_xmltree::{Document, ParseError, StreamEvent, StreamParser};
 
 impl CorpusBundle {
-    /// Streams raw XML text through the bundle's plans and keys in one
-    /// parser pass — no `Document`, no `DocIndex`; peak memory is bounded
-    /// by document depth plus open bindings, not document size.
+    /// Processes raw XML text under `options`.  With only `validate` on,
+    /// the text streams through the key checker in one parser pass — no
+    /// `Document`, no `DocIndex` — and `peak_open_bindings` is the
+    /// checker's open-context peak.  Otherwise the text is parsed once and
+    /// handed to [`CorpusBundle::process`] (`peak_open_bindings` 0).
     ///
     /// The outcome is bit-for-bit what parsing the text and running
     /// [`CorpusBundle::process`] would produce.
@@ -162,72 +45,64 @@ impl CorpusBundle {
         xml: &str,
         options: &CorpusOptions,
     ) -> Result<DocOutcome, ParseError> {
-        let mut sinks = StreamSinks::for_options(self, options);
-        sinks.feed(self, xml)?;
-        Ok(sinks.finish())
-    }
-
-    /// Streams raw XML text through the key checker only, returning the
-    /// **per-key** violation report the renderers need (Σ order, grouped by
-    /// key) — the streaming twin of per-key `violations_of` loops.
-    pub fn stream_check(
-        &self,
-        xml: &str,
-    ) -> Result<xmlprop_xmlkeys::StreamCheckReport, ParseError> {
-        let mut sinks = StreamSinks::new(self, [], true);
-        sinks.feed(self, xml)?;
-        Ok(sinks
-            .checker
-            .expect("validating sinks carry a key checker")
-            .finish())
-    }
-
-    /// Streams raw XML text through the shred plans only — all of them, or
-    /// the one populating `relation` (silently none when the name is
-    /// unknown; callers validate names first for the shared diagnostic).
-    pub fn stream_shred(&self, xml: &str, relation: Option<&str>) -> Result<Database, ParseError> {
-        let plans: Vec<&ShredPlan> = match relation {
-            Some(rel) => self.plan().plan(rel).into_iter().collect(),
-            None => self.plan().plans().iter().collect(),
-        };
-        let mut sinks = StreamSinks::new(self, plans, false);
-        sinks.feed(self, xml)?;
-        Ok(sinks.finish().database)
-    }
-
-    /// Replays a parsed document as parse events through the streaming
-    /// engines — the corpus runner's `stream` mode.  Requires the
-    /// parser/builder child layout (attributes before content, ids in
-    /// document order) for violation node ids to line up with the DOM path.
-    pub fn stream_document(&self, doc: &Document, options: &CorpusOptions) -> DocOutcome {
-        let mut sinks = StreamSinks::for_options(self, options);
-        let universe = self.universe();
-        let mut stack = vec![Replay::Open(doc.root())];
-        while let Some(item) = stack.pop() {
-            match item {
-                Replay::Open(id) => {
-                    let label = doc.label(id);
-                    match doc.kind(id) {
-                        NodeKind::Element => {
-                            sinks.start_element(universe.lookup(label), label);
-                            stack.push(Replay::Close);
-                            let children: Vec<NodeId> = doc.children(id).collect();
-                            for &child in children.iter().rev() {
-                                stack.push(Replay::Open(child));
-                            }
-                        }
-                        NodeKind::Attribute => sinks.attribute(
-                            universe.lookup(label),
-                            label.strip_prefix('@').unwrap_or(label),
-                            doc.text_value(id).unwrap_or_default(),
-                        ),
-                        NodeKind::Text => sinks.text(doc.text_value(id).unwrap_or_default()),
-                    }
-                }
-                Replay::Close => sinks.end_element(),
+        if options.validate && !options.shred {
+            if let Ok(checker) = StreamKeyChecker::new(self.keys()) {
+                let report = self.feed(checker, xml)?;
+                return Ok(DocOutcome {
+                    database: Database::new(),
+                    violations: report.all_violations(),
+                    nodes: report.nodes,
+                    tuples: 0,
+                    peak_open_bindings: report.peak_open_contexts,
+                });
             }
         }
-        sinks.finish()
+        let doc = Document::parse_str(xml)?;
+        Ok(self.process(&doc, &mut self.scratch(), options))
+    }
+
+    /// Checks raw XML text against Σ, returning the **per-key** violation
+    /// report the renderers need (Σ order, grouped by key): one streaming
+    /// pass, or the tree validator when a key is too long to stream.
+    pub fn stream_check(&self, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        if let Ok(checker) = StreamKeyChecker::new(self.keys()) {
+            return self.feed(checker, xml);
+        }
+        let doc = Document::parse_str(xml)?;
+        let index = self.scratch().index_document(&doc);
+        Ok(StreamCheckReport {
+            per_key: (0..self.keys().len())
+                .map(|k| self.keys().violations_of(k, &doc, &index))
+                .collect(),
+            nodes: doc.len(),
+            peak_open_contexts: 0,
+        })
+    }
+
+    /// Parses raw XML text and shreds it through the plan populating
+    /// `relation` (silently none when the name is unknown; callers validate
+    /// names first for the shared diagnostic), or through every plan.
+    pub fn stream_shred(&self, xml: &str, relation: Option<&str>) -> Result<Database, ParseError> {
+        let doc = Document::parse_str(xml)?;
+        Ok(self.shred(&doc, &mut self.scratch(), relation))
+    }
+
+    /// The one parser pass: feeds every event of `xml` to `checker`.
+    fn feed(
+        &self,
+        mut checker: StreamKeyChecker<'_>,
+        xml: &str,
+    ) -> Result<StreamCheckReport, ParseError> {
+        let mut parser = StreamParser::with_universe(xml, self.universe());
+        while let Some(event) = parser.next_event()? {
+            match event {
+                StreamEvent::StartElement { label, .. } => checker.start_element(label),
+                StreamEvent::Attribute { label, value, .. } => checker.attribute(label, &value),
+                StreamEvent::Text { .. } => checker.text(),
+                StreamEvent::EndElement => checker.end_element(),
+            }
+        }
+        Ok(checker.finish())
     }
 }
 
@@ -236,7 +111,6 @@ mod tests {
     use super::*;
     use crate::run::Jobs;
     use crate::source::{parse_keys_text, parse_rules_text};
-    use crate::state::PreparedState;
     use xmlprop_xmltree::to_xml;
 
     const KEYS: &str = "K1: (ε, (//book, {@isbn}))\nK2: (//book, (chapter, {@number}))\n";
@@ -269,8 +143,15 @@ mod tests {
         .collect()
     }
 
-    /// The DOM outcome with the streaming-only statistic blanked, for
-    /// field-by-field comparison.
+    fn validate_only() -> CorpusOptions {
+        CorpusOptions {
+            stream: true,
+            shred: false,
+            ..CorpusOptions::default()
+        }
+    }
+
+    /// Field-by-field comparison, the streaming-only statistic aside.
     fn assert_same_results(streamed: &DocOutcome, dom: &DocOutcome) {
         assert_eq!(streamed.database, dom.database);
         assert_eq!(streamed.violations, dom.violations);
@@ -281,70 +162,50 @@ mod tests {
     #[test]
     fn stream_text_matches_the_dom_path() {
         let bundle = bundle();
-        let options = CorpusOptions::default();
         let mut scratch = bundle.scratch();
-        for doc in docs() {
-            let dom = bundle.process(&doc, &mut scratch, &options);
-            let streamed = bundle.stream_text(&to_xml(&doc), &options).unwrap();
-            assert_same_results(&streamed, &dom);
+        for options in [CorpusOptions::default(), validate_only()] {
+            for doc in docs() {
+                let dom = bundle.process(&doc, &mut scratch, &options);
+                let streamed = bundle.stream_text(&to_xml(&doc), &options).unwrap();
+                assert_same_results(&streamed, &dom);
+                // The shredding path builds a tree; the validate-only path
+                // streams and records the checker's open contexts.
+                assert_eq!(streamed.peak_open_bindings > 0, !options.shred);
+            }
         }
     }
 
     #[test]
-    fn stream_document_matches_the_dom_path() {
-        let bundle = bundle();
-        let options = CorpusOptions::default();
-        let mut scratch = bundle.scratch();
-        for doc in docs() {
-            let dom = bundle.process(&doc, &mut scratch, &options);
-            let streamed = bundle.stream_document(&doc, &options);
-            assert_same_results(&streamed, &dom);
-        }
-    }
-
-    #[test]
-    fn corpus_runner_stream_toggle_matches_dom_runs() {
+    fn corpus_runner_ignores_the_stream_toggle() {
         let bundle = bundle();
         let docs = docs();
-        let dom = bundle.run(&docs, &CorpusOptions::default());
         let streaming = CorpusOptions {
             stream: true,
             jobs: Jobs::new(3).unwrap(),
             ..CorpusOptions::default()
         };
-        let streamed = bundle.run(&docs, &streaming);
-        assert_eq!(streamed.documents.len(), dom.documents.len());
-        for (s, d) in streamed.documents.iter().zip(&dom.documents) {
-            assert_same_results(s, d);
-        }
-        assert_eq!(streamed.covers, dom.covers);
-        assert!(streamed.stats.peak_open_bindings > 0);
-        // Parallel streaming merges deterministically, like the DOM path.
-        let sequential = bundle.run_sequential(&docs, &streaming);
-        assert_eq!(streamed, sequential);
+        let dom = CorpusOptions {
+            stream: false,
+            ..streaming.clone()
+        };
+        assert_eq!(bundle.run(&docs, &streaming), bundle.run(&docs, &dom));
     }
 
     #[test]
     fn stream_text_reports_parse_errors() {
         let bundle = bundle();
-        let err = bundle
-            .stream_text("<r><open></r>", &CorpusOptions::default())
-            .unwrap_err();
         let dom = Document::parse_str("<r><open></r>").unwrap_err();
-        assert_eq!(err, dom, "both front ends share one error table");
+        for options in [CorpusOptions::default(), validate_only()] {
+            let err = bundle.stream_text("<r><open></r>", &options).unwrap_err();
+            assert_eq!(err, dom, "both front ends share one error table");
+        }
     }
 
     #[test]
     fn streaming_skips_work_like_the_dom_path() {
         let bundle = bundle();
-        let options = CorpusOptions {
-            stream: true,
-            shred: false,
-            validate: true,
-            ..CorpusOptions::default()
-        };
         let outcome = bundle
-            .stream_text("<r><book isbn='1'/></r>", &options)
+            .stream_text("<r><book isbn='1'/></r>", &validate_only())
             .unwrap();
         assert!(outcome.database.is_empty());
         assert_eq!(outcome.tuples, 0);
@@ -359,5 +220,41 @@ mod tests {
             .unwrap();
         assert!(outcome.violations.is_empty());
         assert_eq!(outcome.tuples, 2);
+    }
+
+    #[test]
+    fn stream_shred_matches_process() {
+        let bundle = bundle();
+        let mut scratch = bundle.scratch();
+        for doc in docs() {
+            let xml = to_xml(&doc);
+            let dom = bundle.process(&doc, &mut scratch, &CorpusOptions::default());
+            assert_eq!(bundle.stream_shred(&xml, None).unwrap(), dom.database);
+            assert_eq!(
+                bundle.stream_shred(&xml, Some("book")).unwrap(),
+                dom.database
+            );
+            assert!(bundle.stream_shred(&xml, Some("nope")).unwrap().is_empty());
+        }
+    }
+
+    /// A key past the stream matcher's 127 atoms is validated on the tree:
+    /// same answers, no panic.
+    #[test]
+    fn keys_too_long_to_stream_are_checked_on_the_tree() {
+        let target = vec!["a"; 130].join("/");
+        let keys = format!("K1: (ε, ({target}, {{}}))\nK2: (ε, (//book, {{@isbn}}))\n");
+        let bundle = CorpusBundle::for_validation(parse_keys_text(&keys, "keys").unwrap());
+        let mut scratch = bundle.scratch();
+        for doc in docs() {
+            let xml = to_xml(&doc);
+            let dom = bundle.process(&doc, &mut scratch, &validate_only());
+            let streamed = bundle.stream_text(&xml, &validate_only()).unwrap();
+            assert_same_results(&streamed, &dom);
+            assert_eq!(streamed.peak_open_bindings, 0, "a tree was built");
+            let report = bundle.stream_check(&xml).unwrap();
+            assert_eq!(report.all_violations(), dom.violations);
+            assert_eq!(report.nodes, dom.nodes);
+        }
     }
 }

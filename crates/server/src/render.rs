@@ -26,9 +26,9 @@ pub fn validate_report(
 }
 
 /// Streaming twin of [`validate_report`]: drives the key checker straight
-/// off raw XML text — no `Document`, no `DocIndex` — and renders the same
-/// bytes.  `origin` names the input in parse diagnostics (the CLI passes
-/// the file path).
+/// off raw XML text — no `Document`, no `DocIndex`, unless a key is too
+/// long to stream — and renders the same bytes.  `origin` names the input
+/// in parse diagnostics (the CLI passes the file path).
 pub fn validate_report_streaming(
     bundle: &CorpusBundle,
     xml: &str,
@@ -75,52 +75,13 @@ pub fn shred_report(
     if let Some(rel) = relation {
         require_rule(bundle, rel)?;
     }
-    let index = scratch.index_document(doc);
-    // The value() memo is per-document; evaluation buffers survive.
-    scratch.shred_scratch().reset();
-    let mut database = Database::new();
-    match relation {
-        Some(rel) => {
-            let plan = bundle.plan().plan(rel).expect("plan exists for every rule");
-            database.insert(plan.shred_with(doc, &index, scratch.shred_scratch()));
-        }
-        None => {
-            for plan in bundle.plan().plans() {
-                database.insert(plan.shred_with(doc, &index, scratch.shred_scratch()));
-            }
-        }
-    }
-    Ok(render_relations(&database))
-}
-
-/// Streaming twin of [`shred_report`]: shreds raw XML text through the
-/// plans' streaming executors and renders the same bytes (relations print
-/// in name order from the [`Database`] either way).
-pub fn shred_report_streaming(
-    bundle: &CorpusBundle,
-    xml: &str,
-    origin: &str,
-    relation: Option<&str>,
-) -> Result<(usize, String), Error> {
-    if let Some(rel) = relation {
-        require_rule(bundle, rel)?;
-    }
-    let database = bundle
-        .stream_shred(xml, relation)
-        .map_err(|e| Error::parse(origin, e))?;
-    Ok(render_relations(&database))
-}
-
-/// The report both shred renderers print: every relation of `database` in
-/// name order, with the total tuple count.
-fn render_relations(database: &Database) -> (usize, String) {
     let mut out = String::new();
     let mut tuples = 0;
-    for relation in database.relations() {
+    for relation in bundle.shred(doc, scratch, relation).relations() {
         tuples += relation.len();
         writeln!(out, "{relation}").expect("String write");
     }
-    (tuples, out)
+    Ok((tuples, out))
 }
 
 /// Renders the propagated minimum cover of one relation (the CLI `cover`
@@ -347,18 +308,9 @@ mod tests {
             let (ok_s, streamed) = validate_report_streaming(&bundle, xml, "doc").unwrap();
             assert_eq!(ok_s, ok);
             assert_eq!(streamed, dom, "validate twins must render identically");
-            let (tuples, dom) = shred_report(&bundle, &doc, &mut scratch, None).unwrap();
-            let (tuples_s, streamed) = shred_report_streaming(&bundle, xml, "doc", None).unwrap();
-            assert_eq!(tuples_s, tuples);
-            assert_eq!(streamed, dom, "shred twins must render identically");
-            let (_, one) = shred_report(&bundle, &doc, &mut scratch, Some("book")).unwrap();
-            let (_, one_s) = shred_report_streaming(&bundle, xml, "doc", Some("book")).unwrap();
-            assert_eq!(one_s, one);
         }
         let err = validate_report_streaming(&bundle, "<r", "bad.xml").unwrap_err();
         assert!(err.to_string().starts_with("bad.xml: "), "got: {err}");
-        let err = shred_report_streaming(&bundle, "<r></r>", "doc", Some("nope")).unwrap_err();
-        assert!(err.to_string().contains("no rule for relation `nope`"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::index::KeyIndex;
 use crate::satisfy::Violation;
 use std::collections::HashMap;
-use xmlprop_xmlpath::{LabelId, MatchState, StreamMatcher};
+use xmlprop_xmlpath::{LabelId, MatchState, PathTooLong, StreamMatcher};
 use xmlprop_xmltree::NodeId;
 
 /// Per-key compiled machinery plus live matching state.
@@ -113,7 +113,7 @@ pub struct StreamCheckReport {
     /// Total number of nodes streamed (elements, attributes, text).
     pub nodes: usize,
     /// High-water mark of simultaneously open context records across all
-    /// keys — the validator's contribution to `stream_peak_open_bindings`.
+    /// keys.
     pub peak_open_contexts: usize,
 }
 
@@ -126,28 +126,32 @@ impl StreamCheckReport {
 }
 
 impl<'a> StreamKeyChecker<'a> {
-    /// Prepares a checker for one document against `index`.
-    pub fn new(index: &'a KeyIndex) -> Self {
+    /// Prepares a checker for one document against `index`, or refuses
+    /// with [`PathTooLong`] when a key's context or target path is too long
+    /// to stream (validate such documents on the tree instead).
+    pub fn new(index: &'a KeyIndex) -> Result<Self, PathTooLong> {
         let keys = index
             .keys()
             .iter()
-            .map(|k| KeyState {
-                context_matcher: StreamMatcher::new(k.context()),
-                target_matcher: StreamMatcher::new(k.target()),
-                context_states: Vec::new(),
-                open: Vec::new(),
-                next_seq: 0,
-                done: Vec::new(),
+            .map(|k| {
+                Ok(KeyState {
+                    context_matcher: StreamMatcher::new(k.context())?,
+                    target_matcher: StreamMatcher::new(k.target())?,
+                    context_states: Vec::new(),
+                    open: Vec::new(),
+                    next_seq: 0,
+                    done: Vec::new(),
+                })
             })
-            .collect();
-        StreamKeyChecker {
+            .collect::<Result<_, PathTooLong>>()?;
+        Ok(StreamKeyChecker {
             index,
             keys,
             text_label: index.universe().lookup("S"),
             element_stack: Vec::new(),
             next_node: 0,
             peak_open_contexts: 0,
-        }
+        })
     }
 
     /// An element opened.
@@ -481,7 +485,7 @@ mod tests {
 
     /// Streams `text` through a checker against `index`.
     fn stream_check(index: &KeyIndex, text: &str) -> StreamCheckReport {
-        let mut checker = StreamKeyChecker::new(index);
+        let mut checker = StreamKeyChecker::new(index).unwrap();
         let mut parser = StreamParser::with_universe(text, index.universe());
         while let Some(event) = parser.next_event().unwrap() {
             match event {
@@ -584,6 +588,15 @@ mod tests {
         // under one context always clash.
         let s = sigma(&["(ε, (//chapter, {}))"]);
         assert_matches_dom(&s, r#"<db><book><chapter/><chapter/></book></db>"#);
+    }
+
+    #[test]
+    fn keys_too_long_to_stream_are_refused() {
+        let target = vec!["a"; 130].join("/");
+        let s = sigma(&[&format!("(ε, ({target}, {{}}))")]);
+        let index = KeyIndex::new(&s);
+        let err = StreamKeyChecker::new(&index).unwrap_err();
+        assert_eq!(err.atoms, 130);
     }
 
     #[test]

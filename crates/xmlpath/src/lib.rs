@@ -27,10 +27,10 @@
 //!   queries are allocation-free id-slice comparisons;
 //! * **evaluation** `n[[P]]`: [`CompiledExpr::evaluate`] over a prepared
 //!   [`xmlprop_xmltree::DocIndex`] with reusable [`EvalScratch`] state;
-//! * **incremental matching** for the streaming front end:
+//! * **incremental matching** for streaming key validation:
 //!   [`StreamMatcher`] simulates a compiled expression as an NFA one label
-//!   at a time, with `Copy` [`MatchState`] bitmasks that open-binding
-//!   frontiers stack per document depth.
+//!   at a time, with `Copy` [`MatchState`] bitmasks that the key checker
+//!   stacks per document depth.
 //!
 //! # Example
 //!
@@ -61,4 +61,4 @@ pub use containment::{contained_in, word_matches};
 pub use eval::EvalScratch;
 pub use expr::{Atom, ParsePathError, PathExpr};
 pub use path::Path;
-pub use stream::{MatchState, StreamMatcher};
+pub use stream::{MatchState, PathTooLong, StreamMatcher};

@@ -1,10 +1,9 @@
 //! Incremental word matching for the streaming front end.
 //!
-//! The DOM evaluator ([`crate::evaluate`] and the compiled
-//! [`CompiledExpr::evaluate`]) answers `n[[P]]` with the whole label word in
-//! hand.  The streaming shredder and key checker instead descend the
-//! document one label at a time and need, at every open node, the answer to
-//! "could the path from the binding root to here (or below) still match
+//! The DOM evaluator ([`CompiledExpr::evaluate`]) answers `n[[P]]` with the
+//! whole label word in hand.  The streaming key checker instead descends the
+//! document one label at a time and needs, at every open node, the answer to
+//! "could the path from the context node to here (or below) still match
 //! `P`?" — a classic NFA simulation.
 //!
 //! [`StreamMatcher`] compiles a [`CompiledExpr`] into exactly that: a
@@ -13,7 +12,9 @@
 //! the word has matched `atoms[..i]`"; position `len(atoms)` is the accept
 //! state.  `//` atoms contribute a self-loop (consume any label) plus an
 //! ε-edge (consume nothing), which is closed eagerly so a state is always
-//! ε-closed.
+//! ε-closed.  An expression of more than 127 atoms does not fit the mask,
+//! and [`StreamMatcher::new`] refuses it with [`PathTooLong`]; callers
+//! validate such keys on the tree instead.
 //!
 //! Matching agrees with [`CompiledExpr::matches_word`] label for label — a
 //! property pinned by proptest-style exhaustive tests below — and one
@@ -21,12 +22,37 @@
 //! per-event cost of the streaming path stays flat.
 
 use crate::compile::{CompiledAtom, CompiledExpr};
+use std::fmt;
 use xmlprop_xmltree::LabelId;
+
+/// The most atoms a [`StreamMatcher`] supports: its state set is a `u128`
+/// bitmask over `atoms + 1` positions.
+const MAX_STREAM_ATOMS: usize = 127;
+
+/// A path expression with more than 127 atoms, refused by
+/// [`StreamMatcher::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathTooLong {
+    /// The expression's atom count.
+    pub atoms: usize,
+}
+
+impl fmt::Display for PathTooLong {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "path expression has {} atoms; stream matching supports at most {MAX_STREAM_ATOMS}",
+            self.atoms
+        )
+    }
+}
+
+impl std::error::Error for PathTooLong {}
 
 /// The NFA state set of one in-progress match, as a position bitmask.
 ///
 /// Obtained from [`StreamMatcher::start`] and advanced with
-/// [`StreamMatcher::step`]; `Copy`, so open-binding frontiers can stack
+/// [`StreamMatcher::step`]; `Copy`, so the key checker can stack
 /// them per document depth without allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatchState(u128);
@@ -48,7 +74,7 @@ impl MatchState {
 ///
 /// let mut u = LabelUniverse::new();
 /// let expr = u.compile(&"//book/chapter".parse().unwrap());
-/// let matcher = StreamMatcher::new(&expr);
+/// let matcher = StreamMatcher::new(&expr).unwrap();
 ///
 /// let mut state = matcher.start();
 /// assert!(!matcher.accepts(state));
@@ -78,20 +104,14 @@ pub struct StreamMatcher {
 }
 
 impl StreamMatcher {
-    /// Compiles `expr` into NFA form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `expr` has 128 or more atoms (the state set is a `u128`
-    /// bitmask over `len + 1` positions).  Paper-style path expressions are
-    /// a handful of atoms; the limit exists only to keep states `Copy`.
-    pub fn new(expr: &CompiledExpr) -> Self {
+    /// Compiles `expr` into NFA form, or refuses it with [`PathTooLong`]
+    /// if it has more than 127 atoms.  Paper-style path expressions are a
+    /// handful of atoms; the limit exists only to keep states `Copy`.
+    pub fn new(expr: &CompiledExpr) -> Result<Self, PathTooLong> {
         let atoms = expr.atoms();
-        assert!(
-            atoms.len() < 128,
-            "StreamMatcher supports at most 127 atoms, got {}",
-            atoms.len()
-        );
+        if atoms.len() > MAX_STREAM_ATOMS {
+            return Err(PathTooLong { atoms: atoms.len() });
+        }
         let mut any_mask = 0u128;
         let mut max_label = 0usize;
         for atom in atoms {
@@ -138,7 +158,7 @@ impl StreamMatcher {
                 }
             }
         }
-        matcher
+        Ok(matcher)
     }
 
     /// The initial state: the empty word has been consumed.
@@ -237,7 +257,7 @@ mod tests {
         let labels = [u.intern("a"), u.intern("b"), u.intern("@x")];
         for expr in exprs {
             let compiled = u.compile(&p(expr));
-            let matcher = StreamMatcher::new(&compiled);
+            let matcher = StreamMatcher::new(&compiled).unwrap();
             // All words over {a, b, @x} up to length 4.
             let mut words: Vec<Vec<LabelId>> = vec![Vec::new()];
             let mut frontier = words.clone();
@@ -273,7 +293,7 @@ mod tests {
         let labels = [u.intern("a"), u.intern("b"), u.intern("@x")];
         for expr in exprs {
             let compiled = u.compile(&p(expr));
-            let matcher = StreamMatcher::new(&compiled);
+            let matcher = StreamMatcher::new(&compiled).unwrap();
             // Every state reachable by a word of length <= 3.
             let mut states = vec![matcher.start()];
             let mut frontier = states.clone();
@@ -317,14 +337,14 @@ mod tests {
         let any_a = u.compile(&p("//a"));
         let label_a = u.lookup("a");
 
-        let m = StreamMatcher::new(&a);
+        let m = StreamMatcher::new(&a).unwrap();
         assert!(!m.accepts(m.step(m.start(), None)));
         assert!(m.step(m.start(), None).is_dead());
 
-        let m = StreamMatcher::new(&any);
+        let m = StreamMatcher::new(&any).unwrap();
         assert!(m.accepts(m.step(m.start(), None)));
 
-        let m = StreamMatcher::new(&any_a);
+        let m = StreamMatcher::new(&any_a).unwrap();
         let state = m.step(m.start(), None);
         assert!(!m.accepts(state), "unknown label is not `a`");
         assert!(m.accepts(m.step(state, label_a)), "`//` consumed it");
@@ -335,17 +355,32 @@ mod tests {
         let mut u = LabelUniverse::new();
         let expr = u.compile(&p("a/b"));
         let b = u.lookup("b");
-        let m = StreamMatcher::new(&expr);
+        let m = StreamMatcher::new(&expr).unwrap();
         let dead = m.step(m.start(), b);
         assert!(dead.is_dead());
         assert!(m.step(dead, b).is_dead());
     }
 
     #[test]
+    fn paths_past_the_mask_are_refused_not_panicked_on() {
+        let mut u = LabelUniverse::new();
+        let path = |steps: usize| vec!["a"; steps].join("/");
+        let fits = u.compile(&p(&path(MAX_STREAM_ATOMS)));
+        let m = StreamMatcher::new(&fits).unwrap();
+        let a = u.lookup("a");
+        let end = (0..MAX_STREAM_ATOMS).fold(m.start(), |s, _| m.step(s, a));
+        assert!(m.accepts(end));
+        let long = u.compile(&p(&path(130)));
+        let err = StreamMatcher::new(&long).unwrap_err();
+        assert_eq!(err, PathTooLong { atoms: 130 });
+        assert!(err.to_string().contains("at most 127"), "{err}");
+    }
+
+    #[test]
     fn epsilon_accepts_only_the_empty_word() {
         let mut u = LabelUniverse::new();
         let a = u.intern("a");
-        let m = StreamMatcher::new(&CompiledExpr::epsilon());
+        let m = StreamMatcher::new(&CompiledExpr::epsilon()).unwrap();
         assert!(m.accepts(m.start()));
         assert!(!m.accepts(m.step(m.start(), Some(a))));
     }

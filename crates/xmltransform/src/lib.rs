@@ -36,10 +36,6 @@
 //!   run a plan per call;
 //! * a concise textual syntax ([`Transformation::parse`]) used by examples,
 //!   tests and the workload generator;
-//! * streaming execution: [`StreamShredder`] runs a [`ShredPlan`] over parse
-//!   events with an open-binding frontier, never materialising a document —
-//!   peak memory is bounded by depth plus open bindings, and the produced
-//!   relation is bit-for-bit the DOM result;
 //! * incremental re-shredding: [`IncrementalShredder`] maintains the
 //!   shredded database under [`xmlprop_xmltree::Document::apply`] edits by
 //!   caching per-anchor tuple blocks, re-shredding only blocks on the
@@ -57,12 +53,10 @@ mod plan;
 mod rule;
 pub mod sample;
 mod shred;
-mod stream;
 mod tree;
 
 pub use delta::{IncrementalShredder, RelationDelta};
 pub use parse::{parse_single_rule, ParseRuleError};
 pub use plan::{ShredPlan, ShredScratch, TransformationPlan, VarId};
 pub use rule::{FieldRule, RuleError, TableRule, Transformation, VarMapping, ROOT_VAR};
-pub use stream::StreamShredder;
 pub use tree::TableTree;

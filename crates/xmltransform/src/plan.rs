@@ -142,20 +142,9 @@ impl ShredPlan {
         VarId(self.field_vars[field])
     }
 
-    /// Parent variable ids, by [`VarId`] (the streaming shredder rebuilds
-    /// the variable tree from these).
-    pub(crate) fn parents(&self) -> &[u32] {
-        &self.parents
-    }
-
     /// Compiled edge paths, by [`VarId`].
     pub(crate) fn paths(&self) -> &[CompiledExpr] {
         &self.paths
-    }
-
-    /// For every schema attribute: the variable id whose `value()` fills it.
-    pub(crate) fn field_var_ids(&self) -> &[u32] {
-        &self.field_vars
     }
 
     /// Shreds a document into an instance of this plan's relation over the

@@ -1,11 +1,11 @@
 //! `xmlprop-cli` — command-line front end for the library.
 //!
 //! ```text
-//! xmlprop-cli validate  [--jobs N] <document.xml | corpus-dir> <keys.txt>
+//! xmlprop-cli validate  [--jobs N] [--stream] <document.xml | corpus-dir> <keys.txt>
 //! xmlprop-cli propagate <keys.txt> <rules.txt> <relation> "<X -> A>"
 //! xmlprop-cli cover     <keys.txt> <rules.txt> <relation>
 //! xmlprop-cli refine    <keys.txt> <rules.txt> <relation>
-//! xmlprop-cli shred     [--jobs N] <document.xml | corpus-dir> <rules.txt> [relation]
+//! xmlprop-cli shred     [--jobs N] [--stream] <document.xml | corpus-dir> <rules.txt> [relation]
 //! xmlprop-cli mutate    <document.xml> <keys.txt> <rules.txt> <script.edits>
 //! xmlprop-cli query     <document.xml> <keys.txt> <rules.txt> "<select ...>"
 //! xmlprop-cli serve     [--addr HOST:PORT] [--jobs N] [--script FILE] [--read-timeout-ms N]
@@ -25,6 +25,10 @@
 //! `--jobs` worker threads.  A file that fails to parse is reported by name
 //! and the batch continues; the exit code then signals failure without
 //! aborting the remaining files.
+//!
+//! `validate --stream` checks the keys straight off the file's text,
+//! without building a document tree.  `shred --stream` is accepted for
+//! compatibility and runs the same code as `shred`.
 //!
 //! `mutate` opens a document for **incremental revalidation**: it applies
 //! an edit script (one `settext`/`remove`/`insert` per line, nodes named
@@ -196,6 +200,10 @@ fn usage_text() -> String {
         "\nPassing a directory to `validate` or `shred` processes every *.xml\n\
          file in it (sorted by name) through the parallel corpus pipeline\n\
          over N worker threads (default 1).\n\n\
+         --stream validates straight off the file's text through the\n\
+         streaming key checker, without building a document tree.\n\
+         `shred --stream` is accepted for compatibility and runs the same\n\
+         code as `shred`: shredding always parses the document.\n\n\
          `mutate` applies an edit script (settext/remove/insert lines over\n\
          n<id> node names) to the document, incrementally maintaining the\n\
          index, the key validation and the shredded relations per edit.\n\n\
@@ -333,7 +341,8 @@ fn cmd_validate(args: &[String]) -> Result<bool, Error> {
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
     if stream {
         // The event-driven front end: the file's text goes straight through
-        // the streaming checker — no document tree is ever built.
+        // the streaming checker — no document tree is built unless a key
+        // is too long to stream.
         let (ok, report) = render::validate_report_streaming(&bundle, &read(doc_path)?, doc_path)?;
         print!("{report}");
         return Ok(ok);
@@ -389,7 +398,9 @@ fn cmd_refine(args: &[String]) -> Result<bool, Error> {
 }
 
 fn cmd_shred(args: &[String]) -> Result<bool, Error> {
-    let (args, stream) = split_flag(args, "--stream");
+    // `--stream` is accepted for compatibility: shredding is defined over
+    // the whole tree, so it always parses the document.
+    let (args, _) = split_flag(args, "--stream");
     let (positional, jobs) = parse_jobs(&args)?;
     let (doc_path, rules_path, relation) = match positional.as_slice() {
         [d, r] => (d, r, None),
@@ -397,24 +408,12 @@ fn cmd_shred(args: &[String]) -> Result<bool, Error> {
         _ => return Err(usage_error("shred")),
     };
     if Path::new(doc_path).is_dir() {
-        return batch_shred(
-            doc_path,
-            rules_path,
-            relation,
-            jobs.unwrap_or_default(),
-            stream,
-        );
+        return batch_shred(doc_path, rules_path, relation, jobs.unwrap_or_default());
     }
     warn_single_document_jobs(jobs);
     // The server's renderer against a shredding-only bundle: a `shred`
     // request and this one-shot print identical bytes by construction.
     let bundle = CorpusBundle::for_shredding(load_transformation(rules_path)?);
-    if stream {
-        let (_tuples, report) =
-            render::shred_report_streaming(&bundle, &read(doc_path)?, doc_path, relation)?;
-        print!("{report}");
-        return Ok(true);
-    }
     let doc = Document::parse_str(&read(doc_path)?).map_err(|e| Error::parse(doc_path, e))?;
     let mut scratch = bundle.scratch();
     let (_tuples, report) = render::shred_report(&bundle, &doc, &mut scratch, relation)?;
@@ -619,8 +618,8 @@ fn cmd_serve(args: &[String]) -> Result<bool, Error> {
 
 /// Runs a directory batch: one fan-out over the files, each worker owning
 /// one bundle scratch.  Each file is read, then either streamed straight off
-/// its text (`options.stream`, no document tree at all) or parsed and
-/// processed by the DOM pipeline.  Returns `(name, outcome)` pairs in
+/// its text (`options.stream`, validation only: no document tree) or parsed
+/// and processed by the DOM pipeline.  Returns `(name, outcome)` pairs in
 /// file-name order plus the per-file failures (a malformed file never
 /// aborts the batch), or `None` for an empty directory.
 #[allow(clippy::type_complexity)]
@@ -662,7 +661,8 @@ fn batch_outcomes(
 }
 
 /// Batch validation: every `*.xml` file of `dir` against the key set, over
-/// the parallel corpus pipeline (or its streaming front end).
+/// the parallel corpus pipeline (or, with `stream`, the streaming key
+/// checker).
 fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Result<bool, Error> {
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
     let options = CorpusOptions {
@@ -706,14 +706,13 @@ fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Resul
 }
 
 /// Batch shredding: every `*.xml` file of `dir` through the prepared plans,
-/// over the parallel corpus pipeline (or its streaming front end).  With a
-/// relation name only that relation's tuple counts are reported.
+/// over the parallel corpus pipeline.  With a relation name only that
+/// relation's tuple counts are reported.
 fn batch_shred(
     dir: &str,
     rules_path: &str,
     relation: Option<&str>,
     jobs: Jobs,
-    stream: bool,
 ) -> Result<bool, Error> {
     let t = load_transformation(rules_path)?;
     // With a relation filter, reduce the transformation to that one rule
@@ -734,7 +733,7 @@ fn batch_shred(
         shred: true,
         validate: false,
         covers: false,
-        stream,
+        stream: false,
     };
     let Some((outcomes, failed)) = batch_outcomes(dir, &bundle, &options)? else {
         println!("(no *.xml documents in `{dir}`)");

@@ -29,16 +29,16 @@
 //!
 //! ## Streaming front end
 //!
-//! Every per-document task also runs **event-driven**, without building a
+//! Key validation also runs **event-driven**, without building a
 //! `Document` or a `DocIndex`: [`prelude::StreamParser`] pulls events off
-//! raw XML text, [`prelude::StreamMatcher`] steps compiled path NFAs,
-//! [`prelude::StreamKeyChecker`] validates Σ and
-//! [`prelude::StreamShredder`] executes shred plans — all bounded by
-//! document *depth* plus *open bindings*, not document size, and all
-//! proven bit-for-bit equal to the DOM path.  The pipeline exposes the
-//! whole stack as `CorpusOptions { stream: true, .. }` and
-//! [`pipeline::CorpusBundle::stream_text`]; the CLI as
-//! `validate --stream` / `shred --stream`.
+//! raw XML text, [`prelude::StreamMatcher`] steps compiled path NFAs and
+//! [`prelude::StreamKeyChecker`] validates Σ — bounded by document *depth*
+//! plus *open key contexts*, not document size, and proven bit-for-bit
+//! equal to the DOM path.  The pipeline exposes it as
+//! [`pipeline::CorpusBundle::stream_text`] with only `validate` on; the CLI
+//! as `validate --stream`.  Shredding is defined over the whole tree and
+//! always parses the document (`shred --stream` is accepted and runs the
+//! same code as `shred`).
 //!
 //! ## One-shot facades vs. prepared state
 //!
@@ -99,8 +99,7 @@ pub mod prelude {
         EvalScratch, LabelUniverse, MatchState, Path, PathExpr, StreamMatcher,
     };
     pub use xmlprop_xmltransform::{
-        ShredPlan, ShredScratch, StreamShredder, TableRule, TableTree, Transformation,
-        TransformationPlan,
+        ShredPlan, ShredScratch, TableRule, TableTree, Transformation, TransformationPlan,
     };
     pub use xmlprop_xmltree::{
         DocIndex, Document, ElementBuilder, NodeId, NodeKind, StreamEvent, StreamParser,

@@ -423,6 +423,29 @@ fn batch_stream_matches_the_dom_batch_and_names_malformed_files() {
     assert!(stdout(&stream).contains("a.xml: chapter: 3"));
 }
 
+/// A key whose target path has 130 steps does not fit the stream matcher;
+/// `validate --stream` checks it on the parsed tree and prints the DOM
+/// bytes instead of panicking.
+#[test]
+fn validate_stream_checks_keys_too_long_to_stream_on_the_tree() {
+    let dir = CorpusDir::new("long-key");
+    let target = vec!["a"; 130].join("/");
+    dir.write("keys.txt", &format!("K1: (ε, ({target}, {{}}))\n"));
+    dir.write("doc.xml", "<r><a/></r>");
+    let keys = format!("{}/keys.txt", dir.path());
+    let doc = format!("{}/doc.xml", dir.path());
+    let stream = run(&["validate", "--stream", &doc, &keys]);
+    let dom = run(&["validate", &doc, &keys]);
+    assert_eq!(
+        stream.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&stream.stderr)
+    );
+    assert_eq!(stdout(&stream), stdout(&dom));
+    assert!(stdout(&stream).starts_with("[ok]"), "{}", stdout(&stream));
+}
+
 #[test]
 fn batch_over_an_empty_directory_is_a_clean_no_op() {
     let dir = CorpusDir::new("batch-empty");

@@ -10,16 +10,12 @@
 //!
 //! The thread counts exercised are `{1, 2, 8}` plus, when the
 //! `XMLPROP_TEST_JOBS` environment variable is set (CI runs the suite a
-//! second time with `XMLPROP_TEST_JOBS=4`), that value.  The whole grid is
-//! run twice: once through the DOM path and once with the streaming toggle
-//! (`CorpusOptions { stream: true, .. }`), which must reproduce the DOM
-//! outputs field for field.
+//! second time with `XMLPROP_TEST_JOBS=4`), that value.
 
 use proptest::prelude::*;
 use xmlprop::pipeline::{CorpusBundle, CorpusOptions, Jobs};
 use xmlprop::workload::{generate, generate_corpus, CorpusConfig, DocConfig, WorkloadConfig};
 use xmlprop::xmltransform::Transformation;
-use xmlprop::xmltree::{to_xml, Document};
 
 /// The thread counts every equivalence check runs at.
 fn jobs_grid() -> Vec<usize> {
@@ -103,36 +99,6 @@ proptest! {
                 &parallel, &sequential,
                 "jobs = {} diverged from the sequential facade", jobs
             );
-        }
-
-        // The streaming toggle, at every width, over the corpus as it
-        // would arrive from disk: serialize + reparse keeps arena order =
-        // document order, which aligns streaming's pre-order node ids
-        // with the DOM path's arena ids in the violation sets (the
-        // in-memory mutation above deliberately breaks that alignment for
-        // the DOM-only runs).  The frontier stat is streaming-only, so the
-        // comparison is field-wise.
-        let reparsed: Vec<Document> = docs
-            .iter()
-            .map(|d| Document::parse_str(&to_xml(d)).expect("corpus documents reparse"))
-            .collect();
-        let dom_ref = bundle.run_sequential(&reparsed, &CorpusOptions::default());
-        for jobs in jobs_grid() {
-            let options = CorpusOptions {
-                stream: true,
-                ..CorpusOptions::with_jobs(Jobs::new(jobs).unwrap())
-            };
-            let streamed = bundle.run(&reparsed, &options);
-            prop_assert_eq!(streamed.documents.len(), dom_ref.documents.len());
-            for (i, (s, d)) in streamed.documents.iter().zip(&dom_ref.documents).enumerate() {
-                prop_assert_eq!(&s.database, &d.database, "stream jobs={} doc {}", jobs, i);
-                prop_assert_eq!(&s.violations, &d.violations, "stream jobs={} doc {}", jobs, i);
-                prop_assert_eq!(s.nodes, d.nodes, "stream jobs={} doc {}", jobs, i);
-                prop_assert_eq!(s.tuples, d.tuples, "stream jobs={} doc {}", jobs, i);
-            }
-            prop_assert_eq!(&streamed.covers, &dom_ref.covers);
-            prop_assert_eq!(streamed.stats.violations, dom_ref.stats.violations);
-            prop_assert_eq!(streamed.stats.tuples, dom_ref.stats.tuples);
         }
     }
 }

@@ -1,15 +1,20 @@
-//! Differential property tests for the streaming front end: the
-//! event-driven path (`CorpusBundle::stream_text` — no `Document`, no
-//! `DocIndex`) must be **bit-for-bit** equal to the DOM pipeline on random
+//! Differential property tests for the text front end
+//! (`CorpusBundle::stream_text`) under both of its option sets:
+//!
+//! * shred + validate, which parses the text and runs the DOM pipeline;
+//! * validate only, which streams the text through `StreamKeyChecker` —
+//!   no `Document`, no `DocIndex`.
+//!
+//! Each must be **bit-for-bit** equal to the DOM pipeline on random
 //! workload documents, on documents with injected key violations, on deep
 //! narrow trees, and — for malformed inputs — must report the *same*
 //! `ParseError` the tree parser reports, since both fronts share one
 //! tokenizer.
 //!
-//! The bounded-memory claim itself is pinned at the bottom: streaming a
-//! generated wide million-node document must record a frontier
-//! (`peak_open_bindings`) that is orders of magnitude below the node
-//! count.
+//! The bounded-memory claim of streaming validation is pinned at the
+//! bottom: validating a generated wide million-node document must record
+//! open key contexts (`peak_open_bindings`) orders of magnitude below the
+//! node count.
 
 use proptest::prelude::*;
 use xmlprop::pipeline::{CorpusBundle, CorpusOptions, DocOutcome, Jobs};
@@ -17,15 +22,19 @@ use xmlprop::prelude::*;
 use xmlprop::workload::{generate, generate_document, DocConfig, WorkloadConfig};
 use xmlprop::xmltree::to_xml;
 
-fn options(stream: bool) -> CorpusOptions {
+fn options(shred: bool, stream: bool) -> CorpusOptions {
     CorpusOptions {
         jobs: Jobs::default(),
-        shred: true,
+        shred,
         validate: true,
         covers: false,
         stream,
     }
 }
+
+/// The two option sets `stream_text` serves: shred + validate (the parse
+/// path) and validate only (the streaming key checker).
+const SHRED: [bool; 2] = [true, false];
 
 /// Bundles a workload's Σ and universal rule the way the pipeline would.
 fn bundle_of(w: &xmlprop::workload::Workload) -> CorpusBundle {
@@ -35,23 +44,32 @@ fn bundle_of(w: &xmlprop::workload::Workload) -> CorpusBundle {
     )
 }
 
-/// Runs the serialized document through both fronts and asserts the
-/// outcomes agree field for field (the frontier stat is streaming-only and
-/// excluded).  Returns the streamed outcome for extra assertions.
+/// Runs the serialized document through both fronts under both option
+/// sets and asserts the outcomes agree field for field (the open-context
+/// stat is streaming-only and excluded).  Returns the validate-only
+/// outcome, the one that streamed, for extra assertions.
 fn assert_fronts_agree(bundle: &CorpusBundle, text: &str) -> DocOutcome {
     let doc = Document::parse_str(text).expect("the serialized document reparses");
-    let dom = bundle
-        .run(std::slice::from_ref(&doc), &options(false))
-        .documents
-        .remove(0);
-    let streamed = bundle
-        .stream_text(text, &options(true))
-        .expect("the serialized document streams");
-    assert_eq!(streamed.database, dom.database, "shredded relations differ");
-    assert_eq!(streamed.violations, dom.violations, "violations differ");
-    assert_eq!(streamed.nodes, dom.nodes, "node counts differ");
-    assert_eq!(streamed.tuples, dom.tuples, "tuple counts differ");
-    streamed
+    let [_, validate_only] = SHRED.map(|shred| {
+        let dom = bundle
+            .run(std::slice::from_ref(&doc), &options(shred, false))
+            .documents
+            .remove(0);
+        let streamed = bundle
+            .stream_text(text, &options(shred, true))
+            .expect("the serialized document streams");
+        assert_eq!(streamed.database, dom.database, "shredded relations differ");
+        assert_eq!(streamed.violations, dom.violations, "violations differ");
+        assert_eq!(streamed.nodes, dom.nodes, "node counts differ");
+        assert_eq!(streamed.tuples, dom.tuples, "tuple counts differ");
+        assert_eq!(
+            streamed.peak_open_bindings == 0,
+            shred,
+            "only the validate-only set streams"
+        );
+        streamed
+    });
+    validate_only
 }
 
 proptest! {
@@ -74,7 +92,7 @@ proptest! {
             &DocConfig { branching, omission_probability: omit, seed, ..DocConfig::default() },
         );
         let outcome = assert_fronts_agree(&bundle_of(&w), &to_xml(&doc));
-        prop_assert!(outcome.peak_open_bindings > 0, "the frontier stat must be recorded");
+        prop_assert!(outcome.peak_open_bindings > 0, "the open-context stat must be recorded");
     }
 
     /// Injected key violations: duplicating a level-0 entity's identifier
@@ -106,8 +124,8 @@ proptest! {
     }
 
     /// Deep, narrow trees (branching 1, up to 8 entity levels): the
-    /// streaming frontier follows the recursion where the DOM path follows
-    /// the arena — outputs must still be identical.
+    /// streaming key checker follows the recursion where the DOM path
+    /// follows the arena — outputs must still be identical.
     #[test]
     fn streaming_matches_the_dom_pipeline_on_deep_narrow_trees(
         depth in 4usize..9,
@@ -142,18 +160,20 @@ proptest! {
         let bad = &text[..cut];
         let bundle = bundle_of(&w);
         let dom_err = Document::parse_str(bad).expect_err("a proper prefix cannot parse");
-        let stream_err = bundle
-            .stream_text(bad, &options(true))
-            .expect_err("a proper prefix cannot stream");
-        prop_assert_eq!(stream_err, dom_err, "the two fronts share one error table");
+        for shred in SHRED {
+            let stream_err = bundle
+                .stream_text(bad, &options(shred, true))
+                .expect_err("a proper prefix cannot stream");
+            prop_assert_eq!(&stream_err, &dom_err, "the two fronts share one error table");
+        }
     }
 }
 
-/// The bounded-memory claim, on a real million-node document: a wide
-/// two-level corpus document streams with a frontier of a handful of open
-/// bindings — O(depth + open bindings), not O(document size).  The DOM is
-/// built here only as *test scaffolding* to produce the input text; the
-/// streaming pass under test never builds one.
+/// The bounded-memory claim of streaming validation, on a real
+/// million-node document: a wide two-level corpus document validates with
+/// a handful of open key contexts — O(depth + open contexts), not
+/// O(document size).  The DOM is built here only as *test scaffolding* to
+/// produce the input text; the streaming pass under test never builds one.
 #[test]
 fn wide_million_node_documents_stream_with_a_tiny_frontier() {
     let w = generate(&WorkloadConfig::new(6, 1, 2).with_seed(3));
@@ -174,14 +194,17 @@ fn wide_million_node_documents_stream_with_a_tiny_frontier() {
     let text = to_xml(&doc);
     drop(doc);
     let outcome = bundle_of(&w)
-        .stream_text(&text, &options(true))
+        .stream_text(&text, &options(false, true))
         .expect("the generated document streams");
     assert_eq!(outcome.nodes, nodes);
-    assert_eq!(outcome.tuples, 140_000, "one tuple per level-0 entity");
     assert!(
-        outcome.peak_open_bindings <= 16,
-        "the frontier must track depth + open bindings, not the {nodes}-node \
-         document; recorded peak_open_bindings = {}",
+        outcome.violations.is_empty(),
+        "generated documents satisfy Σ"
+    );
+    assert!(
+        outcome.peak_open_bindings > 0 && outcome.peak_open_bindings <= 16,
+        "open contexts must track depth, not the {nodes}-node document; \
+         recorded peak_open_bindings = {}",
         outcome.peak_open_bindings
     );
 }
