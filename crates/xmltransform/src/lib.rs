@@ -29,8 +29,8 @@
 //!   (`parent`, ancestors, `path(y, x)`, depth);
 //! * shredding: the prepared [`ShredPlan`] / [`TransformationPlan`]
 //!   ([`TableRule::prepare`] / [`Transformation::prepare`]) shredding over
-//!   a [`xmlprop_xmltree::DocIndex`] with dense [`VarId`] binding rows and
-//!   memoized `value()` serialization, producing
+//!   a [`xmlprop_xmltree::DocIndex`], enumerating the bindings over dense
+//!   [`VarId`]s depth first with memoized `value()` serialization, producing
 //!   [`xmlprop_reldb::Relation`]s / [`xmlprop_reldb::Database`]s; the
 //!   one-shot [`TableRule::shred`] / [`Transformation::shred`] prepare and
 //!   run a plan per call;

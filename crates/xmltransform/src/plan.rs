@@ -3,8 +3,8 @@
 //! A [`ShredPlan`] does the per-rule work of shredding once:
 //!
 //! * every variable gets a dense [`VarId`] (parent-before-child order), so
-//!   a binding is a flat row of `u32` DFS positions instead of a string-keyed
-//!   map — extending the Cartesian product is a `memcpy`, not a tree clone;
+//!   a binding is a flat array of `u32` DFS positions instead of a
+//!   string-keyed map;
 //! * every edge path is compiled ([`xmlprop_xmlpath::CompiledExpr`]) against
 //!   a shared [`LabelUniverse`] and evaluated over a prepared
 //!   [`DocIndex`] with reusable scratch frontiers;
@@ -12,11 +12,15 @@
 //!   node, so a node reached by many rows (the upper levels of the product)
 //!   is serialized once.
 //!
-//! The binding table is columnar in spirit — one `u32` slot per
-//! (row, variable), stored as fixed-stride rows so row replication on
-//! multi-node bindings stays a contiguous copy; rows that bind at most one
-//! node per variable (the common case) are extended **in place** with no
-//! reallocation at all.
+//! The implicit Cartesian product of Definition 2.2 is enumerated depth
+//! first, as an odometer over the variables in [`VarId`] order with the
+//! last variable turning fastest.  Each variable keeps the list of nodes
+//! its edge path reaches from its parent's current node, and recomputes it
+//! only when that parent's binding changes; an empty list binds the
+//! variable (and so its descendants) to null.  Every complete binding is
+//! materialized straight into a tuple, so no table of partial bindings is
+//! ever built, and rows come out lexicographic by [`VarId`] — the order of
+//! the paper's product and of the string oracle.
 //!
 //! [`TableRule::prepare`] builds a plan for one rule;
 //! [`Transformation::prepare`] builds a [`TransformationPlan`] covering
@@ -46,7 +50,7 @@ impl VarId {
     }
 }
 
-/// Sentinel for "variable bound to null" in the binding table.
+/// Sentinel for "variable bound to null" in a binding.
 const NULL: u32 = u32::MAX;
 
 /// The compiled form of one [`TableRule`]; see the module docs.
@@ -149,9 +153,9 @@ impl ShredPlan {
 
     /// Shreds a document into an instance of this plan's relation over the
     /// prepared index, following the paper's Section 2 semantics (one tuple
-    /// per complete binding, nulls for missing branches).  Allocates fresh scratch; batch callers
-    /// (many rules / many documents) should reuse a [`ShredScratch`]
-    /// through [`ShredPlan::shred_with`].
+    /// per complete binding, nulls for missing branches).  Allocates fresh
+    /// scratch; batch callers (many rules / many documents) should reuse a
+    /// [`ShredScratch`] through [`ShredPlan::shred_with`].
     pub fn shred(&self, doc: &Document, index: &DocIndex) -> Relation {
         let mut scratch = ShredScratch::new();
         self.shred_with(doc, index, &mut scratch)
@@ -159,8 +163,8 @@ impl ShredPlan {
 
     /// [`ShredPlan::shred`] with caller-provided scratch state.
     ///
-    /// The scratch's `value()` memo is keyed by DFS position, so it is only
-    /// valid for one `(doc, index)` pair at a time; [`ShredScratch::new`]
+    /// The scratch's `value()` memo is keyed by node, so it is only valid
+    /// for one document at a time; [`ShredScratch::new`]
     /// or [`ShredScratch::reset`] it when switching documents (sharing it
     /// across *rules* over the same document is the point).
     pub fn shred_with(
@@ -170,152 +174,100 @@ impl ShredPlan {
         scratch: &mut ShredScratch,
     ) -> Relation {
         index.debug_assert_current(doc);
-        let stride = self.parents.len();
-        // The binding table: `stride` u32 slots per row, NULL for unbound.
-        let mut rows: Vec<u32> = vec![NULL; stride];
-        rows[0] = index.position(doc.root());
-        self.expand_rows(index, scratch, &mut rows, 1);
         scratch.ensure_values(doc.arena_len());
+        let ShredScratch { odometer, values } = scratch;
         let mut relation = Relation::new(self.schema.clone());
-        for row in rows.chunks_exact(stride) {
-            relation.insert(self.materialize_row(doc, index, scratch, row));
-        }
+        self.enumerate(index, odometer, &[index.position(doc.root())], |row| {
+            relation.insert(self.materialize_row(doc, index, values, row))
+        });
         relation
     }
 
-    /// Extends the binding table by the variables `from..`, replicating
-    /// rows on multi-node bindings — the Cartesian-product engine behind
-    /// [`ShredPlan::shred_with`] (`from = 1`) and the incremental
-    /// [`ShredPlan::shred_block`] (`from = 2`, anchor pre-bound).
-    fn expand_rows(
+    /// Calls `emit` with every complete binding whose first variables are
+    /// `bound` (the root, and for [`ShredPlan::shred_block`] the anchor),
+    /// in lexicographic [`VarId`] order; see the module docs.
+    fn enumerate(
         &self,
         index: &DocIndex,
-        scratch: &mut ShredScratch,
-        rows: &mut Vec<u32>,
-        from: usize,
+        odometer: &mut Odometer,
+        bound: &[u32],
+        mut emit: impl FnMut(&[u32]),
     ) {
-        let stride = self.parents.len();
-        for v in from..stride {
-            let parent = self.parents[v] as usize;
-            let path = &self.paths[v];
-            let nrows = rows.len() / stride;
-            // In a Cartesian product the same parent node backs many rows;
-            // memoize this variable's bindings per parent position (ranges
-            // into one pooled vector) so each (variable, parent) pair is
-            // evaluated once.
-            scratch.binding_memo.clear();
-            scratch.binding_pool.clear();
-            let mut last_parent = NULL;
-            let mut last_range = (0u32, 0u32);
-            // `expanded` stays `None` while every row binds at most one
-            // node — then the column is filled in place.  The first
-            // multi-node binding switches to copy-and-replicate.
-            let mut expanded: Option<Vec<u32>> = None;
-            for r in 0..nrows {
-                let base = r * stride;
-                let parent_pos = rows[base + parent];
-                let (lo, hi) = if parent_pos == NULL {
-                    (0, 0)
-                } else if last_parent == parent_pos {
-                    // Rows sharing a parent cluster in runs; skip the map.
-                    last_range
-                } else {
-                    match scratch.binding_memo.get(&parent_pos) {
-                        Some(&range) => range,
-                        None => {
-                            let lo = scratch.binding_pool.len() as u32;
-                            match self.single_label[v] {
-                                // Single-label edge: direct child scan,
-                                // already in document order.
-                                Some(label) => {
-                                    for c in index.children_at(parent_pos) {
-                                        if index.label_at(c) == label {
-                                            scratch.binding_pool.push(c);
-                                        }
-                                    }
-                                }
-                                None => {
-                                    path.evaluate_positions(
-                                        index,
-                                        parent_pos,
-                                        &mut scratch.eval,
-                                        &mut scratch.out,
-                                    );
-                                    scratch.binding_pool.extend_from_slice(&scratch.out);
-                                }
-                            }
-                            let range = (lo, scratch.binding_pool.len() as u32);
-                            scratch.binding_memo.insert(parent_pos, range);
-                            range
+        let vars = self.parents.len();
+        odometer.reset(vars);
+        let Odometer {
+            eval,
+            candidates,
+            source,
+            at,
+            binding,
+        } = odometer;
+        binding[..bound.len()].copy_from_slice(bound);
+        let from = bound.len();
+        // The first variable whose binding must be (re)made.
+        let mut next = from;
+        loop {
+            for v in next..vars {
+                let parent = binding[self.parents[v] as usize];
+                if source[v] != parent {
+                    let list = &mut candidates[v];
+                    list.clear();
+                    if parent != NULL {
+                        match self.single_label[v] {
+                            // Single-label edge: direct child scan,
+                            // already in document order.
+                            Some(label) => list.extend(
+                                index
+                                    .children_at(parent)
+                                    .filter(|&c| index.label_at(c) == label),
+                            ),
+                            None => self.paths[v].evaluate_positions(index, parent, eval, list),
                         }
                     }
-                };
-                if parent_pos != NULL {
-                    last_parent = parent_pos;
-                    last_range = (lo, hi);
+                    source[v] = parent;
                 }
-                let bindings: &[u32] = &scratch.binding_pool[lo as usize..hi as usize];
-                match expanded.as_mut() {
-                    None => {
-                        if bindings.len() <= 1 {
-                            rows[base + v] = bindings.first().copied().unwrap_or(NULL);
-                        } else {
-                            let mut wide =
-                                Vec::with_capacity(rows.len() + (bindings.len() - 1) * stride);
-                            wide.extend_from_slice(&rows[..base]);
-                            for &b in bindings {
-                                let row_start = wide.len();
-                                wide.extend_from_slice(&rows[base..base + stride]);
-                                wide[row_start + v] = b;
-                            }
-                            expanded = Some(wide);
-                        }
-                    }
-                    Some(wide) => {
-                        if bindings.is_empty() {
-                            let row_start = wide.len();
-                            wide.extend_from_slice(&rows[base..base + stride]);
-                            wide[row_start + v] = NULL;
-                        } else {
-                            for &b in bindings {
-                                let row_start = wide.len();
-                                wide.extend_from_slice(&rows[base..base + stride]);
-                                wide[row_start + v] = b;
-                            }
-                        }
-                    }
-                }
+                at[v] = 0;
+                binding[v] = candidates[v].first().copied().unwrap_or(NULL);
             }
-            if let Some(wide) = expanded {
-                *rows = wide;
-            }
+            emit(binding);
+            // Turn the last variable that has another candidate; every
+            // later one starts over.
+            let Some(v) = (from..vars)
+                .rev()
+                .find(|&v| at[v] + 1 < candidates[v].len())
+            else {
+                return;
+            };
+            at[v] += 1;
+            binding[v] = candidates[v][at[v]];
+            next = v + 1;
         }
     }
 
-    /// Materializes one binding row into a tuple through the node-keyed
+    /// Materializes one binding into a tuple through the node-keyed
     /// `value()` memo (caller must have sized it via
     /// [`ShredScratch::ensure_values`]).
     fn materialize_row(
         &self,
         doc: &Document,
         index: &DocIndex,
-        scratch: &mut ShredScratch,
-        row: &[u32],
+        values: &mut [Option<Value>],
+        binding: &[u32],
     ) -> Tuple {
-        let values: Vec<Value> = self
-            .field_vars
-            .iter()
-            .map(|&v| match row[v as usize] {
-                NULL => Value::Null,
-                pos => {
-                    let node = index.node_at(pos);
-                    let slot = &mut scratch.values[node.index()];
-                    slot.get_or_insert_with(|| Value::from(field_value(doc, node).as_ref()))
-                        .clone()
-                }
-            })
-            .collect();
-        Tuple::new(values)
+        Tuple::new(
+            self.field_vars
+                .iter()
+                .map(|&v| match binding[v as usize] {
+                    NULL => Value::Null,
+                    pos => {
+                        let node = index.node_at(pos);
+                        values[node.index()]
+                            .get_or_insert_with(|| Value::from(field_value(doc, node).as_ref()))
+                            .clone()
+                    }
+                })
+                .collect(),
+        )
     }
 
     /// The anchor variable of a block-decomposable plan, if any.
@@ -328,11 +280,11 @@ impl ShredPlan {
     /// per-anchor-binding tuple blocks — the unit of reuse of the
     /// incremental shredder.
     pub(crate) fn anchor_var(&self) -> Option<VarId> {
-        let stride = self.parents.len();
-        if stride < 2 || self.field_vars.contains(&0) {
+        let vars = self.parents.len();
+        if vars < 2 || self.field_vars.contains(&0) {
             return None;
         }
-        if (2..stride).any(|v| self.parents[v] == 0) {
+        if (2..vars).any(|v| self.parents[v] == 0) {
             return None;
         }
         Some(VarId(1))
@@ -348,15 +300,16 @@ impl ShredPlan {
         scratch: &mut ShredScratch,
         anchor_pos: u32,
     ) -> Vec<Tuple> {
-        let stride = self.parents.len();
-        let mut rows: Vec<u32> = vec![NULL; stride];
-        rows[0] = index.position(doc.root());
-        rows[1] = anchor_pos;
-        self.expand_rows(index, scratch, &mut rows, 2);
         scratch.ensure_values(doc.arena_len());
-        rows.chunks_exact(stride)
-            .map(|row| self.materialize_row(doc, index, scratch, row))
-            .collect()
+        let ShredScratch { odometer, values } = scratch;
+        let mut block = Vec::new();
+        self.enumerate(
+            index,
+            odometer,
+            &[index.position(doc.root()), anchor_pos],
+            |row| block.push(self.materialize_row(doc, index, values, row)),
+        );
+        block
     }
 
     /// The all-null tuple a plan emits when its variables bind nothing —
@@ -367,17 +320,11 @@ impl ShredPlan {
     }
 }
 
-/// Reusable scratch for [`ShredPlan::shred_with`]: evaluation frontiers and
-/// the per-node `value()` memo.
+/// Reusable scratch for [`ShredPlan::shred_with`]: the binding enumerator's
+/// state and the per-node `value()` memo.
 #[derive(Debug, Default)]
 pub struct ShredScratch {
-    eval: EvalScratch,
-    out: Vec<u32>,
-    /// Parent position → binding range of the variable being extended
-    /// (cleared per variable).
-    binding_memo: HashMap<u32, (u32, u32)>,
-    /// Pool backing the memoized binding ranges.
-    binding_pool: Vec<u32>,
+    odometer: Odometer,
     /// [`NodeId`] index → memoized field value of that node (dense, sized
     /// to the document arena on first use).  Node-keyed rather than
     /// position-keyed so the memo survives deltas: positions shift under
@@ -415,6 +362,41 @@ impl ShredScratch {
                 *slot = None;
             }
         }
+    }
+}
+
+/// The state of [`ShredPlan::enumerate`], one slot per variable, kept
+/// between calls so enumeration allocates nothing once it is warm.
+#[derive(Debug, Default)]
+struct Odometer {
+    eval: EvalScratch,
+    /// The nodes the variable's edge path reaches from its parent's node.
+    candidates: Vec<Vec<u32>>,
+    /// The parent position `candidates` was computed from.
+    source: Vec<u32>,
+    /// Which candidate is bound.
+    at: Vec<usize>,
+    /// The bound position, [`NULL`] when the candidate list is empty.
+    binding: Vec<u32>,
+}
+
+impl Odometer {
+    /// Sizes the state for `vars` variables with every candidate list
+    /// empty and computed from a null parent — a consistent start, so a
+    /// variable is only computed once its parent is bound.
+    fn reset(&mut self, vars: usize) {
+        if self.candidates.len() < vars {
+            self.candidates.resize_with(vars, Vec::new);
+        }
+        for list in &mut self.candidates[..vars] {
+            list.clear();
+        }
+        self.source.clear();
+        self.source.resize(vars, NULL);
+        self.at.clear();
+        self.at.resize(vars, 0);
+        self.binding.clear();
+        self.binding.resize(vars, NULL);
     }
 }
 
@@ -633,27 +615,73 @@ mod shred_proptests {
     }
 
     /// A random rule: a `//`-initial variable under the root, then up to
-    /// four more variables, each a child step (element or attribute) from a
-    /// random earlier variable; every leaf variable carries one field.
+    /// four more variables, each one or two steps (elements, then maybe an
+    /// attribute) from a random earlier element variable, so that some
+    /// edges go through the general path evaluator.  Every leaf variable
+    /// carries a field.  Some inner element variables get a leaf twin on
+    /// the same edge, whose field reads the `value()` of an element with
+    /// children.
     fn rule_strategy() -> impl Strategy<Value = TableRule> {
         let label = prop_oneof![Just("a"), Just("b"), Just("c"), Just("@x"), Just("@y")];
+        let second = prop_oneof![
+            Just(None),
+            Just(None),
+            Just(Some("a")),
+            Just(Some("b")),
+            Just(Some("@x"))
+        ];
         (
             prop_oneof![Just("a"), Just("b"), Just("c")],
-            prop::collection::vec((0usize..8, label), 0..5),
+            prop::collection::vec((0usize..8, label, second, any_bool()), 0..5),
         )
             .prop_map(|(top, steps)| {
-                // Variable `v{i+1}` is `vars[i]`: (is an attribute, has a child).
-                let mut lines = vec![format!("v1 := xr//{top};")];
-                let mut vars = vec![(false, false)];
-                for (pick, label) in steps {
-                    // Attributes have no children, so only elements parent.
-                    let elements: Vec<usize> = (0..vars.len()).filter(|&i| !vars[i].0).collect();
-                    let parent = elements[pick % elements.len()];
-                    vars[parent].1 = true;
-                    vars.push((label.starts_with('@'), false));
-                    lines.push(format!("v{} := v{}/{label};", vars.len(), parent + 1));
+                // Variable `v{i+1}` is `vars[i]`: its edge (parent and
+                // path), whether it is an attribute, has a child, and wants
+                // a twin.
+                struct Var {
+                    edge: Option<(usize, String)>,
+                    attribute: bool,
+                    inner: bool,
+                    twin: bool,
                 }
-                let leaves: Vec<usize> = (0..vars.len()).filter(|&i| !vars[i].1).collect();
+                let mut vars = vec![Var {
+                    edge: None,
+                    attribute: false,
+                    inner: false,
+                    twin: false,
+                }];
+                for (pick, label, second, twin) in steps {
+                    // Attributes have no children, so only elements parent.
+                    let elements: Vec<usize> =
+                        (0..vars.len()).filter(|&i| !vars[i].attribute).collect();
+                    let parent = elements[pick % elements.len()];
+                    vars[parent].inner = true;
+                    let path = match second {
+                        Some(second) if !label.starts_with('@') => format!("{label}/{second}"),
+                        _ => label.to_string(),
+                    };
+                    vars.push(Var {
+                        attribute: path.contains('@'),
+                        edge: Some((parent, path)),
+                        inner: false,
+                        twin,
+                    });
+                }
+                let twins: Vec<(usize, String)> = vars
+                    .iter()
+                    .filter(|v| v.inner && v.twin)
+                    .filter_map(|v| v.edge.clone())
+                    .collect();
+                let mut leaves: Vec<usize> = (0..vars.len()).filter(|&i| !vars[i].inner).collect();
+                let mut lines = vec![format!("v1 := xr//{top};")];
+                for (i, var) in vars.iter().enumerate().skip(1) {
+                    let (parent, path) = var.edge.as_ref().expect("non-root edge");
+                    lines.push(format!("v{} := v{}/{path};", i + 1, parent + 1));
+                }
+                for (parent, path) in twins {
+                    leaves.push(lines.len());
+                    lines.push(format!("v{} := v{}/{path};", lines.len() + 1, parent + 1));
+                }
                 let fields: Vec<String> = (0..leaves.len()).map(|f| format!("f{f}")).collect();
                 for (field, leaf) in fields.iter().zip(&leaves) {
                     lines.push(format!("{field} := value(v{});", leaf + 1));
@@ -661,6 +689,10 @@ mod shred_proptests {
                 let text = format!("rule R({}) {{ {} }}", fields.join(", "), lines.join(" "));
                 crate::parse_single_rule(&text).expect("generated rule is well formed")
             })
+    }
+
+    fn any_bool() -> impl Strategy<Value = bool> {
+        prop_oneof![Just(false), Just(true)]
     }
 
     proptest! {
@@ -681,6 +713,38 @@ mod shred_proptests {
             let oracle = shred_rule(&rule, &doc);
             prop_assert_eq!(plan.shred(&doc, &index), oracle.clone());
             prop_assert_eq!(rule.shred(&doc), oracle);
+        }
+
+        /// Every generated rule is block-decomposable, and its blocks, one
+        /// per anchor binding in document order (or the all-null row when
+        /// there is none), concatenate to the whole relation, row for row.
+        #[test]
+        fn anchor_blocks_concatenate_to_the_relation(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..40),
+            rule in rule_strategy(),
+        ) {
+            let doc = build_doc(&steps);
+            let mut universe = LabelUniverse::new();
+            let plan = rule.prepare(&mut universe);
+            let index = DocIndex::build(&doc, &mut universe);
+            prop_assert_eq!(plan.anchor_var(), Some(VarId(1)));
+            let mut scratch = ShredScratch::new();
+            let whole = plan.shred_with(&doc, &index, &mut scratch);
+            let mut anchors = Vec::new();
+            plan.paths()[1].evaluate_positions(
+                &index,
+                index.position(doc.root()),
+                &mut EvalScratch::default(),
+                &mut anchors,
+            );
+            let mut blocks = Vec::new();
+            for &anchor in &anchors {
+                blocks.extend(plan.shred_block(&doc, &index, &mut scratch, anchor));
+            }
+            if anchors.is_empty() {
+                blocks.push(plan.null_tuple());
+            }
+            prop_assert_eq!(whole.rows(), &blocks[..]);
         }
     }
 }

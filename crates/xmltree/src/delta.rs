@@ -82,6 +82,20 @@ impl Fragment {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Bytes of text this fragment will add to a document's text buffer.
+    pub(crate) fn text_len(&self) -> usize {
+        match self {
+            Fragment::Element(doc) => doc
+                .all_nodes()
+                .into_iter()
+                .filter_map(|n| doc.text_value(n))
+                .map(str::len)
+                .sum(),
+            Fragment::Attribute { value, .. } => value.len(),
+            Fragment::Text(text) => text.len(),
+        }
+    }
 }
 
 /// Receipt for a successfully applied [`Delta`]: exactly what the
@@ -161,6 +175,23 @@ pub enum DeltaError {
     InsertUnderNonElement(NodeId),
     /// `SetText` targets must be attribute or text nodes.
     SetTextOnElement(NodeId),
+    /// The insert would put an element or text child before an attribute
+    /// of `parent`, or an attribute after its element or text children.
+    /// Serialization writes attributes first, so the tree would no longer
+    /// read back the same.
+    AttributeAfterContent {
+        /// The would-be parent.
+        parent: NodeId,
+        /// The requested child index.
+        position: usize,
+    },
+    /// The edit would grow the document's text buffer past `u32::MAX`
+    /// bytes, the most its `u32` spans address (the dead spans of
+    /// replaced text count).
+    TextLimit,
+    /// The edit would give a node the id `u32::MAX`, which the tree
+    /// reserves for "no node" (detached nodes keep their ids).
+    NodeLimit,
 }
 
 impl fmt::Display for DeltaError {
@@ -183,6 +214,16 @@ impl fmt::Display for DeltaError {
             }
             DeltaError::SetTextOnElement(n) => {
                 write!(f, "cannot set text on element node {n}")
+            }
+            DeltaError::AttributeAfterContent { parent, position } => write!(
+                f,
+                "position {position} under {parent} would put an attribute after element or text content"
+            ),
+            DeltaError::TextLimit => {
+                write!(f, "document text would exceed {} bytes", u32::MAX)
+            }
+            DeltaError::NodeLimit => {
+                write!(f, "document would exceed {} node ids", u32::MAX)
             }
         }
     }

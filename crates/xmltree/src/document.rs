@@ -1,7 +1,7 @@
 //! The arena-backed XML document.
 
 use crate::delta::{AppliedDelta, Delta, DeltaError, Fragment};
-use crate::node::{NodeData, NodeId, NodeKind};
+use crate::node::{link, NodeData, NodeId, NodeKind, NONE};
 use crate::ParseError;
 use std::collections::HashMap;
 use std::fmt;
@@ -49,9 +49,14 @@ use std::fmt;
 ///
 /// # Storage
 ///
-/// A node record owns no strings, so adding a node allocates nothing
-/// beyond its parent's child list:
+/// A node record owns no heap memory, so adding a node allocates nothing
+/// (beyond amortized growth of the arena and the text buffer):
 ///
+/// * **tree shape** is five `u32` links per node — parent, first and last
+///   child, next and previous sibling.  [`Document::children`] follows the
+///   sibling chain, appending or unlinking a child is O(1), and a
+///   positional insert walks the parent's children to its slot.  Node ids
+///   stop at `u32::MAX - 1`, since `u32::MAX` is the "no node" link;
 /// * **labels** live in a per-document *label table* that stores each
 ///   distinct label once; a node holds its slot.  Attribute labels are
 ///   interned with their `@` prefix (the table is keyed by the bare name,
@@ -64,12 +69,14 @@ use std::fmt;
 ///   dead span (a text tombstone) until the document is dropped.  The
 ///   buffer is addressed by `u32` offsets, so a document holds at most
 ///   4 GiB of text, dead spans included: [`crate::parse`] rejects longer
-///   input with a [`ParseError`], the mutation methods panic.
+///   input with a [`ParseError`] and [`Document::apply`] an edit that
+///   would outgrow it with a [`DeltaError`]; the other mutation methods
+///   panic, at this limit and at the node-id one.
 ///
 /// # Equality
 ///
 /// Equality is *structural identity* of the arenas: node by node the same
-/// kind, label, text, parent and child order, plus the same root, last
+/// kind, label, text and links, plus the same root, last
 /// node, id-order flag, live count and epoch — what the corpus-generation
 /// reproducibility tests compare.  The order of the label table and the
 /// dead spans of the text buffer are storage details and do not affect
@@ -99,13 +106,12 @@ impl Document {
     /// Creates a document with a single root element labelled `root_label`.
     pub fn new(root_label: impl AsRef<str>) -> Self {
         let mut labels = LabelTable::default();
-        let root_data = NodeData {
-            kind: NodeKind::Element,
-            label: labels.plain(root_label.as_ref()),
-            text: (0, 0),
-            parent: None,
-            children: Vec::new(),
-        };
+        let root_data = NodeData::new(
+            NodeKind::Element,
+            labels.plain(root_label.as_ref()),
+            (0, 0),
+            NONE,
+        );
         Document {
             nodes: vec![root_data],
             labels,
@@ -177,7 +183,7 @@ impl Document {
             if cur == self.root {
                 return true;
             }
-            match self.data(cur).parent {
+            match link(self.data(cur).parent) {
                 Some(p) => cur = p,
                 None => return false,
             }
@@ -242,21 +248,46 @@ impl Document {
     /// The parent of `id`, or `None` for the root.
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.data(id).parent
+        link(self.data(id).parent)
     }
 
     /// Iterator over the children of `id` in document order (attributes first,
     /// in insertion order, then elements/text in insertion order — matching
     /// the order in which they were added or parsed).
     pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.data(id).children.iter().copied()
+        std::iter::successors(link(self.data(id).first_child), |&c| {
+            link(self.data(c).next_sibling)
+        })
     }
 
-    /// The children of `id` as a slice (crate-internal: lets the one-pass
-    /// [`crate::DocIndex`] traversal push child frames without an iterator
-    /// per node).
-    pub(crate) fn child_slice(&self, id: NodeId) -> &[NodeId] {
-        &self.data(id).children
+    /// Walks the subtree rooted at `top` in document order along the
+    /// links, with no stack: `visit` sees every node entered before its
+    /// subtree and exited after it (crate-internal: the one traversal
+    /// behind [`Document::descendants_or_self`] and [`crate::DocIndex`]).
+    /// `top` may be detached.
+    pub(crate) fn walk(&self, top: NodeId, mut visit: impl FnMut(Visit, NodeId)) {
+        let mut node = top;
+        loop {
+            visit(Visit::Enter, node);
+            if let Some(first) = link(self.data(node).first_child) {
+                node = first;
+                continue;
+            }
+            // A leaf: exit it and every ancestor it closes, up to the next
+            // sibling.
+            loop {
+                visit(Visit::Exit, node);
+                if node == top {
+                    return;
+                }
+                let data = self.data(node);
+                if let Some(next) = link(data.next_sibling) {
+                    node = next;
+                    break;
+                }
+                node = NodeId(data.parent);
+            }
+        }
     }
 
     /// True while `NodeId` order coincides with document order — i.e. every
@@ -327,14 +358,11 @@ impl Document {
     /// Pre-order traversal of the subtree rooted at `id`, including `id`.
     pub fn descendants_or_self(&self, id: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            // Push children in reverse so they pop in document order.
-            for &c in self.data(n).children.iter().rev() {
-                stack.push(c);
+        self.walk(id, |visit, n| {
+            if visit == Visit::Enter {
+                out.push(n);
             }
-        }
+        });
         out
     }
 
@@ -425,52 +453,88 @@ impl Document {
     // Mutation
     // ------------------------------------------------------------------
 
-    /// Appends `text` to the text buffer and returns its span.
+    /// Appends `text` to the text buffer and returns its span.  Panics
+    /// past the `u32` range; [`Document::apply`] checks first.
     fn push_text(&mut self, text: &str) -> (u32, u32) {
-        let start = self.text.len() as u32; // every prior push was checked
-        let end = u32::try_from(self.text.len() + text.len())
-            .expect("document text exceeds the u32 range");
+        assert!(
+            fits_u32(self.text.len(), text.len()),
+            "document text exceeds the u32 range"
+        );
+        let start = self.text.len() as u32;
         self.text.push_str(text);
-        (start, end)
+        (start, self.text.len() as u32)
     }
 
-    /// Creates a node under `parent` (not yet in its child list).
-    fn push_node(
+    /// Creates a node of `kind` under `parent`, linked before its child
+    /// `before` (last when `None`).  Attribute labels may come with or
+    /// without their `@`.  Ticks neither the epoch nor the id-order flag.
+    fn insert_node(
         &mut self,
-        kind: NodeKind,
-        label: u32,
-        text: (u32, u32),
         parent: NodeId,
+        before: Option<NodeId>,
+        kind: NodeKind,
+        label: &str,
+        text: &str,
     ) -> NodeId {
-        // NodeId order tracks document order exactly while every new node
-        // goes under the previous node or one of its ancestors (a DFS-style
-        // construction).  Appending anywhere else interleaves the orders.
-        if self.id_order && parent != self.last && !self.is_ancestor(parent, self.last) {
-            self.id_order = false;
-        }
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("document too large"));
-        self.nodes.push(NodeData {
-            kind,
-            label,
-            text,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.last = id;
-        self.live += 1;
-        id
-    }
-
-    /// Creates a node of `kind` as the last child of `parent`.  Attribute
-    /// labels may come with or without their `@`.
-    fn append_node(&mut self, parent: NodeId, kind: NodeKind, label: &str, text: &str) -> NodeId {
         let (label, text) = match kind {
             NodeKind::Element => (self.labels.plain(label), (0, 0)),
             NodeKind::Attribute => (self.labels.attribute(label), self.push_text(text)),
             NodeKind::Text => (self.labels.plain(label), self.push_text(text)),
         };
-        let id = self.push_node(kind, label, text, parent);
-        self.data_mut(parent).children.push(id);
+        assert!(fits_u32(self.nodes.len(), 1), "document too large");
+        let id = NodeId(self.nodes.len() as u32);
+        let prev = match before {
+            Some(b) => self.data(b).prev_sibling,
+            None => self.data(parent).last_child,
+        };
+        let mut data = NodeData::new(kind, label, text, parent.0);
+        data.prev_sibling = prev;
+        data.next_sibling = before.map_or(NONE, |b| b.0);
+        self.nodes.push(data);
+        match link(prev) {
+            Some(p) => self.data_mut(p).next_sibling = id.0,
+            None => self.data_mut(parent).first_child = id.0,
+        }
+        match before {
+            Some(b) => self.data_mut(b).prev_sibling = id.0,
+            None => self.data_mut(parent).last_child = id.0,
+        }
+        self.last = id;
+        self.live += 1;
+        id
+    }
+
+    /// Creates a node of `kind` as the last child of `parent`.
+    fn append_node(&mut self, parent: NodeId, kind: NodeKind, label: &str, text: &str) -> NodeId {
+        self.note_append_under(parent);
+        self.insert_node(parent, None, kind, label, text)
+    }
+
+    /// Updates the id-order flag for a node about to be appended under
+    /// `parent`.  NodeId order tracks document order exactly while every
+    /// new node goes under the previous node or one of its ancestors (a
+    /// DFS-style construction).  Appending anywhere else interleaves the
+    /// orders.
+    fn note_append_under(&mut self, parent: NodeId) {
+        if self.id_order && parent != self.last && !self.is_ancestor(parent, self.last) {
+            self.id_order = false;
+        }
+    }
+
+    /// [`Document::add_element`] and friends for the parser, which always
+    /// appends under the innermost open element — the previous node or
+    /// one of its ancestors — so NodeId order stays document order without
+    /// the ancestor walk.
+    pub(crate) fn append_parsed(
+        &mut self,
+        parent: NodeId,
+        kind: NodeKind,
+        label: &str,
+        text: &str,
+    ) -> NodeId {
+        debug_assert!(parent == self.last || self.is_ancestor(parent, self.last));
+        let id = self.insert_node(parent, None, kind, label, text);
+        self.epoch += 1;
         id
     }
 
@@ -502,7 +566,8 @@ impl Document {
     }
 
     /// Detaches the subtree rooted at `node` from its parent and returns
-    /// the number of nodes detached.  The arena slots are kept as
+    /// the number of nodes detached.  The unlinking is O(1); counting the
+    /// subtree is not.  The arena slots are kept as
     /// tombstones ([`NodeId`]s of the detached nodes become invalid for
     /// navigation — a logic error, never UB); `NodeId` order of the
     /// surviving nodes is a subsequence of the old order, so
@@ -516,18 +581,30 @@ impl Document {
             self.contains(node),
             "cannot remove unknown or detached node {node}"
         );
-        let parent = self
-            .data(node)
-            .parent
-            .expect("non-root attached node has a parent");
-        let children = &mut self.data_mut(parent).children;
-        let slot = children
-            .iter()
-            .position(|&c| c == node)
-            .expect("parent/child links are consistent");
-        children.remove(slot);
-        self.data_mut(node).parent = None;
-        let removed = self.descendants_or_self(node).len();
+        let NodeData {
+            parent,
+            prev_sibling: prev,
+            next_sibling: next,
+            ..
+        } = *self.data(node);
+        match link(prev) {
+            Some(p) => self.data_mut(p).next_sibling = next,
+            None => self.data_mut(NodeId(parent)).first_child = next,
+        }
+        match link(next) {
+            Some(n) => self.data_mut(n).prev_sibling = prev,
+            None => self.data_mut(NodeId(parent)).last_child = prev,
+        }
+        let data = self.data_mut(node);
+        data.parent = NONE;
+        data.prev_sibling = NONE;
+        data.next_sibling = NONE;
+        let mut removed = 0;
+        self.walk(node, |visit, _| {
+            if visit == Visit::Enter {
+                removed += 1;
+            }
+        });
         self.live -= removed;
         self.epoch += 1;
         removed
@@ -556,6 +633,11 @@ impl Document {
     /// returns the [`AppliedDelta`] receipt the incremental maintenance
     /// layers consume.  On error the document is unchanged.  Exactly one
     /// epoch tick per successful call, regardless of subtree size.
+    ///
+    /// Besides naming live nodes and a position in range, an insert must
+    /// keep the parent's attributes ahead of its element and text
+    /// children (the order [`crate::to_xml`] writes them in), and no edit
+    /// may outgrow the `u32` text offsets or node ids.
     pub fn apply(&mut self, delta: &Delta) -> Result<AppliedDelta, DeltaError> {
         match delta {
             Delta::RemoveSubtree { node } => {
@@ -566,7 +648,7 @@ impl Document {
                 if !self.contains(node) {
                     return Err(DeltaError::UnknownNode(node));
                 }
-                let parent = self.data(node).parent.expect("checked non-root");
+                let parent = NodeId(self.data(node).parent);
                 let nodes = self.remove_subtree(node);
                 Ok(AppliedDelta::Remove {
                     parent,
@@ -581,6 +663,9 @@ impl Document {
                 }
                 if self.kind(node).is_element() {
                     return Err(DeltaError::SetTextOnElement(node));
+                }
+                if !fits_u32(self.text.len(), text.len()) {
+                    return Err(DeltaError::TextLimit);
                 }
                 self.set_text(node, text);
                 Ok(AppliedDelta::SetText { node })
@@ -598,13 +683,35 @@ impl Document {
                 if !self.kind(parent).is_element() {
                     return Err(DeltaError::InsertUnderNonElement(parent));
                 }
-                let children = self.data(parent).children.len();
+                // An attribute may only follow attributes, and element or
+                // text content may only precede content.
+                let attribute = matches!(fragment, Fragment::Attribute { .. });
+                let mut children = 0;
+                let mut misplaced = false;
+                for c in self.children(parent) {
+                    let is_attribute = self.kind(c).is_attribute();
+                    misplaced |= if children < position {
+                        attribute && !is_attribute
+                    } else {
+                        !attribute && is_attribute
+                    };
+                    children += 1;
+                }
                 if position > children {
                     return Err(DeltaError::PositionOutOfRange {
                         parent,
                         position,
                         children,
                     });
+                }
+                if misplaced {
+                    return Err(DeltaError::AttributeAfterContent { parent, position });
+                }
+                if !fits_u32(self.nodes.len(), fragment.len()) {
+                    return Err(DeltaError::NodeLimit);
+                }
+                if !fits_u32(self.text.len(), fragment.text_len()) {
+                    return Err(DeltaError::TextLimit);
                 }
                 let (root, nodes) = self.graft(parent, position, fragment);
                 self.epoch += 1;
@@ -622,47 +729,42 @@ impl Document {
     /// `parent` (validated by the caller).  Returns the new subtree root
     /// and node count.  Does not tick the epoch.
     fn graft(&mut self, parent: NodeId, position: usize, fragment: &Fragment) -> (NodeId, usize) {
-        let appended = position == self.data(parent).children.len();
+        let before = self.children(parent).nth(position);
+        match before {
+            // A positional insert interleaves ids with document order.
+            Some(_) => self.id_order = false,
+            None => self.note_append_under(parent),
+        }
         let root = match fragment {
             Fragment::Attribute { name, value } => {
-                self.append_node(parent, NodeKind::Attribute, name, value)
+                self.insert_node(parent, before, NodeKind::Attribute, name, value)
             }
-            Fragment::Text(text) => self.append_node(parent, NodeKind::Text, "S", text),
+            Fragment::Text(text) => self.insert_node(parent, before, NodeKind::Text, "S", text),
             Fragment::Element(frag) => {
                 // Copy the fragment in document order so the new subtree is
                 // internally DFS-ordered; remap fragment ids to fresh ids.
                 // Labels re-intern into this document's table and text
                 // appends to its buffer.
-                let mut map = vec![u32::MAX; frag.arena_len()];
+                let mut map = vec![NONE; frag.arena_len()];
                 let mut root = self.root; // overwritten on the first node
                 for n in frag.all_nodes() {
-                    let new_parent = match frag.parent(n) {
-                        Some(p) => NodeId(map[p.index()]),
-                        None => parent,
-                    };
+                    let (kind, label) = (frag.kind(n), frag.label(n));
                     let text = frag.text_value(n).unwrap_or("");
-                    let id = self.append_node(new_parent, frag.kind(n), frag.label(n), text);
-                    if n == frag.root() {
-                        root = id;
-                    }
+                    let id = match frag.parent(n) {
+                        Some(p) => {
+                            self.insert_node(NodeId(map[p.index()]), None, kind, label, text)
+                        }
+                        None => {
+                            root = self.insert_node(parent, before, kind, label, text);
+                            root
+                        }
+                    };
                     map[n.index()] = id.0;
                 }
                 root
             }
         };
-        let count = match fragment {
-            Fragment::Element(frag) => frag.len(),
-            _ => 1,
-        };
-        if !appended {
-            // Move the root from the appended slot to the requested one;
-            // ids now interleave with document order.
-            let children = &mut self.data_mut(parent).children;
-            let id = children.pop().expect("just pushed");
-            children.insert(position, id);
-            self.id_order = false;
-        }
-        (root, count)
+        (root, fragment.len())
     }
 
     // ------------------------------------------------------------------
@@ -730,7 +832,10 @@ impl PartialEq for Document {
             && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
                 a.kind == b.kind
                     && a.parent == b.parent
-                    && a.children == b.children
+                    && a.first_child == b.first_child
+                    && a.last_child == b.last_child
+                    && a.next_sibling == b.next_sibling
+                    && a.prev_sibling == b.prev_sibling
                     && self.labels.name(a.label) == other.labels.name(b.label)
                     && self.text_of(a) == other.text_of(b)
             })
@@ -738,6 +843,23 @@ impl PartialEq for Document {
 }
 
 impl Eq for Document {}
+
+/// The two events of [`Document::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Visit {
+    /// The node is reached; its subtree follows.
+    Enter,
+    /// The node's subtree is done.
+    Exit,
+}
+
+/// True if a count of `len` can grow by `extra` and stay within `u32`: the
+/// bound on text-buffer offsets, and on the arena, whose ids must stay
+/// below the no-link sentinel `u32::MAX`.
+fn fits_u32(len: usize, extra: usize) -> bool {
+    len.checked_add(extra)
+        .is_some_and(|total| total <= u32::MAX as usize)
+}
 
 /// The per-document label table: each distinct label stored once, found
 /// again by name.  Attribute slots are keyed by the bare name so that
@@ -1163,6 +1285,110 @@ mod tests {
         d2.remove_subtree(a2);
         assert!(d2.ids_in_document_order());
         let _ = a; // ids stay comparable but unused hereafter
+    }
+
+    /// `<r><book isbn="1"><title>T</title></book></r>` and its `book`.
+    fn book_with_isbn() -> (Document, NodeId) {
+        let d = Document::parse_str(r#"<r><book isbn="1"><title>T</title></book></r>"#).unwrap();
+        let book = d.element_children(d.root()).next().unwrap();
+        (d, book)
+    }
+
+    /// Applies `delta`, which must fail with `AttributeAfterContent` and
+    /// leave the document as it was.
+    fn assert_misplaced(delta: crate::Delta) {
+        let (mut d, book) = book_with_isbn();
+        let before = d.clone();
+        let crate::Delta::InsertSubtree { position, .. } = delta else {
+            unreachable!("an insert")
+        };
+        assert_eq!(
+            d.apply(&delta).unwrap_err(),
+            DeltaError::AttributeAfterContent {
+                parent: book,
+                position
+            }
+        );
+        assert_eq!(d, before);
+    }
+
+    #[test]
+    fn content_cannot_be_inserted_before_an_attribute() {
+        use crate::{Delta, Fragment};
+        let (_, book) = book_with_isbn();
+        assert_misplaced(Delta::InsertSubtree {
+            parent: book,
+            position: 0,
+            fragment: Fragment::Element(Document::parse_str("<note>n</note>").unwrap()),
+        });
+        assert_misplaced(Delta::InsertSubtree {
+            parent: book,
+            position: 0,
+            fragment: Fragment::Text("n".into()),
+        });
+        // Right after the attributes is fine.
+        let (mut d, book) = book_with_isbn();
+        d.apply(&Delta::InsertSubtree {
+            parent: book,
+            position: 1,
+            fragment: Fragment::Element(Document::parse_str("<note>n</note>").unwrap()),
+        })
+        .unwrap();
+        assert_eq!(d.value(book), "(@isbn:1, note:(S:n), title:(S:T))");
+    }
+
+    #[test]
+    fn attributes_cannot_be_inserted_after_content() {
+        use crate::{Delta, Fragment};
+        let (_, book) = book_with_isbn();
+        assert_misplaced(Delta::InsertSubtree {
+            parent: book,
+            position: 2,
+            fragment: Fragment::Attribute {
+                name: "lang".into(),
+                value: "en".into(),
+            },
+        });
+        // Before or after the other attribute is fine, and reads back the
+        // same.
+        for position in [0, 1] {
+            let (mut d, book) = book_with_isbn();
+            d.apply(&Delta::InsertSubtree {
+                parent: book,
+                position,
+                fragment: Fragment::Attribute {
+                    name: "lang".into(),
+                    value: "en".into(),
+                },
+            })
+            .unwrap();
+            let reparsed = Document::parse_str(&crate::to_xml(&d)).unwrap();
+            assert_eq!(d.value(book), reparsed.value(NodeId::from_index(1)));
+        }
+    }
+
+    #[test]
+    fn edits_past_the_u32_limits_are_refused() {
+        // A 4 GiB document is too big for a test: check the arithmetic
+        // both limits go through, then that `apply` consults it.
+        let max = u32::MAX as usize;
+        assert!(fits_u32(0, max));
+        assert!(fits_u32(max - 1, 1));
+        assert!(!fits_u32(max, 1));
+        assert!(!fits_u32(1, max));
+        assert!(!fits_u32(usize::MAX, 1), "no overflow on the way");
+        // An arena of `u32::MAX` nodes holds ids up to `u32::MAX - 1`: the
+        // next id would be the no-link sentinel.
+        assert!(fits_u32(max - 1, 1));
+        assert_eq!(NONE as usize, max);
+        assert_eq!(
+            DeltaError::TextLimit.to_string(),
+            "document text would exceed 4294967295 bytes"
+        );
+        assert_eq!(
+            DeltaError::NodeLimit.to_string(),
+            "document would exceed 4294967295 node ids"
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! an index a different document is a logic error).
 
 use crate::delta::AppliedDelta;
+use crate::document::Visit;
 use crate::labels::{LabelId, LabelUniverse};
 use crate::node::NodeKind;
 use crate::{Document, NodeId};
@@ -88,45 +89,35 @@ impl DocIndex {
         // distinct label is interned once and in document order.
         let mut slot_ids: Vec<Option<LabelId>> = vec![None; doc.label_slots()];
 
-        enum Frame {
-            Enter(NodeId),
-            Exit(u32),
-        }
-        let mut stack = vec![Frame::Enter(doc.root())];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Enter(node) => {
-                    let pos = node_of.len() as u32;
-                    node_of.push(node.index() as u32);
-                    dfs_of[node.index()] = pos;
-                    let slot = doc.label_slot(node);
-                    let label = *slot_ids[slot]
-                        .get_or_insert_with(|| universe.intern(doc.slot_label(slot)));
-                    if postings.len() <= label.index() {
-                        postings.resize(label.index() + 1, Vec::new());
-                    }
-                    postings[label.index()].push(pos);
-                    label_at.push(label);
-                    kind_at.push(doc.kind(node));
-                    value_at.push(match doc.text_value(node) {
-                        Some(text) => match values.get(text) {
-                            Some(&id) => id,
-                            None => {
-                                let id = values.len() as u32;
-                                values.insert(text.to_string(), id);
-                                id
-                            }
-                        },
-                        None => NO_VALUE,
-                    });
-                    stack.push(Frame::Exit(pos));
-                    for &c in doc.child_slice(node).iter().rev() {
-                        stack.push(Frame::Enter(c));
-                    }
-                }
-                Frame::Exit(pos) => end_at[pos as usize] = node_of.len() as u32,
+        doc.walk(doc.root(), |visit, node| {
+            if visit == Visit::Exit {
+                end_at[dfs_of[node.index()] as usize] = node_of.len() as u32;
+                return;
             }
-        }
+            let pos = node_of.len() as u32;
+            node_of.push(node.index() as u32);
+            dfs_of[node.index()] = pos;
+            let slot = doc.label_slot(node);
+            let label =
+                *slot_ids[slot].get_or_insert_with(|| universe.intern(doc.slot_label(slot)));
+            if postings.len() <= label.index() {
+                postings.resize(label.index() + 1, Vec::new());
+            }
+            postings[label.index()].push(pos);
+            label_at.push(label);
+            kind_at.push(doc.kind(node));
+            value_at.push(match doc.text_value(node) {
+                Some(text) => match values.get(text) {
+                    Some(&id) => id,
+                    None => {
+                        let id = values.len() as u32;
+                        values.insert(text.to_string(), id);
+                        id
+                    }
+                },
+                None => NO_VALUE,
+            });
+        });
         // Labels interned after the document's (by later probe compilation)
         // have empty postings; size the table for everything known now so the
         // common case is a direct index.
@@ -408,33 +399,27 @@ impl DocIndex {
         let mut new_value_at = Vec::new();
         let mut new_end_at = Vec::new();
         let mut by_label: HashMap<LabelId, Vec<u32>> = HashMap::new();
-        enum Frame {
-            Enter(NodeId),
-            Exit(usize),
-        }
-        let mut stack = vec![Frame::Enter(root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Enter(node) => {
-                    let rel = new_node_of.len();
-                    new_node_of.push(node.index() as u32);
-                    let label = universe.intern(doc.label(node));
-                    by_label.entry(label).or_default().push((at + rel) as u32);
-                    new_label_at.push(label);
-                    new_kind_at.push(doc.kind(node));
-                    new_value_at.push(match doc.text_value(node) {
-                        Some(text) => self.intern_value(text),
-                        None => NO_VALUE,
-                    });
-                    new_end_at.push(0u32);
-                    stack.push(Frame::Exit(rel));
-                    for &c in doc.child_slice(node).iter().rev() {
-                        stack.push(Frame::Enter(c));
-                    }
-                }
-                Frame::Exit(rel) => new_end_at[rel] = (at + new_node_of.len()) as u32,
+        // Relative position of each node entered and not yet exited.
+        let mut open = Vec::new();
+        doc.walk(root, |visit, node| {
+            if visit == Visit::Exit {
+                let rel: usize = open.pop().expect("exit follows enter");
+                new_end_at[rel] = (at + new_node_of.len()) as u32;
+                return;
             }
-        }
+            let rel = new_node_of.len();
+            open.push(rel);
+            new_node_of.push(node.index() as u32);
+            let label = universe.intern(doc.label(node));
+            by_label.entry(label).or_default().push((at + rel) as u32);
+            new_label_at.push(label);
+            new_kind_at.push(doc.kind(node));
+            new_value_at.push(match doc.text_value(node) {
+                Some(text) => self.intern_value(text),
+                None => NO_VALUE,
+            });
+            new_end_at.push(0u32);
+        });
         let k = new_node_of.len() as u32;
 
         // Ancestor ranges grow; their positions (< at) don't move.
@@ -503,7 +488,7 @@ impl Iterator for ChildPositions<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ElementBuilder;
+    use crate::{Delta, DeltaError, ElementBuilder, Fragment};
 
     fn tiny() -> Document {
         ElementBuilder::new("db")
@@ -888,6 +873,205 @@ mod tests {
                     let label = LabelId(label as u32);
                     prop_assert_eq!(index.postings(label), one.postings(label));
                 }
+            }
+        }
+    }
+
+    /// A plain child-list model of a document's shape, indexed by raw
+    /// node id, to check the sibling links against.
+    struct Model {
+        children: Vec<Vec<NodeId>>,
+        parent: Vec<Option<NodeId>>,
+        kind: Vec<NodeKind>,
+    }
+
+    impl Model {
+        /// The model of `doc`, read off it once.
+        fn of(doc: &Document) -> Model {
+            let mut model = Model {
+                children: vec![Vec::new(); doc.arena_len()],
+                parent: vec![None; doc.arena_len()],
+                kind: vec![NodeKind::Element; doc.arena_len()],
+            };
+            for n in doc.all_nodes() {
+                model.kind[n.index()] = doc.kind(n);
+                model.children[n.index()] = doc.children(n).collect();
+                model.parent[n.index()] = doc.parent(n);
+            }
+            model
+        }
+
+        /// A new node, the last child of `parent` or at `position`.
+        fn add(&mut self, parent: NodeId, position: Option<usize>, kind: NodeKind) -> NodeId {
+            let id = NodeId::from_index(self.children.len());
+            self.children.push(Vec::new());
+            self.parent.push(Some(parent));
+            self.kind.push(kind);
+            let list = &mut self.children[parent.index()];
+            list.insert(position.unwrap_or(list.len()), id);
+            id
+        }
+
+        fn preorder(&self, from: NodeId, out: &mut Vec<NodeId>) {
+            out.push(from);
+            for &c in &self.children[from.index()] {
+                self.preorder(c, out);
+            }
+        }
+
+        fn subtree(&self, from: NodeId) -> Vec<NodeId> {
+            let mut out = Vec::new();
+            self.preorder(from, &mut out);
+            out
+        }
+
+        /// How many attributes lead the children of `parent`.
+        fn leading_attributes(&self, parent: NodeId) -> usize {
+            self.children[parent.index()]
+                .iter()
+                .take_while(|c| self.kind[c.index()] == NodeKind::Attribute)
+                .count()
+        }
+    }
+
+    /// The element fragment the edit scripts insert: `<e{tag} a=".."><f>t</f>u</e{tag}>`,
+    /// whose nodes in document order have these parents (by rank).
+    const FRAGMENT_PARENTS: [usize; 4] = [0, 0, 2, 0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Random `Document::apply` scripts — inserts at every legal
+        /// position, refused inserts that would put an attribute after
+        /// content, removals and text edits — agree step by step with a
+        /// plain child-list model, and the patched index with a fresh one.
+        #[test]
+        fn sibling_links_follow_a_child_list_model(
+            start in prop::collection::vec((0u8..16, 0u8..4, 0u8..12), 0..24),
+            script in prop::collection::vec((0u8..6, 0u8..=255, 0u8..=255, 0u8..=255), 1..24),
+        ) {
+            let mut doc = parsed_doc(&start);
+            let mut model = Model::of(&doc);
+            let mut u = LabelUniverse::new();
+            let mut index = DocIndex::build(&doc, &mut u);
+            for (op, pick, slot, aux) in script {
+                let live = model.subtree(doc.root());
+                let elements: Vec<NodeId> = live
+                    .iter()
+                    .copied()
+                    .filter(|n| model.kind[n.index()] == NodeKind::Element)
+                    .collect();
+                let delta = match op {
+                    // Insert an element, attribute or text fragment at a
+                    // legal position: attributes among the leading
+                    // attributes, content after them (0 and append
+                    // included).
+                    0..=2 => {
+                        let parent = elements[pick as usize % elements.len()];
+                        let (k, len) = (
+                            model.leading_attributes(parent),
+                            model.children[parent.index()].len(),
+                        );
+                        let (fragment, position) = match op {
+                            0 => (
+                                Fragment::Element(
+                                    Document::parse_str(&format!(
+                                        r#"<e{tag} a="{aux}"><f>t</f>u</e{tag}>"#,
+                                        tag = aux % 3
+                                    ))
+                                    .unwrap(),
+                                ),
+                                k + slot as usize % (len - k + 1),
+                            ),
+                            1 => (
+                                Fragment::Attribute { name: format!("n{}", aux % 3), value: format!("{aux}") },
+                                slot as usize % (k + 1),
+                            ),
+                            _ => (Fragment::Text(format!("s{aux}")), k + slot as usize % (len - k + 1)),
+                        };
+                        Delta::InsertSubtree { parent, position, fragment }
+                    }
+                    // An insert on the wrong side of the attributes, which
+                    // must be refused and change nothing.
+                    3 => {
+                        let parent = elements[pick as usize % elements.len()];
+                        let (k, len) = (
+                            model.leading_attributes(parent),
+                            model.children[parent.index()].len(),
+                        );
+                        let (fragment, position) = if aux % 2 == 0 && k > 0 {
+                            (Fragment::Text("x".into()), slot as usize % k)
+                        } else if k < len {
+                            (
+                                Fragment::Attribute { name: "m".into(), value: "x".into() },
+                                k + 1 + slot as usize % (len - k),
+                            )
+                        } else {
+                            continue;
+                        };
+                        let before = doc.clone();
+                        let err = doc
+                            .apply(&Delta::InsertSubtree { parent, position, fragment })
+                            .unwrap_err();
+                        prop_assert_eq!(err, DeltaError::AttributeAfterContent { parent, position });
+                        prop_assert!(doc == before, "a refused insert changes nothing");
+                        continue;
+                    }
+                    4 if live.len() > 1 => Delta::RemoveSubtree { node: live[1 + pick as usize % (live.len() - 1)] },
+                    _ => {
+                        let texts: Vec<NodeId> = live
+                            .iter()
+                            .copied()
+                            .filter(|n| model.kind[n.index()] != NodeKind::Element)
+                            .collect();
+                        if texts.is_empty() {
+                            continue;
+                        }
+                        Delta::SetText { node: texts[pick as usize % texts.len()], text: format!("v{aux}") }
+                    }
+                };
+                let base = doc.arena_len();
+                let applied = doc.apply(&delta).unwrap();
+                match &delta {
+                    Delta::InsertSubtree { parent, position, fragment } => {
+                        let root = model.add(*parent, Some(*position), match fragment {
+                            Fragment::Element(_) => NodeKind::Element,
+                            Fragment::Attribute { .. } => NodeKind::Attribute,
+                            Fragment::Text(_) => NodeKind::Text,
+                        });
+                        prop_assert_eq!(root.index(), base);
+                        if let Fragment::Element(frag) = fragment {
+                            for (i, &p) in FRAGMENT_PARENTS.iter().enumerate() {
+                                let kind = frag.kind(frag.all_nodes()[i + 1]);
+                                model.add(NodeId::from_index(base + p), None, kind);
+                            }
+                        }
+                        prop_assert_eq!(applied.nodes_added(), (model.children.len() - base) as isize);
+                    }
+                    Delta::RemoveSubtree { node } => {
+                        let parent = model.parent[node.index()].unwrap();
+                        model.children[parent.index()].retain(|c| c != node);
+                        model.parent[node.index()] = None;
+                        prop_assert_eq!(applied.nodes_added(), -(model.subtree(*node).len() as isize));
+                    }
+                    Delta::SetText { node, text } => {
+                        prop_assert_eq!(doc.text_value(*node), Some(text.as_str()));
+                    }
+                }
+                prop_assert_eq!(doc.arena_len(), model.children.len());
+                let order = model.subtree(doc.root());
+                prop_assert_eq!(doc.len(), order.len());
+                prop_assert_eq!(doc.parent(doc.root()), None);
+                for &n in &order {
+                    let children: Vec<NodeId> = doc.children(n).collect();
+                    prop_assert_eq!(&children, &model.children[n.index()], "children of {}", n);
+                    for &c in &children {
+                        prop_assert_eq!(doc.parent(c), Some(n));
+                    }
+                    prop_assert_eq!(doc.descendants_or_self(n), model.subtree(n));
+                }
+                index.apply_delta(&doc, &applied, &mut u);
+                assert_matches_fresh(&doc, &index, &u);
             }
         }
     }

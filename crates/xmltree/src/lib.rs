@@ -11,10 +11,10 @@
 //!
 //! Node identity matters: XML keys are defined in terms of node identifiers,
 //! not values, so the tree is stored in an arena and nodes are addressed by
-//! [`NodeId`].  Node records own no strings: labels are slots of a
-//! per-document label table and text values are spans of one per-document
-//! text buffer (see [`Document`]), so adding a node allocates nothing
-//! beyond its parent's child list.
+//! [`NodeId`].  Node records own no heap memory: labels are slots of a
+//! per-document label table, text values are spans of one per-document
+//! text buffer and the tree shape is parent, child and sibling links (see
+//! [`Document`]), so adding a node allocates nothing.
 //!
 //! The crate also provides:
 //!

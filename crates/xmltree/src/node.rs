@@ -74,11 +74,15 @@ impl NodeKind {
     }
 }
 
-/// Internal arena record for one node.  It owns no strings: the label is
-/// a slot of the owning document's label table and the text a byte span
-/// of its text buffer (see [`crate::Document`]), so pushing a node costs
-/// no heap allocation beyond the parent's child list.
-#[derive(Debug, Clone)]
+/// "No node" in a link field of [`NodeData`].  Node ids therefore stop at
+/// `u32::MAX - 1`.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Internal arena record for one node.  It owns no heap memory: the label
+/// is a slot of the owning document's label table, the text a byte span
+/// of its text buffer (see [`crate::Document`]), and the tree shape five
+/// `u32` links, so pushing a node costs no allocation at all.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeData {
     pub(crate) kind: NodeKind,
     /// Slot in the document's label table: element tag name, attribute
@@ -88,8 +92,35 @@ pub(crate) struct NodeData {
     /// `start..end` byte span of the node's text in the document's text
     /// buffer; empty for elements.
     pub(crate) text: (u32, u32),
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
+    /// Parent, first and last child, next and previous sibling, as raw
+    /// ids; [`NONE`] when absent.
+    pub(crate) parent: u32,
+    pub(crate) first_child: u32,
+    pub(crate) last_child: u32,
+    pub(crate) next_sibling: u32,
+    pub(crate) prev_sibling: u32,
+}
+
+impl NodeData {
+    /// A node under `parent` with no children or siblings yet.
+    pub(crate) fn new(kind: NodeKind, label: u32, text: (u32, u32), parent: u32) -> Self {
+        NodeData {
+            kind,
+            label,
+            text,
+            parent,
+            first_child: NONE,
+            last_child: NONE,
+            next_sibling: NONE,
+            prev_sibling: NONE,
+        }
+    }
+}
+
+/// The node a raw link points at, if any.
+#[inline]
+pub(crate) fn link(raw: u32) -> Option<NodeId> {
+    (raw != NONE).then_some(NodeId(raw))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use crate::error::ParseError;
 use crate::stream::{StreamEvent, StreamParser};
-use crate::{Document, NodeId};
+use crate::{Document, NodeId, NodeKind};
 
 /// The longest input [`parse`] accepts: a [`Document`] addresses its text
 /// buffer with `u32` offsets, and decoded text is never longer than its
@@ -40,22 +40,28 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
                     }
                     Some(d) => {
                         let parent = *open.last().expect("nested element has an open parent");
-                        d.add_element(parent, name)
+                        d.append_parsed(parent, NodeKind::Element, name, "")
                     }
                 };
                 open.push(id);
             }
             StreamEvent::Attribute { name, value, .. } => {
                 let owner = *open.last().expect("attribute follows an open element");
-                doc.as_mut()
-                    .expect("document exists")
-                    .add_attribute(owner, name, value);
+                doc.as_mut().expect("document exists").append_parsed(
+                    owner,
+                    NodeKind::Attribute,
+                    name,
+                    &value,
+                );
             }
             StreamEvent::Text { value } => {
                 let parent = *open.last().expect("text occurs inside an open element");
-                doc.as_mut()
-                    .expect("document exists")
-                    .add_text(parent, value);
+                doc.as_mut().expect("document exists").append_parsed(
+                    parent,
+                    NodeKind::Text,
+                    "S",
+                    &value,
+                );
             }
             StreamEvent::EndElement => {
                 open.pop().expect("end event closes an open element");
@@ -80,7 +86,6 @@ fn check_size(len: usize, input: &str) -> Result<(), ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeKind;
 
     #[test]
     fn parses_simple_document() {

@@ -535,6 +535,35 @@ fn mutate_rejects_bad_node_ids_positions_and_malformed_lines() {
 }
 
 #[test]
+fn mutate_rejects_inserts_that_put_attributes_after_content() {
+    // In memory such a tree would print `(note:(S:n), @isbn:1, …)`, a
+    // reparse of its XML `(@isbn:1, note:(S:n), …)`.
+    let dir = CorpusDir::new("mutate-attr-order");
+    let [doc, keys, rules] = mutate_fixture(&dir);
+    for (name, position, fragment) in [
+        ("content-first.edits", 0, "<note>n</note>"),
+        ("text-first.edits", 0, "n"),
+        ("attribute-last.edits", 2, "@lang=en"),
+    ] {
+        dir.write(name, &format!("insert n1 {position} {fragment}\n"));
+        let path = dir.0.join(name);
+        let out = run(&["mutate", &doc, &keys, &rules, path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{name} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        let want = format!(
+            "{}:1: position {position} under n1 would put an attribute after element or text content",
+            path.to_str().unwrap()
+        );
+        assert!(err.contains(&want), "{name}: {err}");
+    }
+    // Right after the attribute, content is accepted.
+    dir.write("ok.edits", "insert n1 1 <note>n</note>\n");
+    let path = dir.0.join("ok.edits");
+    let out = run(&["mutate", &doc, &keys, &rules, path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+}
+
+#[test]
 fn mutate_usage_and_missing_script_are_clean_errors() {
     let out = run(&["mutate", "examples/data/fig1.xml"]);
     assert_eq!(out.status.code(), Some(2));
