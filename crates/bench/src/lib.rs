@@ -1288,8 +1288,8 @@ fn query(quick: bool) -> Vec<Row> {
                 let joined = run(&keyed);
                 assert!(!joined.is_empty(), "the join matched no rows");
                 assert_eq!(
-                    run(&naive).rows(),
-                    joined.rows(),
+                    run(&naive),
+                    joined,
                     "keyed and naive outputs must be identical"
                 );
             },

@@ -95,8 +95,7 @@ mod tests {
         assert_eq!(back.len(), 2);
         let names: Vec<String> = back
             .rows()
-            .iter()
-            .map(|r| back.value(r, "name").to_string())
+            .map(|r| back.value(&r, "name").to_string())
             .collect();
         assert_eq!(names, vec!["ada", "bob"]);
     }
@@ -112,8 +111,8 @@ mod tests {
         let doc = encode_relation_as_xml(&relation);
         let back = identity_rule(&schema).shred(&doc);
         assert_eq!(back.len(), 1);
-        assert!(back.value(&back.rows()[0], "b").is_null());
-        assert_eq!(back.value(&back.rows()[0], "a").to_string(), "x");
+        assert!(back.value(&back.row(0), "b").is_null());
+        assert_eq!(back.value(&back.row(0), "a").to_string(), "x");
     }
 
     #[test]

@@ -230,8 +230,7 @@ fn shred_indexed(
     scratch: &mut RequestScratch,
     plans: &[ShredPlan],
 ) -> Database {
-    // The value() memo is per-document; evaluation buffers survive.
-    scratch.shred.reset();
+    // A fresh index clears the value() memo; evaluation buffers survive.
     let mut database = Database::new();
     for plan in plans {
         database.insert(plan.shred_with(doc, index, &mut scratch.shred));

@@ -13,7 +13,7 @@
 //! exact row sequence of the nested-loop scan it replaces.
 
 use crate::plan::{JoinKind, Plan};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use xmlprop_pipeline::Error;
 use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
 
@@ -60,8 +60,9 @@ impl<'a> KeyedTable<'a> {
     }
 }
 
-/// Loads one relation as a deduplicated row list. A relation absent from
-/// the database (no tuples were shredded for it) is the empty instance.
+/// Loads one relation as a deduplicated row list, rows in first-occurrence
+/// order, cloning each kept row once. A relation absent from the database
+/// (no tuples were shredded for it) is the empty instance.
 fn load(db: &Database, name: &str, arity: usize) -> Result<Vec<Vec<Value>>, Error> {
     let Some(relation) = db.get(name) else {
         return Ok(Vec::new());
@@ -72,11 +73,11 @@ fn load(db: &Database, name: &str, arity: usize) -> Result<Vec<Vec<Value>>, Erro
             relation.schema().arity()
         )));
     }
+    let mut seen = HashSet::with_capacity(relation.len());
     Ok(relation
-        .distinct()
         .rows()
-        .iter()
-        .map(|t| t.values().to_vec())
+        .filter(|row| seen.insert(*row))
+        .map(|row| row.values().cloned().collect())
         .collect())
 }
 
@@ -207,10 +208,7 @@ mod tests {
         assert_eq!(keyed.len(), 2);
         // The NULL pid never matched anything even though parent has no
         // NULL id to match it against structurally.
-        assert!(keyed
-            .rows()
-            .iter()
-            .all(|t| t.values()[1].as_text() != Some("orphan")));
+        assert!(keyed.rows().all(|t| t.get(1).as_text() != Some("orphan")));
     }
 
     #[test]
@@ -288,7 +286,7 @@ mod tests {
         let d = db(&[("1", None), ("2", None)], &[]);
         let result = run("select payload from parent", &d);
         assert_eq!(result.len(), 1);
-        assert!(result.rows()[0].values()[0].is_null());
+        assert!(result.row(0).get(0).is_null());
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn evaluate(query: &Query, catalog: &Catalog, db: &Database) -> Vec<Vec<Value>> 
         for row in &rows {
             for tuple in rel.rows() {
                 let mut combined = row.clone();
-                combined.extend(tuple.values().iter().cloned());
+                combined.extend(tuple.values().cloned());
                 next.push(combined);
             }
         }
@@ -89,7 +89,10 @@ fn evaluate(query: &Query, catalog: &Catalog, db: &Database) -> Vec<Vec<Value>> 
 }
 
 fn rows_of(result: &Relation) -> Vec<Vec<Value>> {
-    result.rows().iter().map(|t| t.values().to_vec()).collect()
+    result
+        .rows()
+        .map(|t| t.values().cloned().collect())
+        .collect()
 }
 
 /// Executes `plan` and checks it against the oracle, order-normalized.

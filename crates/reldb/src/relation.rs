@@ -1,7 +1,7 @@
 //! Relation instances, tuples and databases.
 
 use crate::{Fd, RelationSchema, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A tuple: one value per attribute of the owning relation's schema, in
@@ -60,25 +60,122 @@ impl<V: Into<Value>> FromIterator<V> for Tuple {
     }
 }
 
-/// A relation instance: a schema plus a bag of tuples.
+/// A relation instance: a schema plus a bag of rows.
 ///
 /// Shredding XML into relations can produce duplicate rows (the paper's
 /// semantics builds a set of field-to-value bindings, but two distinct node
 /// bindings may produce equal field values); the instance is therefore kept
 /// as a bag, with [`Relation::distinct`] available when set semantics is
 /// wanted.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Storage
+///
+/// The implicit Cartesian product of Definition 2.2 repeats every
+/// upper-level value in each row below it, so an instance is stored
+/// dictionary-encoded: a vector of the non-null values its cells name, and
+/// the rows as `arity` `u32` codes each ([`Relation::NULL_CODE`] for a
+/// null).  A shredder appends each distinct value once
+/// ([`Relation::push_value`]) and fills rows by copying codes
+/// ([`Relation::push_coded_row`]); [`Relation::insert`] appends a tuple's
+/// values as fresh entries without looking them up.  The encoding never
+/// shows: [`Relation::rows`] yields [`Row`] views that read through the
+/// dictionary, and two instances are `==` iff they have the same schema
+/// and the same rows of values in the same order, however each was
+/// encoded.
+#[derive(Clone)]
 pub struct Relation {
     schema: RelationSchema,
-    rows: Vec<Tuple>,
+    /// The values cells name; a code indexes this vector.
+    dict: Vec<Value>,
+    /// `arity` codes per row, row after row.
+    codes: Vec<u32>,
+    /// The number of rows (kept apart from `codes`, which is empty for
+    /// every row of a zero-arity relation).
+    len: usize,
+}
+
+/// One row of a [`Relation`], borrowed: its codes and the dictionary they
+/// index.  Equality and hashing are those of its values.
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    dict: &'a [Value],
+    codes: &'a [u32],
+}
+
+/// The value a [`Relation::NULL_CODE`] cell reads as.
+static NULL: Value = Value::Null;
+
+impl<'a> Row<'a> {
+    /// The value at position `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &'a Value {
+        match self.codes[i] {
+            Relation::NULL_CODE => &NULL,
+            code => &self.dict[code as usize],
+        }
+    }
+
+    /// The values of the row, in schema order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &'a Value> + 'a {
+        let row = *self;
+        (0..row.arity()).map(move |i| row.get(i))
+    }
+
+    /// The number of fields.
+    pub fn arity(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True if any field is null.
+    pub fn has_null(&self) -> bool {
+        self.codes.contains(&Relation::NULL_CODE)
+    }
+
+    /// SQL-style row equality; see [`Tuple::sql_eq`].
+    pub fn sql_eq(&self, other: &Row<'_>) -> bool {
+        self.arity() == other.arity() && self.values().zip(other.values()).all(|(a, b)| a.sql_eq(b))
+    }
+
+    /// The row as an owned tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple::new(self.values().cloned().collect())
+    }
+}
+
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity() == other.arity() && self.values().eq(other.values())
+    }
+}
+
+impl Eq for Row<'_> {}
+
+impl std::hash::Hash for Row<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_usize(self.arity());
+        for value in self.values() {
+            value.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.values()).finish()
+    }
 }
 
 impl Relation {
+    /// The code of a null cell.
+    pub const NULL_CODE: u32 = u32::MAX;
+
     /// Creates an empty instance of the given schema.
     pub fn new(schema: RelationSchema) -> Self {
         Relation {
             schema,
-            rows: Vec::new(),
+            dict: Vec::new(),
+            codes: Vec::new(),
+            len: 0,
         }
     }
 
@@ -87,22 +184,38 @@ impl Relation {
         &self.schema
     }
 
-    /// The rows of the relation.
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+    /// The rows of the relation, in insertion order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// The row at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not less than [`Relation::len`].
+    pub fn row(&self, i: usize) -> Row<'_> {
+        assert!(i < self.len, "row {i} of a relation with {} rows", self.len);
+        let arity = self.schema.arity();
+        Row {
+            dict: &self.dict,
+            codes: &self.codes[i * arity..(i + 1) * arity],
+        }
     }
 
     /// The number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True if the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
-    /// Inserts a tuple.
+    /// Inserts a tuple, appending its non-null values to the dictionary
+    /// as new entries (no lookup: bulk producers that repeat values use
+    /// [`Relation::push_value`] and [`Relation::push_coded_row`]).
     ///
     /// # Panics
     ///
@@ -114,7 +227,52 @@ impl Relation {
             "tuple arity does not match schema {}",
             self.schema
         );
-        self.rows.push(tuple);
+        for value in tuple.values {
+            let code = self.push_value(value);
+            self.codes.push(code);
+        }
+        self.len += 1;
+    }
+
+    /// Appends a value to the dictionary and returns its code, for
+    /// [`Relation::push_coded_row`]; a null is not stored and returns
+    /// [`Relation::NULL_CODE`].
+    pub fn push_value(&mut self, value: Value) -> u32 {
+        if value.is_null() {
+            return Self::NULL_CODE;
+        }
+        let code = self.dict.len();
+        assert!(
+            code < Self::NULL_CODE as usize,
+            "a relation dictionary holds fewer than u32::MAX values"
+        );
+        self.dict.push(value);
+        code as u32
+    }
+
+    /// Appends a row given as one code per attribute: a code returned by
+    /// [`Relation::push_value`] or [`Relation::NULL_CODE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row arity does not match the schema, or a code names
+    /// no dictionary entry.
+    pub fn push_coded_row(&mut self, codes: &[u32]) {
+        assert_eq!(
+            codes.len(),
+            self.schema.arity(),
+            "row arity does not match schema {}",
+            self.schema
+        );
+        assert!(
+            codes
+                .iter()
+                .all(|&code| code == Self::NULL_CODE || (code as usize) < self.dict.len()),
+            "row code outside the dictionary of {}",
+            self.schema
+        );
+        self.codes.extend_from_slice(codes);
+        self.len += 1;
     }
 
     /// Inserts a tuple given as `(attribute, value)` pairs; attributes not
@@ -131,7 +289,7 @@ impl Relation {
                 .unwrap_or_else(|| panic!("unknown attribute `{name}` in {}", self.schema));
             values[idx] = value;
         }
-        self.rows.push(Tuple::new(values));
+        self.insert(Tuple::new(values));
     }
 
     /// Returns a copy with duplicate rows removed (order preserved).
@@ -143,18 +301,22 @@ impl Relation {
     /// `DISTINCT` could never remove it, yet SQL (and this engine) still
     /// collapse repeated `NULL` rows when deduplicating.
     pub fn distinct(&self) -> Relation {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Relation::new(self.schema.clone());
-        for row in &self.rows {
-            if seen.insert(row.clone()) {
-                out.rows.push(row.clone());
+        let mut seen = HashSet::with_capacity(self.len);
+        let mut out = Relation {
+            dict: self.dict.clone(),
+            ..Relation::new(self.schema.clone())
+        };
+        for row in self.rows() {
+            if seen.insert(row) {
+                out.codes.extend_from_slice(row.codes);
+                out.len += 1;
             }
         }
         out
     }
 
     /// The value of `attribute` in `row`.
-    pub fn value<'t>(&self, row: &'t Tuple, attribute: &str) -> &'t Value {
+    pub fn value<'t>(&self, row: &Row<'t>, attribute: &str) -> &'t Value {
         let idx = self
             .schema
             .index_of(attribute)
@@ -166,34 +328,29 @@ impl Relation {
     /// the given names).
     pub fn project<'a>(
         &self,
-        row: &Tuple,
+        row: &Row<'_>,
         attributes: impl IntoIterator<Item = &'a String>,
     ) -> Vec<Value> {
-        attributes
+        self.project_refs(row, attributes)
             .into_iter()
-            .map(|a| self.value(row, a).clone())
+            .cloned()
             .collect()
+    }
+
+    /// [`Relation::project`] without cloning the values.
+    fn project_refs<'t, 'a>(
+        &self,
+        row: &Row<'t>,
+        attributes: impl IntoIterator<Item = &'a String>,
+    ) -> Vec<&'t Value> {
+        attributes.into_iter().map(|a| self.value(row, a)).collect()
     }
 
     /// Classical FD satisfaction, ignoring the null subtleties: any two rows
     /// that agree on `fd.lhs()` (using strict value equality, where nulls
     /// equal nulls) agree on `fd.rhs()`.
     pub fn satisfies_fd_classical(&self, fd: &Fd) -> bool {
-        let lhs: Vec<&String> = fd.lhs().iter().collect();
-        let rhs: Vec<&String> = fd.rhs().iter().collect();
-        let mut seen: BTreeMap<Vec<Value>, Vec<Value>> = BTreeMap::new();
-        for row in &self.rows {
-            let key = self.project(row, lhs.iter().copied());
-            let val = self.project(row, rhs.iter().copied());
-            match seen.get(&key) {
-                Some(prev) if prev != &val => return false,
-                Some(_) => {}
-                None => {
-                    seen.insert(key, val);
-                }
-            }
-        }
-        true
+        self.fd_holds_over(fd, |_| true)
     }
 
     /// FD satisfaction under the paper's null semantics (Section 3):
@@ -204,24 +361,25 @@ impl Relation {
     /// 2. any two tuples that are entirely null-free and agree on `X` agree
     ///    on `Y`.
     pub fn satisfies_fd_paper(&self, fd: &Fd) -> bool {
-        let lhs: Vec<&String> = fd.lhs().iter().collect();
-        let rhs: Vec<&String> = fd.rhs().iter().collect();
         // Condition 1.
-        for row in &self.rows {
-            let x = self.project(row, lhs.iter().copied());
-            let y = self.project(row, rhs.iter().copied());
-            if x.iter().any(Value::is_null) && !y.iter().any(Value::is_null) {
+        for row in self.rows() {
+            let x = self.project_refs(&row, fd.lhs());
+            let y = self.project_refs(&row, fd.rhs());
+            if x.iter().any(|v| v.is_null()) && !y.iter().any(|v| v.is_null()) {
                 return false;
             }
         }
         // Condition 2 — over completely null-free tuples only.
-        let mut seen: BTreeMap<Vec<Value>, Vec<Value>> = BTreeMap::new();
-        for row in &self.rows {
-            if row.has_null() {
-                continue;
-            }
-            let key = self.project(row, lhs.iter().copied());
-            let val = self.project(row, rhs.iter().copied());
+        self.fd_holds_over(fd, |row| !row.has_null())
+    }
+
+    /// Whether every two rows picked by `keep` that agree on `fd.lhs()`
+    /// (nulls equal) agree on `fd.rhs()`.
+    fn fd_holds_over(&self, fd: &Fd, keep: impl Fn(&Row<'_>) -> bool) -> bool {
+        let mut seen: BTreeMap<Vec<&Value>, Vec<&Value>> = BTreeMap::new();
+        for row in self.rows().filter(|row| keep(row)) {
+            let key = self.project_refs(&row, fd.lhs());
+            let val = self.project_refs(&row, fd.rhs());
             match seen.get(&key) {
                 Some(prev) if prev != &val => return false,
                 Some(_) => {}
@@ -245,21 +403,47 @@ impl Relation {
     pub fn to_table_string(&self) -> String {
         let attributes = self.schema.attributes();
         let mut widths: Vec<usize> = attributes.iter().map(String::len).collect();
-        for row in &self.rows {
+        for row in self.rows() {
             for (width, value) in widths.iter_mut().zip(row.values()) {
                 *width = (*width).max(cell(value).len());
             }
         }
         let line = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1) + 1;
-        let mut out = String::with_capacity(line * (self.rows.len() + 2));
+        let mut out = String::with_capacity(line * (self.len + 2));
         push_line(&mut out, &widths, attributes.iter().map(String::as_str));
         let header = out.len() - 1;
         out.extend(std::iter::repeat_n('-', header));
         out.push('\n');
-        for row in &self.rows {
-            push_line(&mut out, &widths, row.values().iter().map(cell));
+        for row in self.rows() {
+            push_line(&mut out, &widths, row.values().map(cell));
         }
         out
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.len == other.len && self.rows().eq(other.rows())
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("rows", &RowsDebug(self))
+            .finish()
+    }
+}
+
+/// Shows a relation's rows as lists of values, not as codes.
+struct RowsDebug<'a>(&'a Relation);
+
+impl fmt::Debug for RowsDebug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.rows()).finish()
     }
 }
 
@@ -345,7 +529,7 @@ mod oracle {
             .map(|a| a.len())
             .collect();
         for row in relation.rows() {
-            for (i, v) in row.values().iter().enumerate() {
+            for (i, v) in row.values().enumerate() {
                 widths[i] = widths[i].max(v.to_string().len());
             }
         }
@@ -362,7 +546,6 @@ mod oracle {
         for row in relation.rows() {
             let cells: Vec<String> = row
                 .values()
-                .iter()
                 .enumerate()
                 .map(|(i, v)| format!("{:width$}", v.to_string(), width = widths[i]))
                 .collect();
@@ -449,8 +632,8 @@ mod tests {
         let schema = RelationSchema::new("r", ["a", "b"]);
         let mut r = Relation::new(schema);
         r.insert_named([("b", Value::text("v"))]);
-        assert_eq!(r.rows()[0].get(0), &Value::Null);
-        assert_eq!(r.rows()[0].get(1), &Value::text("v"));
+        assert_eq!(r.row(0).get(0), &Value::Null);
+        assert_eq!(r.row(0).get(1), &Value::text("v"));
     }
 
     #[test]
@@ -568,6 +751,82 @@ mod tests {
                 })
         }
 
+        /// Rows of arity 0–4 over a few values, so nulls and repeats are
+        /// common.
+        fn rows() -> impl Strategy<Value = (usize, Vec<Vec<Value>>)> {
+            let value = prop_oneof![
+                Just(Value::Null),
+                Just(Value::text("")),
+                Just(Value::text("a")),
+                Just(Value::text("b")),
+                Just(Value::text("NULL")),
+                Just(Value::text("é")),
+            ];
+            (
+                0usize..=4,
+                prop::collection::vec(prop::collection::vec(value, 4..5), 0..31),
+            )
+                .prop_map(|(arity, mut rows)| {
+                    for row in &mut rows {
+                        row.truncate(arity);
+                    }
+                    (arity, rows)
+                })
+        }
+
+        /// The instance built through `insert`, one fresh dictionary entry
+        /// per non-null cell.
+        fn inserted(schema: &RelationSchema, rows: &[Vec<Value>]) -> Relation {
+            let mut r = Relation::new(schema.clone());
+            for row in rows {
+                r.insert(Tuple::new(row.clone()));
+            }
+            r
+        }
+
+        /// The same instance built through the coded path: one dictionary
+        /// entry per distinct value, entered in reverse order of first
+        /// sight after an entry no cell names, and rows as codes.
+        fn coded(schema: &RelationSchema, rows: &[Vec<Value>]) -> Relation {
+            let mut r = Relation::new(schema.clone());
+            r.push_value(Value::text("unused"));
+            let mut distinct: Vec<&Value> = Vec::new();
+            for value in rows.iter().flatten() {
+                if !value.is_null() && !distinct.contains(&value) {
+                    distinct.push(value);
+                }
+            }
+            let mut code_of = vec![0; distinct.len()];
+            for (i, value) in distinct.iter().enumerate().rev() {
+                code_of[i] = r.push_value((*value).clone());
+            }
+            for row in rows {
+                let codes: Vec<u32> = row
+                    .iter()
+                    .map(|v| match distinct.iter().position(|d| *d == v) {
+                        Some(i) => code_of[i],
+                        None => Relation::NULL_CODE,
+                    })
+                    .collect();
+                r.push_coded_row(&codes);
+            }
+            r
+        }
+
+        /// The FD whose sides are the attributes picked by two bit masks.
+        fn fd_of(schema: &RelationSchema, lhs: u8, rhs: u8) -> Fd {
+            let side = |mask: u8| {
+                schema
+                    .attributes()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, a)| a.clone())
+                    .collect()
+            };
+            Fd::new(side(lhs), side(rhs))
+        }
+
         proptest! {
             /// The one-pass renderer writes the oracle's exact bytes: nulls,
             /// empty strings, multi-byte cells and names (byte widths, char
@@ -575,6 +834,52 @@ mod tests {
             #[test]
             fn table_rendering_matches_the_oracle(r in relation()) {
                 prop_assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
+            }
+
+            /// The encoding never shows: an instance built through
+            /// `insert` and one built from shared dictionary entries are
+            /// equal, render the same bytes, deduplicate to the same rows
+            /// and agree on every FD; changing one cell makes them differ.
+            #[test]
+            fn encodings_of_the_same_rows_agree(
+                instance in rows(),
+                fds in prop::collection::vec((0u8..16, 0u8..16), 1..5),
+                change in (0usize..1000, 0usize..3),
+            ) {
+                let ((arity, rows), (pick, replacement)) = (instance, change);
+                let schema = RelationSchema::new("r", ["a", "b", "c", "d"].into_iter().take(arity));
+                let (by_tuple, by_code) = (inserted(&schema, &rows), coded(&schema, &rows));
+                prop_assert_eq!(&by_tuple, &by_code);
+                prop_assert_eq!(by_tuple.len(), rows.len());
+                prop_assert_eq!(by_tuple.to_table_string(), by_code.to_table_string());
+                let mut first_seen: Vec<&Vec<Value>> = Vec::new();
+                for row in &rows {
+                    if !first_seen.contains(&row) {
+                        first_seen.push(row);
+                    }
+                }
+                let distinct = by_code.distinct();
+                prop_assert_eq!(&by_tuple.distinct(), &distinct);
+                prop_assert_eq!(distinct.len(), first_seen.len());
+                for (row, expected) in distinct.rows().zip(first_seen) {
+                    prop_assert!(row.values().eq(expected.iter()));
+                }
+                for (lhs, rhs) in fds {
+                    let fd = fd_of(&schema, lhs, rhs);
+                    prop_assert_eq!(by_tuple.satisfies_fd_classical(&fd), by_code.satisfies_fd_classical(&fd));
+                    prop_assert_eq!(by_tuple.satisfies_fd_paper(&fd), by_code.satisfies_fd_paper(&fd));
+                }
+                if arity > 0 && !rows.is_empty() {
+                    let mut changed = rows.clone();
+                    let cell = &mut changed[pick % rows.len()][pick % arity];
+                    *cell = match (cell.is_null(), replacement) {
+                        (true, _) => Value::text("new"),
+                        (false, 0) => Value::Null,
+                        (false, _) => Value::text(format!("{cell}~")),
+                    };
+                    prop_assert_ne!(&by_tuple, &coded(&schema, &changed));
+                    prop_assert_ne!(&inserted(&schema, &changed), &by_code);
+                }
             }
         }
     }

@@ -21,16 +21,19 @@ use std::sync::Arc;
 /// [`Tuple::sql_eq`](crate::Tuple::sql_eq)) so that a null-bearing tuple
 /// never matches another tuple and never counts as a key violation.
 ///
-/// Text is stored as a shared `Arc<str>`: the shredding semantics populates
-/// the same node's `value()` into every tuple of a Cartesian product, so
-/// value clones are refcount bumps rather than string copies (at 10⁵-row
-/// instances the copies dominated shredding time).
+/// Text is stored as a shared `Arc<str>`, so one string can back many
+/// relations: a shredder serializes each distinct value of a document
+/// once and hands the same `Arc` to every relation that names it.  Inside
+/// a [`Relation`](crate::Relation) a value is stored once in the
+/// relation's dictionary and its cells are `u32` codes, so the Cartesian
+/// product of Definition 2.2, which repeats each upper-level value in
+/// every row below it, copies codes, never values.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Value {
     /// The null value (missing data).
     #[default]
     Null,
-    /// A text value (cheaply clonable; see the type docs).
+    /// A text value (a shared string; see the type docs).
     Text(Arc<str>),
 }
 

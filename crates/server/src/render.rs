@@ -190,9 +190,8 @@ pub fn query_report(
     let needed: std::collections::BTreeSet<&str> = std::iter::once(query.from.as_str())
         .chain(query.joins.iter().map(|j| j.relation.as_str()))
         .collect();
+    // A fresh index clears the value() memo; evaluation buffers survive.
     let index = scratch.index_document(doc);
-    // The value() memo is per-document; evaluation buffers survive.
-    scratch.shred_scratch().reset();
     let mut database = Database::new();
     for shred_plan in bundle.plan().plans() {
         if needed.contains(shred_plan.schema().name()) {

@@ -313,7 +313,7 @@ mod tests {
             },
         );
         let rel = w.universal.shred(&doc);
-        let has_null = rel.rows().iter().any(|r| r.has_null());
+        let has_null = rel.rows().any(|r| r.has_null());
         // With 90% omission of element fields nulls are effectively certain
         // as long as the workload has any element field.
         let any_element_field = w

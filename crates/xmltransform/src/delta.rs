@@ -18,9 +18,10 @@
 //! Plans that are not block-decomposable (several root-child variables
 //! form a root-level Cartesian product, or a field reads `value(xr)`)
 //! fall back to a full re-shred over the patched index plus a multiset
-//! diff — still rebuild-free on the index side, and the node-keyed
-//! `value()` memo (invalidated only along the dirty chain) carries most
-//! serializations over.
+//! diff — still rebuild-free on the index side, and the `value()` memo
+//! carries most serializations over: its value-keyed entries never go
+//! stale, and its node-keyed ones are invalidated only along the dirty
+//! chain.
 //!
 //! [`IncrementalShredder::database`] reassembles the full [`Database`]
 //! bit-for-bit equal to [`TransformationPlan::shred_all`] on the mutated
@@ -125,7 +126,8 @@ impl IncrementalShredder {
                     rows: rule
                         .shred_with(doc, index, &mut shredder.scratch)
                         .rows()
-                        .to_vec(),
+                        .map(|row| row.to_tuple())
+                        .collect(),
                 }
             };
             shredder.rules.push(state);
@@ -215,10 +217,11 @@ impl IncrementalShredder {
                     };
                 }
                 RuleState::Full { rows: old } => {
-                    let rows = rule
+                    let rows: Vec<Tuple> = rule
                         .shred_with(doc, index, &mut self.scratch)
                         .rows()
-                        .to_vec();
+                        .map(|row| row.to_tuple())
+                        .collect();
                     // Bag difference old ↔ new.
                     let mut counts: HashMap<&Tuple, i64> = HashMap::new();
                     for t in &rows {
@@ -317,12 +320,14 @@ mod tests {
             let reported = shredder.apply(&plan, &doc, &index, &applied);
             let expected = plan.shred_all(&doc, &index);
             assert_eq!(shredder.database(&plan), expected, "after {delta:?}");
+            let rebuilt = DocIndex::build(&doc, &mut universe);
+            assert_eq!(plan.shred_all(&doc, &rebuilt), expected, "after {delta:?}");
             // The reported deltas must transform each old bag into the new.
             for rule in plan.plans() {
                 let name = rule.schema().name();
                 let mut bag: HashMap<Tuple, i64> = HashMap::new();
                 for t in before.get(name).unwrap().rows() {
-                    *bag.entry(t.clone()).or_insert(0) += 1;
+                    *bag.entry(t.to_tuple()).or_insert(0) += 1;
                 }
                 if let Some(d) = reported.iter().find(|d| d.relation() == name) {
                     for t in d.deleted() {
@@ -333,7 +338,7 @@ mod tests {
                     }
                 }
                 for t in expected.get(name).unwrap().rows() {
-                    *bag.entry(t.clone()).or_insert(0) -= 1;
+                    *bag.entry(t.to_tuple()).or_insert(0) -= 1;
                 }
                 assert!(
                     bag.values().all(|&n| n == 0),
@@ -374,6 +379,29 @@ mod tests {
             Delta::RemoveSubtree { node: books[1] },
         ];
         run_script(&sample::example_2_4_transformation(), doc, script);
+    }
+
+    #[test]
+    fn identifier_edits_through_shared_fresh_and_restored_values() {
+        // The value() memo is keyed by value id: an edited attribute reads
+        // the id of its new text, one another node may already carry.
+        let mut t = sample::example_2_4_transformation();
+        t.add_rule(sample::example_3_1_universal());
+        let doc = fig1();
+        let books: Vec<NodeId> = doc.children_labelled(doc.root(), "book").collect();
+        let isbn = doc.attribute_node(books[1], "isbn").unwrap();
+        let shared = doc.attribute_node(books[0], "isbn").unwrap();
+        let script = [
+            doc.text_value(shared).unwrap(),
+            "fresh",
+            doc.text_value(isbn).unwrap(),
+        ]
+        .map(|text| Delta::SetText {
+            node: isbn,
+            text: text.into(),
+        })
+        .into();
+        run_script(&t, doc, script);
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! * every edge path is compiled ([`xmlprop_xmlpath::CompiledExpr`]) against
 //!   a shared [`LabelUniverse`] and evaluated over a prepared
 //!   [`DocIndex`] with reusable scratch frontiers;
-//! * the `value()` serialization of each bound node is **memoized** per
-//!   node, so a node reached by many rows (the upper levels of the product)
-//!   is serialized once.
+//! * the `value()` serialization of each bound node is **memoized**, keyed
+//!   by the [`DocIndex::value_id_at`] id of the text it serializes to
+//!   (attribute and text nodes, and elements whose only child is a text
+//!   node) or else by node, so each distinct string of a document is one
+//!   shared `Arc<str>` however many nodes and rows carry it;
+//! * rows are **coded**: each relation gets each memoized value once, as a
+//!   dictionary entry ([`Relation::push_value`]), and every row is a copy
+//!   of `u32` codes ([`Relation::push_coded_row`]), with no allocation or
+//!   reference count per cell.
 //!
 //! The implicit Cartesian product of Definition 2.2 is enumerated depth
 //! first, as an odometer over the variables in [`VarId`] order with the
@@ -18,7 +24,7 @@
 //! its edge path reaches from its parent's current node, and recomputes it
 //! only when that parent's binding changes; an empty list binds the
 //! variable (and so its descendants) to null.  Every complete binding is
-//! materialized straight into a tuple, so no table of partial bindings is
+//! materialized straight into a coded row, so no table of partial bindings is
 //! ever built, and rows come out lexicographic by [`VarId`] — the order of
 //! the paper's product and of the string oracle.
 //!
@@ -35,7 +41,7 @@ use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
 use xmlprop_xmlpath::{
     CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse, PathCompiler,
 };
-use xmlprop_xmltree::{DocIndex, Document, NodeId};
+use xmlprop_xmltree::{DocIndex, Document, NodeId, NodeKind};
 
 /// A dense identifier for a variable of one [`ShredPlan`] (the root
 /// variable `xr` is `VarId(0)`; parents precede children).
@@ -163,10 +169,10 @@ impl ShredPlan {
 
     /// [`ShredPlan::shred`] with caller-provided scratch state.
     ///
-    /// The scratch's `value()` memo is keyed by node, so it is only valid
-    /// for one document at a time; [`ShredScratch::new`]
-    /// or [`ShredScratch::reset`] it when switching documents (sharing it
-    /// across *rules* over the same document is the point).
+    /// The scratch's `value()` memo belongs to one index: handed an index
+    /// of another [`DocIndex::build_id`] it clears itself, so sharing one
+    /// scratch across rules of a document (the point) and across
+    /// documents is safe without [`ShredScratch::reset`].
     pub fn shred_with(
         &self,
         doc: &Document,
@@ -174,24 +180,57 @@ impl ShredPlan {
         scratch: &mut ShredScratch,
     ) -> Relation {
         index.debug_assert_current(doc);
-        scratch.ensure_values(doc.arena_len());
-        let ShredScratch { odometer, values } = scratch;
+        scratch.fit(doc, index);
+        let ShredScratch {
+            odometer,
+            memo,
+            codes,
+            touched,
+            ..
+        } = scratch;
         let mut relation = Relation::new(self.schema.clone());
-        self.enumerate(index, odometer, &[index.position(doc.root())], |row| {
-            relation.insert(self.materialize_row(doc, index, values, row))
+        let mut row = vec![Relation::NULL_CODE; self.field_vars.len()];
+        let root = index.position(doc.root());
+        self.enumerate(index, odometer, &[root], |binding, changed| {
+            // A field whose variable kept its binding keeps its code.
+            for (cell, &v) in row.iter_mut().zip(&self.field_vars) {
+                if (v as usize) < changed {
+                    continue;
+                }
+                *cell = match binding[v as usize] {
+                    NULL => Relation::NULL_CODE,
+                    pos => {
+                        let slot = Slot::of(index, pos);
+                        let code = codes.get_mut(slot);
+                        if *code == Relation::NULL_CODE {
+                            let value = memoized(memo, doc, index, pos, slot).clone();
+                            *code = relation.push_value(value);
+                            touched.push(slot);
+                        }
+                        *code
+                    }
+                };
+            }
+            relation.push_coded_row(&row);
         });
+        for slot in touched.drain(..) {
+            *codes.get_mut(slot) = Relation::NULL_CODE;
+        }
         relation
     }
 
     /// Calls `emit` with every complete binding whose first variables are
     /// `bound` (the root, and for [`ShredPlan::shred_block`] the anchor),
-    /// in lexicographic [`VarId`] order; see the module docs.
+    /// in lexicographic [`VarId`] order; see the module docs.  With each
+    /// binding comes the first variable whose binding may differ from the
+    /// previous call's (0 on the first call): the variables before it are
+    /// bound as they were.
     fn enumerate(
         &self,
         index: &DocIndex,
         odometer: &mut Odometer,
         bound: &[u32],
-        mut emit: impl FnMut(&[u32]),
+        mut emit: impl FnMut(&[u32], usize),
     ) {
         let vars = self.parents.len();
         odometer.reset(vars);
@@ -204,8 +243,9 @@ impl ShredPlan {
         } = odometer;
         binding[..bound.len()].copy_from_slice(bound);
         let from = bound.len();
-        // The first variable whose binding must be (re)made.
-        let mut next = from;
+        // The first variable whose binding must be (re)made, and the
+        // first whose binding changed since the last emit.
+        let (mut next, mut changed) = (from, 0);
         loop {
             for v in next..vars {
                 let parent = binding[self.parents[v] as usize];
@@ -229,7 +269,7 @@ impl ShredPlan {
                 at[v] = 0;
                 binding[v] = candidates[v].first().copied().unwrap_or(NULL);
             }
-            emit(binding);
+            emit(binding, changed);
             // Turn the last variable that has another candidate; every
             // later one starts over.
             let Some(v) = (from..vars)
@@ -240,34 +280,8 @@ impl ShredPlan {
             };
             at[v] += 1;
             binding[v] = candidates[v][at[v]];
-            next = v + 1;
+            (next, changed) = (v + 1, v);
         }
-    }
-
-    /// Materializes one binding into a tuple through the node-keyed
-    /// `value()` memo (caller must have sized it via
-    /// [`ShredScratch::ensure_values`]).
-    fn materialize_row(
-        &self,
-        doc: &Document,
-        index: &DocIndex,
-        values: &mut [Option<Value>],
-        binding: &[u32],
-    ) -> Tuple {
-        Tuple::new(
-            self.field_vars
-                .iter()
-                .map(|&v| match binding[v as usize] {
-                    NULL => Value::Null,
-                    pos => {
-                        let node = index.node_at(pos);
-                        values[node.index()]
-                            .get_or_insert_with(|| Value::from(field_value(doc, node).as_ref()))
-                            .clone()
-                    }
-                })
-                .collect(),
-        )
     }
 
     /// The anchor variable of a block-decomposable plan, if any.
@@ -300,14 +314,24 @@ impl ShredPlan {
         scratch: &mut ShredScratch,
         anchor_pos: u32,
     ) -> Vec<Tuple> {
-        scratch.ensure_values(doc.arena_len());
-        let ShredScratch { odometer, values } = scratch;
+        scratch.fit(doc, index);
+        let ShredScratch { odometer, memo, .. } = scratch;
         let mut block = Vec::new();
         self.enumerate(
             index,
             odometer,
             &[index.position(doc.root()), anchor_pos],
-            |row| block.push(self.materialize_row(doc, index, values, row)),
+            |binding, _| {
+                block.push(
+                    self.field_vars
+                        .iter()
+                        .map(|&v| match binding[v as usize] {
+                            NULL => Value::Null,
+                            pos => memoized(memo, doc, index, pos, Slot::of(index, pos)).clone(),
+                        })
+                        .collect(),
+                )
+            },
         );
         block
     }
@@ -321,15 +345,23 @@ impl ShredPlan {
 }
 
 /// Reusable scratch for [`ShredPlan::shred_with`]: the binding enumerator's
-/// state and the per-node `value()` memo.
+/// state, the `value()` memo and the per-relation code map.
 #[derive(Debug, Default)]
 pub struct ShredScratch {
     odometer: Odometer,
-    /// [`NodeId`] index → memoized field value of that node (dense, sized
-    /// to the document arena on first use).  Node-keyed rather than
-    /// position-keyed so the memo survives deltas: positions shift under
-    /// edits, node ids do not.
-    values: Vec<Option<Value>>,
+    /// The [`DocIndex::build_id`] the memo's value ids belong to.
+    build: Option<u64>,
+    /// Slot → memoized field value ([`Value::Null`] until serialized).
+    /// Node slots are keyed by [`NodeId`], not position, so the memo
+    /// survives deltas: positions shift under edits, node ids do not, and
+    /// value ids are never recycled.
+    memo: SlotTable<Value>,
+    /// Slot → code of its value in the relation being shredded
+    /// ([`Relation::NULL_CODE`] until the relation names it).
+    codes: SlotTable<u32>,
+    /// The slots `codes` assigned for the current relation, cleared after
+    /// it.
+    touched: Vec<Slot>,
 }
 
 impl ShredScratch {
@@ -338,31 +370,119 @@ impl ShredScratch {
         ShredScratch::default()
     }
 
-    /// Clears the `value()` memo (required when switching to a different
-    /// document); evaluation buffers are kept.
+    /// Clears the `value()` memo; evaluation buffers are kept.  Switching
+    /// to another index clears it anyway (see [`ShredPlan::shred_with`]).
     pub fn reset(&mut self) {
-        self.values.clear();
+        self.memo.clear();
+        self.build = None;
     }
 
-    /// Grows the `value()` memo to cover a document arena of `arena_len`
-    /// nodes (existing entries are kept).
-    fn ensure_values(&mut self, arena_len: usize) {
-        if self.values.len() < arena_len {
-            self.values.resize(arena_len, None);
+    /// Makes the memo belong to `index` (clearing it if it belonged to
+    /// another build) and sizes both tables to cover its value ids and
+    /// `doc`'s arena (existing entries are kept).
+    fn fit(&mut self, doc: &Document, index: &DocIndex) {
+        if self.build != Some(index.build_id()) {
+            self.reset();
+            self.build = Some(index.build_id());
         }
+        let (values, nodes) = (index.distinct_values(), doc.arena_len());
+        self.memo.fit(values, nodes, Value::Null);
+        self.codes.fit(values, nodes, Relation::NULL_CODE);
     }
 
     /// Drops the memoized `value()` of the given nodes — after a delta,
     /// exactly the dirty ancestor chain's serializations are stale (nodes
     /// off the chain kept their subtree content; fresh nodes have no
-    /// entry; removed nodes are never queried again).
+    /// entry; removed nodes are never queried again).  Value-keyed entries
+    /// stay: an edited node reads another value id.
     pub fn invalidate_values(&mut self, nodes: &[NodeId]) {
         for &node in nodes {
-            if let Some(slot) = self.values.get_mut(node.index()) {
-                *slot = None;
+            if let Some(value) = self.memo.by_node.get_mut(node.index()) {
+                *value = Value::Null;
             }
         }
     }
+}
+
+/// Where the `value()` memo keeps the serialization of a bound node.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// A [`DocIndex::value_id_at`] id: of an attribute or text node, or of
+    /// the only child of an element when that child is a text node.
+    Value(u32),
+    /// Any other element, by [`NodeId`] index.
+    Node(usize),
+}
+
+impl Slot {
+    /// The slot of the node at `pos`.  The subtree range alone tells a
+    /// single-child element: its one descendant sits at `pos + 1`.
+    #[inline]
+    fn of(index: &DocIndex, pos: u32) -> Slot {
+        let only_child = pos + 1;
+        match index.value_id_at(pos) {
+            Some(id) => Slot::Value(id),
+            None if index.subtree_end(pos) == only_child + 1
+                && index.kind_at(only_child) == NodeKind::Text =>
+            {
+                Slot::Value(
+                    index
+                        .value_id_at(only_child)
+                        .expect("text nodes carry a value"),
+                )
+            }
+            None => Slot::Node(index.node_at(pos).index()),
+        }
+    }
+}
+
+/// One entry per [`Slot`].
+#[derive(Debug, Default)]
+struct SlotTable<T> {
+    by_value: Vec<T>,
+    by_node: Vec<T>,
+}
+
+impl<T: Clone> SlotTable<T> {
+    /// Grows the table to `values` value ids and `nodes` node slots,
+    /// filling new entries with `empty`.
+    fn fit(&mut self, values: usize, nodes: usize, empty: T) {
+        if self.by_value.len() < values {
+            self.by_value.resize(values, empty.clone());
+        }
+        if self.by_node.len() < nodes {
+            self.by_node.resize(nodes, empty);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.by_value.clear();
+        self.by_node.clear();
+    }
+
+    #[inline]
+    fn get_mut(&mut self, slot: Slot) -> &mut T {
+        match slot {
+            Slot::Value(id) => &mut self.by_value[id as usize],
+            Slot::Node(node) => &mut self.by_node[node],
+        }
+    }
+}
+
+/// The memoized `value()` of the node at `pos`, whose slot is `slot`,
+/// serialized on first use.
+fn memoized<'m>(
+    memo: &'m mut SlotTable<Value>,
+    doc: &Document,
+    index: &DocIndex,
+    pos: u32,
+    slot: Slot,
+) -> &'m Value {
+    let value = memo.get_mut(slot);
+    if value.is_null() {
+        *value = Value::from(field_value(doc, index.node_at(pos)).as_ref());
+    }
+    value
 }
 
 /// The state of [`ShredPlan::enumerate`], one slot per variable, kept
@@ -567,11 +687,11 @@ mod tests {
                 shred_rule(rule, &doc)
             );
         }
-        // Switching documents requires a memo reset.
+        // Switching documents needs no reset: the other index's build id
+        // clears the memo, whose value ids name other strings there.
         let other = ElementBuilder::new("r")
             .child(ElementBuilder::new("book").attr("isbn", "9"))
             .build();
-        scratch.reset();
         let mut universe2 = LabelUniverse::new();
         let plan2 = TransformationPlan::new(&t, &mut universe2);
         let index2 = DocIndex::build(&other, &mut universe2);
@@ -579,6 +699,42 @@ mod tests {
             assert_eq!(
                 rule_plan.shred_with(&other, &index2, &mut scratch),
                 shred_rule(rule, &other)
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_across_an_edit_and_an_index_rebuild_is_safe() {
+        // Whole chapter elements are memoized by node.
+        let mut t = sample::example_2_4_transformation();
+        t.add_rule(
+            crate::parse_single_rule(
+                "rule chap(c) { xb := xr//book; xc := xb/chapter; c := value(xc); }",
+            )
+            .unwrap(),
+        );
+        let mut doc = fig1();
+        let (mut universe, index, plan) = prepared(&t, &doc);
+        let mut scratch = ShredScratch::new();
+        for rule_plan in plan.plans() {
+            rule_plan.shred_with(&doc, &index, &mut scratch);
+        }
+        // Renumber the first chapter: the rebuilt index gives the new text
+        // the value id the old one had, and the chapter's serialization
+        // changes under the same node id.
+        let book = doc.children_labelled(doc.root(), "book").next().unwrap();
+        let chapter = doc.children_labelled(book, "chapter").next().unwrap();
+        let number = doc.attribute_node(chapter, "number").unwrap();
+        doc.apply(&xmlprop_xmltree::Delta::SetText {
+            node: number,
+            text: "99".into(),
+        })
+        .unwrap();
+        let rebuilt = DocIndex::build(&doc, &mut universe);
+        for (rule, rule_plan) in t.rules().iter().zip(plan.plans()) {
+            assert_eq!(
+                rule_plan.shred_with(&doc, &rebuilt, &mut scratch),
+                shred_rule(rule, &doc)
             );
         }
     }
@@ -744,7 +900,8 @@ mod shred_proptests {
             if anchors.is_empty() {
                 blocks.push(plan.null_tuple());
             }
-            prop_assert_eq!(whole.rows(), &blocks[..]);
+            let rows: Vec<Tuple> = whole.rows().map(|row| row.to_tuple()).collect();
+            prop_assert_eq!(rows, blocks);
         }
     }
 }

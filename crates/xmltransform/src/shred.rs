@@ -185,9 +185,8 @@ mod tests {
         assert_eq!(rel.schema().attributes(), &["inChapt", "number", "name"]);
         let complete: Vec<Vec<String>> = rel
             .rows()
-            .iter()
             .filter(|r| !r.has_null())
-            .map(|r| r.values().iter().map(|v| v.to_string()).collect())
+            .map(|r| r.values().map(|v| v.to_string()).collect())
             .collect();
         assert_eq!(
             complete,
@@ -197,7 +196,7 @@ mod tests {
             ]
         );
         // Book 123's two chapters have no sections: two null-padded rows.
-        let padded = rel.rows().iter().filter(|r| r.has_null()).count();
+        let padded = rel.rows().filter(|r| r.has_null()).count();
         assert_eq!(padded, 2);
         assert_eq!(rel.len(), 4);
     }
@@ -224,11 +223,10 @@ mod tests {
         assert_eq!(rel.len(), 2);
         let by_isbn: Vec<(String, bool)> = rel
             .rows()
-            .iter()
             .map(|r| {
                 (
-                    rel.value(r, "isbn").to_string(),
-                    rel.value(r, "contact").is_null(),
+                    rel.value(&r, "isbn").to_string(),
+                    rel.value(&r, "contact").is_null(),
                 )
             })
             .collect();
@@ -250,7 +248,6 @@ mod tests {
             db.get("section")
                 .unwrap()
                 .rows()
-                .iter()
                 .filter(|r| !r.has_null())
                 .count(),
             2
@@ -308,13 +305,11 @@ mod tests {
         assert_eq!(rel.len(), 4);
         let null_sections = rel
             .rows()
-            .iter()
             .filter(|r| rel.value(r, "secNum").is_null())
             .count();
         assert_eq!(null_sections, 2);
         let null_authors = rel
             .rows()
-            .iter()
             .filter(|r| rel.value(r, "bookAuthor").is_null())
             .count();
         assert_eq!(null_authors, 2);
@@ -326,7 +321,7 @@ mod tests {
         let doc = Document::new("r");
         let rel = shred(t.rule("book").unwrap(), &doc);
         assert_eq!(rel.len(), 1);
-        assert!(rel.rows()[0].values().iter().all(Value::is_null));
+        assert!(rel.row(0).values().all(Value::is_null));
     }
 
     #[test]
@@ -343,7 +338,7 @@ mod tests {
         )
         .unwrap();
         let rel = shred(t.rule("chap").unwrap(), &doc);
-        let first = rel.value(&rel.rows()[0], "c").to_string();
+        let first = rel.value(&rel.row(0), "c").to_string();
         assert_eq!(first, "(@number:1, name:(S:Introduction))");
     }
 }

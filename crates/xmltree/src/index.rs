@@ -37,9 +37,13 @@ use crate::labels::{LabelId, LabelUniverse};
 use crate::node::NodeKind;
 use crate::{Document, NodeId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "node carries no text value" (elements).
 const NO_VALUE: u32 = u32::MAX;
+
+/// The source of [`DocIndex::build_id`]s.
+static BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// The prepared form of a [`Document`]; see the module docs.
 #[derive(Debug, Clone)]
@@ -65,6 +69,8 @@ pub struct DocIndex {
     values: HashMap<String, u32>,
     /// [`Document::epoch`] the index is current for.
     epoch: u64,
+    /// See [`DocIndex::build_id`].
+    build: u64,
 }
 
 impl DocIndex {
@@ -133,6 +139,7 @@ impl DocIndex {
             postings,
             values,
             epoch: doc.epoch(),
+            build: BUILDS.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -206,6 +213,19 @@ impl DocIndex {
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The identity of the value-id numbering: a fresh number for every
+    /// [`DocIndex::build`] in the process, kept by `clone` and by
+    /// [`DocIndex::apply_delta`], which only appends ids.  A cache keyed
+    /// by [`DocIndex::value_id_at`] ids stays valid while it follows one
+    /// index through its deltas, and must be cleared when the build id
+    /// changes.  (Two clones patched with different deltas may append
+    /// different values under the same new id, so such a cache must not
+    /// alternate between them.)
+    #[inline]
+    pub fn build_id(&self) -> u64 {
+        self.build
     }
 
     /// True if the index is current for `doc` — built from it (or patched
@@ -733,6 +753,23 @@ mod tests {
             .unwrap();
         index.apply_delta(&doc, &applied, &mut u);
         assert_matches_fresh(&doc, &index, &u);
+    }
+
+    #[test]
+    fn build_ids_are_per_build_and_survive_deltas_and_clones() {
+        use crate::Delta;
+        let mut doc = tiny();
+        let mut u = LabelUniverse::new();
+        let mut index = DocIndex::build(&doc, &mut u);
+        let build = index.build_id();
+        assert_ne!(DocIndex::build(&doc, &mut u).build_id(), build);
+        assert_eq!(index.clone().build_id(), build);
+        let last_book = doc.element_children(doc.root()).nth(1).unwrap();
+        let applied = doc
+            .apply(&Delta::RemoveSubtree { node: last_book })
+            .unwrap();
+        index.apply_delta(&doc, &applied, &mut u);
+        assert_eq!(index.build_id(), build);
     }
 
     #[test]

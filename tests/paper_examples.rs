@@ -131,9 +131,8 @@ fn example_2_5_shredding() {
     let rel = t.rule("section").unwrap().shred(&fig1());
     let complete: Vec<Vec<String>> = rel
         .rows()
-        .iter()
         .filter(|r| !r.has_null())
-        .map(|r| r.values().iter().map(|v| v.to_string()).collect())
+        .map(|r| r.values().map(|v| v.to_string()).collect())
         .collect();
     assert_eq!(
         complete,

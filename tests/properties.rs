@@ -268,13 +268,13 @@ proptest! {
             for level in 0..depth {
                 let id = w.id_field(level);
                 prop_assert!(
-                    !instance.value(row, id).is_null(),
+                    !instance.value(&row, id).is_null(),
                     "identifier {id} must never be null"
                 );
             }
         }
         if omit == 0.0 {
-            prop_assert!(instance.rows().iter().all(|r| !r.has_null()));
+            prop_assert!(instance.rows().all(|r| !r.has_null()));
         }
     }
 

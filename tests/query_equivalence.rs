@@ -95,8 +95,7 @@ fn shred_and_catalog(bundle: &CorpusBundle, doc: &Document) -> (Catalog, Databas
 fn rows_of(relation: &xmlprop::reldb::Relation) -> Vec<Vec<Value>> {
     relation
         .rows()
-        .iter()
-        .map(|t| t.values().to_vec())
+        .map(|t| t.values().cloned().collect())
         .collect()
 }
 
@@ -122,8 +121,8 @@ fn queries(catalog: &Catalog, db: &Database) -> Vec<String> {
         .unwrap_or_else(|| "id0".to_string());
     let harvested = db
         .get("parent")
-        .and_then(|r| r.rows().first())
-        .map(|t| literal(&t.values()[0]))
+        .and_then(|r| r.rows().next())
+        .map(|t| literal(t.get(0)))
         .unwrap_or_else(|| "'zzz-no-such-value'".to_string());
     vec![
         "select * from parent".to_string(),
