@@ -9,10 +9,10 @@
 //!
 //! 1. [`Document::apply`] performs the structural edit;
 //! 2. [`DocIndex::apply_delta`] renumbers only the affected subtree range;
-//! 3. the validator re-probes only keys whose contexts/targets meet the
-//!    dirty ancestor chain;
-//! 4. the shredder re-shreds only the tuple blocks whose anchors meet it,
-//!    reporting tuple-level [`RelationDelta`]s.
+//! 3. the validator re-checks only the key contexts on the dirty ancestor
+//!    chain or new since the last edit;
+//! 4. the shredder re-shreds only the tuple blocks whose anchors meet the
+//!    chain, reporting net tuple-level [`RelationDelta`]s.
 //!
 //! The maintained state is bit-for-bit what re-running the whole pipeline
 //! from scratch on the mutated document would produce — pinned by the

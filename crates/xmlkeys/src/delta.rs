@@ -1,31 +1,28 @@
 //! Incremental key validation under document deltas.
 //!
-//! [`IncrementalValidator`] keeps, per key of Σ, the full result of the
-//! last validation in updatable form: the context set, each context's
-//! target list, and per `(context, target)` pair the probe result (the
-//! condition-(1) violations and the hashed interned-value key tuple).
-//! After an edit it re-probes only what the edit can have changed.
+//! [`IncrementalValidator`] keeps, per key of Σ, the context set of the
+//! last validation and the violations found under each context.  After an
+//! edit it re-runs the batch check of one context
+//! ([`KeyIndex::violations`] runs the same one) only where the edit can
+//! have changed its result.
 //!
 //! The locality argument: all targets of a context `c`, and all the
 //! attribute children their tuples are built from, live inside
 //! `subtree(c)`; a delta changes subtree content only for the
-//! [`AppliedDelta::dirty_node`] and its ancestors (plus freshly inserted
-//! nodes, which can have no cached state).  So a cached context whose node
-//! is outside that ancestor chain is reused wholesale — violations and
-//! all — and within a recomputed context, cached target probes are reused
-//! for targets outside the chain.  Context *sets* are re-evaluated from
-//! the patched [`DocIndex`] every time (a cheap postings scan), which is
-//! what makes contexts appear and disappear correctly under structural
-//! edits.
+//! [`AppliedDelta::dirty_node`] and its ancestors.  So a context off that
+//! ancestor chain keeps its violations, and only contexts on the chain, or
+//! new since the last edit, are checked again.  Context *sets* are
+//! re-evaluated from the patched [`DocIndex`] every time (a cheap postings
+//! scan), which is what makes contexts appear and disappear correctly
+//! under structural edits.
 //!
 //! The result is bit-for-bit the list [`KeyIndex::violations`] would
 //! produce from scratch on the mutated document — same violations, same
 //! order — which the differential proptests pin.
 
-use crate::index::KeyIndex;
+use crate::index::{KeyIndex, ValidateScratch};
 use crate::satisfy::Violation;
 use std::collections::{HashMap, HashSet};
-use xmlprop_xmlpath::EvalScratch;
 use xmlprop_xmltree::{AppliedDelta, DocIndex, Document, NodeId};
 
 /// Delta-maintained validation state for one document against one
@@ -36,7 +33,7 @@ pub struct IncrementalValidator {
     keys: Vec<KeyState>,
     /// [`Document::epoch`] the state is current for.
     epoch: u64,
-    scratch: Scratch,
+    scratch: ValidateScratch,
 }
 
 /// Updatable validation state of one key.
@@ -45,32 +42,9 @@ struct KeyState {
     /// Current contexts, in document order (the assembly order of
     /// [`IncrementalValidator::violations`]).
     contexts: Vec<NodeId>,
-    /// Context → its targets in document order.
-    targets: HashMap<NodeId, Vec<NodeId>>,
-    /// `(context, target)` → cached probe result.
-    entries: HashMap<(NodeId, NodeId), TargetEntry>,
     /// Context → its violations in canonical order; contexts with no
     /// violations are absent.
     violations: HashMap<NodeId, Vec<Violation>>,
-}
-
-/// Cached per-target probe: condition (1) violations plus the interned
-/// key tuple (`None` when an attribute was missing or duplicated).
-#[derive(Debug)]
-struct TargetEntry {
-    cond1: Vec<Violation>,
-    tuple: Option<Vec<u32>>,
-}
-
-#[derive(Debug, Default)]
-struct Scratch {
-    eval: EvalScratch,
-    /// Context positions of the key being refreshed.
-    cpos: Vec<u32>,
-    /// Target positions of the context being recomputed.
-    tpos: Vec<u32>,
-    /// Condition (2): tuple → first target carrying it.
-    seen: HashMap<Vec<u32>, NodeId>,
 }
 
 impl IncrementalValidator {
@@ -83,7 +57,7 @@ impl IncrementalValidator {
         let mut validator = IncrementalValidator {
             keys: (0..keys.len()).map(|_| KeyState::default()).collect(),
             epoch: doc.epoch(),
-            scratch: Scratch::default(),
+            scratch: ValidateScratch::default(),
         };
         for k in 0..keys.len() {
             validator.refresh_key(keys, k, doc, index, None);
@@ -145,10 +119,10 @@ impl IncrementalValidator {
         self.keys.iter().all(|s| s.violations.is_empty())
     }
 
-    /// Re-evaluates the contexts of key `k` and recomputes the dirty ones.
+    /// Re-evaluates the contexts of key `k` and re-checks the dirty ones.
     /// `chain = None` marks everything dirty (initial build); otherwise
-    /// `chain` is the dirty ancestor chain of the edit, and a context or
-    /// target outside it (with cached state) is reused untouched.
+    /// `chain` is the dirty ancestor chain of the edit, and a context off
+    /// it that was already a context keeps its violations.
     fn refresh_key(
         &mut self,
         keys: &KeyIndex,
@@ -157,157 +131,51 @@ impl IncrementalValidator {
         index: &DocIndex,
         chain: Option<&[NodeId]>,
     ) {
-        let key = &keys.keys()[k];
         let state = &mut self.keys[k];
         let scratch = &mut self.scratch;
-        key.context().evaluate_positions(
+        keys.keys()[k].context().evaluate_positions(
             index,
             index.position(doc.root()),
             &mut scratch.eval,
-            &mut scratch.cpos,
+            &mut scratch.contexts,
         );
-        let new_contexts: Vec<NodeId> = scratch.cpos.iter().map(|&p| index.node_at(p)).collect();
+        let positions = std::mem::take(&mut scratch.contexts);
+        let contexts: Vec<NodeId> = positions.iter().map(|&p| index.node_at(p)).collect();
         // When the context set is unchanged (the overwhelmingly common
-        // case) membership checks and garbage collection are skipped.
-        let same_contexts = state.contexts == new_contexts;
-        for (i, &c) in new_contexts.iter().enumerate() {
-            let dirty = match chain {
-                None => true,
-                Some(chain) => {
-                    (!same_contexts && !state.targets.contains_key(&c)) || chain.contains(&c)
-                }
-            };
+        // case) no context is new and none vanished.
+        let old: Option<HashSet<NodeId>> =
+            (state.contexts != contexts).then(|| state.contexts.iter().copied().collect());
+        for (&pos, &c) in positions.iter().zip(&contexts) {
+            let dirty = chain.is_none_or(|chain| {
+                chain.contains(&c) || old.as_ref().is_some_and(|old| !old.contains(&c))
+            });
             if !dirty {
                 continue;
             }
-            key.target().evaluate_positions(
-                index,
-                scratch.cpos[i],
-                &mut scratch.eval,
-                &mut scratch.tpos,
-            );
-            let new_targets: Vec<NodeId> = scratch.tpos.iter().map(|&p| index.node_at(p)).collect();
-            // Pull the context's old probes out for selective reuse; what
-            // stays unclaimed (vanished targets) is dropped.
-            let mut old_entries: HashMap<NodeId, TargetEntry> = HashMap::new();
-            if let Some(old_targets) = state.targets.remove(&c) {
-                for t in old_targets {
-                    if let Some(e) = state.entries.remove(&(c, t)) {
-                        old_entries.insert(t, e);
-                    }
-                }
-            }
-            scratch.seen.clear();
-            let mut viol: Vec<Violation> = Vec::new();
-            for (j, &t) in new_targets.iter().enumerate() {
-                let target_pos = scratch.tpos[j];
-                let reusable = matches!(chain, Some(chain) if !chain.contains(&t));
-                let entry = match old_entries.remove(&t) {
-                    Some(e) if reusable => e,
-                    _ => probe_target(keys, k, index, c, target_pos),
-                };
-                viol.extend(entry.cond1.iter().cloned());
-                if let Some(tuple) = &entry.tuple {
-                    // Condition (2): no two distinct targets under this
-                    // context agree on the whole key tuple.
-                    match scratch.seen.get(tuple) {
-                        Some(&first) => viol.push(Violation::DuplicateKeyValue {
-                            context: c,
-                            first,
-                            second: t,
-                            values: keys.tuple_strings_at(k, doc, index, target_pos),
-                        }),
-                        None => {
-                            scratch.seen.insert(tuple.clone(), t);
-                        }
-                    }
-                }
-                state.entries.insert((c, t), entry);
-            }
-            if viol.is_empty() {
+            let mut violations = Vec::new();
+            keys.check_context(k, doc, index, pos, scratch, Some(&mut violations));
+            if violations.is_empty() {
                 state.violations.remove(&c);
             } else {
-                state.violations.insert(c, viol);
-            }
-            state.targets.insert(c, new_targets);
-        }
-        if !same_contexts {
-            // Garbage-collect contexts that vanished with the edit.
-            let live: HashSet<NodeId> = new_contexts.iter().copied().collect();
-            let stale: Vec<NodeId> = state
-                .targets
-                .keys()
-                .copied()
-                .filter(|c| !live.contains(c))
-                .collect();
-            for c in stale {
-                if let Some(ts) = state.targets.remove(&c) {
-                    for t in ts {
-                        state.entries.remove(&(c, t));
-                    }
-                }
-                state.violations.remove(&c);
-            }
-            state.contexts = new_contexts;
-        }
-    }
-}
-
-/// Probes one target of key `k` under `context`: counts the attribute
-/// children behind each key attribute (condition (1) demands exactly one)
-/// and assembles the interned-value tuple — the cached form of the inner
-/// loop of [`KeyIndex::violations`].
-fn probe_target(
-    keys: &KeyIndex,
-    k: usize,
-    index: &DocIndex,
-    context: NodeId,
-    target_pos: u32,
-) -> TargetEntry {
-    let key = &keys.keys()[k];
-    let mut cond1 = Vec::new();
-    let mut tuple = Vec::with_capacity(key.val_attrs().len());
-    let mut complete = true;
-    for &attr in key.val_attrs() {
-        let mut count = 0u32;
-        let mut value = 0u32;
-        for child in index.children_at(target_pos) {
-            if index.label_at(child) == attr && index.kind_at(child).is_attribute() {
-                count += 1;
-                value = index.value_id_at(child).unwrap_or(0);
+                state.violations.insert(c, violations);
             }
         }
-        match count {
-            1 => tuple.push(value),
-            0 => {
-                complete = false;
-                cond1.push(Violation::MissingAttribute {
-                    context,
-                    target: index.node_at(target_pos),
-                    attribute: keys.universe().name(attr).to_string(),
-                });
-            }
-            _ => {
-                complete = false;
-                cond1.push(Violation::DuplicateAttribute {
-                    context,
-                    target: index.node_at(target_pos),
-                    attribute: keys.universe().name(attr).to_string(),
-                });
-            }
+        if old.is_some() {
+            let live: HashSet<NodeId> = contexts.iter().copied().collect();
+            state.violations.retain(|c, _| live.contains(c));
+            state.contexts = contexts;
         }
-    }
-    TargetEntry {
-        cond1,
-        tuple: complete.then_some(tuple),
+        scratch.contexts = positions;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::validation_proptests::{build_doc, key_strategy};
     use crate::{example_2_1_keys, KeySet};
-    use xmlprop_xmltree::{Delta, Fragment};
+    use proptest::prelude::*;
+    use xmlprop_xmltree::{Delta, Fragment, NodeKind};
 
     /// Applies a script of deltas, asserting after each one that the
     /// incremental violations equal a from-scratch pass bit-for-bit.
@@ -409,5 +277,100 @@ mod tests {
             Delta::RemoveSubtree { node: bs[1] },
         ];
         run_script(&sigma, doc, script);
+    }
+
+    /// Derives one edit from a selector triple over the current document:
+    /// a text rewrite, a subtree removal, or an insert of an element
+    /// fragment, attribute or text node, at a position [`Document::apply`]
+    /// accepts.
+    fn derive_edit(doc: &Document, kind: u8, sel: u8, aux: u8) -> Option<Delta> {
+        let all = doc.all_nodes();
+        let pick = |nodes: &[NodeId]| nodes.get(sel as usize % nodes.len().max(1)).copied();
+        let elements: Vec<NodeId> = all
+            .iter()
+            .copied()
+            .filter(|&n| matches!(doc.kind(n), NodeKind::Element))
+            .collect();
+        let parent = pick(&elements)?;
+        let kinds: Vec<bool> = doc
+            .children(parent)
+            .map(|c| doc.kind(c).is_attribute())
+            .collect();
+        // Attributes go among the leading attributes, content after the
+        // last attribute (mutation-built documents interleave the two).
+        let attrs = kinds.iter().take_while(|&&a| a).count();
+        let last_attr = kinds.iter().rposition(|&a| a).map_or(0, |i| i + 1);
+        let content = last_attr + aux as usize % (kinds.len() - last_attr + 1);
+        let value = ["0", "1", "2"][aux as usize % 3];
+        match kind % 5 {
+            0 => {
+                let leaves: Vec<NodeId> = all
+                    .iter()
+                    .copied()
+                    .filter(|&n| !matches!(doc.kind(n), NodeKind::Element))
+                    .collect();
+                Some(Delta::SetText {
+                    node: pick(&leaves)?,
+                    text: value.into(),
+                })
+            }
+            1 => Some(Delta::RemoveSubtree {
+                node: pick(&all[1..])?,
+            }),
+            2 => {
+                let label = ["a", "b", "c"][aux as usize % 3];
+                let xml = format!(r#"<{label} x="{value}"><a y="{value}">t0</a><b/></{label}>"#);
+                Some(Delta::InsertSubtree {
+                    parent,
+                    position: content,
+                    fragment: Fragment::Element(Document::parse_str(&xml).unwrap()),
+                })
+            }
+            3 => Some(Delta::InsertSubtree {
+                parent,
+                position: aux as usize % (attrs + 1),
+                fragment: Fragment::Attribute {
+                    name: ["x", "y"][aux as usize % 2].into(),
+                    value: value.into(),
+                },
+            }),
+            _ => Some(Delta::InsertSubtree {
+                parent,
+                position: content,
+                fragment: Fragment::Text(format!("t{}", aux % 2)),
+            }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// After every random edit, the incremental state equals a batch
+        /// pass over a rebuilt index, on random documents and random keys.
+        #[test]
+        fn incremental_matches_batch_on_random_documents_and_keys(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..40),
+            keys in prop::collection::vec(key_strategy(), 1..5),
+            edits in prop::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 1..12),
+        ) {
+            let mut doc = build_doc(&steps);
+            let mut keys = KeyIndex::new(&KeySet::from_keys(keys));
+            let mut universe = keys.universe().clone();
+            let mut index = DocIndex::build(&doc, &mut universe);
+            let mut validator = IncrementalValidator::new(&keys, &doc, &index);
+            for &(kind, sel, aux) in &edits {
+                let Some(delta) = derive_edit(&doc, kind, sel, aux) else {
+                    continue;
+                };
+                let applied = doc.apply(&delta).unwrap();
+                index.apply_delta(&doc, &applied, &mut universe);
+                validator.apply(&keys, &doc, &index, &applied);
+                let rebuilt = keys.index_document(&doc);
+                let expected = keys.violations(&doc, &rebuilt);
+                prop_assert_eq!(validator.violations(), expected.clone(), "after {:?}", delta);
+                prop_assert_eq!(validator.violation_count(), expected.len());
+                prop_assert_eq!(validator.satisfies(), keys.satisfies(&doc, &rebuilt));
+            }
+        }
     }
 }

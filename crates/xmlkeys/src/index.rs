@@ -415,11 +415,10 @@ impl KeyIndex {
         (0..self.keys.len()).all(|k| !self.collect_violations(k, doc, index, &mut scratch, None))
     }
 
-    /// The shared validation walk: evaluates the key's contexts and targets
-    /// over the `DocIndex` and checks conditions (1) and (2) of
-    /// Definition 2.1 with interned-value tuples.  With `out = Some(..)`
-    /// every violation is reported; with `None` it stops at the first.
-    /// Returns whether any violation was found.
+    /// The validation walk of one key: evaluates its contexts over the
+    /// `DocIndex` and runs [`KeyIndex::check_context`] under each.  With
+    /// `out = Some(..)` every violation is reported; with `None` it stops
+    /// at the first.  Returns whether any violation was found.
     fn collect_violations(
         &self,
         k: usize,
@@ -428,85 +427,99 @@ impl KeyIndex {
         scratch: &mut ValidateScratch,
         mut out: Option<&mut Vec<Violation>>,
     ) -> bool {
-        let key = &self.keys[k];
-        let mut found = false;
-        key.context().evaluate_positions(
+        self.keys[k].context().evaluate_positions(
             index,
             index.position(doc.root()),
             &mut scratch.eval,
             &mut scratch.contexts,
         );
-        for &context_pos in &scratch.contexts {
-            key.target().evaluate_positions(
-                index,
-                context_pos,
-                &mut scratch.eval,
-                &mut scratch.targets,
-            );
-            scratch.seen.clear();
-            for &target_pos in &scratch.targets {
-                scratch.tuple.clear();
-                let mut complete = true;
-                for &attr in &key.val_attrs {
-                    // Count the target's attribute children named `attr`;
-                    // condition (1) demands exactly one.
-                    let mut count = 0u32;
-                    let mut value = 0u32;
-                    for child in index.children_at(target_pos) {
-                        if index.label_at(child) == attr && index.kind_at(child).is_attribute() {
-                            count += 1;
-                            value = index.value_id_at(child).unwrap_or(0);
-                        }
-                    }
-                    match count {
-                        1 => scratch.tuple.push(value),
-                        0 => {
-                            complete = false;
-                            found = true;
-                            match out.as_deref_mut() {
-                                Some(sink) => sink.push(Violation::MissingAttribute {
-                                    context: index.node_at(context_pos),
-                                    target: index.node_at(target_pos),
-                                    attribute: self.universe.name(attr).to_string(),
-                                }),
-                                None => return true,
-                            }
-                        }
-                        _ => {
-                            complete = false;
-                            found = true;
-                            match out.as_deref_mut() {
-                                Some(sink) => sink.push(Violation::DuplicateAttribute {
-                                    context: index.node_at(context_pos),
-                                    target: index.node_at(target_pos),
-                                    attribute: self.universe.name(attr).to_string(),
-                                }),
-                                None => return true,
-                            }
-                        }
+        let contexts = std::mem::take(&mut scratch.contexts);
+        let mut found = false;
+        for &context_pos in &contexts {
+            found |= self.check_context(k, doc, index, context_pos, scratch, out.as_deref_mut());
+            if found && out.is_none() {
+                break;
+            }
+        }
+        scratch.contexts = contexts;
+        found
+    }
+
+    /// The key check of Definition 2.1 under one context: evaluates the
+    /// `k`-th key's targets below `context_pos` and checks conditions (1)
+    /// and (2) with interned-value tuples.  With `out = Some(..)` every
+    /// violation is reported, in target order; with `None` it stops at the
+    /// first.  Returns whether any violation was found.
+    ///
+    /// This is the only key check over a `DocIndex`: the batch walk above
+    /// and the [`crate::IncrementalValidator`] both run it.
+    pub(crate) fn check_context(
+        &self,
+        k: usize,
+        doc: &Document,
+        index: &DocIndex,
+        context_pos: u32,
+        scratch: &mut ValidateScratch,
+        mut out: Option<&mut Vec<Violation>>,
+    ) -> bool {
+        let key = &self.keys[k];
+        let context = index.node_at(context_pos);
+        let mut found = false;
+        key.target().evaluate_positions(
+            index,
+            context_pos,
+            &mut scratch.eval,
+            &mut scratch.targets,
+        );
+        scratch.seen.clear();
+        for &target_pos in &scratch.targets {
+            let target = index.node_at(target_pos);
+            scratch.tuple.clear();
+            let mut complete = true;
+            for &attr in &key.val_attrs {
+                // Count the target's attribute children named `attr`;
+                // condition (1) demands exactly one.
+                let mut count = 0u32;
+                let mut value = 0u32;
+                for child in index.children_at(target_pos) {
+                    if index.label_at(child) == attr && index.kind_at(child).is_attribute() {
+                        count += 1;
+                        value = index.value_id_at(child).unwrap_or(0);
                     }
                 }
-                if !complete {
-                    continue;
-                }
-                // Condition (2): no two distinct targets under this context
-                // agree on the whole key tuple.
-                match scratch.seen.get(&scratch.tuple) {
-                    Some(&first_pos) => {
+                let attribute = self.universe.name(attr);
+                match Violation::from_attribute_count(count, context, target, attribute) {
+                    None => scratch.tuple.push(value),
+                    Some(violation) => {
+                        complete = false;
                         found = true;
                         match out.as_deref_mut() {
-                            Some(sink) => sink.push(Violation::DuplicateKeyValue {
-                                context: index.node_at(context_pos),
-                                first: index.node_at(first_pos),
-                                second: index.node_at(target_pos),
-                                values: self.tuple_strings(key, doc, index, target_pos),
-                            }),
+                            Some(sink) => sink.push(violation),
                             None => return true,
                         }
                     }
-                    None => {
-                        scratch.seen.insert(scratch.tuple.clone(), target_pos);
+                }
+            }
+            if !complete {
+                continue;
+            }
+            // Condition (2): no two distinct targets under this context
+            // agree on the whole key tuple.
+            match scratch.seen.get(&scratch.tuple) {
+                Some(&first_pos) => {
+                    found = true;
+                    match out.as_deref_mut() {
+                        Some(sink) => sink.push(Violation::DuplicateKeyValue {
+                            context,
+                            first: index.node_at(first_pos),
+                            second: target,
+                            values: self.tuple_strings(key, doc, index, target_pos),
+                        }),
+                        None => return true,
                     }
+                }
+                None => {
+                    scratch.seen.insert(scratch.tuple.clone(), target_pos);
                 }
             }
         }
@@ -535,27 +548,15 @@ impl KeyIndex {
             })
             .collect()
     }
-
-    /// [`KeyIndex::tuple_strings`] addressed by key position — the
-    /// violation-reporting path of the incremental validator.
-    pub(crate) fn tuple_strings_at(
-        &self,
-        k: usize,
-        doc: &Document,
-        index: &DocIndex,
-        target_pos: u32,
-    ) -> Vec<String> {
-        self.tuple_strings(&self.keys[k], doc, index, target_pos)
-    }
 }
 
 /// Reusable scratch state for the validation walk: frontier vectors for
 /// context/target evaluation, the current value tuple, and the
 /// tuple → first-target hash map of condition (2).
 #[derive(Debug, Default)]
-struct ValidateScratch {
-    eval: EvalScratch,
-    contexts: Vec<u32>,
+pub(crate) struct ValidateScratch {
+    pub(crate) eval: EvalScratch,
+    pub(crate) contexts: Vec<u32>,
     targets: Vec<u32>,
     tuple: Vec<u32>,
     seen: HashMap<Vec<u32>, u32>,
@@ -751,7 +752,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod validation_proptests {
+pub(crate) mod validation_proptests {
     use super::*;
     use crate::satisfy::oracle;
     use proptest::prelude::*;
@@ -761,7 +762,7 @@ mod validation_proptests {
     /// earlier element — deliberately exercising out-of-NodeId-order
     /// construction and duplicate attributes (which the paper's model
     /// allows).
-    fn build_doc(steps: &[(u8, u8, u8)]) -> Document {
+    pub(crate) fn build_doc(steps: &[(u8, u8, u8)]) -> Document {
         let mut doc = Document::new("r");
         let mut elements = vec![doc.root()];
         for &(parent, kind, which) in steps {
@@ -784,15 +785,19 @@ mod validation_proptests {
         doc
     }
 
-    fn key_strategy() -> impl Strategy<Value = XmlKey> {
+    /// Random keys over the labels of [`build_doc`]: element, attribute
+    /// (`@x`) and text (`S`) targets, `//` contexts and contexts that nest
+    /// in one another.
+    pub(crate) fn key_strategy() -> impl Strategy<Value = XmlKey> {
         let seg = prop_oneof![Just("a"), Just("b"), Just("c")];
         (
             prop::collection::vec(seg.clone(), 0..3),
             prop_oneof![Just(true), Just(false)],
-            prop::collection::vec(seg, 1..3),
+            prop::collection::vec(seg, 0..3),
+            prop_oneof![Just(None), Just(Some("@x")), Just(Some("S"))],
             prop::collection::vec(prop_oneof![Just("x"), Just("y")], 0..3),
         )
-            .prop_map(|(ctx, ctx_desc, tgt, attrs)| {
+            .prop_map(|(ctx, ctx_desc, tgt, leaf, attrs)| {
                 let mut context = PathExpr::epsilon();
                 for (i, l) in ctx.iter().enumerate() {
                     context = if i == 0 && ctx_desc {
@@ -802,7 +807,7 @@ mod validation_proptests {
                     };
                 }
                 let mut target = PathExpr::epsilon();
-                for l in &tgt {
+                for l in tgt.iter().chain(&leaf) {
                     target = target.child(*l);
                 }
                 XmlKey::new(context, target, attrs)

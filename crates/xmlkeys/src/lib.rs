@@ -39,8 +39,9 @@
 //!   [`xmlprop_xmltree::DocIndex`] with interned-value key tuples;
 //! * [`IncrementalValidator`] — delta-maintained validation state: after a
 //!   [`xmlprop_xmltree::Document::apply`] edit (index patched via
-//!   [`xmlprop_xmltree::DocIndex::apply_delta`]) it re-probes only the
-//!   contexts and targets on the edit's ancestor chain, reproducing
+//!   [`xmlprop_xmltree::DocIndex::apply_delta`]) it re-runs the batch
+//!   check of [`KeyIndex::violations`] only for the contexts on the
+//!   edit's ancestor chain or new since the last edit, reproducing
 //!   [`KeyIndex::violations`] bit-for-bit at a fraction of the cost.
 //!
 //! # Implication procedure

@@ -46,6 +46,36 @@ pub enum Violation {
     },
 }
 
+impl Violation {
+    /// Condition (1) for one key attribute of one target, from the number
+    /// of attribute children carrying it: exactly one is no violation, none
+    /// is [`Violation::MissingAttribute`], more is
+    /// [`Violation::DuplicateAttribute`].
+    // Inlined into the batch check's per-attribute loop, which ran ~4%
+    // slower with a call there.
+    #[inline]
+    pub(crate) fn from_attribute_count(
+        count: u32,
+        context: NodeId,
+        target: NodeId,
+        attribute: &str,
+    ) -> Option<Violation> {
+        match count {
+            1 => None,
+            0 => Some(Violation::MissingAttribute {
+                context,
+                target,
+                attribute: attribute.to_string(),
+            }),
+            _ => Some(Violation::DuplicateAttribute {
+                context,
+                target,
+                attribute: attribute.to_string(),
+            }),
+        }
+    }
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

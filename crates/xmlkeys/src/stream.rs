@@ -413,30 +413,11 @@ impl<'a> StreamKeyChecker<'a> {
             let ctx = &mut key.open[ci];
             let mut complete = true;
             for (i, &attr) in val_attrs.iter().enumerate() {
-                match counts.get(i).copied().unwrap_or(0) {
-                    1 => {}
-                    0 => {
-                        complete = false;
-                        ctx.violations.push((
-                            node,
-                            Violation::MissingAttribute {
-                                context: ctx.node,
-                                target: node,
-                                attribute: index.universe().name(attr).to_string(),
-                            },
-                        ));
-                    }
-                    _ => {
-                        complete = false;
-                        ctx.violations.push((
-                            node,
-                            Violation::DuplicateAttribute {
-                                context: ctx.node,
-                                target: node,
-                                attribute: index.universe().name(attr).to_string(),
-                            },
-                        ));
-                    }
+                let count = counts.get(i).copied().unwrap_or(0);
+                let attribute = index.universe().name(attr);
+                if let Some(v) = Violation::from_attribute_count(count, ctx.node, node, attribute) {
+                    complete = false;
+                    ctx.violations.push((node, v));
                 }
             }
             if !complete {

@@ -12,16 +12,18 @@
 //! ([`AppliedDelta::dirty_node`] and its ancestors) misses its anchor.
 //! Each [`IncrementalShredder::apply`] re-evaluates the anchor binding set
 //! over the patched [`DocIndex`] (a cheap path scan), re-shreds only
-//! dirty or new blocks, and reports the tuple-level effect per relation
-//! as [`RelationDelta`] insert/delete sets.
+//! dirty or new blocks, and reports the net tuple-level effect per
+//! relation as [`RelationDelta`] insert/delete sets: rows a re-shredded
+//! block shares with its old version at either end are skipped, and the
+//! rest cancel across the relation.
 //!
 //! Plans that are not block-decomposable (several root-child variables
 //! form a root-level Cartesian product, or a field reads `value(xr)`)
-//! fall back to a full re-shred over the patched index plus a multiset
-//! diff — still rebuild-free on the index side, and the `value()` memo
-//! carries most serializations over: its value-keyed entries never go
-//! stale, and its node-keyed ones are invalidated only along the dirty
-//! chain.
+//! fall back to a full re-shred over the patched index plus the same
+//! multiset diff — still rebuild-free on the index side, and the
+//! `value()` memo carries most serializations over: its value-keyed
+//! entries never go stale, and its node-keyed ones are invalidated only
+//! along the dirty chain.
 //!
 //! [`IncrementalShredder::database`] reassembles the full [`Database`]
 //! bit-for-bit equal to [`TransformationPlan::shred_all`] on the mutated
@@ -34,10 +36,10 @@ use xmlprop_xmlpath::EvalScratch;
 use xmlprop_xmltree::{AppliedDelta, DocIndex, Document, NodeId};
 
 /// The tuple-level effect of one delta on one relation: the tuples that
-/// left the instance and the tuples that entered it (bag semantics; a
-/// tuple appearing `n` times more than before occurs `n` times in
-/// `inserted`).  Ordering within each set is deterministic but otherwise
-/// unspecified.
+/// left the instance and the tuples that entered it.  The sets are net
+/// under bag semantics: a tuple appearing `n` times more than before occurs
+/// `n` times in `inserted`, and no tuple occurs in both sets.  Ordering
+/// within each set is deterministic but otherwise unspecified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationDelta {
     relation: String,
@@ -162,19 +164,18 @@ impl IncrementalShredder {
 
         let mut out = Vec::new();
         for (r, rule) in plan.plans().iter().enumerate() {
-            let mut delta = RelationDelta {
-                relation: rule.schema().name().to_string(),
-                inserted: Vec::new(),
-                deleted: Vec::new(),
-            };
             // `self.rules[r]` is taken apart manually (instead of a zipped
             // iterator) so `self.eval_anchors` / `self.scratch` stay
             // borrowable inside the match.
-            match std::mem::replace(&mut self.rules[r], RuleState::Full { rows: Vec::new() }) {
+            let state = std::mem::replace(&mut self.rules[r], RuleState::Full { rows: Vec::new() });
+            let delta = match state {
                 RuleState::Blocks {
                     anchors: old_anchors,
                     mut blocks,
                 } => {
+                    // The rows that may have left and entered the relation.
+                    let mut removed = Vec::new();
+                    let mut added = Vec::new();
                     self.eval_anchors(rule, doc, index);
                     let new_anchors: Vec<NodeId> =
                         self.apos.iter().map(|&p| index.node_at(p)).collect();
@@ -185,36 +186,43 @@ impl IncrementalShredder {
                             continue;
                         }
                         let fresh = rule.shred_block(doc, index, &mut self.scratch, positions[i]);
-                        match blocks.insert(a, fresh.clone()) {
-                            Some(old) if old == fresh => {}
-                            Some(old) => {
-                                delta.deleted.extend(old);
-                                delta.inserted.extend(fresh);
-                            }
-                            None => delta.inserted.extend(fresh),
-                        }
+                        let mut old = blocks.remove(&a).unwrap_or_default();
+                        // Enumeration order is stable, so an edit inside
+                        // the block leaves the rows before and after it
+                        // in place.
+                        let prefix = old.iter().zip(&fresh).take_while(|(o, f)| o == f).count();
+                        let suffix = old[prefix..]
+                            .iter()
+                            .rev()
+                            .zip(fresh[prefix..].iter().rev())
+                            .take_while(|(o, f)| o == f)
+                            .count();
+                        removed.extend(old.drain(prefix..old.len() - suffix));
+                        added.extend_from_slice(&fresh[prefix..fresh.len() - suffix]);
+                        blocks.insert(a, fresh);
                     }
                     // Garbage-collect blocks whose anchors vanished.
                     if old_anchors != new_anchors {
                         for &a in &old_anchors {
                             if !new_anchors.contains(&a) {
                                 if let Some(old) = blocks.remove(&a) {
-                                    delta.deleted.extend(old);
+                                    removed.extend(old);
                                 }
                             }
                         }
                         // An empty binding set stands for the single
                         // all-null row; account for it (dis)appearing.
-                        if old_anchors.is_empty() && !new_anchors.is_empty() {
-                            delta.deleted.push(rule.null_tuple());
-                        } else if new_anchors.is_empty() && !old_anchors.is_empty() {
-                            delta.inserted.push(rule.null_tuple());
+                        if old_anchors.is_empty() {
+                            removed.push(rule.null_tuple());
+                        } else if new_anchors.is_empty() {
+                            added.push(rule.null_tuple());
                         }
                     }
                     self.rules[r] = RuleState::Blocks {
                         anchors: new_anchors,
                         blocks,
                     };
+                    net_delta(rule.schema().name(), &removed, &added)
                 }
                 RuleState::Full { rows: old } => {
                     let rows: Vec<Tuple> = rule
@@ -222,29 +230,11 @@ impl IncrementalShredder {
                         .rows()
                         .map(|row| row.to_tuple())
                         .collect();
-                    // Bag difference old ↔ new.
-                    let mut counts: HashMap<&Tuple, i64> = HashMap::new();
-                    for t in &rows {
-                        *counts.entry(t).or_insert(0) += 1;
-                    }
-                    for t in &old {
-                        *counts.entry(t).or_insert(0) -= 1;
-                    }
-                    let mut changed: Vec<(&Tuple, i64)> =
-                        counts.into_iter().filter(|&(_, n)| n != 0).collect();
-                    changed.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                    for (t, n) in changed {
-                        for _ in 0..n.abs() {
-                            if n > 0 {
-                                delta.inserted.push(t.clone());
-                            } else {
-                                delta.deleted.push(t.clone());
-                            }
-                        }
-                    }
+                    let delta = net_delta(rule.schema().name(), &old, &rows);
                     self.rules[r] = RuleState::Full { rows };
+                    delta
                 }
-            }
+            };
             if !delta.is_empty() {
                 out.push(delta);
             }
@@ -294,6 +284,36 @@ impl IncrementalShredder {
     }
 }
 
+/// The net effect on `relation` of replacing the bag of rows `old` by the
+/// bag `new`: rows in both cancel, so no tuple is both inserted and
+/// deleted.  Each side lists its tuples in tuple order, repeated by their
+/// net multiplicity.
+fn net_delta(relation: &str, old: &[Tuple], new: &[Tuple]) -> RelationDelta {
+    let mut counts: HashMap<&Tuple, i64> = HashMap::new();
+    for t in new {
+        *counts.entry(t).or_insert(0) += 1;
+    }
+    for t in old {
+        *counts.entry(t).or_insert(0) -= 1;
+    }
+    let mut changed: Vec<(&Tuple, i64)> = counts.into_iter().filter(|&(_, n)| n != 0).collect();
+    changed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut delta = RelationDelta {
+        relation: relation.to_string(),
+        inserted: Vec::new(),
+        deleted: Vec::new(),
+    };
+    for (t, n) in changed {
+        let side = if n > 0 {
+            &mut delta.inserted
+        } else {
+            &mut delta.deleted
+        };
+        side.extend(std::iter::repeat_n(t, n.unsigned_abs() as usize).cloned());
+    }
+    delta
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,8 +325,8 @@ mod tests {
 
     /// Applies a script of deltas, asserting after each one that the
     /// incrementally maintained database equals a from-scratch shred
-    /// bit-for-bit, and that the reported tuple deltas account exactly for
-    /// the difference in each relation's bag of rows.
+    /// bit-for-bit, and that the reported tuple deltas account exactly and
+    /// net for the difference in each relation's bag of rows.
     fn run_script(t: &Transformation, mut doc: Document, script: Vec<Delta>) {
         let mut universe = LabelUniverse::new();
         let plan = TransformationPlan::new(t, &mut universe);
@@ -330,6 +350,10 @@ mod tests {
                     *bag.entry(t.to_tuple()).or_insert(0) += 1;
                 }
                 if let Some(d) = reported.iter().find(|d| d.relation() == name) {
+                    assert!(
+                        !d.inserted().iter().any(|t| d.deleted().contains(t)),
+                        "tuple delta for {name} is not net after {delta:?}",
+                    );
                     for t in d.deleted() {
                         *bag.entry(t.clone()).or_insert(0) -= 1;
                     }

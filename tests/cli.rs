@@ -508,6 +508,37 @@ fn mutate_applies_edits_and_reports_incremental_effects() {
 }
 
 #[test]
+fn mutate_reports_net_tuple_deltas_for_block_shredded_rules() {
+    // Removing one of three chapters re-shreds the book's block of the
+    // chapter rule; only the removed chapter's row may be reported.
+    let dir = CorpusDir::new("mutate-net");
+    let rules = std::fs::read_to_string("examples/data/book_rules.txt").unwrap();
+    let start = rules.find("rule chapter").unwrap();
+    let end = start + rules[start..].find("\n}").unwrap() + 2;
+    dir.write("chapter.rules", &rules[start..end]);
+    // n5, n9 and n13 are the chapters.
+    dir.write(
+        "b.xml",
+        r#"<db><book isbn="1"><title>T</title><chapter number="1"><name>A</name></chapter><chapter number="2"><name>B</name></chapter><chapter number="3"><name>C</name></chapter></book></db>"#,
+    );
+    dir.write("remove.edits", "remove n9\n");
+    let path = |n: &str| dir.0.join(n).to_str().unwrap().to_string();
+    let out = run(&[
+        "mutate",
+        &path("b.xml"),
+        "examples/data/book_keys.txt",
+        &path("chapter.rules"),
+        &path("remove.edits"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("remove n9 -> 13 nodes, 0 violations, tuples +0 -1"),
+        "{text}"
+    );
+}
+
+#[test]
 fn mutate_rejects_bad_node_ids_positions_and_malformed_lines() {
     let dir = CorpusDir::new("mutate-bad");
     let [doc, keys, rules] = mutate_fixture(&dir);

@@ -9,7 +9,10 @@
 //!
 //! * the violation list equals a fresh `KeyIndex::violations` pass —
 //!   same violations, same order;
-//! * the maintained database equals a fresh `TransformationPlan::shred_all`;
+//! * the maintained database equals a fresh `TransformationPlan::shred_all`,
+//!   both for the universal rule and for a block-shredded chain rule;
+//! * the tuple deltas each edit reports are net and take the old bag of
+//!   rows of each relation to the new one;
 //! * the mutated document serializes to XML that reparses to the same
 //!   bytes, and the reparsed document shreds to the same database (node
 //!   ids differ after a reparse, values may not).
@@ -19,10 +22,33 @@
 //! pass simply re-exercises it in that configuration.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use xmlprop::pipeline::{CorpusBundle, PreparedState};
-use xmlprop::workload::{generate, generate_document, DocConfig, WorkloadConfig};
-use xmlprop::xmltransform::Transformation;
+use xmlprop::reldb::Tuple;
+use xmlprop::workload::{generate, generate_document, DocConfig, Workload, WorkloadConfig};
+use xmlprop::xmltransform::{parse_single_rule, TableRule, Transformation};
 use xmlprop::xmltree::{to_xml, Delta, Document, Fragment, NodeId, NodeKind};
+
+/// The chain of entity identifiers `C(id0, id1, …)`: one row per deepest
+/// entity.  Its root has the single child variable `v0`, so unlike the
+/// universal rule it is shredded block by block, one block per `e0`.
+fn chain_rule(w: &Workload) -> TableRule {
+    let mut body = String::new();
+    let mut fields = Vec::new();
+    for (level, label) in w.level_labels.iter().enumerate() {
+        let step = match level {
+            0 => format!("xr//{label}"),
+            _ => format!("v{}/{label}", level - 1),
+        };
+        let id = w.id_field(level);
+        body.push_str(&format!(
+            "v{level} := {step}; w{level} := v{level}/@{id}; {id} := value(w{level}); "
+        ));
+        fields.push(id);
+    }
+    parse_single_rule(&format!("rule C({}) {{ {body}}}", fields.join(", ")))
+        .expect("chain rule is well-formed")
+}
 
 /// Derives one concrete edit from the selector triple over the current
 /// document, or `None` when the document offers no site for that edit
@@ -135,7 +161,7 @@ proptest! {
             seed: seed ^ 0xbeef,
             depth: None,
         });
-        let transformation = Transformation::new(vec![w.universal.clone()]);
+        let transformation = Transformation::new(vec![w.universal.clone(), chain_rule(&w)]);
         let bundle = CorpusBundle::new(w.sigma.clone(), transformation);
         let mut state = bundle.open_incremental(doc);
 
@@ -147,10 +173,40 @@ proptest! {
             // Randomly-derived edits may be rejected (e.g. inserting under
             // an attribute); rejection must leave no trace, which the
             // from-scratch comparison below still checks.
+            let before = state.database(&bundle);
             if let Ok(report) = bundle.apply_delta(&mut state, &delta) {
                 applied += 1;
                 prop_assert_eq!(report.nodes, state.document().len());
                 prop_assert_eq!(report.violations, state.violation_count());
+                // The reported tuple deltas are net and take each old bag
+                // of rows to the new one.
+                let after = state.database(&bundle);
+                for relation in before.relations() {
+                    let name = relation.schema().name();
+                    let mut bag: HashMap<Tuple, i64> = HashMap::new();
+                    for row in relation.rows() {
+                        *bag.entry(row.to_tuple()).or_insert(0) += 1;
+                    }
+                    if let Some(d) = report.relations.iter().find(|d| d.relation() == name) {
+                        prop_assert!(
+                            !d.inserted().iter().any(|t| d.deleted().contains(t)),
+                            "tuple delta for {} is not net", name
+                        );
+                        for t in d.deleted() {
+                            *bag.entry(t.clone()).or_insert(0) -= 1;
+                        }
+                        for t in d.inserted() {
+                            *bag.entry(t.clone()).or_insert(0) += 1;
+                        }
+                    }
+                    for row in after.get(name).unwrap().rows() {
+                        *bag.entry(row.to_tuple()).or_insert(0) -= 1;
+                    }
+                    prop_assert!(
+                        bag.values().all(|&n| n == 0),
+                        "tuple delta for {} does not reconcile", name
+                    );
+                }
             }
 
             // From-scratch reference over the mutated document.
