@@ -96,12 +96,13 @@ pub struct CorpusOptions {
     /// Compute the per-rule propagated minimum covers (document-independent;
     /// benchmarks that time pure document throughput switch this off).
     pub covers: bool,
-    /// Selects how callers that hold XML *text* validate it: with only
-    /// `validate` on, stream the text through the key checker
-    /// ([`CorpusBundle::stream_text`]) instead of parsing it into a tree.
-    /// Results are bit-for-bit identical.  It has no effect in
-    /// [`CorpusBundle::process`] or [`CorpusBundle::run`], which are handed
-    /// parsed documents.
+    /// Asks a caller that holds XML *text* to hand it to
+    /// [`CorpusBundle::stream_text`] rather than parse it itself; only the
+    /// CLI's `--stream` batch reads it.  No engine consults it:
+    /// [`CorpusBundle::stream_text`] streams whenever only `validate` is
+    /// on, and [`CorpusBundle::process`] and [`CorpusBundle::run`] are
+    /// handed parsed documents.  The field stays because the benchmark
+    /// package under `perfbench/` constructs it.
     pub stream: bool,
 }
 

@@ -2,20 +2,17 @@
 //! validation.
 //!
 //! Streaming earns its place in one job only: key validation, which needs
-//! no tree.  A validate-only pass feeds the text's parse events straight to
-//! a [`StreamKeyChecker`], with retained state proportional to document
-//! depth plus open key contexts, never to the node count.  Shredding is
-//! defined over the whole tree, so every entry point that shreds parses the
-//! text into a [`Document`] and runs the prepared plans on it, like
-//! [`CorpusBundle::process`].
+//! no tree.  A validate-only pass hands the text to a [`StreamKeyChecker`],
+//! with retained state proportional to document depth plus open key
+//! contexts, never to the node count.  Shredding is defined over the whole
+//! tree, so a pass that shreds parses the text into a [`Document`] and runs
+//! [`CorpusBundle::process`] on it.
 //!
 //! * [`CorpusBundle::stream_text`] — the corpus outcome for raw XML text:
-//!   one key-checker pass when only `validate` is on, otherwise parse plus
-//!   [`CorpusBundle::process`];
+//!   [`CorpusBundle::stream_check`] when only `validate` is on, otherwise
+//!   parse plus [`CorpusBundle::process`];
 //! * [`CorpusBundle::stream_check`] — the per-key violation report the
-//!   renderers need;
-//! * [`CorpusBundle::stream_shred`] — parse plus the named plan or all of
-//!   them.
+//!   renderers need.
 //!
 //! Outcomes are bit-for-bit the DOM path's (`database`, `violations`,
 //! `nodes`, `tuples`).  Node-id-carrying violations match because the
@@ -29,14 +26,15 @@ use crate::run::{CorpusOptions, DocOutcome};
 use crate::state::PreparedState;
 use xmlprop_reldb::Database;
 use xmlprop_xmlkeys::{StreamCheckReport, StreamKeyChecker};
-use xmlprop_xmltree::{Document, ParseError, StreamEvent, StreamParser};
+use xmlprop_xmltree::{Document, ParseError};
 
 impl CorpusBundle {
     /// Processes raw XML text under `options`.  With only `validate` on,
-    /// the text streams through the key checker in one parser pass — no
-    /// `Document`, no `DocIndex` — and `peak_open_bindings` is the
+    /// the text goes to [`CorpusBundle::stream_check`] — one key-checker
+    /// pass, no `Document`, no `DocIndex` — and `peak_open_bindings` is the
     /// checker's open-context peak.  Otherwise the text is parsed once and
     /// handed to [`CorpusBundle::process`] (`peak_open_bindings` 0).
+    /// `options.stream` is not consulted.
     ///
     /// The outcome is bit-for-bit what parsing the text and running
     /// [`CorpusBundle::process`] would produce.
@@ -46,16 +44,14 @@ impl CorpusBundle {
         options: &CorpusOptions,
     ) -> Result<DocOutcome, ParseError> {
         if options.validate && !options.shred {
-            if let Ok(checker) = StreamKeyChecker::new(self.keys()) {
-                let report = self.feed(checker, xml)?;
-                return Ok(DocOutcome {
-                    database: Database::new(),
-                    violations: report.all_violations(),
-                    nodes: report.nodes,
-                    tuples: 0,
-                    peak_open_bindings: report.peak_open_contexts,
-                });
-            }
+            let report = self.stream_check(xml)?;
+            return Ok(DocOutcome {
+                database: Database::new(),
+                violations: report.all_violations(),
+                nodes: report.nodes,
+                tuples: 0,
+                peak_open_bindings: report.peak_open_contexts,
+            });
         }
         let doc = Document::parse_str(xml)?;
         Ok(self.process(&doc, &mut self.scratch(), options))
@@ -66,7 +62,7 @@ impl CorpusBundle {
     /// pass, or the tree validator when a key is too long to stream.
     pub fn stream_check(&self, xml: &str) -> Result<StreamCheckReport, ParseError> {
         if let Ok(checker) = StreamKeyChecker::new(self.keys()) {
-            return self.feed(checker, xml);
+            return checker.check(xml);
         }
         let doc = Document::parse_str(xml)?;
         let index = self.scratch().index_document(&doc);
@@ -77,32 +73,6 @@ impl CorpusBundle {
             nodes: doc.len(),
             peak_open_contexts: 0,
         })
-    }
-
-    /// Parses raw XML text and shreds it through the plan populating
-    /// `relation` (silently none when the name is unknown; callers validate
-    /// names first for the shared diagnostic), or through every plan.
-    pub fn stream_shred(&self, xml: &str, relation: Option<&str>) -> Result<Database, ParseError> {
-        let doc = Document::parse_str(xml)?;
-        Ok(self.shred(&doc, &mut self.scratch(), relation))
-    }
-
-    /// The one parser pass: feeds every event of `xml` to `checker`.
-    fn feed(
-        &self,
-        mut checker: StreamKeyChecker<'_>,
-        xml: &str,
-    ) -> Result<StreamCheckReport, ParseError> {
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { label, .. } => checker.start_element(label),
-                StreamEvent::Attribute { label, value, .. } => checker.attribute(label, &value),
-                StreamEvent::Text { .. } => checker.text(),
-                StreamEvent::EndElement => checker.end_element(),
-            }
-        }
-        Ok(checker.finish())
     }
 }
 
@@ -163,13 +133,22 @@ mod tests {
     fn stream_text_matches_the_dom_path() {
         let bundle = bundle();
         let mut scratch = bundle.scratch();
-        for options in [CorpusOptions::default(), validate_only()] {
+        let validate_only_unflagged = CorpusOptions {
+            stream: false,
+            ..validate_only()
+        };
+        for options in [
+            CorpusOptions::default(),
+            validate_only(),
+            validate_only_unflagged,
+        ] {
             for doc in docs() {
                 let dom = bundle.process(&doc, &mut scratch, &options);
                 let streamed = bundle.stream_text(&to_xml(&doc), &options).unwrap();
                 assert_same_results(&streamed, &dom);
                 // The shredding path builds a tree; the validate-only path
-                // streams and records the checker's open contexts.
+                // streams and records the checker's open contexts, whatever
+                // `stream` says.
                 assert_eq!(streamed.peak_open_bindings > 0, !options.shred);
             }
         }
@@ -220,22 +199,6 @@ mod tests {
             .unwrap();
         assert!(outcome.violations.is_empty());
         assert_eq!(outcome.tuples, 2);
-    }
-
-    #[test]
-    fn stream_shred_matches_process() {
-        let bundle = bundle();
-        let mut scratch = bundle.scratch();
-        for doc in docs() {
-            let xml = to_xml(&doc);
-            let dom = bundle.process(&doc, &mut scratch, &CorpusOptions::default());
-            assert_eq!(bundle.stream_shred(&xml, None).unwrap(), dom.database);
-            assert_eq!(
-                bundle.stream_shred(&xml, Some("book")).unwrap(),
-                dom.database
-            );
-            assert!(bundle.stream_shred(&xml, Some("nope")).unwrap().is_empty());
-        }
     }
 
     /// A key past the stream matcher's 127 atoms is validated on the tree:

@@ -3,14 +3,15 @@
 //! The prepared validator ([`KeyIndex::violations`]) evaluates each key's
 //! context and target paths over a fully built
 //! [`DocIndex`](xmlprop_xmltree::DocIndex).  [`StreamKeyChecker`] answers
-//! the same question from a flat event stream without materializing the
-//! document: per key it simulates the compiled context expression down the
-//! open path ([`xmlprop_xmlpath::StreamMatcher`]), keeps one record per
-//! *open* context node — the paper's observation that a key constraint is
-//! decidable at context close — and inside every open context simulates the
-//! target expression and maintains the hashed key-tuple set of condition
-//! (2).  Retained state is `O(depth + open contexts + reported
-//! violations)` plus the tuple sets, never `O(nodes)` of tree structure.
+//! the same question in one [`StreamParser`] pass over the text, without
+//! materializing the document: per key it simulates the compiled context
+//! expression down the open path ([`xmlprop_xmlpath::StreamMatcher`]),
+//! keeps one record per *open* context node — the paper's observation that
+//! a key constraint is decidable at context close — and inside every open
+//! context simulates the target expression and maintains the hashed
+//! key-tuple set of condition (2).  Retained state is `O(depth + open
+//! contexts + reported violations)` plus the tuple sets, never `O(nodes)`
+//! of tree structure.
 //!
 //! The checker reproduces the prepared validator **bit for bit**,
 //! including node identities and report order:
@@ -27,7 +28,7 @@ use crate::index::KeyIndex;
 use crate::satisfy::Violation;
 use std::collections::HashMap;
 use xmlprop_xmlpath::{LabelId, MatchState, PathTooLong, StreamMatcher};
-use xmlprop_xmltree::NodeId;
+use xmlprop_xmltree::{NodeId, ParseError, StreamEvent, StreamParser};
 
 /// Per-key compiled machinery plus live matching state.
 #[derive(Debug)]
@@ -49,8 +50,8 @@ struct KeyState {
 struct OpenContext {
     node: NodeId,
     seq: u32,
-    /// Element-stack depth at which this context was opened (attribute and
-    /// text contexts close within their event and never carry a depth).
+    /// Element-stack depth at which this context was opened (a leaf
+    /// context closes within the call that opened it).
     depth: usize,
     /// Target-expression NFA state per open element at or below the
     /// context; `target_states[0]` is the start state at the context node.
@@ -62,9 +63,9 @@ struct OpenContext {
     violations: Vec<(NodeId, Violation)>,
 }
 
-/// Attribute tallies of one element that is a target of ≥ 1 open contexts
-/// of one key: per key attribute (in key order) the number of matching
-/// attribute children seen and the first value.
+/// One target node of one key, with the attribute tallies it is checked
+/// on: per key attribute (in key order) the number of matching attribute
+/// children seen and the first value.
 #[derive(Debug)]
 struct PendingTarget {
     key: usize,
@@ -78,26 +79,22 @@ struct PendingTarget {
 }
 
 /// Streaming validator for a prepared [`KeyIndex`] over one document's
-/// event stream.
+/// text.
 ///
-/// Feed events in document order ([`start_element`](Self::start_element),
-/// [`attribute`](Self::attribute), [`text`](Self::text),
-/// [`end_element`](Self::end_element) — attribute events must directly
-/// follow their element's start, as the XML grammar guarantees), then call
-/// [`finish`](Self::finish) for the per-key violation lists.  Labels are
-/// the read-only resolutions a
-/// [`StreamParser`](xmlprop_xmltree::StreamParser) over
-/// [`KeyIndex::universe`] produces; `None` (a label no key mentions) can
-/// only traverse `//`.
+/// [`check`](Self::check) runs the parser pass and returns the per-key
+/// violation lists.  Labels resolve read-only against
+/// [`KeyIndex::universe`]; a label no key mentions can only traverse `//`.
 #[derive(Debug)]
 pub struct StreamKeyChecker<'a> {
     index: &'a KeyIndex,
     keys: Vec<KeyState>,
     /// The interned id of the text-node label `"S"`, if any key mentions it.
     text_label: Option<LabelId>,
-    /// Per open element: the pending targets awaiting their attribute
-    /// section end (at most one per key).
-    element_stack: Vec<Vec<PendingTarget>>,
+    /// Number of open elements.
+    depth: usize,
+    /// The innermost element's targets, awaiting the end of its attribute
+    /// section (at most one per key).
+    pending: Vec<PendingTarget>,
     /// Document pre-order counter: the next node's id.
     next_node: u32,
     /// High-water mark of simultaneously open context records.
@@ -148,127 +145,73 @@ impl<'a> StreamKeyChecker<'a> {
             index,
             keys,
             text_label: index.universe().lookup("S"),
-            element_stack: Vec::new(),
+            depth: 0,
+            pending: Vec::new(),
             next_node: 0,
             peak_open_contexts: 0,
         })
     }
 
-    /// An element opened.
-    pub fn start_element(&mut self, label: Option<LabelId>) {
-        self.finalize_pending();
-        let node = self.take_node();
-        let depth = self.element_stack.len();
-        self.element_stack.push(Vec::new());
-        let mut open_total = 0;
-        for ki in 0..self.keys.len() {
-            let key = &mut self.keys[ki];
-            // Step target matching of every context already open; collect
-            // hits for the pending-target record (outer contexts first).
-            let mut hit_contexts: Vec<usize> = Vec::new();
-            for (ci, ctx) in key.open.iter_mut().enumerate() {
-                let top = *ctx.target_states.last().expect("context has a state");
-                let stepped = key.target_matcher.step(top, label);
-                ctx.target_states.push(stepped);
-                if key.target_matcher.accepts(stepped) {
-                    hit_contexts.push(ci);
+    /// Checks `xml` in one parser pass, returning the per-key violation
+    /// lists in the exact order of the prepared DOM validator, or the
+    /// parse error the DOM parser would report.
+    pub fn check(mut self, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        let universe = self.index.universe();
+        let mut parser = StreamParser::new(xml);
+        let mut attribute_label = String::new();
+        while let Some(event) = parser.next_event()? {
+            match event {
+                StreamEvent::StartElement { name } => self.start_element(universe.lookup(name)),
+                StreamEvent::Attribute { name, value } => {
+                    attribute_label.clear();
+                    attribute_label.push('@');
+                    attribute_label.push_str(name);
+                    self.attribute(universe.lookup(&attribute_label), &value);
                 }
+                StreamEvent::Text { .. } => self.text(),
+                StreamEvent::EndElement => self.end_element(),
             }
-            // Step the context expression: the root is reached by the empty
-            // word, children extend their parent's word by one label.
-            let state = match key.context_states.last() {
-                None => key.context_matcher.start(),
-                Some(&parent) => key.context_matcher.step(parent, label),
-            };
-            key.context_states.push(state);
-            if key.context_matcher.accepts(state) {
-                let start = key.target_matcher.start();
-                let self_target = key.target_matcher.accepts(start);
-                let ci = key.open.len();
-                key.open.push(OpenContext {
-                    node,
-                    seq: key.next_seq,
-                    depth,
-                    target_states: vec![start],
-                    seen: HashMap::new(),
-                    violations: Vec::new(),
-                });
-                key.next_seq += 1;
-                if self_target {
-                    hit_contexts.push(ci);
-                }
-            }
-            if !hit_contexts.is_empty() {
-                let attrs = self.index.keys()[ki].val_attrs().len();
-                if attrs == 0 {
-                    // No attributes to await: the tuple is complete now, and
-                    // finalizing immediately keeps condition (2) insertion
-                    // in document order.
-                    Self::finalize_target(
-                        &[],
-                        &mut self.keys[ki],
-                        node,
-                        &hit_contexts,
-                        &[],
-                        &[],
-                        self.index,
-                    );
-                } else {
-                    self.element_stack
-                        .last_mut()
-                        .expect("just pushed")
-                        .push(PendingTarget {
-                            key: ki,
-                            node,
-                            contexts: hit_contexts,
-                            counts: vec![0; attrs],
-                            values: vec![String::new(); attrs],
-                        });
-                }
-            }
-            open_total += self.keys[ki].open.len();
         }
-        self.peak_open_contexts = self.peak_open_contexts.max(open_total);
+        Ok(self.finish())
     }
 
-    /// An attribute of the innermost open element.
-    pub fn attribute(&mut self, label: Option<LabelId>, value: &str) {
-        // Feed the tallies of the owner element's pending targets.
-        if let Some(frame) = self.element_stack.last_mut() {
-            for pending in frame.iter_mut() {
-                let val_attrs = self.index.keys()[pending.key].val_attrs();
-                for (i, &attr) in val_attrs.iter().enumerate() {
-                    if label == Some(attr) {
-                        pending.counts[i] += 1;
-                        if pending.counts[i] == 1 {
-                            pending.values[i] = value.to_string();
-                        }
+    fn start_element(&mut self, label: Option<LabelId>) {
+        self.finalize_pending();
+        self.enter(label, false);
+        self.depth += 1;
+    }
+
+    /// An attribute of the innermost open element: feeds the owner's
+    /// pending tallies, then enters the attribute node itself.
+    fn attribute(&mut self, label: Option<LabelId>, value: &str) {
+        for pending in &mut self.pending {
+            let val_attrs = self.index.keys()[pending.key].val_attrs();
+            for (i, &attr) in val_attrs.iter().enumerate() {
+                if label == Some(attr) {
+                    pending.counts[i] += 1;
+                    if pending.counts[i] == 1 {
+                        pending.values[i] = value.to_string();
                     }
                 }
             }
         }
-        // The attribute node is itself addressable by paths.
-        self.leaf_node(label);
+        self.enter(label, true);
     }
 
-    /// A text child of the innermost open element.
-    pub fn text(&mut self) {
+    fn text(&mut self) {
         self.finalize_pending();
-        let label = self.text_label;
-        self.leaf_node(label);
+        self.enter(self.text_label, true);
     }
 
-    /// The innermost open element closed.
-    pub fn end_element(&mut self) {
+    fn end_element(&mut self) {
         self.finalize_pending();
-        self.element_stack.pop().expect("balanced events");
-        let depth = self.element_stack.len();
+        self.depth -= 1;
         for key in &mut self.keys {
             // A context opened at this element closes now (at most one per
             // key: contexts lie on the root-path, one node per depth).
-            if key.open.last().is_some_and(|c| c.depth == depth) {
+            if key.open.last().is_some_and(|c| c.depth == self.depth) {
                 let ctx = key.open.pop().expect("checked above");
-                Self::close_context(key, ctx);
+                key.close_context(ctx);
             }
             for ctx in &mut key.open {
                 ctx.target_states.pop();
@@ -277,9 +220,7 @@ impl<'a> StreamKeyChecker<'a> {
         }
     }
 
-    /// Consumes the checker, returning the per-key violation lists in the
-    /// exact order of the prepared DOM validator.
-    pub fn finish(mut self) -> StreamCheckReport {
+    fn finish(mut self) -> StreamCheckReport {
         let nodes = self.next_node as usize;
         let per_key = self
             .keys
@@ -300,120 +241,105 @@ impl<'a> StreamKeyChecker<'a> {
         }
     }
 
-    /// Allocates the next document-pre-order node id.
-    fn take_node(&mut self) -> NodeId {
+    /// Handles one node: steps every key's matching through `label`,
+    /// opens a context if the node is one, and records the node as a target
+    /// of every open context it matches.  An element keeps its matching
+    /// state until [`end_element`](Self::end_element), and its targets wait
+    /// in `pending` for its attributes.  A `leaf` (attribute or text) keeps
+    /// no state: it has no attributes, so its targets are finalized at once,
+    /// and a context it opens closes before the call returns.
+    fn enter(&mut self, label: Option<LabelId>, leaf: bool) {
         let node = NodeId::from_index(self.next_node as usize);
         self.next_node += 1;
-        node
-    }
-
-    /// Handles an attribute or text node: step matching through it, report
-    /// it as a (necessarily attribute-less) target or context, and unwind —
-    /// leaves never stay on any stack.
-    fn leaf_node(&mut self, label: Option<LabelId>) {
-        let node = self.take_node();
-        for ki in 0..self.keys.len() {
-            let key = &mut self.keys[ki];
-            let mut hit_contexts: Vec<usize> = Vec::new();
-            for (ci, ctx) in key.open.iter().enumerate() {
+        let mut open_total = 0;
+        for (ki, key) in self.keys.iter_mut().enumerate() {
+            // Step target matching of every context already open; collect
+            // hits for the target record (outer contexts first).
+            let mut contexts: Vec<usize> = Vec::new();
+            for (ci, ctx) in key.open.iter_mut().enumerate() {
                 let top = *ctx.target_states.last().expect("context has a state");
-                if key
-                    .target_matcher
-                    .accepts(key.target_matcher.step(top, label))
-                {
-                    hit_contexts.push(ci);
+                let stepped = key.target_matcher.step(top, label);
+                if !leaf {
+                    ctx.target_states.push(stepped);
+                }
+                if key.target_matcher.accepts(stepped) {
+                    contexts.push(ci);
                 }
             }
-            // The leaf may itself be a context; its only possible target is
-            // itself (ε), and it closes immediately.
-            let leaf_context = match key.context_states.last() {
-                None => None,
-                Some(&parent) => {
-                    let state = key.context_matcher.step(parent, label);
-                    key.context_matcher.accepts(state).then(|| {
-                        let seq = key.next_seq;
-                        key.next_seq += 1;
-                        let start = key.target_matcher.start();
-                        let self_target = key.target_matcher.accepts(start);
-                        let ci = key.open.len();
-                        key.open.push(OpenContext {
-                            node,
-                            seq,
-                            depth: usize::MAX,
-                            target_states: vec![start],
-                            seen: HashMap::new(),
-                            violations: Vec::new(),
-                        });
-                        if self_target {
-                            hit_contexts.push(ci);
-                        }
-                    })
-                }
+            // Step the context expression: the root is reached by the empty
+            // word, children extend their parent's word by one label.
+            let state = match key.context_states.last() {
+                None => key.context_matcher.start(),
+                Some(&parent) => key.context_matcher.step(parent, label),
             };
-            if !hit_contexts.is_empty() {
-                let val_attrs = self.index.keys()[ki].val_attrs().to_vec();
-                Self::finalize_target(
-                    &val_attrs,
-                    &mut self.keys[ki],
+            if !leaf {
+                key.context_states.push(state);
+            }
+            let is_context = key.context_matcher.accepts(state);
+            if is_context {
+                let start = key.target_matcher.start();
+                if key.target_matcher.accepts(start) {
+                    contexts.push(key.open.len());
+                }
+                key.open.push(OpenContext {
                     node,
-                    &hit_contexts,
-                    &[],
-                    &[],
-                    self.index,
-                );
+                    seq: key.next_seq,
+                    depth: self.depth,
+                    target_states: vec![start],
+                    seen: HashMap::new(),
+                    violations: Vec::new(),
+                });
+                key.next_seq += 1;
             }
-            let key = &mut self.keys[ki];
-            if leaf_context.is_some() {
+            if !contexts.is_empty() {
+                let attrs = self.index.keys()[ki].val_attrs().len();
+                let target = PendingTarget {
+                    key: ki,
+                    node,
+                    contexts,
+                    counts: vec![0; attrs],
+                    values: vec![String::new(); attrs],
+                };
+                if leaf || attrs == 0 {
+                    // No attributes to await: the tuple is complete now, and
+                    // finalizing immediately keeps condition (2) insertion
+                    // in document order.
+                    key.finalize_target(target, self.index);
+                } else {
+                    self.pending.push(target);
+                }
+            }
+            if leaf && is_context {
                 let ctx = key.open.pop().expect("pushed above");
-                Self::close_context(key, ctx);
+                key.close_context(ctx);
             }
+            open_total += key.open.len();
         }
+        self.peak_open_contexts = self.peak_open_contexts.max(open_total);
     }
 
     /// Finalizes the innermost element's pending targets (its attribute
     /// section just ended).
     fn finalize_pending(&mut self) {
-        let Some(frame) = self.element_stack.last_mut() else {
-            return;
-        };
-        if frame.is_empty() {
-            return;
-        }
-        let pendings = std::mem::take(frame);
-        for pending in pendings {
-            let val_attrs = self.index.keys()[pending.key].val_attrs().to_vec();
-            Self::finalize_target(
-                &val_attrs,
-                &mut self.keys[pending.key],
-                pending.node,
-                &pending.contexts,
-                &pending.counts,
-                &pending.values,
-                self.index,
-            );
+        for target in self.pending.drain(..) {
+            self.keys[target.key].finalize_target(target, self.index);
         }
     }
+}
 
+impl KeyState {
     /// Checks conditions (1) and (2) of Definition 2.1 for one target node
     /// against every open context it matched, mirroring the DOM loop of
-    /// [`KeyIndex::violations`] attribute for attribute.  `counts` and
-    /// `values` are empty for attribute-less finalization (leaves, or keys
-    /// with no attributes).
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_target(
-        val_attrs: &[LabelId],
-        key: &mut KeyState,
-        node: NodeId,
-        contexts: &[usize],
-        counts: &[u32],
-        values: &[String],
-        index: &KeyIndex,
-    ) {
-        for &ci in contexts {
-            let ctx = &mut key.open[ci];
+    /// [`KeyIndex::violations`] attribute for attribute.
+    fn finalize_target(&mut self, target: PendingTarget, index: &KeyIndex) {
+        let val_attrs = index.keys()[target.key].val_attrs();
+        let node = target.node;
+        let mut values = target.values;
+        let last = target.contexts.len() - 1;
+        for (i, &ci) in target.contexts.iter().enumerate() {
+            let ctx = &mut self.open[ci];
             let mut complete = true;
-            for (i, &attr) in val_attrs.iter().enumerate() {
-                let count = counts.get(i).copied().unwrap_or(0);
+            for (&attr, &count) in val_attrs.iter().zip(&target.counts) {
                 let attribute = index.universe().name(attr);
                 if let Some(v) = Violation::from_attribute_count(count, ctx.node, node, attribute) {
                     complete = false;
@@ -423,7 +349,12 @@ impl<'a> StreamKeyChecker<'a> {
             if !complete {
                 continue;
             }
-            let tuple: Vec<String> = values.to_vec();
+            // The last context takes the tuple; earlier ones get a copy.
+            let tuple = if i == last {
+                std::mem::take(&mut values)
+            } else {
+                values.clone()
+            };
             match ctx.seen.get(&tuple) {
                 Some(&first) => {
                     ctx.violations.push((
@@ -446,12 +377,12 @@ impl<'a> StreamKeyChecker<'a> {
     /// Closes one context: orders its violations by target (the DOM
     /// validator reports a context's targets in document order) and records
     /// them under the context's creation order.
-    fn close_context(key: &mut KeyState, mut ctx: OpenContext) {
+    fn close_context(&mut self, mut ctx: OpenContext) {
         if ctx.violations.is_empty() {
             return;
         }
         ctx.violations.sort_by_key(|(target, _)| *target);
-        key.done.push((
+        self.done.push((
             ctx.seq,
             ctx.violations.into_iter().map(|(_, v)| v).collect(),
         ));
@@ -461,22 +392,14 @@ impl<'a> StreamKeyChecker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::validation_proptests::{build_doc, key_strategy};
     use crate::{KeySet, XmlKey};
-    use xmlprop_xmltree::{Document, StreamEvent, StreamParser};
+    use proptest::prelude::*;
+    use xmlprop_xmltree::{to_xml, Document};
 
     /// Streams `text` through a checker against `index`.
     fn stream_check(index: &KeyIndex, text: &str) -> StreamCheckReport {
-        let mut checker = StreamKeyChecker::new(index).unwrap();
-        let mut parser = StreamParser::with_universe(text, index.universe());
-        while let Some(event) = parser.next_event().unwrap() {
-            match event {
-                StreamEvent::StartElement { label, .. } => checker.start_element(label),
-                StreamEvent::Attribute { label, value, .. } => checker.attribute(label, &value),
-                StreamEvent::Text { .. } => checker.text(),
-                StreamEvent::EndElement => checker.end_element(),
-            }
-        }
-        checker.finish()
+        StreamKeyChecker::new(index).unwrap().check(text).unwrap()
     }
 
     /// Asserts the streamed report matches the prepared DOM validator
@@ -592,5 +515,33 @@ mod tests {
         text.push_str("</r>");
         let report = stream_check(&index, &text);
         assert_eq!(report.peak_open_contexts, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The streaming checker agrees key for key with the prepared DOM
+        /// validator on random documents and random key sets: attribute
+        /// and text targets, `//` contexts, nested contexts and duplicate
+        /// attributes.
+        #[test]
+        fn streaming_matches_batch_on_random_documents_and_keys(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..40),
+            keys in prop::collection::vec(key_strategy(), 1..5),
+        ) {
+            let text = to_xml(&build_doc(&steps));
+            let doc = Document::parse_str(&text).unwrap();
+            let mut index = KeyIndex::new(&KeySet::from_keys(keys));
+            let dix = index.index_document(&doc);
+            let report = stream_check(&index, &text);
+            prop_assert_eq!(report.nodes, doc.len());
+            for k in 0..index.len() {
+                prop_assert_eq!(
+                    &report.per_key[k],
+                    &index.violations_of(k, &doc, &dix),
+                    "key {} on {}", k, text
+                );
+            }
+        }
     }
 }

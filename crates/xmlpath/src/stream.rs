@@ -57,14 +57,6 @@ impl std::error::Error for PathTooLong {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatchState(u128);
 
-impl MatchState {
-    /// True if no NFA position is live: no extension of the consumed word
-    /// can ever match, so the subtree below can be skipped.
-    pub fn is_dead(self) -> bool {
-        self.0 == 0
-    }
-}
-
 /// A compiled path expression in NFA form, for label-at-a-time matching.
 ///
 /// # Example
@@ -92,14 +84,6 @@ pub struct StreamMatcher {
     any_mask: u128,
     /// The accept position, `1 << atoms.len()`.
     accept_mask: u128,
-    /// `Label(l)` positions whose consumption lands in the accept closure:
-    /// a state overlapping this mask accepts after consuming that label.
-    label_accept: u128,
-    /// `//` positions inside the accept closure: a state overlapping this
-    /// mask accepts after consuming *any* label.
-    any_accept: u128,
-    /// The label consumed at each `Label` position (placeholder for `//`).
-    atom_labels: Vec<LabelId>,
     start: MatchState,
 }
 
@@ -127,37 +111,13 @@ impl StreamMatcher {
                 CompiledAtom::AnyPath => any_mask |= 1u128 << i,
             }
         }
-        let atom_labels: Vec<LabelId> = atoms
-            .iter()
-            .map(|atom| match atom {
-                CompiledAtom::Label(l) => *l,
-                CompiledAtom::AnyPath => LabelId(u32::MAX),
-            })
-            .collect();
         let mut matcher = StreamMatcher {
             label_masks,
             any_mask,
             accept_mask: 1u128 << atoms.len(),
-            label_accept: 0,
-            any_accept: 0,
-            atom_labels,
             start: MatchState(0),
         };
         matcher.start = matcher.close(MatchState(1));
-        for (i, atom) in atoms.iter().enumerate() {
-            match atom {
-                CompiledAtom::Label(_) => {
-                    if matcher.close(MatchState(1u128 << (i + 1))).0 & matcher.accept_mask != 0 {
-                        matcher.label_accept |= 1u128 << i;
-                    }
-                }
-                CompiledAtom::AnyPath => {
-                    if matcher.close(MatchState(1u128 << i)).0 & matcher.accept_mask != 0 {
-                        matcher.any_accept |= 1u128 << i;
-                    }
-                }
-            }
-        }
         Ok(matcher)
     }
 
@@ -171,30 +131,6 @@ impl StreamMatcher {
     #[inline]
     pub fn accepts(&self, state: MatchState) -> bool {
         state.0 & self.accept_mask != 0
-    }
-
-    /// True if `state` accepts after consuming *any* label (a `//` atom
-    /// carries it into the accept closure): `accepts(step(state, l))` holds
-    /// for every `l`, including labels outside the universe.
-    #[inline]
-    pub fn accepts_any_label(&self, state: MatchState) -> bool {
-        state.0 & self.any_accept != 0
-    }
-
-    /// Calls `f` with each distinct label `l` for which
-    /// `accepts(step(state, Some(l)))` holds — **unless**
-    /// [`accepts_any_label`](Self::accepts_any_label) is true, in which
-    /// case every label accepts and the per-label enumeration is moot.
-    /// Path expressions are single atom chains, so at most one position's
-    /// label can land in the accept closure and `f` runs at most once.
-    #[inline]
-    pub fn for_each_accepting_label(&self, state: MatchState, mut f: impl FnMut(LabelId)) {
-        let mut bits = state.0 & self.label_accept;
-        while bits != 0 {
-            let p = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            f(self.atom_labels[p]);
-        }
     }
 
     /// Advances `state` by one label.  `None` (a label absent from the
@@ -284,52 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn accepting_label_enumeration_agrees_with_stepping() {
-        let exprs = [
-            "ε", "a", "b", "a/b", "//", "//a", "a//", "//a//", "a//b", "//a/b", "b//a", "a//a",
-            "//b//a", "a/b//a", "a/b/a", "//a//b//", "a/@x", "//@x",
-        ];
-        let mut u = LabelUniverse::new();
-        let labels = [u.intern("a"), u.intern("b"), u.intern("@x")];
-        for expr in exprs {
-            let compiled = u.compile(&p(expr));
-            let matcher = StreamMatcher::new(&compiled).unwrap();
-            // Every state reachable by a word of length <= 3.
-            let mut states = vec![matcher.start()];
-            let mut frontier = states.clone();
-            for _ in 0..3 {
-                let mut next = Vec::new();
-                for &s in &frontier {
-                    for &l in &labels {
-                        next.push(matcher.step(s, Some(l)));
-                    }
-                    next.push(matcher.step(s, None));
-                }
-                states.extend(next.iter().copied());
-                frontier = next;
-            }
-            for &s in &states {
-                let any = matcher.accepts_any_label(s);
-                let mut listed = Vec::new();
-                matcher.for_each_accepting_label(s, |l| listed.push(l));
-                assert_eq!(
-                    matcher.accepts(matcher.step(s, None)),
-                    any,
-                    "{expr}: unknown-label acceptance"
-                );
-                for &l in &labels {
-                    let accepts = matcher.accepts(matcher.step(s, Some(l)));
-                    assert_eq!(
-                        accepts,
-                        any || listed.contains(&l),
-                        "{expr}: label {l:?} from {s:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unknown_labels_only_pass_through_any_path() {
         let mut u = LabelUniverse::new();
         let a = u.compile(&p("a"));
@@ -339,7 +229,7 @@ mod tests {
 
         let m = StreamMatcher::new(&a).unwrap();
         assert!(!m.accepts(m.step(m.start(), None)));
-        assert!(m.step(m.start(), None).is_dead());
+        assert_eq!(m.step(m.start(), None), MatchState(0), "no live position");
 
         let m = StreamMatcher::new(&any).unwrap();
         assert!(m.accepts(m.step(m.start(), None)));
@@ -357,8 +247,10 @@ mod tests {
         let b = u.lookup("b");
         let m = StreamMatcher::new(&expr).unwrap();
         let dead = m.step(m.start(), b);
-        assert!(dead.is_dead());
-        assert!(m.step(dead, b).is_dead());
+        assert_eq!(dead, MatchState(0));
+        for label in [u.lookup("a"), b, None] {
+            assert_eq!(m.step(dead, label), dead);
+        }
     }
 
     #[test]

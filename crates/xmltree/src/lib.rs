@@ -32,8 +32,8 @@
 //!   numbering with contiguous subtree ranges, label → nodes postings and
 //!   interned text values, all built in one DFS pass);
 //! * the **streaming front end**: [`StreamParser`] pulls
-//!   [`StreamEvent`]s (start/attribute/text/end, with optional read-only
-//!   [`LabelId`] resolution) off the same tokenizer the DOM parser uses,
+//!   [`StreamEvent`]s (start/attribute/text/end, names and values
+//!   borrowed from the input) off the same tokenizer the DOM parser uses,
 //!   retaining only `O(depth)` state — the DOM [`parse`] is itself a driver
 //!   over this stream, so both paths share one error table;
 //! * the **delta interface** ([`Delta`] / [`Document::apply`] /

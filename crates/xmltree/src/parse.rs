@@ -32,7 +32,7 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
     let mut open: Vec<NodeId> = Vec::new();
     while let Some(event) = parser.next_event()? {
         match event {
-            StreamEvent::StartElement { name, .. } => {
+            StreamEvent::StartElement { name } => {
                 let id = match doc.as_mut() {
                     None => {
                         doc = Some(Document::new(name));
@@ -45,7 +45,7 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
                 };
                 open.push(id);
             }
-            StreamEvent::Attribute { name, value, .. } => {
+            StreamEvent::Attribute { name, value } => {
                 let owner = *open.last().expect("attribute follows an open element");
                 doc.as_mut().expect("document exists").append_parsed(
                     owner,

@@ -16,33 +16,25 @@
 //! * [`StreamEvent::EndElement`] — `</name>` or `/>` closing the innermost
 //!   open element.
 //!
-//! When constructed with [`StreamParser::with_universe`], element and
-//! attribute events carry the interned [`LabelId`] of their label (attribute
-//! labels get the `@` prefix, matching [`crate::Document`]), resolved
-//! read-only — labels absent from the universe yield `None` and can never
-//! match a compiled query, which is exactly the DOM semantics for unknown
-//! labels.
-//!
 //! Names and values borrow from the input: a text or attribute value is a
 //! [`Cow::Borrowed`] slice unless it contained an entity or character
 //! reference (a `&`) that had to be decoded, and CDATA content is always
-//! borrowed.  A consumer that only compares or hashes values — the
-//! streaming key checker, the streaming shredder — allocates nothing per
-//! event, and the DOM parser copies each value once, into the document's
+//! borrowed.  A consumer that only compares or hashes values, like the
+//! streaming key checker, allocates nothing per event, and the DOM parser copies each value once, into the document's
 //! text buffer.
 //!
 //! The parser's retained state is the stack of open element name spans —
 //! memory is bounded by tree depth, never by node count.
 
 use crate::error::ParseError;
-use crate::labels::{LabelId, LabelUniverse};
 use std::borrow::Cow;
 
 /// The maximum element nesting depth either parser accepts.
 ///
 /// Every layer above the tokenizer keeps per-depth state — the parser's
-/// open-name stack, the DOM builder's open-node stack, the streaming
-/// shredder's frontier — and downstream consumers recurse over subtrees.
+/// open-name stack, the DOM builder's open-node stack, the streaming key
+/// checker's matcher states — and downstream consumers recurse over
+/// subtrees.
 /// A pathologically nested document (`<a><a><a>…`) would otherwise trade
 /// a few megabytes of input for an unbounded stack; past this depth the
 /// document is rejected with a byte-offset [`ParseError`] instead.  Real
@@ -63,16 +55,11 @@ pub enum StreamEvent<'a> {
     StartElement {
         /// The element's tag name.
         name: &'a str,
-        /// The interned label, when a universe was supplied and knows it.
-        label: Option<LabelId>,
     },
     /// One attribute of the most recently opened element.
     Attribute {
         /// The attribute name as written (without the `@` prefix).
         name: &'a str,
-        /// The interned `@name` label, when a universe was supplied and
-        /// knows it.
-        label: Option<LabelId>,
         /// The decoded attribute value.
         value: Cow<'a, str>,
     },
@@ -127,13 +114,10 @@ pub struct StreamParser<'a> {
     state: State,
     /// Byte spans of the names of the currently open elements.
     open: Vec<(usize, usize)>,
-    universe: Option<&'a LabelUniverse>,
-    /// Scratch buffer for `@name` attribute-label lookups.
-    attr_scratch: String,
 }
 
 impl<'a> StreamParser<'a> {
-    /// Creates a parser over `input` with no label resolution.
+    /// Creates a parser over `input`.
     pub fn new(input: &'a str) -> Self {
         StreamParser {
             input,
@@ -141,17 +125,7 @@ impl<'a> StreamParser<'a> {
             pos: 0,
             state: State::Prolog,
             open: Vec::new(),
-            universe: None,
-            attr_scratch: String::new(),
         }
-    }
-
-    /// Creates a parser that resolves event labels against `universe`
-    /// (read-only — unknown labels yield `None`, they are never interned).
-    pub fn with_universe(input: &'a str, universe: &'a LabelUniverse) -> Self {
-        let mut parser = StreamParser::new(input);
-        parser.universe = Some(universe);
-        parser
     }
 
     /// Number of currently open elements.
@@ -194,10 +168,8 @@ impl<'a> StreamParser<'a> {
                             self.expect("=")?;
                             self.skip_whitespace();
                             let value = self.parse_attr_value()?;
-                            let name = &self.input[start..end];
                             return Ok(Some(StreamEvent::Attribute {
-                                name,
-                                label: self.attribute_label(name),
+                                name: &self.input[start..end],
                                 value,
                             }));
                         }
@@ -275,10 +247,8 @@ impl<'a> StreamParser<'a> {
         let (start, end) = self.parse_name()?;
         self.open.push((start, end));
         self.state = State::InTag;
-        let name = &self.input[start..end];
         Ok(StreamEvent::StartElement {
-            name,
-            label: self.universe.and_then(|u| u.lookup(name)),
+            name: &self.input[start..end],
         })
     }
 
@@ -290,14 +260,6 @@ impl<'a> StreamParser<'a> {
             State::Content
         };
         Ok(StreamEvent::EndElement)
-    }
-
-    fn attribute_label(&mut self, name: &str) -> Option<LabelId> {
-        let universe = self.universe?;
-        self.attr_scratch.clear();
-        self.attr_scratch.push('@');
-        self.attr_scratch.push_str(name);
-        universe.lookup(&self.attr_scratch)
     }
 
     // ---- tokenizer ------------------------------------------------------
@@ -510,8 +472,8 @@ mod tests {
         let mut out = Vec::new();
         while let Some(event) = parser.next_event()? {
             out.push(match event {
-                StreamEvent::StartElement { name, .. } => format!("<{name}>"),
-                StreamEvent::Attribute { name, value, .. } => format!("@{name}={value}"),
+                StreamEvent::StartElement { name } => format!("<{name}>"),
+                StreamEvent::Attribute { name, value } => format!("@{name}={value}"),
                 StreamEvent::Text { value } => format!("text:{value}"),
                 StreamEvent::EndElement => "</>".to_string(),
             });
@@ -559,28 +521,6 @@ mod tests {
     fn decodes_entities_in_text_and_attributes() {
         let got = events(r#"<r a="&lt;x&gt;">A &amp; B</r>"#).unwrap();
         assert_eq!(got, vec!["<r>", "@a=<x>", "text:A & B", "</>"]);
-    }
-
-    #[test]
-    fn resolves_labels_against_a_universe_read_only() {
-        let mut universe = LabelUniverse::default();
-        let book = universe.intern("book");
-        let isbn = universe.intern("@isbn");
-        let before = universe.names().len();
-
-        let mut parser =
-            StreamParser::with_universe(r#"<db><book isbn="1" other="2"/></db>"#, &universe);
-        let mut seen = Vec::new();
-        while let Some(event) = parser.next_event().unwrap() {
-            match event {
-                StreamEvent::StartElement { label, .. } => seen.push(label),
-                StreamEvent::Attribute { label, .. } => seen.push(label),
-                _ => {}
-            }
-        }
-        // `db` and `@other` are unknown to the universe: `None`, not interned.
-        assert_eq!(seen, vec![None, Some(book), Some(isbn), None]);
-        assert_eq!(universe.names().len(), before);
     }
 
     #[test]

@@ -30,13 +30,14 @@
 //! ## Streaming front end
 //!
 //! Key validation also runs **event-driven**, without building a
-//! `Document` or a `DocIndex`: [`prelude::StreamParser`] pulls events off
-//! raw XML text, [`prelude::StreamMatcher`] steps compiled path NFAs and
-//! [`prelude::StreamKeyChecker`] validates Σ — bounded by document *depth*
-//! plus *open key contexts*, not document size, and proven bit-for-bit
-//! equal to the DOM path.  The pipeline exposes it as
-//! [`pipeline::CorpusBundle::stream_text`] with only `validate` on; the CLI
-//! as `validate --stream`.  Shredding is defined over the whole tree and
+//! `Document` or a `DocIndex`: [`prelude::StreamKeyChecker::check`] runs
+//! one [`prelude::StreamParser`] pass over raw XML text and steps compiled
+//! path NFAs ([`prelude::StreamMatcher`]) through it — bounded by document
+//! *depth* plus *open key contexts*, not document size, and proven
+//! bit-for-bit equal to the DOM path.  The pipeline exposes it as
+//! [`pipeline::CorpusBundle::stream_check`], and as
+//! [`pipeline::CorpusBundle::stream_text`] with only `validate` on; the
+//! CLI as `validate --stream`.  Shredding is defined over the whole tree and
 //! always parses the document (`shred --stream` is accepted and runs the
 //! same code as `shred`).
 //!
