@@ -161,11 +161,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The output column names, in order.
-    pub fn output_columns(&self) -> Vec<&str> {
-        self.projection.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// A one-line structural description of the plan, stable across runs:
     ///
     /// ```text
@@ -483,6 +478,11 @@ mod tests {
     use super::*;
     use crate::syntax::parse_query;
 
+    /// The output column names of `p`, in order.
+    fn output_columns(p: &Plan) -> Vec<&str> {
+        p.projection.iter().map(|c| c.name.as_str()).collect()
+    }
+
     fn fig1_catalog() -> Catalog {
         let mut catalog = Catalog::new();
         catalog.add_relation(
@@ -613,7 +613,7 @@ mod tests {
         )
         .unwrap();
         let p = plan(&q, &catalog).unwrap();
-        assert_eq!(p.output_columns(), ["chapter.name", "section.name"]);
+        assert_eq!(output_columns(&p), ["chapter.name", "section.name"]);
     }
 
     #[test]
@@ -623,7 +623,7 @@ mod tests {
             parse_query("select * from chapter join section on inChapt = chapter.number").unwrap();
         let p = plan(&q, &catalog).unwrap();
         assert_eq!(
-            p.output_columns(),
+            output_columns(&p),
             [
                 "inBook",
                 "chapter.number",

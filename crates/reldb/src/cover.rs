@@ -89,7 +89,7 @@ pub(crate) mod oracle {
                 for b in current.lhs() {
                     let mut smaller: BTreeSet<String> = current.lhs().clone();
                     smaller.remove(b);
-                    let candidate = current.with_lhs(smaller);
+                    let candidate = Fd::new(smaller, current.rhs().clone());
                     if implies_fixpoint(&work, &candidate) {
                         reduced = Some(candidate);
                         break;

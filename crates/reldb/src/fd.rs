@@ -75,15 +75,6 @@ impl Fd {
             })
             .collect()
     }
-
-    /// A copy of the FD with a different left-hand side (used when removing
-    /// extraneous attributes).
-    pub fn with_lhs(&self, lhs: BTreeSet<String>) -> Fd {
-        Fd {
-            lhs,
-            rhs: self.rhs.clone(),
-        }
-    }
 }
 
 impl fmt::Display for Fd {
@@ -187,11 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn to_attr_and_with_lhs() {
+    fn to_attr_matches_parse() {
         let fd = Fd::to_attr(["a", "b"], "c");
         assert_eq!(fd, Fd::parse("a, b -> c").unwrap());
-        let reduced = fd.with_lhs(attrs(["a"]));
-        assert_eq!(reduced, Fd::parse("a -> c").unwrap());
     }
 
     #[test]

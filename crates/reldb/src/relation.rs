@@ -275,23 +275,6 @@ impl Relation {
         self.len += 1;
     }
 
-    /// Inserts a tuple given as `(attribute, value)` pairs; attributes not
-    /// mentioned become null.
-    pub fn insert_named<'a, I>(&mut self, fields: I)
-    where
-        I: IntoIterator<Item = (&'a str, Value)>,
-    {
-        let mut values = vec![Value::Null; self.schema.arity()];
-        for (name, value) in fields {
-            let idx = self
-                .schema
-                .index_of(name)
-                .unwrap_or_else(|| panic!("unknown attribute `{name}` in {}", self.schema));
-            values[idx] = value;
-        }
-        self.insert(Tuple::new(values));
-    }
-
     /// Returns a copy with duplicate rows removed (order preserved).
     ///
     /// Duplicate detection is *structural*, like SQL `DISTINCT`: two rows
@@ -625,15 +608,6 @@ mod tests {
         let fd = Fd::new(attrs(["a"]), attrs(["b"]));
         assert!(r.satisfies_fd_paper(&fd));
         assert!(!r.satisfies_fd_classical(&fd));
-    }
-
-    #[test]
-    fn insert_named_defaults_to_null() {
-        let schema = RelationSchema::new("r", ["a", "b"]);
-        let mut r = Relation::new(schema);
-        r.insert_named([("b", Value::text("v"))]);
-        assert_eq!(r.row(0).get(0), &Value::Null);
-        assert_eq!(r.row(0).get(1), &Value::text("v"));
     }
 
     #[test]

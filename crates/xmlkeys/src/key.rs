@@ -88,11 +88,6 @@ impl XmlKey {
         self.context.is_epsilon()
     }
 
-    /// True if the key is relative (its context is not the root).
-    pub fn is_relative(&self) -> bool {
-        !self.is_absolute()
-    }
-
     /// The concatenation `Q/Q'` — the position of the key's target nodes
     /// relative to the document root.
     pub fn absolute_target(&self) -> PathExpr {
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(k1.key_attrs(), ["@isbn"]);
 
         let k2 = XmlKey::parse("(//book, (chapter, {@number}))").unwrap();
-        assert!(k2.is_relative());
+        assert!(!k2.is_absolute());
         assert_eq!(k2.context().to_string(), "//book");
         assert_eq!(k2.absolute_target().to_string(), "//book/chapter");
 

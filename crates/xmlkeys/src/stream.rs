@@ -406,7 +406,7 @@ mod tests {
     /// per key and in aggregate.
     fn assert_matches_dom(sigma: &KeySet, text: &str) {
         let doc = Document::parse_str(text).unwrap();
-        assert!(doc.ids_in_document_order());
+        assert!(doc.all_nodes().is_sorted());
         let mut index = KeyIndex::new(sigma);
         let dix = index.index_document(&doc);
         let report = stream_check(&index, text);

@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn results_are_in_document_order_not_node_id_order() {
         let doc = shuffled_doc();
-        assert!(!doc.ids_in_document_order());
+        assert!(!doc.all_nodes().is_sorted());
         let mut u = LabelUniverse::new();
         let index = DocIndex::build(&doc, &mut u);
         for expr in ["//b", "//", "a/b", "//@x", "a//c", "//c"] {

@@ -63,8 +63,6 @@ const NULL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct ShredPlan {
     schema: RelationSchema,
-    /// Variable names, by [`VarId`] (diagnostics only).
-    names: Vec<String>,
     /// Parent [`VarId`] of each variable (`parents[0] == 0` for the root).
     parents: Vec<u32>,
     /// Compiled edge path of each variable (`ε` for the root).
@@ -124,7 +122,6 @@ impl ShredPlan {
             .collect();
         ShredPlan {
             schema: rule.schema().clone(),
-            names: order.to_vec(),
             parents,
             paths,
             single_label,
@@ -135,16 +132,6 @@ impl ShredPlan {
     /// The relation schema this plan populates.
     pub fn schema(&self) -> &RelationSchema {
         &self.schema
-    }
-
-    /// The number of variables, root included.
-    pub fn var_count(&self) -> usize {
-        self.parents.len()
-    }
-
-    /// The name of a variable.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var.index()]
     }
 
     /// The [`VarId`] populating a schema attribute, by attribute position.
@@ -619,8 +606,6 @@ mod tests {
         let rule = t.rule("section").unwrap();
         let plan = rule.prepare(&mut universe);
         assert_eq!(plan.schema().name(), "section");
-        assert_eq!(plan.var_count(), rule.mappings().len() + 1);
-        assert_eq!(plan.var_name(VarId(0)), "xr");
         let field0 = plan.field_var(0);
         assert!(field0.index() > 0);
         let whole = t.prepare(&mut universe);

@@ -99,12 +99,6 @@ impl TableTree {
         self.children.get(var).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// True if `var` is a leaf (no children) — only leaves may carry field
-    /// rules.
-    pub fn is_leaf(&self, var: &str) -> bool {
-        self.children(var).is_empty()
-    }
-
     /// True if the tree knows this variable.
     pub fn contains(&self, var: &str) -> bool {
         var == ROOT_VAR || self.parent.contains_key(var)
@@ -232,8 +226,8 @@ mod tests {
         let mut desc = tree.descendants("xd");
         desc.sort();
         assert_eq!(desc, vec!["x3", "x4"]);
-        assert!(tree.is_leaf("x4"));
-        assert!(!tree.is_leaf("xa"));
+        assert!(tree.children("x4").is_empty());
+        assert!(!tree.children("xa").is_empty());
         assert!(tree.contains("xa"));
         assert!(!tree.contains("nope"));
     }

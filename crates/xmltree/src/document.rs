@@ -42,10 +42,9 @@ use std::fmt;
 /// order in general**: ids are handed out in creation order, and mutation
 /// may append a child to an *earlier* parent after later siblings exist
 /// (the parser and [`crate::ElementBuilder`] never do, so for documents
-/// built by them the two orders coincide —
-/// [`Document::ids_in_document_order`] reports whether that still holds).
-/// Code that needs document order must rank nodes by DFS position, e.g.
-/// through a [`crate::DocIndex`], not by `NodeId`.
+/// built by them the two orders coincide).  Code that needs document
+/// order must rank nodes by DFS position, e.g. through a
+/// [`crate::DocIndex`], not by `NodeId`.
 ///
 /// # Storage
 ///
@@ -76,12 +75,12 @@ use std::fmt;
 /// # Equality
 ///
 /// Equality is *structural identity* of the arenas: node by node the same
-/// kind, label, text and links, plus the same root, last
-/// node, id-order flag, live count and epoch — what the corpus-generation
-/// reproducibility tests compare.  The order of the label table and the
-/// dead spans of the text buffer are storage details and do not affect
-/// it; two structurally equal trees built in different insertion orders
-/// may still compare unequal, since their `NodeId`s differ.
+/// kind, label, text and links, plus the same root, live count and epoch
+/// — what the corpus-generation reproducibility tests compare.  The order
+/// of the label table and the dead spans of the text buffer are storage
+/// details and do not affect it; two structurally equal trees built in
+/// different insertion orders may still compare unequal, since their
+/// `NodeId`s differ.
 #[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<NodeData>,
@@ -91,11 +90,6 @@ pub struct Document {
     /// struct docs.
     text: String,
     root: NodeId,
-    /// The most recently created node.
-    last: NodeId,
-    /// True while `NodeId` order coincides with document order; see the
-    /// struct docs.
-    id_order: bool,
     /// Number of attached (non-tombstone) nodes.
     live: usize,
     /// Mutation counter; see [`Document::epoch`].
@@ -117,8 +111,6 @@ impl Document {
             labels,
             text: String::new(),
             root: NodeId(0),
-            last: NodeId(0),
-            id_order: true,
             live: 1,
             epoch: 0,
         }
@@ -290,18 +282,6 @@ impl Document {
         }
     }
 
-    /// True while `NodeId` order coincides with document order — i.e. every
-    /// node so far was appended under the previously created node or one of
-    /// its ancestors, which is how the parser and [`crate::ElementBuilder`]
-    /// construct documents.  Once mutation appends a child to an earlier
-    /// parent (creating a node whose id is larger than that of a node
-    /// following it in document order) this permanently becomes `false`, and
-    /// document-order consumers must rank nodes by DFS position instead.
-    #[inline]
-    pub fn ids_in_document_order(&self) -> bool {
-        self.id_order
-    }
-
     /// Children of `id` carrying a particular label (e.g. `"chapter"` or
     /// `"@isbn"`).
     pub fn children_labelled<'a>(
@@ -366,13 +346,6 @@ impl Document {
         out
     }
 
-    /// Proper descendants of `id` in document order.
-    pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut all = self.descendants_or_self(id);
-        all.remove(0);
-        all
-    }
-
     /// All nodes of the document in document order.
     pub fn all_nodes(&self) -> Vec<NodeId> {
         self.descendants_or_self(self.root)
@@ -389,30 +362,9 @@ impl Document {
         out
     }
 
-    /// True if `anc` is an ancestor of `id` (proper, i.e. `anc != id`).
-    pub fn is_ancestor(&self, anc: NodeId, id: NodeId) -> bool {
-        let mut cur = self.parent(id);
-        while let Some(p) = cur {
-            if p == anc {
-                return true;
-            }
-            cur = self.parent(p);
-        }
-        false
-    }
-
     /// The depth of node `id` (the root has depth 0).
     pub fn depth(&self, id: NodeId) -> usize {
         self.ancestors(id).len()
-    }
-
-    /// The maximum node depth in the document.
-    pub fn height(&self) -> usize {
-        self.all_nodes()
-            .into_iter()
-            .map(|n| self.depth(n))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The sequence of labels on the path from the root to `id`, excluding the
@@ -467,7 +419,7 @@ impl Document {
 
     /// Creates a node of `kind` under `parent`, linked before its child
     /// `before` (last when `None`).  Attribute labels may come with or
-    /// without their `@`.  Ticks neither the epoch nor the id-order flag.
+    /// without their `@`.  Does not tick the epoch.
     fn insert_node(
         &mut self,
         parent: NodeId,
@@ -499,40 +451,19 @@ impl Document {
             Some(b) => self.data_mut(b).prev_sibling = id.0,
             None => self.data_mut(parent).last_child = id.0,
         }
-        self.last = id;
         self.live += 1;
         id
     }
 
-    /// Creates a node of `kind` as the last child of `parent`.
-    fn append_node(&mut self, parent: NodeId, kind: NodeKind, label: &str, text: &str) -> NodeId {
-        self.note_append_under(parent);
-        self.insert_node(parent, None, kind, label, text)
-    }
-
-    /// Updates the id-order flag for a node about to be appended under
-    /// `parent`.  NodeId order tracks document order exactly while every
-    /// new node goes under the previous node or one of its ancestors (a
-    /// DFS-style construction).  Appending anywhere else interleaves the
-    /// orders.
-    fn note_append_under(&mut self, parent: NodeId) {
-        if self.id_order && parent != self.last && !self.is_ancestor(parent, self.last) {
-            self.id_order = false;
-        }
-    }
-
-    /// [`Document::add_element`] and friends for the parser, which always
-    /// appends under the innermost open element — the previous node or
-    /// one of its ancestors — so NodeId order stays document order without
-    /// the ancestor walk.
-    pub(crate) fn append_parsed(
+    /// Creates a node of `kind` as the last child of `parent` and ticks
+    /// the epoch: [`Document::add_element`] and friends, and the parser.
+    pub(crate) fn append(
         &mut self,
         parent: NodeId,
         kind: NodeKind,
         label: &str,
         text: &str,
     ) -> NodeId {
-        debug_assert!(parent == self.last || self.is_ancestor(parent, self.last));
         let id = self.insert_node(parent, None, kind, label, text);
         self.epoch += 1;
         id
@@ -540,9 +471,7 @@ impl Document {
 
     /// Adds an element child labelled `label` under `parent` and returns its id.
     pub fn add_element(&mut self, parent: NodeId, label: impl AsRef<str>) -> NodeId {
-        let id = self.append_node(parent, NodeKind::Element, label.as_ref(), "");
-        self.epoch += 1;
-        id
+        self.append(parent, NodeKind::Element, label.as_ref(), "")
     }
 
     /// Adds an attribute node `@name = value` under element `parent`; `name`
@@ -553,25 +482,19 @@ impl Document {
         name: impl AsRef<str>,
         value: impl AsRef<str>,
     ) -> NodeId {
-        let id = self.append_node(parent, NodeKind::Attribute, name.as_ref(), value.as_ref());
-        self.epoch += 1;
-        id
+        self.append(parent, NodeKind::Attribute, name.as_ref(), value.as_ref())
     }
 
     /// Adds a text node under element `parent`.
     pub fn add_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> NodeId {
-        let id = self.append_node(parent, NodeKind::Text, "S", value.as_ref());
-        self.epoch += 1;
-        id
+        self.append(parent, NodeKind::Text, "S", value.as_ref())
     }
 
     /// Detaches the subtree rooted at `node` from its parent and returns
     /// the number of nodes detached.  The unlinking is O(1); counting the
     /// subtree is not.  The arena slots are kept as
     /// tombstones ([`NodeId`]s of the detached nodes become invalid for
-    /// navigation — a logic error, never UB); `NodeId` order of the
-    /// surviving nodes is a subsequence of the old order, so
-    /// [`Document::ids_in_document_order`] is unaffected.
+    /// navigation — a logic error, never UB).
     ///
     /// Panics when `node` is the root or already detached; the checked
     /// equivalent is [`Document::apply`] with [`Delta::RemoveSubtree`].
@@ -730,11 +653,6 @@ impl Document {
     /// and node count.  Does not tick the epoch.
     fn graft(&mut self, parent: NodeId, position: usize, fragment: &Fragment) -> (NodeId, usize) {
         let before = self.children(parent).nth(position);
-        match before {
-            // A positional insert interleaves ids with document order.
-            Some(_) => self.id_order = false,
-            None => self.note_append_under(parent),
-        }
         let root = match fragment {
             Fragment::Attribute { name, value } => {
                 self.insert_node(parent, before, NodeKind::Attribute, name, value)
@@ -824,8 +742,6 @@ impl Document {
 impl PartialEq for Document {
     fn eq(&self, other: &Self) -> bool {
         self.root == other.root
-            && self.last == other.last
-            && self.id_order == other.id_order
             && self.live == other.live
             && self.epoch == other.epoch
             && self.nodes.len() == other.nodes.len()
@@ -966,10 +882,9 @@ mod tests {
             .unwrap();
         let anc = d.ancestors(title);
         assert_eq!(anc.len(), 2); // book, db
-        assert!(d.is_ancestor(root, title));
-        assert!(!d.is_ancestor(title, root));
+        assert_eq!(anc[1], root);
+        assert!(d.ancestors(root).is_empty());
         assert_eq!(d.depth(title), 2);
-        assert_eq!(d.height(), 3); // text node under title
     }
 
     #[test]
@@ -1016,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn id_order_flag_tracks_out_of_order_appends() {
+    fn out_of_order_appends_split_id_and_document_order() {
         // DFS-style construction (parser, builder, straight-line mutation)
         // keeps NodeId order equal to document order...
         let mut doc = Document::new("r");
@@ -1024,12 +939,12 @@ mod tests {
         doc.add_attribute(a, "x", "1");
         let b = doc.add_element(a, "b");
         doc.add_text(b, "t");
-        doc.add_element(doc.root(), "c"); // parent is an ancestor of `last`
-        assert!(doc.ids_in_document_order());
+        doc.add_element(doc.root(), "c"); // under an ancestor of the newest node
+        assert!(doc.all_nodes().is_sorted());
         // ...but appending under an earlier, non-ancestor parent splits the
-        // two orders permanently.
+        // two orders.
         let late = doc.add_element(a, "late");
-        assert!(!doc.ids_in_document_order());
+        assert!(!doc.all_nodes().is_sorted());
         let order = doc.all_nodes();
         let rank = |n: NodeId| order.iter().position(|&m| m == n).unwrap();
         assert!(late > *order.last().unwrap());
@@ -1041,7 +956,6 @@ mod tests {
         let d = Document::new("r");
         assert!(d.is_empty());
         assert_eq!(d.len(), 1);
-        assert_eq!(d.height(), 0);
         assert_eq!(d.value(d.root()), "()");
     }
 
@@ -1256,7 +1170,7 @@ mod tests {
         let mut d = Document::new("db");
         let a = d.add_element(d.root(), "a");
         d.add_element(d.root(), "c");
-        assert!(d.ids_in_document_order());
+        assert!(d.all_nodes().is_sorted());
         let applied = d
             .apply(&Delta::InsertSubtree {
                 parent: d.root(),
@@ -1272,18 +1186,18 @@ mod tests {
         assert_eq!(labels, ["a", "b", "c"]);
         assert_eq!(d.parent(root), Some(d.root()));
         assert!(
-            !d.ids_in_document_order(),
+            !d.all_nodes().is_sorted(),
             "a positional insert interleaves NodeId and document order"
         );
-        // Removal of a subtree keeps the flag truthful: surviving ids are a
-        // subsequence of the old order.
+        // Removing a subtree keeps the surviving ids a subsequence of the
+        // old order.
         let mut d2 = Document::new("db");
         let a2 = d2.add_element(d2.root(), "a");
         d2.add_text(a2, "t");
         d2.add_element(d2.root(), "c");
-        assert!(d2.ids_in_document_order());
+        assert!(d2.all_nodes().is_sorted());
         d2.remove_subtree(a2);
-        assert!(d2.ids_in_document_order());
+        assert!(d2.all_nodes().is_sorted());
         let _ = a; // ids stay comparable but unused hereafter
     }
 

@@ -4,13 +4,16 @@
 //! `n[[P]]`, table-rule shredding, key satisfaction) repeats the same three
 //! pieces of work on every call: comparing labels as strings, re-discovering
 //! subtree extents by stack traversal, and comparing text values as strings.
-//! A `DocIndex` does that work once, in a single DFS pass:
+//! A `DocIndex` does that work once, in a single DFS pass.  One routine
+//! indexes a subtree: a build grafts the whole tree into an empty index,
+//! and [`DocIndex::apply_delta`] grafts an inserted subtree the same way.
+//! The pass gives:
 //!
 //! * every node's label is interned into a shared [`LabelUniverse`] (the
 //!   same universe the compiled path/key layers use, so a compiled
 //!   expression's `LabelId`s compare directly against document nodes).
 //!   A [`Document`] stores each distinct label once in its label table, so
-//!   the build interns each *distinct* label once — on first sight, in
+//!   a graft interns each *distinct* label once — on first sight, in
 //!   document order — and maps every other node through a slot → id
 //!   vector, never hashing a label string per node.  The order of the
 //!   document's label table therefore never shows in the index;
@@ -74,73 +77,30 @@ pub struct DocIndex {
 }
 
 impl DocIndex {
-    /// Builds the index in one DFS pass, interning every label of the
-    /// document into `universe` — once per distinct label (the document's
-    /// label table maps nodes to it), not once per node.
+    /// Builds the index: an empty index, then one graft of the whole tree
+    /// — the routine [`DocIndex::apply_delta`] runs for an inserted
+    /// subtree.  Every label of the document is interned into `universe`
+    /// once per distinct label (the document's label table maps nodes to
+    /// it), not once per node.
     ///
     /// Labels already interned (e.g. by compiling a key set or a shred plan
     /// against the same universe first) keep their ids; ids are append-only,
     /// so the relative order of preparation does not matter.
     pub fn build(doc: &Document, universe: &mut LabelUniverse) -> Self {
-        let n = doc.len();
-        let mut dfs_of = vec![0u32; doc.arena_len()];
-        let mut node_of = Vec::with_capacity(n);
-        let mut end_at = vec![0u32; n];
-        let mut label_at = Vec::with_capacity(n);
-        let mut kind_at = Vec::with_capacity(n);
-        let mut value_at = Vec::with_capacity(n);
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); universe.len()];
-        let mut values: HashMap<String, u32> = HashMap::new();
-        // Document label slot → universe id, filled on first sight so each
-        // distinct label is interned once and in document order.
-        let mut slot_ids: Vec<Option<LabelId>> = vec![None; doc.label_slots()];
-
-        doc.walk(doc.root(), |visit, node| {
-            if visit == Visit::Exit {
-                end_at[dfs_of[node.index()] as usize] = node_of.len() as u32;
-                return;
-            }
-            let pos = node_of.len() as u32;
-            node_of.push(node.index() as u32);
-            dfs_of[node.index()] = pos;
-            let slot = doc.label_slot(node);
-            let label =
-                *slot_ids[slot].get_or_insert_with(|| universe.intern(doc.slot_label(slot)));
-            if postings.len() <= label.index() {
-                postings.resize(label.index() + 1, Vec::new());
-            }
-            postings[label.index()].push(pos);
-            label_at.push(label);
-            kind_at.push(doc.kind(node));
-            value_at.push(match doc.text_value(node) {
-                Some(text) => match values.get(text) {
-                    Some(&id) => id,
-                    None => {
-                        let id = values.len() as u32;
-                        values.insert(text.to_string(), id);
-                        id
-                    }
-                },
-                None => NO_VALUE,
-            });
-        });
-        // Labels interned after the document's (by later probe compilation)
-        // have empty postings; size the table for everything known now so the
-        // common case is a direct index.
-        postings.resize(universe.len(), Vec::new());
-
-        DocIndex {
-            dfs_of,
-            node_of,
-            end_at,
-            label_at,
-            kind_at,
-            value_at,
-            postings,
-            values,
+        let mut index = DocIndex {
+            dfs_of: Vec::new(),
+            node_of: Vec::new(),
+            end_at: Vec::new(),
+            label_at: Vec::new(),
+            kind_at: Vec::new(),
+            value_at: Vec::new(),
+            postings: Vec::new(),
+            values: HashMap::new(),
             epoch: doc.epoch(),
             build: BUILDS.fetch_add(1, Ordering::Relaxed),
-        }
+        };
+        index.graft(doc, None, 0, doc.root(), universe);
+        index
     }
 
     /// The number of nodes (equals [`Document::len`] of the indexed
@@ -273,12 +233,6 @@ impl DocIndex {
             .unwrap_or(&[])
     }
 
-    /// All nodes in document order (the DFS pre-order that
-    /// [`Document::descendants_or_self`] of the root yields).
-    pub fn nodes_in_document_order(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_of.iter().map(|&n| NodeId::from_index(n as usize))
-    }
-
     // ------------------------------------------------------------------
     // Incremental maintenance
     // ------------------------------------------------------------------
@@ -316,7 +270,7 @@ impl DocIndex {
                 let text = doc
                     .text_value(node)
                     .expect("SetText targets carry a text value");
-                self.value_at[pos] = self.intern_value(text);
+                self.value_at[pos] = intern_value(&mut self.values, text);
             }
             AppliedDelta::Remove { parent, root, .. } => self.remove_range(doc, parent, root),
             AppliedDelta::Insert {
@@ -329,31 +283,12 @@ impl DocIndex {
         self.epoch = doc.epoch();
     }
 
-    /// Looks up or appends the id of a text value (the incremental
-    /// counterpart of the build-time interner).
-    fn intern_value(&mut self, text: &str) -> u32 {
-        match self.values.get(text) {
-            Some(&id) => id,
-            None => {
-                let id = self.values.len() as u32;
-                self.values.insert(text.to_string(), id);
-                id
-            }
-        }
-    }
-
     /// Excises the (detached) subtree rooted at `root` from the numbering:
     /// positions after it shift down, ancestor subtree ranges shrink.
     fn remove_range(&mut self, doc: &Document, parent: NodeId, root: NodeId) {
         let p = self.dfs_of[root.index()] as usize;
         let e = self.end_at[p] as usize;
         let k = (e - p) as u32;
-        // Ancestor ranges shrink; their positions (< p) don't move.
-        let mut anc = Some(parent);
-        while let Some(a) = anc {
-            self.end_at[self.dfs_of[a.index()] as usize] -= k;
-            anc = doc.parent(a);
-        }
         // Postings: drop positions inside [p, e), shift the rest down.
         // Lists entirely before the edit are skipped by the binary search.
         let (pu, eu) = (p as u32, e as u32);
@@ -373,24 +308,17 @@ impl DocIndex {
             }
             list.truncate(w);
         }
-        // Excise the columnar range and renumber the suffix.
+        // Excise the columnar range; the suffix moves down.
         self.node_of.drain(p..e);
         self.label_at.drain(p..e);
         self.kind_at.drain(p..e);
         self.value_at.drain(p..e);
         self.end_at.drain(p..e);
-        for end in &mut self.end_at[p..] {
-            *end -= k;
-        }
-        for i in p..self.node_of.len() {
-            self.dfs_of[self.node_of[i] as usize] = i as u32;
-        }
+        self.shift_suffix(doc, Some(parent), p, |end| end - k);
     }
 
-    /// Splices the freshly grafted subtree rooted at `root` (the
-    /// `position`-th child of `parent`) into the numbering: positions
-    /// after it shift up, ancestor subtree ranges grow, and the new
-    /// nodes' labels/values are interned.
+    /// Grafts the freshly inserted subtree rooted at `root` (the
+    /// `position`-th child of `parent`) into the numbering.
     fn insert_range(
         &mut self,
         doc: &Document,
@@ -410,73 +338,132 @@ impl DocIndex {
                 .expect("insert position was validated");
             self.end_at[self.dfs_of[prev.index()] as usize]
         } as usize;
+        self.graft(doc, Some(parent), at, root, universe);
+    }
 
-        // Index the new subtree in one DFS pass, with positions relative
-        // to `at`.
-        let mut new_node_of = Vec::new();
-        let mut new_label_at = Vec::new();
-        let mut new_kind_at = Vec::new();
-        let mut new_value_at = Vec::new();
-        let mut new_end_at = Vec::new();
-        let mut by_label: HashMap<LabelId, Vec<u32>> = HashMap::new();
-        // Relative position of each node entered and not yet exited.
-        let mut open = Vec::new();
-        doc.walk(root, |visit, node| {
-            if visit == Visit::Exit {
-                let rel: usize = open.pop().expect("exit follows enter");
-                new_end_at[rel] = (at + new_node_of.len()) as u32;
-                return;
-            }
-            let rel = new_node_of.len();
-            open.push(rel);
-            new_node_of.push(node.index() as u32);
-            let label = universe.intern(doc.label(node));
-            by_label.entry(label).or_default().push((at + rel) as u32);
-            new_label_at.push(label);
-            new_kind_at.push(doc.kind(node));
-            new_value_at.push(match doc.text_value(node) {
-                Some(text) => self.intern_value(text),
-                None => NO_VALUE,
-            });
-            new_end_at.push(0u32);
-        });
-        let k = new_node_of.len() as u32;
-
-        // Ancestor ranges grow; their positions (< at) don't move.
-        let mut anc = Some(parent);
-        while let Some(a) = anc {
-            self.end_at[self.dfs_of[a.index()] as usize] += k;
-            anc = doc.parent(a);
-        }
-        // Postings: shift positions at or after the splice point up, then
-        // merge in the new subtree's positions (contiguous in [at, at+k)).
-        let atu = at as u32;
-        for list in &mut self.postings {
-            let lo = list.partition_point(|&x| x < atu);
-            for x in &mut list[lo..] {
-                *x += k;
-            }
-        }
-        self.postings.resize(universe.len(), Vec::new());
-        for (label, positions) in by_label {
-            let list = &mut self.postings[label.index()];
-            let lo = list.partition_point(|&x| x < atu);
-            list.splice(lo..lo, positions);
-        }
-        // Splice the columnar range and renumber from the splice point on.
-        self.node_of.splice(at..at, new_node_of);
-        self.label_at.splice(at..at, new_label_at);
-        self.kind_at.splice(at..at, new_kind_at);
-        self.value_at.splice(at..at, new_value_at);
-        self.end_at.splice(at..at, new_end_at);
-        for end in &mut self.end_at[at + k as usize..] {
-            *end += k;
-        }
+    /// Indexes the subtree rooted at `root`, a child of `parent` (`None`
+    /// for the document root), into positions `at..at + k` in one DFS
+    /// pass: positions from `at` on shift up by the subtree's size `k`,
+    /// and the subtree ranges of `parent` and its ancestors grow by it.
+    /// Labels are interned once per document label slot, in document
+    /// order, so the order of the document's label table never shows.
+    ///
+    /// The new nodes are appended to the columns and posting lists with
+    /// their final positions and then rotated into place, which moves
+    /// nothing when the suffix is empty (a build).
+    fn graft(
+        &mut self,
+        doc: &Document,
+        parent: Option<NodeId>,
+        at: usize,
+        root: NodeId,
+        universe: &mut LabelUniverse,
+    ) {
+        let old = self.node_of.len();
+        // The document has grown by the subtree since the index was current.
+        let room = doc.len().saturating_sub(old);
+        self.node_of.reserve(room);
+        self.label_at.reserve(room);
+        self.kind_at.reserve(room);
+        self.value_at.reserve(room);
+        self.end_at.reserve(room);
+        let old_postings: Vec<usize> = self.postings.iter().map(Vec::len).collect();
         if self.dfs_of.len() < doc.arena_len() {
             self.dfs_of.resize(doc.arena_len(), 0);
         }
-        for i in at..self.node_of.len() {
+        {
+            // A `move` closure over one pointer to the index, not one
+            // reference per column: measurably faster per node.
+            let (index, universe) = (&mut *self, &mut *universe);
+            // Column index minus position while the subtree is appended.
+            let lag = old - at;
+            // Document label slot → universe id, filled on first sight.
+            let mut slot_ids: Vec<Option<LabelId>> = vec![None; doc.label_slots()];
+            doc.walk(root, move |visit, node| {
+                let pos = (index.node_of.len() - lag) as u32;
+                if visit == Visit::Exit {
+                    let start = index.dfs_of[node.index()] as usize;
+                    index.end_at[start + lag] = pos;
+                    return;
+                }
+                index.dfs_of[node.index()] = pos;
+                index.node_of.push(node.index() as u32);
+                let slot = doc.label_slot(node);
+                let label =
+                    *slot_ids[slot].get_or_insert_with(|| universe.intern(doc.slot_label(slot)));
+                if index.postings.len() <= label.index() {
+                    index.postings.resize(label.index() + 1, Vec::new());
+                }
+                index.postings[label.index()].push(pos);
+                index.label_at.push(label);
+                index.kind_at.push(doc.kind(node));
+                index.value_at.push(match doc.text_value(node) {
+                    Some(text) => intern_value(&mut index.values, text),
+                    None => NO_VALUE,
+                });
+                index.end_at.push(0);
+            });
+        }
+        let k = self.node_of.len() - old;
+        let grow = k as u32;
+        // Labels interned after the document's (by later probe
+        // compilation) get empty postings, so the common case is a direct
+        // index.
+        self.postings.resize(universe.len(), Vec::new());
+        for (label, list) in self.postings.iter_mut().enumerate() {
+            let before = old_postings.get(label).copied().unwrap_or(0);
+            let added = list.len() - before;
+            let lo = list[..before].partition_point(|&x| (x as usize) < at);
+            for x in &mut list[lo..before] {
+                *x += grow;
+            }
+            list[lo..].rotate_right(added);
+        }
+        self.node_of[at..].rotate_right(k);
+        self.label_at[at..].rotate_right(k);
+        self.kind_at[at..].rotate_right(k);
+        self.value_at[at..].rotate_right(k);
+        self.end_at[at..].rotate_right(k);
+        self.shift_suffix(doc, parent, at + k, |end| end + grow);
+    }
+
+    /// The step an insert and a removal share once the columns hold their
+    /// new contents: moves the subtree ends of `parent` and its ancestors
+    /// and of every position from `from` on by `shift`, and renumbers
+    /// `dfs_of` from `from` on.
+    fn shift_suffix(
+        &mut self,
+        doc: &Document,
+        parent: Option<NodeId>,
+        from: usize,
+        shift: impl Fn(u32) -> u32,
+    ) {
+        // Ancestors sit before the edit point, so their positions stay.
+        let mut anc = parent;
+        while let Some(a) = anc {
+            let end = &mut self.end_at[self.dfs_of[a.index()] as usize];
+            *end = shift(*end);
+            anc = doc.parent(a);
+        }
+        for end in &mut self.end_at[from..] {
+            *end = shift(*end);
+        }
+        for i in from..self.node_of.len() {
             self.dfs_of[self.node_of[i] as usize] = i as u32;
+        }
+    }
+}
+
+/// Looks up or appends the id of a text value.  Ids are never recycled.
+/// Always inlined: a call per node measurably slows [`DocIndex::build`].
+#[inline(always)]
+fn intern_value(values: &mut HashMap<String, u32>, text: &str) -> u32 {
+    match values.get(text) {
+        Some(&id) => id,
+        None => {
+            let id = values.len() as u32;
+            values.insert(text.to_string(), id);
+            id
         }
     }
 }
@@ -521,6 +508,11 @@ mod tests {
             .build()
     }
 
+    /// The node at every position, in position order.
+    fn nodes_in_order(index: &DocIndex) -> Vec<NodeId> {
+        (0..index.len() as u32).map(|p| index.node_at(p)).collect()
+    }
+
     #[test]
     fn numbering_matches_document_order() {
         let doc = tiny();
@@ -528,7 +520,7 @@ mod tests {
         let index = DocIndex::build(&doc, &mut u);
         assert_eq!(index.len(), doc.len());
         assert!(!index.is_empty());
-        let in_order: Vec<NodeId> = index.nodes_in_document_order().collect();
+        let in_order = nodes_in_order(&index);
         assert_eq!(in_order, doc.all_nodes());
         for (rank, &node) in in_order.iter().enumerate() {
             assert_eq!(index.position(node), rank as u32);
@@ -547,7 +539,7 @@ mod tests {
         let mut u = LabelUniverse::new();
         let index = DocIndex::build(&doc, &mut u);
         assert!(index.position(c) < index.position(b));
-        let in_order: Vec<NodeId> = index.nodes_in_document_order().collect();
+        let in_order = nodes_in_order(&index);
         assert_eq!(in_order, vec![doc.root(), a, c, b]);
         assert_eq!(in_order, doc.all_nodes());
     }
@@ -629,62 +621,92 @@ mod tests {
         }
     }
 
-    /// Asserts that a patched index answers every observable question the
-    /// way a fresh build over the same (already extended) universe does.
-    /// Text-value ids are compared as equivalence classes: the patched
-    /// index may retain ids for values no longer present, but two live
-    /// nodes must share an id iff a fresh build gives them a shared id.
-    fn assert_matches_fresh(doc: &Document, index: &DocIndex, universe: &LabelUniverse) {
-        index.debug_assert_current(doc);
-        let mut u = universe.clone();
-        let fresh = DocIndex::build(doc, &mut u);
-        assert_eq!(index.len(), fresh.len());
-        assert_eq!(index.len(), doc.len());
-        let order: Vec<NodeId> = index.nodes_in_document_order().collect();
-        let fresh_order: Vec<NodeId> = fresh.nodes_in_document_order().collect();
-        assert_eq!(order, fresh_order, "document-order numbering");
-        let mut incr_to_fresh: std::collections::HashMap<u32, u32> = Default::default();
-        let mut fresh_to_incr: std::collections::HashMap<u32, u32> = Default::default();
-        for (pos, &node) in order.iter().enumerate() {
-            let pos = pos as u32;
-            assert_eq!(index.position(node), pos);
-            assert_eq!(index.node_at(pos), node);
-            assert_eq!(
-                index.subtree_end(pos),
-                fresh.subtree_end(pos),
-                "end at {pos}"
-            );
-            assert_eq!(index.label_at(pos), fresh.label_at(pos), "label at {pos}");
-            assert_eq!(index.kind_at(pos), fresh.kind_at(pos), "kind at {pos}");
-            let children: Vec<u32> = index.children_at(pos).collect();
-            let fresh_children: Vec<u32> = fresh.children_at(pos).collect();
-            assert_eq!(children, fresh_children, "children at {pos}");
-            match (index.value_id_at(pos), fresh.value_id_at(pos)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(
-                        *incr_to_fresh.entry(a).or_insert(b),
-                        b,
-                        "value-id classes diverge at {pos}"
-                    );
-                    assert_eq!(
-                        *fresh_to_incr.entry(b).or_insert(a),
-                        a,
-                        "value-id classes diverge at {pos}"
-                    );
+    /// What an index of `doc` must hold, read off the `Document` alone by
+    /// recursion over [`Document::children`] (not [`Document::walk`], which
+    /// the index build shares): per pre-order rank the node, its subtree
+    /// end, label and text, and per label its ranks.
+    #[derive(Default)]
+    struct Oracle<'d> {
+        order: Vec<NodeId>,
+        end: Vec<u32>,
+        labels: Vec<&'d str>,
+        values: Vec<Option<&'d str>>,
+        postings: HashMap<&'d str, Vec<u32>>,
+    }
+
+    impl<'d> Oracle<'d> {
+        fn of(doc: &'d Document) -> Self {
+            fn visit<'d>(doc: &'d Document, node: NodeId, o: &mut Oracle<'d>) {
+                let rank = o.order.len();
+                o.order.push(node);
+                o.end.push(0);
+                o.labels.push(doc.label(node));
+                o.values.push(doc.text_value(node));
+                o.postings
+                    .entry(doc.label(node))
+                    .or_default()
+                    .push(rank as u32);
+                for c in doc.children(node) {
+                    visit(doc, c, o);
                 }
-                (a, b) => panic!("value presence diverges at {pos}: {a:?} vs {b:?}"),
+                o.end[rank] = o.order.len() as u32;
+            }
+            let mut o = Oracle::default();
+            visit(doc, doc.root(), &mut o);
+            o
+        }
+    }
+
+    /// Asserts that `index` answers every observable question about `doc`
+    /// the way the [`Oracle`] does.  Text-value ids are compared as
+    /// equivalence classes: two live nodes share an id iff their texts
+    /// are equal.
+    fn assert_matches_oracle(doc: &Document, index: &DocIndex, universe: &LabelUniverse) {
+        let o = Oracle::of(doc);
+        assert_eq!(index.len(), o.order.len(), "node count");
+        let mut text_of: HashMap<u32, &str> = HashMap::new();
+        let mut id_of: HashMap<&str, u32> = HashMap::new();
+        for (pos, &node) in o.order.iter().enumerate() {
+            let pos = pos as u32;
+            assert_eq!(index.node_at(pos), node, "node at {pos}");
+            assert_eq!(index.position(node), pos, "position of {node}");
+            assert_eq!(index.subtree_end(pos), o.end[pos as usize], "end at {pos}");
+            let label = universe.name(index.label_at(pos));
+            assert_eq!(label, o.labels[pos as usize], "label at {pos}");
+            assert_eq!(index.kind_at(pos), doc.kind(node), "kind at {pos}");
+            match (index.value_id_at(pos), o.values[pos as usize]) {
+                (None, None) => {}
+                (Some(id), Some(text)) => {
+                    assert_eq!(*text_of.entry(id).or_insert(text), text, "value at {pos}");
+                    assert_eq!(*id_of.entry(text).or_insert(id), id, "value at {pos}");
+                }
+                (id, text) => panic!("value presence diverges at {pos}: {id:?} vs {text:?}"),
             }
         }
-        for id in 0..u.len() {
-            let label = LabelId(id as u32);
+        for (id, name) in universe.names().iter().enumerate() {
+            let want = o.postings.get(name.as_str()).map_or(&[][..], Vec::as_slice);
             assert_eq!(
-                index.postings(label),
-                fresh.postings(label),
-                "postings for {}",
-                u.name(label)
+                index.postings(LabelId(id as u32)),
+                want,
+                "postings for {name}"
             );
         }
+    }
+
+    /// Asserts that a patched index and a fresh build over the same
+    /// (already extended) universe both match the [`Oracle`], and so
+    /// answer every observable question alike.
+    fn assert_matches_fresh(doc: &Document, index: &DocIndex, universe: &LabelUniverse) {
+        index.debug_assert_current(doc);
+        assert_matches_oracle(doc, index, universe);
+        let mut u = universe.clone();
+        let fresh = DocIndex::build(doc, &mut u);
+        assert_eq!(
+            u.len(),
+            universe.len(),
+            "the patched index knew every label"
+        );
+        assert_matches_oracle(doc, &fresh, &u);
     }
 
     #[test]
@@ -893,7 +915,10 @@ mod tests {
             let three = DocIndex::build(&doc, &mut shared);
             let four = DocIndex::build(&copy, &mut shared);
             prop_assert_eq!(shared.names(), u1.names());
-            prop_assert_eq!(one.len(), doc.len());
+            assert_matches_oracle(&doc, &one, &u1);
+            assert_matches_oracle(&copy, &two, &u2);
+            assert_matches_oracle(&doc, &three, &shared);
+            assert_matches_oracle(&copy, &four, &shared);
             for index in [&two, &three, &four] {
                 prop_assert_eq!(index.len(), one.len());
                 for pos in 0..one.len() as u32 {

@@ -40,14 +40,14 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
                     }
                     Some(d) => {
                         let parent = *open.last().expect("nested element has an open parent");
-                        d.append_parsed(parent, NodeKind::Element, name, "")
+                        d.append(parent, NodeKind::Element, name, "")
                     }
                 };
                 open.push(id);
             }
             StreamEvent::Attribute { name, value } => {
                 let owner = *open.last().expect("attribute follows an open element");
-                doc.as_mut().expect("document exists").append_parsed(
+                doc.as_mut().expect("document exists").append(
                     owner,
                     NodeKind::Attribute,
                     name,
@@ -56,12 +56,9 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
             }
             StreamEvent::Text { value } => {
                 let parent = *open.last().expect("text occurs inside an open element");
-                doc.as_mut().expect("document exists").append_parsed(
-                    parent,
-                    NodeKind::Text,
-                    "S",
-                    &value,
-                );
+                doc.as_mut()
+                    .expect("document exists")
+                    .append(parent, NodeKind::Text, "S", &value);
             }
             StreamEvent::EndElement => {
                 open.pop().expect("end event closes an open element");
