@@ -59,27 +59,27 @@ pub fn identity_rule(schema: &RelationSchema) -> TableRule {
     parse_single_rule(&text).expect("the identity rule is well-formed by construction")
 }
 
-/// The XML encoding of a relational tuple set used by the identity mapping,
-/// for illustration in examples and tests.
-pub fn encode_relation_as_xml(relation: &xmlprop_reldb::Relation) -> xmlprop_xmltree::Document {
-    let mut doc = xmlprop_xmltree::Document::new("db");
-    let root = doc.root();
-    for row in relation.rows() {
-        let row_node = doc.add_element(root, relation.schema().name());
-        for (attr, value) in relation.schema().attributes().iter().zip(row.values()) {
-            if let Some(text) = value.as_text() {
-                let cell = doc.add_element(row_node, attr.clone());
-                doc.add_text(cell, text);
-            }
-        }
-    }
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xmlprop_reldb::{Relation, RelationSchema, Value};
+
+    /// The XML encoding of a relational tuple set used by the identity
+    /// mapping.
+    fn encode_relation_as_xml(relation: &Relation) -> xmlprop_xmltree::Document {
+        let mut doc = xmlprop_xmltree::Document::new("db");
+        let root = doc.root();
+        for row in relation.rows() {
+            let row_node = doc.add_element(root, relation.schema().name());
+            for (attr, value) in relation.schema().attributes().iter().zip(row.values()) {
+                if let Some(text) = value.as_text() {
+                    let cell = doc.add_element(row_node, attr.clone());
+                    doc.add_text(cell, text);
+                }
+            }
+        }
+        doc
+    }
 
     #[test]
     fn identity_rule_roundtrips_a_relation() {

@@ -16,6 +16,7 @@ use crate::plan::{JoinKind, Plan};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use xmlprop_pipeline::Error;
 use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
+use xmlprop_xmltree::FoldState;
 
 /// A relation hashed on a key: `key values -> row indices`, in row order.
 ///
@@ -29,14 +30,14 @@ use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
 pub struct KeyedTable<'a> {
     rows: &'a [Vec<Value>],
     key: Vec<usize>,
-    buckets: HashMap<Vec<Value>, Vec<usize>>,
+    buckets: HashMap<Vec<Value>, Vec<usize>, FoldState>,
 }
 
 impl<'a> KeyedTable<'a> {
     /// Builds the index over `rows`, keyed on the attribute positions in
     /// `key`.
     pub fn build(rows: &'a [Vec<Value>], key: Vec<usize>) -> Self {
-        let mut buckets: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut buckets: HashMap<Vec<Value>, Vec<usize>, FoldState> = HashMap::default();
         for (i, row) in rows.iter().enumerate() {
             if key.iter().any(|&k| row[k].is_null()) {
                 continue;
@@ -73,7 +74,7 @@ fn load(db: &Database, name: &str, arity: usize) -> Result<Vec<Vec<Value>>, Erro
             relation.schema().arity()
         )));
     }
-    let mut seen = HashSet::with_capacity(relation.len());
+    let mut seen = HashSet::with_capacity_and_hasher(relation.len(), FoldState::default());
     Ok(relation
         .rows()
         .filter(|row| seen.insert(*row))

@@ -3,6 +3,7 @@
 use crate::{Fd, RelationSchema, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use xmlprop_xmltree::FoldState;
 
 /// A tuple: one value per attribute of the owning relation's schema, in
 /// schema order.
@@ -284,7 +285,7 @@ impl Relation {
     /// `DISTINCT` could never remove it, yet SQL (and this engine) still
     /// collapse repeated `NULL` rows when deduplicating.
     pub fn distinct(&self) -> Relation {
-        let mut seen = HashSet::with_capacity(self.len);
+        let mut seen = HashSet::with_capacity_and_hasher(self.len, FoldState::default());
         let mut out = Relation {
             dict: self.dict.clone(),
             ..Relation::new(self.schema.clone())

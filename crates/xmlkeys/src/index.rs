@@ -29,18 +29,18 @@
 //! (Definition 2.1): [`KeyIndex::index_document`] builds a
 //! [`xmlprop_xmltree::DocIndex`] against the shared universe, and
 //! [`KeyIndex::violations`] / [`KeyIndex::satisfies`] check every key of Σ
-//! over it with compiled path evaluation and hashed interned-value key
+//! over it with compiled path evaluation and arena-interned value-id key
 //! tuples; the one-shot [`crate::satisfies`] / [`crate::violations`] run
 //! it too.
 
 use crate::satisfy::Violation;
 use crate::{KeySet, XmlKey};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use xmlprop_xmlpath::{
     CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse, PathCompiler, PathExpr,
 };
-use xmlprop_xmltree::{DocIndex, Document};
+use xmlprop_xmltree::{DocIndex, Document, SliceInterner};
 
 /// One key of Σ in compiled form.
 #[derive(Debug, Clone)]
@@ -384,9 +384,10 @@ impl KeyIndex {
     ///
     /// All keys are validated in a single pass of prepared machinery: the
     /// compiled context/target expressions evaluate over the `DocIndex`
-    /// (document order, no `BTreeSet`s), key tuples are compared as hashed
-    /// interned-value id vectors instead of `BTreeMap<Vec<String>, _>`
-    /// lookups, and all scratch state is reused across contexts and keys.
+    /// (document order, no `BTreeSet`s), key tuples of interned-value ids
+    /// are interned into one reused arena instead of
+    /// `BTreeMap<Vec<String>, _>` lookups, and all scratch state is reused
+    /// across contexts and keys.
     pub fn violations(&self, doc: &Document, index: &DocIndex) -> Vec<Violation> {
         index.debug_assert_current(doc);
         let mut out = Vec::new();
@@ -472,6 +473,7 @@ impl KeyIndex {
             &mut scratch.targets,
         );
         scratch.seen.clear();
+        scratch.first.clear();
         for &target_pos in &scratch.targets {
             let target = index.node_at(target_pos);
             scratch.tuple.clear();
@@ -505,22 +507,20 @@ impl KeyIndex {
             }
             // Condition (2): no two distinct targets under this context
             // agree on the whole key tuple.
-            match scratch.seen.get(&scratch.tuple) {
-                Some(&first_pos) => {
-                    found = true;
-                    match out.as_deref_mut() {
-                        Some(sink) => sink.push(Violation::DuplicateKeyValue {
-                            context,
-                            first: index.node_at(first_pos),
-                            second: target,
-                            values: self.tuple_strings(key, doc, index, target_pos),
-                        }),
-                        None => return true,
-                    }
-                }
-                None => {
-                    scratch.seen.insert(scratch.tuple.clone(), target_pos);
-                }
+            let (id, new) = scratch.seen.intern(&scratch.tuple);
+            if new {
+                scratch.first.push(target_pos);
+                continue;
+            }
+            found = true;
+            match out.as_deref_mut() {
+                Some(sink) => sink.push(Violation::DuplicateKeyValue {
+                    context,
+                    first: index.node_at(scratch.first[id as usize]),
+                    second: target,
+                    values: self.tuple_strings(key, doc, index, target_pos),
+                }),
+                None => return true,
             }
         }
         found
@@ -551,15 +551,17 @@ impl KeyIndex {
 }
 
 /// Reusable scratch state for the validation walk: frontier vectors for
-/// context/target evaluation, the current value tuple, and the
-/// tuple → first-target hash map of condition (2).
+/// context/target evaluation, the current value tuple, and the tuple
+/// table of condition (2) — an interner, so a tuple seen before costs no
+/// allocation, plus the first target position of each tuple id.
 #[derive(Debug, Default)]
 pub(crate) struct ValidateScratch {
     pub(crate) eval: EvalScratch,
     pub(crate) contexts: Vec<u32>,
     targets: Vec<u32>,
     tuple: Vec<u32>,
-    seen: HashMap<Vec<u32>, u32>,
+    seen: SliceInterner<u32>,
+    first: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -773,8 +775,8 @@ pub(crate) mod validation_proptests {
                     elements.push(doc.add_element(parent, label));
                 }
                 2 => {
-                    let name = ["x", "y"][which as usize % 2];
-                    let value = ["0", "1", "2"][which as usize % 3];
+                    let name = ["x", "y", "z"][which as usize % 3];
+                    let value = ["0", "1"][which as usize % 2];
                     doc.add_attribute(parent, name, value);
                 }
                 _ => {
@@ -786,8 +788,8 @@ pub(crate) mod validation_proptests {
     }
 
     /// Random keys over the labels of [`build_doc`]: element, attribute
-    /// (`@x`) and text (`S`) targets, `//` contexts and contexts that nest
-    /// in one another.
+    /// (`@x`) and text (`S`) targets, `//` contexts, contexts that nest
+    /// in one another, and up to three key attributes.
     pub(crate) fn key_strategy() -> impl Strategy<Value = XmlKey> {
         let seg = prop_oneof![Just("a"), Just("b"), Just("c")];
         (
@@ -795,7 +797,7 @@ pub(crate) mod validation_proptests {
             prop_oneof![Just(true), Just(false)],
             prop::collection::vec(seg, 0..3),
             prop_oneof![Just(None), Just(Some("@x")), Just(Some("S"))],
-            prop::collection::vec(prop_oneof![Just("x"), Just("y")], 0..3),
+            prop::collection::vec(prop_oneof![Just("x"), Just("y"), Just("z")], 0..4),
         )
             .prop_map(|(ctx, ctx_desc, tgt, leaf, attrs)| {
                 let mut context = PathExpr::epsilon();

@@ -28,7 +28,7 @@ use crate::index::KeyIndex;
 use crate::satisfy::Violation;
 use std::collections::HashMap;
 use xmlprop_xmlpath::{LabelId, MatchState, PathTooLong, StreamMatcher};
-use xmlprop_xmltree::{NodeId, ParseError, StreamEvent, StreamParser};
+use xmlprop_xmltree::{FoldState, NodeId, ParseError, StreamEvent, StreamParser};
 
 /// Per-key compiled machinery plus live matching state.
 #[derive(Debug)]
@@ -57,7 +57,7 @@ struct OpenContext {
     /// context; `target_states[0]` is the start state at the context node.
     target_states: Vec<MatchState>,
     /// Condition (2): complete key tuple → first target carrying it.
-    seen: HashMap<Vec<String>, NodeId>,
+    seen: HashMap<Vec<String>, NodeId, FoldState>,
     /// Violations under this context, tagged with the target node for the
     /// final stable sort into document order.
     violations: Vec<(NodeId, Violation)>,
@@ -286,7 +286,7 @@ impl<'a> StreamKeyChecker<'a> {
                     seq: key.next_seq,
                     depth: self.depth,
                     target_states: vec![start],
-                    seen: HashMap::new(),
+                    seen: HashMap::default(),
                     violations: Vec::new(),
                 });
                 key.next_seq += 1;

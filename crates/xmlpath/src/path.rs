@@ -66,12 +66,6 @@ impl Path {
     pub fn matches(&self, expr: &PathExpr) -> bool {
         expr.matches(self)
     }
-
-    /// Converts the concrete path into the (wildcard-free) path expression
-    /// defining exactly this path.
-    pub fn to_expr(&self) -> PathExpr {
-        PathExpr::from_labels(self.labels.iter().cloned())
-    }
 }
 
 impl fmt::Display for Path {
@@ -87,6 +81,15 @@ impl fmt::Display for Path {
 impl From<Vec<String>> for Path {
     fn from(labels: Vec<String>) -> Self {
         Path { labels }
+    }
+}
+
+#[cfg(test)]
+impl Path {
+    /// Converts the concrete path into the (wildcard-free) path expression
+    /// defining exactly this path.
+    fn to_expr(&self) -> PathExpr {
+        PathExpr::from_labels(self.labels.iter().cloned())
     }
 }
 

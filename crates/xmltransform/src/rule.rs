@@ -246,11 +246,6 @@ impl TableRule {
         self.field_rule(field).map(|fr| fr.var.as_str())
     }
 
-    /// The mapping defining `var`, if it is not the root.
-    pub fn mapping_of(&self, var: &str) -> Option<&VarMapping> {
-        self.mappings.iter().find(|m| m.var == var)
-    }
-
     /// The table tree of this rule (Fig. 3/4 of the paper).
     pub fn table_tree(&self) -> TableTree {
         TableTree::from_rule(self)
@@ -382,6 +377,14 @@ impl fmt::Display for Transformation {
             writeln!(f, "{rule}")?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl TableRule {
+    /// The mapping defining `var`, if it is not the root.
+    pub(crate) fn mapping_of(&self, var: &str) -> Option<&VarMapping> {
+        self.mappings.iter().find(|m| m.var == var)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The arena-backed XML document.
 
 use crate::delta::{AppliedDelta, Delta, DeltaError, Fragment};
+use crate::hash::FoldState;
 use crate::node::{link, NodeData, NodeId, NodeKind, NONE};
 use crate::ParseError;
 use std::collections::HashMap;
@@ -785,9 +786,9 @@ struct LabelTable {
     /// Slot → label (attribute labels with their `@`).
     names: Vec<Box<str>>,
     /// Element and text labels → slot.
-    plain: HashMap<Box<str>, u32>,
+    plain: HashMap<Box<str>, u32, FoldState>,
     /// Attribute names without the `@` → slot.
-    attrs: HashMap<Box<str>, u32>,
+    attrs: HashMap<Box<str>, u32, FoldState>,
 }
 
 impl LabelTable {

@@ -36,10 +36,10 @@
 
 use crate::delta::AppliedDelta;
 use crate::document::Visit;
+use crate::hash::SliceInterner;
 use crate::labels::{LabelId, LabelUniverse};
 use crate::node::NodeKind;
 use crate::{Document, NodeId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel for "node carries no text value" (elements).
@@ -65,11 +65,12 @@ pub struct DocIndex {
     value_at: Vec<u32>,
     /// Label id → DFS positions of nodes carrying it, ascending.
     postings: Vec<Vec<u32>>,
-    /// Text value → id.  Owned (not borrow-only) so that
-    /// [`DocIndex::apply_delta`] can intern values of edited/inserted
-    /// nodes consistently; ids are append-only and never recycled, so a
-    /// value that disappears from the document keeps its id.
-    values: HashMap<String, u32>,
+    /// Text value → id: each distinct value's bytes once, in one arena,
+    /// so [`DocIndex::apply_delta`] interns the values of edited and
+    /// inserted nodes into the same numbering.  Ids are append-only and
+    /// never recycled, so a value that disappears from the document keeps
+    /// its id.
+    values: SliceInterner<u8>,
     /// [`Document::epoch`] the index is current for.
     epoch: u64,
     /// See [`DocIndex::build_id`].
@@ -95,7 +96,7 @@ impl DocIndex {
             kind_at: Vec::new(),
             value_at: Vec::new(),
             postings: Vec::new(),
-            values: HashMap::new(),
+            values: SliceInterner::default(),
             epoch: doc.epoch(),
             build: BUILDS.fetch_add(1, Ordering::Relaxed),
         };
@@ -270,7 +271,7 @@ impl DocIndex {
                 let text = doc
                     .text_value(node)
                     .expect("SetText targets carry a text value");
-                self.value_at[pos] = intern_value(&mut self.values, text);
+                self.value_at[pos] = self.values.intern(text.as_bytes()).0;
             }
             AppliedDelta::Remove { parent, root, .. } => self.remove_range(doc, parent, root),
             AppliedDelta::Insert {
@@ -398,7 +399,7 @@ impl DocIndex {
                 index.label_at.push(label);
                 index.kind_at.push(doc.kind(node));
                 index.value_at.push(match doc.text_value(node) {
-                    Some(text) => intern_value(&mut index.values, text),
+                    Some(text) => index.values.intern(text.as_bytes()).0,
                     None => NO_VALUE,
                 });
                 index.end_at.push(0);
@@ -454,20 +455,6 @@ impl DocIndex {
     }
 }
 
-/// Looks up or appends the id of a text value.  Ids are never recycled.
-/// Always inlined: a call per node measurably slows [`DocIndex::build`].
-#[inline(always)]
-fn intern_value(values: &mut HashMap<String, u32>, text: &str) -> u32 {
-    match values.get(text) {
-        Some(&id) => id,
-        None => {
-            let id = values.len() as u32;
-            values.insert(text.to_string(), id);
-            id
-        }
-    }
-}
-
 /// Iterator over the child positions of a node; see
 /// [`DocIndex::children_at`].
 #[derive(Debug, Clone)]
@@ -496,6 +483,7 @@ impl Iterator for ChildPositions<'_> {
 mod tests {
     use super::*;
     use crate::{Delta, DeltaError, ElementBuilder, Fragment};
+    use std::collections::HashMap;
 
     fn tiny() -> Document {
         ElementBuilder::new("db")

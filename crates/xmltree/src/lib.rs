@@ -66,6 +66,7 @@ mod builder;
 mod delta;
 mod document;
 mod error;
+mod hash;
 mod index;
 mod labels;
 mod node;
@@ -78,6 +79,7 @@ pub use builder::ElementBuilder;
 pub use delta::{AppliedDelta, Delta, DeltaError, Fragment};
 pub use document::Document;
 pub use error::ParseError;
+pub use hash::{FoldHasher, FoldState, SliceInterner};
 pub use index::{ChildPositions, DocIndex};
 pub use labels::{LabelId, LabelUniverse};
 pub use node::{NodeId, NodeKind};
