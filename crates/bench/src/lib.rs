@@ -286,7 +286,7 @@ fn fig7a(quick: bool) -> Vec<Row> {
             FIG7A_DEPTH.min(fields),
             FIG7A_KEYS,
         ));
-        let engine = PropagationEngine::new(&w.sigma, &w.universal);
+        let engine = PropagationEngine::prepare(&w.sigma, &w.universal);
         let mut facade = || {
             black_box(minimum_cover(&w.sigma, &w.universal));
         };
@@ -364,7 +364,7 @@ fn probe_fds(w: &Workload, extra: usize, salt: u64) -> Vec<Fd> {
 /// engine, and `GminimumCover` (including its minimum cover).
 fn propagation_rows(figure: &str, n: usize, w: &Workload) -> Vec<Row> {
     let probes = probe_fds(w, 4, 0xfd);
-    let engine = PropagationEngine::new(&w.sigma, &w.universal);
+    let engine = PropagationEngine::prepare(&w.sigma, &w.universal);
     let facade = || {
         probes
             .iter()
@@ -595,7 +595,7 @@ fn prepared(quick: bool) -> Vec<Row> {
             .map(|fd| propagation(&w.sigma, &w.universal, fd))
             .collect::<Vec<_>>()
     };
-    let prepared = || PropagationEngine::new(&w.sigma, &w.universal).propagate_all(&probes);
+    let prepared = || PropagationEngine::prepare(&w.sigma, &w.universal).propagate_all(&probes);
     let stats = measure(
         || assert_eq!(facade(), prepared(), "batch propagation disagreement"),
         &mut [
@@ -729,7 +729,7 @@ fn stream(quick: bool) -> Vec<Row> {
         let (w, doc, nodes) = grid_document(point);
         let text = to_xml(&doc);
         drop(doc); // the streaming side must stand on the text alone
-        let bundle = CorpusBundle::new(w.sigma.clone(), universal_transformation(&w));
+        let bundle = CorpusBundle::prepare(w.sigma.clone(), universal_transformation(&w));
         let options = |shred: bool, stream: bool| CorpusOptions {
             jobs: Jobs::default(),
             shred,
@@ -812,7 +812,7 @@ fn corpus_setup(quick: bool) -> (CorpusBundle, Vec<Document>) {
         "full corpus must exceed 100k nodes, got {}",
         report.total_nodes
     );
-    let bundle = CorpusBundle::new(w.sigma.clone(), universal_transformation(&w));
+    let bundle = CorpusBundle::prepare(w.sigma.clone(), universal_transformation(&w));
     (bundle, docs)
 }
 

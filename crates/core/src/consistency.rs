@@ -114,7 +114,7 @@ where
         // One prepared engine and one borrowed slice of the key serve every
         // probe; the FDs the report carries are only materialized per
         // checked attribute.
-        let engine = PropagationEngine::new(sigma, rule);
+        let engine = PropagationEngine::prepare(sigma, rule);
         let key_fields: Vec<&str> = key.iter().map(String::as_str).collect();
         for attr in rule.schema().attributes() {
             if key.contains(attr) {

@@ -69,21 +69,15 @@ pub struct PropagationEngine {
 }
 
 impl PropagationEngine {
-    /// Prepares Σ and the rule's table tree for repeated queries.
-    pub fn new(sigma: &KeySet, rule: &TableRule) -> Self {
+    /// Prepares Σ and the rule's table tree for repeated queries.  Spelled
+    /// like [`xmlprop_xmlkeys::KeySet::prepare`] and
+    /// [`xmlprop_xmltransform::Transformation::prepare`]: every compiled
+    /// layer names its one-time preparation the same way.
+    pub fn prepare(sigma: &KeySet, rule: &TableRule) -> Self {
         Self::from_owned(sigma.clone(), rule.clone())
     }
 
-    /// The `prepare`-shaped constructor, matching
-    /// [`xmlprop_xmlkeys::KeySet::prepare`] and
-    /// [`xmlprop_xmltransform::Transformation::prepare`]: every compiled
-    /// layer spells its one-time preparation the same way.  Identical to
-    /// [`PropagationEngine::new`].
-    pub fn prepare(sigma: &KeySet, rule: &TableRule) -> Self {
-        Self::new(sigma, rule)
-    }
-
-    /// Like [`PropagationEngine::new`] but takes ownership of the key set
+    /// Like [`PropagationEngine::prepare`] but takes ownership of the key set
     /// and rule, avoiding the clones.
     pub fn from_owned(sigma: KeySet, rule: TableRule) -> Self {
         let tree = rule.table_tree();
@@ -543,7 +537,7 @@ mod tests {
     fn engine_answers_the_example_4_2_probes() {
         let sigma = example_2_1_keys();
         let t = example_2_4_transformation();
-        let engine = PropagationEngine::new(&sigma, t.rule("book").unwrap());
+        let engine = PropagationEngine::prepare(&sigma, t.rule("book").unwrap());
         assert!(engine.propagation(&fd("isbn -> contact")));
         assert!(!engine.propagation(&fd("title -> isbn")));
         let outcome = &engine.propagation_explained(&fd("isbn -> contact"))[0];
@@ -558,7 +552,7 @@ mod tests {
     fn batch_propagation_matches_single_calls() {
         let sigma = example_2_1_keys();
         let u = example_3_1_universal();
-        let engine = PropagationEngine::new(&sigma, &u);
+        let engine = PropagationEngine::prepare(&sigma, &u);
         let probes = vec![
             fd("bookIsbn -> bookTitle"),
             fd("bookIsbn -> bookAuthor"),
@@ -575,7 +569,7 @@ mod tests {
     fn engine_minimum_cover_matches_example_3_1() {
         let sigma = example_2_1_keys();
         let u = example_3_1_universal();
-        let engine = PropagationEngine::new(&sigma, &u);
+        let engine = PropagationEngine::prepare(&sigma, &u);
         let (cover, stats) = engine.minimum_cover_with_stats();
         assert_eq!(cover.len(), 4);
         assert_eq!(stats.cover_size, 4);

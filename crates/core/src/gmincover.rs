@@ -164,7 +164,7 @@ mod tests {
     fn from_engine_shares_the_prepared_state() {
         let sigma = example_2_1_keys();
         let u = example_3_1_universal();
-        let engine = PropagationEngine::new(&sigma, &u);
+        let engine = PropagationEngine::prepare(&sigma, &u);
         let g = GMinimumCover::from_engine(engine);
         assert_eq!(g.cover().len(), 4);
         assert!(g.check(&fd("bookIsbn -> bookTitle")));

@@ -53,12 +53,12 @@ pub struct CoverStats {
 /// Computes a minimum cover of all the FDs propagated from `sigma` onto the
 /// universal relation defined by `rule`.
 pub fn minimum_cover(sigma: &KeySet, rule: &TableRule) -> Vec<Fd> {
-    PropagationEngine::new(sigma, rule).minimum_cover()
+    PropagationEngine::prepare(sigma, rule).minimum_cover()
 }
 
 /// Like [`minimum_cover`] but also reports [`CoverStats`].
 pub fn minimum_cover_with_stats(sigma: &KeySet, rule: &TableRule) -> (Vec<Fd>, CoverStats) {
-    PropagationEngine::new(sigma, rule).minimum_cover_with_stats()
+    PropagationEngine::prepare(sigma, rule).minimum_cover_with_stats()
 }
 
 /// The pre-engine implementation (per-probe `XmlKey` construction and

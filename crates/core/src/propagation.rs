@@ -61,19 +61,19 @@ impl PropagationOutcome {
 /// to `X \ {A}` so that a trivial FD does not demand an existence guarantee
 /// for its own right-hand side.
 pub fn propagation(sigma: &KeySet, rule: &TableRule, fd: &Fd) -> bool {
-    PropagationEngine::new(sigma, rule).propagation(fd)
+    PropagationEngine::prepare(sigma, rule).propagation(fd)
 }
 
 /// Like [`propagation`] but returns one [`PropagationOutcome`] per
 /// right-hand-side attribute, for diagnostics and examples.
 pub fn propagation_explained(sigma: &KeySet, rule: &TableRule, fd: &Fd) -> Vec<PropagationOutcome> {
-    PropagationEngine::new(sigma, rule).propagation_explained(fd)
+    PropagationEngine::prepare(sigma, rule).propagation_explained(fd)
 }
 
 /// Batch propagation: prepares the `(Σ, rule)` pair once and answers every
 /// FD of `fds` against the shared state — one verdict per FD, in order.
 pub fn propagate_all(sigma: &KeySet, rule: &TableRule, fds: &[Fd]) -> Vec<bool> {
-    PropagationEngine::new(sigma, rule).propagate_all(fds)
+    PropagationEngine::prepare(sigma, rule).propagate_all(fds)
 }
 
 /// The pre-engine implementation (per-probe path construction, string-based
@@ -433,7 +433,7 @@ mod tests {
         rules.push(example_3_1_universal());
         rules.push(example_1_1_refined_chapter());
         for rule in &rules {
-            let engine = PropagationEngine::new(&sigma, rule);
+            let engine = PropagationEngine::prepare(&sigma, rule);
             let attrs: Vec<String> = rule.schema().attributes().to_vec();
             for a in &attrs {
                 for x in &attrs {

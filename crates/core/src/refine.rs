@@ -67,7 +67,8 @@ impl RefinedDesign {
 /// XML keys `sigma`: computes the propagated minimum cover and both
 /// normal-form decompositions.
 pub fn refine(sigma: &KeySet, rule: &TableRule) -> RefinedDesign {
-    refine_from_cover(rule, PropagationEngine::new(sigma, rule).minimum_cover())
+    let cover = PropagationEngine::prepare(sigma, rule).minimum_cover();
+    refine_from_cover(rule, cover)
 }
 
 /// Builds the design artifacts from an already-computed cover.
@@ -93,7 +94,7 @@ fn refine_from_cover(rule: &TableRule, cover: Vec<Fd>) -> RefinedDesign {
 /// over the same cover so callers can validate additional FDs cheaply.  One
 /// [`PropagationEngine`] serves both the cover computation and the checker.
 pub fn refine_with_checker(sigma: &KeySet, rule: &TableRule) -> (RefinedDesign, GMinimumCover) {
-    let engine = PropagationEngine::new(sigma, rule);
+    let engine = PropagationEngine::prepare(sigma, rule);
     let design = refine_from_cover(rule, engine.minimum_cover());
     let checker = GMinimumCover::from_engine(engine);
     (design, checker)

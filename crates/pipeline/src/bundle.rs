@@ -59,8 +59,11 @@ impl CorpusBundle {
     /// Prepares a key set and a transformation for corpus-scale reuse:
     /// compiles Σ into a [`KeyIndex`], every rule into a [`TransformationPlan`]
     /// against one shared label universe, and one [`PropagationEngine`] per
-    /// rule.
-    pub fn new(sigma: KeySet, transformation: Transformation) -> Self {
+    /// rule.  Spelled like [`xmlprop_xmlkeys::KeySet::prepare`],
+    /// [`xmlprop_xmltransform::Transformation::prepare`] and
+    /// [`PropagationEngine::prepare`]: every compiled layer names its
+    /// one-time preparation the same way.
+    pub fn prepare(sigma: KeySet, transformation: Transformation) -> Self {
         let keys = sigma.prepare();
         // The plan's universe *extends* the key index's universe, so one
         // `DocIndex` per document serves both shredding and validation.
@@ -69,7 +72,7 @@ impl CorpusBundle {
         let engines = transformation
             .rules()
             .iter()
-            .map(|rule| PropagationEngine::new(&sigma, rule))
+            .map(|rule| PropagationEngine::prepare(&sigma, rule))
             .collect();
         CorpusBundle {
             sigma,
@@ -82,25 +85,15 @@ impl CorpusBundle {
         }
     }
 
-    /// The `prepare`-shaped constructor, matching
-    /// [`xmlprop_xmlkeys::KeySet::prepare`],
-    /// [`xmlprop_xmltransform::Transformation::prepare`] and
-    /// [`PropagationEngine::prepare`]: every compiled layer spells its
-    /// one-time preparation the same way.  Identical to
-    /// [`CorpusBundle::new`].
-    pub fn prepare(sigma: KeySet, transformation: Transformation) -> Self {
-        CorpusBundle::new(sigma, transformation)
-    }
-
     /// A validation-only bundle (no transformation): batch key checking.
     pub fn for_validation(sigma: KeySet) -> Self {
-        CorpusBundle::new(sigma, Transformation::new(Vec::new()))
+        CorpusBundle::prepare(sigma, Transformation::new(Vec::new()))
     }
 
     /// A shredding-only bundle (empty Σ): batch document-to-relations
     /// mapping.
     pub fn for_shredding(transformation: Transformation) -> Self {
-        CorpusBundle::new(KeySet::new(), transformation)
+        CorpusBundle::prepare(KeySet::new(), transformation)
     }
 
     /// The key set Σ the bundle was prepared from.

@@ -350,7 +350,7 @@ mod tests {
             }",
         )
         .unwrap();
-        CorpusBundle::new(sigma, t)
+        CorpusBundle::prepare(sigma, t)
     }
 
     fn good_doc(isbn: &str) -> Document {

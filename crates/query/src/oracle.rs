@@ -12,7 +12,23 @@
 use crate::plan::{plan, plan_naive, Catalog};
 use crate::syntax::{parse_query, Query, Select};
 use crate::{execute, Plan};
+use std::collections::BTreeSet;
 use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Tuple, Value};
+
+/// `relation` with repeated rows dropped, first occurrences kept in order.
+/// Like SQL `DISTINCT` the comparison is structural, so repeated NULL rows
+/// collapse too.
+fn distinct(relation: &Relation) -> Relation {
+    let mut out = Relation::new(relation.schema().clone());
+    let mut seen = BTreeSet::new();
+    for row in relation.rows() {
+        let tuple = Tuple::new(row.values().cloned().collect());
+        if seen.insert(tuple.clone()) {
+            out.insert(tuple);
+        }
+    }
+    out
+}
 
 /// Cross product + filter + project + sort + dedup, straight off the
 /// query's surface syntax.
@@ -23,7 +39,7 @@ fn evaluate(query: &Query, catalog: &Catalog, db: &Database) -> Vec<Vec<Value>> 
     let empty = |name: &str| Relation::new(catalog.schema(name).expect("known").clone());
     let instances: Vec<Relation> = names
         .iter()
-        .map(|n| db.get(n).cloned().unwrap_or_else(|| empty(n)).distinct())
+        .map(|n| db.get(n).map_or_else(|| empty(n), distinct))
         .collect();
 
     // Combined attribute layout, mirroring the planner's blocks.

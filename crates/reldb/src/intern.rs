@@ -518,24 +518,24 @@ pub fn minimize_interned(n_attrs: usize, fds: &[IFd]) -> Vec<IFd> {
 
     // Step 1: drop extraneous attributes.  The implication test runs against
     // the full current set (including the FD under reduction, whose original
-    // left-hand side cannot help derive its own reduction).
-    let mut index = FdIndex::new(n_attrs, &work);
-    for i in 0..work.len() {
+    // left-hand side cannot help derive its own reduction).  One index over
+    // the starting set serves every test: each reduction swaps an FD for one
+    // that the set implies and that implies it back, so the reduced set is
+    // equivalent and every closure stays the same.
+    let index = FdIndex::new(n_attrs, &work);
+    for fd in &mut work {
         loop {
             let mut reduced = None;
-            for b in work[i].lhs.iter() {
-                let mut smaller = work[i].lhs.clone();
+            for b in fd.lhs.iter() {
+                let mut smaller = fd.lhs.clone();
                 smaller.remove(b);
-                if work[i].rhs.is_subset(&index.closure(&smaller)) {
+                if fd.rhs.is_subset(&index.closure(&smaller)) {
                     reduced = Some(smaller);
                     break;
                 }
             }
             match reduced {
-                Some(smaller) => {
-                    work[i].lhs = smaller;
-                    index = FdIndex::new(n_attrs, &work);
-                }
+                Some(smaller) => fd.lhs = smaller,
                 None => break,
             }
         }

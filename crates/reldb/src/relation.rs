@@ -1,9 +1,8 @@
 //! Relation instances, tuples and databases.
 
 use crate::{Fd, RelationSchema, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use xmlprop_xmltree::FoldState;
 
 /// A tuple: one value per attribute of the owning relation's schema, in
 /// schema order.
@@ -43,8 +42,8 @@ impl Tuple {
     /// [`Value::sql_eq`]. A tuple containing a null therefore never
     /// matches anything — itself included — which is the comparison keys
     /// and joins must use. Structural `==` (nulls equal) remains the right
-    /// notion for *duplicate elimination* ([`Relation::distinct`], SQL
-    /// `DISTINCT`); see the [`Value`] docs for the split.
+    /// notion for *duplicate elimination* (SQL `DISTINCT`); see the
+    /// [`Value`] docs for the split.
     pub fn sql_eq(&self, other: &Tuple) -> bool {
         self.arity() == other.arity()
             && self
@@ -66,8 +65,8 @@ impl<V: Into<Value>> FromIterator<V> for Tuple {
 /// Shredding XML into relations can produce duplicate rows (the paper's
 /// semantics builds a set of field-to-value bindings, but two distinct node
 /// bindings may produce equal field values); the instance is therefore kept
-/// as a bag, with [`Relation::distinct`] available when set semantics is
-/// wanted.
+/// as a bag, and a reader that wants set semantics drops repeated
+/// [`Row`]s itself (their `==` and hash are structural).
 ///
 /// # Storage
 ///
@@ -274,29 +273,6 @@ impl Relation {
         );
         self.codes.extend_from_slice(codes);
         self.len += 1;
-    }
-
-    /// Returns a copy with duplicate rows removed (order preserved).
-    ///
-    /// Duplicate detection is *structural*, like SQL `DISTINCT`: two rows
-    /// that agree field-by-field collapse even where those fields are
-    /// null. This is deliberately not [`Tuple::sql_eq`] — under SQL
-    /// comparison semantics a null-bearing row equals nothing and
-    /// `DISTINCT` could never remove it, yet SQL (and this engine) still
-    /// collapse repeated `NULL` rows when deduplicating.
-    pub fn distinct(&self) -> Relation {
-        let mut seen = HashSet::with_capacity_and_hasher(self.len, FoldState::default());
-        let mut out = Relation {
-            dict: self.dict.clone(),
-            ..Relation::new(self.schema.clone())
-        };
-        for row in self.rows() {
-            if seen.insert(row) {
-                out.codes.extend_from_slice(row.codes);
-                out.len += 1;
-            }
-        }
-        out
     }
 
     /// The value of `attribute` in `row`.
@@ -636,24 +612,19 @@ mod tests {
     }
 
     #[test]
-    fn distinct_collapses_null_rows_like_sql_distinct() {
+    fn rows_deduplicate_structurally_like_sql_distinct() {
+        use std::collections::HashSet;
         let schema = RelationSchema::new("r", ["a"]);
         let mut r = Relation::new(schema);
         r.insert(Tuple::new(vec![Value::Null]));
         r.insert(Tuple::new(vec![Value::Null]));
         // DISTINCT is structural: repeated NULL rows collapse even though
         // sql_eq would call them unequal.
-        assert_eq!(r.distinct().len(), 1);
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let r = chapter_relation();
-        let mut dup = r.clone();
+        assert_eq!(r.rows().collect::<HashSet<_>>().len(), 1);
+        let mut dup = chapter_relation();
         dup.insert(["XML", "1", "Introduction"].into_iter().collect());
         assert_eq!(dup.len(), 4);
-        assert_eq!(dup.distinct().len(), 3);
-        assert_eq!(r.distinct().len(), 3);
+        assert_eq!(dup.rows().collect::<HashSet<_>>().len(), 3);
     }
 
     #[test]
@@ -788,6 +759,13 @@ mod tests {
             r
         }
 
+        /// The rows of `r` with repeats dropped through a hash set of
+        /// [`Row`] views, first occurrences in order.
+        fn distinct_rows(r: &Relation) -> Vec<Row<'_>> {
+            let mut seen = std::collections::HashSet::new();
+            r.rows().filter(|row| seen.insert(*row)).collect()
+        }
+
         /// The FD whose sides are the attributes picked by two bit masks.
         fn fd_of(schema: &RelationSchema, lhs: u8, rhs: u8) -> Fd {
             let side = |mask: u8| {
@@ -813,8 +791,9 @@ mod tests {
 
             /// The encoding never shows: an instance built through
             /// `insert` and one built from shared dictionary entries are
-            /// equal, render the same bytes, deduplicate to the same rows
-            /// and agree on every FD; changing one cell makes them differ.
+            /// equal, render the same bytes, hash their rows alike (so
+            /// both deduplicate to the same rows) and agree on every FD;
+            /// changing one cell makes them differ.
             #[test]
             fn encodings_of_the_same_rows_agree(
                 instance in rows(),
@@ -833,10 +812,10 @@ mod tests {
                         first_seen.push(row);
                     }
                 }
-                let distinct = by_code.distinct();
-                prop_assert_eq!(&by_tuple.distinct(), &distinct);
+                let distinct = distinct_rows(&by_code);
+                prop_assert_eq!(&distinct_rows(&by_tuple), &distinct);
                 prop_assert_eq!(distinct.len(), first_seen.len());
-                for (row, expected) in distinct.rows().zip(first_seen) {
+                for (row, expected) in distinct.iter().zip(first_seen) {
                     prop_assert!(row.values().eq(expected.iter()));
                 }
                 for (lhs, rhs) in fds {

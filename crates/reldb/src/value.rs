@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// paper's semantics of comparisons is required.
 ///
 /// The split of duties is deliberate: *duplicate elimination* (SQL
-/// `DISTINCT`, [`Relation::distinct`](crate::Relation::distinct)) is
+/// `DISTINCT`, the `==` and hash of a [`Row`](crate::Row)) is
 /// structural and collapses nulls, exactly as SQL's `DISTINCT` does, while
 /// *key and join comparisons* must go through [`Value::sql_eq`] (or
 /// [`Tuple::sql_eq`](crate::Tuple::sql_eq)) so that a null-bearing tuple

@@ -15,8 +15,7 @@
 //! oracles pinned by property tests.
 
 use crate::{KeyIndex, KeySet, XmlKey};
-use std::collections::BTreeMap;
-use xmlprop_xmlpath::{PathCompiler, PathExpr};
+use xmlprop_xmlpath::PathExpr;
 
 /// True if every node reachable at position `position` (a path from the
 /// document root) is guaranteed, by some key of `Σ`, to carry exactly one
@@ -30,12 +29,11 @@ use xmlprop_xmlpath::{PathCompiler, PathExpr};
 /// `attr` may be given with or without the leading `@` (keys store their
 /// attributes `@`-prefixed — see [`XmlKey::key_attrs`]).
 pub fn attribute_assured(sigma: &KeySet, position: &PathExpr, attr: &str) -> bool {
-    let index = KeyIndex::new(sigma);
+    let mut index = KeyIndex::new(sigma);
     let Some(attr) = index.attr_id(attr) else {
         return false; // no key of Σ mentions the attribute
     };
-    let mut scratch = BTreeMap::new();
-    let position = index.universe().compile_scratch(position, &mut scratch);
+    let position = index.compile(position);
     index.attribute_assured(&position, attr)
 }
 
@@ -46,9 +44,8 @@ pub fn attributes_assured<'a>(
     position: &PathExpr,
     attrs: impl IntoIterator<Item = &'a str>,
 ) -> bool {
-    let index = KeyIndex::new(sigma);
-    let mut scratch = BTreeMap::new();
-    let position = index.universe().compile_scratch(position, &mut scratch);
+    let mut index = KeyIndex::new(sigma);
+    let position = index.compile(position);
     attrs.into_iter().all(|a| match index.attr_id(a) {
         Some(id) => index.attribute_assured(&position, id),
         None => false,
@@ -67,8 +64,8 @@ pub fn attributes_assured<'a>(
 ///    (target-to-context plus context/target containment), provided every
 ///    extra attribute of `S \ Sk` is assured at position `Q/Q'`.
 pub fn implies(sigma: &KeySet, phi: &XmlKey) -> bool {
-    let index = KeyIndex::new(sigma);
-    let phi = index.prepare_ref(phi);
+    let mut index = KeyIndex::new(sigma);
+    let phi = index.prepare(phi);
     index.implies(&phi)
 }
 
@@ -81,12 +78,9 @@ pub fn node_unique_under(
     context_position: &PathExpr,
     target_path: &PathExpr,
 ) -> bool {
-    let index = KeyIndex::new(sigma);
-    let mut scratch = BTreeMap::new();
-    let context = index
-        .universe()
-        .compile_scratch(context_position, &mut scratch);
-    let target = index.universe().compile_scratch(target_path, &mut scratch);
+    let mut index = KeyIndex::new(sigma);
+    let context = index.compile(context_position);
+    let target = index.compile(target_path);
     let absolute = context.concat(&target);
     index.node_unique_under(&context, &target, &absolute)
 }

@@ -20,10 +20,9 @@
 //!   attribute name.
 //!
 //! Probe expressions (positions from a table tree, candidate keys) are
-//! compiled through the same universe — either by interning
-//! ([`KeyIndex::compile`], [`KeyIndex::prepare`]) or read-only with
-//! temporary scratch ids ([`KeyIndex::prepare_ref`]), which keeps `&self`
-//! query methods available to facades.
+//! compiled by interning into the same universe ([`KeyIndex::compile`],
+//! [`KeyIndex::prepare`]).  A label no key of Σ mentions gets a fresh id
+//! that matches nothing of Σ, so the answers are those of the string rules.
 //!
 //! The index also carries the prepared side of **document validation**
 //! (Definition 2.1): [`KeyIndex::index_document`] builds a
@@ -35,11 +34,8 @@
 
 use crate::satisfy::Violation;
 use crate::{KeySet, XmlKey};
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use xmlprop_xmlpath::{
-    CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse, PathCompiler, PathExpr,
-};
+use xmlprop_xmlpath::{CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse, PathExpr};
 use xmlprop_xmltree::{DocIndex, Document, SliceInterner};
 
 /// One key of Σ in compiled form.
@@ -167,8 +163,8 @@ impl KeyIndex {
                 key.key_attrs().iter().map(|a| universe.intern(a)).collect();
             let mut attrs = val_attrs.clone();
             attrs.sort_unstable();
-            let context = universe.compile(key.context());
-            let target = universe.compile(key.target());
+            let context = CompiledExpr::compile(key.context(), &mut universe);
+            let target = CompiledExpr::compile(key.target(), &mut universe);
             let absolute = context.concat(&target);
             keys.push(IndexedKey {
                 attrs,
@@ -214,7 +210,7 @@ impl KeyIndex {
 
     /// Compiles a probe expression, interning any new labels it mentions.
     pub fn compile(&mut self, expr: &PathExpr) -> CompiledExpr {
-        self.universe.compile(expr)
+        CompiledExpr::compile(expr, &mut self.universe)
     }
 
     /// Interns a single label (element tag or `@attr` name) into the shared
@@ -238,8 +234,8 @@ impl KeyIndex {
     /// Compiles a candidate key for repeated implication queries, interning
     /// its labels.
     pub fn prepare(&mut self, phi: &XmlKey) -> PreparedKey {
-        let context = self.universe.compile(phi.context());
-        let target = self.universe.compile(phi.target());
+        let context = CompiledExpr::compile(phi.context(), &mut self.universe);
+        let target = CompiledExpr::compile(phi.target(), &mut self.universe);
         let absolute = context.concat(&target);
         let mut attrs: Vec<LabelId> = phi
             .key_attrs()
@@ -255,32 +251,9 @@ impl KeyIndex {
         }
     }
 
-    /// Compiles a candidate key **without** interning: labels unknown to
-    /// the universe receive consistent temporary ids, which keeps the
-    /// containment and assurance answers exact (an unknown label can match
-    /// nothing of Σ).
-    pub fn prepare_ref(&self, phi: &XmlKey) -> PreparedKey {
-        let mut scratch = BTreeMap::new();
-        let context = self.universe.compile_scratch(phi.context(), &mut scratch);
-        let target = self.universe.compile_scratch(phi.target(), &mut scratch);
-        let absolute = context.concat(&target);
-        let mut attrs: Vec<LabelId> = phi
-            .key_attrs()
-            .iter()
-            .map(|a| self.universe.lookup_scratch(a, &mut scratch))
-            .collect();
-        attrs.sort_unstable();
-        PreparedKey {
-            context,
-            target,
-            absolute,
-            attrs,
-        }
-    }
-
     /// True if some key of Σ assures a unique `@attr` on every node of
     /// `[[position]]` — the prepared `exist()` of Fig. 5 for one attribute.
-    /// Ids outside the assured index (scratch ids, probe-only labels) are
+    /// Ids outside the assured index (labels first interned by a probe) are
     /// assured nowhere.
     pub fn attribute_assured(&self, position: &CompiledExpr, attr: LabelId) -> bool {
         self.assured.get(attr.index()).is_some_and(|keys| {
@@ -603,7 +576,7 @@ mod tests {
     #[test]
     fn prepared_implication_matches_the_examples() {
         let sigma = example_2_1_keys();
-        let index = KeyIndex::new(&sigma);
+        let mut index = KeyIndex::new(&sigma);
         for (probe, expect) in [
             ("(//book/author, (contact, {}))", true),
             ("(//, (book, {@isbn}))", true),
@@ -613,33 +586,32 @@ mod tests {
             ("(//book, (@isbn, {}))", true),
             ("(//book, (@lang, {}))", false),
         ] {
-            let phi = index.prepare_ref(&key(probe));
+            let phi = index.prepare(&key(probe));
             assert_eq!(index.implies(&phi), expect, "{probe}");
         }
     }
 
     #[test]
-    fn interning_and_scratch_preparation_agree() {
+    fn probes_with_labels_new_to_sigma_match_the_oracle() {
         let sigma = example_2_1_keys();
         let probes = [
             "(//book, (title, {}))",
             "(//unknown/label, (mystery, {@ghost}))",
             "(ε, (ε, {@isbn}))",
             "(//book, (chapter, {@number, @ghost}))",
+            "(//book, (@ghost, {}))",
         ];
+        // One index answers every probe, so later probes also see the
+        // labels earlier ones interned.
+        let mut index = KeyIndex::new(&sigma);
         for probe in probes {
             let phi = key(probe);
-            let by_ref = {
-                let index = KeyIndex::new(&sigma);
-                let p = index.prepare_ref(&phi);
-                index.implies(&p)
-            };
-            let by_intern = {
-                let mut index = KeyIndex::new(&sigma);
-                let p = index.prepare(&phi);
-                index.implies(&p)
-            };
-            assert_eq!(by_ref, by_intern, "{probe}");
+            let prepared = index.prepare(&phi);
+            assert_eq!(
+                index.implies(&prepared),
+                crate::implication::oracle::implies(&sigma, &phi),
+                "{probe}"
+            );
         }
     }
 

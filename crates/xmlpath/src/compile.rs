@@ -12,80 +12,27 @@
 //!   element tags and attribute names (`@isbn` interns like any label).  The
 //!   table itself lives in `xmlprop_xmltree` (re-exported here), because the
 //!   document index stores a `LabelId` per node and both sides of the system
-//!   must agree on one universe; the [`PathCompiler`] extension trait adds
-//!   the expression-compilation methods on top.
-//! * [`CompiledExpr`] — a path expression whose atoms are interned and whose
-//!   block decomposition (label runs between `//` gaps) is precomputed at
-//!   compile time, so [`CompiledExpr::contained_in`] and
-//!   [`CompiledExpr::matches_word`] run the generic decision procedure of
-//!   [`crate::contained_in`] over `LabelId` slices with **zero per-call
-//!   allocation**.  [`CompiledExpr::evaluate`] evaluates `n[[P]]` over a
-//!   prepared [`xmlprop_xmltree::DocIndex`] (see [`crate::EvalScratch`]).
+//!   must agree on one universe.
+//! * [`CompiledExpr`] — a path expression whose atoms are interned
+//!   ([`CompiledExpr::compile`]) and whose block decomposition (label runs
+//!   between `//` gaps) is precomputed at compile time, so
+//!   [`CompiledExpr::contained_in`] and [`CompiledExpr::matches_word`] run
+//!   the generic decision procedure of [`crate::contained_in`] over
+//!   `LabelId` slices with **zero per-call allocation**.
+//!   [`CompiledExpr::evaluate`] evaluates `n[[P]]` over a prepared
+//!   [`xmlprop_xmltree::DocIndex`] (see [`crate::EvalScratch`]).
 //!
 //! Two compiled expressions are only comparable when they were compiled
 //! against the same universe (or one universe extended from the other —
-//! ids are append-only).  [`PathCompiler::compile_scratch`] supports
-//! read-only compilation of probe expressions: labels absent from the
-//! universe receive consistent temporary ids past the interned range, which
-//! keeps containment exact (two distinct unknown labels never compare
-//! equal, and no unknown label equals an interned one).
+//! ids are append-only).  Compiling always interns: a label the universe
+//! has not seen gets the next fresh id, so two distinct labels never
+//! compare equal, and a probe expression compiled into a universe leaves
+//! every earlier id and every expression compiled before it valid.
 
 use crate::containment::contained_blocks;
 use crate::expr::{Atom, PathExpr};
-use std::collections::BTreeMap;
 
 pub use xmlprop_xmltree::{LabelId, LabelUniverse};
-
-/// Expression compilation over a [`LabelUniverse`].
-///
-/// The universe type is defined in `xmlprop_xmltree` (the document index
-/// stores a `LabelId` per node); this trait adds the path-expression
-/// methods that belong to this crate.  It is implemented for
-/// [`LabelUniverse`] only and comes into scope with
-/// `use xmlprop_xmlpath::PathCompiler`.
-pub trait PathCompiler {
-    /// Compiles an expression, interning every label it mentions.
-    fn compile(&mut self, expr: &PathExpr) -> CompiledExpr;
-
-    /// Compiles an expression **without** interning, resolving every label
-    /// through [`LabelUniverse::lookup_scratch`] (unknown labels receive
-    /// consistent temporary ids past the interned range).
-    fn compile_scratch(
-        &self,
-        expr: &PathExpr,
-        scratch: &mut BTreeMap<String, LabelId>,
-    ) -> CompiledExpr;
-}
-
-impl PathCompiler for LabelUniverse {
-    fn compile(&mut self, expr: &PathExpr) -> CompiledExpr {
-        let atoms: Vec<CompiledAtom> = expr
-            .atoms()
-            .iter()
-            .map(|a| match a {
-                Atom::Label(l) => CompiledAtom::Label(self.intern(l)),
-                Atom::AnyPath => CompiledAtom::AnyPath,
-            })
-            .collect();
-        CompiledExpr::from_normalized_atoms(atoms)
-    }
-
-    fn compile_scratch(
-        &self,
-        expr: &PathExpr,
-        scratch: &mut BTreeMap<String, LabelId>,
-    ) -> CompiledExpr {
-        let atoms: Vec<CompiledAtom> = expr
-            .atoms()
-            .iter()
-            .map(|a| match a {
-                Atom::Label(l) => CompiledAtom::Label(self.lookup_scratch(l, scratch)),
-                Atom::AnyPath => CompiledAtom::AnyPath,
-            })
-            .collect();
-        CompiledExpr::from_normalized_atoms(atoms)
-    }
-}
 
 /// One atom of a [`CompiledExpr`]; mirrors [`Atom`] with interned labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,6 +58,20 @@ pub struct CompiledExpr {
 }
 
 impl CompiledExpr {
+    /// Compiles an expression against `universe`, interning every label it
+    /// mentions.
+    pub fn compile(expr: &PathExpr, universe: &mut LabelUniverse) -> Self {
+        let atoms: Vec<CompiledAtom> = expr
+            .atoms()
+            .iter()
+            .map(|a| match a {
+                Atom::Label(l) => CompiledAtom::Label(universe.intern(l)),
+                Atom::AnyPath => CompiledAtom::AnyPath,
+            })
+            .collect();
+        CompiledExpr::from_normalized_atoms(atoms)
+    }
+
     /// Builds a compiled expression from normalized atoms (consecutive
     /// `AnyPath` atoms collapsed, as [`PathExpr`] guarantees).
     fn from_normalized_atoms(atoms: Vec<CompiledAtom>) -> Self {
@@ -190,8 +151,7 @@ impl CompiledExpr {
     }
 
     /// Language containment `self ⊑ other`, allocation-free.  Both sides
-    /// must have been compiled against the same universe (plus, for probe
-    /// expressions, one shared scratch map).
+    /// must have been compiled against the same universe.
     pub fn contained_in(&self, other: &CompiledExpr) -> bool {
         contained_blocks(
             self.num_blocks(),
@@ -257,7 +217,10 @@ mod tests {
             "a/@x",
         ];
         let mut u = LabelUniverse::new();
-        let compiled: Vec<CompiledExpr> = exprs.iter().map(|e| u.compile(&p(e))).collect();
+        let compiled: Vec<CompiledExpr> = exprs
+            .iter()
+            .map(|e| CompiledExpr::compile(&p(e), &mut u))
+            .collect();
         for (i, pe) in exprs.iter().enumerate() {
             for (j, qe) in exprs.iter().enumerate() {
                 assert_eq!(
@@ -273,14 +236,14 @@ mod tests {
     #[test]
     fn compiled_shape_accessors() {
         let mut u = LabelUniverse::new();
-        let e = u.compile(&p("a/b//c"));
+        let e = CompiledExpr::compile(&p("a/b//c"), &mut u);
         assert_eq!(e.len(), 4);
         assert!(!e.is_empty());
         assert!(!e.is_epsilon());
         assert_eq!(e.num_blocks(), 2);
         assert_eq!(e.block(0).len(), 2);
         assert_eq!(e.block(1).len(), 1);
-        let eps = u.compile(&p("ε"));
+        let eps = CompiledExpr::compile(&p("ε"), &mut u);
         assert!(eps.is_epsilon());
         assert_eq!(eps.num_blocks(), 1);
         assert!(eps.block(0).is_empty());
@@ -289,13 +252,13 @@ mod tests {
     #[test]
     fn compiled_word_matching() {
         let mut u = LabelUniverse::new();
-        let q = u.compile(&p("//book/chapter"));
+        let q = CompiledExpr::compile(&p("//book/chapter"), &mut u);
         let word = [u.intern("book"), u.intern("chapter")];
         assert!(q.matches_word(&word));
         let word2 = [u.intern("book")];
         assert!(!q.matches_word(&word2));
-        assert!(u.compile(&p("//")).matches_word(&[]));
-        assert!(!u.compile(&p("a")).matches_word(&[]));
+        assert!(CompiledExpr::compile(&p("//"), &mut u).matches_word(&[]));
+        assert!(!CompiledExpr::compile(&p("a"), &mut u).matches_word(&[]));
     }
 
     #[test]
@@ -309,30 +272,31 @@ mod tests {
         ];
         for (l, r) in cases {
             let mut u = LabelUniverse::new();
-            let cl = u.compile(&p(l));
-            let cr = u.compile(&p(r));
-            let direct = u.compile(&p(l).concat(&p(r)));
+            let cl = CompiledExpr::compile(&p(l), &mut u);
+            let cr = CompiledExpr::compile(&p(r), &mut u);
+            let direct = CompiledExpr::compile(&p(l).concat(&p(r)), &mut u);
             assert_eq!(cl.concat(&cr), direct, "{l} ⋅ {r}");
         }
     }
 
     #[test]
-    fn scratch_compilation_keeps_unknown_labels_distinct() {
+    fn probe_compilation_keeps_new_labels_distinct() {
         let mut u = LabelUniverse::new();
-        let known = u.compile(&p("a/b"));
-        let mut scratch = BTreeMap::new();
-        let probe = u.compile_scratch(&p("a/x"), &mut scratch);
-        let probe2 = u.compile_scratch(&p("a/x"), &mut scratch);
-        let other = u.compile_scratch(&p("a/y"), &mut scratch);
-        // Unknown labels are consistent within one scratch map...
+        let known = CompiledExpr::compile(&p("a/b"), &mut u);
+        let probe = CompiledExpr::compile(&p("a/x"), &mut u);
+        let probe2 = CompiledExpr::compile(&p("a/x"), &mut u);
+        let other = CompiledExpr::compile(&p("a/y"), &mut u);
+        // A label seen before keeps its id...
         assert_eq!(probe, probe2);
-        // ...distinct from each other and from every interned label.
+        // ...and new labels are distinct from each other and from every
+        // earlier one.
         assert_ne!(probe, other);
+        assert!(!probe.contained_in(&other));
         assert!(!probe.contained_in(&known));
         assert!(!known.contained_in(&probe));
-        assert_eq!(u.len(), 2, "scratch compilation must not intern");
-        // Containment against patterns still works for unknown labels.
-        let any = u.compile(&p("//"));
+        assert_eq!(u.len(), 4, "a, b, x, y");
+        // Containment against patterns still works for probe labels.
+        let any = CompiledExpr::compile(&p("//"), &mut u);
         assert!(probe.contained_in(&any));
     }
 }

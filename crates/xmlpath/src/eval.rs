@@ -194,7 +194,6 @@ pub(crate) mod oracle {
 mod tests {
     use super::oracle::evaluate;
     use super::*;
-    use crate::compile::PathCompiler;
     use crate::expr::{Atom, PathExpr};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -208,7 +207,7 @@ mod tests {
     /// `from[[expr]]` through the compiled engine over a fresh index.
     fn eval(doc: &Document, from: NodeId, expr: &str) -> Vec<NodeId> {
         let mut u = LabelUniverse::new();
-        let compiled = u.compile(&p(expr));
+        let compiled = CompiledExpr::compile(&p(expr), &mut u);
         let index = DocIndex::build(doc, &mut u);
         compiled.evaluate(&index, from)
     }
@@ -262,7 +261,7 @@ mod tests {
             Atom::Label("name".to_string()),
         ]);
         let mut u = LabelUniverse::new();
-        let compiled = u.compile(&expr);
+        let compiled = CompiledExpr::compile(&expr, &mut u);
         let index = DocIndex::build(&doc, &mut u);
         let nodes = compiled.evaluate(&index, doc.root());
         let set: BTreeSet<_> = nodes.iter().copied().collect();
@@ -336,7 +335,7 @@ mod tests {
     fn assert_engine_matches_oracle(doc: &Document, expr: &PathExpr) {
         let mut u = LabelUniverse::new();
         let index = DocIndex::build(doc, &mut u);
-        let compiled = u.compile(expr);
+        let compiled = CompiledExpr::compile(expr, &mut u);
         assert_eq!(
             compiled.evaluate(&index, doc.root()),
             evaluate(doc, doc.root(), expr),
@@ -395,7 +394,7 @@ mod tests {
         let mut u = LabelUniverse::new();
         let index = DocIndex::build(&doc, &mut u);
         // Compiled after the index was built: the posting table has no slot.
-        let compiled = u.compile(&p("//nothere/below"));
+        let compiled = CompiledExpr::compile(&p("//nothere/below"), &mut u);
         assert!(compiled.evaluate(&index, doc.root()).is_empty());
     }
 

@@ -21,8 +21,8 @@
 //! * language **containment** `P ⊑ Q` ([`PathExpr::contained_in`]), the
 //!   workhorse of XML key implication;
 //! * a **compiled layer** ([`LabelUniverse`] — re-exported from
-//!   `xmlprop_xmltree`, compiled through the [`PathCompiler`] extension
-//!   trait — and [`CompiledExpr`]) that interns labels and precomputes the
+//!   `xmlprop_xmltree` — and [`CompiledExpr`], built by
+//!   [`CompiledExpr::compile`]) that interns labels and precomputes the
 //!   block decomposition so repeated containment and word-membership
 //!   queries are allocation-free id-slice comparisons;
 //! * **evaluation** `n[[P]]`: [`CompiledExpr::evaluate`] over a prepared
@@ -56,7 +56,7 @@ mod expr;
 mod path;
 mod stream;
 
-pub use compile::{CompiledAtom, CompiledExpr, LabelId, LabelUniverse, PathCompiler};
+pub use compile::{CompiledAtom, CompiledExpr, LabelId, LabelUniverse};
 pub use containment::{contained_in, word_matches};
 pub use eval::EvalScratch;
 pub use expr::{Atom, ParsePathError, PathExpr};

@@ -62,10 +62,10 @@ pub struct MatchState(u128);
 /// # Example
 ///
 /// ```
-/// use xmlprop_xmlpath::{PathCompiler, LabelUniverse, StreamMatcher};
+/// use xmlprop_xmlpath::{CompiledExpr, LabelUniverse, StreamMatcher};
 ///
 /// let mut u = LabelUniverse::new();
-/// let expr = u.compile(&"//book/chapter".parse().unwrap());
+/// let expr = CompiledExpr::compile(&"//book/chapter".parse().unwrap(), &mut u);
 /// let matcher = StreamMatcher::new(&expr).unwrap();
 ///
 /// let mut state = matcher.start();
@@ -167,7 +167,6 @@ impl StreamMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::PathCompiler;
     use crate::expr::PathExpr;
     use xmlprop_xmltree::LabelUniverse;
 
@@ -192,7 +191,7 @@ mod tests {
         let mut u = LabelUniverse::new();
         let labels = [u.intern("a"), u.intern("b"), u.intern("@x")];
         for expr in exprs {
-            let compiled = u.compile(&p(expr));
+            let compiled = CompiledExpr::compile(&p(expr), &mut u);
             let matcher = StreamMatcher::new(&compiled).unwrap();
             // All words over {a, b, @x} up to length 4.
             let mut words: Vec<Vec<LabelId>> = vec![Vec::new()];
@@ -222,9 +221,9 @@ mod tests {
     #[test]
     fn unknown_labels_only_pass_through_any_path() {
         let mut u = LabelUniverse::new();
-        let a = u.compile(&p("a"));
-        let any = u.compile(&p("//"));
-        let any_a = u.compile(&p("//a"));
+        let a = CompiledExpr::compile(&p("a"), &mut u);
+        let any = CompiledExpr::compile(&p("//"), &mut u);
+        let any_a = CompiledExpr::compile(&p("//a"), &mut u);
         let label_a = u.lookup("a");
 
         let m = StreamMatcher::new(&a).unwrap();
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn dead_states_stay_dead() {
         let mut u = LabelUniverse::new();
-        let expr = u.compile(&p("a/b"));
+        let expr = CompiledExpr::compile(&p("a/b"), &mut u);
         let b = u.lookup("b");
         let m = StreamMatcher::new(&expr).unwrap();
         let dead = m.step(m.start(), b);
@@ -257,12 +256,12 @@ mod tests {
     fn paths_past_the_mask_are_refused_not_panicked_on() {
         let mut u = LabelUniverse::new();
         let path = |steps: usize| vec!["a"; steps].join("/");
-        let fits = u.compile(&p(&path(MAX_STREAM_ATOMS)));
+        let fits = CompiledExpr::compile(&p(&path(MAX_STREAM_ATOMS)), &mut u);
         let m = StreamMatcher::new(&fits).unwrap();
         let a = u.lookup("a");
         let end = (0..MAX_STREAM_ATOMS).fold(m.start(), |s, _| m.step(s, a));
         assert!(m.accepts(end));
-        let long = u.compile(&p(&path(130)));
+        let long = CompiledExpr::compile(&p(&path(130)), &mut u);
         let err = StreamMatcher::new(&long).unwrap_err();
         assert_eq!(err, PathTooLong { atoms: 130 });
         assert!(err.to_string().contains("at most 127"), "{err}");

@@ -38,9 +38,7 @@ use crate::rule::{TableRule, Transformation};
 use crate::shred::field_value;
 use std::collections::HashMap;
 use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
-use xmlprop_xmlpath::{
-    CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse, PathCompiler,
-};
+use xmlprop_xmlpath::{CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse};
 use xmlprop_xmltree::{DocIndex, Document, NodeId, NodeKind};
 
 /// A dense identifier for a variable of one [`ShredPlan`] (the root
@@ -95,7 +93,8 @@ impl ShredPlan {
             match tree.parent(var) {
                 Some(p) => {
                     parents.push(id_of[p]);
-                    paths.push(universe.compile(tree.edge_path(var).expect("non-root edge")));
+                    let edge = tree.edge_path(var).expect("non-root edge");
+                    paths.push(CompiledExpr::compile(edge, universe));
                 }
                 None => {
                     parents.push(0);

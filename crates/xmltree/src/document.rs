@@ -11,12 +11,12 @@ use std::fmt;
 ///
 /// The document always has a single root element.  Nodes are addressed by
 /// [`NodeId`]; the arena never reuses slots, so an identifier handed out
-/// once always refers to the same node data.  [`Document::remove_subtree`]
-/// *detaches* a subtree rather than freeing it: the detached nodes stay in
-/// the arena as tombstones (their ids become invalid for navigation — a
-/// logic error to keep using, never UB), [`Document::len`] counts only
-/// attached nodes, and [`Document::arena_len`] bounds raw indices for
-/// side tables.
+/// once always refers to the same node data.  Removing a subtree
+/// ([`Delta::RemoveSubtree`]) *detaches* it rather than freeing it: the
+/// detached nodes stay in the arena as tombstones (their ids become
+/// invalid for navigation — a logic error to keep using, never UB),
+/// [`Document::len`] counts only attached nodes, and
+/// [`Document::arena_len`] bounds raw indices for side tables.
 ///
 /// Construction paths:
 ///
@@ -26,13 +26,12 @@ use std::fmt;
 /// * [`Document::parse_str`] for textual XML.
 ///
 /// Post-construction edits go through [`Document::apply`] (insert/remove
-/// subtree, set text — see [`Delta`]) or the underlying primitives
-/// [`Document::remove_subtree`] / [`Document::set_text`].  Every mutation
-/// bumps a monotonically increasing [`Document::epoch`] counter, which
-/// prepared structures ([`crate::DocIndex`]) record and debug-assert
-/// against: using an index built before the latest mutation is a logic
-/// error unless the index was patched with
-/// [`crate::DocIndex::apply_delta`].
+/// subtree, set text — see [`Delta`]), which checks an edit before it
+/// makes it.  Every mutation bumps a monotonically increasing
+/// [`Document::epoch`] counter, which prepared structures
+/// ([`crate::DocIndex`]) record and debug-assert against: using an index
+/// built before the latest mutation is a logic error unless the index was
+/// patched with [`crate::DocIndex::apply_delta`].
 ///
 /// # Document order
 ///
@@ -64,7 +63,7 @@ use std::fmt;
 ///   the one `S` slot.  [`crate::DocIndex::build`] interns each *slot* into
 ///   a [`crate::LabelUniverse`] once, not each node;
 /// * **text** of attribute and text nodes is a byte span of one
-///   per-document text buffer.  [`Document::set_text`] and subtree inserts
+///   per-document text buffer.  [`Delta::SetText`] edits and subtree inserts
 ///   append to the buffer; a replaced value's old span stays behind as a
 ///   dead span (a text tombstone) until the document is dropped.  The
 ///   buffer is addressed by `u32` offsets, so a document holds at most
@@ -129,7 +128,7 @@ impl Document {
     }
 
     /// The number of attached nodes in the document (elements, attributes
-    /// and text).  Nodes detached by [`Document::remove_subtree`] are not
+    /// and text).  Nodes detached by a [`Delta::RemoveSubtree`] are not
     /// counted.
     #[inline]
     pub fn len(&self) -> usize {
@@ -151,8 +150,7 @@ impl Document {
     }
 
     /// The mutation counter: starts at 0 and increases by one for every
-    /// mutation ([`Document::add_element`] and friends,
-    /// [`Document::remove_subtree`], [`Document::set_text`], one per
+    /// mutation ([`Document::add_element`] and friends, one per
     /// [`Document::apply`]).  Prepared structures record the epoch they
     /// were built at and refuse (in debug builds) to serve a document that
     /// has moved on.
@@ -163,7 +161,7 @@ impl Document {
 
     /// True if `id` addresses an attached node of this document: in range
     /// and reachable from the root (not detached by an earlier
-    /// [`Document::remove_subtree`]).
+    /// [`Delta::RemoveSubtree`]).
     pub fn contains(&self, id: NodeId) -> bool {
         id.index() < self.nodes.len() && self.is_attached(id)
     }
@@ -491,20 +489,12 @@ impl Document {
         self.append(parent, NodeKind::Text, "S", value.as_ref())
     }
 
-    /// Detaches the subtree rooted at `node` from its parent and returns
-    /// the number of nodes detached.  The unlinking is O(1); counting the
-    /// subtree is not.  The arena slots are kept as
-    /// tombstones ([`NodeId`]s of the detached nodes become invalid for
-    /// navigation — a logic error, never UB).
-    ///
-    /// Panics when `node` is the root or already detached; the checked
-    /// equivalent is [`Document::apply`] with [`Delta::RemoveSubtree`].
-    pub fn remove_subtree(&mut self, node: NodeId) -> usize {
-        assert!(node != self.root, "cannot remove the document root");
-        assert!(
-            self.contains(node),
-            "cannot remove unknown or detached node {node}"
-        );
+    /// Detaches the subtree rooted at `node`, an attached node other than
+    /// the root, from its parent and returns the number of nodes detached.
+    /// The unlinking is O(1); counting the subtree is not.  The arena
+    /// slots are kept as tombstones ([`NodeId`]s of the detached nodes
+    /// become invalid for navigation — a logic error, never UB).
+    fn remove_subtree(&mut self, node: NodeId) -> usize {
         let NodeData {
             parent,
             prev_sibling: prev,
@@ -530,27 +520,7 @@ impl Document {
             }
         });
         self.live -= removed;
-        self.epoch += 1;
         removed
-    }
-
-    /// Replaces the text carried by attribute or text node `node`.  The new
-    /// text is appended to the text buffer; the old span stays behind dead.
-    ///
-    /// Panics when `node` is an element, unknown or detached; the checked
-    /// equivalent is [`Document::apply`] with [`Delta::SetText`].
-    pub fn set_text(&mut self, node: NodeId, text: impl AsRef<str>) {
-        assert!(
-            self.contains(node),
-            "cannot set text on unknown or detached node {node}"
-        );
-        assert!(
-            !self.kind(node).is_element(),
-            "cannot set text on element node {node}"
-        );
-        let span = self.push_text(text.as_ref());
-        self.data_mut(node).text = span;
-        self.epoch += 1;
     }
 
     /// Applies one [`Delta`] to the document, validating it first, and
@@ -563,7 +533,7 @@ impl Document {
     /// children (the order [`crate::to_xml`] writes them in), and no edit
     /// may outgrow the `u32` text offsets or node ids.
     pub fn apply(&mut self, delta: &Delta) -> Result<AppliedDelta, DeltaError> {
-        match delta {
+        let applied = match delta {
             Delta::RemoveSubtree { node } => {
                 let node = *node;
                 if node == self.root {
@@ -574,11 +544,11 @@ impl Document {
                 }
                 let parent = NodeId(self.data(node).parent);
                 let nodes = self.remove_subtree(node);
-                Ok(AppliedDelta::Remove {
+                AppliedDelta::Remove {
                     parent,
                     root: node,
                     nodes,
-                })
+                }
             }
             Delta::SetText { node, text } => {
                 let node = *node;
@@ -591,8 +561,10 @@ impl Document {
                 if !fits_u32(self.text.len(), text.len()) {
                     return Err(DeltaError::TextLimit);
                 }
-                self.set_text(node, text);
-                Ok(AppliedDelta::SetText { node })
+                // The new text is appended; the old span stays behind dead.
+                let span = self.push_text(text);
+                self.data_mut(node).text = span;
+                AppliedDelta::SetText { node }
             }
             Delta::InsertSubtree {
                 parent,
@@ -638,15 +610,16 @@ impl Document {
                     return Err(DeltaError::TextLimit);
                 }
                 let (root, nodes) = self.graft(parent, position, fragment);
-                self.epoch += 1;
-                Ok(AppliedDelta::Insert {
+                AppliedDelta::Insert {
                     parent,
                     position,
                     root,
                     nodes,
-                })
+                }
             }
-        }
+        };
+        self.epoch += 1;
+        Ok(applied)
     }
 
     /// Copies `fragment` into the arena as the `position`-th child of
@@ -844,6 +817,24 @@ impl fmt::Display for Document {
 mod tests {
     use super::*;
 
+    /// Removes the subtree at `node` through [`Document::apply`],
+    /// returning its size.
+    fn remove(d: &mut Document, node: NodeId) -> usize {
+        d.apply(&Delta::RemoveSubtree { node })
+            .unwrap()
+            .nodes_added()
+            .unsigned_abs()
+    }
+
+    /// Rewrites the text of `node` through [`Document::apply`].
+    fn set_text(d: &mut Document, node: NodeId, text: &str) {
+        d.apply(&Delta::SetText {
+            node,
+            text: text.into(),
+        })
+        .unwrap();
+    }
+
     fn tiny() -> Document {
         let mut d = Document::new("db");
         let book = d.add_element(d.root(), "book");
@@ -966,7 +957,7 @@ mod tests {
         let before = d.len();
         let book = d.element_children(d.root()).next().unwrap();
         let title = d.children_labelled(book, "title").next().unwrap();
-        let removed = d.remove_subtree(title);
+        let removed = remove(&mut d, title);
         assert_eq!(removed, 2); // title + its text node
         assert_eq!(d.len(), before - 2);
         assert_eq!(d.arena_len(), before, "arena keeps tombstone slots");
@@ -981,7 +972,7 @@ mod tests {
         let mut d = tiny();
         let book = d.element_children(d.root()).next().unwrap();
         let isbn = d.attribute_node(book, "isbn").unwrap();
-        assert_eq!(d.remove_subtree(isbn), 1);
+        assert_eq!(remove(&mut d, isbn), 1);
         assert_eq!(d.attribute(book, "isbn"), None);
         assert_eq!(d.value(book), "(title:(S:XML))");
     }
@@ -991,11 +982,11 @@ mod tests {
         let mut d = tiny();
         let book = d.element_children(d.root()).next().unwrap();
         let isbn = d.attribute_node(book, "isbn").unwrap();
-        d.set_text(isbn, "999");
+        set_text(&mut d, isbn, "999");
         assert_eq!(d.attribute(book, "isbn"), Some("999"));
         let title = d.children_labelled(book, "title").next().unwrap();
         let text = d.children(title).next().unwrap();
-        d.set_text(text, "Relational");
+        set_text(&mut d, text, "Relational");
         assert_eq!(d.string_value(book), "Relational");
     }
 
@@ -1023,14 +1014,14 @@ mod tests {
         let before = d.clone();
         let book = d.element_children(d.root()).next().unwrap();
         let isbn = d.attribute_node(book, "isbn").unwrap();
-        d.set_text(isbn, "999");
+        set_text(&mut d, isbn, "999");
         assert_ne!(d, before, "text and epoch differ");
-        d.set_text(isbn, "123");
+        set_text(&mut d, isbn, "123");
         // The same edits through another detour: equal epochs and text,
         // different dead spans.
         let mut want = before.clone();
-        want.set_text(isbn, "a much longer detour");
-        want.set_text(isbn, "123");
+        set_text(&mut want, isbn, "a much longer detour");
+        set_text(&mut want, isbn, "123");
         assert_ne!(d.text, want.text);
         assert_eq!(d, want);
         assert_ne!(d, before, "the epoch moved on");
@@ -1058,21 +1049,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot remove the document root")]
-    fn remove_root_panics() {
-        let mut d = tiny();
-        d.remove_subtree(d.root());
-    }
-
-    #[test]
-    #[should_panic(expected = "element node")]
-    fn set_text_on_element_panics() {
-        let mut d = tiny();
-        let book = d.element_children(d.root()).next().unwrap();
-        d.set_text(book, "nope");
-    }
-
-    #[test]
     fn epoch_ticks_once_per_mutation() {
         let mut d = Document::new("r");
         let e0 = d.epoch();
@@ -1083,7 +1059,7 @@ mod tests {
         assert_eq!(d.epoch(), e0 + 3);
         let clone = d.clone();
         assert_eq!(clone.epoch(), d.epoch());
-        d.remove_subtree(a);
+        remove(&mut d, a);
         assert_eq!(d.epoch(), e0 + 4);
         let applied = d
             .apply(&crate::Delta::InsertSubtree {
@@ -1154,7 +1130,7 @@ mod tests {
         // A node detached earlier is rejected like an unknown one.
         let mut d2 = d.clone();
         let title = d2.children_labelled(book, "title").next().unwrap();
-        d2.remove_subtree(title);
+        remove(&mut d2, title);
         assert_eq!(
             d2.apply(&Delta::SetText {
                 node: title,
@@ -1197,7 +1173,7 @@ mod tests {
         d2.add_text(a2, "t");
         d2.add_element(d2.root(), "c");
         assert!(d2.all_nodes().is_sorted());
-        d2.remove_subtree(a2);
+        remove(&mut d2, a2);
         assert!(d2.all_nodes().is_sorted());
         let _ = a; // ids stay comparable but unused hereafter
     }

@@ -79,8 +79,7 @@ impl LabelUniverse {
     ///
     /// # Panics
     ///
-    /// Panics if the id does not belong to this universe (temporary
-    /// scratch ids from [`LabelUniverse::lookup_scratch`] included).
+    /// Panics if the id does not belong to this universe.
     pub fn name(&self, id: LabelId) -> &str {
         &self.names[id.index()]
     }
@@ -90,28 +89,10 @@ impl LabelUniverse {
         &self.names
     }
 
-    /// True if the id names an attribute (`@`-prefixed label).  Scratch ids
-    /// beyond the interned range answer `false`.
+    /// True if the id names an attribute (`@`-prefixed label).  Ids past
+    /// the interned range answer `false`.
     pub fn is_attr(&self, id: LabelId) -> bool {
         self.attrs.get(id.index()).copied().unwrap_or(false)
-    }
-
-    /// The id of `name` without interning: an interned label keeps its id,
-    /// an unknown one receives a temporary id past the interned range,
-    /// allocated consistently through `scratch` (pass the same map for every
-    /// lookup of one query so that repeated unknown labels agree).
-    pub fn lookup_scratch(&self, name: &str, scratch: &mut BTreeMap<String, LabelId>) -> LabelId {
-        if let Some(id) = self.lookup(name) {
-            return id;
-        }
-        if let Some(&id) = scratch.get(name) {
-            return id;
-        }
-        let id = LabelId(
-            u32::try_from(self.names.len() + scratch.len()).expect("label universe overflow"),
-        );
-        scratch.insert(name.to_string(), id);
-        id
     }
 }
 
@@ -137,17 +118,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_lookups_are_consistent_and_non_interning() {
+    fn new_labels_get_fresh_ids_in_first_seen_order() {
         let mut u = LabelUniverse::new();
         let known = u.intern("a");
-        let mut scratch = BTreeMap::new();
-        let x1 = u.lookup_scratch("x", &mut scratch);
-        let x2 = u.lookup_scratch("x", &mut scratch);
-        let y = u.lookup_scratch("y", &mut scratch);
-        assert_eq!(u.lookup_scratch("a", &mut scratch), known);
+        let x1 = u.intern("x");
+        let x2 = u.intern("x");
+        let y = u.intern("y");
+        assert_eq!(u.intern("a"), known, "interned ids never move");
         assert_eq!(x1, x2);
         assert_ne!(x1, y);
-        assert!(x1.index() >= u.len() && y.index() >= u.len());
-        assert_eq!(u.len(), 1, "scratch lookups must not intern");
+        assert_eq!((x1, y), (LabelId(1), LabelId(2)));
     }
 }

@@ -220,7 +220,7 @@ fn corpus_pipeline_agrees_with_the_golden_fixtures() {
     )
     .unwrap();
 
-    let bundle = CorpusBundle::new(keys, rules);
+    let bundle = CorpusBundle::prepare(keys, rules);
     let result = bundle.run(std::slice::from_ref(&doc), &CorpusOptions::default());
     assert_eq!(result.stats.documents, 1);
     assert_eq!(result.stats.violations, 0, "Fig. 1 satisfies Example 2.1");

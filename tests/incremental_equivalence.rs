@@ -162,7 +162,7 @@ proptest! {
             depth: None,
         });
         let transformation = Transformation::new(vec![w.universal.clone(), chain_rule(&w)]);
-        let bundle = CorpusBundle::new(w.sigma.clone(), transformation);
+        let bundle = CorpusBundle::prepare(w.sigma.clone(), transformation);
         let mut state = bundle.open_incremental(doc);
 
         let mut applied = 0usize;

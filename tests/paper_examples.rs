@@ -7,7 +7,7 @@ use xmlprop::core::{
 use xmlprop::prelude::*;
 use xmlprop::reldb::{attrs, covers_equivalent, is_bcnf};
 use xmlprop::xmlkeys::{example_2_1_keys, satisfies, satisfies_all};
-use xmlprop::xmlpath::PathCompiler;
+use xmlprop::xmlpath::CompiledExpr;
 use xmlprop::xmltransform::sample as tsample;
 use xmlprop::xmltree::sample::fig1;
 
@@ -110,7 +110,7 @@ fn examples_2_2_and_2_3() {
     let doc = fig1();
     let count = |p: &str| {
         let mut universe = LabelUniverse::new();
-        let expr = universe.compile(&p.parse::<PathExpr>().unwrap());
+        let expr = CompiledExpr::compile(&p.parse::<PathExpr>().unwrap(), &mut universe);
         let index = DocIndex::build(&doc, &mut universe);
         expr.evaluate(&index, doc.root()).len()
     };

@@ -74,7 +74,7 @@ proptest! {
             t.add_rule(w.universal.clone());
             t
         };
-        let bundle = CorpusBundle::new(w.sigma.clone(), transformation);
+        let bundle = CorpusBundle::prepare(w.sigma.clone(), transformation);
         let sequential = bundle.run_sequential(&docs, &CorpusOptions::default());
 
         // Sanity on the oracle itself: mutated documents must violate.

@@ -12,7 +12,7 @@ use xmlprop::reldb::{
 };
 use xmlprop::workload::{generate, generate_document, DocConfig, WorkloadConfig};
 use xmlprop::xmlkeys::{implies, satisfies, satisfies_all};
-use xmlprop::xmlpath::{Atom, LabelUniverse, PathCompiler};
+use xmlprop::xmlpath::{Atom, CompiledExpr, LabelUniverse};
 use xmlprop::xmltree::DocIndex;
 
 // ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ proptest! {
             doc.add_element(root, "b");
         }
         let mut universe = LabelUniverse::new();
-        let compiled = universe.compile(&p);
+        let compiled = CompiledExpr::compile(&p, &mut universe);
         let index = DocIndex::build(&doc, &mut universe);
         let reached: BTreeSet<NodeId> = compiled.evaluate(&index, root).into_iter().collect();
         for node in doc.all_nodes() {
@@ -292,7 +292,7 @@ proptest! {
         use rand::SeedableRng;
         let depth = depth.min(fields);
         let w = generate(&WorkloadConfig::new(fields, depth, depth + extra_keys).with_seed(seed));
-        let engine = PropagationEngine::new(&w.sigma, &w.universal);
+        let engine = PropagationEngine::prepare(&w.sigma, &w.universal);
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
         let mut probes = vec![xmlprop::workload::target_fd(&w)];

@@ -160,7 +160,7 @@ proptest! {
             seed: seed ^ 0xbeef,
             depth: None,
         });
-        let bundle = CorpusBundle::new(w.sigma.clone(), two_level_rules(&w));
+        let bundle = CorpusBundle::prepare(w.sigma.clone(), two_level_rules(&w));
         let (catalog, db) = shred_and_catalog(&bundle, &doc);
 
         for text in queries(&catalog, &db) {
@@ -195,7 +195,7 @@ fn all_attribute_workload_plans_a_key_lookup_join() {
         element_field_ratio: 0.0,
         ..WorkloadConfig::new(6, 2, 8).with_seed(1)
     });
-    let bundle = CorpusBundle::new(w.sigma.clone(), two_level_rules(&w));
+    let bundle = CorpusBundle::prepare(w.sigma.clone(), two_level_rules(&w));
     let mut catalog = Catalog::new();
     for engine in bundle.engines() {
         catalog.add_relation(engine.rule().schema().clone(), &engine.minimum_cover());

@@ -38,7 +38,7 @@ const SHRED: [bool; 2] = [true, false];
 
 /// Bundles a workload's Σ and universal rule the way the pipeline would.
 fn bundle_of(w: &xmlprop::workload::Workload) -> CorpusBundle {
-    CorpusBundle::new(
+    CorpusBundle::prepare(
         w.sigma.clone(),
         Transformation::new(vec![w.universal.clone()]),
     )
