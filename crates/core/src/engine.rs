@@ -1,5 +1,5 @@
-//! The prepared propagation engine: one [`KeyIndex`] + one compiled table
-//! tree, reused across an entire grid of candidate FDs.
+//! The prepared propagation engine: one [`KeyIndex`] + the rule's table
+//! tree in compiled form, reused across an entire grid of candidate FDs.
 //!
 //! The free functions of this crate ([`crate::propagation`],
 //! [`crate::minimum_cover`], …) answer one question per call, recompiling
@@ -8,11 +8,13 @@
 //!
 //! * Σ is prepared into a [`KeyIndex`] (compiled context/target/absolute
 //!   paths, precompiled target-to-context splits, assured-attribute index);
-//! * every table-tree variable's position `path(xr, v)` and every
-//!   ancestor-relative path `path(u, v)` is compiled against the same
-//!   [`xmlprop_xmlpath::LabelUniverse`], so the Fig. 5 walk and the
-//!   Section 5 transitive-key bookkeeping probe the key index with
-//!   ready-made expressions and no per-probe path construction;
+//! * the rule's [`xmlprop_xmltransform::TableTree`], built once with the
+//!   rule, numbers the variables; by that [`VarId`], every variable's
+//!   position `path(xr, v)` and every ancestor-relative path `path(u, v)`
+//!   is compiled against the same [`xmlprop_xmlpath::LabelUniverse`], so
+//!   the Fig. 5 walk and the Section 5 transitive-key bookkeeping probe the
+//!   key index with ready-made expressions and no per-probe path
+//!   construction;
 //! * per-variable attribute edges (which fields they populate, whether
 //!   their existence is assured by Σ) are resolved up front for the
 //!   `Ycheck` analysis and the `GminimumCover` non-null condition.
@@ -25,21 +27,19 @@
 
 use crate::mincover::CoverStats;
 use crate::propagation::PropagationOutcome;
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use xmlprop_reldb::intern::minimize_interned;
 use xmlprop_reldb::{AttrSet, AttrUniverse, Fd, IFd};
 use xmlprop_xmlkeys::{KeyIndex, KeySet};
 use xmlprop_xmlpath::{CompiledExpr, LabelId};
-use xmlprop_xmltransform::{TableRule, TableTree};
+use xmlprop_xmltransform::{TableRule, VarId};
 
-/// One table-tree variable in compiled form.
+/// One table-tree variable in compiled form, at its [`VarId`] index.
 #[derive(Debug, Clone)]
 struct VarData {
-    /// The variable's name.
-    name: String,
-    /// Indices of the ancestors from the root down to this variable
-    /// (inclusive); `ancestors[d]` is the ancestor at depth `d`.
-    ancestors: Vec<usize>,
+    /// The ancestors from the root down to this variable (inclusive);
+    /// `ancestors[d]` is the ancestor at depth `d`.
+    ancestors: Vec<VarId>,
     /// The compiled position `path(xr, v)`.
     position: CompiledExpr,
     /// Parallel to `ancestors`: the compiled relative path
@@ -59,13 +59,9 @@ struct VarData {
 pub struct PropagationEngine {
     sigma: KeySet,
     rule: TableRule,
-    tree: TableTree,
     keys: KeyIndex,
+    /// By [`VarId`].
     vars: Vec<VarData>,
-    var_index: BTreeMap<String, usize>,
-    /// Field name → index of the variable populating it (first field rule
-    /// wins, like [`TableRule::field_var`]).
-    field_var: BTreeMap<String, usize>,
 }
 
 impl PropagationEngine {
@@ -80,47 +76,43 @@ impl PropagationEngine {
     /// Like [`PropagationEngine::prepare`] but takes ownership of the key set
     /// and rule, avoiding the clones.
     pub fn from_owned(sigma: KeySet, rule: TableRule) -> Self {
-        let tree = rule.table_tree();
         let mut keys = KeyIndex::new(&sigma);
-
-        let names: Vec<String> = tree.variables().to_vec();
-        let var_index: BTreeMap<String, usize> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
+        let tree = rule.table_tree();
 
         // Compile each variable's position and ancestor-relative paths
         // incrementally: `path(u, v) = path(u, parent(v)) ⋅ edge(v)`, all at
         // the interned-atom level — only the edge paths themselves go
-        // through string interning (the topological variable order
-        // guarantees the parent's data is already built).
-        let mut vars: Vec<VarData> = Vec::with_capacity(names.len());
-        for name in &names {
-            let chain = tree.ancestors_from_root(name);
-            let ancestors: Vec<usize> = chain.iter().map(|u| var_index[u]).collect();
-            let (position, rel_from_ancestor) = match tree.edge_path(name) {
-                None => (CompiledExpr::epsilon(), vec![CompiledExpr::epsilon()]),
-                Some(edge_path) => {
-                    let edge = keys.compile(edge_path);
-                    let parent = &vars[ancestors[ancestors.len() - 2]];
+        // through string interning (parents precede children in `VarId`
+        // order, so the parent's data is already built).
+        let mut vars: Vec<VarData> = Vec::with_capacity(tree.vars().len());
+        for v in tree.vars() {
+            let (ancestors, position, rel_from_ancestor) = match tree.parent(v) {
+                None => (
+                    vec![v],
+                    CompiledExpr::epsilon(),
+                    vec![CompiledExpr::epsilon()],
+                ),
+                Some(parent) => {
+                    let edge = keys.compile(tree.edge(v));
+                    let parent = &vars[parent.index()];
+                    let mut ancestors = parent.ancestors.clone();
+                    ancestors.push(v);
                     let mut rel: Vec<CompiledExpr> = parent
                         .rel_from_ancestor
                         .iter()
                         .map(|r| r.concat(&edge))
                         .collect();
                     rel.push(CompiledExpr::epsilon());
-                    (parent.position.concat(&edge), rel)
+                    (ancestors, parent.position.concat(&edge), rel)
                 }
             };
-            let edge_attr = match tree.edge_path(name).map(xmlprop_xmlpath::PathExpr::atoms) {
-                Some([xmlprop_xmlpath::Atom::Label(label)]) if label.starts_with('@') => {
+            let edge_attr = match tree.edge(v).atoms() {
+                [xmlprop_xmlpath::Atom::Label(label)] if label.starts_with('@') => {
                     Some(keys.intern_label(label))
                 }
                 _ => None,
             };
             vars.push(VarData {
-                name: name.clone(),
                 ancestors,
                 position,
                 rel_from_ancestor,
@@ -130,35 +122,23 @@ impl PropagationEngine {
         }
 
         // Attribute edges populating fields, grouped under the parent.
-        for fr in rule.field_rules() {
-            let Some(&v) = var_index.get(&fr.var) else {
+        for (fr, &v) in rule.field_rules().iter().zip(tree.field_vars()) {
+            let (Some(attr), Some(parent)) = (vars[v.index()].edge_attr, tree.parent(v)) else {
                 continue;
             };
-            let Some(attr) = vars[v].edge_attr else {
-                continue;
-            };
-            let parent = vars[v].ancestors[vars[v].ancestors.len() - 2];
-            vars[parent].attr_children.push((attr, fr.field.clone()));
+            vars[parent.index()]
+                .attr_children
+                .push((attr, fr.field.clone()));
         }
         for v in &mut vars {
             v.attr_children.sort_by_key(|(id, _)| *id);
         }
 
-        let mut field_var = BTreeMap::new();
-        for fr in rule.field_rules() {
-            if let Some(&v) = var_index.get(&fr.var) {
-                field_var.entry(fr.field.clone()).or_insert(v);
-            }
-        }
-
         PropagationEngine {
             sigma,
             rule,
-            tree,
             keys,
             vars,
-            var_index,
-            field_var,
         }
     }
 
@@ -223,13 +203,14 @@ impl PropagationEngine {
         );
 
         // Every mentioned field must exist in the schema.
-        let Some(&x_var) = self.field_var.get(a_field) else {
+        let Some(x_var) = self.rule.field_var(a_field) else {
             return PropagationOutcome::rejected(a_field, x_fields);
         };
-        if x_fields.iter().any(|f| !self.field_var.contains_key(*f)) {
+        if x_fields.iter().any(|f| self.rule.field_var(f).is_none()) {
             return PropagationOutcome::rejected(a_field, x_fields);
         }
-        let xv = &self.vars[x_var];
+        let tree = self.rule.table_tree();
+        let xv = &self.vars[x_var.index()];
 
         // Fields of X that still need an existence guarantee.
         let mut ycheck_pending: Vec<bool> = x_fields.iter().map(|f| *f != a_field).collect();
@@ -238,7 +219,7 @@ impl PropagationEngine {
         // A trivial FD (A ∈ X) needs no key.
         let mut key_found = x_fields.contains(&a_field);
         let mut keyed_ancestor = if key_found {
-            Some(xv.name.clone())
+            Some(tree.name(x_var).to_string())
         } else {
             None
         };
@@ -252,7 +233,7 @@ impl PropagationEngine {
 
         // Walk the proper ancestors of x top-down.
         for (depth, &t) in xv.ancestors[..xv.ancestors.len() - 1].iter().enumerate() {
-            let tv = &self.vars[t];
+            let tv = &self.vars[t.index()];
 
             // The attributes of `t` that populate fields of X (ids sorted,
             // deduplicated; a duplicated attribute keeps every field).
@@ -269,7 +250,7 @@ impl PropagationEngine {
 
             if !key_found {
                 // Is `t` keyed (by β) relative to the current keyed context?
-                let context_position = &self.vars[xv.ancestors[context_depth]].position;
+                let context_position = &self.vars[xv.ancestors[context_depth].index()].position;
                 let relative = &tv.rel_from_ancestor[context_depth];
                 if self
                     .keys
@@ -284,7 +265,7 @@ impl PropagationEngine {
                         .node_unique_under(&tv.position, to_x, &xv.position)
                     {
                         key_found = true;
-                        keyed_ancestor = Some(tv.name.clone());
+                        keyed_ancestor = Some(tree.name(t).to_string());
                     }
                 }
             }
@@ -326,6 +307,7 @@ impl PropagationEngine {
     /// `crate::minimum_cover` for the reconstruction notes); every
     /// implication probe runs against the prepared key index.
     pub fn minimum_cover_with_stats(&self) -> (Vec<Fd>, CoverStats) {
+        let tree = self.rule.table_tree();
         let mut stats = CoverStats::default();
 
         // Intern the universal relation's fields once (sorted, matching the
@@ -339,31 +321,20 @@ impl PropagationEngine {
                 .chain(self.rule.field_rules().iter().map(|fr| fr.field.as_str())),
         );
 
-        // Canonical transitive key of each keyed variable (by name, so the
-        // FD-generation loop below iterates in the historical order).
-        let mut canonical: BTreeMap<&str, AttrSet> = BTreeMap::new();
-        canonical.insert(self.tree.root(), AttrSet::new());
+        // Canonical transitive key of each keyed variable, by `VarId`.
+        let mut canonical: Vec<Option<AttrSet>> = vec![None; self.vars.len()];
+        canonical[VarId::ROOT.index()] = Some(AttrSet::new());
 
         let mut fds: Vec<IFd> = Vec::new();
 
-        let field_of_var: BTreeMap<&str, &str> = self
-            .rule
-            .field_rules()
-            .iter()
-            .map(|fr| (fr.var.as_str(), fr.field.as_str()))
-            .collect();
-
         // Top-down traversal (parents before children).
-        for (vi, vd) in self.vars.iter().enumerate() {
-            if vi == 0 {
-                continue; // the root
-            }
+        for (v, vd) in tree.vars().zip(&self.vars).skip(1) {
             let mut candidates: Vec<AttrSet> = Vec::new();
             for (depth, &u) in vd.ancestors[..vd.ancestors.len() - 1].iter().enumerate() {
-                let Some(k_u) = canonical.get(self.vars[u].name.as_str()).cloned() else {
+                let Some(k_u) = canonical[u.index()].clone() else {
                     continue;
                 };
-                let u_position = &self.vars[u].position;
+                let u_position = &self.vars[u.index()].position;
                 let relative = &vd.rel_from_ancestor[depth];
 
                 // The "unique under" step: v inherits u's key outright.
@@ -417,19 +388,35 @@ impl PropagationEngine {
                 }
             }
 
-            canonical.insert(vd.name.as_str(), chosen);
+            canonical[v.index()] = Some(chosen);
         }
 
-        stats.keyed_variables = canonical.len();
-
         // FD generation: for each keyed variable `v` and each field `A`
-        // defined by a variable `w` unique under `v`, emit K(v) → A.
-        for (var, key_fields) in &canonical {
-            let v = self.var_index[*var];
-            let v_depth = self.vars[v].ancestors.len() - 1;
-            for (w, field) in &field_of_var {
-                let w_idx = self.var_index[*w];
-                if self.vars[w_idx].ancestors.get(v_depth) != Some(&v) {
+        // defined by a variable `w` unique under `v`, emit K(v) → A.  Both
+        // loops run in variable-name order, the order the cover has always
+        // been generated in.
+        let mut keyed: Vec<(VarId, AttrSet)> = tree
+            .vars()
+            .zip(canonical)
+            .filter_map(|(v, key)| Some((v, key?)))
+            .collect();
+        keyed.sort_unstable_by_key(|(v, _)| tree.name(*v));
+        stats.keyed_variables = keyed.len();
+        let mut field_of_var: Vec<(VarId, &str)> = tree
+            .field_vars()
+            .iter()
+            .zip(self.rule.field_rules())
+            .map(|(&w, fr)| (w, fr.field.as_str()))
+            .collect();
+        field_of_var.sort_unstable_by_key(|(w, _)| tree.name(*w));
+        // The FDs so far; equivalence FDs may repeat, generated ones may not.
+        let mut seen: HashSet<IFd> = fds.iter().cloned().collect();
+        for (v, key_fields) in &keyed {
+            let vd = &self.vars[v.index()];
+            let v_depth = vd.ancestors.len() - 1;
+            for &(w, field) in &field_of_var {
+                let wd = &self.vars[w.index()];
+                if wd.ancestors.get(v_depth) != Some(v) {
                     continue; // v is not an ancestor-or-self of w
                 }
                 let field_id = universe
@@ -438,15 +425,14 @@ impl PropagationEngine {
                 if key_fields.contains(field_id) {
                     continue; // trivial
                 }
-                let to_w = &self.vars[w_idx].rel_from_ancestor[v_depth];
+                let to_w = &wd.rel_from_ancestor[v_depth];
                 stats.implication_calls += 1;
-                if self.keys.node_unique_under(
-                    &self.vars[v].position,
-                    to_w,
-                    &self.vars[w_idx].position,
-                ) {
+                if self
+                    .keys
+                    .node_unique_under(&vd.position, to_w, &wd.position)
+                {
                     let fd = IFd::new(key_fields.clone(), std::iter::once(field_id).collect());
-                    if !fds.contains(&fd) {
+                    if seen.insert(fd.clone()) {
                         fds.push(fd);
                     }
                 }
@@ -485,23 +471,6 @@ impl PropagationEngine {
             .collect()
     }
 
-    /// The variable index populating `field`, if any.
-    pub(crate) fn field_var_index(&self, field: &str) -> Option<usize> {
-        self.field_var.get(field).copied()
-    }
-
-    /// The parent index of a variable (`None` for the root).
-    pub(crate) fn parent_index(&self, var: usize) -> Option<usize> {
-        let chain = &self.vars[var].ancestors;
-        (chain.len() >= 2).then(|| chain[chain.len() - 2])
-    }
-
-    /// True if `anc` is an ancestor of `var` or equal to it.
-    pub(crate) fn is_ancestor_or_self(&self, anc: usize, var: usize) -> bool {
-        let d = self.vars[anc].ancestors.len() - 1;
-        self.vars[var].ancestors.get(d) == Some(&anc)
-    }
-
     /// For every variable: true if its edge is a single attribute whose
     /// existence is assured by Σ at the parent position — the
     /// probe-independent half of the `GminimumCover` non-null analysis.
@@ -509,15 +478,13 @@ impl PropagationEngine {
     /// propagation engines never pay for it; `GMinimumCover` calls it once
     /// at construction.
     pub(crate) fn edge_attr_assured_map(&self) -> Vec<bool> {
-        self.vars
-            .iter()
-            .map(|v| match v.edge_attr {
-                Some(attr) => {
-                    let parent = v.ancestors[v.ancestors.len() - 2];
-                    self.keys
-                        .attribute_assured(&self.vars[parent].position, attr)
-                }
-                None => false,
+        let tree = self.rule.table_tree();
+        tree.vars()
+            .map(|v| match (self.vars[v.index()].edge_attr, tree.parent(v)) {
+                (Some(attr), Some(parent)) => self
+                    .keys
+                    .attribute_assured(&self.vars[parent.index()].position, attr),
+                _ => false,
             })
             .collect()
     }

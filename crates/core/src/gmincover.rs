@@ -27,8 +27,8 @@ pub struct GMinimumCover {
     cover: Vec<Fd>,
     universe: AttrUniverse,
     index: FdIndex,
-    /// Per variable: whether its edge is an attribute assured by Σ at the
-    /// parent position (the probe-independent non-null condition).
+    /// By `VarId`: whether the variable's edge is an attribute assured by Σ
+    /// at the parent position (the probe-independent non-null condition).
     edge_assured: Vec<bool>,
 }
 
@@ -94,23 +94,25 @@ impl GMinimumCover {
         // an attribute edge whose existence is assured by Σ.  Both the
         // attribute-edge shape and its assurance are precomputed on the
         // engine; only the ancestor test depends on the probe.
-        let Some(a_var) = self.engine.field_var_index(a_field) else {
+        let rule = self.engine.rule();
+        let tree = rule.table_tree();
+        let Some(a_var) = rule.field_var(a_field) else {
             return false;
         };
         for field in x_fields {
             if field == a_field {
                 continue;
             }
-            let Some(var) = self.engine.field_var_index(field) else {
+            let Some(var) = rule.field_var(field) else {
                 return false;
             };
-            let Some(parent) = self.engine.parent_index(var) else {
+            let Some(parent) = tree.parent(var) else {
                 return false;
             };
-            if !self.engine.is_ancestor_or_self(parent, a_var) {
+            if !tree.is_ancestor_or_self(parent, a_var) {
                 return false;
             }
-            if !self.edge_assured[var] {
+            if !self.edge_assured[var.index()] {
                 return false;
             }
         }

@@ -16,7 +16,8 @@
 //! On top of those it provides:
 //!
 //! * [`PropagationEngine`] — the prepared form of a `(Σ, rule)` pair: one
-//!   key index plus one compiled table tree, answering `propagation`,
+//!   key index plus the rule's table tree (built once with the rule)
+//!   compiled by `VarId`, answering `propagation`,
 //!   `minimum_cover` and the batch [`propagate_all`] from shared state.
 //!   The free functions above are one-shot facades over it;
 //! * [`GMinimumCover`] — the `GminimumCover` variant of Section 6 that
@@ -71,3 +72,62 @@ pub use mincover::{minimum_cover, minimum_cover_with_stats, CoverStats};
 pub use naive::{naive_minimum_cover, naive_propagated_fds};
 pub use propagation::{propagate_all, propagation, propagation_explained, PropagationOutcome};
 pub use refine::{refine, refine_with_checker, RefinedDesign};
+
+#[cfg(test)]
+pub(crate) mod test_rules {
+    use xmlprop_xmltransform::sample::example_3_1_universal;
+    use xmlprop_xmltransform::{FieldRule, TableRule, VarId, VarMapping};
+
+    /// The Example 3.1 universal rule declared two other ways: with its
+    /// mappings reversed, so every child comes before its parent and the
+    /// `VarId` numbering differs from the original; and with every
+    /// variable renamed so that name order runs against `VarId` order.
+    pub(crate) fn reordered_universal_rules() -> Vec<TableRule> {
+        let u = example_3_1_universal();
+        let mut reversed = u.mappings().to_vec();
+        reversed.reverse();
+
+        let tree = u.table_tree();
+        let n = tree.vars().len();
+        let rename = |name: &str| match tree.var(name) {
+            Some(v) if v != VarId::ROOT => format!("w{:02}", n - v.index()),
+            _ => name.to_string(),
+        };
+        let mappings = u
+            .mappings()
+            .iter()
+            .map(|m| VarMapping {
+                var: rename(&m.var),
+                parent: rename(&m.parent),
+                path: m.path.clone(),
+            })
+            .collect();
+        let fields = u
+            .field_rules()
+            .iter()
+            .map(|fr| FieldRule {
+                field: fr.field.clone(),
+                var: rename(&fr.var),
+            })
+            .collect();
+
+        vec![
+            TableRule::new(u.schema().clone(), reversed, u.field_rules().to_vec()).unwrap(),
+            TableRule::new(u.schema().clone(), mappings, fields).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn the_reordered_rules_number_their_variables_differently() {
+        let u = example_3_1_universal();
+        let names = |rule: &TableRule| -> Vec<String> {
+            let tree = rule.table_tree();
+            tree.vars().map(|v| tree.name(v).to_string()).collect()
+        };
+        let [reversed, renamed] = <[TableRule; 2]>::try_from(reordered_universal_rules()).unwrap();
+        assert_ne!(names(&reversed), names(&u));
+        assert_eq!(names(&reversed)[..2], ["xr", "xb"]);
+        let renamed = names(&renamed);
+        assert!(renamed[1..].windows(2).all(|w| w[0] > w[1]), "{renamed:?}");
+    }
+}

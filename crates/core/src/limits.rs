@@ -121,12 +121,11 @@ mod tests {
         let rule = identity_rule(&schema);
         let tree = rule.table_tree();
         for var in tree
-            .variables()
-            .iter()
-            .filter(|v| *v != "xr" && *v != "row")
+            .vars()
+            .filter(|&v| tree.name(v) != "xr" && tree.name(v) != "row")
         {
-            assert_eq!(tree.edge_path(var).unwrap().len(), 1);
-            assert_eq!(tree.parent(var), Some("row"));
+            assert_eq!(tree.edge(var).len(), 1);
+            assert_eq!(tree.parent(var).map(|p| tree.name(p)), Some("row"));
         }
     }
 }

@@ -71,7 +71,7 @@ pub(crate) mod oracle {
     use xmlprop_reldb::intern::minimize_interned;
     use xmlprop_reldb::{AttrSet, AttrUniverse, Fd, IFd};
     use xmlprop_xmlkeys::{implies, node_unique_under, KeySet, XmlKey};
-    use xmlprop_xmltransform::{TableRule, TableTree};
+    use xmlprop_xmltransform::{TableRule, TableTree, VarId};
 
     /// `minimum_cover_with_stats` as originally written.
     pub fn minimum_cover_with_stats(sigma: &KeySet, rule: &TableRule) -> (Vec<Fd>, CoverStats) {
@@ -87,7 +87,7 @@ pub(crate) mod oracle {
         );
 
         let mut canonical: BTreeMap<String, AttrSet> = BTreeMap::new();
-        canonical.insert(tree.root().to_string(), AttrSet::new());
+        canonical.insert(tree.name(VarId::ROOT).to_string(), AttrSet::new());
 
         let mut fds: Vec<IFd> = Vec::new();
 
@@ -97,17 +97,15 @@ pub(crate) mod oracle {
             .map(|fr| (fr.var.as_str(), fr.field.as_str()))
             .collect();
 
-        for var in tree.variables().iter() {
-            if var == tree.root() {
-                continue;
-            }
+        for var in tree.vars().skip(1) {
             let mut candidates: Vec<AttrSet> = Vec::new();
-            let ancestors = tree.ancestors_from_root(var);
-            for u in &ancestors[..ancestors.len() - 1] {
-                let Some(k_u) = canonical.get(u.as_str()).cloned() else {
+            let mut ancestors: Vec<VarId> = tree.ancestors(var).collect();
+            ancestors.reverse();
+            for &u in &ancestors[..ancestors.len() - 1] {
+                let Some(k_u) = canonical.get(tree.name(u)).cloned() else {
                     continue;
                 };
-                let u_position = tree.path_from_root(u);
+                let u_position = tree.path_between(VarId::ROOT, u).expect("u is a variable");
                 let relative = tree.path_between(u, var).expect("u is an ancestor of var");
 
                 stats.implication_calls += 1;
@@ -115,7 +113,7 @@ pub(crate) mod oracle {
                     candidates.push(k_u.clone());
                 }
 
-                let attr_fields = attribute_fields_of(rule, &tree, var);
+                let attr_fields = attribute_fields_of(rule, tree, var);
                 if attr_fields.is_empty() {
                     continue;
                 }
@@ -157,14 +155,18 @@ pub(crate) mod oracle {
                 }
             }
 
-            canonical.insert(var.clone(), chosen);
+            canonical.insert(tree.name(var).to_string(), chosen);
         }
 
         stats.keyed_variables = canonical.len();
 
         for (var, key_fields) in &canonical {
-            let v_position = tree.path_from_root(var);
+            let var = tree.var(var).expect("keyed variables are variables");
+            let v_position = tree
+                .path_between(VarId::ROOT, var)
+                .expect("var is a variable");
             for (w, field) in &field_of_var {
+                let w = tree.var(w).expect("field rules name variables");
                 if !tree.is_ancestor_or_self(var, w) {
                     continue;
                 }
@@ -197,20 +199,15 @@ pub(crate) mod oracle {
     fn attribute_fields_of(
         rule: &TableRule,
         tree: &TableTree,
-        var: &str,
+        var: VarId,
     ) -> BTreeMap<String, String> {
         let mut out = BTreeMap::new();
         for fr in rule.field_rules() {
-            let Some(parent) = tree.parent(&fr.var) else {
-                continue;
-            };
-            if parent != var {
+            let w = tree.var(&fr.var).expect("field rules name variables");
+            if tree.parent(w) != Some(var) {
                 continue;
             }
-            let path = tree
-                .edge_path(&fr.var)
-                .expect("non-root variable has an edge");
-            if let [xmlprop_xmlpath::Atom::Label(label)] = path.atoms() {
+            if let [xmlprop_xmlpath::Atom::Label(label)] = tree.edge(w).atoms() {
                 if label.starts_with('@') {
                     out.insert(label.clone(), fr.field.clone());
                 }
@@ -321,12 +318,14 @@ mod tests {
     fn engine_matches_oracle_bit_for_bit() {
         // The engine and the pre-engine oracle must agree on the exact
         // cover (same FDs, same order) and on every statistic, for every
-        // sample rule and for a Σ with alternative keys.
+        // sample rule, for the universal rule declared in other orders and
+        // under other names, and for a Σ with alternative keys.
         let mut sigma = example_2_1_keys();
         let t = example_2_4_transformation();
         let mut rules: Vec<TableRule> = t.rules().to_vec();
         rules.push(example_3_1_universal());
         rules.push(example_1_1_refined_chapter());
+        rules.extend(crate::test_rules::reordered_universal_rules());
         sigma.add(XmlKey::parse("K8: (ε, (//book, {@isbn13}))").unwrap());
         for rule in &rules {
             assert_eq!(

@@ -83,7 +83,7 @@ pub fn propagate_all(sigma: &KeySet, rule: &TableRule, fds: &[Fd]) -> Vec<bool> 
 pub(crate) mod oracle {
     use super::*;
     use xmlprop_xmlkeys::{attributes_assured, implies, node_unique_under, XmlKey};
-    use xmlprop_xmltransform::TableTree;
+    use xmlprop_xmltransform::{TableTree, VarId};
 
     /// `propagation` as originally written.
     pub fn propagation(sigma: &KeySet, rule: &TableRule, fd: &Fd) -> bool {
@@ -121,45 +121,47 @@ pub(crate) mod oracle {
             return PropagationOutcome::rejected(a_field, x_fields);
         }
 
-        let ancestors = tree.ancestors_from_root(x_var);
+        let mut ancestors: Vec<VarId> = tree.ancestors(x_var).collect();
+        ancestors.reverse();
 
         let mut ycheck_pending: Vec<bool> = x_fields.iter().map(|f| *f != a_field).collect();
         let mut ycheck_len = ycheck_pending.iter().filter(|p| **p).count();
 
         let mut key_found = x_fields.contains(&a_field);
         let mut keyed_ancestor = if key_found {
-            Some(x_var.to_string())
+            Some(tree.name(x_var).to_string())
         } else {
             None
         };
 
-        let mut context = tree.root().to_string();
+        let mut context = VarId::ROOT;
+        let path_from_root = |var| tree.path_between(VarId::ROOT, var).expect("a variable");
 
-        for target in &ancestors[..ancestors.len().saturating_sub(1)] {
-            let beta = attributes_of_target_in_x(rule, &tree, target, x_fields);
+        for &target in &ancestors[..ancestors.len().saturating_sub(1)] {
+            let beta = attributes_of_target_in_x(rule, tree, target, x_fields);
             let beta_attrs: Vec<&str> = beta.iter().map(|(attr, _)| attr.as_str()).collect();
 
             if !key_found {
-                let context_position = tree.path_from_root(&context);
+                let context_position = path_from_root(context);
                 let relative = tree
-                    .path_between(&context, target)
+                    .path_between(context, target)
                     .expect("target is a descendant of every previous context");
                 let probe = XmlKey::new(context_position, relative, beta_attrs.iter().copied());
                 if implies(sigma, &probe) {
-                    context = target.clone();
-                    let target_position = tree.path_from_root(target);
+                    context = target;
+                    let target_position = path_from_root(target);
                     let to_x = tree
                         .path_between(target, x_var)
                         .expect("x is a descendant of its ancestor");
                     if node_unique_under(sigma, &target_position, &to_x) {
                         key_found = true;
-                        keyed_ancestor = Some(target.clone());
+                        keyed_ancestor = Some(tree.name(target).to_string());
                     }
                 }
             }
 
             if !beta.is_empty() {
-                let target_position = tree.path_from_root(target);
+                let target_position = path_from_root(target);
                 if attributes_assured(sigma, &target_position, beta_attrs.iter().copied()) {
                     for (_, field) in &beta {
                         if let Ok(i) = x_fields.binary_search(field) {
@@ -189,7 +191,7 @@ pub(crate) mod oracle {
     fn attributes_of_target_in_x<'a>(
         rule: &TableRule,
         tree: &TableTree,
-        target: &str,
+        target: VarId,
         x_fields: &[&'a str],
     ) -> Vec<(String, &'a str)> {
         let mut out = Vec::new();
@@ -197,16 +199,10 @@ pub(crate) mod oracle {
             let Some(var) = rule.field_var(field) else {
                 continue;
             };
-            let Some(parent) = tree.parent(var) else {
-                continue;
-            };
-            if parent != target {
+            if tree.parent(var) != Some(target) {
                 continue;
             }
-            let path = tree
-                .edge_path(var)
-                .expect("non-root variable has an edge path");
-            if let [xmlprop_xmlpath::Atom::Label(label)] = path.atoms() {
+            if let [xmlprop_xmlpath::Atom::Label(label)] = tree.edge(var).atoms() {
                 if label.starts_with('@') {
                     out.push((label.clone(), field));
                 }
@@ -426,12 +422,14 @@ mod tests {
         // The prepared engine and the pre-engine oracle must return
         // identical outcomes (verdict, keyed ancestor and Ycheck residue)
         // over an exhaustive grid of 1- and 2-field left-hand sides on
-        // every sample rule.
+        // every sample rule, and on the universal rule declared in other
+        // orders and under other names.
         let sigma = example_2_1_keys();
         let t = example_2_4_transformation();
         let mut rules: Vec<TableRule> = t.rules().to_vec();
         rules.push(example_3_1_universal());
         rules.push(example_1_1_refined_chapter());
+        rules.extend(crate::test_rules::reordered_universal_rules());
         for rule in &rules {
             let engine = PropagationEngine::prepare(&sigma, rule);
             let attrs: Vec<String> = rule.schema().attributes().to_vec();

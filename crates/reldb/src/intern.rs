@@ -26,6 +26,7 @@
 use crate::Fd;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt;
 
 /// An interned attribute: an index into an [`AttrUniverse`].
@@ -492,19 +493,23 @@ pub fn remove_trivial_interned(fds: &[IFd]) -> Vec<IFd> {
     let mut out: Vec<IFd> = Vec::new();
     for fd in fds {
         for a in fd.rhs.iter() {
-            if fd.lhs.contains(a) {
-                continue;
-            }
-            let single = IFd {
-                lhs: fd.lhs.clone(),
-                rhs: std::iter::once(a).collect(),
-            };
-            if !out.contains(&single) {
-                out.push(single);
+            if !fd.lhs.contains(a) {
+                out.push(IFd {
+                    lhs: fd.lhs.clone(),
+                    rhs: std::iter::once(a).collect(),
+                });
             }
         }
     }
-    out
+    dedup_keep_first(out)
+}
+
+/// `fds` without repeats, each kept at its first occurrence.
+fn dedup_keep_first(fds: Vec<IFd>) -> Vec<IFd> {
+    let mut seen: HashSet<IFd> = HashSet::with_capacity(fds.len());
+    fds.into_iter()
+        .filter(|fd| seen.insert(fd.clone()))
+        .collect()
 }
 
 /// The paper's `minimize` on interned FDs: removes extraneous left-hand-side
@@ -542,12 +547,7 @@ pub fn minimize_interned(n_attrs: usize, fds: &[IFd]) -> Vec<IFd> {
     }
 
     // Deduplicate (reductions may have collapsed FDs together).
-    let mut deduped: Vec<IFd> = Vec::with_capacity(work.len());
-    for fd in work {
-        if !deduped.contains(&fd) {
-            deduped.push(fd);
-        }
-    }
+    let deduped = dedup_keep_first(work);
 
     // Step 2: drop redundant FDs.  One index over the deduplicated set and a
     // liveness mask replace the per-removal set rebuilds of the string-based

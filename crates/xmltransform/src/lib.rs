@@ -25,8 +25,10 @@
 //!
 //! * [`TableRule`], [`Transformation`] with the well-formedness checks of
 //!   Definition 2.2 (see [`RuleError`]);
-//! * [`TableTree`] — the tree view used by all the propagation algorithms
-//!   (`parent`, ancestors, `path(y, x)`, depth);
+//! * [`TableTree`] — the rule's tree, built once by [`TableRule::new`]
+//!   while it validates the rule and indexed by dense [`VarId`]s (parents
+//!   before children): `parent`, ancestors, `path(y, x)`, depth.
+//!   Shredding and all the propagation algorithms read it;
 //! * shredding: the prepared [`ShredPlan`] / [`TransformationPlan`]
 //!   ([`TableRule::prepare`] / [`Transformation::prepare`]) shredding over
 //!   a [`xmlprop_xmltree::DocIndex`], enumerating the bindings over dense
@@ -57,6 +59,6 @@ mod tree;
 
 pub use delta::{IncrementalShredder, RelationDelta};
 pub use parse::{parse_single_rule, ParseRuleError};
-pub use plan::{ShredPlan, ShredScratch, TransformationPlan, VarId};
+pub use plan::{ShredPlan, ShredScratch, TransformationPlan};
 pub use rule::{FieldRule, RuleError, TableRule, Transformation, VarMapping, ROOT_VAR};
-pub use tree::TableTree;
+pub use tree::{TableTree, VarId};

@@ -202,7 +202,8 @@ mod tests {
         assert_eq!(rule.mappings().len(), 5);
         assert_eq!(rule.mapping_of("yb").unwrap().parent, R);
         assert_eq!(rule.mapping_of("yb").unwrap().path.to_string(), "//book");
-        assert_eq!(rule.field_var("name"), Some("y3"));
+        let y3 = rule.field_var("name").unwrap();
+        assert_eq!(rule.table_tree().name(y3), "y3");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A [`ShredPlan`] does the per-rule work of shredding once:
 //!
-//! * every variable gets a dense [`VarId`] (parent-before-child order), so
-//!   a binding is a flat array of `u32` DFS positions instead of a
-//!   string-keyed map;
+//! * every variable is indexed by the dense [`VarId`] the rule's
+//!   [`crate::TableTree`] gave it when the rule was built (parents before
+//!   children), so a binding is a flat array of `u32` DFS positions
+//!   instead of a string-keyed map;
 //! * every edge path is compiled ([`xmlprop_xmlpath::CompiledExpr`]) against
 //!   a shared [`LabelUniverse`] and evaluated over a prepared
 //!   [`DocIndex`] with reusable scratch frontiers;
@@ -36,23 +37,10 @@
 
 use crate::rule::{TableRule, Transformation};
 use crate::shred::field_value;
-use std::collections::HashMap;
+use crate::tree::VarId;
 use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
 use xmlprop_xmlpath::{CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse};
 use xmlprop_xmltree::{DocIndex, Document, NodeId, NodeKind};
-
-/// A dense identifier for a variable of one [`ShredPlan`] (the root
-/// variable `xr` is `VarId(0)`; parents precede children).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VarId(u32);
-
-impl VarId {
-    /// The id as a `usize` index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// Sentinel for "variable bound to null" in a binding.
 const NULL: u32 = u32::MAX;
@@ -81,35 +69,22 @@ impl ShredPlan {
     /// in either order).
     pub fn new(rule: &TableRule, universe: &mut LabelUniverse) -> Self {
         let tree = rule.table_tree();
-        let order = tree.variables();
-        let id_of: HashMap<&str, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i as u32))
+        let parents = tree
+            .vars()
+            .map(|v| tree.parent(v).unwrap_or(VarId::ROOT).0)
             .collect();
-        let mut parents = Vec::with_capacity(order.len());
-        let mut paths = Vec::with_capacity(order.len());
-        for var in order {
-            match tree.parent(var) {
-                Some(p) => {
-                    parents.push(id_of[p]);
-                    let edge = tree.edge_path(var).expect("non-root edge");
-                    paths.push(CompiledExpr::compile(edge, universe));
-                }
-                None => {
-                    parents.push(0);
-                    paths.push(CompiledExpr::epsilon());
-                }
-            }
-        }
+        let paths: Vec<CompiledExpr> = tree
+            .vars()
+            .map(|v| CompiledExpr::compile(tree.edge(v), universe))
+            .collect();
         let field_vars = rule
             .schema()
             .attributes()
             .iter()
             .map(|field| {
-                id_of[rule
-                    .field_var(field)
-                    .expect("validated rule covers every field")]
+                rule.field_var(field)
+                    .expect("validated rule covers every field")
+                    .0
             })
             .collect();
         let single_label = paths
@@ -760,7 +735,8 @@ mod shred_proptests {
     /// edges go through the general path evaluator.  Every leaf variable
     /// carries a field.  Some inner element variables get a leaf twin on
     /// the same edge, whose field reads the `value()` of an element with
-    /// children.
+    /// children.  The mappings are declared in a random order, so a child
+    /// often comes before its parent.
     fn rule_strategy() -> impl Strategy<Value = TableRule> {
         let label = prop_oneof![Just("a"), Just("b"), Just("c"), Just("@x"), Just("@y")];
         let second = prop_oneof![
@@ -773,8 +749,9 @@ mod shred_proptests {
         (
             prop_oneof![Just("a"), Just("b"), Just("c")],
             prop::collection::vec((0usize..8, label, second, any_bool()), 0..5),
+            prop::collection::vec(0u8..64, 9..10),
         )
-            .prop_map(|(top, steps)| {
+            .prop_map(|(top, steps, shuffle)| {
                 // Variable `v{i+1}` is `vars[i]`: its edge (parent and
                 // path), whether it is an attribute, has a child, and wants
                 // a twin.
@@ -822,6 +799,12 @@ mod shred_proptests {
                     leaves.push(lines.len());
                     lines.push(format!("v{} := v{}/{path};", lines.len() + 1, parent + 1));
                 }
+                // At most eight mappings (the root's child, four steps,
+                // three twins); a stable sort by nine random keys shuffles
+                // them.
+                let mut order: Vec<(u8, String)> = shuffle.into_iter().zip(lines).collect();
+                order.sort_by_key(|(key, _)| *key);
+                let mut lines: Vec<String> = order.into_iter().map(|(_, line)| line).collect();
                 let fields: Vec<String> = (0..leaves.len()).map(|f| format!("f{f}")).collect();
                 for (field, leaf) in fields.iter().zip(&leaves) {
                     lines.push(format!("{field} := value(v{});", leaf + 1));

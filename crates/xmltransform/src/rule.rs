@@ -1,7 +1,7 @@
 //! Table rules and transformations (Definition 2.2).
 
-use crate::TableTree;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::tree::{TableTree, VarId};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use xmlprop_reldb::RelationSchema;
 use xmlprop_xmlpath::PathExpr;
@@ -111,16 +111,122 @@ impl fmt::Display for RuleError {
 
 impl std::error::Error for RuleError {}
 
+/// Checks Definition 2.2 and builds the rule's table tree.  This is the
+/// one place variables get their [`VarId`]s: the pass that proves every
+/// variable connected to the root numbers it.
+fn validate(
+    schema: &RelationSchema,
+    mappings: &[VarMapping],
+    fields: &[FieldRule],
+) -> Result<TableTree, RuleError> {
+    // Distinct variables; no redefinition of the root.
+    let mut defined: BTreeSet<&str> = BTreeSet::new();
+    for m in mappings {
+        if m.var == ROOT_VAR || !defined.insert(m.var.as_str()) {
+            return Err(RuleError::DuplicateVariable(m.var.clone()));
+        }
+    }
+    // Parents must exist.
+    for m in mappings {
+        if m.parent != ROOT_VAR && !defined.contains(m.parent.as_str()) {
+            return Err(RuleError::UnknownParent {
+                var: m.var.clone(),
+                parent: m.parent.clone(),
+            });
+        }
+    }
+    // Connectivity to the root, by the topological pass that numbers the
+    // variables: rounds over the declaration order, each taking the
+    // variables whose parent is already numbered.  A variable no round
+    // takes sits on a cycle (or below one); the first in declaration order
+    // is reported.
+    let mut ids: HashMap<&str, u32> = HashMap::from([(ROOT_VAR, 0)]);
+    let mut names = vec![ROOT_VAR.to_string()];
+    let mut parent = vec![0];
+    let mut edges = vec![PathExpr::epsilon()];
+    let mut remaining: Vec<&VarMapping> = mappings.iter().collect();
+    while !remaining.is_empty() {
+        let before = remaining.len();
+        remaining.retain(|&m| match ids.get(m.parent.as_str()) {
+            Some(&p) => {
+                ids.insert(m.var.as_str(), names.len() as u32);
+                names.push(m.var.clone());
+                parent.push(p);
+                edges.push(m.path.clone());
+                false
+            }
+            None => true,
+        });
+        if remaining.len() == before {
+            return Err(RuleError::NotConnectedToRoot(remaining[0].var.clone()));
+        }
+    }
+    // Simple paths except from the root variable.
+    for m in mappings {
+        if m.parent != ROOT_VAR && m.path.has_wildcard() {
+            return Err(RuleError::NonSimplePath {
+                var: m.var.clone(),
+                path: m.path.to_string(),
+            });
+        }
+    }
+    // Field rules: known leaf variables, one per field, distinct vars.
+    let mut internal = vec![false; names.len()];
+    for &p in &parent[1..] {
+        internal[p as usize] = true;
+    }
+    let mut seen_fields: BTreeSet<&str> = BTreeSet::new();
+    let mut seen_vars = vec![false; names.len()];
+    let mut field_vars = Vec::with_capacity(fields.len());
+    for fr in fields {
+        if !seen_fields.insert(fr.field.as_str()) {
+            return Err(RuleError::DuplicateField(fr.field.clone()));
+        }
+        let Some(&var) = ids.get(fr.var.as_str()) else {
+            return Err(RuleError::UnknownFieldVariable {
+                field: fr.field.clone(),
+                var: fr.var.clone(),
+            });
+        };
+        if internal[var as usize] {
+            return Err(RuleError::FieldOnInternalVariable {
+                field: fr.field.clone(),
+                var: fr.var.clone(),
+            });
+        }
+        if std::mem::replace(&mut seen_vars[var as usize], true) {
+            return Err(RuleError::SharedFieldVariable {
+                var: fr.var.clone(),
+            });
+        }
+        field_vars.push(VarId(var));
+    }
+    // Every schema attribute must be populated.
+    for attr in schema.attributes() {
+        if !seen_fields.contains(attr.as_str()) {
+            return Err(RuleError::MissingField(attr.clone()));
+        }
+    }
+    Ok(TableTree {
+        names,
+        parent,
+        edges,
+        field_vars,
+    })
+}
+
 /// A table rule `Rule(R)` for one relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRule {
     schema: RelationSchema,
     mappings: Vec<VarMapping>,
     fields: Vec<FieldRule>,
+    /// Built by validation; a function of the three fields above.
+    tree: TableTree,
 }
 
 impl TableRule {
-    /// Creates and validates a table rule.
+    /// Creates and validates a table rule, building its table tree.
     ///
     /// `mappings` define the variables (the root variable `xr` is implicit
     /// and must not be mapped); `fields` must cover exactly the attributes of
@@ -130,95 +236,13 @@ impl TableRule {
         mappings: Vec<VarMapping>,
         fields: Vec<FieldRule>,
     ) -> Result<Self, RuleError> {
-        let rule = TableRule {
+        let tree = validate(&schema, &mappings, &fields)?;
+        Ok(TableRule {
             schema,
             mappings,
             fields,
-        };
-        rule.validate()?;
-        Ok(rule)
-    }
-
-    fn validate(&self) -> Result<(), RuleError> {
-        // Distinct variables; no redefinition of the root.
-        let mut defined: BTreeSet<&str> = BTreeSet::new();
-        for m in &self.mappings {
-            if m.var == ROOT_VAR || !defined.insert(m.var.as_str()) {
-                return Err(RuleError::DuplicateVariable(m.var.clone()));
-            }
-        }
-        // Parents must exist.
-        for m in &self.mappings {
-            if m.parent != ROOT_VAR && !defined.contains(m.parent.as_str()) {
-                return Err(RuleError::UnknownParent {
-                    var: m.var.clone(),
-                    parent: m.parent.clone(),
-                });
-            }
-        }
-        // Connectivity to the root (this also rejects cycles).
-        let parent_of: BTreeMap<&str, &str> = self
-            .mappings
-            .iter()
-            .map(|m| (m.var.as_str(), m.parent.as_str()))
-            .collect();
-        for m in &self.mappings {
-            let mut cur = m.var.as_str();
-            let mut steps = 0usize;
-            while cur != ROOT_VAR {
-                match parent_of.get(cur) {
-                    Some(&p) => cur = p,
-                    None => return Err(RuleError::NotConnectedToRoot(m.var.clone())),
-                }
-                steps += 1;
-                if steps > self.mappings.len() {
-                    return Err(RuleError::NotConnectedToRoot(m.var.clone()));
-                }
-            }
-        }
-        // Simple paths except from the root variable.
-        for m in &self.mappings {
-            if m.parent != ROOT_VAR && m.path.has_wildcard() {
-                return Err(RuleError::NonSimplePath {
-                    var: m.var.clone(),
-                    path: m.path.to_string(),
-                });
-            }
-        }
-        // Field rules: known leaf variables, one per field, distinct vars.
-        let internal: BTreeSet<&str> = self.mappings.iter().map(|m| m.parent.as_str()).collect();
-        let mut seen_fields: BTreeSet<&str> = BTreeSet::new();
-        let mut seen_vars: BTreeSet<&str> = BTreeSet::new();
-        for fr in &self.fields {
-            if !seen_fields.insert(fr.field.as_str()) {
-                return Err(RuleError::DuplicateField(fr.field.clone()));
-            }
-            let known = fr.var == ROOT_VAR || defined.contains(fr.var.as_str());
-            if !known {
-                return Err(RuleError::UnknownFieldVariable {
-                    field: fr.field.clone(),
-                    var: fr.var.clone(),
-                });
-            }
-            if internal.contains(fr.var.as_str()) {
-                return Err(RuleError::FieldOnInternalVariable {
-                    field: fr.field.clone(),
-                    var: fr.var.clone(),
-                });
-            }
-            if !seen_vars.insert(fr.var.as_str()) {
-                return Err(RuleError::SharedFieldVariable {
-                    var: fr.var.clone(),
-                });
-            }
-        }
-        // Every schema attribute must be populated.
-        for attr in self.schema.attributes() {
-            if !seen_fields.contains(attr.as_str()) {
-                return Err(RuleError::MissingField(attr.clone()));
-            }
-        }
-        Ok(())
+            tree,
+        })
     }
 
     /// The relation schema this rule populates.
@@ -236,19 +260,16 @@ impl TableRule {
         &self.fields
     }
 
-    /// The field rule for a given field name.
-    pub fn field_rule(&self, field: &str) -> Option<&FieldRule> {
-        self.fields.iter().find(|fr| fr.field == field)
-    }
-
     /// The variable that populates `field` (i.e. `field := value(var)`).
-    pub fn field_var(&self, field: &str) -> Option<&str> {
-        self.field_rule(field).map(|fr| fr.var.as_str())
+    pub fn field_var(&self, field: &str) -> Option<VarId> {
+        let i = self.fields.iter().position(|fr| fr.field == field)?;
+        Some(self.tree.field_vars()[i])
     }
 
-    /// The table tree of this rule (Fig. 3/4 of the paper).
-    pub fn table_tree(&self) -> TableTree {
-        TableTree::from_rule(self)
+    /// The table tree of this rule (Fig. 3/4 of the paper), built once by
+    /// [`TableRule::new`].
+    pub fn table_tree(&self) -> &TableTree {
+        &self.tree
     }
 
     /// Shreds a document into an instance of this rule's relation,
@@ -423,7 +444,9 @@ mod tests {
     fn valid_rule_is_accepted() {
         let rule = book_rule().unwrap();
         assert_eq!(rule.schema().name(), "book");
-        assert_eq!(rule.field_var("isbn"), Some("x1"));
+        let tree = rule.table_tree();
+        assert_eq!(rule.field_var("isbn").map(|v| tree.name(v)), Some("x1"));
+        assert_eq!(rule.field_var("nope"), None);
         assert_eq!(rule.mapping_of("xa").unwrap().parent, ROOT_VAR);
         assert!(rule.mapping_of("xr").is_none());
         let display = rule.to_string();
@@ -452,6 +475,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RuleError::UnknownParent { .. }));
+    }
+
+    #[test]
+    fn cycle_is_not_connected_to_the_root() {
+        // `z` and `y` hang off a two-variable cycle; `z` is the first of
+        // the unconnected variables in declaration order.
+        let err = TableRule::new(
+            RelationSchema::new("r", ["a"]),
+            vec![
+                mapping("x", ROOT_VAR, "//x"),
+                mapping("z", "y", "c"),
+                mapping("y", "w", "b"),
+                mapping("w", "y", "a"),
+            ],
+            vec![field("a", "x")],
+        )
+        .unwrap_err();
+        assert_eq!(err, RuleError::NotConnectedToRoot("z".into()));
+        assert!(err.to_string().contains("not connected"));
     }
 
     #[test]

@@ -141,8 +141,11 @@ mod tests {
         let tree = u.table_tree();
         // xr -> xb -> yc -> zs -> z2 (secName): four edges.
         assert_eq!(tree.depth(), 4);
+        let z2 = tree.var("z2").unwrap();
         assert_eq!(
-            tree.path_from_root("z2").to_string(),
+            tree.path_between(crate::VarId::ROOT, z2)
+                .unwrap()
+                .to_string(),
             "//book/chapter/section/name"
         );
     }

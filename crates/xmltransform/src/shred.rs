@@ -49,7 +49,7 @@ pub(crate) mod oracle {
 
     use super::field_value;
     use crate::rule::TableRule;
-    use crate::tree::TableTree;
+    use crate::tree::{TableTree, VarId};
     use std::collections::BTreeMap;
     use xmlprop_reldb::{Relation, Tuple, Value};
     use xmlprop_xmlpath::{Path, PathExpr};
@@ -84,12 +84,13 @@ pub(crate) mod oracle {
     ///   serialization of `x`'s node, or SQL null when `x` is unbound.
     pub(crate) fn shred_rule(rule: &TableRule, doc: &Document) -> Relation {
         let tree = rule.table_tree();
-        let root = Binding::from([(tree.root().to_string(), Some(doc.root()))]);
+        let root = Binding::from([(tree.name(VarId::ROOT).to_string(), Some(doc.root()))]);
         let mut bindings: Vec<Binding> = vec![root];
         // Variables in parent-before-child order, skipping the root.
-        for var in tree.variables().iter().skip(1) {
-            let parent = tree.parent(var).expect("non-root variable has a parent");
-            let path = tree.edge_path(var).expect("non-root variable has an edge");
+        for v in tree.vars().skip(1) {
+            let var = tree.name(v);
+            let parent = tree.name(tree.parent(v).expect("non-root variable has a parent"));
+            let path = tree.edge(v);
             let mut next: Vec<Binding> = Vec::with_capacity(bindings.len());
             for binding in &bindings {
                 let nodes = match binding.get(parent).copied().flatten() {
@@ -103,7 +104,7 @@ pub(crate) mod oracle {
                 };
                 for choice in choices {
                     let mut b = binding.clone();
-                    b.insert(var.clone(), choice);
+                    b.insert(var.to_string(), choice);
                     next.push(b);
                 }
             }
@@ -120,7 +121,7 @@ pub(crate) mod oracle {
                     let var = rule
                         .field_var(field)
                         .expect("validated rule covers every field");
-                    match binding.get(var).copied().flatten() {
+                    match binding.get(tree.name(var)).copied().flatten() {
                         Some(node) => Value::text(field_value(doc, node)),
                         None => Value::Null,
                     }
@@ -134,10 +135,10 @@ pub(crate) mod oracle {
     /// Counts how many tuples shredding produces, without materializing
     /// them.
     pub(crate) fn count_bindings(tree: &TableTree, doc: &Document) -> usize {
-        fn rec(tree: &TableTree, doc: &Document, var: &str, node: Option<NodeId>) -> usize {
+        fn rec(tree: &TableTree, doc: &Document, var: VarId, node: Option<NodeId>) -> usize {
             let mut total = 1usize;
-            for child in tree.children(var) {
-                let path = tree.edge_path(child).expect("child has an edge");
+            for child in tree.vars().filter(|&c| tree.parent(c) == Some(var)) {
+                let path = tree.edge(child);
                 let nodes = match node {
                     Some(n) => reach(doc, n, path),
                     None => Vec::new(),
@@ -154,7 +155,7 @@ pub(crate) mod oracle {
             }
             total
         }
-        rec(tree, doc, tree.root(), Some(doc.root()))
+        rec(tree, doc, VarId::ROOT, Some(doc.root()))
     }
 }
 
@@ -287,7 +288,7 @@ mod tests {
         let rel = shred(t.rule("pairs").unwrap(), &doc);
         assert_eq!(rel.len(), 6);
         let tree = t.rule("pairs").unwrap().table_tree();
-        assert_eq!(count_bindings(&tree, &doc), 6);
+        assert_eq!(count_bindings(tree, &doc), 6);
     }
 
     #[test]

@@ -1,145 +1,89 @@
 //! Table trees — the tree representation of a table rule (Fig. 3/4).
 
-use crate::rule::{TableRule, ROOT_VAR};
-use std::collections::BTreeMap;
 use xmlprop_xmlpath::PathExpr;
+
+/// A dense identifier for a variable of one rule's [`TableTree`]: the root
+/// variable `xr` is [`VarId::ROOT`], and parents precede children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VarId(pub(crate) u32);
+
+impl VarId {
+    /// The root variable `xr`.
+    pub const ROOT: VarId = VarId(0);
+
+    /// The id as a `usize` index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// The table tree of a rule: each variable is a node, the root variable is
 /// the root, and the edge into a variable is labelled with its mapping path.
 ///
-/// All the propagation algorithms work on this view: they walk ancestor
-/// chains, compute `path(y, x)` between variables, and measure the tree
-/// depth (the experimental parameter of Fig. 7(b)).
-#[derive(Debug, Clone)]
+/// [`TableRule::new`](crate::TableRule::new) builds it once, while it
+/// validates the rule, and numbers the variables there: rounds over the
+/// declaration order, each taking the variables whose parent is already
+/// numbered.  Everything else — shredding, the propagation algorithms —
+/// indexes by that [`VarId`]: they walk ancestor chains, compute
+/// `path(y, x)` between variables, and measure the tree depth (the
+/// experimental parameter of Fig. 7(b)).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableTree {
-    /// Parent of each non-root variable.
-    parent: BTreeMap<String, String>,
-    /// Edge label (path) of each non-root variable.
-    edge: BTreeMap<String, PathExpr>,
-    /// Children of each variable, in declaration order.
-    children: BTreeMap<String, Vec<String>>,
-    /// All variables, root first, in a topological (parent-before-child)
-    /// order.
-    order: Vec<String>,
+    /// The name of each variable.
+    pub(crate) names: Vec<String>,
+    /// The parent of each variable, numbered below it (`parent[0] == 0`
+    /// for the root).
+    pub(crate) parent: Vec<u32>,
+    /// The path labelling the edge into each variable (`ε` for the root).
+    pub(crate) edges: Vec<PathExpr>,
+    /// The variable of each field rule, in field-rule order.
+    pub(crate) field_vars: Vec<VarId>,
 }
 
 impl TableTree {
-    /// Builds the table tree of a (validated) rule.
-    pub fn from_rule(rule: &TableRule) -> Self {
-        let mut parent = BTreeMap::new();
-        let mut edge = BTreeMap::new();
-        let mut children: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        children.entry(ROOT_VAR.to_string()).or_default();
-        for m in rule.mappings() {
-            parent.insert(m.var.clone(), m.parent.clone());
-            edge.insert(m.var.clone(), m.path.clone());
-            children
-                .entry(m.parent.clone())
-                .or_default()
-                .push(m.var.clone());
-            children.entry(m.var.clone()).or_default();
-        }
-        // Topological order: repeatedly emit variables whose parent has been
-        // emitted.  Validation guarantees connectivity, so this terminates.
-        let mut order = vec![ROOT_VAR.to_string()];
-        let mut emitted: std::collections::BTreeSet<&str> = std::iter::once(ROOT_VAR).collect();
-        let mut remaining: Vec<&str> = rule.mappings().iter().map(|m| m.var.as_str()).collect();
-        while !remaining.is_empty() {
-            let mut next_round = Vec::with_capacity(remaining.len());
-            for var in remaining {
-                if emitted.contains(parent[var].as_str()) {
-                    emitted.insert(var);
-                    order.push(var.to_string());
-                } else {
-                    next_round.push(var);
-                }
-            }
-            remaining = next_round;
-        }
-        TableTree {
-            parent,
-            edge,
-            children,
-            order,
-        }
+    /// Every variable, root first, parents before children.
+    pub fn vars(&self) -> impl ExactSizeIterator<Item = VarId> {
+        (0..self.names.len() as u32).map(VarId)
     }
 
-    /// The root variable name (`xr`).
-    pub fn root(&self) -> &str {
-        ROOT_VAR
+    /// The name of a variable.
+    pub fn name(&self, var: VarId) -> &str {
+        &self.names[var.index()]
     }
 
-    /// All variables, root first, parents before children.
-    pub fn variables(&self) -> &[String] {
-        &self.order
-    }
-
-    /// The number of variables including the root.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True if the tree consists only of the root variable.
-    pub fn is_empty(&self) -> bool {
-        self.order.len() <= 1
+    /// The variable called `name`, if the rule has one.
+    pub fn var(&self, name: &str) -> Option<VarId> {
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .map(|i| VarId(i as u32))
     }
 
     /// The parent of a variable (`None` for the root).
-    pub fn parent(&self, var: &str) -> Option<&str> {
-        self.parent.get(var).map(String::as_str)
+    pub fn parent(&self, var: VarId) -> Option<VarId> {
+        (var != VarId::ROOT).then(|| VarId(self.parent[var.index()]))
     }
 
-    /// The path labelling the edge into `var` (`None` for the root).
-    pub fn edge_path(&self, var: &str) -> Option<&PathExpr> {
-        self.edge.get(var)
+    /// The path labelling the edge into `var` (`ε` for the root).
+    pub fn edge(&self, var: VarId) -> &PathExpr {
+        &self.edges[var.index()]
     }
 
-    /// The children of a variable.
-    pub fn children(&self, var: &str) -> &[String] {
-        self.children.get(var).map(Vec::as_slice).unwrap_or(&[])
+    /// The variable of each field rule, parallel to
+    /// [`TableRule::field_rules`](crate::TableRule::field_rules).
+    pub fn field_vars(&self) -> &[VarId] {
+        &self.field_vars
     }
 
-    /// True if the tree knows this variable.
-    pub fn contains(&self, var: &str) -> bool {
-        var == ROOT_VAR || self.parent.contains_key(var)
-    }
-
-    /// The ancestors of `var` from the root down to `var` itself
-    /// (inclusive) — the list Algorithm `propagation` walks top-down.
-    pub fn ancestors_from_root(&self, var: &str) -> Vec<String> {
-        let mut chain = vec![var.to_string()];
-        let mut cur = var;
-        while let Some(p) = self.parent(cur) {
-            chain.push(p.to_string());
-            cur = p;
-        }
-        chain.reverse();
-        chain
+    /// `var` and its ancestors, from `var` up to the root.
+    pub fn ancestors(&self, var: VarId) -> impl Iterator<Item = VarId> + '_ {
+        std::iter::successors(Some(var), |&v| self.parent(v))
     }
 
     /// True if `anc` is an ancestor of `var` (or equal to it).
-    pub fn is_ancestor_or_self(&self, anc: &str, var: &str) -> bool {
-        let mut cur = var;
-        loop {
-            if cur == anc {
-                return true;
-            }
-            match self.parent(cur) {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
-    }
-
-    /// All descendants of `var`, not including `var` itself.
-    pub fn descendants(&self, var: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut stack: Vec<&str> = self.children(var).iter().map(String::as_str).collect();
-        while let Some(v) = stack.pop() {
-            out.push(v.to_string());
-            stack.extend(self.children(v).iter().map(String::as_str));
-        }
-        out
+    pub fn is_ancestor_or_self(&self, anc: VarId, var: VarId) -> bool {
+        self.ancestors(var).any(|v| v == anc)
     }
 
     /// `path(from, to)`: the concatenation of the edge paths on the unique
@@ -148,106 +92,109 @@ impl TableTree {
     ///
     /// Example from the paper (Fig. 3(b)): `path(xr, z1)` is
     /// `//book/chapter/@number`.
-    pub fn path_between(&self, from: &str, to: &str) -> Option<PathExpr> {
+    pub fn path_between(&self, from: VarId, to: VarId) -> Option<PathExpr> {
         let mut segments: Vec<&PathExpr> = Vec::new();
-        let mut cur = to;
-        loop {
-            if cur == from {
-                let mut out = PathExpr::epsilon();
-                for seg in segments.iter().rev() {
-                    out = out.concat(seg);
-                }
-                return Some(out);
+        for v in self.ancestors(to) {
+            if v == from {
+                return Some(
+                    segments
+                        .iter()
+                        .rev()
+                        .fold(PathExpr::epsilon(), |out, seg| out.concat(seg)),
+                );
             }
-            let p = self.parent(cur)?;
-            segments.push(self.edge_path(cur).expect("non-root variable has an edge"));
-            cur = p;
+            segments.push(self.edge(v));
         }
+        None
     }
 
-    /// `path(xr, var)`: the position of `var` relative to the document root.
-    pub fn path_from_root(&self, var: &str) -> PathExpr {
-        self.path_between(ROOT_VAR, var)
-            .expect("every variable is connected to the root")
-    }
-
-    /// The depth of a variable (the root has depth 0).
-    pub fn depth_of(&self, var: &str) -> usize {
-        self.ancestors_from_root(var).len() - 1
-    }
-
-    /// The depth of the tree: the maximum variable depth.  This is the
-    /// experimental parameter "depth of the table tree" of Fig. 7(b).
+    /// The depth of the tree: the maximum variable depth (the root has
+    /// depth 0).  This is the experimental parameter "depth of the table
+    /// tree" of Fig. 7(b).
     pub fn depth(&self) -> usize {
-        self.order
-            .iter()
-            .map(|v| self.depth_of(v))
-            .max()
-            .unwrap_or(0)
+        let mut depth = vec![0usize; self.names.len()];
+        for v in 1..depth.len() {
+            depth[v] = depth[self.parent[v] as usize] + 1;
+        }
+        depth.into_iter().max().unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::sample;
+    use super::VarId;
+    use crate::{parse_single_rule, sample};
 
     #[test]
     fn section_rule_tree_matches_fig_3b() {
         let t = sample::example_2_4_transformation();
         let rule = t.rule("section").unwrap();
         let tree = rule.table_tree();
-        assert_eq!(tree.root(), "xr");
-        assert_eq!(tree.parent("zc"), Some("xr"));
-        assert_eq!(tree.parent("zs"), Some("zc"));
-        assert_eq!(tree.parent("z2"), Some("zs"));
-        assert_eq!(tree.edge_path("zc").unwrap().to_string(), "//book/chapter");
-        assert_eq!(
-            tree.path_from_root("z1").to_string(),
-            "//book/chapter/@number"
-        );
-        assert_eq!(
-            tree.path_from_root("z3").to_string(),
-            "//book/chapter/section/name"
-        );
-        assert_eq!(tree.path_between("zs", "z3").unwrap().to_string(), "name");
-        assert_eq!(tree.path_between("z3", "zs"), None);
-        assert_eq!(tree.depth_of("z3"), 3);
+        let var = |name| tree.var(name).unwrap();
+        let parent = |name| tree.parent(var(name)).map(|p| tree.name(p));
+        assert_eq!(tree.name(VarId::ROOT), "xr");
+        assert_eq!(tree.parent(VarId::ROOT), None);
+        assert!(tree.edge(VarId::ROOT).is_epsilon());
+        assert_eq!(parent("zc"), Some("xr"));
+        assert_eq!(parent("zs"), Some("zc"));
+        assert_eq!(parent("z2"), Some("zs"));
+        assert_eq!(tree.edge(var("zc")).to_string(), "//book/chapter");
+        let from_root = |name| tree.path_between(VarId::ROOT, var(name)).unwrap();
+        assert_eq!(from_root("z1").to_string(), "//book/chapter/@number");
+        assert_eq!(from_root("z3").to_string(), "//book/chapter/section/name");
+        let between = tree.path_between(var("zs"), var("z3"));
+        assert_eq!(between.unwrap().to_string(), "name");
+        assert_eq!(tree.path_between(var("z3"), var("zs")), None);
         assert_eq!(tree.depth(), 3);
+        assert_eq!(tree.var("nope"), None);
     }
 
     #[test]
-    fn ancestors_and_descendants() {
+    fn ancestors_run_from_the_variable_up_to_the_root() {
         let t = sample::example_2_4_transformation();
         let tree = t.rule("book").unwrap().table_tree();
-        assert_eq!(tree.ancestors_from_root("x4"), vec!["xr", "xa", "xd", "x4"]);
-        assert!(tree.is_ancestor_or_self("xa", "x4"));
-        assert!(tree.is_ancestor_or_self("x4", "x4"));
-        assert!(!tree.is_ancestor_or_self("x4", "xa"));
-        let mut desc = tree.descendants("xd");
-        desc.sort();
-        assert_eq!(desc, vec!["x3", "x4"]);
-        assert!(tree.children("x4").is_empty());
-        assert!(!tree.children("xa").is_empty());
-        assert!(tree.contains("xa"));
-        assert!(!tree.contains("nope"));
+        let var = |name| tree.var(name).unwrap();
+        let chain: Vec<&str> = tree.ancestors(var("x4")).map(|v| tree.name(v)).collect();
+        assert_eq!(chain, ["x4", "xd", "xa", "xr"]);
+        assert!(tree.is_ancestor_or_self(var("xa"), var("x4")));
+        assert!(tree.is_ancestor_or_self(var("x4"), var("x4")));
+        assert!(!tree.is_ancestor_or_self(var("x4"), var("xa")));
     }
 
     #[test]
     fn variables_are_in_topological_order() {
         let t = sample::example_3_1_universal();
         let tree = t.table_tree();
-        let pos: std::collections::HashMap<&str, usize> = tree
-            .variables()
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
-        for v in tree.variables() {
-            if let Some(p) = tree.parent(v) {
-                assert!(pos[p] < pos[v.as_str()], "{p} must come before {v}");
-            }
+        for v in tree.vars().skip(1) {
+            let p = tree.parent(v).unwrap();
+            assert!(p < v, "{} must come before {}", tree.name(p), tree.name(v));
         }
-        assert_eq!(tree.len(), tree.variables().len());
-        assert!(!tree.is_empty());
+        assert_eq!(tree.vars().next(), Some(VarId::ROOT));
+    }
+
+    #[test]
+    fn numbering_is_rounds_over_declaration_order() {
+        // Declared child before parent, with names that sort against the
+        // topological order: round 1 takes `a` and `d` (their parent is
+        // the root), round 2 `b`, round 3 `c`.
+        let rule = parse_single_rule(
+            "rule R(f, g) { c := b/x; b := a/y; a := xr//r; d := xr//s; \
+             f := value(c); g := value(d); }",
+        )
+        .unwrap();
+        let tree = rule.table_tree();
+        let names: Vec<&str> = tree.vars().map(|v| tree.name(v)).collect();
+        assert_eq!(names, ["xr", "a", "d", "b", "c"]);
+        let parents: Vec<Option<&str>> = tree
+            .vars()
+            .map(|v| tree.parent(v).map(|p| tree.name(p)))
+            .collect();
+        assert_eq!(
+            parents,
+            [None, Some("xr"), Some("xr"), Some("a"), Some("b")]
+        );
+        let fields: Vec<&str> = tree.field_vars().iter().map(|&v| tree.name(v)).collect();
+        assert_eq!(fields, ["c", "d"]);
+        assert_eq!(tree.depth(), 3);
     }
 }

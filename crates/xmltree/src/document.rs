@@ -418,7 +418,8 @@ impl Document {
 
     /// Creates a node of `kind` under `parent`, linked before its child
     /// `before` (last when `None`).  Attribute labels may come with or
-    /// without their `@`.  Does not tick the epoch.
+    /// without their `@`; a text node's label is always `S`.  Does not
+    /// tick the epoch.
     fn insert_node(
         &mut self,
         parent: NodeId,
@@ -430,7 +431,7 @@ impl Document {
         let (label, text) = match kind {
             NodeKind::Element => (self.labels.plain(label), (0, 0)),
             NodeKind::Attribute => (self.labels.attribute(label), self.push_text(text)),
-            NodeKind::Text => (self.labels.plain(label), self.push_text(text)),
+            NodeKind::Text => (self.labels.text(), self.push_text(text)),
         };
         assert!(fits_u32(self.nodes.len(), 1), "document too large");
         let id = NodeId(self.nodes.len() as u32);
@@ -762,6 +763,9 @@ struct LabelTable {
     plain: HashMap<Box<str>, u32, FoldState>,
     /// Attribute names without the `@` → slot.
     attrs: HashMap<Box<str>, u32, FoldState>,
+    /// The slot of the text label `S`, once a text node has needed it (an
+    /// `<S>` element shares the slot).
+    text: Option<u32>,
 }
 
 impl LabelTable {
@@ -776,6 +780,17 @@ impl LabelTable {
         }
         let slot = self.push(name.into());
         self.plain.insert(name.into(), slot);
+        slot
+    }
+
+    /// The slot of the text label `S`, looked up once per document: the
+    /// same slot an `<S>` element gets.
+    fn text(&mut self) -> u32 {
+        if let Some(slot) = self.text {
+            return slot;
+        }
+        let slot = self.plain("S");
+        self.text = Some(slot);
         slot
     }
 
@@ -1006,6 +1021,25 @@ mod tests {
         assert_eq!(d.label(text), "S");
         assert_eq!(d.text_value(text), Some("hello"));
         assert_eq!(d.label_slots(), 3, "r, @isbn, S");
+    }
+
+    #[test]
+    fn text_nodes_and_s_elements_share_one_label_slot() {
+        for element_first in [false, true] {
+            let mut d = Document::new("r");
+            let root = d.root();
+            let (element, text) = if element_first {
+                let element = d.add_element(root, "S");
+                (element, d.add_text(root, "t"))
+            } else {
+                let text = d.add_text(root, "t");
+                (d.add_element(root, "S"), text)
+            };
+            let again = d.add_text(element, "u");
+            assert_eq!(d.label_slot(element), d.label_slot(text));
+            assert_eq!(d.label_slot(again), d.label_slot(text));
+            assert_eq!(d.label_slots(), 2, "r, S");
+        }
     }
 
     #[test]
