@@ -358,25 +358,14 @@ impl Relation {
     ///
     /// A column's width is its longest cell in *bytes*, but cells are
     /// padded to it in *chars*; for multi-byte text the two differ, and
-    /// the pinned outputs hold exactly these bytes.  The table is written
-    /// in one pass into one buffer, with no per-cell allocation.
+    /// the pinned outputs hold exactly these bytes.  Each dictionary
+    /// entry's chars are counted once; lines are laid out in a buffer of
+    /// spaces that the cells are copied into, and leave it a few kilobytes
+    /// at a time, which is also how [`Display`](fmt::Display) writes the
+    /// table into its formatter.
     pub fn to_table_string(&self) -> String {
-        let attributes = self.schema.attributes();
-        let mut widths: Vec<usize> = attributes.iter().map(String::len).collect();
-        for row in self.rows() {
-            for (width, value) in widths.iter_mut().zip(row.values()) {
-                *width = (*width).max(cell(value).len());
-            }
-        }
-        let line = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1) + 1;
-        let mut out = String::with_capacity(line * (self.len + 2));
-        push_line(&mut out, &widths, attributes.iter().map(String::as_str));
-        let header = out.len() - 1;
-        out.extend(std::iter::repeat_n('-', header));
-        out.push('\n');
-        for row in self.rows() {
-            push_line(&mut out, &widths, row.values().map(cell));
-        }
+        let mut out = String::new();
+        Table::new(self).write(&mut out).expect("String write");
         out
     }
 }
@@ -412,26 +401,120 @@ fn cell(value: &Value) -> &str {
     value.as_text().unwrap_or("NULL")
 }
 
-/// Appends one table line: each cell padded with spaces to its column's
-/// width counted in chars, cells joined by two spaces.
-fn push_line<'a>(out: &mut String, widths: &[usize], cells: impl Iterator<Item = &'a str>) {
-    for (i, (text, &width)) in cells.zip(widths).enumerate() {
-        if i > 0 {
-            out.push_str("  ");
+/// A relation laid out for [`Relation::to_table_string`]: each distinct
+/// cell's text and width in chars, counted once, and the column widths.
+struct Table<'a> {
+    relation: &'a Relation,
+    /// The dictionary's cells by code, then `NULL`, where every code past
+    /// the dictionary (the null code) lands.
+    cells: Vec<(&'a str, usize)>,
+    widths: Vec<usize>,
+    /// The length of a line of ASCII cells, the last separator included.
+    line_len: usize,
+}
+
+impl<'a> Table<'a> {
+    fn new(relation: &'a Relation) -> Self {
+        let cells: Vec<(&str, usize)> = relation
+            .dict
+            .iter()
+            .map(cell)
+            .chain(["NULL"])
+            .map(|text| (text, text.chars().count()))
+            .collect();
+        let mut widths: Vec<usize> = relation
+            .schema
+            .attributes()
+            .iter()
+            .map(String::len)
+            .collect();
+        let mut table = Table {
+            relation,
+            cells,
+            widths: Vec::new(),
+            line_len: 0,
+        };
+        for row in table.rows() {
+            for (width, &code) in widths.iter_mut().zip(row) {
+                *width = (*width).max(table.cell(code).0.len());
+            }
         }
-        out.push_str(text);
-        out.extend(std::iter::repeat_n(
-            ' ',
-            width.saturating_sub(text.chars().count()),
-        ));
+        table.line_len = widths.iter().map(|w| w + 2).sum();
+        table.widths = widths;
+        table
     }
-    out.push('\n');
+
+    fn rows(&self) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let Relation { codes, len, .. } = self.relation;
+        let arity = self.relation.schema.arity();
+        (0..*len).map(move |r| &codes[r * arity..(r + 1) * arity])
+    }
+
+    fn cell(&self, code: u32) -> (&'a str, usize) {
+        self.cells[(code as usize).min(self.relation.dict.len())]
+    }
+
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let attributes = self.relation.schema.attributes();
+        let mut buf = Vec::new();
+        let header = self.lay_out(
+            &mut buf,
+            attributes.iter().map(|a| (a.as_str(), a.chars().count())),
+        );
+        buf.resize(buf.len() + header, b'-');
+        buf.push(b'\n');
+        for row in self.rows() {
+            if buf.len() >= CHUNK {
+                flush(out, &mut buf)?;
+            }
+            self.lay_out(&mut buf, row.iter().map(|&code| self.cell(code)));
+        }
+        flush(out, &mut buf)
+    }
+
+    /// Appends `(text, chars)` cells to `buf` as one table line: each cell
+    /// padded with spaces to its column's width counted in chars, cells
+    /// joined by two spaces, and a newline.  Returns the line's length in
+    /// bytes, newline excluded.
+    fn lay_out<'s>(
+        &self,
+        buf: &mut Vec<u8>,
+        cells: impl Iterator<Item = (&'s str, usize)>,
+    ) -> usize {
+        let start = buf.len();
+        // Spaces for a line of ASCII cells, which the cells are copied
+        // into; a multi-byte cell makes its line longer.
+        buf.resize(start + self.line_len, b' ');
+        let mut pos = start;
+        for ((text, chars), &width) in cells.zip(&self.widths) {
+            let next = pos + text.len() + width.saturating_sub(chars) + 2;
+            if buf.len() < next {
+                buf.resize(next, b' ');
+            }
+            buf[pos..pos + text.len()].copy_from_slice(text.as_bytes());
+            pos = next;
+        }
+        // The newline takes the place of the last cell's separator.
+        buf.truncate(pos.saturating_sub(2).max(start));
+        buf.push(b'\n');
+        buf.len() - start - 1
+    }
+}
+
+/// The bytes of table lines gathered before they are written out.
+const CHUNK: usize = 8192;
+
+/// Writes `buf`, whole lines of text, to `out` and empties it.
+fn flush(out: &mut impl fmt::Write, buf: &mut Vec<u8>) -> fmt::Result {
+    out.write_str(std::str::from_utf8(buf).expect("whole cells and spaces"))?;
+    buf.clear();
+    Ok(())
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        f.write_str(&self.to_table_string())
+        Table::new(self).write(f)
     }
 }
 
@@ -659,6 +742,21 @@ mod tests {
         assert_eq!(empty.to_table_string(), "\n\n");
     }
 
+    #[test]
+    fn long_cells_widen_their_columns_and_the_rule() {
+        let schema = RelationSchema::new("r", ["a", "b"]);
+        let mut r = Relation::new(schema);
+        r.insert(Tuple::new(vec![
+            Value::text("x".repeat(150)),
+            Value::text("y"),
+        ]));
+        r.insert(Tuple::new(vec![
+            Value::text("z"),
+            Value::text("w".repeat(70)),
+        ]));
+        assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -783,10 +881,13 @@ mod tests {
         proptest! {
             /// The one-pass renderer writes the oracle's exact bytes: nulls,
             /// empty strings, multi-byte cells and names (byte widths, char
-            /// padding), and zero-arity schemas.
+            /// padding), and zero-arity schemas; `Display` writes the same
+            /// table under the schema line.
             #[test]
             fn table_rendering_matches_the_oracle(r in relation()) {
-                prop_assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
+                let table = oracle::to_table_string(&r);
+                prop_assert_eq!(r.to_table_string(), table.clone());
+                prop_assert_eq!(r.to_string(), format!("{}\n{table}", r.schema()));
             }
 
             /// The encoding never shows: an instance built through

@@ -392,6 +392,12 @@ impl Response {
 
     /// Reads one response from `r` (the client side).  Returns `Ok(None)`
     /// on a clean EOF before the header.
+    ///
+    /// The payload is read into one buffer, line by line up to the `.`
+    /// line, each line's trailing `\r`s dropped.  A payload that is not
+    /// UTF-8 fails as reading it a line at a time would: a split at `\n`
+    /// leaves every line valid exactly when the whole is, so the error of
+    /// the first bad line is the one reported.
     pub fn read_from(r: &mut impl BufRead) -> Result<Option<Response>, Error> {
         let Some(header) = read_terminated_line(r, "reading response header")? else {
             return Ok(None);
@@ -401,20 +407,55 @@ impl Response {
                 "malformed response header `{header}`"
             )));
         }
-        let mut payload = String::new();
-        loop {
-            let Some(line) = read_terminated_line(r, "reading response payload")? else {
-                // A transport death, not a malformed message: `io`, so
-                // clients may retry read-only requests on it.
-                return Err(Error::io("connection closed mid-response"));
-            };
-            if line == "." {
-                break;
-            }
-            payload.push_str(&line);
-            payload.push('\n');
-        }
+        let mut payload = Vec::new();
+        let read = read_payload(r, &mut payload);
+        let payload = String::from_utf8(payload).map_err(|_| {
+            let invalid = std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            );
+            classify_io(PAYLOAD, &invalid)
+        })?;
+        read?;
         Ok(Some(Response { header, payload }))
+    }
+}
+
+/// The context of payload read errors.
+const PAYLOAD: &str = "reading response payload";
+
+/// Appends the payload lines of a response to `payload`, each ending in
+/// `\n` alone, and consumes the terminating `.` line.  A line cut short by
+/// a failed read is dropped again, as the line reader drops it.
+fn read_payload(r: &mut impl BufRead, payload: &mut Vec<u8>) -> Result<(), Error> {
+    loop {
+        let start = payload.len();
+        let n = match r.read_until(b'\n', payload) {
+            Ok(n) => n,
+            Err(e) => {
+                payload.truncate(start);
+                return Err(classify_io(PAYLOAD, &e));
+            }
+        };
+        if n == 0 {
+            // A transport death, not a malformed message: `io`, so
+            // clients may retry read-only requests on it.
+            return Err(Error::io("connection closed mid-response"));
+        }
+        if payload.last() != Some(&b'\n') {
+            return Err(Error::io(format!("{PAYLOAD}: connection closed mid-line")));
+        }
+        let line = &payload[start..];
+        let kept = line
+            .iter()
+            .rposition(|&b| b != b'\r' && b != b'\n')
+            .map_or(0, |last| last + 1);
+        if line[..kept] == *b"." {
+            payload.truncate(start);
+            return Ok(());
+        }
+        payload.truncate(start + kept);
+        payload.push(b'\n');
     }
 }
 
@@ -569,5 +610,128 @@ mod tests {
         let missing_terminator = &b"ok ping bundle=1\n"[..];
         let err = Response::read_from(&mut BufReader::new(missing_terminator)).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
+    }
+
+    /// The line-at-a-time response reader the one-buffer
+    /// [`Response::read_from`] replaced, kept as its oracle.
+    fn read_response_oracle(r: &mut impl BufRead) -> Result<Option<Response>, Error> {
+        let Some(header) = read_terminated_line(r, "reading response header")? else {
+            return Ok(None);
+        };
+        if !(header.starts_with("ok ") || header.starts_with("err ")) {
+            return Err(Error::protocol(format!(
+                "malformed response header `{header}`"
+            )));
+        }
+        let mut payload = String::new();
+        loop {
+            let Some(line) = read_terminated_line(r, "reading response payload")? else {
+                return Err(Error::io("connection closed mid-response"));
+            };
+            if line == "." {
+                break;
+            }
+            payload.push_str(&line);
+            payload.push('\n');
+        }
+        Ok(Some(Response { header, payload }))
+    }
+
+    /// Yields `bytes`, then fails every read with `kind`.
+    struct Failing<'a> {
+        bytes: &'a [u8],
+        kind: std::io::ErrorKind,
+    }
+
+    impl std::io::Read for Failing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() {
+                return Err(self.kind.into());
+            }
+            let n = buf.len().min(self.bytes.len()).min(7);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Payload lines: empty, dot-led, multi-byte, carriage returns, a lone
+    /// `.` (which ends the payload early) and bytes that are not UTF-8.
+    const LINES: &[&[u8]] = &[
+        b"",
+        b"..",
+        b".x",
+        b"x.",
+        b"a  b",
+        "é日🎉".as_bytes(),
+        b"\r",
+        b"x\r\r",
+        b".",
+        b".\r",
+        b"\xff",
+        b"\xc3",
+    ];
+    const ENDINGS: &[&[u8]] = &[b"\n", b"\r\n"];
+
+    fn wire(lines: &[(usize, usize)], terminate: bool) -> Vec<u8> {
+        let mut wire = b"ok shred bundle=1 tuples=3\n".to_vec();
+        for &(line, ending) in lines {
+            wire.extend_from_slice(LINES[line]);
+            wire.extend_from_slice(ENDINGS[ending]);
+        }
+        if terminate {
+            wire.extend_from_slice(b".\n");
+        }
+        wire
+    }
+
+    proptest::proptest! {
+        /// The one-buffer reader decodes every response the line reader
+        /// decodes, and fails with its exact error on every prefix of the
+        /// wire form and on a read error at every offset.
+        #[test]
+        fn response_framing_matches_the_line_reader(
+            lines in proptest::collection::vec((0..LINES.len(), 0..ENDINGS.len()), 0..8),
+            terminate in 0..4u8,
+            plain in 0..2u8,
+        ) {
+            let lines: Vec<_> = if plain == 0 {
+                lines.into_iter().filter(|&(l, _)| LINES[l].is_ascii() && LINES[l] != b".").collect()
+            } else {
+                lines
+            };
+            let wire = wire(&lines, terminate > 0);
+            for cut in 0..=wire.len() {
+                let prefix = &wire[..cut];
+                proptest::prop_assert_eq!(
+                    Response::read_from(&mut BufReader::new(prefix)),
+                    read_response_oracle(&mut BufReader::new(prefix)),
+                    "{:?}", String::from_utf8_lossy(prefix)
+                );
+                let kind = if cut % 2 == 0 {
+                    std::io::ErrorKind::TimedOut
+                } else {
+                    std::io::ErrorKind::ConnectionReset
+                };
+                let failing = || BufReader::with_capacity(5, Failing { bytes: prefix, kind });
+                proptest::prop_assert_eq!(
+                    Response::read_from(&mut failing()),
+                    read_response_oracle(&mut failing())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_response_decodes_to_its_payload_lines() {
+        let wire = wire(&[(2, 1), (0, 0), (1, 0), (5, 1), (7, 0)], true);
+        let response = Response::read_from(&mut BufReader::new(&wire[..]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(response.payload, ".x\n\n..\né日🎉\nx\n");
+        assert_eq!(
+            Some(response),
+            read_response_oracle(&mut BufReader::new(&wire[..])).unwrap()
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! The prepared validator ([`KeyIndex::violations`]) evaluates each key's
 //! context and target paths over a fully built
 //! [`DocIndex`](xmlprop_xmltree::DocIndex).  [`StreamKeyChecker`] answers
-//! the same question in one [`StreamParser`] pass over the text, without
+//! the same question in one [`scan`] of the text, without
 //! materializing the document: per key it simulates the compiled context
 //! expression down the open path ([`xmlprop_xmlpath::StreamMatcher`]),
 //! keeps one record per *open* context node — the paper's observation that
@@ -28,7 +28,7 @@ use crate::index::KeyIndex;
 use crate::satisfy::Violation;
 use std::collections::HashMap;
 use xmlprop_xmlpath::{LabelId, MatchState, PathTooLong, StreamMatcher};
-use xmlprop_xmltree::{FoldState, NodeId, ParseError, StreamEvent, StreamParser};
+use xmlprop_xmltree::{scan, FoldState, NodeId, ParseError, StreamEvent};
 
 /// Per-key compiled machinery plus live matching state.
 #[derive(Debug)]
@@ -81,7 +81,7 @@ struct PendingTarget {
 /// Streaming validator for a prepared [`KeyIndex`] over one document's
 /// text.
 ///
-/// [`check`](Self::check) runs the parser pass and returns the per-key
+/// [`check`](Self::check) scans the text and returns the per-key
 /// violation lists.  Labels resolve read-only against
 /// [`KeyIndex::universe`]; a label no key mentions can only traverse `//`.
 #[derive(Debug)]
@@ -152,26 +152,23 @@ impl<'a> StreamKeyChecker<'a> {
         })
     }
 
-    /// Checks `xml` in one parser pass, returning the per-key violation
+    /// Checks `xml` in one scan, returning the per-key violation
     /// lists in the exact order of the prepared DOM validator, or the
     /// parse error the DOM parser would report.
     pub fn check(mut self, xml: &str) -> Result<StreamCheckReport, ParseError> {
         let universe = self.index.universe();
-        let mut parser = StreamParser::new(xml);
         let mut attribute_label = String::new();
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { name } => self.start_element(universe.lookup(name)),
-                StreamEvent::Attribute { name, value } => {
-                    attribute_label.clear();
-                    attribute_label.push('@');
-                    attribute_label.push_str(name);
-                    self.attribute(universe.lookup(&attribute_label), &value);
-                }
-                StreamEvent::Text { .. } => self.text(),
-                StreamEvent::EndElement => self.end_element(),
+        scan(xml, |event| match event {
+            StreamEvent::StartElement { name } => self.start_element(universe.lookup(name)),
+            StreamEvent::Attribute { name, value } => {
+                attribute_label.clear();
+                attribute_label.push('@');
+                attribute_label.push_str(name);
+                self.attribute(universe.lookup(&attribute_label), &value);
             }
-        }
+            StreamEvent::Text { .. } => self.text(),
+            StreamEvent::EndElement => self.end_element(),
+        })?;
         Ok(self.finish())
     }
 

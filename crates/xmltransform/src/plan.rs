@@ -108,11 +108,6 @@ impl ShredPlan {
         &self.schema
     }
 
-    /// The [`VarId`] populating a schema attribute, by attribute position.
-    pub fn field_var(&self, field: usize) -> VarId {
-        VarId(self.field_vars[field])
-    }
-
     /// Compiled edge paths, by [`VarId`].
     pub(crate) fn paths(&self) -> &[CompiledExpr] {
         &self.paths
@@ -580,8 +575,8 @@ mod tests {
         let rule = t.rule("section").unwrap();
         let plan = rule.prepare(&mut universe);
         assert_eq!(plan.schema().name(), "section");
-        let field0 = plan.field_var(0);
-        assert!(field0.index() > 0);
+        let field0 = &plan.schema().attributes()[0];
+        assert_eq!(Some(VarId(plan.field_vars[0])), rule.field_var(field0));
         let whole = t.prepare(&mut universe);
         assert_eq!(whole.plans().len(), t.len());
         assert!(whole.plan("section").is_some());

@@ -99,19 +99,21 @@ pub struct Document {
 impl Document {
     /// Creates a document with a single root element labelled `root_label`.
     pub fn new(root_label: impl AsRef<str>) -> Self {
-        let mut labels = LabelTable::default();
-        let root_data = NodeData::new(
-            NodeKind::Element,
-            labels.plain(root_label.as_ref()),
-            (0, 0),
-            NONE,
-        );
+        let mut doc = Document::with_capacity(0, 0);
+        let slot = doc.slot_of(NodeKind::Element, root_label.as_ref());
+        doc.append(None, NodeKind::Element, slot, "");
+        doc
+    }
+
+    /// An empty arena with room for `nodes` nodes and `text` bytes of
+    /// text.  It is no document until [`Document::append`] adds the root.
+    pub(crate) fn with_capacity(nodes: usize, text: usize) -> Self {
         Document {
-            nodes: vec![root_data],
-            labels,
-            text: String::new(),
+            nodes: Vec::with_capacity(nodes),
+            labels: LabelTable::default(),
+            text: String::with_capacity(text),
             root: NodeId(0),
-            live: 1,
+            live: 0,
             epoch: 0,
         }
     }
@@ -416,62 +418,75 @@ impl Document {
         (start, self.text.len() as u32)
     }
 
-    /// Creates a node of `kind` under `parent`, linked before its child
-    /// `before` (last when `None`).  Attribute labels may come with or
-    /// without their `@`; a text node's label is always `S`.  Does not
-    /// tick the epoch.
+    /// The label-table slot of a `kind` node labelled `label` (attribute
+    /// labels with or without their `@`; a text node's is always `S`).
+    #[inline]
+    pub(crate) fn slot_of(&mut self, kind: NodeKind, label: &str) -> u32 {
+        match kind {
+            NodeKind::Element => self.labels.plain(label),
+            NodeKind::Attribute => self.labels.attribute(label),
+            NodeKind::Text => self.labels.text(),
+        }
+    }
+
+    /// Creates a node of `kind` with label slot `label` under `parent` (as
+    /// the root of an empty arena when `None`), linked before its child
+    /// `before` (last when `None`).  Does not tick the epoch.
+    #[inline(always)]
     fn insert_node(
         &mut self,
-        parent: NodeId,
+        parent: Option<NodeId>,
         before: Option<NodeId>,
         kind: NodeKind,
-        label: &str,
+        label: u32,
         text: &str,
     ) -> NodeId {
-        let (label, text) = match kind {
-            NodeKind::Element => (self.labels.plain(label), (0, 0)),
-            NodeKind::Attribute => (self.labels.attribute(label), self.push_text(text)),
-            NodeKind::Text => (self.labels.text(), self.push_text(text)),
+        let text = match kind {
+            NodeKind::Element => (0, 0),
+            _ => self.push_text(text),
         };
         assert!(fits_u32(self.nodes.len(), 1), "document too large");
         let id = NodeId(self.nodes.len() as u32);
-        let prev = match before {
-            Some(b) => self.data(b).prev_sibling,
-            None => self.data(parent).last_child,
-        };
-        let mut data = NodeData::new(kind, label, text, parent.0);
-        data.prev_sibling = prev;
-        data.next_sibling = before.map_or(NONE, |b| b.0);
+        let mut data = NodeData::new(kind, label, text, parent.map_or(NONE, |p| p.0));
+        if let Some(parent) = parent {
+            let prev = match before {
+                Some(b) => self.data(b).prev_sibling,
+                None => self.data(parent).last_child,
+            };
+            data.prev_sibling = prev;
+            data.next_sibling = before.map_or(NONE, |b| b.0);
+            match link(prev) {
+                Some(p) => self.data_mut(p).next_sibling = id.0,
+                None => self.data_mut(parent).first_child = id.0,
+            }
+            match before {
+                Some(b) => self.data_mut(b).prev_sibling = id.0,
+                None => self.data_mut(parent).last_child = id.0,
+            }
+        }
         self.nodes.push(data);
-        match link(prev) {
-            Some(p) => self.data_mut(p).next_sibling = id.0,
-            None => self.data_mut(parent).first_child = id.0,
-        }
-        match before {
-            Some(b) => self.data_mut(b).prev_sibling = id.0,
-            None => self.data_mut(parent).last_child = id.0,
-        }
         self.live += 1;
         id
     }
 
-    /// Creates a node of `kind` as the last child of `parent` and ticks
-    /// the epoch: [`Document::add_element`] and friends, and the parser.
+    /// Creates a node as the last child of `parent`, or as the root when
+    /// `None`, and ticks the epoch for every node but the root.
+    #[inline(always)]
     pub(crate) fn append(
         &mut self,
-        parent: NodeId,
+        parent: Option<NodeId>,
         kind: NodeKind,
-        label: &str,
+        label: u32,
         text: &str,
     ) -> NodeId {
-        let id = self.insert_node(parent, None, kind, label, text);
-        self.epoch += 1;
-        id
+        self.epoch += u64::from(parent.is_some());
+        self.insert_node(parent, None, kind, label, text)
     }
 
     /// Adds an element child labelled `label` under `parent` and returns its id.
     pub fn add_element(&mut self, parent: NodeId, label: impl AsRef<str>) -> NodeId {
-        self.append(parent, NodeKind::Element, label.as_ref(), "")
+        let slot = self.slot_of(NodeKind::Element, label.as_ref());
+        self.append(Some(parent), NodeKind::Element, slot, "")
     }
 
     /// Adds an attribute node `@name = value` under element `parent`; `name`
@@ -482,12 +497,14 @@ impl Document {
         name: impl AsRef<str>,
         value: impl AsRef<str>,
     ) -> NodeId {
-        self.append(parent, NodeKind::Attribute, name.as_ref(), value.as_ref())
+        let slot = self.slot_of(NodeKind::Attribute, name.as_ref());
+        self.append(Some(parent), NodeKind::Attribute, slot, value.as_ref())
     }
 
     /// Adds a text node under element `parent`.
     pub fn add_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> NodeId {
-        self.append(parent, NodeKind::Text, "S", value.as_ref())
+        let slot = self.slot_of(NodeKind::Text, "S");
+        self.append(Some(parent), NodeKind::Text, slot, value.as_ref())
     }
 
     /// Detaches the subtree rooted at `node`, an attached node other than
@@ -630,9 +647,13 @@ impl Document {
         let before = self.children(parent).nth(position);
         let root = match fragment {
             Fragment::Attribute { name, value } => {
-                self.insert_node(parent, before, NodeKind::Attribute, name, value)
+                let slot = self.slot_of(NodeKind::Attribute, name);
+                self.insert_node(Some(parent), before, NodeKind::Attribute, slot, value)
             }
-            Fragment::Text(text) => self.insert_node(parent, before, NodeKind::Text, "S", text),
+            Fragment::Text(text) => {
+                let slot = self.slot_of(NodeKind::Text, "S");
+                self.insert_node(Some(parent), before, NodeKind::Text, slot, text)
+            }
             Fragment::Element(frag) => {
                 // Copy the fragment in document order so the new subtree is
                 // internally DFS-ordered; remap fragment ids to fresh ids.
@@ -641,14 +662,16 @@ impl Document {
                 let mut map = vec![NONE; frag.arena_len()];
                 let mut root = self.root; // overwritten on the first node
                 for n in frag.all_nodes() {
-                    let (kind, label) = (frag.kind(n), frag.label(n));
+                    let kind = frag.kind(n);
+                    let label = self.slot_of(kind, frag.label(n));
                     let text = frag.text_value(n).unwrap_or("");
                     let id = match frag.parent(n) {
                         Some(p) => {
-                            self.insert_node(NodeId(map[p.index()]), None, kind, label, text)
+                            let p = Some(NodeId(map[p.index()]));
+                            self.insert_node(p, None, kind, label, text)
                         }
                         None => {
-                            root = self.insert_node(parent, before, kind, label, text);
+                            root = self.insert_node(Some(parent), before, kind, label, text);
                             root
                         }
                     };

@@ -31,11 +31,11 @@
 //!   layers) and [`DocIndex`] (per-node label ids, DFS document-order
 //!   numbering with contiguous subtree ranges, label → nodes postings and
 //!   interned text values, all built in one DFS pass);
-//! * the **streaming front end**: [`StreamParser`] pulls
-//!   [`StreamEvent`]s (start/attribute/text/end, names and values
-//!   borrowed from the input) off the same tokenizer the DOM parser uses,
-//!   retaining only `O(depth)` state — the DOM [`parse`] is itself a driver
-//!   over this stream, so both paths share one error table;
+//! * the **streaming front end**: [`scan`] pushes [`StreamEvent`]s
+//!   (start/attribute/text/end, borrowed from the input) into a closure in
+//!   one pass with `O(depth)` state.  The DOM [`parse`] and the streaming
+//!   key checker of `xmlprop-xmlkeys` consume it, so both share one error
+//!   table;
 //! * the **delta interface** ([`Delta`] / [`Document::apply`] /
 //!   [`AppliedDelta`]): first-class subtree insert/remove and text edits,
 //!   with [`DocIndex::apply_delta`] patching a prepared index in place
@@ -85,4 +85,4 @@ pub use labels::{LabelId, LabelUniverse};
 pub use node::{NodeId, NodeKind};
 pub use parse::parse;
 pub use serialize::{to_pretty_xml, to_xml};
-pub use stream::{StreamEvent, StreamParser, MAX_DEPTH};
+pub use stream::{scan, StreamEvent, MAX_DEPTH};

@@ -7,13 +7,12 @@
 //! declarations are recognised and skipped (the paper explicitly treats key
 //! constraints as orthogonal to DTDs, so no DTD content model is needed).
 //!
-//! The tokenizer lives in [`crate::stream`]: this module is a thin driver
-//! that folds the event stream into a [`Document`], so the DOM and
-//! streaming paths accept the same inputs and report identical
-//! [`ParseError`]s.
+//! The tokenizer is [`scan`]: this module folds its events into a
+//! [`Document`], so the DOM and streaming paths accept the same inputs and
+//! report identical [`ParseError`]s.
 
 use crate::error::ParseError;
-use crate::stream::{StreamEvent, StreamParser};
+use crate::stream::{scan, StreamEvent};
 use crate::{Document, NodeId, NodeKind};
 
 /// The longest input [`parse`] accepts: a [`Document`] addresses its text
@@ -27,45 +26,64 @@ const MAX_INPUT: usize = u32::MAX as usize;
 /// byte past the limit, since a [`Document`] could not address its text.
 pub fn parse(input: &str) -> Result<Document, ParseError> {
     check_size(input.len(), input)?;
-    let mut parser = StreamParser::new(input);
-    let mut doc: Option<Document> = None;
+    // Generated documents take ~10.6 bytes of XML per node and ~2.6 per
+    // byte of text: with a little more room, most parses never grow either.
+    let mut doc = Document::with_capacity(input.len() / 10, input.len() / 2);
     let mut open: Vec<NodeId> = Vec::new();
-    while let Some(event) = parser.next_event()? {
-        match event {
-            StreamEvent::StartElement { name } => {
-                let id = match doc.as_mut() {
-                    None => {
-                        doc = Some(Document::new(name));
-                        doc.as_ref().expect("just created").root()
-                    }
-                    Some(d) => {
-                        let parent = *open.last().expect("nested element has an open parent");
-                        d.append(parent, NodeKind::Element, name, "")
-                    }
-                };
-                open.push(id);
+    let (mut elements, mut attributes) = (SlotCache::default(), SlotCache::default());
+    // Inlined into the scan's loops, where each event's kind is known.
+    scan(
+        input,
+        #[inline(always)]
+        |event| {
+            let parent = open.last().copied();
+            match event {
+                StreamEvent::StartElement { name } => {
+                    let slot = elements.get(name, || doc.slot_of(NodeKind::Element, name));
+                    open.push(doc.append(parent, NodeKind::Element, slot, ""));
+                }
+                StreamEvent::Attribute { name, value } => {
+                    let slot = attributes.get(name, || doc.slot_of(NodeKind::Attribute, name));
+                    doc.append(parent, NodeKind::Attribute, slot, &value);
+                }
+                StreamEvent::Text { value } => {
+                    let slot = doc.slot_of(NodeKind::Text, "S");
+                    doc.append(parent, NodeKind::Text, slot, &value);
+                }
+                StreamEvent::EndElement => {
+                    open.pop();
+                }
             }
-            StreamEvent::Attribute { name, value } => {
-                let owner = *open.last().expect("attribute follows an open element");
-                doc.as_mut().expect("document exists").append(
-                    owner,
-                    NodeKind::Attribute,
-                    name,
-                    &value,
-                );
-            }
-            StreamEvent::Text { value } => {
-                let parent = *open.last().expect("text occurs inside an open element");
-                doc.as_mut()
-                    .expect("document exists")
-                    .append(parent, NodeKind::Text, "S", &value);
-            }
-            StreamEvent::EndElement => {
-                open.pop().expect("end event closes an open element");
-            }
-        }
+        },
+    )?;
+    // A completed scan has emitted a root element: the document is whole.
+    Ok(doc)
+}
+
+/// A direct-mapped cache of names → label slots in front of the document's
+/// label table: a document uses few distinct names, so most lookups cost
+/// one hash of a short name and one comparison instead of a table probe.
+struct SlotCache<'a>([(&'a str, u32); 256]);
+
+impl Default for SlotCache<'_> {
+    fn default() -> Self {
+        // No name is empty, so an empty entry never matches.
+        SlotCache([("", 0); 256])
     }
-    Ok(doc.expect("a completed stream contains a root element"))
+}
+
+impl<'a> SlotCache<'a> {
+    /// The slot of `name`, from `miss` when the cache does not hold it.
+    fn get(&mut self, name: &'a str, miss: impl FnOnce() -> u32) -> u32 {
+        let mix = name
+            .bytes()
+            .fold(name.len() as u64, |h, b| h.rotate_left(5) ^ u64::from(b));
+        let entry = &mut self.0[(mix.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize];
+        if entry.0 != name {
+            *entry = (name, miss());
+        }
+        entry.1
+    }
 }
 
 /// Rejects an input of `len` bytes beyond [`MAX_INPUT`].

@@ -1,45 +1,32 @@
-//! Event-driven streaming XML front end.
+//! Event-driven streaming XML front end: the crate's one tokenizer.
 //!
-//! [`StreamParser`] is a pull parser over the same tokenizer and error table
-//! as the DOM [`parse`](crate::parse) function — in fact the DOM parser *is*
-//! a driver over this event stream, so both paths reject exactly the same
-//! inputs with exactly the same [`ParseError`]s.  Each call to
-//! [`StreamParser::next_event`] advances the input to the next structural
-//! event:
+//! [`scan`] walks the text once and pushes each [`StreamEvent`] into a
+//! caller's closure, which the compiler inlines into the scan's loops: an
+//! open tag, then its attributes (before any content of the element),
+//! decoded text and CDATA (whitespace-only runs between tags dropped), and
+//! the end of an element (`</name>` or `/>`).  Its two consumers, the DOM
+//! builder ([`parse`](crate::parse)) and the streaming key checker of
+//! `xmlprop-xmlkeys`, therefore accept the same inputs and report the same
+//! [`ParseError`]s.
 //!
-//! * [`StreamEvent::StartElement`] — an open tag `<name ...`;
-//! * [`StreamEvent::Attribute`] — one `name="value"` pair inside the most
-//!   recently opened tag (attributes are delivered *before* any content of
-//!   their element);
-//! * [`StreamEvent::Text`] — decoded character data or CDATA (whitespace-only
-//!   runs between tags are dropped, like the DOM parser);
-//! * [`StreamEvent::EndElement`] — `</name>` or `/>` closing the innermost
-//!   open element.
-//!
-//! Names and values borrow from the input: a text or attribute value is a
-//! [`Cow::Borrowed`] slice unless it contained an entity or character
-//! reference (a `&`) that had to be decoded, and CDATA content is always
-//! borrowed.  A consumer that only compares or hashes values, like the
-//! streaming key checker, allocates nothing per event, and the DOM parser copies each value once, into the document's
-//! text buffer.
-//!
-//! The parser's retained state is the stack of open element name spans —
-//! memory is bounded by tree depth, never by node count.
+//! The byte after a `<` selects the construct, a 256-entry table
+//! classifies bytes, and the pass that finds the end of a value also notes
+//! whether it holds a `&` to decode and whether it is blank.  The scan
+//! retains the open element names only: memory bounded by tree depth.
 
 use crate::error::ParseError;
 use std::borrow::Cow;
 
-/// The maximum element nesting depth either parser accepts.
+#[cfg(test)]
+mod oracle;
+
+/// The maximum element nesting depth the scan accepts.
 ///
-/// Every layer above the tokenizer keeps per-depth state — the parser's
-/// open-name stack, the DOM builder's open-node stack, the streaming key
-/// checker's matcher states — and downstream consumers recurse over
-/// subtrees.
-/// A pathologically nested document (`<a><a><a>…`) would otherwise trade
-/// a few megabytes of input for an unbounded stack; past this depth the
-/// document is rejected with a byte-offset [`ParseError`] instead.  Real
-/// data-exchange documents nest a few dozen levels deep; 1024 is two
-/// orders of magnitude of headroom.
+/// Every consumer keeps per-depth state, and some recurse over subtrees: a
+/// pathologically nested document (`<a><a><a>…`) would otherwise trade a
+/// few megabytes of input for an unbounded stack.  Real data-exchange
+/// documents nest a few dozen levels deep; 1024 is two orders of magnitude
+/// of headroom.
 pub const MAX_DEPTH: usize = 1024;
 
 /// One structural event of the XML stream.
@@ -72,357 +59,340 @@ pub enum StreamEvent<'a> {
     EndElement,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Before the root element: prolog, whitespace, comments, DOCTYPE.
-    Prolog,
-    /// Inside an open tag, before `>` or `/>`: attributes pending.
-    InTag,
-    /// Inside element content.
-    Content,
-    /// After the root element closed: trailing misc only.
-    Epilog,
-    /// The stream is exhausted.
-    Done,
-}
-
-/// A pull parser producing [`StreamEvent`]s from XML text.
+/// Scans `input` as one XML document, passing every [`StreamEvent`] to
+/// `emit` in document order.
 ///
-/// Accepts exactly the inputs the DOM [`parse`](crate::parse) accepts and
-/// reports the same errors at the same positions (the DOM parser is built on
-/// this type).  Retained state is `O(depth)`: the spans of the open element
-/// names.
+/// The first violation of the crate's subset of XML (one root element,
+/// matching end tags, quoted values, known entities, at most [`MAX_DEPTH`]
+/// levels) stops the scan with its [`ParseError`].
 ///
 /// # Example
 ///
 /// ```
-/// use xmlprop_xmltree::{StreamEvent, StreamParser};
+/// use xmlprop_xmltree::{scan, StreamEvent};
 ///
-/// let mut parser = StreamParser::new(r#"<db><book isbn="123"/></db>"#);
 /// let mut starts = 0;
-/// while let Some(event) = parser.next_event().unwrap() {
+/// scan(r#"<db><book isbn="123"/></db>"#, |event| {
 ///     if matches!(event, StreamEvent::StartElement { .. }) {
 ///         starts += 1;
 ///     }
-/// }
+/// })
+/// .unwrap();
 /// assert_eq!(starts, 2);
 /// ```
-pub struct StreamParser<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    state: State,
-    /// Byte spans of the names of the currently open elements.
-    open: Vec<(usize, usize)>,
-}
-
-impl<'a> StreamParser<'a> {
-    /// Creates a parser over `input`.
-    pub fn new(input: &'a str) -> Self {
-        StreamParser {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-            state: State::Prolog,
-            open: Vec::new(),
-        }
-    }
-
-    /// Number of currently open elements.
-    pub fn depth(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Current byte offset into the input.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// Returns the next event, `Ok(None)` once the document (plus trailing
-    /// misc) is fully consumed.
-    pub fn next_event(&mut self) -> Result<Option<StreamEvent<'a>>, ParseError> {
-        loop {
-            match self.state {
-                State::Prolog => {
-                    self.skip_prolog()?;
-                    self.skip_whitespace();
-                    if self.peek() != Some(b'<') {
-                        return Err(self.err("expected root element"));
-                    }
-                    return self.open_tag().map(Some);
-                }
-                State::InTag => {
-                    self.skip_whitespace();
-                    match self.peek() {
-                        Some(b'/') => {
-                            self.expect("/>")?;
-                            return self.close_innermost().map(Some);
-                        }
-                        Some(b'>') => {
-                            self.bump(1);
-                            self.state = State::Content;
-                        }
-                        Some(_) => {
-                            let (start, end) = self.parse_name()?;
-                            self.skip_whitespace();
-                            self.expect("=")?;
-                            self.skip_whitespace();
-                            let value = self.parse_attr_value()?;
-                            return Ok(Some(StreamEvent::Attribute {
-                                name: &self.input[start..end],
-                                value,
-                            }));
-                        }
-                        None => return Err(self.err("unexpected end of input inside element tag")),
-                    }
-                }
-                State::Content => {
-                    if self.starts_with("</") {
-                        self.expect("</")?;
-                        let (start, end) = self.parse_name()?;
-                        let close = &self.input[start..end];
-                        let &(open_start, open_end) =
-                            self.open.last().expect("content implies an open element");
-                        let open = &self.input[open_start..open_end];
-                        if close != open {
-                            return Err(self.err(format!(
-                                "mismatched end tag: expected `</{open}>`, found `</{close}>`"
-                            )));
-                        }
-                        self.skip_whitespace();
-                        self.expect(">")?;
-                        return self.close_innermost().map(Some);
-                    } else if self.starts_with("<!--") {
-                        self.skip_comment()?;
-                    } else if self.starts_with("<![CDATA[") {
-                        let text = self.parse_cdata()?;
-                        if !text.is_empty() {
-                            return Ok(Some(StreamEvent::Text { value: text }));
-                        }
-                    } else if self.starts_with("<?") {
-                        self.skip_pi()?;
-                    } else if self.peek() == Some(b'<') {
-                        return self.open_tag().map(Some);
-                    } else if self.peek().is_some() {
-                        let text = self.parse_char_data()?;
-                        // Whitespace-only runs between tags are formatting,
-                        // not data; anything else is kept verbatim so mixed
-                        // content survives.
-                        if !text.trim().is_empty() {
-                            return Ok(Some(StreamEvent::Text { value: text }));
-                        }
-                    } else {
-                        return Err(self.err("unexpected end of input inside element content"));
-                    }
-                }
-                State::Epilog => {
-                    // Trailing misc (comments / whitespace / PIs).
-                    self.skip_whitespace();
-                    if self.pos >= self.bytes.len() {
-                        self.state = State::Done;
-                        return Ok(None);
-                    }
-                    if self.starts_with("<!--") {
-                        self.skip_comment()?;
-                    } else if self.starts_with("<?") {
-                        self.skip_pi()?;
-                    } else {
-                        return Err(self.err("unexpected content after root element"));
-                    }
-                }
-                State::Done => return Ok(None),
-            }
-        }
-    }
-
-    fn open_tag(&mut self) -> Result<StreamEvent<'a>, ParseError> {
-        if self.open.len() >= MAX_DEPTH {
-            // Reported at the `<` of the offending open tag, before any
-            // state changes — the guard fires for both parsing paths.
-            return Err(self.err(format!(
+pub fn scan<'a>(input: &'a str, mut emit: impl FnMut(StreamEvent<'a>)) -> Result<(), ParseError> {
+    let mut scanner = Scanner { input, pos: 0 };
+    scanner.prolog()?;
+    // The names of the open elements, innermost last.
+    let mut open: Vec<&'a str> = Vec::new();
+    loop {
+        // `pos` is at the `<` of an open tag.
+        if open.len() >= MAX_DEPTH {
+            return Err(scanner.err(format!(
                 "element nesting exceeds the maximum depth of {MAX_DEPTH}"
             )));
         }
-        self.expect("<")?;
-        let (start, end) = self.parse_name()?;
-        self.open.push((start, end));
-        self.state = State::InTag;
-        Ok(StreamEvent::StartElement {
-            name: &self.input[start..end],
-        })
-    }
-
-    fn close_innermost(&mut self) -> Result<StreamEvent<'a>, ParseError> {
-        self.open.pop().expect("close implies an open element");
-        self.state = if self.open.is_empty() {
-            State::Epilog
+        scanner.pos += 1;
+        let name = scanner.name()?;
+        emit(StreamEvent::StartElement { name });
+        if scanner.attributes(&mut emit)? {
+            emit(StreamEvent::EndElement);
         } else {
-            State::Content
-        };
-        Ok(StreamEvent::EndElement)
+            open.push(name);
+        }
+        if !scanner.content(&mut open, &mut emit)? {
+            return scanner.epilog();
+        }
     }
+}
 
-    // ---- tokenizer ------------------------------------------------------
-    //
-    // This is the single tokenizer of the crate: the DOM parser in
-    // `parse.rs` drives the event stream above, so every error message and
-    // position below is shared verbatim by both paths.
+// The classes of [`CLASS`]: the bytes of names (ASCII letters, digits and
+// `_-.:`); ASCII bytes other than whitespace (a text run holding one is not
+// blank unless a `&` decoded it away); bytes of multi-byte characters,
+// which may be Unicode whitespace; and `&`, which starts a reference.
+const NAME: u8 = 1;
+const SOLID: u8 = 2;
+const WIDE: u8 = 4;
+const AMP: u8 = 8;
 
+/// The classes of every byte value.  The blank ASCII bytes — the ones
+/// [`char::is_whitespace`] accepts — have none, and neither has `<`, which
+/// ends every text run.
+const CLASS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            0x80.. => WIDE,
+            b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ' | b'<' => 0,
+            b'&' => AMP | SOLID,
+            c if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') => {
+                NAME | SOLID
+            }
+            _ => SOLID,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The scan's cursor.  Between steps `pos` sits on a character boundary:
+/// a step ends after an ASCII byte, at an ASCII delimiter, or at the end.
+struct Scanner<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    #[cold]
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError::new(self.pos, self.input, message)
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    #[inline(always)]
+    fn rest(&self) -> &'a [u8] {
+        &self.input.as_bytes()[self.pos..]
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
-    }
-
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
+    #[inline(always)]
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+        while let Some(b' ' | b'\t' | b'\r' | b'\n') = self.rest().first() {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, s: &str) -> Result<(), ParseError> {
-        if self.starts_with(s) {
-            self.bump(s.len());
+    #[inline(always)]
+    fn expect(&mut self, token: &str) -> Result<(), ParseError> {
+        if self.rest().starts_with(token.as_bytes()) {
+            self.pos += token.len();
             Ok(())
         } else {
-            Err(self.err(format!("expected `{s}`")))
+            Err(self.err(format!("expected `{token}`")))
         }
     }
 
-    fn skip_prolog(&mut self) -> Result<(), ParseError> {
+    /// Steps over an opener of `skip` bytes, then up to and past `close`;
+    /// returns the text in between, or `message` at the byte after the
+    /// opener when `close` never comes.
+    fn skip_past(
+        &mut self,
+        skip: usize,
+        close: &str,
+        message: &str,
+    ) -> Result<&'a str, ParseError> {
+        self.pos += skip;
+        let body = &self.input[self.pos..];
+        let end = body.find(close).ok_or_else(|| self.err(message))?;
+        self.pos += end + close.len();
+        Ok(&body[..end])
+    }
+
+    /// Skips the comment or processing instruction starting at `pos`, if
+    /// one does; returns whether it did.
+    fn misc(&mut self) -> Result<bool, ParseError> {
+        let rest = self.rest();
+        if rest.starts_with(b"<!--") {
+            self.skip_past(4, "-->", "unterminated comment")?;
+        } else if rest.starts_with(b"<?") {
+            self.skip_past(2, "?>", "unterminated processing instruction")?;
+        } else {
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// Skips the XML declaration, comments, processing instructions and
+    /// DOCTYPE declarations before the root, leaving `pos` at its `<`.
+    fn prolog(&mut self) -> Result<(), ParseError> {
         loop {
             self.skip_whitespace();
-            if self.starts_with("<?") {
-                self.skip_pi()?;
-            } else if self.starts_with("<!--") {
-                self.skip_comment()?;
-            } else if self.starts_with("<!DOCTYPE") {
-                self.skip_doctype()?;
-            } else {
+            if self.misc()? {
+                continue;
+            }
+            let rest = self.rest();
+            if rest.starts_with(b"<!DOCTYPE") {
+                self.doctype()?;
+            } else if rest.first() == Some(&b'<') {
                 return Ok(());
+            } else {
+                return Err(self.err("expected root element"));
             }
-        }
-    }
-
-    fn skip_pi(&mut self) -> Result<(), ParseError> {
-        self.expect("<?")?;
-        match self.input[self.pos..].find("?>") {
-            Some(end) => {
-                self.bump(end + 2);
-                Ok(())
-            }
-            None => Err(self.err("unterminated processing instruction")),
-        }
-    }
-
-    fn skip_comment(&mut self) -> Result<(), ParseError> {
-        self.expect("<!--")?;
-        match self.input[self.pos..].find("-->") {
-            Some(end) => {
-                self.bump(end + 3);
-                Ok(())
-            }
-            None => Err(self.err("unterminated comment")),
         }
     }
 
     /// Skips a DOCTYPE declaration, including an internal subset if present.
-    fn skip_doctype(&mut self) -> Result<(), ParseError> {
-        self.expect("<!DOCTYPE")?;
+    fn doctype(&mut self) -> Result<(), ParseError> {
+        self.pos += "<!DOCTYPE".len();
         let mut depth = 1usize;
         while depth > 0 {
-            match self.peek() {
-                Some(b'<') => {
-                    depth += 1;
-                    self.bump(1);
-                }
-                Some(b'>') => {
-                    depth -= 1;
-                    self.bump(1);
-                }
-                Some(_) => self.bump(1),
+            match self.rest().first() {
+                Some(b'<') => depth += 1,
+                Some(b'>') => depth -= 1,
+                Some(_) => {}
                 None => return Err(self.err("unterminated DOCTYPE declaration")),
             }
+            self.pos += 1;
         }
         Ok(())
     }
 
-    /// Parses a name, returning its byte span in the input.
-    fn parse_name(&mut self) -> Result<(usize, usize), ParseError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            let c = b as char;
-            if c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':') {
-                self.pos += 1;
-            } else {
-                break;
+    /// Only whitespace, comments and processing instructions may follow
+    /// the root element.
+    fn epilog(&mut self) -> Result<(), ParseError> {
+        loop {
+            self.skip_whitespace();
+            if self.rest().is_empty() {
+                return Ok(());
+            }
+            if !self.misc()? {
+                return Err(self.err("unexpected content after root element"));
             }
         }
-        if self.pos == start {
+    }
+
+    #[inline(always)]
+    fn name(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
+        let rest = self.rest();
+        let len = rest
+            .iter()
+            .position(|&b| CLASS[b as usize] & NAME == 0)
+            .unwrap_or(rest.len());
+        if len == 0 {
             return Err(self.err("expected a name"));
         }
-        Ok((start, self.pos))
+        self.pos += len;
+        Ok(&self.input[start..self.pos])
     }
 
-    fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
-        };
-        self.bump(1);
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == quote {
-                let raw = &self.input[start..self.pos];
-                self.bump(1);
-                return decode_entities(raw).map_err(|m| ParseError::new(start, self.input, m));
+    /// Decodes the raw text at `start..pos` when `amp` says it holds a
+    /// reference; borrows it otherwise.
+    #[inline(always)]
+    fn value(&self, start: usize, amp: bool) -> Result<Cow<'a, str>, ParseError> {
+        let raw = &self.input[start..self.pos];
+        if !amp {
+            return Ok(Cow::Borrowed(raw));
+        }
+        decode_entities(raw).map_err(|m| ParseError::new(start, self.input, m))
+    }
+
+    /// Emits the attributes of the tag just opened.  Returns true when the
+    /// tag closed itself (`/>`), false at its `>`.
+    #[inline(always)]
+    fn attributes(&mut self, emit: &mut impl FnMut(StreamEvent<'a>)) -> Result<bool, ParseError> {
+        loop {
+            self.skip_whitespace();
+            match self.rest().first() {
+                Some(b'>') => {
+                    self.pos += 1;
+                    return Ok(false);
+                }
+                Some(b'/') => {
+                    self.expect("/>")?;
+                    return Ok(true);
+                }
+                Some(_) => {}
+                None => return Err(self.err("unexpected end of input inside element tag")),
             }
+            let name = self.name()?;
+            self.skip_whitespace();
+            self.expect("=")?;
+            self.skip_whitespace();
+            let quote = match self.rest().first() {
+                Some(&q @ (b'"' | b'\'')) => q,
+                _ => return Err(self.err("expected quoted attribute value")),
+            };
             self.pos += 1;
-        }
-        Err(self.err("unterminated attribute value"))
-    }
-
-    fn parse_char_data(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'<' {
-                break;
-            }
+            let start = self.pos;
+            let mut amp = false;
+            let Some(len) = self.rest().iter().position(|&b| {
+                amp |= b == b'&';
+                b == quote
+            }) else {
+                self.pos = self.input.len();
+                return Err(self.err("unterminated attribute value"));
+            };
+            self.pos += len;
+            let value = self.value(start, amp)?;
             self.pos += 1;
+            emit(StreamEvent::Attribute { name, value });
         }
-        decode_entities(&self.input[start..self.pos])
-            .map_err(|m| ParseError::new(start, self.input, m))
     }
 
-    fn parse_cdata(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        self.expect("<![CDATA[")?;
-        match self.input[self.pos..].find("]]>") {
-            Some(end) => {
-                let text = Cow::Borrowed(&self.input[self.pos..self.pos + end]);
-                self.bump(end + 3);
-                Ok(text)
+    /// Emits element content up to the `<` of the next open tag (true) or
+    /// through the end tag of the root (false).
+    #[inline(always)]
+    fn content(
+        &mut self,
+        open: &mut Vec<&'a str>,
+        emit: &mut impl FnMut(StreamEvent<'a>),
+    ) -> Result<bool, ParseError> {
+        while let Some(&innermost) = open.last() {
+            let rest = self.rest();
+            match rest {
+                [] => return Err(self.err("unexpected end of input inside element content")),
+                [b'<', b'/', ..] => {
+                    self.pos += 2;
+                    let close = self.name()?;
+                    if close != innermost {
+                        return Err(self.err(format!(
+                            "mismatched end tag: expected `</{innermost}>`, found `</{close}>`"
+                        )));
+                    }
+                    self.skip_whitespace();
+                    self.expect(">")?;
+                    open.pop();
+                    emit(StreamEvent::EndElement);
+                }
+                [b'<', b'!' | b'?', ..] => {
+                    if rest.starts_with(b"<![CDATA[") {
+                        let text = self.skip_past(9, "]]>", "unterminated CDATA section")?;
+                        if !text.is_empty() {
+                            emit(StreamEvent::Text {
+                                value: Cow::Borrowed(text),
+                            });
+                        }
+                    } else if !self.misc()? {
+                        // `<!` starting nothing known: an open tag whose
+                        // name is missing.
+                        return Ok(true);
+                    }
+                }
+                [b'<', ..] => return Ok(true),
+                _ => {
+                    let start = self.pos;
+                    let mut seen = 0;
+                    let len = rest
+                        .iter()
+                        .position(|&b| {
+                            seen |= CLASS[b as usize];
+                            b == b'<'
+                        })
+                        .unwrap_or(rest.len());
+                    self.pos += len;
+                    let value = self.value(start, seen & AMP != 0)?;
+                    // A run whose decoded text trims to empty is formatting,
+                    // not data.  An ASCII byte that is not whitespace settles
+                    // it unless a reference was decoded; only multi-byte or
+                    // decoded runs need the Unicode `trim`.
+                    let keep = match seen & (SOLID | WIDE | AMP) {
+                        0 => false,
+                        s if s & (SOLID | AMP) == SOLID => true,
+                        _ => !value.trim().is_empty(),
+                    };
+                    if keep {
+                        emit(StreamEvent::Text { value });
+                    }
+                }
             }
-            None => Err(self.err("unterminated CDATA section")),
         }
+        Ok(false)
     }
 }
 
-/// Decodes the predefined entities and numeric character references;
-/// borrows `raw` when it contains none.
+/// Decodes the predefined entities and numeric character references in
+/// `raw`, which holds at least one `&`.
 fn decode_entities(raw: &str) -> Result<Cow<'_, str>, String> {
-    if !raw.contains('&') {
-        return Ok(Cow::Borrowed(raw));
-    }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
     while let Some(amp) = rest.find('&') {
@@ -432,31 +402,23 @@ fn decode_entities(raw: &str) -> Result<Cow<'_, str>, String> {
             .find(';')
             .ok_or_else(|| "unterminated entity reference".to_string())?;
         let entity = &rest[1..semi];
-        match entity {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "apos" => out.push('\''),
-            "quot" => out.push('"'),
-            _ if entity.starts_with("#x") || entity.starts_with("#X") => {
-                let code = u32::from_str_radix(&entity[2..], 16)
-                    .map_err(|_| format!("invalid character reference `&{entity};`"))?;
-                out.push(
-                    char::from_u32(code)
-                        .ok_or_else(|| format!("invalid code point in `&{entity};`"))?,
-                );
-            }
-            _ if entity.starts_with('#') => {
-                let code = entity[1..]
-                    .parse::<u32>()
-                    .map_err(|_| format!("invalid character reference `&{entity};`"))?;
-                out.push(
-                    char::from_u32(code)
-                        .ok_or_else(|| format!("invalid code point in `&{entity};`"))?,
-                );
-            }
-            _ => return Err(format!("unknown entity `&{entity};`")),
-        }
+        let reference = |digits: &str, radix| {
+            let code = u32::from_str_radix(digits, radix)
+                .map_err(|_| format!("invalid character reference `&{entity};`"))?;
+            char::from_u32(code).ok_or_else(|| format!("invalid code point in `&{entity};`"))
+        };
+        out.push(match entity {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "apos" => '\'',
+            "quot" => '"',
+            _ => match entity.strip_prefix('#') {
+                Some(hex) if hex.starts_with(['x', 'X']) => reference(&hex[1..], 16)?,
+                Some(decimal) => reference(decimal, 10)?,
+                None => return Err(format!("unknown entity `&{entity};`")),
+            },
+        });
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
@@ -468,17 +430,31 @@ mod tests {
     use super::*;
 
     fn events(input: &str) -> Result<Vec<String>, ParseError> {
-        let mut parser = StreamParser::new(input);
         let mut out = Vec::new();
-        while let Some(event) = parser.next_event()? {
+        scan(input, |event| {
             out.push(match event {
                 StreamEvent::StartElement { name } => format!("<{name}>"),
                 StreamEvent::Attribute { name, value } => format!("@{name}={value}"),
                 StreamEvent::Text { value } => format!("text:{value}"),
                 StreamEvent::EndElement => "</>".to_string(),
-            });
-        }
+            })
+        })?;
         Ok(out)
+    }
+
+    /// The deepest nesting the events of `input` reach.
+    fn peak_depth(input: &str) -> Result<usize, ParseError> {
+        let (mut depth, mut peak) = (0, 0);
+        scan(input, |event| match event {
+            StreamEvent::StartElement { .. } => {
+                depth += 1;
+                peak = peak.max(depth);
+            }
+            StreamEvent::EndElement => depth -= 1,
+            _ => {}
+        })?;
+        assert_eq!(depth, 0, "every element closes");
+        Ok(peak)
     }
 
     #[test]
@@ -524,14 +500,31 @@ mod tests {
     }
 
     #[test]
-    fn depth_tracks_open_elements() {
-        let mut parser = StreamParser::new("<a><b><c/></b></a>");
-        let mut peak = 0;
-        while let Some(_event) = parser.next_event().unwrap() {
-            peak = peak.max(parser.depth());
+    fn runs_are_dropped_when_their_decoded_text_trims_to_empty() {
+        // NBSP, vertical tab, ideographic space and decoded spaces are all
+        // whitespace to `trim`; CDATA is kept unless empty.
+        let got = events(
+            "<r>\u{a0}<a/>\u{b}<a/>\u{3000} <a/>&#32;&#160;<a/> x<a/>é<a/><![CDATA[ ]]></r>",
+        )
+        .unwrap();
+        let texts: Vec<_> = got.iter().filter(|e| e.starts_with("text:")).collect();
+        assert_eq!(texts, ["text: x", "text:é", "text: "]);
+    }
+
+    #[test]
+    fn blank_bytes_are_the_ascii_whitespace_of_char_is_whitespace() {
+        for b in 0..0x80u8 {
+            assert_eq!(
+                CLASS[b as usize] == 0,
+                (b as char).is_whitespace() || b == b'<',
+                "byte {b:#04x}"
+            );
         }
-        assert_eq!(peak, 3);
-        assert_eq!(parser.depth(), 0);
+    }
+
+    #[test]
+    fn depth_tracks_open_elements() {
+        assert_eq!(peak_depth("<a><b><c/></b></a>").unwrap(), 3);
     }
 
     #[test]
@@ -560,14 +553,7 @@ mod tests {
         // ~1M open tags: without the guard this input would grow the
         // per-depth stacks (and downstream recursion) without bound.
         let deep = "<a>".repeat(1_000_000);
-        let mut parser = StreamParser::new(&deep);
-        let err = loop {
-            match parser.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("a 1M-deep document must not parse"),
-                Err(e) => break e,
-            }
-        };
+        let err = peak_depth(&deep).unwrap_err();
         assert!(
             err.message
                 .contains(&format!("maximum depth of {MAX_DEPTH}")),
@@ -579,18 +565,6 @@ mod tests {
 
         // Exactly MAX_DEPTH levels are still fine.
         let ok = format!("{}{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
-        let mut parser = StreamParser::new(&ok);
-        let mut peak = 0;
-        while let Some(_event) = parser.next_event().unwrap() {
-            peak = peak.max(parser.depth());
-        }
-        assert_eq!(peak, MAX_DEPTH);
-    }
-
-    #[test]
-    fn next_event_after_done_returns_none() {
-        let mut parser = StreamParser::new("<r/>");
-        while parser.next_event().unwrap().is_some() {}
-        assert!(parser.next_event().unwrap().is_none());
+        assert_eq!(peak_depth(&ok).unwrap(), MAX_DEPTH);
     }
 }

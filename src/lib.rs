@@ -31,7 +31,7 @@
 //!
 //! Key validation also runs **event-driven**, without building a
 //! `Document` or a `DocIndex`: [`prelude::StreamKeyChecker::check`] runs
-//! one [`prelude::StreamParser`] pass over raw XML text and steps compiled
+//! one [`xmltree::scan`] over raw XML text and steps compiled
 //! path NFAs ([`prelude::StreamMatcher`]) through it — bounded by document
 //! *depth* plus *open key contexts*, not document size, and proven
 //! bit-for-bit equal to the DOM path.  The pipeline exposes it as
@@ -102,7 +102,5 @@ pub mod prelude {
     pub use xmlprop_xmltransform::{
         ShredPlan, ShredScratch, TableRule, TableTree, Transformation, TransformationPlan,
     };
-    pub use xmlprop_xmltree::{
-        DocIndex, Document, ElementBuilder, NodeId, NodeKind, StreamEvent, StreamParser,
-    };
+    pub use xmlprop_xmltree::{DocIndex, Document, ElementBuilder, NodeId, NodeKind, StreamEvent};
 }

@@ -169,6 +169,71 @@ proptest! {
     }
 }
 
+/// Text spliced into documents by
+/// `parse_and_stream_check_agree_on_mangled_documents`: every byte the
+/// tokenizer branches on, letters, multi-byte characters, and the
+/// openers and closers of its constructs.
+#[rustfmt::skip]
+const SPLICES: &[&str] = &[
+    "<", ">", "/", "=", "\"", "'", "&", ";", "!", "?", "[", "]", "-", "q", "é", "\u{a0}", " ",
+    "</", "/>", "<!--", "-->", "<?", "?>", "<![CDATA[", "]]>", "&amp;", "&#", "<e0>",
+];
+
+/// Byte `permille / 1000` of the way through `text`, moved back to a
+/// character boundary.
+fn boundary(text: &str, permille: usize) -> usize {
+    let mut at = text.len() * permille / 1000;
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Workload documents with text spliced in and sometimes cut short:
+    /// the tree parser and the streaming key checker — the scan's two
+    /// consumers — accept the same inputs, fail with the same
+    /// `ParseError`, and on an accepted input agree on its node count and
+    /// violations.
+    #[test]
+    fn parse_and_stream_check_agree_on_mangled_documents(
+        fields in 4usize..8,
+        depth in 1usize..3,
+        seed in 0u64..30,
+        splices in prop::collection::vec((0usize..=1000, 0..SPLICES.len()), 1..4),
+        cut in prop_oneof![Just(1000usize), 0usize..=1000],
+    ) {
+        let w = generate(&WorkloadConfig::new(fields, depth, depth + 1).with_seed(seed));
+        let doc = generate_document(&w, &DocConfig { branching: 2, seed, ..DocConfig::default() });
+        let mut text = to_xml(&doc);
+        for (permille, splice) in splices {
+            text.insert_str(boundary(&text, permille), SPLICES[splice]);
+        }
+        text.truncate(boundary(&text, cut));
+        let bundle = bundle_of(&w);
+        let streamed = StreamKeyChecker::new(bundle.keys())
+            .expect("workload keys stream")
+            .check(&text);
+        match (Document::parse_str(&text), streamed) {
+            (Err(dom), Err(stream)) => prop_assert_eq!(stream, dom),
+            (Ok(doc), Ok(report)) => {
+                let index = bundle.scratch().index_document(&doc);
+                prop_assert_eq!(report.nodes, doc.len());
+                prop_assert_eq!(report.all_violations(), bundle.keys().violations(&doc, &index));
+            }
+            (dom, stream) => prop_assert!(
+                false,
+                "only one front accepted {:?}: tree {:?}, stream {:?}",
+                text,
+                dom.err(),
+                stream.err()
+            ),
+        }
+    }
+}
+
 /// The bounded-memory claim of streaming validation, on a real
 /// million-node document: a wide two-level corpus document validates with
 /// a handful of open key contexts — O(depth + open contexts), not
