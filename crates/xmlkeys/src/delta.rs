@@ -153,7 +153,7 @@ impl IncrementalValidator {
                 continue;
             }
             let mut violations = Vec::new();
-            keys.check_context(k, doc, index, pos, scratch, Some(&mut violations));
+            keys.check_context(k, index, pos, scratch, Some(&mut violations));
             if violations.is_empty() {
                 state.violations.remove(&c);
             } else {

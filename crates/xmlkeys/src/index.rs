@@ -36,7 +36,7 @@ use crate::satisfy::Violation;
 use crate::{KeySet, XmlKey};
 use std::sync::OnceLock;
 use xmlprop_xmlpath::{CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse, PathExpr};
-use xmlprop_xmltree::{DocIndex, Document, SliceInterner};
+use xmlprop_xmltree::{DocIndex, Document, NodeId, SliceInterner};
 
 /// One key of Σ in compiled form.
 #[derive(Debug, Clone)]
@@ -354,13 +354,8 @@ impl KeyIndex {
     /// All violations of every key of Σ in `doc`, in Σ order (empty iff the
     /// document satisfies the whole key set).  `index` must have been built
     /// from `doc` against this universe ([`KeyIndex::index_document`]).
-    ///
-    /// All keys are validated in a single pass of prepared machinery: the
-    /// compiled context/target expressions evaluate over the `DocIndex`
-    /// (document order, no `BTreeSet`s), key tuples of interned-value ids
-    /// are interned into one reused arena instead of
-    /// `BTreeMap<Vec<String>, _>` lookups, and all scratch state is reused
-    /// across contexts and keys.
+    /// Compiled paths evaluate over the `DocIndex`, key tuples are value
+    /// ids, and one scratch serves every context and key.
     pub fn violations(&self, doc: &Document, index: &DocIndex) -> Vec<Violation> {
         index.debug_assert_current(doc);
         let mut out = Vec::new();
@@ -410,7 +405,7 @@ impl KeyIndex {
         let contexts = std::mem::take(&mut scratch.contexts);
         let mut found = false;
         for &context_pos in &contexts {
-            found |= self.check_context(k, doc, index, context_pos, scratch, out.as_deref_mut());
+            found |= self.check_context(k, index, context_pos, scratch, out.as_deref_mut());
             if found && out.is_none() {
                 break;
             }
@@ -419,122 +414,155 @@ impl KeyIndex {
         found
     }
 
-    /// The key check of Definition 2.1 under one context: evaluates the
-    /// `k`-th key's targets below `context_pos` and checks conditions (1)
-    /// and (2) with interned-value tuples.  With `out = Some(..)` every
-    /// violation is reported, in target order; with `None` it stops at the
-    /// first.  Returns whether any violation was found.
-    ///
-    /// This is the only key check over a `DocIndex`: the batch walk above
-    /// and the [`crate::IncrementalValidator`] both run it.
+    /// The key check of Definition 2.1 under one context, which the batch
+    /// walk above and the [`crate::IncrementalValidator`] run: evaluates
+    /// the `k`-th key's targets below `context_pos`, tallies each one's key
+    /// attributes and runs [`KeyIndex::check_target`], the one check the
+    /// tree, incremental and streaming paths share.  With `out = Some(..)`
+    /// every violation is reported, in target order; with `None` it stops
+    /// at the first.  Returns whether any violation was found.
     pub(crate) fn check_context(
         &self,
         k: usize,
-        doc: &Document,
         index: &DocIndex,
         context_pos: u32,
         scratch: &mut ValidateScratch,
         mut out: Option<&mut Vec<Violation>>,
     ) -> bool {
         let key = &self.keys[k];
-        let context = index.node_at(context_pos);
-        let mut found = false;
         key.target().evaluate_positions(
             index,
             context_pos,
             &mut scratch.eval,
             &mut scratch.targets,
         );
-        scratch.seen.clear();
-        scratch.first.clear();
+        scratch.table.reset(index.node_at(context_pos));
+        let mut found = false;
         for &target_pos in &scratch.targets {
-            let target = index.node_at(target_pos);
-            scratch.tuple.clear();
-            let mut complete = true;
-            for &attr in &key.val_attrs {
-                // Count the target's attribute children named `attr`;
-                // condition (1) demands exactly one.
-                let mut count = 0u32;
-                let mut value = 0u32;
-                for child in index.children_at(target_pos) {
-                    if index.label_at(child) == attr && index.kind_at(child).is_attribute() {
-                        count += 1;
-                        value = index.value_id_at(child).unwrap_or(0);
-                    }
+            // All key attributes in one pass over every child: a
+            // mutation-built document may put attributes after content.
+            scratch.tallies.clear();
+            scratch.tallies.resize(key.val_attrs.len(), (0, 0));
+            for child in index.children_at(target_pos) {
+                if !index.kind_at(child).is_attribute() {
+                    continue;
                 }
-                let attribute = self.universe.name(attr);
-                match Violation::from_attribute_count(count, context, target, attribute) {
-                    None => scratch.tuple.push(value),
-                    Some(violation) => {
-                        complete = false;
-                        found = true;
-                        match out.as_deref_mut() {
-                            Some(sink) => sink.push(violation),
-                            None => return true,
-                        }
+                let label = index.label_at(child);
+                for (tally, &attr) in scratch.tallies.iter_mut().zip(&key.val_attrs) {
+                    if attr == label {
+                        *tally = (tally.0 + 1, index.value_id_at(child).unwrap_or(0));
                     }
                 }
             }
-            if !complete {
-                continue;
-            }
-            // Condition (2): no two distinct targets under this context
-            // agree on the whole key tuple.
-            let (id, new) = scratch.seen.intern(&scratch.tuple);
-            if new {
-                scratch.first.push(target_pos);
-                continue;
-            }
-            found = true;
-            match out.as_deref_mut() {
-                Some(sink) => sink.push(Violation::DuplicateKeyValue {
-                    context,
-                    first: index.node_at(scratch.first[id as usize]),
-                    second: target,
-                    values: self.tuple_strings(key, doc, index, target_pos),
-                }),
-                None => return true,
+            found |= self.check_target(
+                k,
+                index.node_at(target_pos),
+                &scratch.tallies,
+                &mut scratch.table,
+                index.values(),
+                out.as_deref_mut(),
+            );
+            if found && out.is_none() {
+                return true;
             }
         }
         found
     }
 
-    /// The actual key-attribute value strings of a complete target, in
-    /// key-attribute order — only materialized on the (rare) violation
-    /// reporting path.
-    fn tuple_strings(
+    /// Conditions (1) and (2) of Definition 2.1 for one target of the
+    /// `k`-th key under `table`'s context.  `tallies` holds, per key
+    /// attribute in key order, how many attribute children of the target
+    /// carry it and the value id of one; `values` resolves value ids for a
+    /// [`Violation::DuplicateKeyValue`].  With `out = None` the check stops
+    /// at the first violation.  Returns whether there was one.
+    // Inlined into both validators' per-target loops.
+    #[inline]
+    pub(crate) fn check_target(
         &self,
-        key: &IndexedKey,
-        doc: &Document,
-        index: &DocIndex,
-        target_pos: u32,
-    ) -> Vec<String> {
-        key.val_attrs
-            .iter()
-            .map(|&attr| {
-                index
-                    .children_at(target_pos)
-                    .find(|&c| index.label_at(c) == attr && index.kind_at(c).is_attribute())
-                    .and_then(|c| doc.text_value(index.node_at(c)))
-                    .unwrap_or("")
-                    .to_string()
-            })
-            .collect()
+        k: usize,
+        target: NodeId,
+        tallies: &[(u32, u32)],
+        table: &mut TupleTable,
+        values: &SliceInterner<u8>,
+        mut out: Option<&mut Vec<Violation>>,
+    ) -> bool {
+        let context = table.context;
+        let mut complete = true;
+        for (&attr, &(count, _)) in self.keys[k].val_attrs.iter().zip(tallies) {
+            let attribute = self.universe.name(attr);
+            if let Some(violation) =
+                Violation::from_attribute_count(count, context, target, attribute)
+            {
+                match out.as_deref_mut() {
+                    Some(sink) => sink.push(violation),
+                    None => return true,
+                }
+                complete = false;
+            }
+        }
+        if !complete {
+            return true;
+        }
+        // Condition (2): no two distinct targets under this context agree
+        // on the whole key tuple.  Complete tallies all read `(1, value)`,
+        // so they serve as the tuple.
+        let (id, new) = table.tuples.intern(tallies);
+        if new {
+            table.first.push(target);
+            return false;
+        }
+        if let Some(sink) = out {
+            let text = |value| String::from_utf8_lossy(values.get(value)).into_owned();
+            sink.push(Violation::DuplicateKeyValue {
+                context,
+                first: table.first[id as usize],
+                second: target,
+                values: tallies.iter().map(|&(_, value)| text(value)).collect(),
+            });
+        }
+        true
+    }
+}
+
+/// The condition (2) state of one context: the key tuples of its complete
+/// targets so far, interned into one reused arena (a tuple seen before
+/// costs no allocation), and the first target of each tuple id.
+#[derive(Debug)]
+pub(crate) struct TupleTable {
+    context: NodeId,
+    tuples: SliceInterner<(u32, u32)>,
+    first: Vec<NodeId>,
+}
+
+impl Default for TupleTable {
+    fn default() -> Self {
+        TupleTable {
+            context: NodeId::from_index(0),
+            tuples: SliceInterner::default(),
+            first: Vec::new(),
+        }
+    }
+}
+
+impl TupleTable {
+    /// Empties the table for `context`, keeping its capacity.
+    pub(crate) fn reset(&mut self, context: NodeId) {
+        self.context = context;
+        self.tuples.clear();
+        self.first.clear();
     }
 }
 
 /// Reusable scratch state for the validation walk: frontier vectors for
-/// context/target evaluation, the current value tuple, and the tuple
-/// table of condition (2) — an interner, so a tuple seen before costs no
-/// allocation, plus the first target position of each tuple id.
+/// context/target evaluation, the current target's tallies and the tuple
+/// table of the current context.
 #[derive(Debug, Default)]
 pub(crate) struct ValidateScratch {
     pub(crate) eval: EvalScratch,
     pub(crate) contexts: Vec<u32>,
     targets: Vec<u32>,
-    tuple: Vec<u32>,
-    seen: SliceInterner<u32>,
-    first: Vec<u32>,
+    tallies: Vec<(u32, u32)>,
+    table: TupleTable,
 }
 
 #[cfg(test)]

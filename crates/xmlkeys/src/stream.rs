@@ -8,27 +8,28 @@
 //! expression down the open path ([`xmlprop_xmlpath::StreamMatcher`]),
 //! keeps one record per *open* context node — the paper's observation that
 //! a key constraint is decidable at context close — and inside every open
-//! context simulates the target expression and maintains the hashed
-//! key-tuple set of condition (2).  Retained state is `O(depth + open
-//! contexts + reported violations)` plus the tuple sets, never `O(nodes)`
-//! of tree structure.
+//! context simulates the target expression.  Each target is checked by
+//! [`KeyIndex::check_target`], as in the DOM validator, against its
+//! context's tuple table.  Retained state is `O(depth + open contexts +
+//! reported violations)`, one reused tuple table per open context, and the
+//! check's value interner, which keeps each distinct key-attribute value
+//! of the document once — never `O(nodes)` of tree structure.
 //!
 //! The checker reproduces the prepared validator **bit for bit**,
 //! including node identities and report order:
 //!
 //! * streamed nodes are numbered in document pre-order, which equals the
 //!   arena [`NodeId`] order for any parser-built document;
-//! * element targets are finalized when their attribute section ends, so
-//!   complete targets enter the tuple set in document order (first/second
+//! * element targets are checked when their attribute section ends, so
+//!   complete targets enter the tuple table in document order (first/second
 //!   attribution of [`Violation::DuplicateKeyValue`] matches);
 //! * per-context violations are stably sorted by target before a context
 //!   report is emitted, and contexts report in document order.
 
-use crate::index::KeyIndex;
+use crate::index::{KeyIndex, TupleTable};
 use crate::satisfy::Violation;
-use std::collections::HashMap;
 use xmlprop_xmlpath::{LabelId, MatchState, PathTooLong, StreamMatcher};
-use xmlprop_xmltree::{scan, FoldState, NodeId, ParseError, StreamEvent};
+use xmlprop_xmltree::{scan, NodeId, ParseError, SliceInterner, StreamEvent};
 
 /// Per-key compiled machinery plus live matching state.
 #[derive(Debug)]
@@ -39,6 +40,18 @@ struct KeyState {
     context_states: Vec<MatchState>,
     /// Open context records, innermost last (they nest along the path).
     open: Vec<OpenContext>,
+    /// Condition (2) state per open context: `tables[i]` belongs to
+    /// `open[i]`; tables past `open.len()` wait to be reused.
+    tables: Vec<TupleTable>,
+    /// The innermost element, while its attribute section is open, if it
+    /// is a target; `contexts` indexes the `open` contexts it is a target
+    /// of (none of them can close before it), and `tallies` counts its key
+    /// attributes for [`KeyIndex::check_target`].
+    pending: Option<NodeId>,
+    contexts: Vec<usize>,
+    tallies: Vec<(u32, u32)>,
+    /// The tallies of a node without attributes.
+    absent: Vec<(u32, u32)>,
     /// Next context sequence number (contexts are created in pre-order).
     next_seq: u32,
     /// Closed contexts that produced violations, keyed by creation order.
@@ -48,7 +61,6 @@ struct KeyState {
 /// One open context node of one key.
 #[derive(Debug)]
 struct OpenContext {
-    node: NodeId,
     seq: u32,
     /// Element-stack depth at which this context was opened (a leaf
     /// context closes within the call that opened it).
@@ -56,26 +68,8 @@ struct OpenContext {
     /// Target-expression NFA state per open element at or below the
     /// context; `target_states[0]` is the start state at the context node.
     target_states: Vec<MatchState>,
-    /// Condition (2): complete key tuple → first target carrying it.
-    seen: HashMap<Vec<String>, NodeId, FoldState>,
-    /// Violations under this context, tagged with the target node for the
-    /// final stable sort into document order.
-    violations: Vec<(NodeId, Violation)>,
-}
-
-/// One target node of one key, with the attribute tallies it is checked
-/// on: per key attribute (in key order) the number of matching attribute
-/// children seen and the first value.
-#[derive(Debug)]
-struct PendingTarget {
-    key: usize,
-    node: NodeId,
-    /// Stack indices into the key's `open` contexts this node is a target
-    /// of (stable until the element closes — no context below it can pop
-    /// while its attribute section is still open).
-    contexts: Vec<usize>,
-    counts: Vec<u32>,
-    values: Vec<String>,
+    /// Violations under this context, sorted by target when it closes.
+    violations: Vec<Violation>,
 }
 
 /// Streaming validator for a prepared [`KeyIndex`] over one document's
@@ -90,11 +84,10 @@ pub struct StreamKeyChecker<'a> {
     keys: Vec<KeyState>,
     /// The interned id of the text-node label `"S"`, if any key mentions it.
     text_label: Option<LabelId>,
+    /// Key-attribute values, interned by their text (decoded or not).
+    values: SliceInterner<u8>,
     /// Number of open elements.
     depth: usize,
-    /// The innermost element's targets, awaiting the end of its attribute
-    /// section (at most one per key).
-    pending: Vec<PendingTarget>,
     /// Document pre-order counter: the next node's id.
     next_node: u32,
     /// High-water mark of simultaneously open context records.
@@ -131,11 +124,17 @@ impl<'a> StreamKeyChecker<'a> {
             .keys()
             .iter()
             .map(|k| {
+                let absent = vec![(0, 0); k.val_attrs().len()];
                 Ok(KeyState {
                     context_matcher: StreamMatcher::new(k.context())?,
                     target_matcher: StreamMatcher::new(k.target())?,
                     context_states: Vec::new(),
                     open: Vec::new(),
+                    tables: Vec::new(),
+                    pending: None,
+                    contexts: Vec::new(),
+                    tallies: absent.clone(),
+                    absent,
                     next_seq: 0,
                     done: Vec::new(),
                 })
@@ -145,8 +144,8 @@ impl<'a> StreamKeyChecker<'a> {
             index,
             keys,
             text_label: index.universe().lookup("S"),
+            values: SliceInterner::default(),
             depth: 0,
-            pending: Vec::new(),
             next_node: 0,
             peak_open_contexts: 0,
         })
@@ -181,14 +180,15 @@ impl<'a> StreamKeyChecker<'a> {
     /// An attribute of the innermost open element: feeds the owner's
     /// pending tallies, then enters the attribute node itself.
     fn attribute(&mut self, label: Option<LabelId>, value: &str) {
-        for pending in &mut self.pending {
-            let val_attrs = self.index.keys()[pending.key].val_attrs();
-            for (i, &attr) in val_attrs.iter().enumerate() {
+        let mut id = None;
+        for (k, key) in self.keys.iter_mut().enumerate() {
+            if key.pending.is_none() {
+                continue;
+            }
+            for (tally, &attr) in key.tallies.iter_mut().zip(self.index.keys()[k].val_attrs()) {
                 if label == Some(attr) {
-                    pending.counts[i] += 1;
-                    if pending.counts[i] == 1 {
-                        pending.values[i] = value.to_string();
-                    }
+                    let id = id.get_or_insert_with(|| self.values.intern(value.as_bytes()).0);
+                    *tally = (tally.0 + 1, *id);
                 }
             }
         }
@@ -241,18 +241,21 @@ impl<'a> StreamKeyChecker<'a> {
     /// Handles one node: steps every key's matching through `label`,
     /// opens a context if the node is one, and records the node as a target
     /// of every open context it matches.  An element keeps its matching
-    /// state until [`end_element`](Self::end_element), and its targets wait
-    /// in `pending` for its attributes.  A `leaf` (attribute or text) keeps
-    /// no state: it has no attributes, so its targets are finalized at once,
-    /// and a context it opens closes before the call returns.
+    /// state until [`end_element`](Self::end_element), and as a target it
+    /// waits in its key's `pending` slot for its attributes.  A `leaf`
+    /// (attribute or text) keeps no state: it has no attributes, so it is
+    /// checked as a target at once, and a context it opens closes before
+    /// the call returns.
     fn enter(&mut self, label: Option<LabelId>, leaf: bool) {
         let node = NodeId::from_index(self.next_node as usize);
         self.next_node += 1;
+        let (index, values) = (self.index, &self.values);
         let mut open_total = 0;
-        for (ki, key) in self.keys.iter_mut().enumerate() {
-            // Step target matching of every context already open; collect
-            // hits for the target record (outer contexts first).
-            let mut contexts: Vec<usize> = Vec::new();
+        for (k, key) in self.keys.iter_mut().enumerate() {
+            // Step target matching of every context already open, and
+            // note the contexts the node is a target of (outer first)
+            // after those of the key's pending target, if any.
+            let from = key.contexts.len();
             for (ci, ctx) in key.open.iter_mut().enumerate() {
                 let top = *ctx.target_states.last().expect("context has a state");
                 let stepped = key.target_matcher.step(top, label);
@@ -260,7 +263,7 @@ impl<'a> StreamKeyChecker<'a> {
                     ctx.target_states.push(stepped);
                 }
                 if key.target_matcher.accepts(stepped) {
-                    contexts.push(ci);
+                    key.contexts.push(ci);
                 }
             }
             // Step the context expression: the root is reached by the empty
@@ -275,35 +278,35 @@ impl<'a> StreamKeyChecker<'a> {
             let is_context = key.context_matcher.accepts(state);
             if is_context {
                 let start = key.target_matcher.start();
+                let ci = key.open.len();
                 if key.target_matcher.accepts(start) {
-                    contexts.push(key.open.len());
+                    key.contexts.push(ci);
                 }
+                if ci == key.tables.len() {
+                    key.tables.push(TupleTable::default());
+                }
+                key.tables[ci].reset(node);
                 key.open.push(OpenContext {
-                    node,
                     seq: key.next_seq,
                     depth: self.depth,
                     target_states: vec![start],
-                    seen: HashMap::default(),
                     violations: Vec::new(),
                 });
                 key.next_seq += 1;
             }
-            if !contexts.is_empty() {
-                let attrs = self.index.keys()[ki].val_attrs().len();
-                let target = PendingTarget {
-                    key: ki,
-                    node,
-                    contexts,
-                    counts: vec![0; attrs],
-                    values: vec![String::new(); attrs],
-                };
-                if leaf || attrs == 0 {
+            if key.contexts.len() > from {
+                if leaf || key.absent.is_empty() {
                     // No attributes to await: the tuple is complete now, and
-                    // finalizing immediately keeps condition (2) insertion
-                    // in document order.
-                    key.finalize_target(target, self.index);
+                    // checking at once keeps condition (2) insertion in
+                    // document order.
+                    for &ci in &key.contexts[from..] {
+                        let out = Some(&mut key.open[ci].violations);
+                        index.check_target(k, node, &key.absent, &mut key.tables[ci], values, out);
+                    }
+                    key.contexts.truncate(from);
                 } else {
-                    self.pending.push(target);
+                    key.pending = Some(node);
+                    key.tallies.fill((0, 0));
                 }
             }
             if leaf && is_context {
@@ -315,62 +318,23 @@ impl<'a> StreamKeyChecker<'a> {
         self.peak_open_contexts = self.peak_open_contexts.max(open_total);
     }
 
-    /// Finalizes the innermost element's pending targets (its attribute
+    /// Checks the innermost element's pending targets (its attribute
     /// section just ended).
     fn finalize_pending(&mut self) {
-        for target in self.pending.drain(..) {
-            self.keys[target.key].finalize_target(target, self.index);
+        let (index, values) = (self.index, &self.values);
+        for (k, key) in self.keys.iter_mut().enumerate() {
+            if let Some(node) = key.pending.take() {
+                for &ci in &key.contexts {
+                    let out = Some(&mut key.open[ci].violations);
+                    index.check_target(k, node, &key.tallies, &mut key.tables[ci], values, out);
+                }
+                key.contexts.clear();
+            }
         }
     }
 }
 
 impl KeyState {
-    /// Checks conditions (1) and (2) of Definition 2.1 for one target node
-    /// against every open context it matched, mirroring the DOM loop of
-    /// [`KeyIndex::violations`] attribute for attribute.
-    fn finalize_target(&mut self, target: PendingTarget, index: &KeyIndex) {
-        let val_attrs = index.keys()[target.key].val_attrs();
-        let node = target.node;
-        let mut values = target.values;
-        let last = target.contexts.len() - 1;
-        for (i, &ci) in target.contexts.iter().enumerate() {
-            let ctx = &mut self.open[ci];
-            let mut complete = true;
-            for (&attr, &count) in val_attrs.iter().zip(&target.counts) {
-                let attribute = index.universe().name(attr);
-                if let Some(v) = Violation::from_attribute_count(count, ctx.node, node, attribute) {
-                    complete = false;
-                    ctx.violations.push((node, v));
-                }
-            }
-            if !complete {
-                continue;
-            }
-            // The last context takes the tuple; earlier ones get a copy.
-            let tuple = if i == last {
-                std::mem::take(&mut values)
-            } else {
-                values.clone()
-            };
-            match ctx.seen.get(&tuple) {
-                Some(&first) => {
-                    ctx.violations.push((
-                        node,
-                        Violation::DuplicateKeyValue {
-                            context: ctx.node,
-                            first,
-                            second: node,
-                            values: tuple,
-                        },
-                    ));
-                }
-                None => {
-                    ctx.seen.insert(tuple, node);
-                }
-            }
-        }
-    }
-
     /// Closes one context: orders its violations by target (the DOM
     /// validator reports a context's targets in document order) and records
     /// them under the context's creation order.
@@ -378,11 +342,8 @@ impl KeyState {
         if ctx.violations.is_empty() {
             return;
         }
-        ctx.violations.sort_by_key(|(target, _)| *target);
-        self.done.push((
-            ctx.seq,
-            ctx.violations.into_iter().map(|(_, v)| v).collect(),
-        ));
+        ctx.violations.sort_by_key(Violation::target);
+        self.done.push((ctx.seq, ctx.violations));
     }
 }
 
@@ -489,6 +450,48 @@ mod tests {
         // under one context always clash.
         let s = sigma(&["(ε, (//chapter, {}))"]);
         assert_matches_dom(&s, r#"<db><book><chapter/><chapter/></book></db>"#);
+    }
+
+    /// The values of every violation of the one key of `sigma` on `text`,
+    /// after checking that streaming matches the DOM validator there.
+    fn clash_values(sigma: &KeySet, text: &str) -> Vec<Vec<String>> {
+        assert_matches_dom(sigma, text);
+        let index = KeyIndex::new(sigma);
+        let report = stream_check(&index, text);
+        report.per_key[0]
+            .iter()
+            .map(|v| match v {
+                Violation::DuplicateKeyValue { values, .. } => values.clone(),
+                other => panic!("unexpected violation {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_value_spelled_several_ways_is_one_key_value() {
+        // Entity-decoded values are owned, plain ones borrowed from the
+        // text; both intern by their text.
+        let k = sigma(&["(ε, (//b, {@k}))"]);
+        assert_eq!(
+            clash_values(
+                &k,
+                r#"<r><b k="a&amp;b"/><b k="a&#38;b"/><b k='a&#x26;b'/></r>"#
+            ),
+            vec![vec!["a&b"]; 2]
+        );
+        assert_eq!(
+            clash_values(&k, r#"<r><b k="ab"/><b k="a&#98;"/></r>"#),
+            vec![vec!["ab"]]
+        );
+        // Targets that differ only in the second attribute do not clash.
+        let km = sigma(&["(ε, (//b, {@k, @m}))"]);
+        assert_eq!(
+            clash_values(
+                &km,
+                r#"<r><b k="a&amp;b" m="1"/><b k="a&#38;b" m="2"/><b m="&#49;" k="a&amp;b"/></r>"#
+            ),
+            vec![vec!["a&b", "1"]]
+        );
     }
 
     #[test]

@@ -341,7 +341,7 @@ impl ShredScratch {
             self.reset();
             self.build = Some(index.build_id());
         }
-        let (values, nodes) = (index.distinct_values(), doc.arena_len());
+        let (values, nodes) = (index.values().len(), doc.arena_len());
         self.memo.fit(values, nodes, Value::Null);
         self.codes.fit(values, nodes, Relation::NULL_CODE);
     }

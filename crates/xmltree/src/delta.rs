@@ -145,7 +145,8 @@ impl AppliedDelta {
     }
 
     /// Net node-count change of the edit.
-    pub fn nodes_added(&self) -> isize {
+    #[cfg(test)]
+    pub(crate) fn nodes_added(&self) -> isize {
         match *self {
             AppliedDelta::Insert { nodes, .. } => nodes as isize,
             AppliedDelta::Remove { nodes, .. } => -(nodes as isize),

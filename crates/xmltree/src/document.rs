@@ -363,11 +363,6 @@ impl Document {
         out
     }
 
-    /// The depth of node `id` (the root has depth 0).
-    pub fn depth(&self, id: NodeId) -> usize {
-        self.ancestors(id).len()
-    }
-
     /// The sequence of labels on the path from the root to `id`, excluding the
     /// root's own label.  This is the "path of the node" used when checking
     /// whether a node is reached by a path expression rooted at the document
@@ -384,22 +379,6 @@ impl Document {
         }
         labels.reverse();
         labels
-    }
-
-    /// The sequence of labels on the path from ancestor `from` down to `to`,
-    /// excluding `from`'s own label.  Returns `None` if `from` is not an
-    /// ancestor-or-self of `to`.
-    pub fn path_between(&self, from: NodeId, to: NodeId) -> Option<Vec<String>> {
-        let mut labels: Vec<String> = Vec::new();
-        let mut cur = to;
-        loop {
-            if cur == from {
-                labels.reverse();
-                return Some(labels);
-            }
-            labels.push(self.label(cur).to_string());
-            cur = self.parent(cur)?;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -914,7 +893,6 @@ mod tests {
         assert_eq!(anc.len(), 2); // book, db
         assert_eq!(anc[1], root);
         assert!(d.ancestors(root).is_empty());
-        assert_eq!(d.depth(title), 2);
     }
 
     #[test]
@@ -929,10 +907,6 @@ mod tests {
             d.path_from_root(title),
             vec!["book".to_string(), "title".to_string()]
         );
-        let book = d.parent(title).unwrap();
-        assert_eq!(d.path_between(book, title), Some(vec!["title".to_string()]));
-        assert_eq!(d.path_between(title, book), None);
-        assert_eq!(d.path_between(title, title), Some(vec![]));
     }
 
     #[test]

@@ -239,6 +239,16 @@ impl<T: Copy + Eq + Hash, S: BuildHasher> SliceInterner<T, S> {
         (id, true)
     }
 
+    /// The slice behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by this interner.
+    #[inline]
+    pub fn get(&self, id: u32) -> &[T] {
+        stored(&self.arena, &self.ends, id as usize)
+    }
+
     /// Forgets every slice, keeping the capacity for reuse.
     pub fn clear(&mut self) {
         self.arena.clear();
@@ -272,11 +282,6 @@ mod tests {
                 z ^ (z >> 31)
             }),
         }
-    }
-
-    /// The slice behind `id`.
-    fn get<T, S>(interner: &SliceInterner<T, S>, id: u32) -> &[T] {
-        stored(&interner.arena, &interner.ends, id as usize)
     }
 
     /// Hashes every input to one value, so that every slice an interner
@@ -356,7 +361,7 @@ mod tests {
         assert_eq!(interner.heads.len(), 1, "one shared chain");
         for (s, &id) in slices.iter().zip(&ids) {
             assert_eq!(interner.intern(s), (id, false), "equal slices, equal ids");
-            assert_eq!(get(&interner, id), *s);
+            assert_eq!(interner.get(id), *s);
         }
         assert_eq!(interner.len(), slices.len());
         interner.clear();
@@ -376,7 +381,7 @@ mod tests {
                 let fresh = oracle.len() as u32;
                 let want = *oracle.entry(s.clone()).or_insert(fresh);
                 prop_assert_eq!(interner.intern(s), (want, want == fresh));
-                prop_assert_eq!(get(&interner, want), &s[..]);
+                prop_assert_eq!(interner.get(want), &s[..]);
             }
             prop_assert_eq!(interner.len(), oracle.len());
         }

@@ -16,7 +16,8 @@
 //! ids, so prepared state built against a prefix of the universe stays
 //! valid.
 
-use std::collections::BTreeMap;
+use crate::hash::FoldState;
+use std::collections::HashMap;
 
 /// An interned node label: an index into a [`LabelUniverse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,7 +40,8 @@ impl LabelId {
 pub struct LabelUniverse {
     names: Vec<String>,
     attrs: Vec<bool>,
-    ids: BTreeMap<String, LabelId>,
+    /// Name → id; only ever looked up, never iterated.
+    ids: HashMap<String, LabelId, FoldState>,
 }
 
 impl LabelUniverse {
