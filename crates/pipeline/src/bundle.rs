@@ -28,7 +28,7 @@ use xmlprop_core::PropagationEngine;
 use xmlprop_reldb::{Database, Fd};
 use xmlprop_xmlkeys::{KeyIndex, KeySet};
 use xmlprop_xmlpath::LabelUniverse;
-use xmlprop_xmltransform::{ShredPlan, Transformation, TransformationPlan};
+use xmlprop_xmltransform::{Transformation, TransformationPlan};
 use xmlprop_xmltree::{DocIndex, Document};
 
 /// One rule's propagated minimum cover, by relation name.
@@ -158,7 +158,7 @@ impl CorpusBundle {
         }
         let index = scratch.index_document(doc);
         let database = if options.shred {
-            shred_indexed(doc, &index, scratch, self.plan.plans())
+            self.shred_indexed(doc, &index, scratch, |_| true)
         } else {
             Database::new()
         };
@@ -177,25 +177,35 @@ impl CorpusBundle {
         }
     }
 
-    /// Shreds one document through the plan populating `relation` (none
-    /// when the name is unknown; callers validate names first for the
-    /// shared diagnostic), or through every plan.
+    /// Shreds one document through every plan whose relation name
+    /// `wanted` accepts, in plan order (an unknown name selects none;
+    /// callers validate names first for the shared diagnostic).
     pub fn shred(
         &self,
         doc: &Document,
         scratch: &mut RequestScratch,
-        relation: Option<&str>,
+        wanted: impl Fn(&str) -> bool,
     ) -> Database {
-        let plans = match relation {
-            Some(rel) => self
-                .plan
-                .plan(rel)
-                .map(std::slice::from_ref)
-                .unwrap_or_default(),
-            None => self.plan.plans(),
-        };
         let index = scratch.index_document(doc);
-        shred_indexed(doc, &index, scratch, plans)
+        self.shred_indexed(doc, &index, scratch, wanted)
+    }
+
+    /// Runs the plans `wanted` selects over an indexed document.
+    fn shred_indexed(
+        &self,
+        doc: &Document,
+        index: &DocIndex,
+        scratch: &mut RequestScratch,
+        wanted: impl Fn(&str) -> bool,
+    ) -> Database {
+        // A fresh index clears the value() memo; evaluation buffers survive.
+        let mut database = Database::new();
+        for plan in self.plan.plans() {
+            if wanted(plan.schema().name()) {
+                database.insert(plan.shred_with(doc, index, &mut scratch.shred));
+            }
+        }
+        database
     }
 
     /// The propagated minimum cover of every rule, in rule order — the
@@ -214,19 +224,4 @@ impl CorpusBundle {
                 .collect()
         })
     }
-}
-
-/// Runs `plans` over an indexed document.
-fn shred_indexed(
-    doc: &Document,
-    index: &DocIndex,
-    scratch: &mut RequestScratch,
-    plans: &[ShredPlan],
-) -> Database {
-    // A fresh index clears the value() memo; evaluation buffers survive.
-    let mut database = Database::new();
-    for plan in plans {
-        database.insert(plan.shred_with(doc, index, &mut scratch.shred));
-    }
-    database
 }

@@ -1,24 +1,24 @@
-//! The workspace error type: one enum, one exit-code table, one wire-code
-//! table.
+//! The workspace error type: one table of kinds, and an error that is a
+//! kind plus its message.
 //!
 //! Before this module every layer grew its own `Result<_, String>` surface
 //! (the CLI assembled ad-hoc strings, [`crate::Jobs::new`] returned a bare
 //! `String`, the parsers each had private error structs that callers
 //! flattened with `to_string()`).  [`Error`] replaces those surfaces with a
-//! single enum whose *kind* carries the classification every consumer
+//! single struct whose *kind* carries the classification every consumer
 //! needs:
 //!
-//! * the CLI maps an error to its process exit code through
-//!   [`ErrorKind::exit_code`] — the same table for every subcommand,
-//!   including `serve`;
+//! * the CLI exits with [`Error::exit_code`] — 2 for every kind and every
+//!   subcommand, including `serve`;
 //! * the server's wire protocol maps an error to its `err <code> …`
 //!   response line through [`ErrorKind::wire_code`] — so a scripted client
 //!   session and a CLI invocation report the same failure the same way.
 //!
-//! The variants hold preformatted human-readable messages (the typed part
-//! is the *kind*, which is what the two tables key on); the one structured
-//! variant, [`Error::UnknownRelation`], keeps its fields because callers
-//! render the candidate list in context.
+//! [`ErrorKind`] is the only list of kinds; each kind names its wire code
+//! once, in [`ErrorKind::wire_code`].  The message is formatted when the
+//! error is built (the kind-named constructors fix each phrasing), so
+//! [`Error::from_wire`] restores any error a server sent, text and kind
+//! alike.
 
 use std::fmt;
 
@@ -42,8 +42,8 @@ pub enum ErrorKind {
     /// A read/write timeout or an expired per-request deadline: the peer
     /// was too slow, not wrong.
     Timeout,
-    /// The server shed the request because its connection gate stayed
-    /// saturated past the bounded admission wait.
+    /// The server shed the request because its live connections stayed
+    /// at the jobs width past the bounded admission wait.
     Overloaded,
     /// An internal failure (an isolated handler panic); the service keeps
     /// running, the request does not.
@@ -79,174 +79,116 @@ impl ErrorKind {
             ErrorKind::Internal => "internal",
         }
     }
-
-    /// The stable process exit code the CLI maps this kind to.  Exit code
-    /// 1 is *not* in this table: it reports a domain verdict (violations
-    /// found, FD not propagated, files skipped), not an error.
-    pub fn exit_code(self) -> u8 {
-        match self {
-            ErrorKind::Usage => 2,
-            ErrorKind::Io => 2,
-            ErrorKind::Parse => 2,
-            ErrorKind::Jobs => 2,
-            ErrorKind::UnknownRelation => 2,
-            ErrorKind::Protocol => 2,
-            ErrorKind::Timeout => 2,
-            ErrorKind::Overloaded => 2,
-            ErrorKind::Internal => 2,
-        }
-    }
 }
 
-/// The workspace error; see the module docs.  Constructed through the
-/// kind-named helpers ([`Error::usage`], [`Error::io`], …).
+/// The workspace error; see the module docs.  Constructed through
+/// [`Error::new`] or the kind-named helpers ([`Error::usage`],
+/// [`Error::io`], …).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Error {
-    /// A malformed command line or request.
-    Usage(String),
-    /// An I/O failure, message includes the path or peer.
-    Io(String),
-    /// A parse failure, message includes the input's origin.
-    Parse(String),
-    /// An invalid worker-thread count.
-    Jobs(String),
-    /// A relation no rule populates, plus the known relation names.
-    UnknownRelation {
-        /// The relation that was asked for.
-        relation: String,
-        /// The relations the transformation does populate, in rule order.
-        known: Vec<String>,
-    },
-    /// A malformed or oversized wire request.
-    Protocol(String),
-    /// A read/write timeout or expired request deadline.
-    Timeout(String),
-    /// A request shed because the server was saturated.
-    Overloaded(String),
-    /// An isolated internal failure (handler panic).
-    Internal(String),
+pub struct Error {
+    kind: ErrorKind,
+    message: String,
 }
 
 impl Error {
+    /// An error of `kind` that displays as `message`.
+    pub fn new(kind: ErrorKind, message: impl Into<String>) -> Self {
+        Error {
+            kind,
+            message: message.into(),
+        }
+    }
+
     /// A [`ErrorKind::Usage`] error.
     pub fn usage(message: impl Into<String>) -> Self {
-        Error::Usage(message.into())
+        Error::new(ErrorKind::Usage, message)
     }
 
     /// A [`ErrorKind::Io`] error.
     pub fn io(message: impl Into<String>) -> Self {
-        Error::Io(message.into())
+        Error::new(ErrorKind::Io, message)
     }
 
     /// A [`ErrorKind::Io`] error for an unreadable file, in the phrasing
     /// every subcommand uses.
     pub fn read(path: &str, cause: impl fmt::Display) -> Self {
-        Error::Io(format!("cannot read `{path}`: {cause}"))
+        Error::io(format!("cannot read `{path}`: {cause}"))
     }
 
     /// A [`ErrorKind::Parse`] error; `origin` names the input (a path, a
     /// `path:line`, or a protocol body name).
     pub fn parse(origin: &str, cause: impl fmt::Display) -> Self {
-        Error::Parse(format!("{origin}: {cause}"))
+        Error::new(ErrorKind::Parse, format!("{origin}: {cause}"))
     }
 
     /// A [`ErrorKind::Jobs`] error.
     pub fn jobs(message: impl Into<String>) -> Self {
-        Error::Jobs(message.into())
+        Error::new(ErrorKind::Jobs, message)
     }
 
-    /// A [`ErrorKind::UnknownRelation`] error.
+    /// A [`ErrorKind::UnknownRelation`] error naming the relations the
+    /// transformation does populate, in rule order.
     pub fn unknown_relation(relation: impl Into<String>, known: Vec<String>) -> Self {
-        Error::UnknownRelation {
-            relation: relation.into(),
-            known,
-        }
+        let relation = relation.into();
+        let known = known.join(", ");
+        Error::new(
+            ErrorKind::UnknownRelation,
+            format!("no rule for relation `{relation}` (known: {known})"),
+        )
     }
 
     /// A [`ErrorKind::Protocol`] error.
     pub fn protocol(message: impl Into<String>) -> Self {
-        Error::Protocol(message.into())
+        Error::new(ErrorKind::Protocol, message)
     }
 
     /// A [`ErrorKind::Timeout`] error.
     pub fn timeout(message: impl Into<String>) -> Self {
-        Error::Timeout(message.into())
+        Error::new(ErrorKind::Timeout, message)
     }
 
     /// A [`ErrorKind::Overloaded`] error.
     pub fn overloaded(message: impl Into<String>) -> Self {
-        Error::Overloaded(message.into())
+        Error::new(ErrorKind::Overloaded, message)
     }
 
     /// A [`ErrorKind::Internal`] error.
     pub fn internal(message: impl Into<String>) -> Self {
-        Error::Internal(message.into())
+        Error::new(ErrorKind::Internal, message)
     }
 
     /// Reconstructs an error from its wire form (`err <code> <message>`),
     /// the inverse of the server's response encoding.  Unknown codes fall
     /// back to [`ErrorKind::Protocol`] so a client never drops a message.
     pub fn from_wire(code: &str, message: impl Into<String>) -> Self {
-        let message = message.into();
-        match code {
-            "usage" => Error::Usage(message),
-            "io" => Error::Io(message),
-            "parse" => Error::Parse(message),
-            "jobs" => Error::Jobs(message),
-            "timeout" => Error::Timeout(message),
-            "overloaded" => Error::Overloaded(message),
-            "internal" => Error::Internal(message),
-            // `relation` carries structure the wire form flattened; keep
-            // the flat message under the closest kind we can restore.
-            _ => Error::Protocol(message),
-        }
+        let kind = ErrorKind::ALL
+            .into_iter()
+            .find(|kind| kind.wire_code() == code)
+            .unwrap_or(ErrorKind::Protocol);
+        Error::new(kind, message)
     }
 
     /// The error's classification.
     pub fn kind(&self) -> ErrorKind {
-        match self {
-            Error::Usage(_) => ErrorKind::Usage,
-            Error::Io(_) => ErrorKind::Io,
-            Error::Parse(_) => ErrorKind::Parse,
-            Error::Jobs(_) => ErrorKind::Jobs,
-            Error::UnknownRelation { .. } => ErrorKind::UnknownRelation,
-            Error::Protocol(_) => ErrorKind::Protocol,
-            Error::Timeout(_) => ErrorKind::Timeout,
-            Error::Overloaded(_) => ErrorKind::Overloaded,
-            Error::Internal(_) => ErrorKind::Internal,
-        }
+        self.kind
     }
 
     /// Shorthand for `self.kind().wire_code()`.
     pub fn wire_code(&self) -> &'static str {
-        self.kind().wire_code()
+        self.kind.wire_code()
     }
 
-    /// Shorthand for `self.kind().exit_code()`.
+    /// The process exit code of every error.  Exit code 1 is not an
+    /// error: it reports a domain verdict (violations found, FD not
+    /// propagated, files skipped).
     pub fn exit_code(&self) -> u8 {
-        self.kind().exit_code()
+        2
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::Usage(m)
-            | Error::Io(m)
-            | Error::Parse(m)
-            | Error::Jobs(m)
-            | Error::Protocol(m)
-            | Error::Timeout(m)
-            | Error::Overloaded(m)
-            | Error::Internal(m) => f.write_str(m),
-            Error::UnknownRelation { relation, known } => {
-                write!(
-                    f,
-                    "no rule for relation `{relation}` (known: {})",
-                    known.join(", ")
-                )
-            }
-        }
+        f.write_str(&self.message)
     }
 }
 
@@ -264,7 +206,8 @@ mod tests {
         deduped.dedup();
         assert_eq!(deduped.len(), codes.len(), "wire codes must be unique");
         for kind in ErrorKind::ALL {
-            assert_eq!(kind.exit_code(), 2, "all errors exit 2; verdicts exit 1");
+            let e = Error::new(kind, "m");
+            assert_eq!(e.exit_code(), 2, "all errors exit 2; verdicts exit 1");
         }
     }
 
@@ -309,23 +252,25 @@ mod tests {
     #[test]
     fn wire_form_round_trips_through_from_wire() {
         for kind in ErrorKind::ALL {
-            if kind == ErrorKind::UnknownRelation {
-                continue; // structured fields do not survive flattening
-            }
             let original = match kind {
-                ErrorKind::Usage => Error::usage("m"),
-                ErrorKind::Io => Error::io("m"),
-                ErrorKind::Parse => Error::Parse("m".into()),
-                ErrorKind::Jobs => Error::jobs("m"),
-                ErrorKind::Protocol => Error::protocol("m"),
-                ErrorKind::Timeout => Error::timeout("m"),
-                ErrorKind::Overloaded => Error::overloaded("m"),
-                ErrorKind::Internal => Error::internal("m"),
-                ErrorKind::UnknownRelation => unreachable!(),
+                ErrorKind::Usage => Error::usage("bad flag"),
+                ErrorKind::Io => Error::read("missing.xml", "No such file"),
+                ErrorKind::Parse => Error::parse("keys.txt:3", "expected `(`"),
+                ErrorKind::Jobs => Error::jobs("--jobs must be at least 1"),
+                ErrorKind::UnknownRelation => Error::unknown_relation("nope", vec!["book".into()]),
+                ErrorKind::Protocol => Error::protocol("unknown request verb `x`"),
+                ErrorKind::Timeout => Error::timeout("request deadline exceeded"),
+                ErrorKind::Overloaded => Error::overloaded("server at capacity"),
+                ErrorKind::Internal => Error::internal("request handler panicked"),
             };
+            assert_eq!(original.kind(), kind);
             let back = Error::from_wire(original.wire_code(), original.to_string());
             assert_eq!(back.kind(), kind);
             assert_eq!(back.to_string(), original.to_string());
+            assert_eq!(back, original);
         }
+        let unknown = Error::from_wire("nonsense", "kept");
+        assert_eq!(unknown.kind(), ErrorKind::Protocol);
+        assert_eq!(unknown.to_string(), "kept");
     }
 }

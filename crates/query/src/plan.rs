@@ -68,20 +68,16 @@ impl Catalog {
         );
     }
 
-    /// The registered relation names, sorted.
-    pub fn relation_names(&self) -> Vec<String> {
-        self.relations.keys().cloned().collect()
-    }
-
     /// The schema of one relation, if registered.
     pub fn schema(&self, name: &str) -> Option<&RelationSchema> {
         self.relations.get(name).map(|r| &r.schema)
     }
 
     fn get(&self, name: &str) -> Result<&CatalogRelation, Error> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| Error::unknown_relation(name, self.relation_names()))
+        self.relations.get(name).ok_or_else(|| {
+            let known = self.relations.keys().cloned().collect();
+            Error::unknown_relation(name, known)
+        })
     }
 }
 

@@ -9,8 +9,7 @@ use std::str::FromStr;
 /// Both sides are attribute sets; an empty right-hand side is allowed (it is
 /// trivially satisfied) but an empty left-hand side is meaningful too (it
 /// says `Y` is constant).  The paper works mostly with single-attribute
-/// right-hand sides ([`Fd::is_singleton_rhs`]); [`Fd::split_rhs`] converts to
-/// that canonical form.
+/// right-hand sides.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fd {
     lhs: BTreeSet<String>,
@@ -61,12 +60,14 @@ impl Fd {
     }
 
     /// True if the right-hand side has exactly one attribute.
-    pub fn is_singleton_rhs(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_singleton_rhs(&self) -> bool {
         self.rhs.len() == 1
     }
 
     /// Splits `X → {A1, …, An}` into `n` FDs with singleton right-hand sides.
-    pub fn split_rhs(&self) -> Vec<Fd> {
+    #[cfg(test)]
+    pub(crate) fn split_rhs(&self) -> Vec<Fd> {
         self.rhs
             .iter()
             .map(|a| Fd {

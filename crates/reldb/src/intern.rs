@@ -284,7 +284,7 @@ impl AttrSet {
     }
 
     /// Removes every attribute of `other` from `self`.
-    pub fn difference_with(&mut self, other: &AttrSet) {
+    fn difference_with(&mut self, other: &AttrSet) {
         for (i, b) in self.blocks.iter_mut().enumerate() {
             *b &= !other.blocks.get(i).copied().unwrap_or(0);
         }
@@ -292,7 +292,7 @@ impl AttrSet {
     }
 
     /// Keeps only the attributes also in `other`.
-    pub fn intersect_with(&mut self, other: &AttrSet) {
+    fn intersect_with(&mut self, other: &AttrSet) {
         for (i, b) in self.blocks.iter_mut().enumerate() {
             *b &= other.blocks.get(i).copied().unwrap_or(0);
         }

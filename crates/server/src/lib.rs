@@ -12,7 +12,7 @@
 //!
 //! * [`protocol`] — the versioned `xmlprop/1` wire format: length-framed
 //!   request bodies, dot-terminated responses, `bundle=<epoch>` tags, and
-//!   error wire codes from the same table the CLI maps to exit codes;
+//!   error wire codes from the one [`xmlprop_pipeline::ErrorKind`] table;
 //! * [`render`] — the report renderers shared with the CLI's one-shot
 //!   commands, making server payloads byte-identical to CLI stdout;
 //! * [`server`] — [`ServerState`] (a [`xmlprop_pipeline::SwapCell`] of the

@@ -44,9 +44,10 @@
 //!
 //! Every `ok` header carries the `bundle=<epoch>` tag of the snapshot that
 //! served it, which is what the swap-under-load tests key on.  Error wire
-//! codes come from [`ErrorKind::wire_code`](xmlprop_pipeline::ErrorKind::wire_code) — the same table the CLI maps
-//! to exit codes, so a scripted session and a one-shot invocation classify
-//! failures identically.  Payload lines never consist of a lone `.` (no
+//! codes come from [`ErrorKind::wire_code`](xmlprop_pipeline::ErrorKind::wire_code),
+//! the one table of error kinds the CLI also reports from, so a scripted
+//! session and a one-shot invocation classify failures identically.  The
+//! verbs are listed once, in [`VERBS`].  Payload lines never consist of a lone `.` (no
 //! renderer emits one), so the terminator is unambiguous.
 
 use std::io::{BufRead, Write};
@@ -63,7 +64,7 @@ pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 pub enum Request {
     /// Liveness probe; the response carries the current bundle epoch.
     Ping,
-    /// Bundle status: epoch, key count, rule count, worker gate width.
+    /// Bundle status: epoch, key count, rule count, jobs width.
     Status,
     /// Validate an XML document against the published key set.
     Validate {
@@ -116,22 +117,47 @@ pub enum Request {
     Boom,
 }
 
+/// The protocol's verbs in protocol order: the one table that names them
+/// for `ok <verb>` headers, the per-verb counters and the `status`
+/// report.  The test-only `boom` verb is not listed.
+pub const VERBS: [&str; 9] = [
+    "ping",
+    "status",
+    "validate",
+    "shred",
+    "propagate",
+    "cover",
+    "query",
+    "reload",
+    "quit",
+];
+
 impl Request {
+    /// This request's position in [`VERBS`]; `boom` takes the slot just
+    /// past the table.
+    pub(crate) fn verb_index(&self) -> usize {
+        match self {
+            Request::Ping => 0,
+            Request::Status => 1,
+            Request::Validate { .. } => 2,
+            Request::Shred { .. } => 3,
+            Request::Propagate { .. } => 4,
+            Request::Cover { .. } => 5,
+            Request::Query { .. } => 6,
+            Request::Reload { .. } => 7,
+            Request::Quit => 8,
+            #[cfg(any(test, feature = "faultline"))]
+            Request::Boom => VERBS.len(),
+        }
+    }
+
     /// The verb echoed in `ok <verb>` response headers.
     pub fn verb(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Status => "status",
-            Request::Validate { .. } => "validate",
-            Request::Shred { .. } => "shred",
-            Request::Propagate { .. } => "propagate",
-            Request::Cover { .. } => "cover",
-            Request::Query { .. } => "query",
-            Request::Reload { .. } => "reload",
-            Request::Quit => "quit",
-            #[cfg(any(test, feature = "faultline"))]
-            Request::Boom => "boom",
+        #[cfg(any(test, feature = "faultline"))]
+        if matches!(self, Request::Boom) {
+            return "boom";
         }
+        VERBS[self.verb_index()]
     }
 
     /// Whether this request only reads published state.  Read-only verbs
@@ -150,37 +176,33 @@ impl Request {
     /// Encodes the request onto `w` in wire form (header line + framed
     /// bodies).
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let verb = self.verb();
         match self {
-            Request::Ping => writeln!(w, "ping"),
-            Request::Status => writeln!(w, "status"),
             Request::Validate { document } => {
-                writeln!(w, "validate {}", document.len())?;
+                writeln!(w, "{verb} {}", document.len())?;
                 w.write_all(document.as_bytes())
             }
             Request::Shred { document, relation } => {
                 match relation {
-                    Some(rel) => writeln!(w, "shred {} {rel}", document.len())?,
-                    None => writeln!(w, "shred {}", document.len())?,
+                    Some(rel) => writeln!(w, "{verb} {} {rel}", document.len())?,
+                    None => writeln!(w, "{verb} {}", document.len())?,
                 }
                 w.write_all(document.as_bytes())
             }
-            Request::Propagate { relation, fd } => writeln!(w, "propagate {relation} {fd}"),
-            Request::Cover { relation } => match relation {
-                Some(rel) => writeln!(w, "cover {rel}"),
-                None => writeln!(w, "cover"),
-            },
+            Request::Propagate { relation, fd } => writeln!(w, "{verb} {relation} {fd}"),
+            Request::Cover {
+                relation: Some(rel),
+            } => writeln!(w, "{verb} {rel}"),
             Request::Query { document, query } => {
-                writeln!(w, "query {} {query}", document.len())?;
+                writeln!(w, "{verb} {} {query}", document.len())?;
                 w.write_all(document.as_bytes())
             }
             Request::Reload { keys, rules } => {
-                writeln!(w, "reload {} {}", keys.len(), rules.len())?;
+                writeln!(w, "{verb} {} {}", keys.len(), rules.len())?;
                 w.write_all(keys.as_bytes())?;
                 w.write_all(rules.as_bytes())
             }
-            Request::Quit => writeln!(w, "quit"),
-            #[cfg(any(test, feature = "faultline"))]
-            Request::Boom => writeln!(w, "boom"),
+            _ => writeln!(w, "{verb}"),
         }
     }
 

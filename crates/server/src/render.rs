@@ -8,8 +8,8 @@
 
 use std::fmt::{Display, Write};
 use xmlprop_core::{PropagationEngine, PropagationOutcome};
-use xmlprop_pipeline::{CorpusBundle, Error, RequestScratch};
-use xmlprop_reldb::{Database, Fd};
+use xmlprop_pipeline::{CorpusBundle, Error, ErrorKind, RequestScratch};
+use xmlprop_reldb::Fd;
 use xmlprop_xmltree::Document;
 
 /// Renders the per-key validation report for one document: `[ok]   {key}`
@@ -77,7 +77,8 @@ pub fn shred_report(
     }
     let mut out = String::new();
     let mut tuples = 0;
-    for relation in bundle.shred(doc, scratch, relation).relations() {
+    let wanted = |name: &str| relation.is_none_or(|rel| rel == name);
+    for relation in bundle.shred(doc, scratch, wanted).relations() {
         tuples += relation.len();
         writeln!(out, "{relation}").expect("String write");
     }
@@ -190,14 +191,7 @@ pub fn query_report(
     let needed: std::collections::BTreeSet<&str> = std::iter::once(query.from.as_str())
         .chain(query.joins.iter().map(|j| j.relation.as_str()))
         .collect();
-    // A fresh index clears the value() memo; evaluation buffers survive.
-    let index = scratch.index_document(doc);
-    let mut database = Database::new();
-    for shred_plan in bundle.plan().plans() {
-        if needed.contains(shred_plan.schema().name()) {
-            database.insert(shred_plan.shred_with(doc, &index, scratch.shred_scratch()));
-        }
-    }
+    let database = bundle.shred(doc, scratch, |name| needed.contains(name));
     let result = xmlprop_query::execute(&plan, &database)?;
     let rows = result.len();
     let mut out = String::new();
@@ -214,7 +208,7 @@ pub fn query_report(
 /// Parses an `X -> A` FD, with the CLI's exact diagnostic.
 pub fn parse_fd(text: &str) -> Result<Fd, Error> {
     text.parse()
-        .map_err(|e| Error::Parse(format!("invalid FD `{text}`: {e}")))
+        .map_err(|e| Error::new(ErrorKind::Parse, format!("invalid FD `{text}`: {e}")))
 }
 
 /// The prepared engine for `relation`, or the shared "no rule for relation"

@@ -34,14 +34,16 @@
 //!   [`std::panic::catch_unwind`]; a panic becomes `err internal`, bumps
 //!   the `panics` health counter, discards the (possibly poisoned)
 //!   scratch, and the connection keeps serving;
-//! * **overload** — the accept loop admits a connection only if the jobs
-//!   gate frees a slot within a bounded wait; otherwise the client is
-//!   shed with one `err overloaded` line rather than queueing without
-//!   bound;
+//! * **overload** — one table of live connections, capped at the jobs
+//!   width, both admits and drains: the accept loop admits a connection
+//!   only if a slot frees within [`ServiceConfig::shed_wait`]; otherwise
+//!   the client is shed with one `err overloaded` line rather than
+//!   queueing without bound;
 //! * **shutdown** — [`Server::shutdown`] stops accepting, read-shutdowns
-//!   every live connection (idle sessions see EOF; in-flight requests
-//!   complete and flush), then waits for the gate to drain under
-//!   [`ServiceConfig::drain_timeout`] before force-closing stragglers.
+//!   every connection in that table (idle sessions see EOF; in-flight
+//!   requests complete and flush), then waits for the table to empty
+//!   under [`ServiceConfig::drain_timeout`] before force-closing
+//!   stragglers.
 //!
 //! ## Framing discipline
 //!
@@ -59,14 +61,14 @@
 //! `reload.prepare` points inject torn connections, I/O errors, short
 //! writes and delays on the exact paths above.
 
-use crate::protocol::{self, Request, Response};
+use crate::protocol::{self, Request, Response, VERBS};
 use crate::render;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xmlprop_pipeline::{
@@ -90,7 +92,7 @@ pub struct ServiceConfig {
     /// arrives; a slow-loris peer trickling bytes gets `err timeout` at
     /// expiry no matter how diligently it trickles.
     pub request_deadline: Duration,
-    /// How long an incoming connection may wait for a gate slot before
+    /// How long an incoming connection may wait for a free slot before
     /// being shed with `err overloaded`.
     pub shed_wait: Duration,
     /// How long [`Server::shutdown`] waits for in-flight connections to
@@ -116,81 +118,39 @@ impl Default for ServiceConfig {
 /// with it, never a bump from its own connection.
 #[derive(Debug, Default)]
 pub struct VerbCounters {
-    ping: AtomicU64,
-    status: AtomicU64,
-    validate: AtomicU64,
-    shred: AtomicU64,
-    propagate: AtomicU64,
-    cover: AtomicU64,
-    query: AtomicU64,
-    reload: AtomicU64,
-    quit: AtomicU64,
-    /// The test-only panic verb gets a private slot so it never skews the
-    /// `served=` total or the per-verb report the golden transcripts pin.
-    #[cfg(any(test, feature = "faultline"))]
-    boom: AtomicU64,
+    /// One count per [`VERBS`] entry, indexed by [`Request::verb_index`],
+    /// then the test-only `boom` verb's private slot, which never skews
+    /// the `served=` total or the per-verb report the golden transcripts
+    /// pin.
+    counts: [AtomicU64; VERBS.len() + 1],
 }
 
 impl VerbCounters {
-    fn slot(&self, request: &Request) -> &AtomicU64 {
-        match request {
-            Request::Ping => &self.ping,
-            Request::Status => &self.status,
-            Request::Validate { .. } => &self.validate,
-            Request::Shred { .. } => &self.shred,
-            Request::Propagate { .. } => &self.propagate,
-            Request::Cover { .. } => &self.cover,
-            Request::Query { .. } => &self.query,
-            Request::Reload { .. } => &self.reload,
-            Request::Quit => &self.quit,
-            #[cfg(any(test, feature = "faultline"))]
-            Request::Boom => &self.boom,
-        }
-    }
-
     fn bump(&self, request: &Request) {
-        self.slot(request).fetch_add(1, Ordering::Relaxed);
+        self.counts[request.verb_index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The count served so far for `request`'s verb.
     pub fn get(&self, request: &Request) -> u64 {
-        self.slot(request).load(Ordering::Relaxed)
+        self.counts[request.verb_index()].load(Ordering::Relaxed)
     }
 
     /// Total requests served across all verbs (`boom` excluded: the
     /// report below must be identical with and without the feature).
     pub fn total(&self) -> u64 {
-        [
-            &self.ping,
-            &self.status,
-            &self.validate,
-            &self.shred,
-            &self.propagate,
-            &self.cover,
-            &self.query,
-            &self.reload,
-            &self.quit,
-        ]
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .sum()
+        self.counts[..VERBS.len()]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// One-line per-verb report, in the protocol's verb order.
     pub fn report(&self) -> String {
-        format!(
-            "ping={} status={} validate={} shred={} propagate={} cover={} query={} reload={} \
-             quit={}",
-            self.ping.load(Ordering::Relaxed),
-            self.status.load(Ordering::Relaxed),
-            self.validate.load(Ordering::Relaxed),
-            self.shred.load(Ordering::Relaxed),
-            self.propagate.load(Ordering::Relaxed),
-            self.cover.load(Ordering::Relaxed),
-            self.query.load(Ordering::Relaxed),
-            self.reload.load(Ordering::Relaxed),
-            self.quit.load(Ordering::Relaxed),
-        )
+        let counts = VERBS
+            .iter()
+            .zip(&self.counts)
+            .map(|(verb, c)| format!("{verb}={}", c.load(Ordering::Relaxed)));
+        counts.collect::<Vec<_>>().join(" ")
     }
 }
 
@@ -215,7 +175,7 @@ impl HealthCounters {
         self.timeouts.load(Ordering::Relaxed)
     }
 
-    /// Connections shed with `err overloaded` at the accept gate.
+    /// Connections shed with `err overloaded` at admission.
     pub fn sheds(&self) -> u64 {
         self.sheds.load(Ordering::Relaxed)
     }
@@ -273,8 +233,8 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Wraps an initial bundle (published as epoch 1) and the worker gate
-    /// width, with no fault schedule.
+    /// Wraps an initial bundle (published as epoch 1) and the jobs width,
+    /// with no fault schedule.
     pub fn new(bundle: CorpusBundle, jobs: Jobs) -> Self {
         ServerState::with_faults(bundle, jobs, Faults::disabled())
     }
@@ -282,7 +242,7 @@ impl ServerState {
     /// Like [`ServerState::new`], with a fault-injection schedule for the
     /// request paths (`reload.prepare` fires in [`ServerState::respond`];
     /// the connection points fire in the transport wrappers).
-    pub fn with_faults(bundle: CorpusBundle, jobs: Jobs, faults: Faults) -> Self {
+    fn with_faults(bundle: CorpusBundle, jobs: Jobs, faults: Faults) -> Self {
         ServerState {
             cell: SwapCell::new(bundle),
             jobs,
@@ -484,104 +444,80 @@ impl ScratchCache {
     }
 }
 
-/// Caps concurrently served connections at the worker gate width.  The
-/// accept loop waits a bounded [`ServiceConfig::shed_wait`] for a slot and
-/// sheds the connection if none frees up; shutdown waits for the count to
-/// drain to zero.
+/// The live connections, one entry each: admission caps them at the jobs
+/// width, and shutdown reaches into their blocked reads (via
+/// [`TcpStream::shutdown`]) and waits for them to drain.
 #[derive(Debug)]
-struct Gate {
+struct Connections {
     max: usize,
-    active: Mutex<usize>,
-    freed: Condvar,
+    live: Mutex<Live>,
+    changed: Condvar,
 }
 
-impl Gate {
+/// The table behind [`Connections`]' lock.  A connection whose stream
+/// could not be cloned still has an entry, so it is counted, but shutdown
+/// cannot reach it.
+#[derive(Debug, Default)]
+struct Live {
+    next: u64,
+    streams: HashMap<u64, Option<TcpStream>>,
+}
+
+impl Connections {
     fn new(max: usize) -> Self {
-        Gate {
+        Connections {
             max,
-            active: Mutex::new(0),
-            freed: Condvar::new(),
+            live: Mutex::new(Live::default()),
+            changed: Condvar::new(),
         }
     }
 
-    /// Claims a slot, waiting at most `wait`; `false` means saturated.
-    fn try_acquire(&self, wait: Duration) -> bool {
-        let deadline = Instant::now() + wait;
-        let mut active = self.active.lock().expect("gate lock");
-        while *active >= self.max {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _timeout) = self
-                .freed
-                .wait_timeout(active, deadline - now)
-                .expect("gate lock");
-            active = guard;
-        }
-        *active += 1;
-        true
+    fn lock(&self) -> MutexGuard<'_, Live> {
+        self.live.lock().expect("connections lock")
     }
 
-    fn release(&self) {
-        let mut active = self.active.lock().expect("gate lock");
-        *active -= 1;
-        drop(active);
+    /// Admits `stream` if a slot frees up within `wait`, returning its
+    /// entry's id; `None` means saturated.
+    fn admit(&self, stream: &TcpStream, wait: Duration) -> Option<u64> {
+        let (mut live, _) = self
+            .changed
+            .wait_timeout_while(self.lock(), wait, |live| live.streams.len() >= self.max)
+            .expect("connections lock");
+        if live.streams.len() >= self.max {
+            return None;
+        }
+        let id = live.next;
+        live.next += 1;
+        live.streams.insert(id, stream.try_clone().ok());
+        Some(id)
+    }
+
+    fn release(&self, id: u64) {
+        self.lock().streams.remove(&id);
         // notify_all: both the accept loop (waiting for one slot) and a
         // draining shutdown (waiting for zero) may be parked here.
-        self.freed.notify_all();
+        self.changed.notify_all();
     }
 
-    /// Waits up to `timeout` for every slot to be released; `false` means
-    /// connections were still live at expiry.
+    /// Waits up to `timeout` for every connection to be released; `false`
+    /// means connections were still live at expiry.
     fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut active = self.active.lock().expect("gate lock");
-        while *active > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _timeout) = self
-                .freed
-                .wait_timeout(active, deadline - now)
-                .expect("gate lock");
-            active = guard;
-        }
-        true
-    }
-}
-
-/// The live-connection registry: one entry per connection being served,
-/// so shutdown can reach into blocked reads (via [`TcpStream::shutdown`])
-/// instead of waiting out their timeouts.
-#[derive(Debug, Default)]
-struct Registry {
-    next: AtomicU64,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-}
-
-impl Registry {
-    fn insert(&self, stream: &TcpStream) -> u64 {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        // A failed clone only costs drain coverage for this connection;
-        // it is still served and still gate-counted.
-        if let Ok(clone) = stream.try_clone() {
-            self.conns.lock().expect("registry lock").insert(id, clone);
-        }
-        id
+        let (live, _) = self
+            .changed
+            .wait_timeout_while(self.lock(), timeout, |live| !live.streams.is_empty())
+            .expect("connections lock");
+        live.streams.is_empty()
     }
 
-    fn remove(&self, id: u64) {
-        self.conns.lock().expect("registry lock").remove(&id);
-    }
-
+    /// Shuts down `how` every live connection shutdown can reach, and
+    /// returns how many that was.
     fn shutdown_all(&self, how: Shutdown) -> usize {
-        let conns = self.conns.lock().expect("registry lock");
-        for stream in conns.values() {
+        let mut reached = 0;
+        for stream in self.lock().streams.values().flatten() {
             let _ = stream.shutdown(how);
+            reached += 1;
         }
-        conns.len()
+        reached
     }
 }
 
@@ -595,15 +531,14 @@ pub struct DrainReport {
 }
 
 /// A bound, running server: accept loop on its own thread, one thread per
-/// live connection (capped by the jobs gate).
+/// live connection (capped at the jobs width).
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    gate: Arc<Gate>,
-    registry: Arc<Registry>,
+    connections: Arc<Connections>,
     config: ServiceConfig,
 }
 
@@ -639,16 +574,14 @@ impl Server {
             .map_err(|e| Error::io(format!("cannot resolve bound address: {e}")))?;
         let state = Arc::new(ServerState::with_faults(bundle, jobs, faults));
         let stop = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(Gate::new(jobs.get()));
-        let registry = Arc::new(Registry::default());
+        let connections = Arc::new(Connections::new(jobs.get()));
         let accept = {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
-            let gate = Arc::clone(&gate);
-            let registry = Arc::clone(&registry);
+            let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("xmlprop-accept".into())
-                .spawn(move || accept_loop(listener, &state, &stop, &gate, &registry, config))
+                .spawn(move || accept_loop(listener, &state, &stop, &connections, config))
                 .map_err(|e| Error::io(format!("cannot spawn accept thread: {e}")))?
         };
         Ok(Server {
@@ -656,8 +589,7 @@ impl Server {
             state,
             stop,
             accept: Some(accept),
-            gate,
-            registry,
+            connections,
             config,
         })
     }
@@ -681,16 +613,16 @@ impl Server {
     /// Graceful shutdown: stops accepting, nudges every live connection
     /// (read-shutdown: idle sessions see EOF, in-flight requests complete
     /// and flush their response), waits up to
-    /// [`ServiceConfig::drain_timeout`] for the gate to drain, then
-    /// force-closes whatever remains.
+    /// [`ServiceConfig::drain_timeout`] for the live connections to
+    /// drain, then force-closes whatever remains.
     pub fn shutdown(mut self) -> DrainReport {
         self.stop_accepting();
-        self.registry.shutdown_all(Shutdown::Read);
-        let drained = self.gate.wait_idle(self.config.drain_timeout);
+        self.connections.shutdown_all(Shutdown::Read);
+        let drained = self.connections.wait_idle(self.config.drain_timeout);
         let forced = if drained {
             0
         } else {
-            self.registry.shutdown_all(Shutdown::Both)
+            self.connections.shutdown_all(Shutdown::Both)
         };
         DrainReport { drained, forced }
     }
@@ -720,7 +652,7 @@ impl Drop for Server {
         // graceful path): stop accepting and nudge live connections, but
         // do not wait for the drain.
         self.stop_accepting();
-        self.registry.shutdown_all(Shutdown::Read);
+        self.connections.shutdown_all(Shutdown::Read);
     }
 }
 
@@ -728,8 +660,7 @@ fn accept_loop(
     listener: TcpListener,
     state: &Arc<ServerState>,
     stop: &AtomicBool,
-    gate: &Arc<Gate>,
-    registry: &Arc<Registry>,
+    connections: &Arc<Connections>,
     config: ServiceConfig,
 ) {
     for stream in listener.incoming() {
@@ -744,30 +675,26 @@ fn accept_loop(
         if state.faults().fire_io("accept.conn").is_err() {
             continue;
         }
-        if !gate.try_acquire(config.shed_wait) {
+        let Some(id) = connections.admit(&stream, config.shed_wait) else {
             state.health().bump_shed();
-            shed(stream, gate.max);
+            shed(stream, connections.max);
             continue;
-        }
-        let id = registry.insert(&stream);
+        };
         let state = Arc::clone(state);
-        let slot = Arc::clone(gate);
-        let reg = Arc::clone(registry);
+        let live = Arc::clone(connections);
         let spawned = std::thread::Builder::new()
             .name("xmlprop-conn".into())
             .spawn(move || {
                 let _ = handle_connection(stream, &state, config);
-                reg.remove(id);
-                slot.release();
+                live.release(id);
             });
         if spawned.is_err() {
-            registry.remove(id);
-            gate.release();
+            connections.release(id);
         }
     }
 }
 
-/// Sheds a connection the gate could not admit: one `err overloaded` line
+/// Sheds a connection the table could not admit: one `err overloaded` line
 /// in greeting position (clients classify it through the shared wire-code
 /// table), sent in one write under a short write timeout so a dead peer
 /// cannot stall the accept thread.
@@ -999,6 +926,60 @@ mod tests {
             }),
             1
         );
+
+        // Every verb, in protocol order, through the wire and the handler.
+        let state = ServerState::new(bundle(), Jobs::default());
+        let doc = "<db><book isbn=\"1\"/></db>".to_string();
+        let requests = [
+            Request::Ping,
+            Request::Status,
+            Request::Validate {
+                document: doc.clone(),
+            },
+            Request::Shred {
+                document: doc.clone(),
+                relation: None,
+            },
+            Request::Propagate {
+                relation: "book".into(),
+                fd: "isbn -> isbn".into(),
+            },
+            Request::Cover { relation: None },
+            Request::Query {
+                document: doc,
+                query: "select isbn from book".into(),
+            },
+            Request::Reload {
+                keys: KEYS.into(),
+                rules: RULES.into(),
+            },
+            Request::Quit,
+        ];
+        for (i, request) in requests.iter().enumerate() {
+            let mut wire = Vec::new();
+            request.write_to(&mut wire).unwrap();
+            let read = Request::read_from(&mut wire.as_slice()).unwrap().unwrap();
+            assert_eq!(&read, request);
+            assert_eq!((read.verb_index(), read.verb()), (i, VERBS[i]));
+            let resp = state.respond(&read, &mut cache);
+            assert!(
+                resp.header.starts_with(&format!("ok {} ", VERBS[i])),
+                "{}",
+                resp.header
+            );
+        }
+        let resp = state.respond(&Request::Status, &mut cache);
+        assert!(resp.header.ends_with(" served=10"), "{}", resp.header);
+        let line = resp.payload.lines().next().unwrap();
+        let named: Vec<(&str, &str)> = line
+            .split(' ')
+            .map(|pair| pair.split_once('=').unwrap())
+            .collect();
+        let expected: Vec<(&str, &str)> = VERBS
+            .iter()
+            .map(|&verb| (verb, if verb == "status" { "2" } else { "1" }))
+            .collect();
+        assert_eq!(named, expected, "each verb once, in protocol order");
     }
 
     #[test]
@@ -1028,17 +1009,37 @@ mod tests {
     }
 
     #[test]
-    fn gate_sheds_when_saturated_and_reports_idle() {
-        let gate = Gate::new(2);
-        assert!(gate.try_acquire(Duration::from_millis(1)));
-        assert!(gate.try_acquire(Duration::from_millis(1)));
-        assert!(!gate.try_acquire(Duration::from_millis(10)), "saturated");
-        assert!(!gate.wait_idle(Duration::from_millis(10)), "still active");
-        gate.release();
-        assert!(gate.try_acquire(Duration::from_millis(1)), "slot freed");
-        gate.release();
-        gate.release();
-        assert!(gate.wait_idle(Duration::from_millis(10)));
+    fn connections_shed_when_saturated_and_report_idle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let streams: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let connections = Arc::new(Connections::new(2));
+        let (short, long) = (Duration::from_millis(10), Duration::from_secs(10));
+        let a = connections.admit(&streams[0], short).unwrap();
+        let b = connections.admit(&streams[1], short).unwrap();
+        assert_ne!(a, b);
+        assert!(connections.admit(&streams[2], short).is_none(), "saturated");
+        assert!(!connections.wait_idle(short), "still live");
+        // A release wakes an admission that is waiting for a slot.
+        let releaser = {
+            let connections = Arc::clone(&connections);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                connections.release(a);
+            })
+        };
+        let c = connections.admit(&streams[2], long).expect("slot freed");
+        releaser.join().unwrap();
+        assert_eq!(connections.shutdown_all(Shutdown::Read), 2);
+        // An entry without a stream clone is counted but unreachable.
+        connections.release(b);
+        connections.lock().streams.insert(u64::MAX, None);
+        assert!(connections.admit(&streams[0], short).is_none(), "counted");
+        assert_eq!(connections.shutdown_all(Shutdown::Read), 1);
+        connections.release(u64::MAX);
+        connections.release(c);
+        assert!(connections.wait_idle(short));
+        assert_eq!(connections.shutdown_all(Shutdown::Both), 0);
     }
 
     #[test]

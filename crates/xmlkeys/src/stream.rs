@@ -11,9 +11,10 @@
 //! context simulates the target expression.  Each target is checked by
 //! [`KeyIndex::check_target`], as in the DOM validator, against its
 //! context's tuple table.  Retained state is `O(depth + open contexts +
-//! reported violations)`, one reused tuple table per open context, and the
-//! check's value interner, which keeps each distinct key-attribute value
-//! of the document once — never `O(nodes)` of tree structure.
+//! reported violations)`, one reused frame (target states and tuple table)
+//! per open-context depth, and the check's value interner, which keeps
+//! each distinct key-attribute value of the document once — never
+//! `O(nodes)` of tree structure.
 //!
 //! The checker reproduces the prepared validator **bit for bit**,
 //! including node identities and report order:
@@ -40,9 +41,9 @@ struct KeyState {
     context_states: Vec<MatchState>,
     /// Open context records, innermost last (they nest along the path).
     open: Vec<OpenContext>,
-    /// Condition (2) state per open context: `tables[i]` belongs to
-    /// `open[i]`; tables past `open.len()` wait to be reused.
-    tables: Vec<TupleTable>,
+    /// The reused state of each open context: `frames[i]` belongs to
+    /// `open[i]`; frames past `open.len()` wait to be reused.
+    frames: Vec<Frame>,
     /// The innermost element, while its attribute section is open, if it
     /// is a target; `contexts` indexes the `open` contexts it is a target
     /// of (none of them can close before it), and `tallies` counts its key
@@ -65,11 +66,19 @@ struct OpenContext {
     /// Element-stack depth at which this context was opened (a leaf
     /// context closes within the call that opened it).
     depth: usize,
+    /// Violations under this context, sorted by target when it closes.
+    violations: Vec<Violation>,
+}
+
+/// The buffers of one open context, kept per open-context depth and reset
+/// when a context opens there, so opening a context allocates nothing.
+#[derive(Debug, Default)]
+struct Frame {
     /// Target-expression NFA state per open element at or below the
     /// context; `target_states[0]` is the start state at the context node.
     target_states: Vec<MatchState>,
-    /// Violations under this context, sorted by target when it closes.
-    violations: Vec<Violation>,
+    /// Condition (2) state of the context.
+    table: TupleTable,
 }
 
 /// Streaming validator for a prepared [`KeyIndex`] over one document's
@@ -130,7 +139,7 @@ impl<'a> StreamKeyChecker<'a> {
                     target_matcher: StreamMatcher::new(k.target())?,
                     context_states: Vec::new(),
                     open: Vec::new(),
-                    tables: Vec::new(),
+                    frames: Vec::new(),
                     pending: None,
                     contexts: Vec::new(),
                     tallies: absent.clone(),
@@ -155,6 +164,12 @@ impl<'a> StreamKeyChecker<'a> {
     /// lists in the exact order of the prepared DOM validator, or the
     /// parse error the DOM parser would report.
     pub fn check(mut self, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        self.feed(xml)?;
+        Ok(self.finish())
+    }
+
+    /// Scans `xml`, feeding each event to the checker.
+    fn feed(&mut self, xml: &str) -> Result<(), ParseError> {
         let universe = self.index.universe();
         let mut attribute_label = String::new();
         scan(xml, |event| match event {
@@ -167,8 +182,7 @@ impl<'a> StreamKeyChecker<'a> {
             }
             StreamEvent::Text { .. } => self.text(),
             StreamEvent::EndElement => self.end_element(),
-        })?;
-        Ok(self.finish())
+        })
     }
 
     fn start_element(&mut self, label: Option<LabelId>) {
@@ -210,8 +224,8 @@ impl<'a> StreamKeyChecker<'a> {
                 let ctx = key.open.pop().expect("checked above");
                 key.close_context(ctx);
             }
-            for ctx in &mut key.open {
-                ctx.target_states.pop();
+            for frame in &mut key.frames[..key.open.len()] {
+                frame.target_states.pop();
             }
             key.context_states.pop();
         }
@@ -256,11 +270,11 @@ impl<'a> StreamKeyChecker<'a> {
             // note the contexts the node is a target of (outer first)
             // after those of the key's pending target, if any.
             let from = key.contexts.len();
-            for (ci, ctx) in key.open.iter_mut().enumerate() {
-                let top = *ctx.target_states.last().expect("context has a state");
+            for (ci, frame) in key.frames[..key.open.len()].iter_mut().enumerate() {
+                let top = *frame.target_states.last().expect("context has a state");
                 let stepped = key.target_matcher.step(top, label);
                 if !leaf {
-                    ctx.target_states.push(stepped);
+                    frame.target_states.push(stepped);
                 }
                 if key.target_matcher.accepts(stepped) {
                     key.contexts.push(ci);
@@ -282,14 +296,16 @@ impl<'a> StreamKeyChecker<'a> {
                 if key.target_matcher.accepts(start) {
                     key.contexts.push(ci);
                 }
-                if ci == key.tables.len() {
-                    key.tables.push(TupleTable::default());
+                if ci == key.frames.len() {
+                    key.frames.push(Frame::default());
                 }
-                key.tables[ci].reset(node);
+                let frame = &mut key.frames[ci];
+                frame.target_states.clear();
+                frame.target_states.push(start);
+                frame.table.reset(node);
                 key.open.push(OpenContext {
                     seq: key.next_seq,
                     depth: self.depth,
-                    target_states: vec![start],
                     violations: Vec::new(),
                 });
                 key.next_seq += 1;
@@ -301,7 +317,8 @@ impl<'a> StreamKeyChecker<'a> {
                     // document order.
                     for &ci in &key.contexts[from..] {
                         let out = Some(&mut key.open[ci].violations);
-                        index.check_target(k, node, &key.absent, &mut key.tables[ci], values, out);
+                        let table = &mut key.frames[ci].table;
+                        index.check_target(k, node, &key.absent, table, values, out);
                     }
                     key.contexts.truncate(from);
                 } else {
@@ -326,7 +343,8 @@ impl<'a> StreamKeyChecker<'a> {
             if let Some(node) = key.pending.take() {
                 for &ci in &key.contexts {
                     let out = Some(&mut key.open[ci].violations);
-                    index.check_target(k, node, &key.tallies, &mut key.tables[ci], values, out);
+                    let table = &mut key.frames[ci].table;
+                    index.check_target(k, node, &key.tallies, table, values, out);
                 }
                 key.contexts.clear();
             }
@@ -401,6 +419,26 @@ mod tests {
             &s,
             r#"<db><book/><book isbn="1" isbn="2"/><book isbn="3"/><book isbn="3"/></db>"#,
         );
+    }
+
+    #[test]
+    fn contexts_reopened_at_one_depth_start_from_reset_frames() {
+        // Three `c` contexts open and close at depth 1 and share frame 0;
+        // `k="1"` recurs across them but clashes only inside the first.
+        let s = sigma(&["(//c, (//t, {@k}))"]);
+        let text = r#"<r><c><x><t k="1"/></x><t k="1"/></c><c><t k="1"/><y><t k="2"/><t k="2"/></y></c><c/></r>"#;
+        assert_matches_dom(&s, text);
+        let index = KeyIndex::new(&s);
+        let mut checker = StreamKeyChecker::new(&index).unwrap();
+        checker.feed(text).unwrap();
+        let key = &checker.keys[0];
+        assert_eq!(key.frames.len(), 1, "every context opened at one depth");
+        assert_eq!(
+            key.frames[0].target_states,
+            [key.target_matcher.start()],
+            "a closed context leaves only its start state"
+        );
+        assert_eq!(checker.finish().per_key[0].len(), 2);
     }
 
     #[test]

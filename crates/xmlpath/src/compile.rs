@@ -16,8 +16,7 @@
 //! * [`CompiledExpr`] — a path expression whose atoms are interned
 //!   ([`CompiledExpr::compile`]) and whose block decomposition (label runs
 //!   between `//` gaps) is precomputed at compile time, so
-//!   [`CompiledExpr::contained_in`] and [`CompiledExpr::matches_word`] run
-//!   the generic decision procedure of [`crate::contained_in`] over
+//!   [`CompiledExpr::contained_in`] runs the generic decision procedure of [`crate::contained_in`] over
 //!   `LabelId` slices with **zero per-call allocation**.
 //!   [`CompiledExpr::evaluate`] evaluates `n[[P]]` over a prepared
 //!   [`xmlprop_xmltree::DocIndex`] (see [`crate::EvalScratch`]).
@@ -168,7 +167,8 @@ impl CompiledExpr {
 
     /// Membership of a concrete word (interned label sequence) in this
     /// expression's language, allocation-free.
-    pub fn matches_word(&self, word: &[LabelId]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn matches_word(&self, word: &[LabelId]) -> bool {
         contained_blocks(1, |_| word, self.num_blocks(), |i| self.block(i))
     }
 

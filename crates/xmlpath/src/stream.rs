@@ -16,7 +16,7 @@
 //! and [`StreamMatcher::new`] refuses it with [`PathTooLong`]; callers
 //! validate such keys on the tree instead.
 //!
-//! Matching agrees with [`CompiledExpr::matches_word`] label for label — a
+//! Matching agrees with `CompiledExpr::matches_word` label for label — a
 //! property pinned by proptest-style exhaustive tests below — and one
 //! `step` is a couple of bit operations per atom, allocation-free, so the
 //! per-event cost of the streaming path stays flat.

@@ -191,22 +191,15 @@ impl DocIndex {
         self.build
     }
 
-    /// True if the index is current for `doc` — built from it (or patched
-    /// up to date with [`DocIndex::apply_delta`]) and `doc` has not been
-    /// mutated since.
-    #[inline]
-    pub fn is_current_for(&self, doc: &Document) -> bool {
-        self.epoch == doc.epoch()
-    }
-
-    /// Debug-asserts [`DocIndex::is_current_for`]: evaluation entry points
-    /// call this so that using a stale index (document mutated after
-    /// indexing) fails fast in debug builds instead of silently answering
-    /// from outdated structure.
+    /// Debug-asserts that the index is current for `doc` — built from it
+    /// (or patched up to date with [`DocIndex::apply_delta`]) and `doc` has
+    /// not been mutated since.  Evaluation entry points call this so that
+    /// using a stale index (document mutated after indexing) fails fast in
+    /// debug builds instead of silently answering from outdated structure.
     #[inline]
     pub fn debug_assert_current(&self, doc: &Document) {
         debug_assert!(
-            self.is_current_for(doc),
+            self.epoch == doc.epoch(),
             "stale DocIndex: built at document epoch {} but the document is at epoch {} — \
              rebuild the index or patch it with apply_delta",
             self.epoch,

@@ -53,10 +53,10 @@
 //! exits — the goldenable mode CI uses.
 //!
 //! Exit codes: `0` success, `1` domain verdict (violations found,
-//! propagation not guaranteed, files skipped), `2` error — the mapping
-//! comes from the shared [`xmlprop::ErrorKind`] table, so an error class
-//! exits identically from every subcommand and maps onto the same wire
-//! code over the server protocol.
+//! propagation not guaranteed, files skipped), `2` error — every
+//! [`xmlprop::Error`] exits 2 from every subcommand, and its
+//! [`xmlprop::ErrorKind`] maps onto the same wire code over the server
+//! protocol.
 
 use std::fs;
 use std::path::Path;
@@ -643,9 +643,10 @@ fn batch_outcomes(
             if options.stream {
                 return bundle
                     .stream_text(&text, options)
-                    .map_err(|e| Error::Parse(e.to_string()));
+                    .map_err(|e| Error::new(ErrorKind::Parse, e.to_string()));
             }
-            let doc = Document::parse_str(&text).map_err(|e| Error::Parse(e.to_string()))?;
+            let doc = Document::parse_str(&text)
+                .map_err(|e| Error::new(ErrorKind::Parse, e.to_string()))?;
             Ok(bundle.process(&doc, scratch, options))
         },
     );

@@ -54,8 +54,9 @@
 //! layer.
 //!
 //! Errors across the CLI, the pipeline and the server share one type,
-//! [`Error`], whose [`ErrorKind`] table maps each class to both a CLI
-//! exit code and a protocol wire code.
+//! [`Error`]: a kind from the one [`ErrorKind`] table, which names each
+//! class's protocol wire code, plus its message.  Every error exits the
+//! CLI with code 2.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! `EXPERIMENTS.md` for the reproduction of the paper's evaluation.
