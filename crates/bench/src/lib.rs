@@ -916,22 +916,13 @@ fn serve(quick: bool) -> Vec<Row> {
     let grid: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let requests = if quick { 24 } else { 240 };
     let mut rows = Vec::new();
-    // The stub build cannot carry a fault schedule (`parse` errors), so
-    // the faulty rows only land when the `faultline` feature is compiled in.
     for (bench, faults) in [
-        ("serve_requests_per_sec", Ok(Faults::disabled())),
+        ("serve_requests_per_sec", Faults::disabled()),
         (
             "serve_requests_per_sec_faulty",
-            Faults::parse(FAULTY_SERVE_SPEC, 42),
+            Faults::parse(FAULTY_SERVE_SPEC, 42).expect("the faulty serve spec parses"),
         ),
     ] {
-        let Ok(faults) = faults else {
-            println!(
-                "   (fault injection not compiled in; skipping the faulty serve grid — \
-                 rebuild with --features faultline)"
-            );
-            continue;
-        };
         let server = Server::bind_with(
             "127.0.0.1:0",
             bundle.clone(),
@@ -1554,13 +1545,10 @@ mod tests {
                 &[nodes],
             ),
             "corpus" => family(&["corpus_shred", "corpus_validate"], &[1, 2]),
-            "serve" => {
-                let mut grid = family(&["serve_requests_per_sec"], &[1, 2]);
-                // The faulty grid runs only where a schedule can be built.
-                if Faults::parse(FAULTY_SERVE_SPEC, 42).is_ok() {
-                    grid.extend(family(&["serve_requests_per_sec_faulty"], &[1, 2]));
-                }
-                grid.extend(family(
+            "serve" => [
+                family(&["serve_requests_per_sec"], &[1, 2]),
+                family(&["serve_requests_per_sec_faulty"], &[1, 2]),
+                family(
                     &[
                         "serve_roundtrip_ms_validate",
                         "serve_roundtrip_ms_shred",
@@ -1568,9 +1556,9 @@ mod tests {
                         "serve_roundtrip_ms_cover",
                     ],
                     &[1],
-                ));
-                grid
-            }
+                ),
+            ]
+            .concat(),
             "incremental" => family(
                 &[
                     "incr_validate",

@@ -30,10 +30,10 @@
 //! quit
 //! ```
 //!
-//! Test builds (and builds with the `faultline` feature) additionally
-//! accept a `boom` verb whose handler panics — the end-to-end probe for
-//! the server's panic-isolation path.  Release servers reject it as an
-//! unknown verb.
+//! Any other verb is an unknown verb (`err protocol`).  The
+//! panic-isolation path is driven through the fault schedule's handler
+//! points (`handle.<verb>=<percent>%panic`, see
+//! [`xmlprop_pipeline::faultline`]), not through a verb of its own.
 //!
 //! Responses are a header line, a payload, and a terminating `.` line:
 //!
@@ -109,17 +109,11 @@ pub enum Request {
     },
     /// Close the session (the server responds, then hangs up).
     Quit,
-    /// Test-only: panic inside the request handler.  Exists so the
-    /// panic-isolation path (`err internal`, `panics=` counter, connection
-    /// keeps serving) can be driven end-to-end over the wire; compiled only
-    /// in test builds and under the `faultline` feature.
-    #[cfg(any(test, feature = "faultline"))]
-    Boom,
 }
 
 /// The protocol's verbs in protocol order: the one table that names them
 /// for `ok <verb>` headers, the per-verb counters and the `status`
-/// report.  The test-only `boom` verb is not listed.
+/// report.
 pub const VERBS: [&str; 9] = [
     "ping",
     "status",
@@ -133,8 +127,7 @@ pub const VERBS: [&str; 9] = [
 ];
 
 impl Request {
-    /// This request's position in [`VERBS`]; `boom` takes the slot just
-    /// past the table.
+    /// This request's position in [`VERBS`].
     pub(crate) fn verb_index(&self) -> usize {
         match self {
             Request::Ping => 0,
@@ -146,17 +139,11 @@ impl Request {
             Request::Query { .. } => 6,
             Request::Reload { .. } => 7,
             Request::Quit => 8,
-            #[cfg(any(test, feature = "faultline"))]
-            Request::Boom => VERBS.len(),
         }
     }
 
     /// The verb echoed in `ok <verb>` response headers.
     pub fn verb(&self) -> &'static str {
-        #[cfg(any(test, feature = "faultline"))]
-        if matches!(self, Request::Boom) {
-            return "boom";
-        }
         VERBS[self.verb_index()]
     }
 
@@ -165,12 +152,7 @@ impl Request {
     /// `reload` (publishes) and `quit` (terminates) are not — the client's
     /// retry loop keys on this.
     pub fn is_read_only(&self) -> bool {
-        match self {
-            Request::Reload { .. } | Request::Quit => false,
-            #[cfg(any(test, feature = "faultline"))]
-            Request::Boom => false,
-            _ => true,
-        }
+        !matches!(self, Request::Reload { .. } | Request::Quit)
     }
 
     /// Encodes the request onto `w` in wire form (header line + framed
@@ -226,8 +208,6 @@ impl Request {
             "ping" => Ok(Some(Request::Ping)),
             "status" => Ok(Some(Request::Status)),
             "quit" => Ok(Some(Request::Quit)),
-            #[cfg(any(test, feature = "faultline"))]
-            "boom" => Ok(Some(Request::Boom)),
             "validate" => {
                 let len = parse_len(parts.next(), "validate")?;
                 let document = read_body(r, len, "validate document")?;
@@ -534,11 +514,10 @@ mod tests {
             rules: "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }\n"
                 .into(),
         });
-        round_trip(Request::Boom);
     }
 
     #[test]
-    fn read_only_verbs_exclude_reload_quit_and_boom() {
+    fn read_only_verbs_exclude_reload_and_quit() {
         assert!(Request::Ping.is_read_only());
         assert!(Request::Status.is_read_only());
         assert!(Request::Validate {
@@ -557,7 +536,6 @@ mod tests {
             rules: String::new()
         }
         .is_read_only());
-        assert!(!Request::Boom.is_read_only());
     }
 
     #[test]
@@ -599,6 +577,16 @@ mod tests {
         let err = Request::read_from(&mut BufReader::new(&b"frobnicate\n"[..])).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Protocol);
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    #[test]
+    fn boom_is_an_unknown_verb() {
+        // Handler panics are scheduled through `handle.<verb>` fault
+        // points; no verb exists only to panic.
+        let err = Request::read_from(&mut BufReader::new(&b"boom\n"[..])).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Protocol);
+        assert_eq!(err.to_string(), "unknown request verb `boom`");
+        assert!(!VERBS.contains(&"boom"));
     }
 
     #[test]

@@ -59,7 +59,8 @@
 //! [`xmlprop_pipeline::faultline`]: [`Server::bind_with`] accepts a
 //! [`Faults`] schedule whose `accept.conn` / `conn.read` / `conn.write` /
 //! `reload.prepare` points inject torn connections, I/O errors, short
-//! writes and delays on the exact paths above.
+//! writes and delays on the exact paths above, and whose `handle.<verb>`
+//! points panic inside the handler's `catch_unwind`.
 
 use crate::protocol::{self, Request, Response, VERBS};
 use crate::render;
@@ -118,11 +119,8 @@ impl Default for ServiceConfig {
 /// with it, never a bump from its own connection.
 #[derive(Debug, Default)]
 pub struct VerbCounters {
-    /// One count per [`VERBS`] entry, indexed by [`Request::verb_index`],
-    /// then the test-only `boom` verb's private slot, which never skews
-    /// the `served=` total or the per-verb report the golden transcripts
-    /// pin.
-    counts: [AtomicU64; VERBS.len() + 1],
+    /// One count per [`VERBS`] entry, indexed by [`Request::verb_index`].
+    counts: [AtomicU64; VERBS.len()],
 }
 
 impl VerbCounters {
@@ -135,13 +133,9 @@ impl VerbCounters {
         self.counts[request.verb_index()].load(Ordering::Relaxed)
     }
 
-    /// Total requests served across all verbs (`boom` excluded: the
-    /// report below must be identical with and without the feature).
+    /// Total requests served across all verbs.
     pub fn total(&self) -> u64 {
-        self.counts[..VERBS.len()]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// One-line per-verb report, in the protocol's verb order.
@@ -240,8 +234,9 @@ impl ServerState {
     }
 
     /// Like [`ServerState::new`], with a fault-injection schedule for the
-    /// request paths (`reload.prepare` fires in [`ServerState::respond`];
-    /// the connection points fire in the transport wrappers).
+    /// request paths (`handle.<verb>` and `reload.prepare` fire in
+    /// [`ServerState::respond`]; the connection points fire in the
+    /// transport wrappers).
     fn with_faults(bundle: CorpusBundle, jobs: Jobs, faults: Faults) -> Self {
         ServerState {
             cell: SwapCell::new(bundle),
@@ -304,8 +299,12 @@ impl ServerState {
         self.counters.bump(request);
         // `&mut ScratchCache` is not unwind-safe by default, but the panic
         // arm below discards the cache wholesale, so no torn scratch state
-        // can ever be observed after an unwind.
-        match catch_unwind(AssertUnwindSafe(|| self.try_respond(request, cache))) {
+        // can ever be observed after an unwind.  The schedule's handler
+        // point fires in here, so an injected panic takes the same path.
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.faults.fire_handler(request.verb());
+            self.try_respond(request, cache)
+        })) {
             Ok(Ok(response)) => response,
             Ok(Err(error)) => Response::error(&error),
             Err(_panic) => {
@@ -410,8 +409,6 @@ impl ServerState {
                     String::new(),
                 ))
             }
-            #[cfg(any(test, feature = "faultline"))]
-            Request::Boom => panic!("deliberate `boom` panic (test verb)"),
         }
     }
 }
@@ -984,18 +981,16 @@ mod tests {
 
     #[test]
     fn handler_panics_are_contained_to_err_internal() {
-        let state = ServerState::new(bundle(), Jobs::default());
+        let faults = Faults::parse("handle.cover=100%panic", 0).unwrap();
+        let state = ServerState::with_faults(bundle(), Jobs::default(), faults);
         let mut cache = ScratchCache::new();
-        let resp = state.respond(&Request::Boom, &mut cache);
+        let resp = state.respond(&Request::Cover { relation: None }, &mut cache);
         assert!(resp.is_err());
         assert_eq!(resp.wire_code(), Some("internal"));
-        assert!(resp.header.contains("`boom`"), "{}", resp.header);
+        assert!(resp.header.contains("panicked"), "{}", resp.header);
+        assert!(resp.header.contains("`cover`"), "{}", resp.header);
         assert_eq!(state.health().panics(), 1);
         assert_eq!(state.inflight(), 0, "unwind releases the gauge");
-        // `boom` never skews the published totals or the golden report.
-        assert_eq!(state.counters().total(), 0);
-        assert!(!state.counters().report().contains("boom"));
-        assert_eq!(state.counters().get(&Request::Boom), 1);
         // The very next request on the same connection state succeeds.
         let resp = state.respond(&Request::Ping, &mut cache);
         assert_eq!(resp.header, "ok ping bundle=1");
@@ -1058,6 +1053,25 @@ mod tests {
         assert_eq!(state.epoch(), 1, "failed reload must not tick the epoch");
         let resp = state.respond(&Request::Ping, &mut cache);
         assert_eq!(resp.header, "ok ping bundle=1", "old bundle still serves");
+    }
+
+    #[test]
+    fn reloading_a_relation_defined_twice_is_a_parse_error() {
+        let state = ServerState::new(bundle(), Jobs::default());
+        let mut cache = ScratchCache::new();
+        let rules = format!(
+            "{RULES}rule book(title) {{ xb := xr//book; xt := xb/title; title := value(xt); }}\n"
+        );
+        let resp = state.respond(
+            &Request::Reload {
+                keys: KEYS.into(),
+                rules,
+            },
+            &mut cache,
+        );
+        assert_eq!(resp.wire_code(), Some("parse"), "{}", resp.header);
+        assert!(resp.header.contains("relation `book`"), "{}", resp.header);
+        assert_eq!(state.epoch(), 1, "a refused reload keeps the epoch");
     }
 
     #[test]

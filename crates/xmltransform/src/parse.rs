@@ -77,7 +77,16 @@ pub fn parse_transformation(text: &str) -> Result<Transformation, ParseRuleError
             .map(|i| i + open_brace)
             .ok_or_else(|| ParseRuleError::new("missing `}` closing rule body"))?;
         let body = &stripped[open_brace + 1..close_brace];
-        rules.push(parse_rule(header, body)?);
+        let rule = parse_rule(header, body)?;
+        // Relations are keyed by name downstream (shredded databases,
+        // `rule_index`), so a second rule would silently shadow the first.
+        let name = rule.schema().name();
+        if rules.iter().any(|r: &TableRule| r.schema().name() == name) {
+            return Err(ParseRuleError::new(format!(
+                "relation `{name}` is defined by more than one rule"
+            )));
+        }
+        rules.push(rule);
         rest = stripped[close_brace + 1..].trim();
     }
     if rules.is_empty() {
@@ -213,6 +222,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn repeated_relation_names_are_rejected() {
+        let err = parse_transformation(
+            "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }
+             rule book(title) { xb := xr//book; xt := xb/title; title := value(xt); }",
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid transformation: relation `book` is defined by more than one rule"
+        );
     }
 
     #[test]

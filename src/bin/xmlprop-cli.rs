@@ -217,9 +217,9 @@ fn usage_text() -> String {
          --script the session is self-driven and the transcript printed to\n\
          stdout.  Timeout flags harden the service (read/write timeout,\n\
          per-request deadline, bounded admission wait, shutdown drain\n\
-         budget); --faults installs a seeded fault-injection schedule\n\
-         (builds with the `faultline` feature only), e.g.\n\
-         --faults conn.read=10%delay:2\n",
+         budget); --faults installs a seeded fault-injection schedule,\n\
+         e.g. --faults conn.read=10%delay:2 (the `panic` action pairs\n\
+         only with a handle.<verb> point: --faults handle.cover=1%panic)\n",
     );
     out
 }
@@ -561,8 +561,8 @@ fn cmd_serve(args: &[String]) -> Result<bool, Error> {
     let [keys_path, rules_path] = positional.as_slice() else {
         return Err(usage_error("serve"));
     };
-    // In builds without the `faultline` feature this reports a usage error
-    // ("not compiled in") — release servers cannot inject faults at all.
+    // A malformed spec, or `panic` outside a `handle.<verb>` point, is a
+    // usage error.
     let faults = match faults_spec {
         Some(spec) => Faults::parse(&spec, fault_seed)?,
         None => Faults::disabled(),

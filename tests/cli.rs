@@ -722,3 +722,73 @@ fn serve_usage_and_missing_files_are_clean_errors() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+/// Two rules that populate one relation, `book`: the second would shadow
+/// the first in every shredded database.
+const DUPLICATE_BOOK_RULES: &str = "\
+rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }
+rule book(title) { xb := xr//book; xt := xb/title; title := value(xt); }
+";
+
+#[test]
+fn a_relation_defined_by_two_rules_is_a_parse_error() {
+    let dir = CorpusDir::new("duplicate-relation");
+    dir.write("rules.txt", DUPLICATE_BOOK_RULES);
+    let rules = format!("{}/rules.txt", dir.path());
+    for command in [
+        ["shred", "examples/data/fig1.xml"],
+        ["cover", "examples/data/book_keys.txt"],
+    ] {
+        let args = [command[0], command[1], &rules, "book"];
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("relation `book` is defined by more than one rule"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn serve_accepts_a_fault_schedule_in_every_build() {
+    // A schedule that never fires leaves the scripted session byte-equal
+    // to its golden transcript.
+    let out = run(&[
+        "serve",
+        "--faults",
+        "conn.read=0%error",
+        "--script",
+        "examples/data/server_session.txt",
+        "examples/data/book_keys.txt",
+        "examples/data/book_rules.txt",
+    ]);
+    assert!(
+        out.status.success(),
+        "serve --faults failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = format!(
+        "{}/examples/data/expected/serve_session.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    assert_eq!(stdout(&out), std::fs::read_to_string(golden).unwrap());
+}
+
+#[test]
+fn serve_refuses_panic_outside_a_handler_point() {
+    let out = run(&[
+        "serve",
+        "--faults",
+        "conn.read=10%panic",
+        "--script",
+        "examples/data/server_session.txt",
+        "examples/data/book_keys.txt",
+        "examples/data/book_rules.txt",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`panic` pairs only"), "{err}");
+}

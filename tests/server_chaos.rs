@@ -21,9 +21,10 @@
 //! while still exercising the full parse→prepare→publish path under
 //! load.
 //!
-//! A separate test drives the panic-isolation path end-to-end: the
-//! test-only `boom` verb yields `err internal`, the same connection and
-//! a fresh one keep serving.
+//! A separate test drives the panic-isolation path end-to-end: a
+//! `handle.cover=100%panic` schedule makes every `cover` handler panic,
+//! which yields `err internal`, and the same connection and a fresh one
+//! keep serving.
 
 use proptest::prelude::*;
 use std::fs;
@@ -305,21 +306,27 @@ proptest! {
 }
 
 #[test]
-fn boom_yields_err_internal_and_the_service_keeps_serving() {
+fn scheduled_handler_panics_yield_err_internal_and_the_service_keeps_serving() {
     let keys_text = read("book_keys.txt");
     let rules_text = read("book_rules.txt");
     let doc_text = read("fig1.xml");
-    let server = Server::bind(
+    let server = Server::bind_with(
         "127.0.0.1:0",
         book_bundle(&keys_text, &rules_text),
         Jobs::new(4).unwrap(),
+        ServiceConfig::default(),
+        Faults::parse("handle.cover=100%panic", 0).unwrap(),
     )
     .unwrap();
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
-    let resp = client.send(&Request::Boom).unwrap();
-    assert!(resp.is_err(), "boom must fail: {}", resp.header);
+    let resp = client.send(&Request::Cover { relation: None }).unwrap();
+    assert!(
+        resp.is_err(),
+        "the panicking cover must fail: {}",
+        resp.header
+    );
     assert_eq!(resp.wire_code(), Some("internal"));
     assert!(
         resp.header.contains("panicked"),
@@ -330,7 +337,11 @@ fn boom_yields_err_internal_and_the_service_keeps_serving() {
 
     // Panic isolation keeps the *same* connection serving...
     let ping = client.send(&Request::Ping).unwrap();
-    assert!(!ping.is_err(), "session died after boom: {}", ping.header);
+    assert!(
+        !ping.is_err(),
+        "session died after the panic: {}",
+        ping.header
+    );
 
     // ...and a fresh connection works end to end.
     let mut fresh = Client::connect(addr).unwrap();
@@ -341,6 +352,8 @@ fn boom_yields_err_internal_and_the_service_keeps_serving() {
         .unwrap();
     assert_eq!(resp.epoch(), Some(1));
     assert!(resp.header.contains("verdict=ok"), "{}", resp.header);
+    let oracle = Oracle::new(&keys_text, &rules_text, &doc_text);
+    assert_eq!(resp.payload, oracle.expected[0].2, "validate bytes");
 
     let report = server.shutdown();
     assert!(report.drained, "idle sessions drain cleanly");
