@@ -157,6 +157,14 @@ impl Faults {
         })
     }
 
+    /// The point names of the schedule's clauses, in spec order (none
+    /// when disabled).  The server refuses names it never checks.
+    pub fn points(&self) -> impl Iterator<Item = &str> {
+        self.plan
+            .iter()
+            .flat_map(|plan| plan.points.iter().map(|p| p.name.as_str()))
+    }
+
     /// Consults the schedule at a named point.  `None` means proceed;
     /// `Some(action)` means the caller must suffer the action.  The
     /// decision for the *n*-th consultation of a clause is a pure
@@ -292,6 +300,7 @@ impl<S> FaultStream<S> {
     }
 
     /// The wrapped stream.
+    #[cfg(test)]
     pub fn get_ref(&self) -> &S {
         &self.inner
     }

@@ -118,6 +118,7 @@ impl Default for CorpusOptions {
     }
 }
 
+#[cfg(test)]
 impl CorpusOptions {
     /// The default task set (shred + validate + covers) at a given thread
     /// count.

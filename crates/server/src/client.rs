@@ -20,8 +20,8 @@
 //! algorithm for the server's delayed ACK (see [`crate::server`]'s framing
 //! rule).
 
-use crate::protocol::{Request, Response};
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::{read_terminated_line, Request, Response};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use xmlprop_pipeline::{Error, ErrorKind};
@@ -79,19 +79,14 @@ impl Client {
     }
 
     fn open(addrs: Vec<SocketAddr>, config: ClientConfig) -> Result<Client, Error> {
-        let mut last: Option<std::io::Error> = None;
-        let mut connected = None;
-        for addr in &addrs {
-            // Bounded connect: a black-holed address fails here instead of
-            // pinning the caller on the platform's (minutes-long) default.
-            match TcpStream::connect_timeout(addr, config.connect_timeout) {
-                Ok(stream) => {
-                    connected = Some(stream);
-                    break;
-                }
-                Err(e) => last = Some(e),
-            }
-        }
+        // Bounded connect: a black-holed address fails here instead of
+        // pinning the caller on the platform's (minutes-long) default.
+        let mut last = None;
+        let connected = addrs.iter().find_map(|addr| {
+            TcpStream::connect_timeout(addr, config.connect_timeout)
+                .map_err(|e| last = Some(e))
+                .ok()
+        });
         let writer = connected.ok_or_else(|| {
             let cause = last.expect("no success implies at least one failure");
             Error::io(format!("cannot connect to server: {cause}"))
@@ -103,18 +98,10 @@ impl Client {
             .try_clone()
             .map_err(|e| Error::io(format!("cannot clone connection: {e}")))?;
         let mut reader = BufReader::new(reader);
-        let mut greeting = String::new();
-        let n = reader
-            .read_line(&mut greeting)
-            .map_err(|e| Error::io(format!("reading greeting: {e}")))?;
-        // No newline means the connection died mid-greeting: a truncated
+        // A greeting cut short by EOF is a dead connection: a truncated
         // line must never pass for a complete one.
-        if n == 0 || !greeting.ends_with('\n') {
-            return Err(Error::io(
-                "server closed the connection during the greeting",
-            ));
-        }
-        let greeting = greeting.trim_end_matches(['\r', '\n']).to_string();
+        let greeting = read_terminated_line(&mut reader, "reading greeting")?
+            .ok_or_else(|| Error::io("server closed the connection during the greeting"))?;
         // A shed connection answers with an error line in greeting
         // position; reconstruct the typed error so callers (and the retry
         // loop) classify it through the one wire-code table.

@@ -30,6 +30,12 @@
 //! quit
 //! ```
 //!
+//! This is the one request grammar.  Session scripts ([`crate::script`])
+//! parse their lines through the same routine and differ only in their
+//! body source: where the wire has a byte length, a script names an
+//! `@file`.  Every token of a header is checked before any body byte is
+//! read, so a malformed header is refused without waiting for its bodies.
+//!
 //! Any other verb is an unknown verb (`err protocol`).  The
 //! panic-isolation path is driven through the fault schedule's handler
 //! points (`handle.<verb>=<percent>%panic`, see
@@ -202,94 +208,119 @@ impl Request {
                 break trimmed;
             }
         };
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().expect("non-empty line has a first token");
-        match verb {
-            "ping" => Ok(Some(Request::Ping)),
-            "status" => Ok(Some(Request::Status)),
-            "quit" => Ok(Some(Request::Quit)),
-            "validate" => {
-                let len = parse_len(parts.next(), "validate")?;
-                let document = read_body(r, len, "validate document")?;
-                Ok(Some(Request::Validate { document }))
-            }
-            "shred" => {
-                let len = parse_len(parts.next(), "shred")?;
-                let relation = parts.next().map(str::to_string);
-                let document = read_body(r, len, "shred document")?;
-                Ok(Some(Request::Shred { document, relation }))
-            }
-            "propagate" => {
-                let relation = parts
-                    .next()
-                    .ok_or_else(|| Error::protocol("propagate expects `<relation> <fd>`"))?
-                    .to_string();
-                let fd: Vec<&str> = parts.collect();
-                if fd.is_empty() {
-                    return Err(Error::protocol(
-                        "propagate expects an FD after the relation",
-                    ));
-                }
-                Ok(Some(Request::Propagate {
-                    relation,
-                    fd: fd.join(" "),
-                }))
-            }
-            "cover" => Ok(Some(Request::Cover {
-                relation: parts.next().map(str::to_string),
-            })),
-            "query" => {
-                let len = parse_len(parts.next(), "query")?;
-                let query: Vec<&str> = parts.collect();
-                if query.is_empty() {
-                    return Err(Error::protocol(
-                        "query expects the query text after the body length",
-                    ));
-                }
-                let document = read_body(r, len, "query document")?;
-                Ok(Some(Request::Query {
-                    document,
-                    query: query.join(" "),
-                }))
-            }
-            "reload" => {
-                let keys_len = parse_len(parts.next(), "reload")?;
-                let rules_len = parse_len(parts.next(), "reload")?;
-                let keys = read_body(r, keys_len, "reload keys")?;
-                let rules = read_body(r, rules_len, "reload rules")?;
-                Ok(Some(Request::Reload { keys, rules }))
-            }
-            other => Err(Error::protocol(format!("unknown request verb `{other}`"))),
-        }
+        parse_request(&line, &mut Wire(r)).map(Some)
     }
 }
 
-/// Parses a decimal body length out of a request header token.
-fn parse_len(token: Option<&str>, verb: &str) -> Result<usize, Error> {
-    let token =
-        token.ok_or_else(|| Error::protocol(format!("{verb} expects a body byte length")))?;
-    let len: usize = token
-        .parse()
-        .map_err(|_| Error::protocol(format!("{verb}: invalid body length `{token}`")))?;
-    if len > MAX_BODY_BYTES {
-        return Err(Error::protocol(format!(
-            "{verb}: body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        )));
-    }
-    Ok(len)
+/// Where a request's bodies come from.  A header names each body with one
+/// token, in the same places in every form: `validate <body>`,
+/// `shred <body> [relation]`, `query <body> <query text…>` and
+/// `reload <keys body> <rules body>`.  [`parse_request`] checks every
+/// token of a header before it reads any body.
+pub(crate) trait BodySource {
+    /// What a checked body token names: a byte length, a file path.
+    type Body;
+    /// Checks the body token of `verb`'s header (`None` when it is missing).
+    fn check(&self, token: Option<&str>, verb: &str) -> Result<Self::Body, Error>;
+    /// Reads a checked body; `what` names it in error messages.
+    fn read(&mut self, body: Self::Body, what: &str) -> Result<String, Error>;
 }
 
-/// Reads an exact-length UTF-8 body following a request header.
-fn read_body(r: &mut impl BufRead, len: usize, what: &str) -> Result<String, Error> {
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).map_err(|e| {
-        if is_timeout(&e) {
-            Error::timeout(format!("reading {what} body ({len} bytes): {e}"))
-        } else {
-            Error::protocol(format!("reading {what} body ({len} bytes): {e}"))
+/// The wire's body source: a body token is a decimal byte length of at
+/// most [`MAX_BODY_BYTES`], and the bodies follow the header line in
+/// header order.
+struct Wire<'r, R>(&'r mut R);
+
+impl<R: BufRead> BodySource for Wire<'_, R> {
+    type Body = usize;
+
+    fn check(&self, token: Option<&str>, verb: &str) -> Result<usize, Error> {
+        let token =
+            token.ok_or_else(|| Error::protocol(format!("{verb} expects a body byte length")))?;
+        let len: usize = token
+            .parse()
+            .map_err(|_| Error::protocol(format!("{verb}: invalid body length `{token}`")))?;
+        if len > MAX_BODY_BYTES {
+            return Err(Error::protocol(format!(
+                "{verb}: body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )));
         }
-    })?;
-    String::from_utf8(buf).map_err(|_| Error::protocol(format!("{what} body is not valid UTF-8")))
+        Ok(len)
+    }
+
+    fn read(&mut self, len: usize, what: &str) -> Result<String, Error> {
+        let mut buf = vec![0u8; len];
+        self.0.read_exact(&mut buf).map_err(|e| {
+            if is_timeout(&e) {
+                Error::timeout(format!("reading {what} body ({len} bytes): {e}"))
+            } else {
+                Error::protocol(format!("reading {what} body ({len} bytes): {e}"))
+            }
+        })?;
+        String::from_utf8(buf)
+            .map_err(|_| Error::protocol(format!("{what} body is not valid UTF-8")))
+    }
+}
+
+/// Parses one request header line (non-empty, without its newline),
+/// reading its bodies from `source`.  This is the one request grammar:
+/// the wire ([`Request::read_from`]) and session scripts
+/// ([`crate::parse_script`]) differ only in their [`BodySource`].
+pub(crate) fn parse_request<S: BodySource>(line: &str, source: &mut S) -> Result<Request, Error> {
+    let mut parts = line.split_whitespace();
+    let verb = parts.next().expect("non-empty line has a first token");
+    Ok(match verb {
+        "ping" => Request::Ping,
+        "status" => Request::Status,
+        "quit" => Request::Quit,
+        "validate" => {
+            let body = source.check(parts.next(), verb)?;
+            let document = source.read(body, "validate document")?;
+            Request::Validate { document }
+        }
+        "shred" => {
+            let body = source.check(parts.next(), verb)?;
+            let relation = parts.next().map(str::to_string);
+            let document = source.read(body, "shred document")?;
+            Request::Shred { document, relation }
+        }
+        "propagate" => {
+            let relation = parts
+                .next()
+                .ok_or_else(|| Error::protocol("propagate expects `<relation> <fd>`"))?
+                .to_string();
+            let fd = join_tail(parts, "propagate expects an FD after the relation")?;
+            Request::Propagate { relation, fd }
+        }
+        "cover" => Request::Cover {
+            relation: parts.next().map(str::to_string),
+        },
+        "query" => {
+            let body = source.check(parts.next(), verb)?;
+            let query = join_tail(parts, "query expects the query text after the body")?;
+            let document = source.read(body, "query document")?;
+            Request::Query { document, query }
+        }
+        "reload" => {
+            let keys = source.check(parts.next(), verb)?;
+            let rules = source.check(parts.next(), verb)?;
+            let keys = source.read(keys, "reload keys")?;
+            let rules = source.read(rules, "reload rules")?;
+            Request::Reload { keys, rules }
+        }
+        other => return Err(Error::protocol(format!("unknown request verb `{other}`"))),
+    })
+}
+
+/// The rest of a header joined by single spaces (the FD and query
+/// languages are whitespace-insensitive, so the join is lossless);
+/// `missing` is the error when nothing is left.
+fn join_tail<'a>(parts: impl Iterator<Item = &'a str>, missing: &str) -> Result<String, Error> {
+    let text = parts.collect::<Vec<_>>().join(" ");
+    if text.is_empty() {
+        return Err(Error::protocol(missing));
+    }
+    Ok(text)
 }
 
 /// Reads one protocol line, requiring its terminating newline.  `None` is
@@ -297,7 +328,10 @@ fn read_body(r: &mut impl BufRead, len: usize, what: &str) -> Result<String, Err
 /// transport — surfaced as `io` so retry layers treat it like any other
 /// connection death, and so a line prefix can never be mistaken for a
 /// complete (but different) message.
-fn read_terminated_line(r: &mut impl BufRead, context: &str) -> Result<Option<String>, Error> {
+pub(crate) fn read_terminated_line(
+    r: &mut impl BufRead,
+    context: &str,
+) -> Result<Option<String>, Error> {
     let mut line = String::new();
     let n = r
         .read_line(&mut line)
@@ -313,7 +347,7 @@ fn read_terminated_line(r: &mut impl BufRead, context: &str) -> Result<Option<St
 
 /// Whether an I/O error is a read/write timeout (the platform reports
 /// socket timeouts as either kind).
-fn is_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
@@ -472,48 +506,107 @@ mod tests {
     use std::io::BufReader;
     use xmlprop_pipeline::ErrorKind;
 
-    fn round_trip(req: Request) {
+    /// Writes `req` in wire form and reads it back, and parses `script`, the
+    /// same request as a script line whose `@file`s are under `dir`: both
+    /// forms must give `req`.
+    fn round_trip(req: Request, script: &str, dir: &std::path::Path) {
         let mut wire = Vec::new();
         req.write_to(&mut wire).unwrap();
         let mut reader = BufReader::new(wire.as_slice());
         let back = Request::read_from(&mut reader).unwrap().unwrap();
         assert_eq!(back, req);
         assert!(Request::read_from(&mut reader).unwrap().is_none());
+        let steps = crate::parse_script(script, dir).unwrap();
+        assert_eq!(steps.len(), 1, "{script}");
+        assert_eq!(steps[0].request, req, "{script}");
     }
 
     #[test]
-    fn requests_round_trip_through_the_wire_form() {
-        round_trip(Request::Ping);
-        round_trip(Request::Status);
-        round_trip(Request::Quit);
-        round_trip(Request::Validate {
-            document: "<r><a/>\nmulti line</r>".into(),
-        });
-        round_trip(Request::Shred {
-            document: "<r/>".into(),
-            relation: None,
-        });
-        round_trip(Request::Shred {
-            document: "<r/>".into(),
-            relation: Some("book".into()),
-        });
-        round_trip(Request::Propagate {
-            relation: "chapter".into(),
-            fd: "inBook, number -> name".into(),
-        });
-        round_trip(Request::Cover { relation: None });
-        round_trip(Request::Cover {
-            relation: Some("book".into()),
-        });
-        round_trip(Request::Query {
-            document: "<r><book isbn='1'/></r>".into(),
-            query: "select title, name from book join chapter on isbn = inBook".into(),
-        });
-        round_trip(Request::Reload {
-            keys: "K1: (ε, (//book, {@isbn}))\n".into(),
-            rules: "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }\n"
-                .into(),
-        });
+    fn requests_round_trip_through_the_wire_and_script_forms() {
+        let dir = std::env::temp_dir().join(format!("xmlprop-round-trip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, body: &str| {
+            std::fs::write(dir.join(name), body).unwrap();
+            body.to_string()
+        };
+        round_trip(Request::Ping, "ping", &dir);
+        round_trip(Request::Status, "status", &dir);
+        round_trip(Request::Quit, "quit", &dir);
+        round_trip(
+            Request::Validate {
+                document: file("v.xml", "<r><a/>\nmulti line</r>"),
+            },
+            "validate @v.xml",
+            &dir,
+        );
+        round_trip(
+            Request::Shred {
+                document: file("s.xml", "<r/>"),
+                relation: None,
+            },
+            "shred @s.xml",
+            &dir,
+        );
+        round_trip(
+            Request::Shred {
+                document: file("s.xml", "<r/>"),
+                relation: Some("book".into()),
+            },
+            "shred @s.xml book",
+            &dir,
+        );
+        round_trip(
+            Request::Propagate {
+                relation: "chapter".into(),
+                fd: "inBook, number -> name".into(),
+            },
+            "propagate chapter  inBook,\tnumber -> name",
+            &dir,
+        );
+        round_trip(Request::Cover { relation: None }, "cover", &dir);
+        round_trip(
+            Request::Cover {
+                relation: Some("book".into()),
+            },
+            "cover book",
+            &dir,
+        );
+        round_trip(
+            Request::Query {
+                document: file("q.xml", "<r><book isbn='1'/></r>"),
+                query: "select title, name from book join chapter on isbn = inBook".into(),
+            },
+            "query @q.xml select title, name from book join chapter on isbn = inBook",
+            &dir,
+        );
+        round_trip(
+            Request::Reload {
+                keys: file("k.txt", "K1: (ε, (//book, {@isbn}))\n"),
+                rules: file(
+                    "r.txt",
+                    "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }\n",
+                ),
+            },
+            "reload @k.txt @r.txt",
+            &dir,
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bad_header_token_is_refused_before_any_body_is_read() {
+        // The reader times out past the header: reading a body would turn
+        // the answer into `timeout` instead of the header's `protocol`.
+        for header in [&b"reload 5 banana\n"[..], b"reload 5\n", b"query 5\n"] {
+            let mut reader = BufReader::new(Failing {
+                bytes: header,
+                kind: std::io::ErrorKind::TimedOut,
+            });
+            let err = Request::read_from(&mut reader).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Protocol, "{err}");
+        }
+        let err = Request::read_from(&mut BufReader::new(&b"reload 5 banana\n"[..])).unwrap_err();
+        assert_eq!(err.to_string(), "reload: invalid body length `banana`");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::fmt::{Display, Write};
 use xmlprop_core::{PropagationEngine, PropagationOutcome};
 use xmlprop_pipeline::{CorpusBundle, Error, ErrorKind, RequestScratch};
 use xmlprop_reldb::Fd;
+use xmlprop_xmltransform::{TableRule, Transformation};
 use xmlprop_xmltree::Document;
 
 /// Renders the per-key validation report for one document: `[ok]   {key}`
@@ -96,7 +97,7 @@ pub fn cover_report(
     let mut fds = 0;
     match relation {
         Some(rel) => {
-            let rule = rule_index(bundle, rel)?;
+            let rule = rule_position(bundle.transformation(), rel)?;
             fds += write_cover(&mut out, &bundle.covers()[rule].cover);
         }
         None => {
@@ -217,26 +218,20 @@ pub fn require_rule<'b>(
     bundle: &'b CorpusBundle,
     relation: &str,
 ) -> Result<&'b PropagationEngine, Error> {
-    Ok(&bundle.engines()[rule_index(bundle, relation)?])
+    Ok(&bundle.engines()[rule_position(bundle.transformation(), relation)?])
 }
 
-/// The rule-order position of `relation` (an index into both
-/// [`CorpusBundle::engines`] and [`CorpusBundle::covers`]), or the
-/// [`require_rule`] diagnostic.
-fn rule_index(bundle: &CorpusBundle, relation: &str) -> Result<usize, Error> {
-    bundle
-        .engines()
+/// The rule-order position of `relation` in `t` (an index into both
+/// [`CorpusBundle::engines`] and [`CorpusBundle::covers`] of a bundle
+/// prepared from `t`), or the shared "no rule for relation" diagnostic
+/// listing the known rules.
+pub fn rule_position(t: &Transformation, relation: &str) -> Result<usize, Error> {
+    let name = |rule: &TableRule| rule.schema().name().to_string();
+    let rules = t.rules();
+    rules
         .iter()
-        .position(|e| e.rule().schema().name() == relation)
-        .ok_or_else(|| {
-            let known = bundle
-                .transformation()
-                .rules()
-                .iter()
-                .map(|r| r.schema().name().to_string())
-                .collect();
-            Error::unknown_relation(relation, known)
-        })
+        .position(|rule| rule.schema().name() == relation)
+        .ok_or_else(|| Error::unknown_relation(relation, rules.iter().map(name).collect()))
 }
 
 #[cfg(test)]

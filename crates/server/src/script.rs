@@ -1,8 +1,10 @@
 //! The scripted session driver behind `xmlprop-cli serve --script`.
 //!
-//! A script file is one request per line; `#` starts a comment.  Document
-//! and schema bodies come from files named with an `@` prefix, resolved
-//! relative to the script's directory:
+//! A script file is one request per line; `#` starts a comment.  Each
+//! line is a request header in the wire grammar of [`crate::protocol`],
+//! parsed by the same routine; only the body tokens differ.  Where the
+//! wire has a byte length, a script names a file with an `@` prefix,
+//! resolved relative to the script's directory:
 //!
 //! ```text
 //! ping
@@ -16,17 +18,18 @@
 //! quit
 //! ```
 //!
+//! A line that does not parse is a usage error prefixed `script line N:`.
 //! The driver connects, echoes each script line as `>> <line>`, and prints
 //! every response verbatim (header, payload, `.` terminator), preceded by
 //! the server greeting — a fully deterministic transcript that CI diffs
 //! against a golden file.
 
 use crate::client::Client;
-use crate::protocol::Request;
+use crate::protocol::{parse_request, BodySource, Request};
 use std::fs;
 use std::io::Write;
 use std::net::ToSocketAddrs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use xmlprop_pipeline::Error;
 
 /// One script line: the text to echo and the request it encodes.
@@ -46,7 +49,7 @@ pub fn parse_script(text: &str, base: &Path) -> Result<Vec<ScriptStep>, Error> {
         if line.is_empty() {
             continue;
         }
-        let request = parse_line(line, base)
+        let request = parse_request(line, &mut Files(base))
             .map_err(|e| Error::usage(format!("script line {}: {e}", lineno + 1)))?;
         steps.push(ScriptStep {
             line: line.to_string(),
@@ -59,73 +62,22 @@ pub fn parse_script(text: &str, base: &Path) -> Result<Vec<ScriptStep>, Error> {
     Ok(steps)
 }
 
-fn parse_line(line: &str, base: &Path) -> Result<Request, Error> {
-    let mut parts = line.split_whitespace();
-    let verb = parts.next().expect("non-empty line has a first token");
-    match verb {
-        "ping" => Ok(Request::Ping),
-        "status" => Ok(Request::Status),
-        "quit" => Ok(Request::Quit),
-        "validate" => Ok(Request::Validate {
-            document: file_arg(parts.next(), base, "validate expects `@document.xml`")?,
-        }),
-        "shred" => Ok(Request::Shred {
-            document: file_arg(
-                parts.next(),
-                base,
-                "shred expects `@document.xml [relation]`",
-            )?,
-            relation: parts.next().map(str::to_string),
-        }),
-        "propagate" => {
-            let relation = parts
-                .next()
-                .ok_or_else(|| Error::usage("propagate expects `<relation> <fd>`"))?
-                .to_string();
-            let fd: Vec<&str> = parts.collect();
-            if fd.is_empty() {
-                return Err(Error::usage("propagate expects an FD after the relation"));
-            }
-            Ok(Request::Propagate {
-                relation,
-                fd: fd.join(" "),
-            })
-        }
-        "cover" => Ok(Request::Cover {
-            relation: parts.next().map(str::to_string),
-        }),
-        "query" => {
-            let document = file_arg(
-                parts.next(),
-                base,
-                "query expects `@document.xml <query text>`",
-            )?;
-            let text: Vec<&str> = parts.collect();
-            if text.is_empty() {
-                return Err(Error::usage(
-                    "query expects the query text after the document",
-                ));
-            }
-            Ok(Request::Query {
-                document,
-                query: text.join(" "),
-            })
-        }
-        "reload" => Ok(Request::Reload {
-            keys: file_arg(parts.next(), base, "reload expects `@keys.txt @rules.txt`")?,
-            rules: file_arg(parts.next(), base, "reload expects `@keys.txt @rules.txt`")?,
-        }),
-        other => Err(Error::usage(format!("unknown script verb `{other}`"))),
-    }
-}
+/// A script's body source: a body token is `@file`, a path relative to
+/// the script's directory.
+struct Files<'a>(&'a Path);
 
-fn file_arg(token: Option<&str>, base: &Path, usage: &str) -> Result<String, Error> {
-    let token = token.ok_or_else(|| Error::usage(usage))?;
-    let name = token
-        .strip_prefix('@')
-        .ok_or_else(|| Error::usage(format!("{usage} (file arguments start with `@`)")))?;
-    let path = base.join(name);
-    fs::read_to_string(&path).map_err(|e| Error::read(&path.display().to_string(), e))
+impl BodySource for Files<'_> {
+    type Body = PathBuf;
+
+    fn check(&self, token: Option<&str>, verb: &str) -> Result<PathBuf, Error> {
+        let name = token.and_then(|token| token.strip_prefix('@'));
+        let name = name.ok_or_else(|| Error::usage(format!("{verb} expects an `@file` body")))?;
+        Ok(self.0.join(name))
+    }
+
+    fn read(&mut self, path: PathBuf, _what: &str) -> Result<String, Error> {
+        fs::read_to_string(&path).map_err(|e| Error::read(&path.display().to_string(), e))
+    }
 }
 
 /// Runs a parsed script against a live server, writing the transcript
@@ -137,15 +89,12 @@ pub fn run_script(
     out: &mut impl Write,
 ) -> Result<(), Error> {
     let mut client = Client::connect(addr)?;
-    writeln!(out, "{}", client.greeting())
-        .map_err(|e| Error::io(format!("writing transcript: {e}")))?;
+    let transcript = |e: std::io::Error| Error::io(format!("writing transcript: {e}"));
+    writeln!(out, "{}", client.greeting()).map_err(transcript)?;
     for step in steps {
-        writeln!(out, ">> {}", step.line)
-            .map_err(|e| Error::io(format!("writing transcript: {e}")))?;
+        writeln!(out, ">> {}", step.line).map_err(transcript)?;
         let response = client.send(&step.request)?;
-        response
-            .write_to(out)
-            .map_err(|e| Error::io(format!("writing transcript: {e}")))?;
+        response.write_to(out).map_err(transcript)?;
         if step.request == Request::Quit {
             break;
         }

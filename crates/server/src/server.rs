@@ -83,12 +83,10 @@ use xmlprop_xmltree::Document;
 /// behaviours in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Longest a single socket read may block: between requests this is
-    /// the idle cutoff, inside a request it bounds each stall.
-    pub read_timeout: Duration,
-    /// Longest a single socket write may block before the connection is
-    /// abandoned.
-    pub write_timeout: Duration,
+    /// Longest a single socket read or write may block.  Between requests
+    /// this is the idle cutoff; inside a request it bounds each stall, and
+    /// a write that blocks this long abandons the connection.
+    pub io_timeout: Duration,
     /// Wall-clock budget for one request, armed when its first byte
     /// arrives; a slow-loris peer trickling bytes gets `err timeout` at
     /// expiry no matter how diligently it trickles.
@@ -104,12 +102,35 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
+            io_timeout: Duration::from_secs(30),
             request_deadline: Duration::from_secs(60),
             shed_wait: Duration::from_secs(1),
             drain_timeout: Duration::from_secs(10),
         }
+    }
+}
+
+// The fault points this server checks besides the handler points
+// `handle.<verb>`, one per entry of `VERBS`.
+const ACCEPT_CONN: &str = "accept.conn";
+const CONN_READ: &str = "conn.read";
+const CONN_WRITE: &str = "conn.write";
+const RELOAD_PREPARE: &str = "reload.prepare";
+
+/// Refuses a schedule naming a point this server never checks, so a
+/// misspelt point cannot silently test nothing.
+fn check_fault_points(faults: &Faults) -> Result<(), Error> {
+    let points = [ACCEPT_CONN, CONN_READ, CONN_WRITE, RELOAD_PREPARE];
+    let known = |point: &str| match point.strip_prefix("handle.") {
+        Some(verb) => VERBS.contains(&verb),
+        None => points.contains(&point),
+    };
+    match faults.points().find(|point| !known(point)) {
+        Some(point) => Err(Error::usage(format!(
+            "unknown fault point `{point}` (points: {}, handle.<verb>)",
+            points.join(", ")
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -172,18 +193,6 @@ impl HealthCounters {
     /// Connections shed with `err overloaded` at admission.
     pub fn sheds(&self) -> u64 {
         self.sheds.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn bump_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One-line report, mirrored on the `status` payload.
@@ -308,7 +317,7 @@ impl ServerState {
             Ok(Ok(response)) => response,
             Ok(Err(error)) => Response::error(&error),
             Err(_panic) => {
-                self.health.bump_panic();
+                self.health.panics.fetch_add(1, Ordering::Relaxed);
                 *cache = ScratchCache::new();
                 Response::error(&Error::internal(format!(
                     "request handler panicked serving `{}`",
@@ -392,7 +401,7 @@ impl ServerState {
                 // ran, so readers keep the old epoch — torn reloads are
                 // unobservable by construction.
                 self.faults
-                    .fire_io("reload.prepare")
+                    .fire_io(RELOAD_PREPARE)
                     .map_err(|e| Error::io(format!("reload preparation failed: {e}")))?;
                 // Parse and prepare entirely off-lock; publish is a single
                 // pointer store.  Concurrent readers keep their snapshots.
@@ -556,7 +565,9 @@ impl Server {
     /// [`Server::bind`] with an explicit timeout policy and fault
     /// schedule.  The schedule's `accept.conn` point tears connections at
     /// admission, `conn.read` / `conn.write` fire inside the per-connection
-    /// transport, and `reload.prepare` fires in the reload handler.
+    /// transport, `reload.prepare` fires in the reload handler and
+    /// `handle.<verb>` in the handler for that verb.  A schedule naming any
+    /// other point is a usage error, refused before the address is bound.
     pub fn bind_with(
         addr: &str,
         bundle: CorpusBundle,
@@ -564,6 +575,7 @@ impl Server {
         config: ServiceConfig,
         faults: Faults,
     ) -> Result<Server, Error> {
+        check_fault_points(&faults)?;
         let listener =
             TcpListener::bind(addr).map_err(|e| Error::io(format!("cannot bind `{addr}`: {e}")))?;
         let local = listener
@@ -669,11 +681,11 @@ fn accept_loop(
         let _ = stream.set_nodelay(true);
         // `accept.conn` models a connection torn before service (peer
         // reset between accept and greeting).
-        if state.faults().fire_io("accept.conn").is_err() {
+        if state.faults().fire_io(ACCEPT_CONN).is_err() {
             continue;
         }
         let Some(id) = connections.admit(&stream, config.shed_wait) else {
-            state.health().bump_shed();
+            state.health().sheds.fetch_add(1, Ordering::Relaxed);
             shed(stream, connections.max);
             continue;
         };
@@ -702,13 +714,13 @@ fn shed(mut stream: TcpStream, max: usize) {
 }
 
 /// The read half of a connection with the timeout policy applied: each
-/// read blocks at most [`ServiceConfig::read_timeout`], and the first byte
+/// read blocks at most [`ServiceConfig::io_timeout`], and the first byte
 /// of a request arms a deadline that caps the whole request — a peer
 /// trickling one byte per poll cannot stay under it.
 #[derive(Debug)]
 struct DeadlineStream {
     stream: TcpStream,
-    read_timeout: Duration,
+    io_timeout: Duration,
     request_deadline: Duration,
     deadline: Option<Instant>,
 }
@@ -717,14 +729,14 @@ impl DeadlineStream {
     fn new(stream: TcpStream, config: &ServiceConfig) -> Self {
         DeadlineStream {
             stream,
-            read_timeout: config.read_timeout,
+            io_timeout: config.io_timeout,
             request_deadline: config.request_deadline,
             deadline: None,
         }
     }
 
     /// Disarms the request deadline; the session loop calls this between
-    /// requests so idle time is governed by `read_timeout` alone.
+    /// requests so idle time is governed by `io_timeout` alone.
     fn clear_deadline(&mut self) {
         self.deadline = None;
     }
@@ -733,7 +745,7 @@ impl DeadlineStream {
 impl Read for DeadlineStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let timeout = match self.deadline {
-            None => self.read_timeout,
+            None => self.io_timeout,
             Some(deadline) => {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
@@ -742,7 +754,7 @@ impl Read for DeadlineStream {
                         format!("request deadline of {:?} exceeded", self.request_deadline),
                     ));
                 }
-                remaining.min(self.read_timeout)
+                remaining.min(self.io_timeout)
             }
         };
         self.stream.set_read_timeout(Some(timeout))?;
@@ -756,21 +768,14 @@ impl Read for DeadlineStream {
             }
             // The platform reports a socket timeout as either kind;
             // normalise so the protocol layer classifies it once.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    if self.deadline.is_some() {
-                        "read timed out mid-request"
-                    } else {
-                        "idle connection timed out"
-                    },
-                ))
-            }
+            Err(e) if protocol::is_timeout(&e) => Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                if self.deadline.is_some() {
+                    "read timed out mid-request"
+                } else {
+                    "idle connection timed out"
+                },
+            )),
             Err(e) => Err(e),
         }
     }
@@ -788,15 +793,15 @@ fn handle_connection(
     state: &ServerState,
     config: ServiceConfig,
 ) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(config.write_timeout))?;
+    stream.set_write_timeout(Some(config.io_timeout))?;
     let read_half = stream.try_clone()?;
     let mut reader = BufReader::new(FaultStream::new(
         DeadlineStream::new(read_half, &config),
         state.faults().clone(),
-        "conn.read",
-        "conn.write",
+        CONN_READ,
+        CONN_WRITE,
     ));
-    let mut writer = FaultStream::new(stream, state.faults().clone(), "conn.read", "conn.write");
+    let mut writer = FaultStream::new(stream, state.faults().clone(), CONN_READ, CONN_WRITE);
     let mut out = state.greeting().into_bytes();
     out.push(b'\n');
     writer.write_all(&out)?;
@@ -817,7 +822,7 @@ fn handle_connection(
             }
             Err(error) => {
                 if error.kind() == ErrorKind::Timeout {
-                    state.health().bump_timeout();
+                    state.health().timeouts.fetch_add(1, Ordering::Relaxed);
                 }
                 // Framing is broken or the peer blew a deadline; answer
                 // once (best-effort) and hang up.
@@ -1122,7 +1127,7 @@ mod tests {
     fn slow_request_hits_the_deadline_not_the_thread() {
         use std::io::BufRead;
         let config = ServiceConfig {
-            read_timeout: Duration::from_millis(200),
+            io_timeout: Duration::from_millis(200),
             request_deadline: Duration::from_millis(120),
             ..ServiceConfig::default()
         };

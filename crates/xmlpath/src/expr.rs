@@ -86,16 +86,12 @@ impl PathExpr {
         self.atoms.is_empty()
     }
 
-    /// True if the expression contains no `//` (a *simple* path in the
-    /// paper's terminology; Definition 2.2 requires variable-mapping paths to
-    /// be simple unless they start from the root variable).
-    pub fn is_simple(&self) -> bool {
-        self.atoms.iter().all(|a| matches!(a, Atom::Label(_)))
-    }
-
-    /// True if the expression contains at least one `//`.
+    /// True if the expression contains at least one `//`, so it is not a
+    /// *simple* path in the paper's terminology (Definition 2.2 requires
+    /// variable-mapping paths to be simple unless they start from the root
+    /// variable).
     pub fn has_wildcard(&self) -> bool {
-        !self.is_simple()
+        self.atoms.contains(&Atom::AnyPath)
     }
 
     /// The number of atoms (labels plus wildcards); used as the size measure
@@ -338,10 +334,10 @@ mod tests {
 
     #[test]
     fn simple_and_wildcard_predicates() {
-        assert!(p("book/chapter").is_simple());
-        assert!(!p("//book").is_simple());
+        assert!(!p("book/chapter").has_wildcard());
         assert!(p("//book").has_wildcard());
-        assert!(p("ε").is_simple());
+        assert!(p("book//chapter").has_wildcard());
+        assert!(!p("ε").has_wildcard());
     }
 
     #[test]

@@ -1,18 +1,11 @@
 //! `xmlprop-cli` — command-line front end for the library.
 //!
-//! ```text
-//! xmlprop-cli validate  [--jobs N] [--stream] <document.xml | corpus-dir> <keys.txt>
-//! xmlprop-cli propagate <keys.txt> <rules.txt> <relation> "<X -> A>"
-//! xmlprop-cli cover     <keys.txt> <rules.txt> <relation>
-//! xmlprop-cli refine    <keys.txt> <rules.txt> <relation>
-//! xmlprop-cli shred     [--jobs N] [--stream] <document.xml | corpus-dir> <rules.txt> [relation]
-//! xmlprop-cli mutate    <document.xml> <keys.txt> <rules.txt> <script.edits>
-//! xmlprop-cli query     <document.xml> <keys.txt> <rules.txt> "<select ...>"
-//! xmlprop-cli serve     [--addr HOST:PORT] [--jobs N] [--script FILE] [--read-timeout-ms N]
-//!                       [--request-deadline-ms N] [--shed-wait-ms N] [--drain-ms N]
-//!                       [--faults SPEC] [--fault-seed N] <keys.txt> <rules.txt>
-//! xmlprop-cli import-xsd <schema.xsd>
-//! ```
+//! `xmlprop-cli help` prints the synopsis of every subcommand.  It is
+//! generated from the one `COMMANDS` table, as are the dispatch, the
+//! per-command usage errors and the option parser: in a spec, `[--name]`
+//! declares a switch and `[--name VALUE]` an option taking a value, written
+//! `--name V` or `--name=V`.  Any other `--` argument is an unknown option
+//! (exit 2), and a handler can read only the options its spec declares.
 //!
 //! *Keys files* contain one key per line in the paper's syntax
 //! (`K2: (//book, (chapter, {@number}))`); `#` starts a comment.
@@ -73,11 +66,11 @@ use xmlprop::xmlkeys::import_xsd_keys;
 use xmlprop::Error;
 
 /// The one subcommand table: name, argument spec, and handler.  The main
-/// dispatch, the `help` synopsis and every per-command usage error are all
-/// generated from it, so the surfaces cannot drift apart — a subcommand
-/// cannot exist without a usage line, and a usage line cannot survive its
-/// subcommand's removal.
-type Handler = fn(&[String]) -> Result<bool, Error>;
+/// dispatch, the option parser, the `help` synopsis and every per-command
+/// usage error are all generated from it, so the surfaces cannot drift
+/// apart — a subcommand cannot exist without a usage line, and a flag
+/// cannot be parsed unless its command's spec declares it.
+type Handler = fn(&Args) -> Result<bool, Error>;
 const COMMANDS: &[(&str, &str, Handler)] = &[
     (
         "validate",
@@ -116,24 +109,6 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ("import-xsd", "<schema.xsd>", cmd_import_xsd),
 ];
 
-/// Every `--` option any subcommand accepts.  Kept next to the spec table
-/// so the usage test can assert each one is documented; a flag parsed in
-/// code but missing here (or here but absent from every spec line) fails
-/// the test.
-#[cfg(test)]
-const FLAGS: &[&str] = &[
-    "--jobs",
-    "--stream",
-    "--addr",
-    "--script",
-    "--read-timeout-ms",
-    "--request-deadline-ms",
-    "--shed-wait-ms",
-    "--drain-ms",
-    "--faults",
-    "--fault-seed",
-];
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -142,7 +117,9 @@ fn main() -> ExitCode {
             Ok(true)
         }
         Some(cmd) => match COMMANDS.iter().find(|(name, _, _)| *name == cmd) {
-            Some((_, _, handler)) => handler(&args[1..]),
+            Some(&(name, spec, handler)) => {
+                Args::parse(name, spec, &args[1..]).and_then(|args| handler(&args))
+            }
             None => Err(Error::usage(format!(
                 "unknown subcommand `{cmd}`; try `xmlprop-cli help`"
             ))),
@@ -158,15 +135,99 @@ fn main() -> ExitCode {
     }
 }
 
-/// The usage error for one subcommand, generated from [`COMMANDS`] so the
-/// message a failing invocation prints is the same line `help` shows.
-fn usage_error(cmd: &str) -> Error {
-    let spec = COMMANDS
-        .iter()
-        .find(|(name, _, _)| *name == cmd)
-        .map(|(_, spec, _)| *spec)
-        .expect("usage_error is only called with table commands");
-    Error::usage(format!("usage: {cmd} {spec}"))
+/// One invocation's arguments, split by its command's spec: `[--name]`
+/// declares a switch, `[--name VALUE]` an option taking a value, written
+/// `--name V` or `--name=V`.  Any other `--` argument is an unknown
+/// option; the rest are positional, in order.
+struct Args<'a> {
+    cmd: &'static str,
+    spec: &'static str,
+    /// Each option the spec declares: its name, whether it takes a value,
+    /// and the last value given (`""` for a given switch).
+    options: Vec<(&'static str, bool, Option<&'a str>)>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(cmd: &'static str, spec: &'static str, args: &'a [String]) -> Result<Self, Error> {
+        let declared = spec.split('[').filter_map(|part| part.split_once(']'));
+        let options = declared
+            .filter(|(option, _)| option.starts_with("--"))
+            .map(|(option, _)| match option.split_once(' ') {
+                Some((name, _)) => (name, true, None),
+                None => (option, false, None),
+            });
+        let mut parsed = Args {
+            cmd,
+            spec,
+            options: options.collect(),
+            positional: Vec::new(),
+        };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            if !arg.starts_with("--") {
+                parsed.positional.push(arg);
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let unknown = || Error::usage(format!("unknown option `{arg}`"));
+            let option = parsed.options.iter_mut().find(|o| o.0 == name);
+            let (_, takes_value, given) = option.ok_or_else(unknown)?;
+            *given = match (*takes_value, inline) {
+                (false, None) => Some(""),
+                (true, Some(value)) => Some(value),
+                (true, None) => match iter.next() {
+                    Some(value) => Some(value),
+                    None => return Err(Error::usage(format!("{name} expects a value"))),
+                },
+                (false, Some(_)) => return Err(unknown()),
+            };
+        }
+        Ok(parsed)
+    }
+
+    /// The last value given for the option `name` (`""` for a switch), or
+    /// `None` if it was not given.  Asking for an option the spec does not
+    /// declare is a bug, and panics.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        let option = self.options.iter().find(|o| o.0 == name);
+        option
+            .unwrap_or_else(|| panic!("`{name}` is not an option of `{}`", self.cmd))
+            .2
+    }
+
+    /// The `--jobs` value.  This is the **one** jobs path: batch commands
+    /// default the `None` to one worker, `serve` to its gate width, and
+    /// the `--jobs 0` / over-maximum rejections are identical everywhere.
+    fn jobs(&self) -> Result<Option<Jobs>, Error> {
+        self.value("--jobs").map(parse_jobs_value).transpose()
+    }
+
+    /// The batch width when `path` is a corpus directory, else `None`.
+    /// `--jobs` only fans out over directory batches; on a single document
+    /// this says so instead of silently ignoring it.
+    fn batch_jobs(&self, path: &str) -> Result<Option<Jobs>, Error> {
+        let jobs = self.jobs()?;
+        if Path::new(path).is_dir() {
+            return Ok(Some(jobs.unwrap_or_default()));
+        }
+        if jobs.is_some_and(|jobs| jobs.get() > 1) {
+            eprintln!(
+                "note: --jobs only affects directory batches; a single document is processed on one thread"
+            );
+        }
+        Ok(None)
+    }
+
+    /// The usage error for this command, generated from [`COMMANDS`] so
+    /// the message a failing invocation prints is the same line `help`
+    /// shows.
+    fn usage(&self) -> Error {
+        Error::usage(format!("usage: {} {}", self.cmd, self.spec))
+    }
 }
 
 /// Greedy word-wrap of a spec string into lines of at most `width`
@@ -224,48 +285,6 @@ fn usage_text() -> String {
     out
 }
 
-/// Strips every occurrence of a boolean flag (e.g. `--stream`) from an
-/// argument list, reporting whether it was present.  Runs before
-/// [`parse_jobs`], which rejects unknown `--` options.
-fn split_flag(args: &[String], flag: &str) -> (Vec<String>, bool) {
-    let mut found = false;
-    let mut rest = Vec::with_capacity(args.len());
-    for arg in args {
-        if arg == flag {
-            found = true;
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    (rest, found)
-}
-
-/// Splits `--jobs N` / `--jobs=N` out of an argument list, validating the
-/// value; everything else is returned as positional arguments in order.
-/// This is the **one** jobs path: batch commands default the `None` to one
-/// worker, `serve` to its gate width, and the `--jobs 0` / over-maximum
-/// rejections are identical everywhere.
-fn parse_jobs(args: &[String]) -> Result<(Vec<String>, Option<Jobs>), Error> {
-    let mut positional = Vec::new();
-    let mut jobs = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(value) = arg.strip_prefix("--jobs=") {
-            jobs = Some(parse_jobs_value(value)?);
-        } else if arg == "--jobs" {
-            let value = iter
-                .next()
-                .ok_or_else(|| Error::usage("--jobs expects a thread count"))?;
-            jobs = Some(parse_jobs_value(value)?);
-        } else if arg.starts_with("--") {
-            return Err(Error::usage(format!("unknown option `{arg}`")));
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    Ok((positional, jobs))
-}
-
 fn parse_jobs_value(value: &str) -> Result<Jobs, Error> {
     value
         .parse()
@@ -275,11 +294,10 @@ fn parse_jobs_value(value: &str) -> Result<Jobs, Error> {
 /// The `*.xml` files of a corpus directory, sorted by file name so batch
 /// output and document indices are stable across runs and platforms.
 fn corpus_files(dir: &str) -> Result<Vec<(String, std::path::PathBuf)>, Error> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| Error::io(format!("cannot read directory `{dir}`: {e}")))?;
+    let unreadable = |e: std::io::Error| Error::io(format!("cannot read directory `{dir}`: {e}"));
     let mut files = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| Error::io(format!("cannot read directory `{dir}`: {e}")))?;
+    for entry in fs::read_dir(dir).map_err(unreadable)? {
+        let entry = entry.map_err(unreadable)?;
         let path = entry.path();
         let is_xml = path
             .extension()
@@ -291,16 +309,6 @@ fn corpus_files(dir: &str) -> Result<Vec<(String, std::path::PathBuf)>, Error> {
     }
     files.sort();
     Ok(files)
-}
-
-/// `--jobs` only fans out over directory batches; say so instead of
-/// silently ignoring it on a single document.
-fn warn_single_document_jobs(jobs: Option<Jobs>) {
-    if jobs.map(|j| j.get()).unwrap_or(1) > 1 {
-        eprintln!(
-            "note: --jobs only affects directory batches; a single document is processed on one thread"
-        );
-    }
 }
 
 fn read(path: &str) -> Result<String, Error> {
@@ -315,27 +323,14 @@ fn load_transformation(path: &str) -> Result<Transformation, Error> {
     parse_rules_text(&read(path)?, path)
 }
 
-fn load_rule<'t>(t: &'t Transformation, relation: &str) -> Result<&'t TableRule, Error> {
-    t.rule(relation).ok_or_else(|| {
-        let known = t
-            .rules()
-            .iter()
-            .map(|r| r.schema().name().to_string())
-            .collect();
-        Error::unknown_relation(relation, known)
-    })
-}
-
-fn cmd_validate(args: &[String]) -> Result<bool, Error> {
-    let (args, stream) = split_flag(args, "--stream");
-    let (positional, jobs) = parse_jobs(&args)?;
-    let [doc_path, keys_path] = positional.as_slice() else {
-        return Err(usage_error("validate"));
+fn cmd_validate(args: &Args) -> Result<bool, Error> {
+    let stream = args.value("--stream").is_some();
+    let [doc_path, keys_path] = args.positional[..] else {
+        return Err(args.usage());
     };
-    if Path::new(doc_path).is_dir() {
-        return batch_validate(doc_path, keys_path, jobs.unwrap_or_default(), stream);
+    if let Some(jobs) = args.batch_jobs(doc_path)? {
+        return batch_validate(doc_path, keys_path, jobs, stream);
     }
-    warn_single_document_jobs(jobs);
     // The server's renderer against a validation-only bundle: a `validate`
     // request and this one-shot print identical bytes by construction.
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
@@ -354,40 +349,45 @@ fn cmd_validate(args: &[String]) -> Result<bool, Error> {
     Ok(ok)
 }
 
-fn cmd_propagate(args: &[String]) -> Result<bool, Error> {
-    let [keys_path, rules_path, relation, fd_text] = args else {
-        return Err(usage_error("propagate"));
-    };
+/// The prepared propagation engine for `relation`'s rule.
+fn load_engine(
+    keys_path: &str,
+    rules_path: &str,
+    relation: &str,
+) -> Result<PropagationEngine, Error> {
     let sigma = load_keys(keys_path)?;
     let t = load_transformation(rules_path)?;
-    let rule = load_rule(&t, relation)?;
-    let engine = PropagationEngine::prepare(&sigma, rule);
+    let rule = &t.rules()[render::rule_position(&t, relation)?];
+    Ok(PropagationEngine::prepare(&sigma, rule))
+}
+
+fn cmd_propagate(args: &Args) -> Result<bool, Error> {
+    let [keys_path, rules_path, relation, fd_text] = args.positional[..] else {
+        return Err(args.usage());
+    };
+    let engine = load_engine(keys_path, rules_path, relation)?;
     let fd = render::parse_fd(fd_text)?;
     let (all, report) = render::propagate_report(&engine.propagation_explained(&fd));
     print!("{report}");
     Ok(all)
 }
 
-fn cmd_cover(args: &[String]) -> Result<bool, Error> {
-    let [keys_path, rules_path, relation] = args else {
-        return Err(usage_error("cover"));
+fn cmd_cover(args: &Args) -> Result<bool, Error> {
+    let [keys_path, rules_path, relation] = args.positional[..] else {
+        return Err(args.usage());
     };
-    let sigma = load_keys(keys_path)?;
-    let t = load_transformation(rules_path)?;
-    let rule = load_rule(&t, relation)?;
-    let engine = PropagationEngine::prepare(&sigma, rule);
+    let engine = load_engine(keys_path, rules_path, relation)?;
     print!("{}", render::render_cover(&engine.minimum_cover()));
     Ok(true)
 }
 
-fn cmd_refine(args: &[String]) -> Result<bool, Error> {
-    let [keys_path, rules_path, relation] = args else {
-        return Err(usage_error("refine"));
+fn cmd_refine(args: &Args) -> Result<bool, Error> {
+    let [keys_path, rules_path, relation] = args.positional[..] else {
+        return Err(args.usage());
     };
     let sigma = load_keys(keys_path)?;
     let t = load_transformation(rules_path)?;
-    let rule = load_rule(&t, relation)?;
-    let design = refine(&sigma, rule);
+    let design = refine(&sigma, &t.rules()[render::rule_position(&t, relation)?]);
     println!("-- minimum cover of the propagated dependencies");
     for fd in &design.cover {
         println!("--   {fd}");
@@ -397,20 +397,17 @@ fn cmd_refine(args: &[String]) -> Result<bool, Error> {
     Ok(true)
 }
 
-fn cmd_shred(args: &[String]) -> Result<bool, Error> {
+fn cmd_shred(args: &Args) -> Result<bool, Error> {
     // `--stream` is accepted for compatibility: shredding is defined over
     // the whole tree, so it always parses the document.
-    let (args, _) = split_flag(args, "--stream");
-    let (positional, jobs) = parse_jobs(&args)?;
-    let (doc_path, rules_path, relation) = match positional.as_slice() {
+    let (doc_path, rules_path, relation) = match args.positional[..] {
         [d, r] => (d, r, None),
-        [d, r, rel] => (d, r, Some(rel.as_str())),
-        _ => return Err(usage_error("shred")),
+        [d, r, rel] => (d, r, Some(rel)),
+        _ => return Err(args.usage()),
     };
-    if Path::new(doc_path).is_dir() {
-        return batch_shred(doc_path, rules_path, relation, jobs.unwrap_or_default());
+    if let Some(jobs) = args.batch_jobs(doc_path)? {
+        return batch_shred(doc_path, rules_path, relation, jobs);
     }
-    warn_single_document_jobs(jobs);
     // The server's renderer against a shredding-only bundle: a `shred`
     // request and this one-shot print identical bytes by construction.
     let bundle = CorpusBundle::for_shredding(load_transformation(rules_path)?);
@@ -434,9 +431,9 @@ fn describe_edit(delta: &xmlprop::xmltree::Delta) -> String {
     }
 }
 
-fn cmd_mutate(args: &[String]) -> Result<bool, Error> {
-    let [doc_path, keys_path, rules_path, script_path] = args else {
-        return Err(usage_error("mutate"));
+fn cmd_mutate(args: &Args) -> Result<bool, Error> {
+    let [doc_path, keys_path, rules_path, script_path] = args.positional[..] else {
+        return Err(args.usage());
     };
     let bundle = CorpusBundle::prepare(load_keys(keys_path)?, load_transformation(rules_path)?);
     let doc = Document::parse_str(&read(doc_path)?).map_err(|e| Error::parse(doc_path, e))?;
@@ -476,9 +473,9 @@ fn cmd_mutate(args: &[String]) -> Result<bool, Error> {
     Ok(state.satisfies())
 }
 
-fn cmd_query(args: &[String]) -> Result<bool, Error> {
-    let [doc_path, keys_path, rules_path, query_text] = args else {
-        return Err(usage_error("query"));
+fn cmd_query(args: &Args) -> Result<bool, Error> {
+    let [doc_path, keys_path, rules_path, query_text] = args.positional[..] else {
+        return Err(args.usage());
     };
     // The server's renderer against the full prepared bundle: a `query`
     // request and this one-shot print identical bytes by construction.
@@ -488,27 +485,6 @@ fn cmd_query(args: &[String]) -> Result<bool, Error> {
     let (_rows, report) = render::query_report(&bundle, &doc, &mut scratch, query_text)?;
     print!("{report}");
     Ok(true)
-}
-
-/// Matches a `--flag=value` or `--flag value` option, returning the value
-/// (and consuming it from `iter` in the two-token form).
-fn opt_value(
-    arg: &str,
-    iter: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<Option<String>, Error> {
-    if let Some(value) = arg.strip_prefix(flag) {
-        if let Some(value) = value.strip_prefix('=') {
-            return Ok(Some(value.to_string()));
-        }
-        if value.is_empty() {
-            return match iter.next() {
-                Some(value) => Ok(Some(value.clone())),
-                None => Err(Error::usage(format!("{flag} expects a value"))),
-            };
-        }
-    }
-    Ok(None)
 }
 
 /// Parses a positive millisecond count for a serve timeout flag.
@@ -522,114 +498,91 @@ fn parse_ms(flag: &str, value: &str) -> Result<std::time::Duration, Error> {
     Ok(std::time::Duration::from_millis(ms))
 }
 
-fn cmd_serve(args: &[String]) -> Result<bool, Error> {
-    let mut rest = Vec::new();
-    let mut addr: Option<String> = None;
-    let mut script: Option<String> = None;
-    let mut faults_spec: Option<String> = None;
-    let mut fault_seed: u64 = 0;
+fn cmd_serve(args: &Args) -> Result<bool, Error> {
     let mut config = ServiceConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(value) = opt_value(arg, &mut iter, "--addr")? {
-            addr = Some(value);
-        } else if let Some(value) = opt_value(arg, &mut iter, "--script")? {
-            script = Some(value);
-        } else if let Some(value) = opt_value(arg, &mut iter, "--read-timeout-ms")? {
-            // One flag governs both socket directions; the request
-            // deadline has its own.
-            let timeout = parse_ms("--read-timeout-ms", &value)?;
-            config.read_timeout = timeout;
-            config.write_timeout = timeout;
-        } else if let Some(value) = opt_value(arg, &mut iter, "--request-deadline-ms")? {
-            config.request_deadline = parse_ms("--request-deadline-ms", &value)?;
-        } else if let Some(value) = opt_value(arg, &mut iter, "--shed-wait-ms")? {
-            config.shed_wait = parse_ms("--shed-wait-ms", &value)?;
-        } else if let Some(value) = opt_value(arg, &mut iter, "--drain-ms")? {
-            config.drain_timeout = parse_ms("--drain-ms", &value)?;
-        } else if let Some(value) = opt_value(arg, &mut iter, "--faults")? {
-            faults_spec = Some(value);
-        } else if let Some(value) = opt_value(arg, &mut iter, "--fault-seed")? {
-            fault_seed = value
-                .parse()
-                .map_err(|_| Error::usage(format!("--fault-seed expects a u64, got `{value}`")))?;
-        } else {
-            rest.push(arg.clone());
+    // One flag governs both socket directions; the request deadline has
+    // its own.
+    for (flag, field) in [
+        ("--read-timeout-ms", &mut config.io_timeout),
+        ("--request-deadline-ms", &mut config.request_deadline),
+        ("--shed-wait-ms", &mut config.shed_wait),
+        ("--drain-ms", &mut config.drain_timeout),
+    ] {
+        if let Some(value) = args.value(flag) {
+            *field = parse_ms(flag, value)?;
         }
     }
-    let (positional, jobs) = parse_jobs(&rest)?;
-    let [keys_path, rules_path] = positional.as_slice() else {
-        return Err(usage_error("serve"));
+    let fault_seed: u64 = match args.value("--fault-seed") {
+        Some(value) => value
+            .parse()
+            .map_err(|_| Error::usage(format!("--fault-seed expects a u64, got `{value}`")))?,
+        None => 0,
+    };
+    let jobs = args.jobs()?;
+    let [keys_path, rules_path] = args.positional[..] else {
+        return Err(args.usage());
     };
     // A malformed spec, or `panic` outside a `handle.<verb>` point, is a
-    // usage error.
-    let faults = match faults_spec {
-        Some(spec) => Faults::parse(&spec, fault_seed)?,
+    // usage error; binding refuses a point the server never checks.
+    let faults = match args.value("--faults") {
+        Some(spec) => Faults::parse(spec, fault_seed)?,
         None => Faults::disabled(),
     };
     let bundle = CorpusBundle::prepare(load_keys(keys_path)?, load_transformation(rules_path)?);
     // Resident service default: enough gate width for concurrent clients;
     // batch commands keep their single-worker default.
-    let jobs = match jobs {
-        Some(jobs) => jobs,
-        None => Jobs::new(8).expect("8 is a valid thread count"),
-    };
-    match script {
-        Some(script_path) => {
-            let text = read(&script_path)?;
-            let base = Path::new(&script_path)
+    let jobs = jobs.unwrap_or_else(|| Jobs::new(8).expect("8 is a valid thread count"));
+    let script = match args.value("--script") {
+        Some(path) => {
+            let base = Path::new(path)
                 .parent()
                 .filter(|p| !p.as_os_str().is_empty())
                 .unwrap_or(Path::new("."));
-            let steps = parse_script(&text, base)?;
-            let server = Server::bind_with(
-                addr.as_deref().unwrap_or("127.0.0.1:0"),
-                bundle,
-                jobs,
-                config,
-                faults,
-            )?;
-            let mut out = std::io::stdout().lock();
-            let outcome = run_script(server.local_addr(), &steps, &mut out);
-            server.shutdown();
-            outcome.map(|()| true)
+            Some(parse_script(&read(path)?, base)?)
         }
-        None => {
-            let active = faults.is_active();
-            let server = Server::bind_with(
-                addr.as_deref().unwrap_or("127.0.0.1:7878"),
-                bundle,
-                jobs,
-                config,
-                faults,
-            )?;
-            eprintln!(
-                "xmlprop-cli serve: listening on {} (jobs={}, bundle epoch {}{})",
-                server.local_addr(),
-                jobs.get(),
-                server.epoch(),
-                if active { ", fault injection ON" } else { "" },
-            );
-            server.join();
-            Ok(true)
-        }
-    }
+        None => None,
+    };
+    let default_addr = if script.is_some() {
+        "127.0.0.1:0"
+    } else {
+        "127.0.0.1:7878"
+    };
+    let active = faults.is_active();
+    let addr = args.value("--addr").unwrap_or(default_addr);
+    let server = Server::bind_with(addr, bundle, jobs, config, faults)?;
+    let Some(steps) = script else {
+        eprintln!(
+            "xmlprop-cli serve: listening on {} (jobs={}, bundle epoch {}{})",
+            server.local_addr(),
+            jobs.get(),
+            server.epoch(),
+            if active { ", fault injection ON" } else { "" },
+        );
+        server.join();
+        return Ok(true);
+    };
+    let outcome = run_script(server.local_addr(), &steps, &mut std::io::stdout().lock());
+    server.shutdown();
+    outcome.map(|()| true)
 }
 
 /// Runs a directory batch: one fan-out over the files, each worker owning
 /// one bundle scratch.  Each file is read, then either streamed straight off
 /// its text (`options.stream`, validation only: no document tree) or parsed
-/// and processed by the DOM pipeline.  Returns `(name, outcome)` pairs in
-/// file-name order plus the per-file failures (a malformed file never
-/// aborts the batch), or `None` for an empty directory.
-#[allow(clippy::type_complexity)]
-fn batch_outcomes(
+/// and processed by the DOM pipeline.  `report` prints each processed
+/// file's outcome in file-name order; a `[SKIP]` line then names each file
+/// that could not be read or parsed (a malformed file never aborts the
+/// batch).  Returns the number of skipped files, or `None` for a directory
+/// without documents, after saying so.
+fn run_batch(
     dir: &str,
     bundle: &CorpusBundle,
     options: &CorpusOptions,
-) -> Result<Option<(Vec<(String, DocOutcome)>, Vec<(String, String)>)>, Error> {
+    mut report: impl FnMut(&str, &DocOutcome),
+) -> Result<Option<usize>, Error> {
     let files = corpus_files(dir)?;
     if files.is_empty() {
+        println!("(no *.xml documents in `{dir}`)");
         return Ok(None);
     }
     let results = xmlprop::pipeline::fan_out(
@@ -650,15 +603,17 @@ fn batch_outcomes(
             Ok(bundle.process(&doc, scratch, options))
         },
     );
-    let mut outcomes = Vec::new();
-    let mut failed = Vec::new();
-    for ((name, _), result) in files.into_iter().zip(results) {
+    let mut skipped = Vec::new();
+    for ((name, _), result) in files.iter().zip(results) {
         match result {
-            Ok(outcome) => outcomes.push((name, outcome)),
-            Err(e) => failed.push((name, e.to_string())),
+            Ok(outcome) => report(name, &outcome),
+            Err(e) => skipped.push(format!("[SKIP] {name}: {e}")),
         }
     }
-    Ok(Some((outcomes, failed)))
+    for line in &skipped {
+        println!("{line}");
+    }
+    Ok(Some(skipped.len()))
 }
 
 /// Batch validation: every `*.xml` file of `dir` against the key set, over
@@ -673,13 +628,9 @@ fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Resul
         covers: false,
         stream,
     };
-    let Some((outcomes, failed)) = batch_outcomes(dir, &bundle, &options)? else {
-        println!("(no *.xml documents in `{dir}`)");
-        return Ok(true);
-    };
-    let mut invalid = 0usize;
-    let mut violations_total = 0usize;
-    for (name, outcome) in &outcomes {
+    let (mut documents, mut invalid, mut violations_total) = (0usize, 0usize, 0usize);
+    let skipped = run_batch(dir, &bundle, &options, |name, outcome| {
+        documents += 1;
         if outcome.violations.is_empty() {
             println!("[ok]   {name}");
         } else {
@@ -690,20 +641,20 @@ fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Resul
                 println!("         {v}");
             }
         }
-    }
-    for (name, error) in &failed {
-        println!("[SKIP] {name}: {error}");
-    }
+    })?;
+    let Some(skipped) = skipped else {
+        return Ok(true);
+    };
     println!(
         "{} documents: {} ok, {} with violations, {} unparseable ({} violations total, jobs={})",
-        outcomes.len() + failed.len(),
-        outcomes.len() - invalid,
+        documents + skipped,
+        documents - invalid,
         invalid,
-        failed.len(),
+        skipped,
         violations_total,
         jobs.get(),
     );
-    Ok(invalid == 0 && failed.is_empty())
+    Ok(invalid == 0 && skipped == 0)
 }
 
 /// Batch shredding: every `*.xml` file of `dir` through the prepared plans,
@@ -721,7 +672,8 @@ fn batch_shred(
     // (no wasted work) nor counted in the totals reported below.
     let t = match relation {
         Some(rel) => {
-            let rule = load_rule(&t, rel)?.clone(); // keeps the "unknown relation" diagnostics
+            // Keeps the "unknown relation" diagnostics.
+            let rule = t.rules()[render::rule_position(&t, rel)?].clone();
             let mut only = Transformation::new(Vec::new());
             only.add_rule(rule);
             only
@@ -736,12 +688,9 @@ fn batch_shred(
         covers: false,
         stream: false,
     };
-    let Some((outcomes, failed)) = batch_outcomes(dir, &bundle, &options)? else {
-        println!("(no *.xml documents in `{dir}`)");
-        return Ok(true);
-    };
-    let mut tuples_total = 0usize;
-    for (name, outcome) in &outcomes {
+    let (mut documents, mut tuples_total) = (0usize, 0usize);
+    let skipped = run_batch(dir, &bundle, &options, |name, outcome| {
+        documents += 1;
         tuples_total += outcome.tuples;
         let counts: Vec<String> = outcome
             .database
@@ -749,23 +698,20 @@ fn batch_shred(
             .map(|r| format!("{}: {}", r.schema().name(), r.len()))
             .collect();
         println!("{name}: {}", counts.join(", "));
-    }
-    for (name, error) in &failed {
-        println!("[SKIP] {name}: {error}");
-    }
+    })?;
+    let Some(skipped) = skipped else {
+        return Ok(true);
+    };
     println!(
-        "{} documents shredded, {} tuples total, {} unparseable (jobs={})",
-        outcomes.len(),
-        tuples_total,
-        failed.len(),
+        "{documents} documents shredded, {tuples_total} tuples total, {skipped} unparseable (jobs={})",
         jobs.get(),
     );
-    Ok(failed.is_empty())
+    Ok(skipped == 0)
 }
 
-fn cmd_import_xsd(args: &[String]) -> Result<bool, Error> {
-    let [xsd_path] = args else {
-        return Err(usage_error("import-xsd"));
+fn cmd_import_xsd(args: &Args) -> Result<bool, Error> {
+    let [xsd_path] = args.positional[..] else {
+        return Err(args.usage());
     };
     let import = import_xsd_keys(&read(xsd_path)?).map_err(|e| Error::parse(xsd_path, e))?;
     for key in import.keys.iter() {
@@ -784,33 +730,71 @@ mod tests {
     #[test]
     fn usage_covers_every_subcommand_and_flag() {
         let usage = usage_text();
-        for (name, _, _) in COMMANDS {
+        for &(name, spec, _) in COMMANDS {
             assert!(
                 usage.contains(&format!("xmlprop-cli {name}")),
                 "subcommand `{name}` missing from usage:\n{usage}"
             );
+            // Every declared option is in the help text and parses in each
+            // documented form, leaving no positional behind.
+            for (flag, takes_value, _) in Args::parse(name, spec, &[]).unwrap().options {
+                assert!(
+                    usage.contains(flag),
+                    "flag `{flag}` missing from usage:\n{usage}"
+                );
+                let forms = if takes_value {
+                    vec![
+                        vec![flag.to_string(), "V".into()],
+                        vec![format!("{flag}=V")],
+                    ]
+                } else {
+                    vec![vec![flag.to_string()]]
+                };
+                for form in &forms {
+                    let args = Args::parse(name, spec, form).unwrap();
+                    assert!(args.positional.is_empty(), "{form:?}");
+                    let expected = if takes_value { "V" } else { "" };
+                    assert_eq!(args.value(flag), Some(expected), "{form:?}");
+                }
+            }
         }
         assert!(usage.contains("xmlprop-cli help"), "help missing:\n{usage}");
-        for flag in FLAGS {
-            assert!(
-                usage.contains(flag),
-                "flag `{flag}` missing from usage:\n{usage}"
-            );
-            assert!(
-                COMMANDS.iter().any(|(_, spec, _)| spec.contains(flag)),
-                "flag `{flag}` absent from every command spec"
-            );
-        }
     }
 
     #[test]
     fn per_command_usage_errors_match_the_table() {
-        for (name, spec, _) in COMMANDS {
-            let text = usage_error(name).to_string();
+        for &(name, spec, _) in COMMANDS {
+            let text = Args::parse(name, spec, &[]).unwrap().usage().to_string();
             assert!(
                 text.contains(&format!("usage: {name} ")) && text.contains(spec),
                 "usage error for `{name}` drifted from the table: {text}"
             );
         }
+    }
+
+    #[test]
+    fn options_are_split_from_positionals_by_the_spec() {
+        let (name, spec, _) = COMMANDS[0];
+        let words = ["--jobs=2", "doc", "--stream", "--jobs", "3", "keys"].map(String::from);
+        let args = Args::parse(name, spec, &words).unwrap();
+        assert_eq!(args.positional, ["doc", "keys"]);
+        assert_eq!(args.value("--stream"), Some(""));
+        assert_eq!(args.value("--jobs"), Some("3"), "the last one wins");
+        for (words, message) in [
+            (&["--stream=1"][..], "unknown option `--stream=1`"),
+            (&["--addr", "x"], "unknown option `--addr`"),
+            (&["--jobs"], "--jobs expects a value"),
+        ] {
+            let words: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+            let err = Args::parse(name, spec, &words).err().unwrap();
+            assert_eq!(err.to_string(), message);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`--addr` is not an option of `validate`")]
+    fn asking_for_an_undeclared_option_panics() {
+        let (name, spec, _) = COMMANDS[0];
+        Args::parse(name, spec, &[]).unwrap().value("--addr");
     }
 }

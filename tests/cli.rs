@@ -792,3 +792,70 @@ fn serve_refuses_panic_outside_a_handler_point() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("`panic` pairs only"), "{err}");
 }
+
+#[test]
+fn serve_refuses_unknown_fault_points() {
+    // A misspelt point would otherwise be checked nowhere and test nothing.
+    for spec in ["handle.frobnicate=100%panic", "conn.raed=100%error"] {
+        let out = run(&[
+            "serve",
+            "--faults",
+            spec,
+            "--script",
+            "examples/data/server_session.txt",
+            "examples/data/book_keys.txt",
+            "examples/data/book_rules.txt",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        assert!(stdout(&out).is_empty(), "{spec}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        let point = spec.split('=').next().unwrap();
+        assert!(
+            err.contains(&format!("unknown fault point `{point}`")),
+            "{spec}: {err}"
+        );
+    }
+}
+
+#[test]
+fn serve_takes_option_values_in_both_forms() {
+    let golden = std::fs::read_to_string(format!(
+        "{}/examples/data/expected/serve_session.txt",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    for form in [&["--shed-wait-ms=50"][..], &["--shed-wait-ms", "50"]] {
+        let mut args = vec!["serve"];
+        args.extend_from_slice(form);
+        args.extend_from_slice(&[
+            "--script",
+            "examples/data/server_session.txt",
+            "examples/data/book_keys.txt",
+            "examples/data/book_rules.txt",
+        ]);
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "{form:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(stdout(&out), golden, "{form:?}");
+    }
+}
+
+#[test]
+fn an_option_another_command_declares_is_unknown() {
+    let out = run(&[
+        "validate",
+        "--addr",
+        "x",
+        "examples/data/fig1.xml",
+        "examples/data/book_keys.txt",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unknown option `--addr`\n"
+    );
+}

@@ -93,7 +93,10 @@ proptest! {
         );
 
         for jobs in jobs_grid() {
-            let options = CorpusOptions::with_jobs(Jobs::new(jobs).unwrap());
+            let options = CorpusOptions {
+                jobs: Jobs::new(jobs).unwrap(),
+                ..CorpusOptions::default()
+            };
             let parallel = bundle.run(&docs, &options);
             prop_assert_eq!(
                 &parallel, &sequential,

@@ -133,7 +133,7 @@ proptest! {
 #[test]
 fn slow_loris_requests_time_out_with_err_timeout_over_tcp() {
     let config = ServiceConfig {
-        read_timeout: Duration::from_millis(200),
+        io_timeout: Duration::from_millis(200),
         request_deadline: Duration::from_millis(150),
         ..ServiceConfig::default()
     };
