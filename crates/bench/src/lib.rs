@@ -25,7 +25,7 @@ use xmlprop_core::{
 };
 use xmlprop_pipeline::{CorpusBundle, CorpusOptions, Faults, Jobs, PreparedState};
 use xmlprop_query::{execute, parse_query, plan, plan_naive, Catalog, JoinKind, Plan};
-use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Tuple, Value};
+use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Value};
 use xmlprop_workload::{
     generate, generate_document_with_report, random_fd, target_fd, DocConfig, Workload,
     WorkloadConfig,
@@ -1243,16 +1243,16 @@ fn query(quick: bool) -> Vec<Row> {
         let mut dim = Relation::new(RelationSchema::new("dim", ["id", "payload"]));
         let mut fact = Relation::new(RelationSchema::new("fact", ["fid", "val"]));
         for i in 0..n {
-            dim.insert(Tuple::new(vec![
+            dim.insert(vec![
                 Value::text(format!("k{i}")),
                 Value::text(format!("p{i}")),
-            ]));
+            ]);
             let fid = if i % 16 == 15 {
                 Value::Null
             } else {
                 Value::text(format!("k{i}"))
             };
-            fact.insert(Tuple::new(vec![fid, Value::text(format!("v{i}"))]));
+            fact.insert(vec![fid, Value::text(format!("v{i}"))]);
         }
         let mut catalog = Catalog::new();
         catalog.add_relation(

@@ -69,9 +69,9 @@ pub use consistency::{check_declared_keys, ConsistencyReport, KeyCheck};
 pub use engine::PropagationEngine;
 pub use gmincover::GMinimumCover;
 pub use mincover::{minimum_cover, minimum_cover_with_stats, CoverStats};
-pub use naive::{naive_minimum_cover, naive_propagated_fds};
+pub use naive::naive_minimum_cover;
 pub use propagation::{propagate_all, propagation, propagation_explained, PropagationOutcome};
-pub use refine::{refine, refine_with_checker, RefinedDesign};
+pub use refine::{refine, RefinedDesign};
 
 #[cfg(test)]
 pub(crate) mod test_rules {

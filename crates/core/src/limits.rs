@@ -85,8 +85,8 @@ mod tests {
     fn identity_rule_roundtrips_a_relation() {
         let schema = RelationSchema::new("emp", ["id", "name", "dept"]);
         let mut relation = Relation::new(schema.clone());
-        relation.insert(["1", "ada", "eng"].into_iter().collect());
-        relation.insert(["2", "bob", "ops"].into_iter().collect());
+        relation.insert(["1", "ada", "eng"].map(Value::from));
+        relation.insert(["2", "bob", "ops"].map(Value::from));
 
         let doc = encode_relation_as_xml(&relation);
         let rule = identity_rule(&schema);
@@ -104,10 +104,7 @@ mod tests {
     fn nulls_are_skipped_in_the_encoding_and_restored_by_shredding() {
         let schema = RelationSchema::new("t", ["a", "b"]);
         let mut relation = Relation::new(schema.clone());
-        relation.insert(xmlprop_reldb::Tuple::new(vec![
-            Value::text("x"),
-            Value::Null,
-        ]));
+        relation.insert(vec![Value::text("x"), Value::Null]);
         let doc = encode_relation_as_xml(&relation);
         let back = identity_rule(&schema).shred(&doc);
         assert_eq!(back.len(), 1);

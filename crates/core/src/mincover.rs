@@ -37,7 +37,8 @@ use xmlprop_xmlkeys::KeySet;
 use xmlprop_xmltransform::TableRule;
 
 /// Statistics about a minimum-cover computation, reported by
-/// [`minimum_cover_with_stats`] and used by the benchmark harness.
+/// [`minimum_cover_with_stats`]; the `synthetic_workloads` example prints
+/// them beside the cover.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverStats {
     /// Number of candidate FDs generated before minimization.

@@ -19,7 +19,7 @@ use xmlprop_xmltransform::TableRule;
 /// Left-hand sides are enumerated as borrowed field slices probed against
 /// one prepared [`PropagationEngine`]; a string-based [`Fd`] is only
 /// materialized for the (few) probes that turn out to be propagated.
-pub fn naive_propagated_fds(sigma: &KeySet, rule: &TableRule) -> Vec<Fd> {
+pub(crate) fn naive_propagated_fds(sigma: &KeySet, rule: &TableRule) -> Vec<Fd> {
     let engine = PropagationEngine::prepare(sigma, rule);
     // Sorted, so each enumerated slice is in the order `propagation_fields`
     // expects (and the output matches the historical BTreeSet-based order).

@@ -6,7 +6,7 @@
 //! relation into BCNF (or synthesize 3NF) — producing a consumer relational
 //! schema that provably respects the semantics of the XML source.
 
-use crate::{GMinimumCover, PropagationEngine};
+use crate::PropagationEngine;
 use xmlprop_reldb::{
     bcnf_decompose, candidate_keys, synthesize_3nf, AttrUniverse, Decomposition, Fd, FdIndex,
 };
@@ -48,7 +48,7 @@ impl RefinedDesign {
 
     /// True if `fd` follows from the propagated cover under Armstrong's
     /// axioms (purely relational implication — for the paper's null-aware
-    /// propagation question use [`GMinimumCover::check`] or
+    /// propagation question use [`crate::GMinimumCover::check`] or
     /// [`crate::propagation`]).
     pub fn implies(&self, fd: &Fd) -> bool {
         let lhs = self.universe.lookup_set(fd.lhs());
@@ -68,11 +68,6 @@ impl RefinedDesign {
 /// normal-form decompositions.
 pub fn refine(sigma: &KeySet, rule: &TableRule) -> RefinedDesign {
     let cover = PropagationEngine::prepare(sigma, rule).minimum_cover();
-    refine_from_cover(rule, cover)
-}
-
-/// Builds the design artifacts from an already-computed cover.
-fn refine_from_cover(rule: &TableRule, cover: Vec<Fd>) -> RefinedDesign {
     let attrs = rule.schema().attribute_set();
     let universal_keys = candidate_keys(&attrs, &cover);
     let bcnf = bcnf_decompose(rule.schema().name(), &attrs, &cover);
@@ -88,16 +83,6 @@ fn refine_from_cover(rule: &TableRule, cover: Vec<Fd>) -> RefinedDesign {
         universe,
         index,
     }
-}
-
-/// Convenience wrapper: refine and also return a [`GMinimumCover`] checker
-/// over the same cover so callers can validate additional FDs cheaply.  One
-/// [`PropagationEngine`] serves both the cover computation and the checker.
-pub fn refine_with_checker(sigma: &KeySet, rule: &TableRule) -> (RefinedDesign, GMinimumCover) {
-    let engine = PropagationEngine::prepare(sigma, rule);
-    let design = refine_from_cover(rule, engine.minimum_cover());
-    let checker = GMinimumCover::from_engine(engine);
-    (design, checker)
 }
 
 #[cfg(test)]
@@ -191,15 +176,6 @@ mod tests {
         let sql = design.third_normal_form_sql();
         assert!(sql.contains("CREATE TABLE"));
         assert!(design.bcnf_sql().contains("PRIMARY KEY"));
-    }
-
-    #[test]
-    fn refine_with_checker_shares_the_cover() {
-        let sigma = example_2_1_keys();
-        let u = example_3_1_universal();
-        let (design, checker) = refine_with_checker(&sigma, &u);
-        assert_eq!(design.cover.len(), checker.cover().len());
-        assert!(checker.check(&Fd::parse("bookIsbn -> bookTitle").unwrap()));
     }
 
     #[test]

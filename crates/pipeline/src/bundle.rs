@@ -202,7 +202,7 @@ impl CorpusBundle {
         let mut database = Database::new();
         for plan in self.plan.plans() {
             if wanted(plan.schema().name()) {
-                database.insert(plan.shred_with(doc, index, &mut scratch.shred));
+                database.insert(plan.shred_with(doc, index, scratch.shred_scratch()));
             }
         }
         database

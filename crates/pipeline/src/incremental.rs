@@ -62,7 +62,7 @@ pub struct EditReport {
     pub nodes: usize,
     /// Total key violations after the edit.
     pub violations: usize,
-    /// Tuple-level effect per relation the edit touched (empty when the
+    /// Row-level effect per relation the edit touched (empty when the
     /// shredded database is unchanged).
     pub relations: Vec<RelationDelta>,
 }

@@ -46,8 +46,11 @@ impl PreparedState for CorpusBundle {
 /// [`CorpusBundle`], reused across all that thread's requests.
 #[derive(Debug)]
 pub struct RequestScratch {
-    pub(crate) universe: LabelUniverse,
-    pub(crate) shred: ShredScratch,
+    universe: LabelUniverse,
+    /// The length of the bundle's universe: the labels its keys and plans
+    /// are compiled against.
+    vocabulary: usize,
+    shred: ShredScratch,
 }
 
 impl RequestScratch {
@@ -55,17 +58,24 @@ impl RequestScratch {
     /// (ids are append-only; labels only a document uses never influence
     /// any output) plus empty shred buffers.
     pub fn for_bundle(bundle: &CorpusBundle) -> Self {
+        let universe = bundle.worker_universe();
         RequestScratch {
-            universe: bundle.worker_universe(),
+            vocabulary: universe.len(),
+            universe,
             shred: ShredScratch::new(),
         }
     }
 
     /// Builds a [`DocIndex`] for `doc` against this scratch's private
     /// universe — the per-document preparation both shredding and key
-    /// validation run on.
+    /// validation run on.  The labels only `doc` used are forgotten again
+    /// once it is indexed, so the universe stays the bundle's size however
+    /// many documents pass through: no compiled key or plan names one of
+    /// their ids, and the next document may reuse them.
     pub fn index_document(&mut self, doc: &Document) -> DocIndex {
-        DocIndex::build(doc, &mut self.universe)
+        let index = DocIndex::build(doc, &mut self.universe);
+        self.universe.truncate(self.vocabulary);
+        index
     }
 
     /// The shred scratch, for callers driving
@@ -97,5 +107,33 @@ mod tests {
         let doc = xmlprop_xmltree::ElementBuilder::new("r").build();
         let index = scratch.index_document(&doc);
         assert_eq!(index.len(), doc.len());
+    }
+
+    #[test]
+    fn a_reused_scratch_forgets_each_documents_fresh_labels() {
+        let bundle = CorpusBundle::prepare(
+            xmlprop_xmlkeys::example_2_1_keys(),
+            xmlprop_xmltransform::sample::example_2_4_transformation(),
+        );
+        let options = crate::CorpusOptions::default();
+        let vocabulary = bundle.universe().len();
+        let mut reused = bundle.scratch();
+        for i in 0..300 {
+            // Three labels no key, plan or earlier document names (an
+            // element, an attribute, an empty element), and on odd `i` a
+            // repeated isbn, so half the documents violate a key.
+            let xml = format!(
+                r#"<db><book isbn="{}" f{i}="a"><title>T{i}</title><chapter number="1"><name>N</name><g{i}>x</g{i}></chapter></book><book isbn="1"><h{i}/><title>U</title></book></db>"#,
+                i % 2
+            );
+            let doc = Document::parse_str(&xml).unwrap();
+            let got = bundle.process(&doc, &mut reused, &options);
+            assert_eq!(reused.universe.len(), vocabulary, "after document {i}");
+            let fresh = bundle.process(&doc, &mut bundle.scratch(), &options);
+            assert_eq!(got.violations, fresh.violations, "document {i}");
+            assert_eq!(got.violations.is_empty(), i % 2 == 0, "document {i}");
+            assert_eq!(got.database, fresh.database, "document {i}");
+            assert!(got.tuples > 0);
+        }
     }
 }

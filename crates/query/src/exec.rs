@@ -15,7 +15,7 @@
 use crate::plan::{JoinKind, Plan};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use xmlprop_pipeline::Error;
-use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
+use xmlprop_reldb::{Database, Relation, RelationSchema, Value};
 use xmlprop_xmltree::FoldState;
 
 /// A relation hashed on a key: `key values -> row indices`, in row order.
@@ -138,7 +138,7 @@ pub fn execute(plan: &Plan, db: &Database) -> Result<Relation, Error> {
         if plan.dedup && !seen.insert(projected.clone()) {
             continue;
         }
-        result.insert(Tuple::new(projected));
+        result.insert(projected);
     }
     Ok(result)
 }
@@ -163,17 +163,17 @@ mod tests {
     fn db(parent: &[(&str, Option<&str>)], child: &[(Option<&str>, &str)]) -> Database {
         let mut parent_rel = Relation::new(RelationSchema::new("parent", ["id", "payload"]));
         for (id, payload) in parent {
-            parent_rel.insert(Tuple::new(vec![
+            parent_rel.insert(vec![
                 Value::text(*id),
                 payload.map(Value::text).unwrap_or(Value::Null),
-            ]));
+            ]);
         }
         let mut child_rel = Relation::new(RelationSchema::new("child", ["pid", "note"]));
         for (pid, note) in child {
-            child_rel.insert(Tuple::new(vec![
+            child_rel.insert(vec![
                 pid.map(Value::text).unwrap_or(Value::Null),
                 Value::text(*note),
-            ]));
+            ]);
         }
         let mut db = Database::new();
         db.insert(parent_rel);
@@ -216,9 +216,9 @@ mod tests {
     fn null_key_rows_are_never_matched() {
         // A NULL parent id must not be matched by a NULL probe.
         let mut parent_rel = Relation::new(RelationSchema::new("parent", ["id", "payload"]));
-        parent_rel.insert(Tuple::new(vec![Value::Null, Value::text("ghost")]));
+        parent_rel.insert(vec![Value::Null, Value::text("ghost")]);
         let mut child_rel = Relation::new(RelationSchema::new("child", ["pid", "note"]));
-        child_rel.insert(Tuple::new(vec![Value::Null, Value::text("lost")]));
+        child_rel.insert(vec![Value::Null, Value::text("lost")]);
         let mut d = Database::new();
         d.insert(parent_rel);
         d.insert(child_rel);
@@ -294,7 +294,7 @@ mod tests {
     fn inputs_are_deduplicated_on_load() {
         let mut parent_rel = Relation::new(RelationSchema::new("parent", ["id", "payload"]));
         for _ in 0..3 {
-            parent_rel.insert(Tuple::new(vec![Value::text("1"), Value::text("a")]));
+            parent_rel.insert(vec![Value::text("1"), Value::text("a")]);
         }
         let mut d = Database::new();
         d.insert(parent_rel);

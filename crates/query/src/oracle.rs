@@ -12,19 +12,18 @@
 use crate::plan::{plan, plan_naive, Catalog};
 use crate::syntax::{parse_query, Query, Select};
 use crate::{execute, Plan};
-use std::collections::BTreeSet;
-use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Tuple, Value};
+use std::collections::HashSet;
+use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Value};
 
 /// `relation` with repeated rows dropped, first occurrences kept in order.
 /// Like SQL `DISTINCT` the comparison is structural, so repeated NULL rows
 /// collapse too.
 fn distinct(relation: &Relation) -> Relation {
     let mut out = Relation::new(relation.schema().clone());
-    let mut seen = BTreeSet::new();
+    let mut seen = HashSet::new();
     for row in relation.rows() {
-        let tuple = Tuple::new(row.values().cloned().collect());
-        if seen.insert(tuple.clone()) {
-            out.insert(tuple);
+        if seen.insert(row) {
+            out.insert(row.values().cloned());
         }
     }
     out
@@ -188,11 +187,11 @@ mod proptests {
     fn database(parent: Vec<(Value, Value)>, child: Vec<(Value, Value, Value)>) -> Database {
         let mut parent_rel = Relation::new(RelationSchema::new("parent", ["id", "payload"]));
         for (id, payload) in parent {
-            parent_rel.insert(Tuple::new(vec![id, payload]));
+            parent_rel.insert(vec![id, payload]);
         }
         let mut child_rel = Relation::new(RelationSchema::new("child", ["pid", "note", "extra"]));
         for (pid, note, extra) in child {
-            child_rel.insert(Tuple::new(vec![pid, note, extra]));
+            child_rel.insert(vec![pid, note, extra]);
         }
         let mut db = Database::new();
         db.insert(parent_rel);

@@ -5,8 +5,8 @@
 //! it needs the full classical FD toolbox plus a notion of relational
 //! instances with nulls:
 //!
-//! * [`Value`], [`Tuple`], [`RelationSchema`], [`Relation`], [`Row`],
-//!   [`Database`] — relation instances produced by shredding XML data,
+//! * [`Value`], [`RelationSchema`], [`Relation`], [`Row`], [`Database`] —
+//!   relation instances produced by shredding XML data,
 //!   with `null` values for missing branches (Section 2, "semantics"),
 //!   stored dictionary-encoded: each value once, rows as `u32` codes;
 //! * [`Fd`] — functional dependencies, with two satisfaction notions:
@@ -63,7 +63,7 @@ pub use normalize::{
     bcnf_decompose, candidate_keys, is_3nf, is_bcnf, project_fds, synthesize_3nf,
     DecomposedRelation, Decomposition,
 };
-pub use relation::{Database, Relation, Row, Tuple};
+pub use relation::{Database, Relation, Row};
 pub use schema::RelationSchema;
 pub use value::Value;
 

@@ -1,64 +1,8 @@
-//! Relation instances, tuples and databases.
+//! Relation instances, their rows, and databases.
 
 use crate::{Fd, RelationSchema, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A tuple: one value per attribute of the owning relation's schema, in
-/// schema order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Tuple {
-    values: Vec<Value>,
-}
-
-impl Tuple {
-    /// Creates a tuple from values (must match the schema arity of the
-    /// relation it is inserted into; [`Relation::insert`] checks this).
-    pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
-    }
-
-    /// The values of the tuple.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// The number of fields.
-    pub fn arity(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The value at position `i`.
-    pub fn get(&self, i: usize) -> &Value {
-        &self.values[i]
-    }
-
-    /// True if any field is null.
-    pub fn has_null(&self) -> bool {
-        self.values.iter().any(Value::is_null)
-    }
-
-    /// SQL-style tuple equality: every field pair compares equal under
-    /// [`Value::sql_eq`]. A tuple containing a null therefore never
-    /// matches anything — itself included — which is the comparison keys
-    /// and joins must use. Structural `==` (nulls equal) remains the right
-    /// notion for *duplicate elimination* (SQL `DISTINCT`); see the
-    /// [`Value`] docs for the split.
-    pub fn sql_eq(&self, other: &Tuple) -> bool {
-        self.arity() == other.arity()
-            && self
-                .values
-                .iter()
-                .zip(other.values.iter())
-                .all(|(a, b)| a.sql_eq(b))
-    }
-}
-
-impl<V: Into<Value>> FromIterator<V> for Tuple {
-    fn from_iter<T: IntoIterator<Item = V>>(iter: T) -> Self {
-        Tuple::new(iter.into_iter().map(Into::into).collect())
-    }
-}
 
 /// A relation instance: a schema plus a bag of rows.
 ///
@@ -76,7 +20,7 @@ impl<V: Into<Value>> FromIterator<V> for Tuple {
 /// the rows as `arity` `u32` codes each ([`Relation::NULL_CODE`] for a
 /// null).  A shredder appends each distinct value once
 /// ([`Relation::push_value`]) and fills rows by copying codes
-/// ([`Relation::push_coded_row`]); [`Relation::insert`] appends a tuple's
+/// ([`Relation::push_coded_row`]); [`Relation::insert`] appends a row's
 /// values as fresh entries without looking them up.  The encoding never
 /// shows: [`Relation::rows`] yields [`Row`] views that read through the
 /// dictionary, and two instances are `==` iff they have the same schema
@@ -131,14 +75,14 @@ impl<'a> Row<'a> {
         self.codes.contains(&Relation::NULL_CODE)
     }
 
-    /// SQL-style row equality; see [`Tuple::sql_eq`].
+    /// SQL-style row equality: every field pair compares equal under
+    /// [`Value::sql_eq`].  A row containing a null therefore never matches
+    /// anything — itself included — which is the comparison keys and joins
+    /// must use.  Structural `==` (nulls equal) remains the right notion
+    /// for *duplicate elimination* (SQL `DISTINCT`); see the [`Value`] docs
+    /// for the split.
     pub fn sql_eq(&self, other: &Row<'_>) -> bool {
         self.arity() == other.arity() && self.values().zip(other.values()).all(|(a, b)| a.sql_eq(b))
-    }
-
-    /// The row as an owned tuple.
-    pub fn to_tuple(&self) -> Tuple {
-        Tuple::new(self.values().cloned().collect())
     }
 }
 
@@ -185,7 +129,7 @@ impl Relation {
     }
 
     /// The rows of the relation, in insertion order.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> + DoubleEndedIterator {
         (0..self.len).map(|i| self.row(i))
     }
 
@@ -213,24 +157,26 @@ impl Relation {
         self.len == 0
     }
 
-    /// Inserts a tuple, appending its non-null values to the dictionary
-    /// as new entries (no lookup: bulk producers that repeat values use
-    /// [`Relation::push_value`] and [`Relation::push_coded_row`]).
+    /// Inserts a row given as its values in schema order, appending the
+    /// non-null ones to the dictionary as new entries (no lookup: bulk
+    /// producers that repeat values use [`Relation::push_value`] and
+    /// [`Relation::push_coded_row`]).
     ///
     /// # Panics
     ///
-    /// Panics if the tuple arity does not match the schema.
-    pub fn insert(&mut self, tuple: Tuple) {
-        assert_eq!(
-            tuple.arity(),
-            self.schema.arity(),
-            "tuple arity does not match schema {}",
-            self.schema
-        );
-        for value in tuple.values {
+    /// Panics if the row arity does not match the schema.
+    pub fn insert(&mut self, values: impl IntoIterator<Item = Value>) {
+        let start = self.codes.len();
+        for value in values {
             let code = self.push_value(value);
             self.codes.push(code);
         }
+        assert_eq!(
+            self.codes.len() - start,
+            self.schema.arity(),
+            "row arity does not match schema {}",
+            self.schema
+        );
         self.len += 1;
     }
 
@@ -284,20 +230,7 @@ impl Relation {
         row.get(idx)
     }
 
-    /// Projection of a row onto a set of attributes (in iteration order of
-    /// the given names).
-    pub fn project<'a>(
-        &self,
-        row: &Row<'_>,
-        attributes: impl IntoIterator<Item = &'a String>,
-    ) -> Vec<Value> {
-        self.project_refs(row, attributes)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
-    /// [`Relation::project`] without cloning the values.
+    /// The values of `row` at the given attributes, in their order.
     fn project_refs<'t, 'a>(
         &self,
         row: &Row<'t>,
@@ -607,9 +540,9 @@ mod tests {
         // Fig. 2(a) of the paper.
         let schema = RelationSchema::new("Chapter", ["bookTitle", "chapterNum", "chapterName"]);
         let mut r = Relation::new(schema);
-        r.insert(["XML", "1", "Introduction"].into_iter().collect());
-        r.insert(["XML", "10", "Conclusion"].into_iter().collect());
-        r.insert(["XML", "1", "Getting Acquainted"].into_iter().collect());
+        r.insert(["XML", "1", "Introduction"].map(Value::from));
+        r.insert(["XML", "10", "Conclusion"].map(Value::from));
+        r.insert(["XML", "1", "Getting Acquainted"].map(Value::from));
         r
     }
 
@@ -628,9 +561,9 @@ mod tests {
         // Fig. 2(b): isbn replaces bookTitle and the key holds.
         let schema = RelationSchema::new("Chapter", ["isbn", "chapterNum", "chapterName"]);
         let mut r = Relation::new(schema);
-        r.insert(["123", "1", "Introduction"].into_iter().collect());
-        r.insert(["123", "10", "Conclusion"].into_iter().collect());
-        r.insert(["234", "1", "Getting Acquainted"].into_iter().collect());
+        r.insert(["123", "1", "Introduction"].map(Value::from));
+        r.insert(["123", "10", "Conclusion"].map(Value::from));
+        r.insert(["234", "1", "Getting Acquainted"].map(Value::from));
         let fd = Fd::new(attrs(["isbn", "chapterNum"]), attrs(["chapterName"]));
         assert!(r.satisfies_fd_classical(&fd));
         assert!(r.satisfies_fd_paper(&fd));
@@ -641,7 +574,7 @@ mod tests {
         // X null but Y non-null violates condition (1).
         let schema = RelationSchema::new("r", ["a", "b"]);
         let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::Null, Value::text("y")]));
+        r.insert(vec![Value::Null, Value::text("y")]);
         let fd = Fd::new(attrs(["a"]), attrs(["b"]));
         assert!(!r.satisfies_fd_paper(&fd));
         // Classical satisfaction does not look at nulls specially: a single
@@ -655,16 +588,8 @@ mod tests {
         let mut r = Relation::new(schema);
         // Two tuples agree on a but disagree on b; one of them has a null c,
         // so it is exempt from condition (2).
-        r.insert(Tuple::new(vec![
-            Value::text("1"),
-            Value::text("x"),
-            Value::Null,
-        ]));
-        r.insert(Tuple::new(vec![
-            Value::text("1"),
-            Value::text("y"),
-            Value::text("z"),
-        ]));
+        r.insert(vec![Value::text("1"), Value::text("x"), Value::Null]);
+        r.insert(vec![Value::text("1"), Value::text("y"), Value::text("z")]);
         let fd = Fd::new(attrs(["a"]), attrs(["b"]));
         assert!(r.satisfies_fd_paper(&fd));
         assert!(!r.satisfies_fd_classical(&fd));
@@ -675,23 +600,26 @@ mod tests {
     fn insert_checks_arity() {
         let schema = RelationSchema::new("r", ["a", "b"]);
         let mut r = Relation::new(schema);
-        r.insert(["only one"].into_iter().collect());
+        r.insert(["only one"].map(Value::from));
     }
 
     #[test]
-    fn tuple_sql_eq_never_matches_nulls() {
-        let plain: Tuple = ["1", "x"].into_iter().collect();
-        let same: Tuple = ["1", "x"].into_iter().collect();
-        let with_null = Tuple::new(vec![Value::text("1"), Value::Null]);
+    fn row_sql_eq_never_matches_nulls() {
+        let mut r = Relation::new(RelationSchema::new("r", ["a", "b"]));
+        r.insert(["1", "x"].map(Value::from));
+        r.insert(["1", "x"].map(Value::from));
+        r.insert(vec![Value::text("1"), Value::Null]);
+        let (plain, same, with_null) = (r.row(0), r.row(1), r.row(2));
         assert!(plain.sql_eq(&same));
         assert!(!plain.sql_eq(&with_null));
-        // A null-bearing tuple does not even match itself…
+        // A null-bearing row does not even match itself…
         assert!(!with_null.sql_eq(&with_null));
         // …although structural equality (duplicate detection) says it does.
-        assert_eq!(with_null, with_null.clone());
+        assert_eq!(with_null, r.clone().row(2));
         // Arity mismatch is simply unequal, not a panic.
-        let short: Tuple = ["1"].into_iter().collect();
-        assert!(!plain.sql_eq(&short));
+        let mut narrow = Relation::new(RelationSchema::new("s", ["a"]));
+        narrow.insert(["1"].map(Value::from));
+        assert!(!plain.sql_eq(&narrow.row(0)));
     }
 
     #[test]
@@ -699,13 +627,13 @@ mod tests {
         use std::collections::HashSet;
         let schema = RelationSchema::new("r", ["a"]);
         let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::Null]));
-        r.insert(Tuple::new(vec![Value::Null]));
+        r.insert(vec![Value::Null]);
+        r.insert(vec![Value::Null]);
         // DISTINCT is structural: repeated NULL rows collapse even though
         // sql_eq would call them unequal.
         assert_eq!(r.rows().collect::<HashSet<_>>().len(), 1);
         let mut dup = chapter_relation();
-        dup.insert(["XML", "1", "Introduction"].into_iter().collect());
+        dup.insert(["XML", "1", "Introduction"].map(Value::from));
         assert_eq!(dup.len(), 4);
         assert_eq!(dup.rows().collect::<HashSet<_>>().len(), 3);
     }
@@ -735,7 +663,7 @@ mod tests {
         // 1-char cell gets one space of padding, as does `a`.
         let schema = RelationSchema::new("r", ["a", "b"]);
         let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![Value::text("é"), Value::Null]));
+        r.insert(vec![Value::text("é"), Value::Null]);
         assert_eq!(r.to_table_string(), "a   b   \n--------\né   NULL\n");
         assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
         let empty = Relation::new(RelationSchema::new("z", Vec::<String>::new()));
@@ -746,14 +674,8 @@ mod tests {
     fn long_cells_widen_their_columns_and_the_rule() {
         let schema = RelationSchema::new("r", ["a", "b"]);
         let mut r = Relation::new(schema);
-        r.insert(Tuple::new(vec![
-            Value::text("x".repeat(150)),
-            Value::text("y"),
-        ]));
-        r.insert(Tuple::new(vec![
-            Value::text("z"),
-            Value::text("w".repeat(70)),
-        ]));
+        r.insert(vec![Value::text("x".repeat(150)), Value::text("y")]);
+        r.insert(vec![Value::text("z"), Value::text("w".repeat(70))]);
         assert_eq!(r.to_table_string(), oracle::to_table_string(&r));
     }
 
@@ -789,7 +711,7 @@ mod tests {
                     let mut relation = Relation::new(RelationSchema::new("r", names));
                     for mut values in rows {
                         values.truncate(arity);
-                        relation.insert(Tuple::new(values));
+                        relation.insert(values);
                     }
                     relation
                 })
@@ -823,7 +745,7 @@ mod tests {
         fn inserted(schema: &RelationSchema, rows: &[Vec<Value>]) -> Relation {
             let mut r = Relation::new(schema.clone());
             for row in rows {
-                r.insert(Tuple::new(row.clone()));
+                r.insert(row.clone());
             }
             r
         }

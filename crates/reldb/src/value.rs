@@ -11,15 +11,15 @@ use std::sync::Arc;
 /// SQL intuition: `null` never equals anything, including another `null`
 /// (use [`Value::is_null`] to test for nulls explicitly).  `Eq`/`Ord` are
 /// still implemented — treating nulls as a distinct smallest value — so that
-/// tuples can live in ordered collections; use [`Value::sql_eq`] where the
+/// rows can live in ordered collections; use [`Value::sql_eq`] where the
 /// paper's semantics of comparisons is required.
 ///
 /// The split of duties is deliberate: *duplicate elimination* (SQL
 /// `DISTINCT`, the `==` and hash of a [`Row`](crate::Row)) is
 /// structural and collapses nulls, exactly as SQL's `DISTINCT` does, while
 /// *key and join comparisons* must go through [`Value::sql_eq`] (or
-/// [`Tuple::sql_eq`](crate::Tuple::sql_eq)) so that a null-bearing tuple
-/// never matches another tuple and never counts as a key violation.
+/// [`Row::sql_eq`](crate::Row::sql_eq)) so that a null-bearing row never
+/// matches another row and never counts as a key violation.
 ///
 /// Text is stored as a shared `Arc<str>`, so one string can back many
 /// relations: a shredder serializes each distinct value of a document

@@ -5,14 +5,14 @@
 //! **block-decomposable** plan (see `ShredPlan::anchor_var`: the root
 //! variable has a single child variable, the *anchor*, and no field reads
 //! `value(xr)`), the relation is the concatenation — in document order —
-//! of independent tuple blocks, one per anchor binding.  Tuples of a block
-//! only depend on the subtree under the anchor, and they store
-//! materialized value *strings*, not positions, so a cached block stays
+//! of independent row blocks, one per anchor binding.  Rows of a block
+//! only depend on the subtree under the anchor, and a block is a
+//! [`Relation`] of materialized value *strings*, not positions, so it stays
 //! valid as long as the edit's dirty ancestor chain
 //! ([`AppliedDelta::dirty_node`] and its ancestors) misses its anchor.
 //! Each [`IncrementalShredder::apply`] re-evaluates the anchor binding set
 //! over the patched [`DocIndex`] (a cheap path scan), re-shreds only
-//! dirty or new blocks, and reports the net tuple-level effect per
+//! dirty or new blocks, and reports the net row-level effect per
 //! relation as [`RelationDelta`] insert/delete sets: rows a re-shredded
 //! block shares with its old version at either end are skipped, and the
 //! rest cancel across the relation.
@@ -31,35 +31,35 @@
 
 use crate::plan::{ShredScratch, TransformationPlan};
 use std::collections::HashMap;
-use xmlprop_reldb::{Database, Relation, Tuple};
+use xmlprop_reldb::{Database, Relation, Row, Value};
 use xmlprop_xmlpath::EvalScratch;
 use xmlprop_xmltree::{AppliedDelta, DocIndex, Document, NodeId};
 
-/// The tuple-level effect of one delta on one relation: the tuples that
-/// left the instance and the tuples that entered it.  The sets are net
-/// under bag semantics: a tuple appearing `n` times more than before occurs
-/// `n` times in `inserted`, and no tuple occurs in both sets.  Ordering
-/// within each set is deterministic but otherwise unspecified.
+/// The row-level effect of one delta on one relation: the rows that left
+/// the instance and the rows that entered it, each kept as a [`Relation`]
+/// of the affected schema.  The two are net under bag semantics: a row
+/// appearing `n` times more than before occurs `n` times in `inserted`,
+/// and no row occurs in both.  Ordering within each is deterministic but
+/// otherwise unspecified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationDelta {
-    relation: String,
-    inserted: Vec<Tuple>,
-    deleted: Vec<Tuple>,
+    inserted: Relation,
+    deleted: Relation,
 }
 
 impl RelationDelta {
     /// The name of the affected relation.
     pub fn relation(&self) -> &str {
-        &self.relation
+        self.inserted.schema().name()
     }
 
-    /// The tuples inserted into the relation by the delta.
-    pub fn inserted(&self) -> &[Tuple] {
+    /// The rows inserted into the relation by the delta.
+    pub fn inserted(&self) -> &Relation {
         &self.inserted
     }
 
-    /// The tuples deleted from the relation by the delta.
-    pub fn deleted(&self) -> &[Tuple] {
+    /// The rows deleted from the relation by the delta.
+    pub fn deleted(&self) -> &Relation {
         &self.deleted
     }
 
@@ -86,16 +86,16 @@ pub struct IncrementalShredder {
 /// Updatable shredding state of one rule.
 #[derive(Debug)]
 enum RuleState {
-    /// Block-decomposable plan: cached tuple blocks per anchor node.
+    /// Block-decomposable plan: cached row blocks per anchor node.
     Blocks {
         /// Current anchor bindings, in document order (the relation is
         /// their blocks concatenated; empty ⇒ the single all-null row).
         anchors: Vec<NodeId>,
-        /// Anchor node → its tuple block.
-        blocks: HashMap<NodeId, Vec<Tuple>>,
+        /// Anchor node → its row block.
+        blocks: HashMap<NodeId, Relation>,
     },
-    /// Fallback: the full current row list, re-shredded per delta.
-    Full { rows: Vec<Tuple> },
+    /// Fallback: the full current relation, re-shredded per delta.
+    Full { rows: Relation },
 }
 
 impl IncrementalShredder {
@@ -125,11 +125,7 @@ impl IncrementalShredder {
                 RuleState::Blocks { anchors, blocks }
             } else {
                 RuleState::Full {
-                    rows: rule
-                        .shred_with(doc, index, &mut shredder.scratch)
-                        .rows()
-                        .map(|row| row.to_tuple())
-                        .collect(),
+                    rows: rule.shred_with(doc, index, &mut shredder.scratch),
                 }
             };
             shredder.rules.push(state);
@@ -137,7 +133,7 @@ impl IncrementalShredder {
         shredder
     }
 
-    /// Adjusts the state for one applied delta and reports the tuple-level
+    /// Adjusts the state for one applied delta and reports the row-level
     /// effect (one [`RelationDelta`] per relation the delta touched).
     /// Call order per edit: [`Document::apply`], then
     /// [`DocIndex::apply_delta`], then this — the index must already be
@@ -167,38 +163,31 @@ impl IncrementalShredder {
             // `self.rules[r]` is taken apart manually (instead of a zipped
             // iterator) so `self.eval_anchors` / `self.scratch` stay
             // borrowable inside the match.
-            let state = std::mem::replace(&mut self.rules[r], RuleState::Full { rows: Vec::new() });
-            let delta = match state {
+            let empty = RuleState::Blocks {
+                anchors: Vec::new(),
+                blocks: HashMap::new(),
+            };
+            let delta = match std::mem::replace(&mut self.rules[r], empty) {
                 RuleState::Blocks {
                     anchors: old_anchors,
                     mut blocks,
                 } => {
                     // The rows that may have left and entered the relation.
-                    let mut removed = Vec::new();
-                    let mut added = Vec::new();
+                    let mut removed = Relation::new(rule.schema().clone());
+                    let mut added = Relation::new(rule.schema().clone());
                     self.eval_anchors(rule, doc, index);
                     let new_anchors: Vec<NodeId> =
                         self.apos.iter().map(|&p| index.node_at(p)).collect();
-                    let positions = self.apos.clone();
-                    for (i, &a) in new_anchors.iter().enumerate() {
-                        let clean = !chain.contains(&a) && blocks.contains_key(&a);
-                        if clean {
+                    for (&a, &pos) in new_anchors.iter().zip(&self.apos) {
+                        // A block off the dirty chain is still current.
+                        if !chain.contains(&a) && blocks.contains_key(&a) {
                             continue;
                         }
-                        let fresh = rule.shred_block(doc, index, &mut self.scratch, positions[i]);
-                        let mut old = blocks.remove(&a).unwrap_or_default();
-                        // Enumeration order is stable, so an edit inside
-                        // the block leaves the rows before and after it
-                        // in place.
-                        let prefix = old.iter().zip(&fresh).take_while(|(o, f)| o == f).count();
-                        let suffix = old[prefix..]
-                            .iter()
-                            .rev()
-                            .zip(fresh[prefix..].iter().rev())
-                            .take_while(|(o, f)| o == f)
-                            .count();
-                        removed.extend(old.drain(prefix..old.len() - suffix));
-                        added.extend_from_slice(&fresh[prefix..fresh.len() - suffix]);
+                        let fresh = rule.shred_block(doc, index, &mut self.scratch, pos);
+                        match blocks.get(&a) {
+                            Some(old) => diff_block(old, &fresh, &mut removed, &mut added),
+                            None => extend(&mut added, fresh.rows()),
+                        }
                         blocks.insert(a, fresh);
                     }
                     // Garbage-collect blocks whose anchors vanished.
@@ -206,31 +195,27 @@ impl IncrementalShredder {
                         for &a in &old_anchors {
                             if !new_anchors.contains(&a) {
                                 if let Some(old) = blocks.remove(&a) {
-                                    removed.extend(old);
+                                    extend(&mut removed, old.rows());
                                 }
                             }
                         }
                         // An empty binding set stands for the single
                         // all-null row; account for it (dis)appearing.
                         if old_anchors.is_empty() {
-                            removed.push(rule.null_tuple());
+                            insert_null_row(&mut removed);
                         } else if new_anchors.is_empty() {
-                            added.push(rule.null_tuple());
+                            insert_null_row(&mut added);
                         }
                     }
                     self.rules[r] = RuleState::Blocks {
                         anchors: new_anchors,
                         blocks,
                     };
-                    net_delta(rule.schema().name(), &removed, &added)
+                    net_delta(&removed, &added)
                 }
                 RuleState::Full { rows: old } => {
-                    let rows: Vec<Tuple> = rule
-                        .shred_with(doc, index, &mut self.scratch)
-                        .rows()
-                        .map(|row| row.to_tuple())
-                        .collect();
-                    let delta = net_delta(rule.schema().name(), &old, &rows);
+                    let rows = rule.shred_with(doc, index, &mut self.scratch);
+                    let delta = net_delta(&old, &rows);
                     self.rules[r] = RuleState::Full { rows };
                     delta
                 }
@@ -248,26 +233,19 @@ impl IncrementalShredder {
     pub fn database(&self, plan: &TransformationPlan) -> Database {
         let mut db = Database::new();
         for (rule, state) in plan.plans().iter().zip(&self.rules) {
-            let mut relation = Relation::new(rule.schema().clone());
-            match state {
+            db.insert(match state {
                 RuleState::Blocks { anchors, blocks } => {
+                    let mut relation = Relation::new(rule.schema().clone());
                     if anchors.is_empty() {
-                        relation.insert(rule.null_tuple());
-                    } else {
-                        for a in anchors {
-                            for t in &blocks[a] {
-                                relation.insert(t.clone());
-                            }
-                        }
+                        insert_null_row(&mut relation);
                     }
-                }
-                RuleState::Full { rows } => {
-                    for t in rows {
-                        relation.insert(t.clone());
+                    for a in anchors {
+                        extend(&mut relation, blocks[a].rows());
                     }
+                    relation
                 }
-            }
-            db.insert(relation);
+                RuleState::Full { rows } => rows.clone(),
+            });
         }
         db
     }
@@ -284,32 +262,65 @@ impl IncrementalShredder {
     }
 }
 
-/// The net effect on `relation` of replacing the bag of rows `old` by the
-/// bag `new`: rows in both cancel, so no tuple is both inserted and
-/// deleted.  Each side lists its tuples in tuple order, repeated by their
-/// net multiplicity.
-fn net_delta(relation: &str, old: &[Tuple], new: &[Tuple]) -> RelationDelta {
-    let mut counts: HashMap<&Tuple, i64> = HashMap::new();
-    for t in new {
-        *counts.entry(t).or_insert(0) += 1;
+/// Appends `rows` to `relation`.
+fn extend<'a>(relation: &mut Relation, rows: impl Iterator<Item = Row<'a>>) {
+    for row in rows {
+        relation.insert(row.values().cloned());
     }
-    for t in old {
-        *counts.entry(t).or_insert(0) -= 1;
+}
+
+/// Appends the rows of `old` to `removed` and those of `fresh` to `added`,
+/// except the rows the two share at either end: enumeration order is
+/// stable, so an edit inside a block leaves the rows before and after it
+/// in place.
+fn diff_block(old: &Relation, fresh: &Relation, removed: &mut Relation, added: &mut Relation) {
+    let prefix = old
+        .rows()
+        .zip(fresh.rows())
+        .take_while(|(o, f)| o == f)
+        .count();
+    let suffix = old
+        .rows()
+        .skip(prefix)
+        .rev()
+        .zip(fresh.rows().skip(prefix).rev())
+        .take_while(|(o, f)| o == f)
+        .count();
+    extend(removed, old.rows().take(old.len() - suffix).skip(prefix));
+    extend(added, fresh.rows().take(fresh.len() - suffix).skip(prefix));
+}
+
+/// Appends the all-null row a plan emits when its variables bind nothing.
+fn insert_null_row(relation: &mut Relation) {
+    let arity = relation.schema().arity();
+    relation.insert(vec![Value::Null; arity]);
+}
+
+/// The net effect of replacing the bag of rows `old` by the bag `new`
+/// (instances of one schema): rows in both cancel, so no row is both
+/// inserted and deleted.  Each side lists its rows in value order,
+/// repeated by their net multiplicity.
+fn net_delta(old: &Relation, new: &Relation) -> RelationDelta {
+    let mut counts: HashMap<Row<'_>, i64> = HashMap::new();
+    for row in new.rows() {
+        *counts.entry(row).or_insert(0) += 1;
     }
-    let mut changed: Vec<(&Tuple, i64)> = counts.into_iter().filter(|&(_, n)| n != 0).collect();
-    changed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for row in old.rows() {
+        *counts.entry(row).or_insert(0) -= 1;
+    }
+    let mut changed: Vec<(Row<'_>, i64)> = counts.into_iter().filter(|&(_, n)| n != 0).collect();
+    changed.sort_unstable_by(|a, b| a.0.values().cmp(b.0.values()));
     let mut delta = RelationDelta {
-        relation: relation.to_string(),
-        inserted: Vec::new(),
-        deleted: Vec::new(),
+        inserted: Relation::new(new.schema().clone()),
+        deleted: Relation::new(new.schema().clone()),
     };
-    for (t, n) in changed {
+    for (row, n) in changed {
         let side = if n > 0 {
             &mut delta.inserted
         } else {
             &mut delta.deleted
         };
-        side.extend(std::iter::repeat_n(t, n.unsigned_abs() as usize).cloned());
+        extend(side, std::iter::repeat_n(row, n.unsigned_abs() as usize));
     }
     delta
 }
@@ -325,7 +336,7 @@ mod tests {
 
     /// Applies a script of deltas, asserting after each one that the
     /// incrementally maintained database equals a from-scratch shred
-    /// bit-for-bit, and that the reported tuple deltas account exactly and
+    /// bit-for-bit, and that the reported row deltas account exactly and
     /// net for the difference in each relation's bag of rows.
     fn run_script(t: &Transformation, mut doc: Document, script: Vec<Delta>) {
         let mut universe = LabelUniverse::new();
@@ -345,24 +356,26 @@ mod tests {
             // The reported deltas must transform each old bag into the new.
             for rule in plan.plans() {
                 let name = rule.schema().name();
-                let mut bag: HashMap<Tuple, i64> = HashMap::new();
+                let mut bag: HashMap<Row<'_>, i64> = HashMap::new();
                 for t in before.get(name).unwrap().rows() {
-                    *bag.entry(t.to_tuple()).or_insert(0) += 1;
+                    *bag.entry(t).or_insert(0) += 1;
                 }
                 if let Some(d) = reported.iter().find(|d| d.relation() == name) {
                     assert!(
-                        !d.inserted().iter().any(|t| d.deleted().contains(t)),
+                        !d.inserted()
+                            .rows()
+                            .any(|t| d.deleted().rows().any(|u| u == t)),
                         "tuple delta for {name} is not net after {delta:?}",
                     );
-                    for t in d.deleted() {
-                        *bag.entry(t.clone()).or_insert(0) -= 1;
+                    for t in d.deleted().rows() {
+                        *bag.entry(t).or_insert(0) -= 1;
                     }
-                    for t in d.inserted() {
-                        *bag.entry(t.clone()).or_insert(0) += 1;
+                    for t in d.inserted().rows() {
+                        *bag.entry(t).or_insert(0) += 1;
                     }
                 }
                 for t in expected.get(name).unwrap().rows() {
-                    *bag.entry(t.to_tuple()).or_insert(0) -= 1;
+                    *bag.entry(t).or_insert(0) -= 1;
                 }
                 assert!(
                     bag.values().all(|&n| n == 0),

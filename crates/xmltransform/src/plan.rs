@@ -38,7 +38,7 @@
 use crate::rule::{TableRule, Transformation};
 use crate::shred::field_value;
 use crate::tree::VarId;
-use xmlprop_reldb::{Database, Relation, RelationSchema, Tuple, Value};
+use xmlprop_reldb::{Database, Relation, RelationSchema, Value};
 use xmlprop_xmlpath::{CompiledAtom, CompiledExpr, EvalScratch, LabelId, LabelUniverse};
 use xmlprop_xmltree::{DocIndex, Document, NodeId, NodeKind};
 
@@ -135,6 +135,19 @@ impl ShredPlan {
         index: &DocIndex,
         scratch: &mut ShredScratch,
     ) -> Relation {
+        self.shred_bound(doc, index, scratch, &[index.position(doc.root())])
+    }
+
+    /// The one row emitter: shreds the complete bindings whose first
+    /// variables are `bound` into a relation, each distinct memoized value
+    /// entered once and every row a copy of codes.
+    fn shred_bound(
+        &self,
+        doc: &Document,
+        index: &DocIndex,
+        scratch: &mut ShredScratch,
+        bound: &[u32],
+    ) -> Relation {
         index.debug_assert_current(doc);
         scratch.fit(doc, index);
         let ShredScratch {
@@ -146,8 +159,7 @@ impl ShredPlan {
         } = scratch;
         let mut relation = Relation::new(self.schema.clone());
         let mut row = vec![Relation::NULL_CODE; self.field_vars.len()];
-        let root = index.position(doc.root());
-        self.enumerate(index, odometer, &[root], |binding, changed| {
+        self.enumerate(index, odometer, bound, |binding, changed| {
             // A field whose variable kept its binding keeps its code.
             for (cell, &v) in row.iter_mut().zip(&self.field_vars) {
                 if (v as usize) < changed {
@@ -247,7 +259,7 @@ impl ShredPlan {
     /// parent-before-child) and no schema field reads `value(xr)`.  Every
     /// other variable then descends from that **anchor**, so the shredded
     /// relation is the concatenation, in document order, of independent
-    /// per-anchor-binding tuple blocks — the unit of reuse of the
+    /// per-anchor-binding row blocks — the unit of reuse of the
     /// incremental shredder.
     pub(crate) fn anchor_var(&self) -> Option<VarId> {
         let vars = self.parents.len();
@@ -260,7 +272,7 @@ impl ShredPlan {
         Some(VarId(1))
     }
 
-    /// Shreds the tuple block of one anchor binding (see
+    /// Shreds the row block of one anchor binding (see
     /// [`ShredPlan::anchor_var`]): the rows [`ShredPlan::shred_with`] would
     /// emit for this anchor node, in the same order.
     pub(crate) fn shred_block(
@@ -269,34 +281,13 @@ impl ShredPlan {
         index: &DocIndex,
         scratch: &mut ShredScratch,
         anchor_pos: u32,
-    ) -> Vec<Tuple> {
-        scratch.fit(doc, index);
-        let ShredScratch { odometer, memo, .. } = scratch;
-        let mut block = Vec::new();
-        self.enumerate(
+    ) -> Relation {
+        self.shred_bound(
+            doc,
             index,
-            odometer,
+            scratch,
             &[index.position(doc.root()), anchor_pos],
-            |binding, _| {
-                block.push(
-                    self.field_vars
-                        .iter()
-                        .map(|&v| match binding[v as usize] {
-                            NULL => Value::Null,
-                            pos => memoized(memo, doc, index, pos, Slot::of(index, pos)).clone(),
-                        })
-                        .collect(),
-                )
-            },
-        );
-        block
-    }
-
-    /// The all-null tuple a plan emits when its variables bind nothing —
-    /// the relation content of a block-decomposable plan with zero anchor
-    /// bindings.
-    pub(crate) fn null_tuple(&self) -> Tuple {
-        Tuple::new(vec![Value::Null; self.field_vars.len()])
+        )
     }
 }
 
@@ -855,15 +846,16 @@ mod shred_proptests {
                 &mut EvalScratch::default(),
                 &mut anchors,
             );
-            let mut blocks = Vec::new();
+            let mut blocks = Relation::new(plan.schema().clone());
             for &anchor in &anchors {
-                blocks.extend(plan.shred_block(&doc, &index, &mut scratch, anchor));
+                for row in plan.shred_block(&doc, &index, &mut scratch, anchor).rows() {
+                    blocks.insert(row.values().cloned());
+                }
             }
             if anchors.is_empty() {
-                blocks.push(plan.null_tuple());
+                blocks.insert(vec![Value::Null; plan.schema().arity()]);
             }
-            let rows: Vec<Tuple> = whole.rows().map(|row| row.to_tuple()).collect();
-            prop_assert_eq!(rows, blocks);
+            prop_assert_eq!(whole, blocks);
         }
     }
 }

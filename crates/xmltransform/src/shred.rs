@@ -51,7 +51,7 @@ pub(crate) mod oracle {
     use crate::rule::TableRule;
     use crate::tree::{TableTree, VarId};
     use std::collections::BTreeMap;
-    use xmlprop_reldb::{Relation, Tuple, Value};
+    use xmlprop_reldb::{Relation, Value};
     use xmlprop_xmlpath::{Path, PathExpr};
     use xmlprop_xmltree::{Document, NodeId};
 
@@ -127,7 +127,7 @@ pub(crate) mod oracle {
                     }
                 })
                 .collect();
-            relation.insert(Tuple::new(values));
+            relation.insert(values);
         }
         relation
     }

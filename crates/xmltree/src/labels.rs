@@ -14,7 +14,8 @@
 //! Ids are **append-only**: extending a universe (interning a document after
 //! compiling a key set, or vice versa) never invalidates previously issued
 //! ids, so prepared state built against a prefix of the universe stays
-//! valid.
+//! valid.  [`LabelUniverse::truncate`] cuts a universe back to such a
+//! prefix once nothing names the ids past it.
 
 use crate::hash::FoldState;
 use std::collections::HashMap;
@@ -96,6 +97,18 @@ impl LabelUniverse {
     pub fn is_attr(&self, id: LabelId) -> bool {
         self.attrs.get(id.index()).copied().unwrap_or(false)
     }
+
+    /// Forgets every label past the first `len` (a no-op when there are no
+    /// more), so their ids are handed out again.  Only sound when nothing
+    /// still in use names one of the forgotten ids: a worker that interns
+    /// each document into a clone of a prepared universe truncates back
+    /// to the prepared length once the document is indexed.
+    pub fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len.min(self.names.len())..) {
+            self.ids.remove(&name);
+        }
+        self.attrs.truncate(len);
+    }
 }
 
 #[cfg(test)]
@@ -130,5 +143,20 @@ mod tests {
         assert_eq!(x1, x2);
         assert_ne!(x1, y);
         assert_eq!((x1, y), (LabelId(1), LabelId(2)));
+    }
+
+    #[test]
+    fn truncation_forgets_later_labels_and_reissues_their_ids() {
+        let mut u = LabelUniverse::new();
+        let book = u.intern("book");
+        u.intern("@isbn");
+        u.intern("x");
+        u.truncate(1);
+        assert_eq!((u.len(), u.names()), (1, &["book".to_string()][..]));
+        assert_eq!((u.lookup("book"), u.lookup("@isbn")), (Some(book), None));
+        assert!(!u.is_attr(LabelId(1)));
+        assert_eq!(u.intern("y"), LabelId(1));
+        u.truncate(5);
+        assert_eq!(u.len(), 2);
     }
 }

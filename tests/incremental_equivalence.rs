@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use xmlprop::pipeline::{CorpusBundle, PreparedState};
-use xmlprop::reldb::Tuple;
+use xmlprop::reldb::Row;
 use xmlprop::workload::{generate, generate_document, DocConfig, Workload, WorkloadConfig};
 use xmlprop::xmltransform::{parse_single_rule, TableRule, Transformation};
 use xmlprop::xmltree::{to_xml, Delta, Document, Fragment, NodeId, NodeKind};
@@ -183,24 +183,24 @@ proptest! {
                 let after = state.database(&bundle);
                 for relation in before.relations() {
                     let name = relation.schema().name();
-                    let mut bag: HashMap<Tuple, i64> = HashMap::new();
+                    let mut bag: HashMap<Row<'_>, i64> = HashMap::new();
                     for row in relation.rows() {
-                        *bag.entry(row.to_tuple()).or_insert(0) += 1;
+                        *bag.entry(row).or_insert(0) += 1;
                     }
                     if let Some(d) = report.relations.iter().find(|d| d.relation() == name) {
                         prop_assert!(
-                            !d.inserted().iter().any(|t| d.deleted().contains(t)),
+                            !d.inserted().rows().any(|t| d.deleted().rows().any(|u| u == t)),
                             "tuple delta for {} is not net", name
                         );
-                        for t in d.deleted() {
-                            *bag.entry(t.clone()).or_insert(0) -= 1;
+                        for t in d.deleted().rows() {
+                            *bag.entry(t).or_insert(0) -= 1;
                         }
-                        for t in d.inserted() {
-                            *bag.entry(t.clone()).or_insert(0) += 1;
+                        for t in d.inserted().rows() {
+                            *bag.entry(t).or_insert(0) += 1;
                         }
                     }
                     for row in after.get(name).unwrap().rows() {
-                        *bag.entry(row.to_tuple()).or_insert(0) -= 1;
+                        *bag.entry(row).or_insert(0) -= 1;
                     }
                     prop_assert!(
                         bag.values().all(|&n| n == 0),
