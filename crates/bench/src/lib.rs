@@ -31,7 +31,9 @@ use xmlprop_workload::{
     WorkloadConfig,
 };
 use xmlprop_xmltransform::Transformation;
-use xmlprop_xmltree::{to_xml, AppliedDelta, Delta, DocIndex, Document, LabelUniverse};
+use xmlprop_xmltree::{
+    to_xml, AppliedDelta, Delta, DocIndex, Document, ElementBuilder, Fragment, LabelUniverse,
+};
 
 /// Timed trials per arm.  With five trials the p90 of [`Stats`] is the
 /// slowest trial.
@@ -1108,7 +1110,9 @@ impl Edited {
 /// apply the edit, splice the index and update the maintained validator
 /// or shredder; scratch rows apply the same edit, rebuild the index and
 /// run the full pass.  The maintained state is asserted equal to the
-/// from-scratch result before and after the timed edits.
+/// from-scratch result before and after the timed edits, and before them
+/// also after a new root-child anchor is inserted and after it is removed,
+/// so the checks cover contexts and anchors that appear and vanish.
 fn incremental(quick: bool) -> Vec<Row> {
     use xmlprop_xmlkeys::IncrementalValidator;
     use xmlprop_xmltransform::{IncrementalShredder, TransformationPlan};
@@ -1126,6 +1130,23 @@ fn incremental(quick: bool) -> Vec<Row> {
             node: target,
             text: format!("edit-{}", i % 2),
         };
+        // A binding-set change for the checks: a new root-child `e0`
+        // anchor with an `e1` child appears, then vanishes again.
+        let anchor = ElementBuilder::new("e0")
+            .attr("id0", "inserted")
+            .child(ElementBuilder::new("e1").attr("id1", "inserted"))
+            .build();
+        let insert_anchor = Delta::InsertSubtree {
+            parent: doc.root(),
+            position: doc.children(doc.root()).count(),
+            fragment: Fragment::Element(anchor),
+        };
+        let remove_anchor = |doc: &Document| Delta::RemoveSubtree {
+            node: doc
+                .children(doc.root())
+                .last()
+                .expect("the anchor was appended"),
+        };
 
         let keys = w.sigma.prepare();
         let open = || {
@@ -1138,12 +1159,9 @@ fn incremental(quick: bool) -> Vec<Row> {
             validator.apply(&keys, &side.doc, &side.index, &applied);
         };
         let agree = |(side, validator): &(Edited, IncrementalValidator), what: &str| {
-            let fresh = side.fresh_index();
-            assert_eq!(
-                validator.violations(),
-                keys.violations(&side.doc, &fresh),
-                "{what}"
-            );
+            let expected = keys.violations(&side.doc, &side.fresh_index());
+            assert_eq!(validator.violation_count(), expected.len(), "{what}");
+            assert_eq!(validator.violations(), expected, "{what}");
         };
         let mut maintained = open();
         let mut scratch = Edited::new(&doc, keys.universe().clone());
@@ -1153,6 +1171,11 @@ fn incremental(quick: bool) -> Vec<Row> {
                 let mut gate = open();
                 maintain(&mut gate, &edit(0));
                 agree(&gate, "incremental/scratch validation disagree");
+                maintain(&mut gate, &insert_anchor);
+                agree(&gate, "validation disagrees after an anchor insert");
+                let remove = remove_anchor(&gate.0.doc);
+                maintain(&mut gate, &remove);
+                agree(&gate, "validation disagrees after an anchor removal");
             },
             &mut [
                 &mut || {
@@ -1205,6 +1228,11 @@ fn incremental(quick: bool) -> Vec<Row> {
                 let mut gate = open();
                 maintain(&mut gate, &edit(0));
                 agree(&gate, "incremental/scratch shredding disagree");
+                maintain(&mut gate, &insert_anchor);
+                agree(&gate, "shredding disagrees after an anchor insert");
+                let remove = remove_anchor(&gate.0.doc);
+                maintain(&mut gate, &remove);
+                agree(&gate, "shredding disagrees after an anchor removal");
             },
             &mut [
                 &mut || {

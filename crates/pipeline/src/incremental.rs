@@ -11,8 +11,14 @@
 //! 2. [`DocIndex::apply_delta`] renumbers only the affected subtree range;
 //! 3. the validator re-checks only the key contexts on the dirty ancestor
 //!    chain or new since the last edit;
-//! 4. the shredder re-shreds only the tuple blocks whose anchors meet the
-//!    chain, reporting net tuple-level [`RelationDelta`]s.
+//! 4. the shredder re-shreds only the row blocks whose anchors meet the
+//!    chain, reporting net row-level [`RelationDelta`]s.
+//!
+//! Steps 3 and 4 keep their per-context violations and per-anchor blocks
+//! in one structure, [`xmlprop_xmlpath::RootBindings`]: it re-evaluates
+//! the context or anchor path after an insert or a removal, evaluates
+//! none after a text edit, and hands back the results of the bindings
+//! that vanished.
 //!
 //! The maintained state is bit-for-bit what re-running the whole pipeline
 //! from scratch on the mutated document would produce — pinned by the

@@ -1,20 +1,20 @@
 //! Incremental key validation under document deltas.
 //!
-//! [`IncrementalValidator`] keeps, per key of Σ, the context set of the
-//! last validation and the violations found under each context.  After an
-//! edit it re-runs the batch check of one context
-//! ([`KeyIndex::violations`] runs the same one) only where the edit can
-//! have changed its result.
+//! [`IncrementalValidator`] keeps, per key of Σ, the violations found
+//! under each context in a [`RootBindings`] cache, the one the incremental
+//! shredder keeps its row blocks in.  After an edit the cache re-runs the
+//! batch check of one context ([`KeyIndex::violations`] runs the same one)
+//! only where the edit can have changed its result.
 //!
 //! The locality argument: all targets of a context `c`, and all the
 //! attribute children their tuples are built from, live inside
-//! `subtree(c)`; a delta changes subtree content only for the
-//! [`AppliedDelta::dirty_node`] and its ancestors.  So a context off that
-//! ancestor chain keeps its violations, and only contexts on the chain, or
-//! new since the last edit, are checked again.  Context *sets* are
-//! re-evaluated from the patched [`DocIndex`] every time (a cheap postings
-//! scan), which is what makes contexts appear and disappear correctly
-//! under structural edits.
+//! `subtree(c)`; a delta changes subtree content only along its
+//! [`AppliedDelta::dirty_chain`].  So a context off that chain keeps its
+//! violations, and only contexts on the chain, or new since the last edit,
+//! are checked again.  Context *sets* are re-evaluated from the patched
+//! [`DocIndex`] after an insert or a removal (a cheap postings scan), which
+//! is what makes contexts appear and disappear correctly under structural
+//! edits; a text edit changes no context set and evaluates none.
 //!
 //! The result is bit-for-bit the list [`KeyIndex::violations`] would
 //! produce from scratch on the mutated document — same violations, same
@@ -22,29 +22,24 @@
 
 use crate::index::{KeyIndex, ValidateScratch};
 use crate::satisfy::Violation;
-use std::collections::{HashMap, HashSet};
-use xmlprop_xmltree::{AppliedDelta, DocIndex, Document, NodeId};
+use xmlprop_xmlpath::{EvalScratch, RootBindings};
+use xmlprop_xmltree::{AppliedDelta, DocIndex, Document};
 
 /// Delta-maintained validation state for one document against one
 /// [`KeyIndex`]; see the module docs.
 #[derive(Debug)]
 pub struct IncrementalValidator {
-    /// Per key of Σ, in Σ order.
-    keys: Vec<KeyState>,
+    /// Per key of Σ, in Σ order: the violations under each context, with
+    /// contexts in document order (the assembly order of
+    /// [`IncrementalValidator::violations`]).
+    keys: Vec<RootBindings<Vec<Violation>>>,
+    /// The number of violations over all keys.
+    count: usize,
     /// [`Document::epoch`] the state is current for.
     epoch: u64,
+    /// Scratch of the context-path evaluations.
+    eval: EvalScratch,
     scratch: ValidateScratch,
-}
-
-/// Updatable validation state of one key.
-#[derive(Debug, Default)]
-struct KeyState {
-    /// Current contexts, in document order (the assembly order of
-    /// [`IncrementalValidator::violations`]).
-    contexts: Vec<NodeId>,
-    /// Context → its violations in canonical order; contexts with no
-    /// violations are absent.
-    violations: HashMap<NodeId, Vec<Violation>>,
 }
 
 impl IncrementalValidator {
@@ -53,15 +48,14 @@ impl IncrementalValidator {
     /// form).  `index` must be current for `doc` and built against an
     /// extension of the key universe.
     pub fn new(keys: &KeyIndex, doc: &Document, index: &DocIndex) -> Self {
-        index.debug_assert_current(doc);
         let mut validator = IncrementalValidator {
-            keys: (0..keys.len()).map(|_| KeyState::default()).collect(),
+            keys: (0..keys.len()).map(|_| RootBindings::default()).collect(),
+            count: 0,
             epoch: doc.epoch(),
+            eval: EvalScratch::default(),
             scratch: ValidateScratch::default(),
         };
-        for k in 0..keys.len() {
-            validator.refresh_key(keys, k, doc, index, None);
-        }
+        validator.refresh(keys, doc, index, None);
         validator
     }
 
@@ -76,18 +70,12 @@ impl IncrementalValidator {
         index: &DocIndex,
         applied: &AppliedDelta,
     ) {
-        index.debug_assert_current(doc);
         debug_assert_eq!(
             self.epoch + 1,
             doc.epoch(),
             "the incremental validator must see every delta exactly once",
         );
-        let dirty = applied.dirty_node();
-        let mut chain = vec![dirty];
-        chain.extend(doc.ancestors(dirty));
-        for k in 0..keys.len() {
-            self.refresh_key(keys, k, doc, index, Some(&chain));
-        }
+        self.refresh(keys, doc, index, Some(applied));
         self.epoch = doc.epoch();
     }
 
@@ -95,77 +83,49 @@ impl IncrementalValidator {
     /// [`KeyIndex::violations`] pass over the mutated document produces
     /// (Σ order, contexts in document order).
     pub fn violations(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for state in &self.keys {
-            for c in &state.contexts {
-                if let Some(v) = state.violations.get(c) {
-                    out.extend(v.iter().cloned());
-                }
-            }
-        }
-        out
+        self.keys
+            .iter()
+            .flat_map(RootBindings::results)
+            .flatten()
+            .cloned()
+            .collect()
     }
 
     /// The number of current violations, without materializing them.
     pub fn violation_count(&self) -> usize {
-        self.keys
-            .iter()
-            .map(|s| s.violations.values().map(Vec::len).sum::<usize>())
-            .sum()
+        self.count
     }
 
     /// True if the document currently satisfies every key of Σ.
     pub fn satisfies(&self) -> bool {
-        self.keys.iter().all(|s| s.violations.is_empty())
+        self.count == 0
     }
 
-    /// Re-evaluates the contexts of key `k` and re-checks the dirty ones.
-    /// `chain = None` marks everything dirty (initial build); otherwise
-    /// `chain` is the dirty ancestor chain of the edit, and a context off
-    /// it that was already a context keeps its violations.
-    fn refresh_key(
+    /// Refreshes every key's cache, re-checking the contexts it reports
+    /// dirty (all of them when `applied` is `None`).
+    fn refresh(
         &mut self,
         keys: &KeyIndex,
-        k: usize,
         doc: &Document,
         index: &DocIndex,
-        chain: Option<&[NodeId]>,
+        applied: Option<&AppliedDelta>,
     ) {
-        let state = &mut self.keys[k];
-        let scratch = &mut self.scratch;
-        keys.keys()[k].context().evaluate_positions(
-            index,
-            index.position(doc.root()),
-            &mut scratch.eval,
-            &mut scratch.contexts,
-        );
-        let positions = std::mem::take(&mut scratch.contexts);
-        let contexts: Vec<NodeId> = positions.iter().map(|&p| index.node_at(p)).collect();
-        // When the context set is unchanged (the overwhelmingly common
-        // case) no context is new and none vanished.
-        let old: Option<HashSet<NodeId>> =
-            (state.contexts != contexts).then(|| state.contexts.iter().copied().collect());
-        for (&pos, &c) in positions.iter().zip(&contexts) {
-            let dirty = chain.is_none_or(|chain| {
-                chain.contains(&c) || old.as_ref().is_some_and(|old| !old.contains(&c))
+        let IncrementalValidator {
+            count,
+            eval,
+            scratch,
+            ..
+        } = self;
+        for (k, contexts) in self.keys.iter_mut().enumerate() {
+            let path = keys.keys()[k].context();
+            let vanished = contexts.refresh(path, doc, index, applied, eval, |pos, old| {
+                let mut violations = Vec::new();
+                keys.check_context(k, index, pos, scratch, Some(&mut violations));
+                *count = *count - old.map_or(0, Vec::len) + violations.len();
+                violations
             });
-            if !dirty {
-                continue;
-            }
-            let mut violations = Vec::new();
-            keys.check_context(k, index, pos, scratch, Some(&mut violations));
-            if violations.is_empty() {
-                state.violations.remove(&c);
-            } else {
-                state.violations.insert(c, violations);
-            }
+            *count -= vanished.iter().map(Vec::len).sum::<usize>();
         }
-        if old.is_some() {
-            let live: HashSet<NodeId> = contexts.iter().copied().collect();
-            state.violations.retain(|c, _| live.contains(c));
-            state.contexts = contexts;
-        }
-        scratch.contexts = positions;
     }
 }
 
@@ -175,7 +135,7 @@ mod tests {
     use crate::index::validation_proptests::{build_doc, key_strategy};
     use crate::{example_2_1_keys, KeySet};
     use proptest::prelude::*;
-    use xmlprop_xmltree::{Delta, Fragment, NodeKind};
+    use xmlprop_xmltree::{Delta, Fragment, NodeId, NodeKind};
 
     /// Applies a script of deltas, asserting after each one that the
     /// incremental violations equal a from-scratch pass bit-for-bit.

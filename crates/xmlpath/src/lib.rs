@@ -30,7 +30,12 @@
 //! * **incremental matching** for streaming key validation:
 //!   [`StreamMatcher`] simulates a compiled expression as an NFA one label
 //!   at a time, with `Copy` [`MatchState`] bitmasks that the key checker
-//!   stacks per document depth.
+//!   stacks per document depth;
+//! * the **root-binding cache** of incremental maintenance:
+//!   [`RootBindings`] keeps one result per binding of a path from the
+//!   document root and, after an edit, recomputes only the bindings that
+//!   are new or on the edit's dirty chain.  The incremental key validator
+//!   and the incremental shredder both keep their per-binding state in it.
 //!
 //! # Example
 //!
@@ -49,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bindings;
 mod compile;
 mod containment;
 mod eval;
@@ -56,6 +62,7 @@ mod expr;
 mod path;
 mod stream;
 
+pub use bindings::RootBindings;
 pub use compile::{CompiledAtom, CompiledExpr, LabelId, LabelUniverse};
 pub use containment::{contained_in, word_matches};
 pub use eval::EvalScratch;

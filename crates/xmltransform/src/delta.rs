@@ -8,14 +8,17 @@
 //! of independent row blocks, one per anchor binding.  Rows of a block
 //! only depend on the subtree under the anchor, and a block is a
 //! [`Relation`] of materialized value *strings*, not positions, so it stays
-//! valid as long as the edit's dirty ancestor chain
-//! ([`AppliedDelta::dirty_node`] and its ancestors) misses its anchor.
-//! Each [`IncrementalShredder::apply`] re-evaluates the anchor binding set
-//! over the patched [`DocIndex`] (a cheap path scan), re-shreds only
-//! dirty or new blocks, and reports the net row-level effect per
-//! relation as [`RelationDelta`] insert/delete sets: rows a re-shredded
-//! block shares with its old version at either end are skipped, and the
-//! rest cancel across the relation.
+//! valid as long as the edit's [`AppliedDelta::dirty_chain`] misses its
+//! anchor.  The blocks live in a [`RootBindings`] cache, the one the
+//! incremental key validator keeps its per-context violations in.  Each
+//! [`IncrementalShredder::apply`] refreshes it: the anchor binding set is
+//! re-evaluated over the patched [`DocIndex`] after an insert or a removal
+//! (a cheap path scan) and not at all after a text edit, only dirty or new
+//! blocks are re-shredded, and vanished blocks come back in one linear
+//! sweep.  The net row-level effect per relation is reported as
+//! [`RelationDelta`] insert/delete sets: rows a re-shredded block shares
+//! with its old version at either end are skipped, and the rest cancel
+//! across the relation.
 //!
 //! Plans that are not block-decomposable (several root-child variables
 //! form a root-level Cartesian product, or a field reads `value(xr)`)
@@ -29,11 +32,11 @@
 //! bit-for-bit equal to [`TransformationPlan::shred_all`] on the mutated
 //! document, which the differential proptests pin.
 
-use crate::plan::{ShredScratch, TransformationPlan};
+use crate::plan::{ShredPlan, ShredScratch, TransformationPlan};
 use std::collections::HashMap;
 use xmlprop_reldb::{Database, Relation, Row, Value};
-use xmlprop_xmlpath::EvalScratch;
-use xmlprop_xmltree::{AppliedDelta, DocIndex, Document, NodeId};
+use xmlprop_xmlpath::{CompiledExpr, EvalScratch, RootBindings};
+use xmlprop_xmltree::{AppliedDelta, DocIndex, Document};
 
 /// The row-level effect of one delta on one relation: the rows that left
 /// the instance and the rows that entered it, each kept as a [`Relation`]
@@ -78,22 +81,17 @@ pub struct IncrementalShredder {
     /// [`Document::epoch`] the state is current for.
     epoch: u64,
     scratch: ShredScratch,
+    /// Scratch of the anchor-path evaluations.
     eval: EvalScratch,
-    /// Anchor position buffer of the rule being refreshed.
-    apos: Vec<u32>,
 }
 
 /// Updatable shredding state of one rule.
 #[derive(Debug)]
 enum RuleState {
-    /// Block-decomposable plan: cached row blocks per anchor node.
-    Blocks {
-        /// Current anchor bindings, in document order (the relation is
-        /// their blocks concatenated; empty ⇒ the single all-null row).
-        anchors: Vec<NodeId>,
-        /// Anchor node → its row block.
-        blocks: HashMap<NodeId, Relation>,
-    },
+    /// Block-decomposable plan: one row block per anchor binding, in
+    /// document order (the relation is their blocks concatenated; no
+    /// binding ⇒ the single all-null row).
+    Blocks(RootBindings<Relation>),
     /// Fallback: the full current relation, re-shredded per delta.
     Full { rows: Relation },
 }
@@ -105,32 +103,31 @@ impl IncrementalShredder {
     /// universe.
     pub fn new(plan: &TransformationPlan, doc: &Document, index: &DocIndex) -> Self {
         index.debug_assert_current(doc);
-        let mut shredder = IncrementalShredder {
-            rules: Vec::with_capacity(plan.plans().len()),
-            epoch: doc.epoch(),
-            scratch: ShredScratch::new(),
-            eval: EvalScratch::default(),
-            apos: Vec::new(),
-        };
-        for rule in plan.plans() {
-            let state = if rule.anchor_var().is_some() {
-                shredder.eval_anchors(rule, doc, index);
-                let anchors: Vec<NodeId> =
-                    shredder.apos.iter().map(|&p| index.node_at(p)).collect();
-                let blocks = anchors
-                    .iter()
-                    .zip(shredder.apos.clone())
-                    .map(|(&a, p)| (a, rule.shred_block(doc, index, &mut shredder.scratch, p)))
-                    .collect();
-                RuleState::Blocks { anchors, blocks }
-            } else {
-                RuleState::Full {
-                    rows: rule.shred_with(doc, index, &mut shredder.scratch),
+        let mut scratch = ShredScratch::new();
+        let mut eval = EvalScratch::default();
+        let rules = plan
+            .plans()
+            .iter()
+            .map(|rule| {
+                if rule.anchor_var().is_some() {
+                    let mut blocks = RootBindings::default();
+                    blocks.refresh(anchor_path(rule), doc, index, None, &mut eval, |pos, _| {
+                        rule.shred_block(doc, index, &mut scratch, pos)
+                    });
+                    RuleState::Blocks(blocks)
+                } else {
+                    RuleState::Full {
+                        rows: rule.shred_with(doc, index, &mut scratch),
+                    }
                 }
-            };
-            shredder.rules.push(state);
+            })
+            .collect();
+        IncrementalShredder {
+            rules,
+            epoch: doc.epoch(),
+            scratch,
+            eval,
         }
-        shredder
     }
 
     /// Adjusts the state for one applied delta and reports the row-level
@@ -152,71 +149,45 @@ impl IncrementalShredder {
             doc.epoch(),
             "the incremental shredder must see every delta exactly once",
         );
-        let mut chain = vec![applied.dirty_node()];
-        chain.extend(doc.ancestors(applied.dirty_node()));
         // The chain nodes' subtree serializations changed; everything else
         // in the value() memo stays valid.
-        self.scratch.invalidate_values(&chain);
+        self.scratch.invalidate_values(applied.dirty_chain(doc));
 
         let mut out = Vec::new();
-        for (r, rule) in plan.plans().iter().enumerate() {
-            // `self.rules[r]` is taken apart manually (instead of a zipped
-            // iterator) so `self.eval_anchors` / `self.scratch` stay
-            // borrowable inside the match.
-            let empty = RuleState::Blocks {
-                anchors: Vec::new(),
-                blocks: HashMap::new(),
-            };
-            let delta = match std::mem::replace(&mut self.rules[r], empty) {
-                RuleState::Blocks {
-                    anchors: old_anchors,
-                    mut blocks,
-                } => {
+        let IncrementalShredder { scratch, eval, .. } = self;
+        for (rule, state) in plan.plans().iter().zip(&mut self.rules) {
+            let delta = match state {
+                RuleState::Blocks(blocks) => {
                     // The rows that may have left and entered the relation.
                     let mut removed = Relation::new(rule.schema().clone());
                     let mut added = Relation::new(rule.schema().clone());
-                    self.eval_anchors(rule, doc, index);
-                    let new_anchors: Vec<NodeId> =
-                        self.apos.iter().map(|&p| index.node_at(p)).collect();
-                    for (&a, &pos) in new_anchors.iter().zip(&self.apos) {
-                        // A block off the dirty chain is still current.
-                        if !chain.contains(&a) && blocks.contains_key(&a) {
-                            continue;
-                        }
-                        let fresh = rule.shred_block(doc, index, &mut self.scratch, pos);
-                        match blocks.get(&a) {
-                            Some(old) => diff_block(old, &fresh, &mut removed, &mut added),
-                            None => extend(&mut added, fresh.rows()),
-                        }
-                        blocks.insert(a, fresh);
-                    }
-                    // Garbage-collect blocks whose anchors vanished.
-                    if old_anchors != new_anchors {
-                        for &a in &old_anchors {
-                            if !new_anchors.contains(&a) {
-                                if let Some(old) = blocks.remove(&a) {
-                                    extend(&mut removed, old.rows());
-                                }
+                    let was_empty = blocks.is_empty();
+                    let path = anchor_path(rule);
+                    let vanished =
+                        blocks.refresh(path, doc, index, Some(applied), eval, |pos, old| {
+                            let fresh = rule.shred_block(doc, index, scratch, pos);
+                            match old {
+                                Some(old) => diff_block(old, &fresh, &mut removed, &mut added),
+                                None => extend(&mut added, fresh.rows()),
                             }
-                        }
-                        // An empty binding set stands for the single
-                        // all-null row; account for it (dis)appearing.
-                        if old_anchors.is_empty() {
-                            insert_null_row(&mut removed);
-                        } else if new_anchors.is_empty() {
-                            insert_null_row(&mut added);
-                        }
+                            fresh
+                        });
+                    for block in &vanished {
+                        extend(&mut removed, block.rows());
                     }
-                    self.rules[r] = RuleState::Blocks {
-                        anchors: new_anchors,
-                        blocks,
-                    };
+                    // An empty binding set stands for the single all-null
+                    // row; account for it (dis)appearing.
+                    if was_empty && !blocks.is_empty() {
+                        insert_null_row(&mut removed);
+                    } else if !was_empty && blocks.is_empty() {
+                        insert_null_row(&mut added);
+                    }
                     net_delta(&removed, &added)
                 }
-                RuleState::Full { rows: old } => {
-                    let rows = rule.shred_with(doc, index, &mut self.scratch);
-                    let delta = net_delta(&old, &rows);
-                    self.rules[r] = RuleState::Full { rows };
+                RuleState::Full { rows } => {
+                    let fresh = rule.shred_with(doc, index, scratch);
+                    let delta = net_delta(rows, &fresh);
+                    *rows = fresh;
                     delta
                 }
             };
@@ -234,13 +205,13 @@ impl IncrementalShredder {
         let mut db = Database::new();
         for (rule, state) in plan.plans().iter().zip(&self.rules) {
             db.insert(match state {
-                RuleState::Blocks { anchors, blocks } => {
+                RuleState::Blocks(blocks) => {
                     let mut relation = Relation::new(rule.schema().clone());
-                    if anchors.is_empty() {
+                    if blocks.is_empty() {
                         insert_null_row(&mut relation);
                     }
-                    for a in anchors {
-                        extend(&mut relation, blocks[a].rows());
+                    for block in blocks.results() {
+                        extend(&mut relation, block.rows());
                     }
                     relation
                 }
@@ -249,17 +220,11 @@ impl IncrementalShredder {
         }
         db
     }
+}
 
-    /// Evaluates a rule's anchor bindings from the document root into
-    /// `self.apos` (document order).
-    fn eval_anchors(&mut self, rule: &crate::plan::ShredPlan, doc: &Document, index: &DocIndex) {
-        rule.paths()[1].evaluate_positions(
-            index,
-            index.position(doc.root()),
-            &mut self.eval,
-            &mut self.apos,
-        );
-    }
+/// The path from the root to the anchor of a block-decomposable rule.
+fn anchor_path(rule: &ShredPlan) -> &CompiledExpr {
+    &rule.paths()[1]
 }
 
 /// Appends `rows` to `relation`.
@@ -332,7 +297,7 @@ mod tests {
     use crate::sample;
     use xmlprop_xmlpath::LabelUniverse;
     use xmlprop_xmltree::sample::fig1;
-    use xmlprop_xmltree::{Delta, Fragment};
+    use xmlprop_xmltree::{Delta, Fragment, NodeId};
 
     /// Applies a script of deltas, asserting after each one that the
     /// incrementally maintained database equals a from-scratch shred
@@ -461,6 +426,70 @@ mod tests {
                 text: "000".into(),
             },
             Delta::RemoveSubtree { node: books[0] },
+        ];
+        run_script(&t, doc, script);
+    }
+
+    #[test]
+    fn removing_and_inserting_anchors_among_thousands_reconciles() {
+        // One block per `e` child of the root: removals at both ends and
+        // in the middle change the anchor set, then an insert grows it.
+        let t = Transformation::parse(
+            "rule e(id, v) { x0 := xr//e; x1 := x0/@id; x2 := x0/v; \
+             id := value(x1); v := value(x2); }",
+        )
+        .unwrap();
+        let plan = TransformationPlan::new(&t, &mut LabelUniverse::new());
+        assert!(
+            plan.plans()[0].anchor_var().is_some(),
+            "one block per anchor"
+        );
+        let body: String = (0..2_000)
+            .map(|i| format!(r#"<e id="{i}"><v>{}</v></e>"#, i % 7))
+            .collect();
+        let doc = Document::parse_str(&format!("<db>{body}</db>")).unwrap();
+        let anchors: Vec<NodeId> = doc.children(doc.root()).collect();
+        let mut script: Vec<Delta> = [0, 1_000, 1_999]
+            .map(|i| Delta::RemoveSubtree { node: anchors[i] })
+            .into();
+        script.push(Delta::InsertSubtree {
+            parent: doc.root(),
+            position: 500,
+            fragment: Fragment::Element(
+                Document::parse_str(r#"<e id="new"><v>3</v></e>"#).unwrap(),
+            ),
+        });
+        run_script(&t, doc, script);
+    }
+
+    #[test]
+    fn a_root_level_product_falls_back_and_reconciles() {
+        // Two root-child variables: the rows are a product of books and
+        // chapters, which no anchor splits into blocks.
+        let t = Transformation::parse(
+            "rule p(isbn, number) { xb := xr//book; xc := xr//chapter; \
+             x1 := xb/@isbn; x2 := xc/@number; isbn := value(x1); number := value(x2); }",
+        )
+        .unwrap();
+        let plan = TransformationPlan::new(&t, &mut LabelUniverse::new());
+        assert!(plan.plans()[0].anchor_var().is_none(), "the full arm");
+        let doc = fig1();
+        let books: Vec<NodeId> = doc.children_labelled(doc.root(), "book").collect();
+        let isbn = doc.attribute_node(books[0], "isbn").unwrap();
+        let chapter = doc.children_labelled(books[1], "chapter").next().unwrap();
+        let script = vec![
+            Delta::SetText {
+                node: isbn,
+                text: "1".into(),
+            },
+            Delta::RemoveSubtree { node: chapter },
+            Delta::InsertSubtree {
+                parent: doc.root(),
+                position: 0,
+                fragment: Fragment::Element(
+                    Document::parse_str(r#"<book isbn="7"><chapter number="3"/></book>"#).unwrap(),
+                ),
+            },
         ];
         run_script(&t, doc, script);
     }

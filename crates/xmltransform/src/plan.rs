@@ -342,8 +342,8 @@ impl ShredScratch {
     /// off the chain kept their subtree content; fresh nodes have no
     /// entry; removed nodes are never queried again).  Value-keyed entries
     /// stay: an edited node reads another value id.
-    pub fn invalidate_values(&mut self, nodes: &[NodeId]) {
-        for &node in nodes {
+    pub(crate) fn invalidate_values(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        for node in nodes {
             if let Some(value) = self.memo.by_node.get_mut(node.index()) {
                 *value = Value::Null;
             }

@@ -10,11 +10,11 @@
 //! consume to patch their state without re-reading the whole document.
 //!
 //! The locality contract every incremental consumer relies on: after an
-//! edit, the only nodes whose *subtree content* changed are the
-//! [`AppliedDelta::dirty_node`] and its ancestors, plus (for inserts) the
-//! freshly created nodes themselves.  Everything else — labels, text,
-//! subtree serializations, child lists — is byte-identical to before the
-//! edit.
+//! edit, the only nodes whose *subtree content* changed are those of the
+//! [`AppliedDelta::dirty_chain`] (the [`AppliedDelta::dirty_node`] and its
+//! ancestors), plus (for inserts) the freshly created nodes themselves.
+//! Everything else — labels, text, subtree serializations, child lists —
+//! is byte-identical to before the edit.
 
 use crate::{Document, NodeId};
 use std::fmt;
@@ -142,6 +142,13 @@ impl AppliedDelta {
             AppliedDelta::Insert { parent, .. } | AppliedDelta::Remove { parent, .. } => parent,
             AppliedDelta::SetText { node } => node,
         }
+    }
+
+    /// The dirty chain: the [`AppliedDelta::dirty_node`], then its
+    /// ancestors up to the root — every surviving node whose subtree
+    /// content the edit changed.
+    pub fn dirty_chain<'a>(&self, doc: &'a Document) -> impl Iterator<Item = NodeId> + 'a {
+        std::iter::successors(Some(self.dirty_node()), |&n| doc.parent(n))
     }
 
     /// Net node-count change of the edit.
