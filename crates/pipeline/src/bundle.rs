@@ -21,6 +21,7 @@
 //! hold node ids and names), which is what makes the parallel run
 //! bit-for-bit equal to the sequential one.
 
+use crate::catalog::Catalog;
 use crate::run::{CorpusOptions, DocOutcome};
 use crate::state::RequestScratch;
 use std::sync::OnceLock;
@@ -53,6 +54,8 @@ pub struct CorpusBundle {
     /// The engines' minimum covers, computed on first use (a
     /// validation-only bundle never pays for them).
     covers: OnceLock<Vec<RuleCover>>,
+    /// The query planner's catalog of the covers, built on first use.
+    catalog: OnceLock<Catalog>,
 }
 
 impl CorpusBundle {
@@ -82,6 +85,7 @@ impl CorpusBundle {
             plan,
             engines,
             covers: OnceLock::new(),
+            catalog: OnceLock::new(),
         }
     }
 
@@ -222,6 +226,19 @@ impl CorpusBundle {
                     cover: engine.minimum_cover(),
                 })
                 .collect()
+        })
+    }
+
+    /// The query planner's catalog: every rule's relation schema with its
+    /// propagated minimum cover ([`CorpusBundle::covers`]).  Built once per
+    /// bundle, on first use, so a query plans without re-interning covers.
+    pub fn catalog(&self) -> &Catalog {
+        self.catalog.get_or_init(|| {
+            let mut catalog = Catalog::new();
+            for (engine, rule) in self.engines.iter().zip(self.covers()) {
+                catalog.add_relation(engine.rule().schema().clone(), &rule.cover);
+            }
+            catalog
         })
     }
 }

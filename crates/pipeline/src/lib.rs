@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod bundle;
+pub mod catalog;
 pub mod error;
 pub mod faultline;
 pub mod incremental;
@@ -35,6 +36,7 @@ pub mod stream;
 pub mod swap;
 
 pub use bundle::{CorpusBundle, RuleCover};
+pub use catalog::{Catalog, CatalogRelation};
 pub use error::{Error, ErrorKind};
 pub use faultline::{FaultAction, FaultStream, Faults};
 pub use incremental::{parse_edit_script, EditReport, IncrementalDocument};

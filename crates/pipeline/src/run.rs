@@ -96,13 +96,12 @@ pub struct CorpusOptions {
     /// Compute the per-rule propagated minimum covers (document-independent;
     /// benchmarks that time pure document throughput switch this off).
     pub covers: bool,
-    /// Asks a caller that holds XML *text* to hand it to
-    /// [`CorpusBundle::stream_text`] rather than parse it itself; only the
-    /// CLI's `--stream` batch reads it.  No engine consults it:
-    /// [`CorpusBundle::stream_text`] streams whenever only `validate` is
-    /// on, and [`CorpusBundle::process`] and [`CorpusBundle::run`] are
-    /// handed parsed documents.  The field stays because the benchmark
-    /// package under `perfbench/` constructs it.
+    /// Not consulted by anything: the text entry points
+    /// ([`CorpusBundle::process_text`], [`CorpusBundle::stream_text`])
+    /// stream whenever only `validate` is on, and [`CorpusBundle::process`]
+    /// and [`CorpusBundle::run`] are handed parsed documents.  The field
+    /// stays because the benchmark package under `perfbench/` constructs
+    /// it.
     pub stream: bool,
 }
 
@@ -144,7 +143,7 @@ pub struct DocOutcome {
     /// Total tuples shredded across all relations.
     pub tuples: usize,
     /// Peak simultaneously-open key contexts held by the streaming key
-    /// checker on [`CorpusBundle::stream_text`]'s validate-only path; 0
+    /// checker on [`CorpusBundle::process_text`]'s validate-only path; 0
     /// whenever a document tree was built.
     pub peak_open_bindings: usize,
 }

@@ -10,8 +10,10 @@
 //!   propagation engines and label universe;
 //! * **per-request scratch**, owned by one thread and reused across its
 //!   requests: a private [`LabelUniverse`] clone to intern novel document
-//!   labels into, and a [`ShredScratch`] holding evaluation frontiers and
-//!   the per-document `value()` memo.
+//!   labels into, a [`ShredScratch`] holding evaluation frontiers and the
+//!   per-document `value()` memo, and the streaming key checker's
+//!   [`KeyAutomaton`], whose cached states and buffers carry over from one
+//!   document to the next.
 //!
 //! [`PreparedState`] names that boundary as a trait (shared state
 //! manufactures its scratch), and [`RequestScratch`] is the scratch type
@@ -21,6 +23,8 @@
 //! epoch moves — see [`crate::SwapCell`] and the server crate.
 
 use crate::bundle::CorpusBundle;
+use xmlprop_xmlkeys::{KeyAutomaton, KeyIndex};
+use xmlprop_xmlpath::PathTooLong;
 use xmlprop_xmltransform::ShredScratch;
 use xmlprop_xmltree::{DocIndex, Document, LabelUniverse};
 
@@ -51,19 +55,32 @@ pub struct RequestScratch {
     /// are compiled against.
     vocabulary: usize,
     shred: ShredScratch,
+    /// The streaming key checker for the bundle's keys, built on the first
+    /// text check; `Err` when a key is too long to stream.
+    keys: Option<Result<KeyAutomaton, PathTooLong>>,
 }
 
 impl RequestScratch {
     /// A fresh scratch for `bundle`: a private clone of its label universe
     /// (ids are append-only; labels only a document uses never influence
-    /// any output) plus empty shred buffers.
+    /// any output), empty shred buffers, and no key automaton yet.
     pub fn for_bundle(bundle: &CorpusBundle) -> Self {
         let universe = bundle.worker_universe();
         RequestScratch {
             vocabulary: universe.len(),
             universe,
             shred: ShredScratch::new(),
+            keys: None,
         }
+    }
+
+    /// The streaming key checker for `keys` (the bundle's key index), built
+    /// on first use; `None` when a key is too long to stream.
+    pub(crate) fn key_automaton(&mut self, keys: &KeyIndex) -> Option<&mut KeyAutomaton> {
+        self.keys
+            .get_or_insert_with(|| KeyAutomaton::new(keys))
+            .as_mut()
+            .ok()
     }
 
     /// Builds a [`DocIndex`] for `doc` against this scratch's private
@@ -134,6 +151,33 @@ mod tests {
             assert_eq!(got.violations.is_empty(), i % 2 == 0, "document {i}");
             assert_eq!(got.database, fresh.database, "document {i}");
             assert!(got.tuples > 0);
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_checks_text_as_a_fresh_checker_does() {
+        let bundle = CorpusBundle::for_validation(xmlprop_xmlkeys::example_2_1_keys());
+        let mut reused = bundle.scratch();
+        for i in 0..300 {
+            // Fresh labels at several depths (the automaton folds every
+            // label no key names into one) and a chapter below a fresh
+            // element; on odd `i` a repeated isbn.
+            let xml = format!(
+                r#"<db><book isbn="{}" f{i}="a"><title>T{i}</title><chapter number="1"><name>N</name><g{i}>x</g{i}></chapter><chapter number="2"/></book><book isbn="1"><h{i}><chapter number="1"/></h{i}><title>U</title></book></db>"#,
+                i % 2
+            );
+            let got = bundle.check_text(&xml, &mut reused).unwrap();
+            let fresh = xmlprop_xmlkeys::StreamKeyChecker::new(bundle.keys())
+                .unwrap()
+                .check(&xml)
+                .unwrap();
+            assert_eq!(got, fresh, "document {i}");
+            assert_eq!(got.all_violations().is_empty(), i % 2 == 0, "document {i}");
+            assert_eq!(
+                reused.universe.len(),
+                reused.vocabulary,
+                "after document {i}"
+            );
         }
     }
 }

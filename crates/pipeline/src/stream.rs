@@ -2,17 +2,23 @@
 //! validation.
 //!
 //! Streaming earns its place in one job only: key validation, which needs
-//! no tree.  A validate-only pass hands the text to a [`StreamKeyChecker`],
-//! with retained state proportional to document depth plus open key
-//! contexts, never to the node count.  Shredding is defined over the whole
-//! tree, so a pass that shreds parses the text into a [`Document`] and runs
+//! no tree.  A validate-only pass hands the text to the scratch's
+//! [`KeyAutomaton`](xmlprop_xmlkeys::KeyAutomaton), with retained state
+//! proportional to document depth plus open key contexts, never to the
+//! node count.  Shredding is defined over the whole tree, so a pass that
+//! shreds parses the text into a [`Document`] and runs
 //! [`CorpusBundle::process`] on it.
 //!
-//! * [`CorpusBundle::stream_text`] — the corpus outcome for raw XML text:
-//!   [`CorpusBundle::stream_check`] when only `validate` is on, otherwise
+//! * [`CorpusBundle::process_text`] — the corpus outcome for raw XML text:
+//!   [`CorpusBundle::check_text`] when only `validate` is on, otherwise
 //!   parse plus [`CorpusBundle::process`];
-//! * [`CorpusBundle::stream_check`] — the per-key violation report the
+//! * [`CorpusBundle::check_text`] — the per-key violation report the
 //!   renderers need.
+//!
+//! Both take the caller's [`RequestScratch`], so a worker or a server
+//! connection keeps its automaton's states from one document to the next;
+//! [`CorpusBundle::stream_text`] and [`CorpusBundle::stream_check`] are
+//! their one-shot forms on a fresh scratch.
 //!
 //! Outcomes are bit-for-bit the DOM path's (`database`, `violations`,
 //! `nodes`, `tuples`).  Node-id-carrying violations match because the
@@ -23,28 +29,29 @@
 
 use crate::bundle::CorpusBundle;
 use crate::run::{CorpusOptions, DocOutcome};
-use crate::state::PreparedState;
+use crate::state::{PreparedState, RequestScratch};
 use xmlprop_reldb::Database;
-use xmlprop_xmlkeys::{StreamCheckReport, StreamKeyChecker};
+use xmlprop_xmlkeys::StreamCheckReport;
 use xmlprop_xmltree::{Document, ParseError};
 
 impl CorpusBundle {
-    /// Processes raw XML text under `options`.  With only `validate` on,
-    /// the text goes to [`CorpusBundle::stream_check`] — one key-checker
-    /// pass, no `Document`, no `DocIndex` — and `peak_open_bindings` is the
-    /// checker's open-context peak.  Otherwise the text is parsed once and
-    /// handed to [`CorpusBundle::process`] (`peak_open_bindings` 0).
-    /// `options.stream` is not consulted.
+    /// Processes raw XML text under `options` with `scratch`.  With only
+    /// `validate` on, the text goes to [`CorpusBundle::check_text`] — one
+    /// key-automaton pass, no `Document`, no `DocIndex` — and
+    /// `peak_open_bindings` is the checker's open-context peak.  Otherwise
+    /// the text is parsed once and handed to [`CorpusBundle::process`]
+    /// (`peak_open_bindings` 0).  `options.stream` is not consulted.
     ///
     /// The outcome is bit-for-bit what parsing the text and running
     /// [`CorpusBundle::process`] would produce.
-    pub fn stream_text(
+    pub fn process_text(
         &self,
         xml: &str,
+        scratch: &mut RequestScratch,
         options: &CorpusOptions,
     ) -> Result<DocOutcome, ParseError> {
         if options.validate && !options.shred {
-            let report = self.stream_check(xml)?;
+            let report = self.check_text(xml, scratch)?;
             return Ok(DocOutcome {
                 database: Database::new(),
                 violations: report.all_violations(),
@@ -54,18 +61,33 @@ impl CorpusBundle {
             });
         }
         let doc = Document::parse_str(xml)?;
-        Ok(self.process(&doc, &mut self.scratch(), options))
+        Ok(self.process(&doc, scratch, options))
     }
 
-    /// Checks raw XML text against Σ, returning the **per-key** violation
-    /// report the renderers need (Σ order, grouped by key): one streaming
-    /// pass, or the tree validator when a key is too long to stream.
-    pub fn stream_check(&self, xml: &str) -> Result<StreamCheckReport, ParseError> {
-        if let Ok(checker) = StreamKeyChecker::new(self.keys()) {
-            return checker.check(xml);
+    /// [`CorpusBundle::process_text`] on a fresh scratch.
+    pub fn stream_text(
+        &self,
+        xml: &str,
+        options: &CorpusOptions,
+    ) -> Result<DocOutcome, ParseError> {
+        self.process_text(xml, &mut self.scratch(), options)
+    }
+
+    /// Checks raw XML text against Σ with `scratch`, returning the
+    /// **per-key** violation report the renderers need (Σ order, grouped by
+    /// key): one pass of the scratch's
+    /// [`KeyAutomaton`](xmlprop_xmlkeys::KeyAutomaton), or the tree
+    /// validator when a key is too long to stream.
+    pub fn check_text(
+        &self,
+        xml: &str,
+        scratch: &mut RequestScratch,
+    ) -> Result<StreamCheckReport, ParseError> {
+        if let Some(automaton) = scratch.key_automaton(self.keys()) {
+            return automaton.check(self.keys(), xml);
         }
         let doc = Document::parse_str(xml)?;
-        let index = self.scratch().index_document(&doc);
+        let index = scratch.index_document(&doc);
         Ok(StreamCheckReport {
             per_key: (0..self.keys().len())
                 .map(|k| self.keys().violations_of(k, &doc, &index))
@@ -73,6 +95,11 @@ impl CorpusBundle {
             nodes: doc.len(),
             peak_open_contexts: 0,
         })
+    }
+
+    /// [`CorpusBundle::check_text`] on a fresh scratch.
+    pub fn stream_check(&self, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        self.check_text(xml, &mut self.scratch())
     }
 }
 

@@ -26,76 +26,10 @@
 //! every matching row).
 
 use crate::syntax::{AttrRef, Query, Select};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+pub use xmlprop_pipeline::Catalog;
 use xmlprop_pipeline::Error;
-use xmlprop_reldb::{AttrId, AttrSet, AttrUniverse, Fd, FdIndex, IFd, RelationSchema};
-
-/// Relation schemas plus their propagated covers, the planner's input.
-#[derive(Debug, Clone, Default)]
-pub struct Catalog {
-    relations: BTreeMap<String, CatalogRelation>,
-}
-
-#[derive(Debug, Clone)]
-struct CatalogRelation {
-    schema: RelationSchema,
-    cover: Vec<Fd>,
-    universe: AttrUniverse,
-    index: FdIndex,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Catalog::default()
-    }
-
-    /// Registers a relation with its (propagated) FD cover. The cover is
-    /// interned once, so key tests during planning are bitset closures.
-    pub fn add_relation(&mut self, schema: RelationSchema, cover: &[Fd]) {
-        let mut universe = AttrUniverse::from_names(schema.attributes().iter().map(String::as_str));
-        let interned: Vec<IFd> = cover.iter().map(|fd| universe.intern_fd(fd)).collect();
-        let index = FdIndex::new(universe.len(), &interned);
-        self.relations.insert(
-            schema.name().to_string(),
-            CatalogRelation {
-                schema,
-                cover: cover.to_vec(),
-                universe,
-                index,
-            },
-        );
-    }
-
-    /// The schema of one relation, if registered.
-    pub fn schema(&self, name: &str) -> Option<&RelationSchema> {
-        self.relations.get(name).map(|r| &r.schema)
-    }
-
-    fn get(&self, name: &str) -> Result<&CatalogRelation, Error> {
-        self.relations.get(name).ok_or_else(|| {
-            let known = self.relations.keys().cloned().collect();
-            Error::unknown_relation(name, known)
-        })
-    }
-}
-
-impl CatalogRelation {
-    /// Do `attrs` form a (super)key of this relation under its cover?
-    fn is_key(&self, attrs: &[String]) -> bool {
-        let seed: AttrSet = attrs
-            .iter()
-            .filter_map(|a| self.universe.lookup(a))
-            .collect();
-        let closure = self.index.closure(&seed);
-        self.schema.attributes().iter().all(|a| {
-            self.universe
-                .lookup(a)
-                .is_some_and(|id| closure.contains(id))
-        })
-    }
-}
+use xmlprop_reldb::{AttrId, AttrSet, FdIndex, IFd};
 
 /// One relation's slice of the combined row.
 #[derive(Debug, Clone)]
@@ -277,13 +211,13 @@ fn plan_with(query: &Query, catalog: &Catalog, optimize: bool) -> Result<Plan, E
     let mut blocks = Vec::new();
     let mut offset = 0usize;
     let mut push_block = |blocks: &mut Vec<Block>, rel: &str| -> Result<(), Error> {
-        let entry = catalog.get(rel)?;
+        let entry = catalog.relation(rel)?;
         if blocks.iter().any(|b: &Block| b.relation == rel) {
             return Err(bind_error(format!(
                 "relation `{rel}` appears twice; self-joins are not supported"
             )));
         }
-        let arity = entry.schema.arity();
+        let arity = entry.schema().arity();
         blocks.push(Block {
             relation: rel.to_string(),
             offset,
@@ -298,7 +232,7 @@ fn plan_with(query: &Query, catalog: &Catalog, optimize: bool) -> Result<Plan, E
     for clause in &query.joins {
         push_block(&mut blocks, &clause.relation)?;
         let new_block = blocks.last().expect("just pushed").clone();
-        let entry = catalog.get(&clause.relation)?;
+        let entry = catalog.relation(&clause.relation)?;
         let mut on = Vec::new();
         let mut on_display = Vec::new();
         let mut right_attrs = Vec::new();
@@ -325,7 +259,7 @@ fn plan_with(query: &Query, catalog: &Catalog, optimize: bool) -> Result<Plan, E
                 }
             };
             let right_idx = right - new_block.offset;
-            right_attrs.push(entry.schema.attributes()[right_idx].clone());
+            right_attrs.push(entry.schema().attributes()[right_idx].clone());
             on.push((left, right_idx));
             on_display.push((ld.to_string(), rd.to_string()));
         }
@@ -439,13 +373,13 @@ fn needs_dedup(
     let mut fds = Vec::new();
     for block in blocks {
         let entry = catalog
-            .get(&block.relation)
+            .relation(&block.relation)
             .expect("block came from catalog");
-        for fd in &entry.cover {
+        for fd in entry.cover() {
             let map_set = |attrs: &std::collections::BTreeSet<String>| -> Option<AttrSet> {
                 attrs
                     .iter()
-                    .map(|a| entry.schema.index_of(a).map(|i| pos(block.offset + i)))
+                    .map(|a| entry.schema().index_of(a).map(|i| pos(block.offset + i)))
                     .collect()
             };
             // Covers normally mention only schema attributes; skip any FD
@@ -473,6 +407,7 @@ fn needs_dedup(
 mod tests {
     use super::*;
     use crate::syntax::parse_query;
+    use xmlprop_reldb::{Fd, RelationSchema};
 
     /// The output column names of `p`, in order.
     fn output_columns(p: &Plan) -> Vec<&str> {

@@ -26,17 +26,20 @@ pub fn validate_report(
     render_validation(bundle, per_key)
 }
 
-/// Streaming twin of [`validate_report`]: drives the key checker straight
-/// off raw XML text — no `Document`, no `DocIndex`, unless a key is too
-/// long to stream — and renders the same bytes.  `origin` names the input
-/// in parse diagnostics (the CLI passes the file path).
+/// Streaming twin of [`validate_report`]: drives the scratch's key
+/// automaton straight off raw XML text — no `Document`, no `DocIndex`,
+/// unless a key is too long to stream — and renders the same bytes.  The
+/// CLI and the server's `validate` verb both validate through it.
+/// `origin` names the input in parse diagnostics (the CLI passes the file
+/// path).
 pub fn validate_report_streaming(
     bundle: &CorpusBundle,
     xml: &str,
+    scratch: &mut RequestScratch,
     origin: &str,
 ) -> Result<(bool, String), Error> {
     let report = bundle
-        .stream_check(xml)
+        .check_text(xml, scratch)
         .map_err(|e| Error::parse(origin, e))?;
     Ok(render_validation(bundle, &report.per_key))
 }
@@ -172,11 +175,11 @@ pub fn propagate_report(outcomes: &[PropagationOutcome]) -> (bool, String) {
 /// result: a `plan:` line (scan/join strategy, dedup decision), the result
 /// table, and a row-count trailer. Returns the row count and the text.
 ///
-/// The catalog the planner optimizes against is the bundle's **propagated
-/// covers** — the same [`CorpusBundle::covers`] the `cover` verb reports,
-/// computed once per bundle — so a join equated on a propagated key
-/// executes as a hash lookup. Only the relations the query mentions are
-/// shredded.
+/// The catalog the planner optimizes against is the bundle's
+/// [`CorpusBundle::catalog`] of its **propagated covers** — the same
+/// [`CorpusBundle::covers`] the `cover` verb reports, both built once per
+/// bundle — so a join equated on a propagated key executes as a hash
+/// lookup. Only the relations the query mentions are shredded.
 pub fn query_report(
     bundle: &CorpusBundle,
     doc: &Document,
@@ -184,11 +187,7 @@ pub fn query_report(
     query_text: &str,
 ) -> Result<(usize, String), Error> {
     let query = xmlprop_query::parse_query(query_text)?;
-    let mut catalog = xmlprop_query::Catalog::new();
-    for (engine, rule) in bundle.engines().iter().zip(bundle.covers()) {
-        catalog.add_relation(engine.rule().schema().clone(), &rule.cover);
-    }
-    let plan = xmlprop_query::plan(&query, &catalog)?;
+    let plan = xmlprop_query::plan(&query, bundle.catalog())?;
     let needed: std::collections::BTreeSet<&str> = std::iter::once(query.from.as_str())
         .chain(query.joins.iter().map(|j| j.relation.as_str()))
         .collect();
@@ -293,11 +292,12 @@ mod tests {
         ] {
             let doc = Document::parse_str(xml).unwrap();
             let (ok, dom) = validate_report(&bundle, &doc, &mut scratch);
-            let (ok_s, streamed) = validate_report_streaming(&bundle, xml, "doc").unwrap();
+            let (ok_s, streamed) =
+                validate_report_streaming(&bundle, xml, &mut scratch, "doc").unwrap();
             assert_eq!(ok_s, ok);
             assert_eq!(streamed, dom, "validate twins must render identically");
         }
-        let err = validate_report_streaming(&bundle, "<r", "bad.xml").unwrap_err();
+        let err = validate_report_streaming(&bundle, "<r", &mut scratch, "bad.xml").unwrap_err();
         assert!(err.to_string().starts_with("bad.xml: "), "got: {err}");
     }
 

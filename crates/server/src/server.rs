@@ -350,9 +350,11 @@ impl ServerState {
             )),
             Request::Quit => Ok(Response::ok("quit", epoch, "", String::new())),
             Request::Validate { document } => {
-                let doc = parse_document(document)?;
+                // Straight off the text: the connection's key automaton
+                // keeps its states from one request to the next.
                 let scratch = cache.for_snapshot(&snapshot);
-                let (ok, text) = render::validate_report(&snapshot, &doc, scratch);
+                let (ok, text) =
+                    render::validate_report_streaming(&snapshot, document, scratch, DOCUMENT)?;
                 let verdict = if ok { "ok" } else { "fail" };
                 Ok(Response::ok(
                     "validate",
@@ -422,8 +424,11 @@ impl ServerState {
     }
 }
 
+/// How parse errors name a request's document.
+const DOCUMENT: &str = "request document";
+
 fn parse_document(text: &str) -> Result<Document, Error> {
-    Document::parse_str(text).map_err(|e| Error::parse("request document", e))
+    Document::parse_str(text).map_err(|e| Error::parse(DOCUMENT, e))
 }
 
 /// One connection's `(epoch, scratch)` cache; see the module docs.
@@ -866,6 +871,36 @@ mod tests {
         assert_eq!(resp.header, "ok reload bundle=2 keys=1 rules=1");
         let resp = state.respond(&Request::Ping, &mut cache);
         assert_eq!(resp.header, "ok ping bundle=2");
+    }
+
+    #[test]
+    fn a_validate_after_a_reload_answers_against_the_new_keys() {
+        let state = ServerState::new(bundle(), Jobs::default());
+        let mut cache = ScratchCache::new();
+        let document = "<db><book isbn=\"1\" id=\"a\"/><book isbn=\"2\" id=\"a\"/></db>";
+        let validate = Request::Validate {
+            document: document.into(),
+        };
+        let resp = state.respond(&validate, &mut cache);
+        assert_eq!(resp.header, "ok validate bundle=1 verdict=ok");
+        let keys = "K1: (ε, (//book, {@id}))\n";
+        let reload = Request::Reload {
+            keys: keys.into(),
+            rules: RULES.into(),
+        };
+        assert!(state
+            .respond(&reload, &mut cache)
+            .header
+            .starts_with("ok reload bundle=2"));
+        let resp = state.respond(&validate, &mut cache);
+        assert_eq!(resp.header, "ok validate bundle=2 verdict=fail");
+        let reloaded = CorpusBundle::prepare(
+            parse_keys_text(keys, "keys").unwrap(),
+            parse_rules_text(RULES, "rules").unwrap(),
+        );
+        let doc = Document::parse_str(document).unwrap();
+        let expected = render::validate_report(&reloaded, &doc, &mut reloaded.scratch()).1;
+        assert_eq!(resp.payload, expected);
     }
 
     #[test]

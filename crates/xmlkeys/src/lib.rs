@@ -83,7 +83,7 @@ pub use index::{IndexedKey, KeyIndex, PreparedKey};
 pub use key::{ParseKeyError, XmlKey};
 pub use keyset::KeySet;
 pub use satisfy::{satisfies, satisfies_all, violations, Violation};
-pub use stream::{StreamCheckReport, StreamKeyChecker};
+pub use stream::{KeyAutomaton, StreamCheckReport, StreamKeyChecker};
 pub use xsd::{import_xsd_keys, XsdImport, XsdImportError};
 
 /// The seven sample keys K1–K7 of Example 2.1 in the paper, over the Fig. 1

@@ -1,20 +1,35 @@
-//! Streaming key validation: Definition 2.1 checked as elements close.
+//! Streaming key validation: Definition 2.1 checked in one scan of the
+//! text, through one lazily built automaton for all keys.
 //!
 //! The prepared validator ([`KeyIndex::violations`]) evaluates each key's
 //! context and target paths over a fully built
-//! [`DocIndex`](xmlprop_xmltree::DocIndex).  [`StreamKeyChecker`] answers
-//! the same question in one [`scan`] of the text, without
-//! materializing the document: per key it simulates the compiled context
-//! expression down the open path ([`xmlprop_xmlpath::StreamMatcher`]),
-//! keeps one record per *open* context node — the paper's observation that
-//! a key constraint is decidable at context close — and inside every open
-//! context simulates the target expression.  Each target is checked by
-//! [`KeyIndex::check_target`], as in the DOM validator, against its
-//! context's tuple table.  Retained state is `O(depth + open contexts +
-//! reported violations)`, one reused frame (target states and tuple table)
-//! per open-context depth, and the check's value interner, which keeps
-//! each distinct key-attribute value of the document once — never
-//! `O(nodes)` of tree structure.
+//! [`DocIndex`](xmlprop_xmltree::DocIndex).  [`KeyAutomaton`] answers the
+//! same question in one [`scan`] of the text, without materializing the
+//! document.  Contexts and targets lie on root paths, so the whole
+//! matching configuration at a node is a function of its parent's
+//! configuration and its own label: per key, the context expression's NFA
+//! state ([`MatchState`], from [`StreamMatcher`]) and the target
+//! expression's state inside each *open* context of that key.  The
+//! automaton interns every configuration it meets as one DFA state and
+//! caches `(state, label) → state`, as the lazy DFAs of Green, Gupta,
+//! Miklau, Onizuka & Suciu ("Processing XML streams with deterministic
+//! automata and stream indexes", TODS 2004) do for XPath filters.  One
+//! state holds every key's configuration, so keys share their path
+//! prefixes as the filters of YFilter do (Diao et al., TODS 2003).
+//!
+//! Each state carries its actions, derived once when it is interned: the
+//! keys whose context the node is, and the open contexts it is a target
+//! of.  A node then costs one cached transition plus its actions, and an
+//! end tag pops one state id.  The cache has a fixed bound; past it the
+//! cache is cleared and refilled lazily, keeping only the states of the
+//! open elements.  Each target is checked by [`KeyIndex::check_target`],
+//! as in the DOM validator, against its context's tuple table.  Retained
+//! per-check state is `O(depth + open contexts + reported violations)`,
+//! one reused tuple table per open-context depth, and the value interner,
+//! which keeps each distinct key-attribute value of the document once —
+//! never `O(nodes)` of tree structure.  The automaton and its buffers
+//! outlive a check: a caller that checks many documents against one
+//! [`KeyIndex`] keeps one and reuses its states.
 //!
 //! The checker reproduces the prepared validator **bit for bit**,
 //! including node identities and report order:
@@ -29,30 +44,133 @@
 
 use crate::index::{KeyIndex, TupleTable};
 use crate::satisfy::Violation;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use xmlprop_xmlpath::{LabelId, MatchState, PathTooLong, StreamMatcher};
-use xmlprop_xmltree::{scan, NodeId, ParseError, SliceInterner, StreamEvent};
+use xmlprop_xmltree::{scan, FoldState, NodeId, ParseError, SliceInterner, SlotCache, StreamEvent};
 
-/// Per-key compiled machinery plus live matching state.
+/// The transitions (states × labels) the cache holds before it is
+/// cleared: 1 MiB of state ids.
+const CACHE_SLOTS: usize = 1 << 18;
+
+/// The fewest states the cache holds, however many labels the keys name.
+const MIN_STATES: usize = 64;
+
+/// No state: an unfilled transition, or no root state yet.
+const NONE: u32 = u32::MAX;
+
+/// Tags a configuration entry as an open context's target state; untagged
+/// entries hold a key's context state.
+const TARGET: u32 = 1 << 31;
+
+/// A compiled key set as one lazily built DFA over whole matching
+/// configurations, plus the reused buffers of a check; see the module
+/// docs.
+///
+/// Built from a [`KeyIndex`] and used with that index only: every
+/// [`check`](Self::check) takes it again, for [`KeyIndex::check_target`].
+/// Labels resolve read-only against [`KeyIndex::universe`]; a label no key
+/// mentions can only traverse `//`.
 #[derive(Debug)]
-struct KeyState {
-    context_matcher: StreamMatcher,
-    target_matcher: StreamMatcher,
-    /// Context-expression NFA state per open element (root-path).
-    context_states: Vec<MatchState>,
-    /// Open context records, innermost last (they nest along the path).
-    open: Vec<OpenContext>,
-    /// The reused state of each open context: `frames[i]` belongs to
-    /// `open[i]`; frames past `open.len()` wait to be reused.
-    frames: Vec<Frame>,
-    /// The innermost element, while its attribute section is open, if it
-    /// is a target; `contexts` indexes the `open` contexts it is a target
-    /// of (none of them can close before it), and `tallies` counts its key
-    /// attributes for [`KeyIndex::check_target`].
-    pending: Option<NodeId>,
-    contexts: Vec<usize>,
+pub struct KeyAutomaton {
+    dfa: Dfa,
+    names: Names,
+    /// Label → the `(key, slot)` pairs of the key attributes it names.
+    attr_slots: Vec<Vec<(u32, u32)>>,
+    /// Key → its first slot in `tallies`; one entry past the last key.
+    tally_starts: Vec<usize>,
+    /// The pending element's key-attribute tallies, per key in key order,
+    /// for [`KeyIndex::check_target`].
     tallies: Vec<(u32, u32)>,
+    /// Key → the pending node whose tallies `tallies` holds for it.
+    stamps: Vec<u32>,
     /// The tallies of a node without attributes.
     absent: Vec<(u32, u32)>,
+    /// Per key: its open contexts and finished reports.
+    keys: Vec<KeyRun>,
+    /// The state of each open element, innermost last.
+    stack: Vec<u32>,
+    /// The innermost element, while its attribute section is open, if it is
+    /// a target of a key with attributes.
+    pending: Option<NodeId>,
+    /// Key-attribute values, interned by their text (decoded or not).
+    values: SliceInterner<u8>,
+    /// Document pre-order counter: the next node's id.
+    next_node: u32,
+    /// High-water mark of simultaneously open context records.
+    peak_open_contexts: usize,
+    /// The length of the universe of the index the automaton was built
+    /// from.
+    vocabulary: usize,
+}
+
+/// Element and attribute names → the automaton's label indices (0 for a
+/// name no key mentions; label `l > 0` is universe id `l - 1`).
+#[derive(Debug)]
+struct Names {
+    elements: HashMap<Box<str>, u32, FoldState>,
+    attributes: HashMap<Box<str>, u32, FoldState>,
+    /// The label of text nodes, `S`.
+    text: u32,
+}
+
+/// The lazily built DFA: interned configurations, their actions and the
+/// bounded transition cache.
+#[derive(Debug)]
+struct Dfa {
+    /// Per key: the context and target matchers.
+    matchers: Vec<(StreamMatcher, StreamMatcher)>,
+    /// Label index → the label the matchers step on.
+    labels: Vec<Option<LabelId>>,
+    /// The number of label indices: a row of `next`.
+    width: usize,
+    /// State id → configuration: per key, `(key, context state)` followed
+    /// by `(key | TARGET, target state)` for each open context of the key,
+    /// outermost first.
+    configs: SliceInterner<(u32, MatchState)>,
+    /// State id → its actions.
+    actions: Vec<Actions>,
+    /// The keys each state opens a context for, back to back.
+    opens: Vec<u32>,
+    /// The `(key, open-context position)` pairs each state is a target
+    /// of, back to back.
+    targets: Vec<(u32, u32)>,
+    /// `state * labels.len() + label` → the child state, or [`NONE`].
+    next: Vec<u32>,
+    /// The state of a root element, or [`NONE`].
+    root: u32,
+    /// How many states the cache holds before it is cleared.
+    bound: usize,
+    /// How many states the last clear kept (the open elements' states).
+    kept: usize,
+    /// Reused buffers: a configuration being built, and the configurations
+    /// a clear keeps.
+    build: Vec<(u32, MatchState)>,
+    saved: Vec<(u32, MatchState)>,
+    saved_ends: Vec<usize>,
+    remap: Vec<u32>,
+}
+
+/// What a node in one state does, derived once per state: ranges into
+/// [`Dfa::opens`] and [`Dfa::targets`].
+#[derive(Debug, Clone, Copy)]
+struct Actions {
+    opens: (u32, u32),
+    targets: (u32, u32),
+    /// Open contexts over all keys at the node, its own included.
+    open_total: u32,
+    /// Whether the node opens a context or is a target.
+    busy: bool,
+}
+
+/// One key's open contexts and finished reports during a check.
+#[derive(Debug, Default)]
+struct KeyRun {
+    /// Open context records, innermost last (they nest along the path).
+    open: Vec<OpenContext>,
+    /// The reused tuple table of each open context: `frames[i]` belongs to
+    /// `open[i]`; frames past `open.len()` wait to be reused.
+    frames: Vec<TupleTable>,
     /// Next context sequence number (contexts are created in pre-order).
     next_seq: u32,
     /// Closed contexts that produced violations, keyed by creation order.
@@ -63,47 +181,19 @@ struct KeyState {
 #[derive(Debug)]
 struct OpenContext {
     seq: u32,
-    /// Element-stack depth at which this context was opened (a leaf
-    /// context closes within the call that opened it).
-    depth: usize,
     /// Violations under this context, sorted by target when it closes.
     violations: Vec<Violation>,
 }
 
-/// The buffers of one open context, kept per open-context depth and reset
-/// when a context opens there, so opening a context allocates nothing.
-#[derive(Debug, Default)]
-struct Frame {
-    /// Target-expression NFA state per open element at or below the
-    /// context; `target_states[0]` is the start state at the context node.
-    target_states: Vec<MatchState>,
-    /// Condition (2) state of the context.
-    table: TupleTable,
-}
-
-/// Streaming validator for a prepared [`KeyIndex`] over one document's
-/// text.
-///
-/// [`check`](Self::check) scans the text and returns the per-key
-/// violation lists.  Labels resolve read-only against
-/// [`KeyIndex::universe`]; a label no key mentions can only traverse `//`.
+/// The one-shot form of [`KeyAutomaton`]: a fresh automaton for one
+/// document's text.
 #[derive(Debug)]
 pub struct StreamKeyChecker<'a> {
     index: &'a KeyIndex,
-    keys: Vec<KeyState>,
-    /// The interned id of the text-node label `"S"`, if any key mentions it.
-    text_label: Option<LabelId>,
-    /// Key-attribute values, interned by their text (decoded or not).
-    values: SliceInterner<u8>,
-    /// Number of open elements.
-    depth: usize,
-    /// Document pre-order counter: the next node's id.
-    next_node: u32,
-    /// High-water mark of simultaneously open context records.
-    peak_open_contexts: usize,
+    automaton: KeyAutomaton,
 }
 
-/// The result of streaming one document through a [`StreamKeyChecker`].
+/// The result of streaming one document through a [`KeyAutomaton`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckReport {
     /// Violations per key, in Σ order — each entry matches
@@ -129,115 +219,208 @@ impl<'a> StreamKeyChecker<'a> {
     /// with [`PathTooLong`] when a key's context or target path is too long
     /// to stream (validate such documents on the tree instead).
     pub fn new(index: &'a KeyIndex) -> Result<Self, PathTooLong> {
-        let keys = index
+        Ok(StreamKeyChecker {
+            index,
+            automaton: KeyAutomaton::new(index)?,
+        })
+    }
+
+    /// Checks `xml` in one scan; see [`KeyAutomaton::check`].
+    pub fn check(mut self, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        self.automaton.check(self.index, xml)
+    }
+}
+
+impl KeyAutomaton {
+    /// Compiles `index`'s keys into an automaton with an empty cache, or
+    /// refuses with [`PathTooLong`] when a key's context or target path is
+    /// too long to stream (validate such documents on the tree instead).
+    pub fn new(index: &KeyIndex) -> Result<Self, PathTooLong> {
+        let matchers = index
             .keys()
             .iter()
             .map(|k| {
-                let absent = vec![(0, 0); k.val_attrs().len()];
-                Ok(KeyState {
-                    context_matcher: StreamMatcher::new(k.context())?,
-                    target_matcher: StreamMatcher::new(k.target())?,
-                    context_states: Vec::new(),
-                    open: Vec::new(),
-                    frames: Vec::new(),
-                    pending: None,
-                    contexts: Vec::new(),
-                    tallies: absent.clone(),
-                    absent,
-                    next_seq: 0,
-                    done: Vec::new(),
-                })
+                Ok((
+                    StreamMatcher::new(k.context())?,
+                    StreamMatcher::new(k.target())?,
+                ))
             })
-            .collect::<Result<_, PathTooLong>>()?;
-        Ok(StreamKeyChecker {
-            index,
-            keys,
-            text_label: index.universe().lookup("S"),
+            .collect::<Result<Vec<_>, PathTooLong>>()?;
+        let universe = index.universe();
+        let width = universe.len() + 1;
+        let mut labels = vec![None];
+        let (mut elements, mut attributes) = (HashMap::default(), HashMap::default());
+        for (i, name) in universe.names().iter().enumerate() {
+            let label = u32::try_from(i + 1).expect("label universe fits u32");
+            labels.push(Some(LabelId(label - 1)));
+            match name.strip_prefix('@') {
+                Some(attribute) => attributes.insert(attribute.into(), label),
+                None => elements.insert(name.as_str().into(), label),
+            };
+        }
+        let text = elements.get("S").copied().unwrap_or(0);
+        let mut attr_slots = vec![Vec::new(); width];
+        let mut tally_starts = vec![0];
+        for (k, key) in index.keys().iter().enumerate() {
+            for (slot, attr) in key.val_attrs().iter().enumerate() {
+                attr_slots[attr.index() + 1].push((k as u32, slot as u32));
+            }
+            tally_starts.push(tally_starts[k] + key.val_attrs().len());
+        }
+        let widest = index.keys().iter().map(|k| k.val_attrs().len()).max();
+        Ok(KeyAutomaton {
+            dfa: Dfa {
+                matchers,
+                labels,
+                width,
+                configs: SliceInterner::default(),
+                actions: Vec::new(),
+                opens: Vec::new(),
+                targets: Vec::new(),
+                next: Vec::new(),
+                root: NONE,
+                bound: (CACHE_SLOTS / width).max(MIN_STATES),
+                kept: 0,
+                build: Vec::new(),
+                saved: Vec::new(),
+                saved_ends: Vec::new(),
+                remap: Vec::new(),
+            },
+            names: Names {
+                elements,
+                attributes,
+                text,
+            },
+            attr_slots,
+            tallies: vec![(0, 0); *tally_starts.last().expect("starts at 0")],
+            tally_starts,
+            stamps: vec![NONE; index.len()],
+            absent: vec![(0, 0); widest.unwrap_or(0)],
+            keys: (0..index.len()).map(|_| KeyRun::default()).collect(),
+            stack: Vec::new(),
+            pending: None,
             values: SliceInterner::default(),
-            depth: 0,
             next_node: 0,
             peak_open_contexts: 0,
+            vocabulary: universe.len(),
         })
     }
 
-    /// Checks `xml` in one scan, returning the per-key violation
-    /// lists in the exact order of the prepared DOM validator, or the
-    /// parse error the DOM parser would report.
-    pub fn check(mut self, xml: &str) -> Result<StreamCheckReport, ParseError> {
-        self.feed(xml)?;
+    /// Checks `xml` in one scan against `index` — the index the automaton
+    /// was built from — returning the per-key violation lists in the exact
+    /// order of the prepared DOM validator, or the parse error the DOM
+    /// parser would report.  The states met stay cached for the next
+    /// check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not shaped like the index the automaton was
+    /// built from.
+    pub fn check(&mut self, index: &KeyIndex, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        assert!(
+            index.len() == self.keys.len() && index.universe().len() == self.vocabulary,
+            "a KeyAutomaton checks against the KeyIndex it was built from"
+        );
+        self.reset();
+        let (mut elements, mut attributes) = (SlotCache::default(), SlotCache::default());
+        let mut values = SlotCache::default();
+        // Inlined into the scan's loops, where each event's kind is known.
+        scan(
+            xml,
+            #[inline(always)]
+            |event| match event {
+                StreamEvent::StartElement { name } => {
+                    let label = elements.get(name, || self.names.element(name));
+                    self.start_element(index, label);
+                }
+                StreamEvent::Attribute { name, value } => {
+                    let label = attributes.get(name, || self.names.attribute(name));
+                    self.attribute(index, label, value, &mut values);
+                }
+                StreamEvent::Text { .. } => {
+                    self.finalize_pending(index);
+                    self.enter(index, self.names.text, true);
+                }
+                StreamEvent::EndElement => self.end_element(index),
+            },
+        )?;
         Ok(self.finish())
     }
 
-    /// Scans `xml`, feeding each event to the checker.
-    fn feed(&mut self, xml: &str) -> Result<(), ParseError> {
-        let universe = self.index.universe();
-        let mut attribute_label = String::new();
-        scan(xml, |event| match event {
-            StreamEvent::StartElement { name } => self.start_element(universe.lookup(name)),
-            StreamEvent::Attribute { name, value } => {
-                attribute_label.clear();
-                attribute_label.push('@');
-                attribute_label.push_str(name);
-                self.attribute(universe.lookup(&attribute_label), &value);
-            }
-            StreamEvent::Text { .. } => self.text(),
-            StreamEvent::EndElement => self.end_element(),
-        })
+    /// Forgets the last check's document; the cached states stay.
+    fn reset(&mut self) {
+        self.stack.clear();
+        self.pending = None;
+        self.stamps.fill(NONE);
+        self.values.clear();
+        self.next_node = 0;
+        self.peak_open_contexts = 0;
+        for key in &mut self.keys {
+            key.open.clear();
+            key.next_seq = 0;
+            key.done.clear();
+        }
     }
 
-    fn start_element(&mut self, label: Option<LabelId>) {
-        self.finalize_pending();
-        self.enter(label, false);
-        self.depth += 1;
+    #[inline(always)]
+    fn start_element(&mut self, index: &KeyIndex, label: u32) {
+        self.finalize_pending(index);
+        self.enter(index, label, false);
     }
 
-    /// An attribute of the innermost open element: feeds the owner's
-    /// pending tallies, then enters the attribute node itself.
-    fn attribute(&mut self, label: Option<LabelId>, value: &str) {
-        let mut id = None;
-        for (k, key) in self.keys.iter_mut().enumerate() {
-            if key.pending.is_none() {
-                continue;
-            }
-            for (tally, &attr) in key.tallies.iter_mut().zip(self.index.keys()[k].val_attrs()) {
-                if label == Some(attr) {
-                    let id = id.get_or_insert_with(|| self.values.intern(value.as_bytes()).0);
-                    *tally = (tally.0 + 1, *id);
+    /// An attribute of the innermost open element: feeds the tallies of
+    /// the keys the element is a pending target of, then enters the
+    /// attribute node itself.
+    /// A value the text spells out is interned through `cache`, since a
+    /// document repeats few distinct values; the cache marks empty slots
+    /// with the empty string, so the empty value skips it.
+    #[inline(always)]
+    fn attribute<'t>(
+        &mut self,
+        index: &KeyIndex,
+        label: u32,
+        value: Cow<'t, str>,
+        cache: &mut SlotCache<'t>,
+    ) {
+        if let Some(node) = self.pending {
+            let mut id = None;
+            for &(k, slot) in &self.attr_slots[label as usize] {
+                if self.stamps[k as usize] == node.index() as u32 {
+                    let id = *id.get_or_insert_with(|| match value {
+                        Cow::Borrowed(text) if !text.is_empty() => {
+                            cache.get(text, || self.values.intern(text.as_bytes()).0)
+                        }
+                        _ => self.values.intern(value.as_bytes()).0,
+                    });
+                    let tally = &mut self.tallies[self.tally_starts[k as usize] + slot as usize];
+                    *tally = (tally.0 + 1, id);
                 }
             }
         }
-        self.enter(label, true);
+        self.enter(index, label, true);
     }
 
-    fn text(&mut self) {
-        self.finalize_pending();
-        self.enter(self.text_label, true);
-    }
-
-    fn end_element(&mut self) {
-        self.finalize_pending();
-        self.depth -= 1;
-        for key in &mut self.keys {
-            // A context opened at this element closes now (at most one per
-            // key: contexts lie on the root-path, one node per depth).
-            if key.open.last().is_some_and(|c| c.depth == self.depth) {
-                let ctx = key.open.pop().expect("checked above");
-                key.close_context(ctx);
-            }
-            for frame in &mut key.frames[..key.open.len()] {
-                frame.target_states.pop();
-            }
-            key.context_states.pop();
+    #[inline(always)]
+    fn end_element(&mut self, index: &KeyIndex) {
+        self.finalize_pending(index);
+        let state = self.stack.pop().expect("the scan balances tags");
+        if !self.dfa.actions[state as usize].busy {
+            return;
+        }
+        // The contexts opened at this element close now: contexts lie on
+        // the root path, so each is its key's innermost.
+        for &k in self.dfa.opens_of(state) {
+            self.keys[k as usize].close();
         }
     }
 
-    fn finish(mut self) -> StreamCheckReport {
-        let nodes = self.next_node as usize;
+    fn finish(&mut self) -> StreamCheckReport {
+        debug_assert!(self.stack.is_empty());
         let per_key = self
             .keys
             .iter_mut()
             .map(|key| {
-                debug_assert!(key.open.is_empty() && key.context_states.is_empty());
+                debug_assert!(key.open.is_empty());
                 key.done.sort_by_key(|(seq, _)| *seq);
                 key.done
                     .drain(..)
@@ -247,116 +430,294 @@ impl<'a> StreamKeyChecker<'a> {
             .collect();
         StreamCheckReport {
             per_key,
-            nodes,
+            nodes: self.next_node as usize,
             peak_open_contexts: self.peak_open_contexts,
         }
     }
 
-    /// Handles one node: steps every key's matching through `label`,
-    /// opens a context if the node is one, and records the node as a target
-    /// of every open context it matches.  An element keeps its matching
-    /// state until [`end_element`](Self::end_element), and as a target it
-    /// waits in its key's `pending` slot for its attributes.  A `leaf`
-    /// (attribute or text) keeps no state: it has no attributes, so it is
-    /// checked as a target at once, and a context it opens closes before
-    /// the call returns.
-    fn enter(&mut self, label: Option<LabelId>, leaf: bool) {
+    /// Handles one node with `label`: one transition from the innermost
+    /// open element's state, then the new state's actions, if it has any.
+    /// An element's state stays on the stack until
+    /// [`end_element`](Self::end_element).
+    #[inline(always)]
+    fn enter(&mut self, index: &KeyIndex, label: u32, leaf: bool) {
         let node = NodeId::from_index(self.next_node as usize);
         self.next_node += 1;
-        let (index, values) = (self.index, &self.values);
-        let mut open_total = 0;
-        for (k, key) in self.keys.iter_mut().enumerate() {
-            // Step target matching of every context already open, and
-            // note the contexts the node is a target of (outer first)
-            // after those of the key's pending target, if any.
-            let from = key.contexts.len();
-            for (ci, frame) in key.frames[..key.open.len()].iter_mut().enumerate() {
-                let top = *frame.target_states.last().expect("context has a state");
-                let stepped = key.target_matcher.step(top, label);
-                if !leaf {
-                    frame.target_states.push(stepped);
-                }
-                if key.target_matcher.accepts(stepped) {
-                    key.contexts.push(ci);
-                }
-            }
-            // Step the context expression: the root is reached by the empty
-            // word, children extend their parent's word by one label.
-            let state = match key.context_states.last() {
-                None => key.context_matcher.start(),
-                Some(&parent) => key.context_matcher.step(parent, label),
-            };
-            if !leaf {
-                key.context_states.push(state);
-            }
-            let is_context = key.context_matcher.accepts(state);
-            if is_context {
-                let start = key.target_matcher.start();
-                let ci = key.open.len();
-                if key.target_matcher.accepts(start) {
-                    key.contexts.push(ci);
-                }
-                if ci == key.frames.len() {
-                    key.frames.push(Frame::default());
-                }
-                let frame = &mut key.frames[ci];
-                frame.target_states.clear();
-                frame.target_states.push(start);
-                frame.table.reset(node);
-                key.open.push(OpenContext {
-                    seq: key.next_seq,
-                    depth: self.depth,
-                    violations: Vec::new(),
-                });
-                key.next_seq += 1;
-            }
-            if key.contexts.len() > from {
-                if leaf || key.absent.is_empty() {
-                    // No attributes to await: the tuple is complete now, and
-                    // checking at once keeps condition (2) insertion in
-                    // document order.
-                    for &ci in &key.contexts[from..] {
-                        let out = Some(&mut key.open[ci].violations);
-                        let table = &mut key.frames[ci].table;
-                        index.check_target(k, node, &key.absent, table, values, out);
-                    }
-                    key.contexts.truncate(from);
-                } else {
-                    key.pending = Some(node);
-                    key.tallies.fill((0, 0));
-                }
-            }
-            if leaf && is_context {
-                let ctx = key.open.pop().expect("pushed above");
-                key.close_context(ctx);
-            }
-            open_total += key.open.len();
+        let state = self.dfa.step(&mut self.stack, label);
+        if !leaf {
+            self.stack.push(state);
         }
-        self.peak_open_contexts = self.peak_open_contexts.max(open_total);
+        if self.dfa.actions[state as usize].busy {
+            self.act(index, state, node, leaf);
+        }
     }
 
-    /// Checks the innermost element's pending targets (its attribute
-    /// section just ended).
-    fn finalize_pending(&mut self) {
-        let (index, values) = (self.index, &self.values);
-        for (k, key) in self.keys.iter_mut().enumerate() {
-            if let Some(node) = key.pending.take() {
-                for &ci in &key.contexts {
-                    let out = Some(&mut key.open[ci].violations);
-                    let table = &mut key.frames[ci].table;
-                    index.check_target(k, node, &key.tallies, table, values, out);
+    /// Runs the actions of `node` in `state`: opens the contexts the node
+    /// is, and checks the node against every open context it is a target
+    /// of.  As a target of a key with attributes, an element waits in
+    /// `pending` for its attribute section.  A `leaf` (attribute or text)
+    /// has no attributes, so it is checked at once, and a context it opens
+    /// closes before the call returns.
+    fn act(&mut self, index: &KeyIndex, state: u32, node: NodeId, leaf: bool) {
+        let opens = self.dfa.opens_of(state);
+        if !opens.is_empty() && !leaf {
+            // Only an element that opens a context can raise the peak: a
+            // leaf's own contexts close with it.
+            let open_total = self.dfa.actions[state as usize].open_total as usize;
+            self.peak_open_contexts = self.peak_open_contexts.max(open_total);
+        }
+        for &k in opens {
+            self.keys[k as usize].open(node);
+        }
+        for &(k, ci) in self.dfa.targets_of(state) {
+            let k = k as usize;
+            let attrs = self.tally_starts[k]..self.tally_starts[k + 1];
+            if leaf || attrs.is_empty() {
+                // No attributes to await: the tuple is complete now, and
+                // checking at once keeps condition (2) insertion in
+                // document order.
+                let tallies = &self.absent[..attrs.len()];
+                self.keys[k].check(index, k, ci, node, tallies, &self.values);
+            } else {
+                if self.stamps[k] != node.index() as u32 {
+                    self.stamps[k] = node.index() as u32;
+                    self.tallies[attrs].fill((0, 0));
                 }
-                key.contexts.clear();
+                self.pending = Some(node);
+            }
+        }
+        if leaf {
+            for &k in opens {
+                self.keys[k as usize].close();
+            }
+        }
+    }
+
+    /// Checks the innermost element against the contexts of keys with
+    /// attributes it is a target of, if it waits for that (its attribute
+    /// section just ended).
+    #[inline(always)]
+    fn finalize_pending(&mut self, index: &KeyIndex) {
+        if let Some(node) = self.pending.take() {
+            self.check_pending(index, node);
+        }
+    }
+
+    fn check_pending(&mut self, index: &KeyIndex, node: NodeId) {
+        let state = *self.stack.last().expect("a pending element is open");
+        for &(k, ci) in self.dfa.targets_of(state) {
+            let k = k as usize;
+            let attrs = self.tally_starts[k]..self.tally_starts[k + 1];
+            if !attrs.is_empty() {
+                let tallies = &self.tallies[attrs];
+                self.keys[k].check(index, k, ci, node, tallies, &self.values);
             }
         }
     }
 }
 
-impl KeyState {
-    /// Closes one context: orders its violations by target (the DOM
-    /// validator reports a context's targets in document order) and records
-    /// them under the context's creation order.
-    fn close_context(&mut self, mut ctx: OpenContext) {
+impl Names {
+    fn element(&self, name: &str) -> u32 {
+        self.elements.get(name).copied().unwrap_or(0)
+    }
+
+    fn attribute(&self, name: &str) -> u32 {
+        self.attributes.get(name).copied().unwrap_or(0)
+    }
+}
+
+impl Dfa {
+    /// The state of a child with `label` of the innermost open element
+    /// (of no element: the root), from the cache or freshly interned.  A
+    /// clear of the cache renumbers `stack`.
+    #[inline]
+    fn step(&mut self, stack: &mut [u32], label: u32) -> u32 {
+        let next = match stack.last() {
+            Some(&parent) => self.next[parent as usize * self.width + label as usize],
+            None => self.root,
+        };
+        if next != NONE {
+            return next;
+        }
+        self.fill(stack, label)
+    }
+
+    /// Computes, interns and caches the transition [`step`](Self::step)
+    /// missed.
+    #[cold]
+    fn fill(&mut self, stack: &mut [u32], label: u32) -> u32 {
+        if self.actions.len() >= self.bound.max(2 * self.kept) {
+            self.clear(stack);
+        }
+        self.build.clear();
+        let Some(&parent) = stack.last() else {
+            // The root is reached by the empty word, whatever its label,
+            // and no context is open above it.
+            for (k, (context, target)) in self.matchers.iter().enumerate() {
+                let state = context.start();
+                self.build.push((k as u32, state));
+                if context.accepts(state) {
+                    self.build.push((k as u32 | TARGET, target.start()));
+                }
+            }
+            self.root = self.intern();
+            return self.root;
+        };
+        let label_id = self.labels[label as usize];
+        // A key's new context, if the node is one, is its innermost: its
+        // start state goes after the key's other target states.
+        let mut opened = None;
+        for &(tag, state) in self.configs.get(parent) {
+            let (context, target) = &self.matchers[(tag & !TARGET) as usize];
+            if tag & TARGET != 0 {
+                self.build.push((tag, target.step(state, label_id)));
+                continue;
+            }
+            if let Some(k) = opened.take() {
+                self.build
+                    .push((k | TARGET, self.matchers[k as usize].1.start()));
+            }
+            let state = context.step(state, label_id);
+            self.build.push((tag, state));
+            if context.accepts(state) {
+                opened = Some(tag);
+            }
+        }
+        if let Some(k) = opened {
+            self.build
+                .push((k | TARGET, self.matchers[k as usize].1.start()));
+        }
+        let child = self.intern();
+        self.next[parent as usize * self.width + label as usize] = child;
+        child
+    }
+
+    /// Interns the configuration in `build`, deriving its actions and an
+    /// empty transition row if it is new.
+    fn intern(&mut self) -> u32 {
+        let (id, new) = self.configs.intern(&self.build);
+        if new {
+            let (opens, targets) = (self.opens.len() as u32, self.targets.len() as u32);
+            let mut open_total = 0;
+            let mut position = 0;
+            for &(tag, state) in &self.build {
+                let k = tag & !TARGET;
+                let (context, target) = &self.matchers[k as usize];
+                if tag & TARGET == 0 {
+                    position = 0;
+                    if context.accepts(state) {
+                        self.opens.push(k);
+                    }
+                } else {
+                    if target.accepts(state) {
+                        self.targets.push((k, position));
+                    }
+                    position += 1;
+                    open_total += 1;
+                }
+            }
+            let (opens, targets) = (
+                (opens, self.opens.len() as u32),
+                (targets, self.targets.len() as u32),
+            );
+            self.actions.push(Actions {
+                opens,
+                targets,
+                open_total,
+                busy: opens.0 < opens.1 || targets.0 < targets.1,
+            });
+            self.next.resize(self.next.len() + self.labels.len(), NONE);
+        }
+        id
+    }
+
+    /// Empties the cache, then interns again the states of the open
+    /// elements and renumbers `stack`.  The bound grows to twice the kept
+    /// states, so a document deeper than the bound clears only after as
+    /// many new states as it kept.
+    fn clear(&mut self, stack: &mut [u32]) {
+        self.remap.clear();
+        self.remap.resize(self.actions.len(), NONE);
+        self.saved.clear();
+        self.saved_ends.clear();
+        for &state in stack.iter() {
+            if self.remap[state as usize] == NONE {
+                self.remap[state as usize] = self.saved_ends.len() as u32;
+                self.saved.extend_from_slice(self.configs.get(state));
+                self.saved_ends.push(self.saved.len());
+            }
+        }
+        self.configs.clear();
+        self.actions.clear();
+        self.opens.clear();
+        self.targets.clear();
+        self.next.clear();
+        self.root = NONE;
+        let mut start = 0;
+        for i in 0..self.saved_ends.len() {
+            let end = self.saved_ends[i];
+            self.build.clear();
+            self.build.extend_from_slice(&self.saved[start..end]);
+            let id = self.intern();
+            debug_assert_eq!(id as usize, i, "kept configurations are distinct");
+            start = end;
+        }
+        for state in stack.iter_mut() {
+            *state = self.remap[*state as usize];
+        }
+        self.kept = self.saved_ends.len();
+    }
+
+    /// The keys `state` opens a context for.
+    #[inline]
+    fn opens_of(&self, state: u32) -> &[u32] {
+        let (start, end) = self.actions[state as usize].opens;
+        &self.opens[start as usize..end as usize]
+    }
+
+    /// The `(key, open-context position)` pairs `state` is a target of.
+    #[inline]
+    fn targets_of(&self, state: u32) -> &[(u32, u32)] {
+        let (start, end) = self.actions[state as usize].targets;
+        &self.targets[start as usize..end as usize]
+    }
+}
+
+impl KeyRun {
+    /// Opens a context at `node`, reusing the tuple table of its depth.
+    fn open(&mut self, node: NodeId) {
+        let ci = self.open.len();
+        if ci == self.frames.len() {
+            self.frames.push(TupleTable::default());
+        }
+        self.frames[ci].reset(node);
+        self.open.push(OpenContext {
+            seq: self.next_seq,
+            violations: Vec::new(),
+        });
+        self.next_seq += 1;
+    }
+
+    /// Checks `node` as a target of the `ci`-th open context of key `k`.
+    fn check(
+        &mut self,
+        index: &KeyIndex,
+        k: usize,
+        ci: u32,
+        node: NodeId,
+        tallies: &[(u32, u32)],
+        values: &SliceInterner<u8>,
+    ) {
+        let ci = ci as usize;
+        let out = Some(&mut self.open[ci].violations);
+        index.check_target(k, node, tallies, &mut self.frames[ci], values, out);
+    }
+
+    /// Closes the innermost context: orders its violations by target (the
+    /// DOM validator reports a context's targets in document order) and
+    /// records them under the context's creation order.
+    fn close(&mut self) {
+        let mut ctx = self.open.pop().expect("the context is open");
         if ctx.violations.is_empty() {
             return;
         }
@@ -429,16 +790,12 @@ mod tests {
         let text = r#"<r><c><x><t k="1"/></x><t k="1"/></c><c><t k="1"/><y><t k="2"/><t k="2"/></y></c><c/></r>"#;
         assert_matches_dom(&s, text);
         let index = KeyIndex::new(&s);
-        let mut checker = StreamKeyChecker::new(&index).unwrap();
-        checker.feed(text).unwrap();
-        let key = &checker.keys[0];
+        let mut automaton = KeyAutomaton::new(&index).unwrap();
+        let report = automaton.check(&index, text).unwrap();
+        let key = &automaton.keys[0];
         assert_eq!(key.frames.len(), 1, "every context opened at one depth");
-        assert_eq!(
-            key.frames[0].target_states,
-            [key.target_matcher.start()],
-            "a closed context leaves only its start state"
-        );
-        assert_eq!(checker.finish().per_key[0].len(), 2);
+        assert!(key.open.is_empty(), "every context closed");
+        assert_eq!(report.per_key[0].len(), 2);
     }
 
     #[test]
@@ -581,5 +938,85 @@ mod tests {
                 );
             }
         }
+
+        /// A cache bound of one or two states clears the cache mid-document
+        /// and refills it, keeping the open elements' states: the reports
+        /// still match the DOM validator, also on a second check by the
+        /// same automaton.
+        #[test]
+        fn a_tiny_cache_clears_mid_document_and_still_matches_batch(
+            steps in prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..40),
+            keys in prop::collection::vec(key_strategy(), 1..5),
+            bound in 1usize..3,
+        ) {
+            let text = to_xml(&build_doc(&steps));
+            let doc = Document::parse_str(&text).unwrap();
+            let mut index = KeyIndex::new(&KeySet::from_keys(keys));
+            let dix = index.index_document(&doc);
+            let mut automaton = KeyAutomaton::new(&index).unwrap();
+            automaton.dfa.bound = bound;
+            for _ in 0..2 {
+                let report = automaton.check(&index, &text).unwrap();
+                prop_assert_eq!(report.nodes, doc.len());
+                for k in 0..index.len() {
+                    prop_assert_eq!(
+                        &report.per_key[k],
+                        &index.violations_of(k, &doc, &dix),
+                        "key {} on {}", k, text
+                    );
+                }
+                prop_assert!(automaton.dfa.actions.len() <= bound.max(2 * automaton.dfa.kept));
+            }
+        }
+
+        /// One automaton checking a run of documents answers each as a
+        /// fresh checker does: no state of one check leaks into the next.
+        #[test]
+        fn a_reused_automaton_matches_a_fresh_checker_per_document(
+            docs in prop::collection::vec(
+                prop::collection::vec((0u8..16, 0u8..4, 0u8..6), 0..30),
+                1..6,
+            ),
+            keys in prop::collection::vec(key_strategy(), 1..5),
+        ) {
+            let index = KeyIndex::new(&KeySet::from_keys(keys));
+            let mut automaton = KeyAutomaton::new(&index).unwrap();
+            for steps in &docs {
+                let text = to_xml(&build_doc(steps));
+                prop_assert_eq!(
+                    automaton.check(&index, &text).unwrap(),
+                    stream_check(&index, &text),
+                    "on {}", text
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_clear_keeps_the_open_elements_states() {
+        // Four distinct states on one path with a bound of two: the deepest
+        // element's transition clears the cache, keeping the three states
+        // above it, and the contexts still close where they opened.
+        let s = sigma(&["(//a, (b, {@k}))", "(ε, (//b, {@k}))"]);
+        let text = r#"<r><a><a><b k="1"/><b k="1"/></a><b k="1"/></a></r>"#;
+        assert_matches_dom(&s, text);
+        let index = KeyIndex::new(&s);
+        let mut automaton = KeyAutomaton::new(&index).unwrap();
+        automaton.dfa.bound = 2;
+        let report = automaton.check(&index, text).unwrap();
+        assert!(automaton.dfa.kept >= 2, "a clear kept the open path");
+        let mut doc_index = KeyIndex::new(&s);
+        let doc = Document::parse_str(text).unwrap();
+        let dix = doc_index.index_document(&doc);
+        assert_eq!(report.all_violations(), doc_index.violations(&doc, &dix));
+    }
+
+    #[test]
+    #[should_panic(expected = "the KeyIndex it was built from")]
+    fn an_automaton_refuses_a_different_index() {
+        let index = KeyIndex::new(&sigma(&["(ε, (//b, {@k}))"]));
+        let other = KeyIndex::new(&sigma(&["(ε, (//b, {@k}))", "(ε, (//c, {}))"]));
+        let mut automaton = KeyAutomaton::new(&index).unwrap();
+        let _ = automaton.check(&other, "<r/>");
     }
 }

@@ -407,12 +407,15 @@ mod tests {
     }
 
     #[test]
-    fn universal_rule_falls_back_and_still_reconciles() {
-        // The universal bookstore rule reads several root-level variables,
-        // keeping it out of the block decomposition; the fallback must
-        // still produce exact databases and reconciling deltas.
+    fn universal_rule_reconciles_through_anchor_blocks() {
+        // The universal bookstore rule has one root-child variable
+        // (`xb := xr//book`), so it decomposes into one block per book;
+        // editing a book's key and removing a book must still produce exact
+        // databases and reconciling deltas.
         let mut t = Transformation::new(Vec::new());
         t.add_rule(sample::example_3_1_universal());
+        let plan = TransformationPlan::new(&t, &mut LabelUniverse::new());
+        assert!(plan.plans()[0].anchor_var().is_some(), "the blocks arm");
         let doc = fig1();
         let books: Vec<NodeId> = doc
             .all_nodes()

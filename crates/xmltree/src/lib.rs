@@ -83,6 +83,6 @@ pub use hash::{FoldHasher, FoldState, SliceInterner};
 pub use index::{ChildPositions, DocIndex};
 pub use labels::{LabelId, LabelUniverse};
 pub use node::{NodeId, NodeKind};
-pub use parse::parse;
+pub use parse::{parse, SlotCache};
 pub use serialize::{to_pretty_xml, to_xml};
 pub use stream::{scan, StreamEvent, MAX_DEPTH};

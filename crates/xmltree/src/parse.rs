@@ -60,10 +60,12 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
     Ok(doc)
 }
 
-/// A direct-mapped cache of names → label slots in front of the document's
-/// label table: a document uses few distinct names, so most lookups cost
-/// one hash of a short name and one comparison instead of a table probe.
-struct SlotCache<'a>([(&'a str, u32); 256]);
+/// A direct-mapped cache of names → `u32` slots in front of a name table,
+/// for the names of one scanned text: a document uses few distinct names,
+/// so most lookups cost one hash of a short name and one comparison
+/// instead of a table probe.  The parser caches label slots through it and
+/// the streaming key checker its automaton's label indices.
+pub struct SlotCache<'a>([(&'a str, u32); 256]);
 
 impl Default for SlotCache<'_> {
     fn default() -> Self {
@@ -74,7 +76,8 @@ impl Default for SlotCache<'_> {
 
 impl<'a> SlotCache<'a> {
     /// The slot of `name`, from `miss` when the cache does not hold it.
-    fn get(&mut self, name: &'a str, miss: impl FnOnce() -> u32) -> u32 {
+    #[inline]
+    pub fn get(&mut self, name: &'a str, miss: impl FnOnce() -> u32) -> u32 {
         let mix = name
             .bytes()
             .fold(name.len() as u64, |h, b| h.rotate_left(5) ^ u64::from(b));

@@ -19,9 +19,9 @@
 //! and the batch continues; the exit code then signals failure without
 //! aborting the remaining files.
 //!
-//! `validate --stream` checks the keys straight off the file's text,
-//! without building a document tree.  `shred --stream` is accepted for
-//! compatibility and runs the same code as `shred`.
+//! `validate` checks the keys straight off the file's text, without
+//! building a document tree; `shred` parses the document.  `--stream` is
+//! accepted by both for compatibility and changes nothing.
 //!
 //! `mutate` opens a document for **incremental revalidation**: it applies
 //! an edit script (one `settext`/`remove`/`insert` per line, nodes named
@@ -261,10 +261,10 @@ fn usage_text() -> String {
         "\nPassing a directory to `validate` or `shred` processes every *.xml\n\
          file in it (sorted by name) through the parallel corpus pipeline\n\
          over N worker threads (default 1).\n\n\
-         --stream validates straight off the file's text through the\n\
-         streaming key checker, without building a document tree.\n\
-         `shred --stream` is accepted for compatibility and runs the same\n\
-         code as `shred`: shredding always parses the document.\n\n\
+         `validate` checks the keys straight off the file's text through\n\
+         the streaming key checker, without building a document tree;\n\
+         `shred` always parses the document.  --stream is accepted by both\n\
+         for compatibility and changes nothing.\n\n\
          `mutate` applies an edit script (settext/remove/insert lines over\n\
          n<id> node names) to the document, incrementally maintaining the\n\
          index, the key validation and the shredded relations per edit.\n\n\
@@ -324,27 +324,21 @@ fn load_transformation(path: &str) -> Result<Transformation, Error> {
 }
 
 fn cmd_validate(args: &Args) -> Result<bool, Error> {
-    let stream = args.value("--stream").is_some();
+    // `--stream` is accepted for compatibility: validation always runs off
+    // the text through the streaming key checker.
     let [doc_path, keys_path] = args.positional[..] else {
         return Err(args.usage());
     };
     if let Some(jobs) = args.batch_jobs(doc_path)? {
-        return batch_validate(doc_path, keys_path, jobs, stream);
+        return batch_validate(doc_path, keys_path, jobs);
     }
     // The server's renderer against a validation-only bundle: a `validate`
-    // request and this one-shot print identical bytes by construction.
+    // request and this one-shot print identical bytes by construction.  No
+    // document tree is built unless a key is too long to stream.
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
-    if stream {
-        // The event-driven front end: the file's text goes straight through
-        // the streaming checker — no document tree is built unless a key
-        // is too long to stream.
-        let (ok, report) = render::validate_report_streaming(&bundle, &read(doc_path)?, doc_path)?;
-        print!("{report}");
-        return Ok(ok);
-    }
-    let doc = Document::parse_str(&read(doc_path)?).map_err(|e| Error::parse(doc_path, e))?;
-    let mut scratch = bundle.scratch();
-    let (ok, report) = render::validate_report(&bundle, &doc, &mut scratch);
+    let text = read(doc_path)?;
+    let (ok, report) =
+        render::validate_report_streaming(&bundle, &text, &mut bundle.scratch(), doc_path)?;
     print!("{report}");
     Ok(ok)
 }
@@ -567,13 +561,13 @@ fn cmd_serve(args: &Args) -> Result<bool, Error> {
 }
 
 /// Runs a directory batch: one fan-out over the files, each worker owning
-/// one bundle scratch.  Each file is read, then either streamed straight off
-/// its text (`options.stream`, validation only: no document tree) or parsed
-/// and processed by the DOM pipeline.  `report` prints each processed
-/// file's outcome in file-name order; a `[SKIP]` line then names each file
-/// that could not be read or parsed (a malformed file never aborts the
-/// batch).  Returns the number of skipped files, or `None` for a directory
-/// without documents, after saying so.
+/// one bundle scratch.  Each file is read and handed to
+/// `CorpusBundle::process_text`: a validation-only batch streams it through
+/// the worker's key automaton, a shredding batch parses it.  `report`
+/// prints each processed file's outcome in file-name order; a `[SKIP]`
+/// line then names each file that could not be read or parsed (a malformed
+/// file never aborts the batch).  Returns the number of skipped files, or
+/// `None` for a directory without documents, after saying so.
 fn run_batch(
     dir: &str,
     bundle: &CorpusBundle,
@@ -593,14 +587,9 @@ fn run_batch(
         |scratch, _, (_, path)| {
             let text =
                 fs::read_to_string(path).map_err(|e| Error::io(format!("cannot read: {e}")))?;
-            if options.stream {
-                return bundle
-                    .stream_text(&text, options)
-                    .map_err(|e| Error::new(ErrorKind::Parse, e.to_string()));
-            }
-            let doc = Document::parse_str(&text)
-                .map_err(|e| Error::new(ErrorKind::Parse, e.to_string()))?;
-            Ok(bundle.process(&doc, scratch, options))
+            bundle
+                .process_text(&text, scratch, options)
+                .map_err(|e| Error::new(ErrorKind::Parse, e.to_string()))
         },
     );
     let mut skipped = Vec::new();
@@ -617,16 +606,16 @@ fn run_batch(
 }
 
 /// Batch validation: every `*.xml` file of `dir` against the key set, over
-/// the parallel corpus pipeline (or, with `stream`, the streaming key
-/// checker).
-fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Result<bool, Error> {
+/// the parallel corpus pipeline, each file streamed through its worker's
+/// key automaton.
+fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs) -> Result<bool, Error> {
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
     let options = CorpusOptions {
         jobs,
         shred: false,
         validate: true,
         covers: false,
-        stream,
+        stream: false,
     };
     let (mut documents, mut invalid, mut violations_total) = (0usize, 0usize, 0usize);
     let skipped = run_batch(dir, &bundle, &options, |name, outcome| {
